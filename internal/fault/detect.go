@@ -19,7 +19,6 @@ import (
 
 	"wormlan/internal/des"
 	"wormlan/internal/liveness"
-	"wormlan/internal/mapper"
 	"wormlan/internal/network"
 	"wormlan/internal/topology"
 	"wormlan/internal/trace"
@@ -210,28 +209,12 @@ func (inj *Injector) onVerdict(v liveness.Verdict) {
 		}
 	}
 	d.pending = append(d.pending, v.At)
-	inj.scheduleDetectRemap()
+	inj.coalesce(&d.remapPending, inj.Cfg.ConvergeDelay, inj.remapDetected)
 }
 
-// scheduleDetectRemap coalesces verdicts the way scheduleRemap coalesces
-// oracle events: one recovery pass runs ConvergeDelay after the first
-// verdict of a burst, over whatever the detector believes by then.
-func (inj *Injector) scheduleDetectRemap() {
-	d := inj.det
-	if d.remapPending {
-		return
-	}
-	d.remapPending = true
-	inj.K.After(inj.Cfg.ConvergeDelay, func() {
-		d.remapPending = false
-		inj.remapDetected()
-	})
-}
-
-// remapDetected runs the recovery pipeline over the *detected* failure set:
-// mapper re-run, up/down relabel, route table rebuild, OnRemap.  False
-// positives really are routed around; undetected failures really are still
-// routed into.
+// remapDetected runs the recovery pipeline over the *detected* failure set.
+// False positives really are routed around; undetected failures really are
+// still routed into.
 func (inj *Injector) remapDetected() {
 	d := inj.det
 	fail := updown.NewFailures()
@@ -239,38 +222,13 @@ func (inj *Injector) remapDetected() {
 	for e := range d.down {
 		fail.Links[e] = true
 	}
-	failedLinks := make(map[mapper.LinkID]bool, len(fail.Links))
-	//wormlint:ordered set re-keyed into a set; insertion order is invisible
-	for e := range fail.Links {
-		failedLinks[mapper.LinkID{Node: e.Node, Port: e.Port}] = true
-	}
-	res, err := mapper.RunSurviving(inj.F.G, failedLinks, fail.Switches)
-	if err != nil {
-		inj.ctr.RemapFailures++
+	if !inj.rebuild(fail) {
 		return
 	}
-	for _, st := range res.Unmapped {
-		fail.FailSwitch(st.Switch)
-	}
-	ud, err := updown.WithoutEdges(inj.F.G, res.Root, fail)
-	if err != nil {
-		inj.ctr.RemapFailures++
-		return
-	}
-	tbl, err := ud.NewTableSurviving(false)
-	if err != nil {
-		inj.ctr.RemapFailures++
-		return
-	}
-	inj.F.SetRouting(ud)
-	inj.ctr.Remaps++
 	d.remaps++
 	now := inj.K.Now()
 	for _, tv := range d.pending {
 		d.detectToReroute.Add(float64(now - tv))
 	}
 	d.pending = d.pending[:0]
-	if inj.Cfg.OnRemap != nil {
-		inj.Cfg.OnRemap(ud, tbl)
-	}
 }

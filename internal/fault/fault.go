@@ -342,30 +342,33 @@ func (inj *Injector) topoChanged(e Event) {
 		inj.det.trackTruth(inj, e)
 		return
 	}
-	inj.scheduleRemap()
+	inj.coalesce(&inj.remapPending, inj.Cfg.RemapDelay, inj.Remap)
 }
 
-// scheduleRemap coalesces topology changes: one re-map fires RemapDelay
-// after the first change of a burst (the mapper daemon converges once over
-// whatever the fabric looks like then).
-func (inj *Injector) scheduleRemap() {
-	if inj.remapPending {
+// coalesce turns a burst of triggers into one recovery pass: fn runs delay
+// after the first trigger of the burst, over whatever the fabric (or the
+// detector) looks like by then — the mapper daemon converges once.
+func (inj *Injector) coalesce(pending *bool, delay des.Time, fn func()) {
+	if *pending {
 		return
 	}
-	inj.remapPending = true
-	inj.K.After(inj.Cfg.RemapDelay, func() {
-		inj.remapPending = false
-		inj.Remap()
+	*pending = true
+	inj.K.After(delay, func() {
+		*pending = false
+		fn()
 	})
 }
 
-// Remap runs the recovery pipeline now: distributed mapper over the
-// surviving subgraph, up/down relabelling, route table rebuild, and the
-// OnRemap callback.  Stranded switches (partitioned from the elected root)
-// are treated as unreachable by adding them to the failure set used for
-// the relabelling.
+// Remap runs the recovery pipeline now over the fabric's true failure set.
 func (inj *Injector) Remap() {
-	fail := inj.F.Failures()
+	inj.rebuild(inj.F.Failures())
+}
+
+// rebuild is the recovery pipeline: distributed mapper over the survivors of
+// fail, up/down relabelling, route table rebuild, OnRemap.  Switches stranded
+// from the elected root join fail, so they count as unreachable.  It reports
+// whether the new routing was installed.
+func (inj *Injector) rebuild(fail *updown.Failures) bool {
 	failedLinks := make(map[mapper.LinkID]bool, len(fail.Links))
 	//wormlint:ordered set re-keyed into a set; insertion order is invisible
 	for e := range fail.Links {
@@ -374,7 +377,7 @@ func (inj *Injector) Remap() {
 	res, err := mapper.RunSurviving(inj.F.G, failedLinks, fail.Switches)
 	if err != nil {
 		inj.ctr.RemapFailures++
-		return
+		return false
 	}
 	for _, st := range res.Unmapped {
 		fail.FailSwitch(st.Switch)
@@ -382,16 +385,17 @@ func (inj *Injector) Remap() {
 	ud, err := updown.WithoutEdges(inj.F.G, res.Root, fail)
 	if err != nil {
 		inj.ctr.RemapFailures++
-		return
+		return false
 	}
 	tbl, err := ud.NewTableSurviving(false)
 	if err != nil {
 		inj.ctr.RemapFailures++
-		return
+		return false
 	}
 	inj.F.SetRouting(ud)
 	inj.ctr.Remaps++
 	if inj.Cfg.OnRemap != nil {
 		inj.Cfg.OnRemap(ud, tbl)
 	}
+	return true
 }

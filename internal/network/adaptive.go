@@ -91,7 +91,7 @@ func NewAdaptiveTable(g *topology.Graph, ud *updown.Routing) (*AdaptiveTable, er
 		t.hostPort[hi] = swPort
 	}
 	// Per destination host: BFS switch distances over surviving links, then
-	// candidates (strictly distance-decreasing ports) and escape routes.
+	// candidates (strictly distance-decreasing ports).
 	dist := make([]int, len(g.Nodes))
 	queue := make([]topology.NodeID, 0, len(g.Nodes))
 	for hi, h := range hosts {
@@ -136,10 +136,22 @@ func NewAdaptiveTable(g *topology.Graph, ud *updown.Routing) (*AdaptiveTable, er
 					cs = append(cs, topology.PortID(pi))
 				}
 			}
-			slot := int(sw)*t.nh + hi
-			t.cands[slot] = cs
-			rt, err := ud.RouteFromSwitch(sw, h)
-			if err != nil {
+			t.cands[int(sw)*t.nh+hi] = cs
+		}
+	}
+	// Per switch of the routed component: one up*/down* walk, from which the
+	// escape route to every reachable host is read off.
+	for _, sw := range g.Switches() {
+		w, err := ud.From(sw)
+		if err != nil {
+			continue // cut off from the root: no escapes, worms here drop
+		}
+		for hi, h := range hosts {
+			if sw == t.attach[hi] {
+				continue // the attach switch delivers
+			}
+			rt, ok := w.To(h)
+			if !ok {
 				continue // unreachable by up/down: escape stays nil
 			}
 			for _, p := range rt.Ports {
@@ -154,7 +166,7 @@ func NewAdaptiveTable(g *topology.Graph, ud *updown.Routing) (*AdaptiveTable, er
 			if err != nil {
 				return nil, fmt.Errorf("network: escape route %d->%d: %w", sw, h, err)
 			}
-			t.escape[slot] = esc
+			t.escape[int(sw)*t.nh+hi] = esc
 		}
 	}
 	return t, nil

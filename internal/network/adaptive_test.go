@@ -1,11 +1,13 @@
 package network
 
 import (
+	"bytes"
 	"testing"
 
 	"wormlan/internal/flit"
 	"wormlan/internal/route"
 	"wormlan/internal/topology"
+	"wormlan/internal/updown"
 )
 
 // adaptiveRig builds a rig with the Duato adaptive table installed.
@@ -155,5 +157,61 @@ func TestAdaptiveUnreachableDropCounted(t *testing.T) {
 	}
 	if held := r.f.HeldChannels(); len(held) != 0 {
 		t.Fatalf("%d held channels after kill", len(held))
+	}
+}
+
+// TestAdaptiveEscapesMatchPerPairRoutes: the escape table, read off one
+// up*/down* walk per switch, holds exactly the route RouteFromSwitch finds
+// for each (switch, host) — healthy, with dead links, with a dead switch,
+// and with a switch partitioned away — and has an escape only where the
+// switch also has productive candidates (it is connected and not the
+// destination's own attach switch).
+func TestAdaptiveEscapesMatchPerPairRoutes(t *testing.T) {
+	g := topology.Torus(4, 4, 2, 1)
+	sws := g.Switches()
+	links := updown.NewFailures()
+	links.FailLink(g, sws[1], 0)
+	links.FailLink(g, sws[6], 2)
+	dead := updown.NewFailures()
+	dead.FailSwitch(sws[5])
+	cut := updown.NewFailures()
+	for pi, p := range g.Node(sws[15]).Ports {
+		if g.Node(p.Peer).Kind == topology.Switch {
+			cut.FailLink(g, sws[15], topology.PortID(pi))
+		}
+	}
+	for name, fail := range map[string]*updown.Failures{"healthy": nil, "links": links, "dead-switch": dead, "partition": cut} {
+		ud, err := updown.WithoutEdges(g, topology.None, fail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at, err := NewAdaptiveTable(g, ud)
+		if err != nil {
+			t.Fatal(err)
+		}
+		escapes := 0
+		for _, sw := range sws {
+			for hi, h := range g.Hosts() {
+				var want []byte
+				if rt, err := ud.RouteFromSwitch(sw, h); err == nil && sw != at.attach[hi] {
+					if want, err = route.EncodeUnicast(rt.Ports); err != nil {
+						t.Fatal(err)
+					}
+				}
+				slot := int(sw)*at.nh + hi
+				if !bytes.Equal(at.escape[slot], want) {
+					t.Fatalf("%s: escape %d->%d = %v, want %v", name, sw, h, at.escape[slot], want)
+				}
+				if (want != nil) != (len(at.cands[slot]) > 0) {
+					t.Fatalf("%s: %d->%d has escape %v but candidates %v", name, sw, h, want, at.cands[slot])
+				}
+				if want != nil {
+					escapes++
+				}
+			}
+		}
+		if escapes == 0 {
+			t.Fatalf("%s: no escape routes at all", name)
+		}
 	}
 }

@@ -584,8 +584,10 @@ func Run(cfg Config) (*Results, error) {
 				if rerr != nil {
 					// Scheme rebuilds only fail on construction-level
 					// errors (bad geometry), which Validate and the
-					// initial build have already excluded.
-					panic(fmt.Sprintf("sim: route %q rebuild after remap: %v", cfg.Route, rerr))
+					// initial build should have excluded: stop the run
+					// on the old routes and let Run return the error.
+					k.Halt(fmt.Errorf("sim: route %q rebuild after remap: %w", cfg.Route, rerr))
+					return
 				}
 				sys.Reroute(ntbl, rud.Reachable)
 			},

@@ -9,12 +9,14 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wormlan/internal/adapter"
 	"wormlan/internal/fault"
 	"wormlan/internal/rng"
 	"wormlan/internal/topology"
+	"wormlan/internal/trace"
 )
 
 // adaptiveConfig is a run on a 4x4 torus under Duato-style adaptive
@@ -242,5 +244,26 @@ func TestVCMulticastConservationSweep(t *testing.T) {
 	}
 	if !sawMC {
 		t.Error("no case delivered a multicast — the sweep exercised nothing")
+	}
+}
+
+// TestRemapRebuildFailureIsAnError: when the scheme table cannot be rebuilt
+// after a remap, Run stops and returns the error rather than panicking.  A
+// valid Config cannot get there (Validate and the initial build exclude
+// every construction error), so the test breaks the shared torus geometry
+// mid-run, from the tracer, just before the link kill triggers the remap.
+func TestRemapRebuildFailureIsAnError(t *testing.T) {
+	cfg := vcminConfig(0.05)
+	geo := cfg.TorusGeom
+	cfg.Adapter = adapter.Config{MaxRetries: 3, AckTimeoutBase: 16384, NackBackoff: 2048}
+	cfg.FaultPlan = (&fault.Plan{}).LinkDown(20_000, geo.Sw[1][1], geo.XPlus[1][1])
+	cfg.Tracer = trace.Func(func(e trace.Event) {
+		if e.At >= 10_000 {
+			geo.Hosts[0][0] = nil // host 0.0.0 vanishes from the geometry
+		}
+	})
+	r, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "rebuild after remap") {
+		t.Fatalf("Run = (%v, %v), want the rebuild error", r, err)
 	}
 }

@@ -1,0 +1,172 @@
+package updown
+
+// The per-pair reference: the early-exit breadth-first search that computed
+// every route before the single-source Walk replaced it, kept verbatim as
+// the oracle the Walk is compared against (the eventq/heapref pattern).
+// One search per (start switch, destination host), fresh scratch each time,
+// stopping at the first state discovered on the destination's switch.
+
+import (
+	"fmt"
+
+	"wormlan/internal/topology"
+)
+
+// routeState is a node plus the "have we gone down yet" phase of the
+// up*/down* walk.
+type routeState struct {
+	node topology.NodeID
+	down bool
+}
+
+// pairRoute is the reference host-to-host route.
+func (r *Routing) pairRoute(src, dst topology.NodeID, treeOnly bool) (Route, error) {
+	g := r.G
+	if g.Node(src).Kind != topology.Host || g.Node(dst).Kind != topology.Host {
+		return Route{}, fmt.Errorf("updown: route endpoints must be hosts (got %s, %s)",
+			g.Node(src).Kind, g.Node(dst).Kind)
+	}
+	sSrc, _ := g.HostAttachment(src)
+	if src == dst {
+		return Route{}, fmt.Errorf("updown: route to self (host %d)", src)
+	}
+	if r.fail != nil && (!r.Reachable(src) || !r.Reachable(dst)) {
+		return Route{}, fmt.Errorf("updown: no surviving route from host %d to host %d", src, dst)
+	}
+	rt, err := r.routeFrom(sSrc, dst, treeOnly)
+	if err != nil {
+		return Route{}, fmt.Errorf("updown: no legal route from host %d to host %d (treeOnly=%v)",
+			src, dst, treeOnly)
+	}
+	rt.Src = src
+	return rt, nil
+}
+
+// pairRouteFromSwitch is the reference switch-to-host escape route.
+func (r *Routing) pairRouteFromSwitch(sw, dst topology.NodeID) (Route, error) {
+	g := r.G
+	if g.Node(sw).Kind != topology.Switch || g.Node(dst).Kind != topology.Host {
+		return Route{}, fmt.Errorf("updown: RouteFromSwitch wants (switch, host), got (%s, %s)",
+			g.Node(sw).Kind, g.Node(dst).Kind)
+	}
+	if r.Level[sw] < 0 {
+		return Route{}, fmt.Errorf("updown: switch %d is not in the routed component", sw)
+	}
+	if r.fail != nil && !r.Reachable(dst) {
+		return Route{}, fmt.Errorf("updown: host %d unreachable", dst)
+	}
+	return r.routeFrom(sw, dst, false)
+}
+
+// routeFrom is the reference BFS core: a shortest legal up*/down* walk from
+// switch start to host dst.
+func (r *Routing) routeFrom(start, dst topology.NodeID, treeOnly bool) (Route, error) {
+	g := r.G
+	sSrc := start
+	sDst, dstPortOnSwitch := g.HostAttachment(dst)
+	if sSrc == sDst {
+		// Single-switch route: one port, straight to the destination host.
+		return Route{Src: start, Dst: dst,
+			Ports:    []topology.PortID{dstPortOnSwitch},
+			Switches: []topology.NodeID{sSrc}}, nil
+	}
+	// BFS over (switch, phase).  Phase false = still allowed to go up.
+	type prevHop struct {
+		state routeState
+		port  topology.PortID
+	}
+	idx := func(s routeState) int {
+		i := int(s.node) * 2
+		if s.down {
+			i++
+		}
+		return i
+	}
+	prev := make([]prevHop, 2*len(g.Nodes))
+	seen := make([]bool, 2*len(g.Nodes))
+	origin := routeState{sSrc, false}
+	seen[idx(origin)] = true
+	queue := make([]routeState, 0, len(g.Nodes))
+	queue = append(queue, origin)
+	var goal routeState
+	found := false
+	for qi := 0; qi < len(queue) && !found; qi++ {
+		cur := queue[qi]
+		for pi, p := range g.Node(cur.node).Ports {
+			if !p.Wired() || g.Node(p.Peer).Kind != topology.Switch {
+				continue
+			}
+			if treeOnly && !r.inTree[cur.node][pi] {
+				continue
+			}
+			if r.fail.LinkDead(g, cur.node, topology.PortID(pi)) {
+				continue
+			}
+			up := r.IsUp(cur.node, topology.PortID(pi))
+			if cur.down && up {
+				continue // down->up transition is illegal
+			}
+			next := routeState{p.Peer, cur.down || !up}
+			if seen[idx(next)] {
+				continue
+			}
+			seen[idx(next)] = true
+			prev[idx(next)] = prevHop{state: cur, port: topology.PortID(pi)}
+			if p.Peer == sDst {
+				goal = next
+				found = true
+				break
+			}
+			queue = append(queue, next)
+		}
+	}
+	if !found {
+		return Route{}, fmt.Errorf("updown: no legal route from switch %d to host %d (treeOnly=%v)",
+			start, dst, treeOnly)
+	}
+	// Walk back from goal to start.
+	var ports []topology.PortID
+	var sws []topology.NodeID
+	for cur := goal; cur != origin; {
+		h := prev[idx(cur)]
+		ports = append(ports, h.port)
+		sws = append(sws, h.state.node)
+		cur = h.state
+	}
+	// Reverse into forward order.
+	for i, j := 0, len(ports)-1; i < j; i, j = i+1, j-1 {
+		ports[i], ports[j] = ports[j], ports[i]
+		sws[i], sws[j] = sws[j], sws[i]
+	}
+	ports = append(ports, dstPortOnSwitch)
+	sws = append(sws, sDst)
+	return Route{Src: start, Dst: dst, Ports: ports, Switches: sws}, nil
+}
+
+// pairTable is the reference all-pairs table: strict fails on the first
+// row-major pair without a route (the old NewTable), otherwise unroutable
+// pairs stay empty (the old NewTableSurviving).
+func (r *Routing) pairTable(treeOnly, strict bool) ([][]Route, error) {
+	hosts := r.G.Hosts()
+	routes := make([][]Route, len(hosts))
+	for i, src := range hosts {
+		routes[i] = make([]Route, len(hosts))
+		if !strict && !r.Reachable(src) {
+			continue
+		}
+		for j, dst := range hosts {
+			if i == j || (!strict && !r.Reachable(dst)) {
+				continue
+			}
+			rt, err := r.pairRoute(src, dst, treeOnly)
+			if err != nil {
+				if strict {
+					return nil, err
+				}
+				continue
+			}
+			routes[i][j] = rt
+		}
+	}
+	return routes, nil
+}

@@ -48,63 +48,7 @@ type Routing struct {
 // New computes the up/down labelling of g rooted at the given switch.
 // If root is topology.None, the lowest-numbered switch is used.
 func New(g *topology.Graph, root topology.NodeID) (*Routing, error) {
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("updown: invalid topology: %w", err)
-	}
-	switches := g.Switches()
-	if len(switches) == 0 {
-		return nil, fmt.Errorf("updown: no switches")
-	}
-	if root == topology.None {
-		root = switches[0]
-	}
-	if g.Node(root).Kind != topology.Switch {
-		return nil, fmt.Errorf("updown: root %d is not a switch", root)
-	}
-	r := &Routing{
-		G:          g,
-		Root:       root,
-		Level:      make([]int, len(g.Nodes)),
-		Parent:     make([]topology.NodeID, len(g.Nodes)),
-		ParentPort: make([]topology.PortID, len(g.Nodes)),
-		inTree:     make([][]bool, len(g.Nodes)),
-	}
-	for i := range g.Nodes {
-		r.Level[i] = -1
-		r.Parent[i] = topology.None
-		r.ParentPort[i] = topology.NoPort
-		r.inTree[i] = make([]bool, len(g.Nodes[i].Ports))
-	}
-	// BFS over switches only; deterministic because ports are scanned in
-	// index order and the queue is FIFO.
-	r.Level[root] = 0
-	queue := []topology.NodeID{root}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for pi, p := range g.Node(u).Ports {
-			if !p.Wired() || g.Node(p.Peer).Kind != topology.Switch {
-				continue
-			}
-			if r.Level[p.Peer] < 0 {
-				r.Level[p.Peer] = r.Level[u] + 1
-				r.Parent[p.Peer] = u
-				r.ParentPort[p.Peer] = p.PeerPort
-				r.inTree[u][pi] = true
-				r.inTree[p.Peer][p.PeerPort] = true
-				queue = append(queue, p.Peer)
-			}
-		}
-	}
-	// Host links belong to the tree by definition.
-	for i := range g.Nodes {
-		for pi, p := range g.Nodes[i].Ports {
-			if p.Wired() && (g.Nodes[i].Kind == topology.Host || g.Node(p.Peer).Kind == topology.Host) {
-				r.inTree[i][pi] = true
-			}
-		}
-	}
-	return r, nil
+	return WithoutEdges(g, root, nil)
 }
 
 // IsUp reports whether traversing the link out of port p of switch n is an
@@ -142,149 +86,54 @@ type Route struct {
 // Hops returns the number of switch traversals on the route.
 func (rt Route) Hops() int { return len(rt.Ports) }
 
-// routeState is a node plus the "have we gone down yet" phase of the
-// up*/down* walk.
-type routeState struct {
-	node topology.NodeID
-	down bool
-}
-
-// Route computes a shortest legal up*/down* route from host src to host
-// dst.  Among equal-length routes the choice is deterministic (the paper's
-// simulation likewise fixes one path per source-destination pair).
-// treeOnly restricts the walk to spanning-tree links, the crosslink-free
-// discipline required by the switch-level multicast scheme of Section 3.
+// route computes a shortest legal up*/down* route from host src to host
+// dst as a one-shot walk.  Among equal-length routes the choice is
+// deterministic (the paper's simulation likewise fixes one path per
+// source-destination pair).  treeOnly restricts the walk to spanning-tree
+// links, the crosslink-free discipline required by the switch-level
+// multicast scheme of Section 3.
 func (r *Routing) route(src, dst topology.NodeID, treeOnly bool) (Route, error) {
 	g := r.G
 	if g.Node(src).Kind != topology.Host || g.Node(dst).Kind != topology.Host {
 		return Route{}, fmt.Errorf("updown: route endpoints must be hosts (got %s, %s)",
 			g.Node(src).Kind, g.Node(dst).Kind)
 	}
-	sSrc, _ := g.HostAttachment(src)
 	if src == dst {
 		return Route{}, fmt.Errorf("updown: route to self (host %d)", src)
 	}
-	if r.fail != nil && (!r.Reachable(src) || !r.Reachable(dst)) {
-		return Route{}, fmt.Errorf("updown: no surviving route from host %d to host %d", src, dst)
+	if r.Reachable(src) && r.Reachable(dst) {
+		sw, _ := g.HostAttachment(src)
+		w := r.newWalk()
+		w.run(sw, treeOnly)
+		if rt, ok := w.to(dst); ok {
+			rt.Src = src
+			return rt, nil
+		}
 	}
-	rt, err := r.routeFrom(sSrc, dst, treeOnly)
-	if err != nil {
-		return Route{}, fmt.Errorf("updown: no legal route from host %d to host %d (treeOnly=%v)",
-			src, dst, treeOnly)
+	return Route{}, r.routeErr(src, dst, treeOnly)
+}
+
+// routeErr words the failure to route between two distinct hosts.
+func (r *Routing) routeErr(src, dst topology.NodeID, treeOnly bool) error {
+	if !r.Reachable(src) || !r.Reachable(dst) {
+		return fmt.Errorf("updown: no surviving route from host %d to host %d", src, dst)
 	}
-	rt.Src = src
-	return rt, nil
+	return fmt.Errorf("updown: no legal route from host %d to host %d (treeOnly=%v)",
+		src, dst, treeOnly)
 }
 
 // RouteFromSwitch computes a shortest legal up*/down* route from a switch to
-// a host, starting in the up phase exactly as a freshly injected worm's walk
-// would.  Adaptive routing uses these as escape routes: a worm that wandered
-// off the up/down order on the adaptive lanes re-enters it here, and because
-// every escape-resident worm then only holds and waits on lane-0 channels of
-// one legal walk, the union of waits stays acyclic.  The returned Route has
-// Src set to the switch, so it must not be fed to VerifyRoute (which expects
-// host endpoints).
+// a host as a one-shot walk: From(sw).To(dst).
 func (r *Routing) RouteFromSwitch(sw, dst topology.NodeID) (Route, error) {
-	g := r.G
-	if g.Node(sw).Kind != topology.Switch || g.Node(dst).Kind != topology.Host {
-		return Route{}, fmt.Errorf("updown: RouteFromSwitch wants (switch, host), got (%s, %s)",
-			g.Node(sw).Kind, g.Node(dst).Kind)
+	w, err := r.From(sw)
+	if err != nil {
+		return Route{}, err
 	}
-	if r.Level[sw] < 0 {
-		return Route{}, fmt.Errorf("updown: switch %d is not in the routed component", sw)
+	rt, ok := w.To(dst)
+	if !ok {
+		return Route{}, fmt.Errorf("updown: no legal route from switch %d to host %d", sw, dst)
 	}
-	if r.fail != nil && !r.Reachable(dst) {
-		return Route{}, fmt.Errorf("updown: host %d unreachable", dst)
-	}
-	return r.routeFrom(sw, dst, false)
-}
-
-// routeFrom is the BFS core shared by host-to-host routing and escape-route
-// computation: a shortest legal up*/down* walk from switch start to host dst.
-func (r *Routing) routeFrom(start, dst topology.NodeID, treeOnly bool) (Route, error) {
-	g := r.G
-	sSrc := start
-	sDst, dstPortOnSwitch := g.HostAttachment(dst)
-	if sSrc == sDst {
-		// Single-switch route: one port, straight to the destination host.
-		return Route{Src: start, Dst: dst,
-			Ports:    []topology.PortID{dstPortOnSwitch},
-			Switches: []topology.NodeID{sSrc}}, nil
-	}
-	// BFS over (switch, phase).  Phase false = still allowed to go up.
-	// States index a flat array (node*2 + phase) instead of a map: the
-	// state space is dense and small, and route runs once per injected
-	// worm, so hashing dominated it.
-	type prevHop struct {
-		state routeState
-		port  topology.PortID
-	}
-	idx := func(s routeState) int {
-		i := int(s.node) * 2
-		if s.down {
-			i++
-		}
-		return i
-	}
-	prev := make([]prevHop, 2*len(g.Nodes))
-	seen := make([]bool, 2*len(g.Nodes))
-	origin := routeState{sSrc, false}
-	seen[idx(origin)] = true
-	queue := make([]routeState, 0, len(g.Nodes))
-	queue = append(queue, origin)
-	var goal routeState
-	found := false
-	for qi := 0; qi < len(queue) && !found; qi++ {
-		cur := queue[qi]
-		for pi, p := range g.Node(cur.node).Ports {
-			if !p.Wired() || g.Node(p.Peer).Kind != topology.Switch {
-				continue
-			}
-			if treeOnly && !r.inTree[cur.node][pi] {
-				continue
-			}
-			if r.fail.LinkDead(g, cur.node, topology.PortID(pi)) {
-				continue
-			}
-			up := r.IsUp(cur.node, topology.PortID(pi))
-			if cur.down && up {
-				continue // down->up transition is illegal
-			}
-			next := routeState{p.Peer, cur.down || !up}
-			if seen[idx(next)] {
-				continue
-			}
-			seen[idx(next)] = true
-			prev[idx(next)] = prevHop{state: cur, port: topology.PortID(pi)}
-			if p.Peer == sDst {
-				goal = next
-				found = true
-				break
-			}
-			queue = append(queue, next)
-		}
-	}
-	if !found {
-		return Route{}, fmt.Errorf("updown: no legal route from switch %d to host %d (treeOnly=%v)",
-			start, dst, treeOnly)
-	}
-	// Walk back from goal to start.
-	var ports []topology.PortID
-	var sws []topology.NodeID
-	for cur := goal; cur != origin; {
-		h := prev[idx(cur)]
-		ports = append(ports, h.port)
-		sws = append(sws, h.state.node)
-		cur = h.state
-	}
-	// Reverse into forward order.
-	for i, j := 0, len(ports)-1; i < j; i, j = i+1, j-1 {
-		ports[i], ports[j] = ports[j], ports[i]
-		sws[i], sws[j] = sws[j], sws[i]
-	}
-	ports = append(ports, dstPortOnSwitch)
-	sws = append(sws, sDst)
-	return Route{Src: start, Dst: dst, Ports: ports, Switches: sws}, nil
+	return rt, nil
 }
 
 // Route computes a shortest legal up*/down* route between two hosts.
@@ -297,35 +146,84 @@ func (r *Routing) RouteTreeOnly(src, dst topology.NodeID) (Route, error) {
 	return r.route(src, dst, true)
 }
 
-// Table precomputes routes between every ordered pair of hosts.
+// Table precomputes routes between every ordered pair of hosts.  Route
+// slices of a table built here alias one per-table slab: read them, never
+// append to or write through them.
 type Table struct {
-	Hosts  []topology.NodeID
-	index  map[topology.NodeID]int
+	Hosts []topology.NodeID
+	// index maps a NodeID to its row/column in routes; -1 for non-hosts.
+	index  []int32
 	routes [][]Route
 }
 
-// NewTable builds a route table over all hosts of the topology.
-func (r *Routing) NewTable(treeOnly bool) (*Table, error) {
-	hosts := r.G.Hosts()
-	t := &Table{Hosts: hosts, index: make(map[topology.NodeID]int, len(hosts))}
-	for i, h := range hosts {
-		t.index[h] = i
+// newTable indexes hosts and wraps routes (square over hosts).
+func newTable(hosts []topology.NodeID, routes [][]Route) *Table {
+	size := 0
+	for _, h := range hosts {
+		if int(h) >= size {
+			size = int(h) + 1
+		}
 	}
-	t.routes = make([][]Route, len(hosts))
+	t := &Table{Hosts: hosts, index: make([]int32, size), routes: routes}
+	for i := range t.index {
+		t.index[i] = -1
+	}
+	for i, h := range hosts {
+		t.index[h] = int32(i)
+	}
+	return t
+}
+
+// NewTable builds a route table over all hosts of the topology, failing on
+// the first (row-major) pair without a route.
+func (r *Routing) NewTable(treeOnly bool) (*Table, error) {
+	return r.buildTable(treeOnly, true)
+}
+
+// NewTableSurviving precomputes routes between every ordered pair of
+// mutually reachable hosts, leaving unroutable pairs empty instead of
+// failing the whole table the way NewTable does.  Use Table.HasRoute to
+// test a pair before Lookup.
+func (r *Routing) NewTableSurviving(treeOnly bool) (*Table, error) {
+	return r.buildTable(treeOnly, false)
+}
+
+// buildTable fills the all-pairs table from one walk per source switch: a
+// row re-walks only when its switch differs from the previous row's, and
+// every builder numbers the hosts of a switch consecutively.  Reachable
+// endpoints always route (up to the root works); other pairs come out absent.
+func (r *Routing) buildTable(treeOnly, strict bool) (*Table, error) {
+	hosts := r.G.Hosts()
+	n := len(hosts)
+	reach := make([]bool, n)
+	for i, h := range hosts {
+		reach[i] = r.Reachable(h)
+	}
+	flat := make([]Route, n*n)
+	routes := make([][]Route, n)
+	w := r.newWalk()
 	for i, src := range hosts {
-		t.routes[i] = make([]Route, len(hosts))
+		routes[i] = flat[i*n : (i+1)*n : (i+1)*n]
+		if sw, _ := r.G.HostAttachment(src); reach[i] && sw != w.start {
+			w.run(sw, treeOnly)
+		}
 		for j, dst := range hosts {
 			if i == j {
 				continue
 			}
-			rt, err := r.route(src, dst, treeOnly)
-			if err != nil {
-				return nil, err
+			if reach[i] && reach[j] {
+				if rt, ok := w.to(dst); ok {
+					rt.Src = src
+					routes[i][j] = rt
+					continue
+				}
 			}
-			t.routes[i][j] = rt
+			if strict {
+				return nil, r.routeErr(src, dst, treeOnly)
+			}
 		}
 	}
-	return t, nil
+	return newTable(hosts, routes), nil
 }
 
 // NewCustomTable wraps externally computed routes (an alternative routing
@@ -337,21 +235,36 @@ func NewCustomTable(hosts []topology.NodeID, routes [][]Route) (*Table, error) {
 	if len(routes) != len(hosts) {
 		return nil, fmt.Errorf("updown: %d route rows for %d hosts", len(routes), len(hosts))
 	}
-	t := &Table{Hosts: hosts, index: make(map[topology.NodeID]int, len(hosts))}
-	for i, h := range hosts {
-		t.index[h] = i
+	for i := range hosts {
 		if len(routes[i]) != len(hosts) {
 			return nil, fmt.Errorf("updown: route row %d has %d entries for %d hosts",
 				i, len(routes[i]), len(hosts))
 		}
 	}
-	t.routes = routes
-	return t, nil
+	return newTable(hosts, routes), nil
 }
 
-// Lookup returns the precomputed route from src to dst.
+// at returns n's row/column in the table, or -1 when n is not one of its hosts.
+func (t *Table) at(n topology.NodeID) int {
+	if n < 0 || int(n) >= len(t.index) {
+		return -1
+	}
+	return int(t.index[n])
+}
+
+// HasRoute reports whether the table holds a route from src to dst.
+func (t *Table) HasRoute(src, dst topology.NodeID) bool {
+	i, j := t.at(src), t.at(dst)
+	return i >= 0 && j >= 0 && len(t.routes[i][j].Ports) > 0
+}
+
+// Lookup returns the precomputed route from src to dst: the zero Route when
+// the pair has none or an endpoint is not one of the table's hosts.
 func (t *Table) Lookup(src, dst topology.NodeID) Route {
-	return t.routes[t.index[src]][t.index[dst]]
+	if i, j := t.at(src), t.at(dst); i >= 0 && j >= 0 {
+		return t.routes[i][j]
+	}
+	return Route{}
 }
 
 // MeanHops returns the average switch-hop count over all ordered host

@@ -1,0 +1,299 @@
+package updown
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"wormlan/internal/topology"
+)
+
+// cables lists every switch-to-switch cable once, by its lower-numbered end.
+func cables(g *topology.Graph) []Edge {
+	var out []Edge
+	for _, sw := range g.Switches() {
+		for pi, p := range g.Node(sw).Ports {
+			if p.Wired() && g.Node(p.Peer).Kind == topology.Switch && sw < p.Peer {
+				out = append(out, Edge{sw, topology.PortID(pi)})
+			}
+		}
+	}
+	return out
+}
+
+// failureSets returns the named failure scenarios the walk is checked under.
+func failureSets(g *topology.Graph) map[string]*Failures {
+	sws, cs, hosts := g.Switches(), cables(g), g.Hosts()
+	scattered := NewFailures()
+	for i := 0; i < len(cs); i += 5 {
+		scattered.FailLink(g, cs[i].Node, cs[i].Port)
+	}
+	deadSwitch := NewFailures()
+	deadSwitch.FailSwitch(sws[len(sws)/2])
+	deadRoot := NewFailures()
+	deadRoot.FailSwitch(sws[0])
+	// Cut every cable of the last switch: it and its hosts are stranded.
+	partition := NewFailures()
+	last := sws[len(sws)-1]
+	for pi, p := range g.Node(last).Ports {
+		if p.Wired() && g.Node(p.Peer).Kind == topology.Switch {
+			partition.FailLink(g, last, topology.PortID(pi))
+		}
+	}
+	hostLink := NewFailures()
+	hostLink.FailLink(g, hosts[len(hosts)/3], 0)
+	return map[string]*Failures{
+		"healthy": nil, "empty": NewFailures(), "scattered": scattered,
+		"dead-switch": deadSwitch, "dead-root": deadRoot,
+		"partition": partition, "host-link": hostLink,
+	}
+}
+
+// errText flattens an error for comparison.
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
+// checkWalkAgainstPairBFS compares everything the walk builds under r with
+// the per-pair reference: both table flavours, both treeOnly settings, the
+// single-pair entry points, and the switch-sourced escape routes.
+func checkWalkAgainstPairBFS(t *testing.T, r *Routing) {
+	t.Helper()
+	g := r.G
+	hosts := g.Hosts()
+	for _, treeOnly := range []bool{false, true} {
+		want, _ := r.pairTable(treeOnly, false)
+		tbl, err := r.NewTableSurviving(treeOnly)
+		if err != nil {
+			t.Fatalf("treeOnly=%v: NewTableSurviving: %v", treeOnly, err)
+		}
+		for i, src := range hosts {
+			for j, dst := range hosts {
+				got := tbl.Lookup(src, dst)
+				if !reflect.DeepEqual(got, want[i][j]) {
+					t.Fatalf("treeOnly=%v %d->%d: walk %+v, pair BFS %+v", treeOnly, src, dst, got, want[i][j])
+				}
+				if has := tbl.HasRoute(src, dst); has != (len(want[i][j].Ports) > 0) {
+					t.Fatalf("treeOnly=%v %d->%d: HasRoute=%v, reference route %+v", treeOnly, src, dst, has, want[i][j])
+				}
+				if (i+j)%4 != 0 {
+					continue // the one-shot entry points: a quarter of the pairs
+				}
+				one, oneErr := r.route(src, dst, treeOnly)
+				ref, refErr := r.pairRoute(src, dst, treeOnly)
+				if !reflect.DeepEqual(one, ref) || errText(oneErr) != errText(refErr) {
+					t.Fatalf("treeOnly=%v %d->%d: one-shot (%+v, %v), pair BFS (%+v, %v)",
+						treeOnly, src, dst, one, oneErr, ref, refErr)
+				}
+			}
+		}
+		wantStrict, wantErr := r.pairTable(treeOnly, true)
+		strict, err := r.NewTable(treeOnly)
+		if errText(err) != errText(wantErr) {
+			t.Fatalf("treeOnly=%v: NewTable error %q, reference %q", treeOnly, errText(err), errText(wantErr))
+		}
+		if err == nil && !reflect.DeepEqual(strict.routes, wantStrict) {
+			t.Fatalf("treeOnly=%v: strict table differs from reference", treeOnly)
+		}
+	}
+	for _, sw := range g.Switches() {
+		w, fromErr := r.From(sw)
+		for _, h := range hosts {
+			ref, refErr := r.pairRouteFromSwitch(sw, h)
+			got, err := r.RouteFromSwitch(sw, h)
+			if !reflect.DeepEqual(got, ref) || (err == nil) != (refErr == nil) {
+				t.Fatalf("escape %d->%d: walk (%+v, %v), pair BFS (%+v, %v)", sw, h, got, err, ref, refErr)
+			}
+			if fromErr != nil {
+				continue
+			}
+			batch, ok := w.To(h)
+			if ok != (refErr == nil) || !reflect.DeepEqual(batch, ref) {
+				t.Fatalf("escape %d->%d: From/To (%+v, %v), pair BFS (%+v, %v)", sw, h, batch, ok, ref, refErr)
+			}
+		}
+	}
+}
+
+func TestWalkMatchesPairBFS(t *testing.T) {
+	graphs := map[string]*topology.Graph{
+		"torus8x8":        topology.Torus(8, 8, 1, 1),
+		"torus8x8-2hosts": topology.Torus(8, 8, 2, 1),
+		"shufflenet24":    topology.BidirShufflenet(2, 3, 1),
+		"clos":            topology.Clos(6, 3, 2, 1),
+		"fullmesh":        topology.FullMesh(6, 2, 1),
+		"myrinet4":        topology.Myrinet4(),
+		"fattree":         topology.FatTreeish(4, 2, true),
+		"random-12":       topology.Random(12, 3, 42),
+		"random-30":       topology.Random(30, 4, 1996),
+	}
+	for name, g := range graphs {
+		for fname, fail := range failureSets(g) {
+			if testing.Short() && name == "torus8x8-2hosts" && fname != "healthy" && fname != "partition" {
+				continue // 16 256 reference searches per table flavour
+			}
+			t.Run(name+"/"+fname, func(t *testing.T) {
+				r, err := WithoutEdges(g, topology.None, fail)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkWalkAgainstPairBFS(t, r)
+			})
+		}
+	}
+}
+
+// fuzzGraph decodes a byte tape into a connected switch graph with hosts
+// numbered round-robin (so hosts sharing a switch are NOT adjacent, unlike
+// every builder) and a failure set.  It returns nil when the tape is too
+// short to describe one.
+func fuzzGraph(tape []byte) (*topology.Graph, *Failures) {
+	if len(tape) < 3 {
+		return nil, nil
+	}
+	next := func() int {
+		if len(tape) == 0 {
+			return 0
+		}
+		b := tape[0]
+		tape = tape[1:]
+		return int(b)
+	}
+	n := 2 + next()%9
+	g := topology.New()
+	sws := make([]topology.NodeID, n)
+	for i := range sws {
+		sws[i] = g.AddSwitch(fmt.Sprintf("s%d", i))
+	}
+	for i := 1; i < n; i++ {
+		g.Connect(sws[next()%i], sws[i], 1) // spanning tree: connected
+	}
+	for extra := next() % (2 * n); extra > 0; extra-- {
+		if a, b := next()%n, next()%n; a != b {
+			g.Connect(sws[a], sws[b], 1) // parallel cables allowed
+		}
+	}
+	for round := 1 + next()%2; round > 0; round-- {
+		for i := range sws {
+			g.Connect(sws[i], g.AddHost(""), 1)
+		}
+	}
+	fail := NewFailures()
+	cs, hosts := cables(g), g.Hosts()
+	for len(tape) > 0 {
+		switch b := next(); b % 4 {
+		case 0, 1:
+			c := cs[b/4%len(cs)]
+			fail.FailLink(g, c.Node, c.Port)
+		case 2:
+			fail.FailSwitch(sws[b/4%n])
+		case 3:
+			fail.FailLink(g, hosts[b/4%len(hosts)], 0)
+		}
+	}
+	return g, fail
+}
+
+func FuzzWalkVsPairBFS(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 0, 1, 2, 3, 1})
+	f.Add([]byte{8, 0, 0, 1, 2, 2, 4, 5, 6, 1, 7, 3, 6, 2, 0, 5, 0, 4, 8})
+	f.Add([]byte{6, 0, 1, 1, 0, 3, 9, 0, 4, 1, 5, 2, 3, 0, 1, 0, 2, 6, 10, 3, 7})
+	f.Add([]byte{3, 0, 0, 2, 1, 2, 2, 1, 0, 14, 6})
+	f.Fuzz(func(t *testing.T, tape []byte) {
+		g, fail := fuzzGraph(tape)
+		if g == nil {
+			return
+		}
+		r, err := WithoutEdges(g, topology.None, fail)
+		if err != nil {
+			return // every switch dead: nothing to route
+		}
+		checkWalkAgainstPairBFS(t, r)
+	})
+}
+
+// TestNewTableAllocBudget pins table construction to a handful of
+// allocations per table — scratch, slab chunks, the flat route array — not
+// five-plus per ordered host pair.
+func TestNewTableAllocBudget(t *testing.T) {
+	g := topology.Torus(8, 8, 1, 1)
+	r := mustRouting(t, g)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := r.NewTable(false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if budget := float64(4 * len(g.Hosts())); allocs > budget {
+		t.Fatalf("NewTable on torus8x8: %.0f allocs, budget %.0f", allocs, budget)
+	}
+	t.Logf("NewTable on torus8x8: %.0f allocs", allocs)
+}
+
+func TestTableIndexOutOfRange(t *testing.T) {
+	g := topology.Myrinet4()
+	hosts := g.Hosts()
+	routes := make([][]Route, len(hosts))
+	for i := range routes {
+		routes[i] = make([]Route, len(hosts))
+	}
+	routes[0][1] = Route{Src: hosts[0], Dst: hosts[1], Ports: []topology.PortID{2}, Switches: []topology.NodeID{0}}
+	tbl, err := NewCustomTable(hosts, routes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tbl.HasRoute(hosts[0], hosts[1]) || tbl.HasRoute(hosts[1], hosts[0]) {
+		t.Fatal("HasRoute disagrees with the routes handed in")
+	}
+	sw := g.Switches()[0]
+	for _, n := range []topology.NodeID{sw, topology.None, topology.NodeID(len(g.Nodes) + 7)} {
+		if tbl.HasRoute(n, hosts[1]) || tbl.HasRoute(hosts[0], n) {
+			t.Fatalf("HasRoute true for non-host %d", n)
+		}
+		if rt := tbl.Lookup(n, hosts[1]); len(rt.Ports) != 0 {
+			t.Fatalf("Lookup(%d, host) = %+v, want the zero Route", n, rt)
+		}
+	}
+}
+
+func BenchmarkNewTable(b *testing.B) {
+	failed := NewFailures()
+	g := topology.Torus(8, 8, 1, 1)
+	for i, c := range cables(g) {
+		if i%16 == 0 {
+			failed.FailLink(g, c.Node, c.Port)
+		}
+	}
+	cases := []struct {
+		name string
+		g    *topology.Graph
+		fail *Failures
+	}{
+		{"torus8x8", g, nil},
+		{"torus8x8-2hosts", topology.Torus(8, 8, 2, 1), nil},
+		{"shufflenet24", topology.BidirShufflenet(2, 3, 1), nil},
+		{"torus8x8-failed", g, failed},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			r, err := WithoutEdges(c.g, topology.None, c.fail)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := len(c.g.Hosts())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if benchTable, err = r.NewTable(false); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*(n-1)), "ns/route")
+		})
+	}
+}
+
+// benchTable keeps BenchmarkNewTable's result live.
+var benchTable *Table

@@ -24,6 +24,7 @@ import (
 // at the adapter instead of injecting doomed worms.
 func Adaptive(g *topology.Graph, ud *updown.Routing) (*updown.Table, error) {
 	hosts := g.Hosts()
+	var slab updown.RouteSlab
 	routes := make([][]updown.Route, len(hosts))
 	for i, src := range hosts {
 		routes[i] = make([]updown.Route, len(hosts))
@@ -33,9 +34,10 @@ func Adaptive(g *topology.Graph, ud *updown.Routing) (*updown.Table, error) {
 			if i == j || !srcOK || !ud.Reachable(dst) {
 				continue
 			}
-			routes[i][j] = updown.Route{Src: src, Dst: dst,
-				Ports:    []topology.PortID{route.AdaptivePort},
-				Switches: []topology.NodeID{sw}}
+			rt := newRoute(&slab, src, dst, 1)
+			rt.Ports = append(rt.Ports, route.AdaptivePort)
+			rt.Switches = append(rt.Switches, sw)
+			routes[i][j] = rt
 		}
 	}
 	return updown.NewCustomTable(hosts, routes)
@@ -98,6 +100,7 @@ func TorusMinimalSurviving(g *topology.Graph, geo *topology.TorusGeom, nvc int, 
 			}
 		}
 	}
+	var slab updown.RouteSlab
 	routes := make([][]updown.Route, len(hosts))
 	for i, src := range hosts {
 		routes[i] = make([]updown.Route, len(hosts))
@@ -111,7 +114,7 @@ func TorusMinimalSurviving(g *topology.Graph, geo *topology.TorusGeom, nvc int, 
 				continue
 			}
 			dc := at[dst]
-			rt, err := torusRoute(geo, src, dst, sc.r, sc.c, dc.r, dc.c, dc.h)
+			rt, err := torusRoute(&slab, geo, src, dst, sc.r, sc.c, dc.r, dc.c, dc.h)
 			if err != nil {
 				return nil, err
 			}
@@ -130,6 +133,7 @@ func TorusMinimalSurviving(g *topology.Graph, geo *topology.TorusGeom, nvc int, 
 // recovery is pruning.
 func FullMeshSurviving(g *topology.Graph, fail *updown.Failures) (*updown.Table, error) {
 	hosts := g.Hosts()
+	var slab updown.RouteSlab
 	routes := make([][]updown.Route, len(hosts))
 	for i, src := range hosts {
 		routes[i] = make([]updown.Route, len(hosts))
@@ -140,7 +144,7 @@ func FullMeshSurviving(g *topology.Graph, fail *updown.Failures) (*updown.Table,
 				continue
 			}
 			da, dp := hostAttach(g, dst)
-			rt := updown.Route{Src: src, Dst: dst}
+			rt := newRoute(&slab, src, dst, 2) // at most: peer switch, host
 			if sa != da {
 				// First live port on the source attach switch wired to the
 				// destination attach switch, in ascending port order.
@@ -204,6 +208,7 @@ func Clos(g *topology.Graph, geo *topology.ClosGeom, fail *updown.Failures) (*up
 			!fail.LinkDead(g, geo.Leaf[li], geo.Up[li][s]) &&
 			!fail.LinkDead(g, geo.Leaf[lj], geo.Up[lj][s])
 	}
+	var slab updown.RouteSlab
 	routes := make([][]updown.Route, len(hosts))
 	for i, src := range hosts {
 		routes[i] = make([]updown.Route, len(hosts))
@@ -217,7 +222,7 @@ func Clos(g *topology.Graph, geo *topology.ClosGeom, fail *updown.Failures) (*up
 				continue
 			}
 			dl := at[dst]
-			rt := updown.Route{Src: src, Dst: dst}
+			rt := newRoute(&slab, src, dst, 3) // at most: leaf, spine, leaf
 			if sl.l != dl.l {
 				spine := -1
 				for t := 0; t < geo.NSpine; t++ {
@@ -280,6 +285,7 @@ func Shufflenet(g *topology.Graph, geo *topology.ShuffleGeom, nvc int, fail *upd
 	for i := 1; i < len(pow); i++ {
 		pow[i] = pow[i-1] * geo.P
 	}
+	var slab updown.RouteSlab
 	routes := make([][]updown.Route, len(hosts))
 	for i, src := range hosts {
 		routes[i] = make([]updown.Route, len(hosts))
@@ -293,7 +299,7 @@ func Shufflenet(g *topology.Graph, geo *topology.ShuffleGeom, nvc int, fail *upd
 				continue
 			}
 			dl := at[dst]
-			rt, err := shuffleRoute(g, geo, fail, pow, src, dst, sl.c, sl.r, dl.c, dl.r)
+			rt, err := shuffleRoute(&slab, g, geo, fail, pow, src, dst, sl.c, sl.r, dl.c, dl.r)
 			if err != nil {
 				return nil, err
 			}
@@ -306,7 +312,7 @@ func Shufflenet(g *topology.Graph, geo *topology.ShuffleGeom, nvc int, fail *upd
 // shuffleRoute computes one forward-column route, scanning candidate paths
 // (shorter first, then ascending digit strings) for the first that
 // survives fail.  An all-dead candidate set yields an empty route.
-func shuffleRoute(g *topology.Graph, geo *topology.ShuffleGeom, fail *updown.Failures, pow []int,
+func shuffleRoute(slab *updown.RouteSlab, g *topology.Graph, geo *topology.ShuffleGeom, fail *updown.Failures, pow []int,
 	src, dst topology.NodeID, c1, r1, c2, r2 int) (updown.Route, error) {
 	d := (c2 - c1 + geo.K) % geo.K
 	var ms []int
@@ -319,7 +325,7 @@ func shuffleRoute(g *topology.Graph, geo *topology.ShuffleGeom, fail *updown.Fai
 		ms = []int{d, d + geo.K}
 	}
 	tryPath := func(m, x int) (updown.Route, bool, error) {
-		rt := updown.Route{Src: src, Dst: dst}
+		rt := newRoute(slab, src, dst, m+1)
 		cc, rr, lane := c1, r1, 0
 		for h := 0; h < m; h++ {
 			sw := geo.Sw[cc][rr]

@@ -43,6 +43,14 @@ func hostAttach(g *topology.Graph, h topology.NodeID) (sw topology.NodeID, port 
 	return p.Peer, p.PeerPort
 }
 
+// newRoute starts a route of at most hops switch traversals: Ports and
+// Switches are cut from slab, empty, with room for hops appends — so the
+// builders append hop by hop without growing a slice per pair.
+func newRoute(slab *updown.RouteSlab, src, dst topology.NodeID, hops int) updown.Route {
+	ports, sws := slab.Take(hops)
+	return updown.Route{Src: src, Dst: dst, Ports: ports[:0], Switches: sws[:0]}
+}
+
 // TorusMinimal builds the VC-partitioned minimal routing table for a torus
 // built by topology.TorusWithGeom.  Routes are dimension-order (X then Y),
 // take the shorter ring direction (ties go the + way), and switch from
@@ -66,8 +74,10 @@ func ringSteps(a, b, n int) (steps, dir int) {
 }
 
 // torusRoute computes one VC-encoded dimension-order route.
-func torusRoute(geo *topology.TorusGeom, src, dst topology.NodeID, r1, c1, r2, c2, hostIdx int) (updown.Route, error) {
-	rt := updown.Route{Src: src, Dst: dst}
+func torusRoute(slab *updown.RouteSlab, geo *topology.TorusGeom, src, dst topology.NodeID, r1, c1, r2, c2, hostIdx int) (updown.Route, error) {
+	xSteps, _ := ringSteps(c1, c2, geo.Cols)
+	ySteps, _ := ringSteps(r1, r2, geo.Rows)
+	rt := newRoute(slab, src, dst, xSteps+ySteps+1)
 	appendHop := func(sw topology.NodeID, p topology.PortID, vc int) error {
 		b, err := route.EncodeVCPort(p, vc)
 		if err != nil {
