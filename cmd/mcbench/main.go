@@ -34,9 +34,9 @@ import (
 	"wormlan/internal/des"
 	"wormlan/internal/faulttest"
 	"wormlan/internal/profiling"
-	"wormlan/internal/sim"
 	"wormlan/internal/sweep"
 	"wormlan/internal/trace"
+	"wormlan/internal/vcroute"
 )
 
 func main() {
@@ -77,13 +77,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Reject a bad -route before any work, with the full legal set in the
-	// error — the same check (and message) sim.Run would apply, shared
-	// with wormsim so both CLIs fail identically.
-	if *routeFilter != "" {
-		if err := (&sim.Config{Route: *routeFilter}).Validate(); err != nil {
-			fmt.Fprintf(stderr, "mcbench: %v\n", err)
-			return 2
-		}
+	// error — the registry lookup sim.Run itself makes, so wormsim and
+	// mcbench fail identically.
+	filter, err := vcroute.Lookup(*routeFilter)
+	if err != nil {
+		fmt.Fprintf(stderr, "mcbench: %v\n", err)
+		return 2
 	}
 
 	if *cpuProfile != "" {
@@ -202,7 +201,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if *routeFilter != "" {
 				kept := variants[:0]
 				for _, v := range variants {
-					if v.Route == *routeFilter || (*routeFilter == "updown" && v.Route == "") {
+					// A curve whose route is unknown fails in sim.Run;
+					// its zero Scheme matches no filter.
+					if sch, _ := vcroute.Lookup(v.Route); sch.Name == filter.Name {
 						kept = append(kept, v)
 					}
 				}

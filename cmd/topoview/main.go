@@ -18,16 +18,17 @@ import (
 )
 
 func main() {
-	topoName := flag.String("topology", "myrinet4", "topology: torus8x8, torus4x4, shufflenet24, myrinet4, star:N, line:N, ring:N")
+	topoName := flag.String("topology", "myrinet4", "topology: torus8x8, torus4x4, shufflenet24, shufflenet64, clos8x4, myrinet4, fullmesh8x4, fullmesh8x8, star:N, line:N, ring:N")
 	dot := flag.Bool("dot", false, "emit Graphviz DOT and exit")
 	routes := flag.Bool("routes", false, "print route statistics")
 	flag.Parse()
 
-	g, err := build(*topoName)
+	net, err := topology.Named(*topoName, 0)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "topoview: %v\n", err)
 		os.Exit(2)
 	}
+	g := net.Graph
 	if *dot {
 		fmt.Print(g.DOT())
 		return
@@ -67,28 +68,4 @@ func main() {
 		fmt.Printf("mean route hops: up/down=%.2f tree-restricted=%.2f\n",
 			free.MeanHops(), restricted.MeanHops())
 	}
-}
-
-func build(name string) (*topology.Graph, error) {
-	switch name {
-	case "torus8x8":
-		return topology.Torus(8, 8, 1, 1), nil
-	case "torus4x4":
-		return topology.Torus(4, 4, 1, 1), nil
-	case "shufflenet24":
-		return topology.BidirShufflenet(2, 3, 1000), nil
-	case "myrinet4":
-		return topology.Myrinet4(), nil
-	}
-	var n int
-	if _, err := fmt.Sscanf(name, "star:%d", &n); err == nil {
-		return topology.Star(n), nil
-	}
-	if _, err := fmt.Sscanf(name, "line:%d", &n); err == nil {
-		return topology.Line(n, 1), nil
-	}
-	if _, err := fmt.Sscanf(name, "ring:%d", &n); err == nil {
-		return topology.Ring(n, 1), nil
-	}
-	return nil, fmt.Errorf("unknown topology %q", name)
 }

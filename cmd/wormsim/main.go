@@ -23,7 +23,6 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"strings"
 
 	"wormlan/internal/adapter"
 	"wormlan/internal/des"
@@ -45,68 +44,6 @@ func loadConfigFile(path string) (*topology.Graph, map[int][]topology.NodeID, er
 	}
 	defer f.Close()
 	return topology.ParseConfig(f)
-}
-
-// builtTopo is a named graph plus whichever routing geometry the topology
-// carries (the vcmin, clos, and shufflenet route schemes each need
-// theirs).
-type builtTopo struct {
-	g       *topology.Graph
-	torus   *topology.TorusGeom
-	clos    *topology.ClosGeom
-	shuffle *topology.ShuffleGeom
-}
-
-// buildTopology returns the named graph and its geometries.
-func buildTopology(name string, delay int64) (builtTopo, error) {
-	var bt builtTopo
-	switch {
-	case name == "torus8x8":
-		bt.g, bt.torus = topology.TorusWithGeom(8, 8, 1, delay)
-	case name == "torus4x4":
-		bt.g, bt.torus = topology.TorusWithGeom(4, 4, 1, delay)
-	case name == "shufflenet24":
-		bt.g, bt.shuffle = topology.BidirShufflenetWithGeom(2, 3, delayOr(delay, 1000))
-	case name == "shufflenet64":
-		bt.g, bt.shuffle = topology.BidirShufflenetWithGeom(2, 4, delayOr(delay, 1))
-	case name == "clos8x4":
-		bt.g, bt.clos = topology.ClosWithGeom(8, 4, 8, delayOr(delay, 1))
-	case name == "myrinet4":
-		bt.g = topology.Myrinet4()
-	case strings.HasPrefix(name, "star:"):
-		var n int
-		if _, err := fmt.Sscanf(name, "star:%d", &n); err != nil {
-			return bt, err
-		}
-		bt.g = topology.Star(n)
-	case strings.HasPrefix(name, "line:"):
-		var n int
-		if _, err := fmt.Sscanf(name, "line:%d", &n); err != nil {
-			return bt, err
-		}
-		bt.g = topology.Line(n, delay)
-	case strings.HasPrefix(name, "ring:"):
-		var n int
-		if _, err := fmt.Sscanf(name, "ring:%d", &n); err != nil {
-			return bt, err
-		}
-		bt.g = topology.Ring(n, delay)
-	case name == "fullmesh8x4":
-		bt.g = topology.FullMesh(8, 4, delayOr(delay, 1))
-	case name == "fullmesh8x8":
-		bt.g = topology.FullMesh(8, 8, delayOr(delay, 1))
-	default:
-		return bt, fmt.Errorf("unknown topology %q", name)
-	}
-	return bt, nil
-}
-
-// delayOr substitutes d for a zero (topology-default) delay flag.
-func delayOr(delay, d int64) int64 {
-	if delay == 0 {
-		return d
-	}
-	return delay
 }
 
 func pickScheme(name string) (sim.Scheme, error) {
@@ -204,19 +141,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		servePprof(*pprofAddr, stderr)
 	}
 
-	var bt builtTopo
+	var net topology.Net
 	var fileGroups map[int][]topology.NodeID
 	var err error
 	if *configPath != "" {
-		bt.g, fileGroups, err = loadConfigFile(*configPath)
+		net.Graph, fileGroups, err = loadConfigFile(*configPath)
 	} else {
-		bt, err = buildTopology(*topoName, *linkDelay)
+		net, err = topology.Named(*topoName, *linkDelay)
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "wormsim: %v\n", err)
 		return 2
 	}
-	g := bt.g
+	g := net.Graph
 	scheme, err := pickScheme(*schemeName)
 	if err != nil {
 		fmt.Fprintf(stderr, "wormsim: %v\n", err)
@@ -263,9 +200,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Measure:       des.Time(*measure),
 		Seed:          *seed,
 		Route:         *routeName,
-		TorusGeom:     bt.torus,
-		ClosGeom:      bt.clos,
-		ShuffleGeom:   bt.shuffle,
+		TorusGeom:     net.Torus,
+		ClosGeom:      net.Clos,
+		ShuffleGeom:   net.Shuffle,
 		Adapter:       adapter.Config{PlainForwarding: !*reliable},
 		FaultPlan:     plan,
 		Detect:        mode,

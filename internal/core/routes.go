@@ -21,6 +21,7 @@ import (
 	"wormlan/internal/sim"
 	"wormlan/internal/sweep"
 	"wormlan/internal/topology"
+	"wormlan/internal/vcroute"
 )
 
 // RoutesRow is one (variant, load) cell of the routing comparison.
@@ -36,6 +37,7 @@ type RoutesRow struct {
 type RoutesVariant struct {
 	Name   string
 	Route  string // sim.Config.Route
+	Topo   string // topology.Named fabric the curve runs on
 	NumVCs int
 	Arb    string // "" = port scan, "islip" = iSLIP
 }
@@ -48,13 +50,13 @@ type RoutesVariant struct {
 // 8-leaf Clos with eight hosts per leaf; (2,4) shufflenet with one host
 // per switch) so per-host load means the same thing on every curve.
 var RoutesVariants = []RoutesVariant{
-	{Name: "updown", Route: "updown", NumVCs: 1},
-	{Name: "vcmin", Route: "vcmin", NumVCs: 2},
-	{Name: "vcmin-islip", Route: "vcmin", NumVCs: 2, Arb: "islip"},
-	{Name: "adaptive", Route: "adaptive", NumVCs: 2},
-	{Name: "fullmesh", Route: "fullmesh", NumVCs: 1},
-	{Name: "clos", Route: "clos", NumVCs: 1},
-	{Name: "shufflenet", Route: "shufflenet", NumVCs: 3},
+	{Name: "updown", Route: "updown", Topo: "torus8x8", NumVCs: 1},
+	{Name: "vcmin", Route: "vcmin", Topo: "torus8x8", NumVCs: 2},
+	{Name: "vcmin-islip", Route: "vcmin", Topo: "torus8x8", NumVCs: 2, Arb: "islip"},
+	{Name: "adaptive", Route: "adaptive", Topo: "torus8x8", NumVCs: 2},
+	{Name: "fullmesh", Route: "fullmesh", Topo: "fullmesh8x8", NumVCs: 1},
+	{Name: "clos", Route: "clos", Topo: "clos8x4", NumVCs: 1},
+	{Name: "shufflenet", Route: "shufflenet", Topo: "shufflenet64", NumVCs: 3},
 }
 
 // RoutesLoads returns the offered-load grid for the comparison.
@@ -73,8 +75,16 @@ func routesWindows(s Scale) (warm, meas int64) {
 }
 
 // routesConfig builds the sim config for one (variant, load) cell.
-func routesConfig(v RoutesVariant, load float64, warm, meas int64, seed uint64) sim.Config {
+func routesConfig(v RoutesVariant, load float64, warm, meas int64, seed uint64) (sim.Config, error) {
+	net, err := topology.Named(v.Topo, 0)
+	if err != nil {
+		return sim.Config{}, err
+	}
 	cfg := sim.Config{
+		Graph:       net.Graph,
+		TorusGeom:   net.Torus,
+		ClosGeom:    net.Clos,
+		ShuffleGeom: net.Shuffle,
 		Route:       v.Route,
 		Scheme:      sim.HamiltonianSF, // multicast mode; irrelevant for pure unicast
 		OfferedLoad: load,
@@ -82,28 +92,17 @@ func routesConfig(v RoutesVariant, load float64, warm, meas int64, seed uint64) 
 		Measure:     meas,
 		Seed:        seed,
 	}
-	switch v.Route {
-	case "fullmesh":
-		cfg.Graph = topology.FullMesh(8, 8, 1)
-	case "clos":
-		cfg.Graph, cfg.ClosGeom = topology.ClosWithGeom(8, 4, 8, 1)
-	case "shufflenet":
-		cfg.Graph, cfg.ShuffleGeom = topology.BidirShufflenetWithGeom(2, 4, 1)
-	default:
-		g, geo := topology.TorusWithGeom(8, 8, 1, 1)
-		cfg.Graph, cfg.TorusGeom = g, geo
-	}
 	cfg.Network.NumVCs = v.NumVCs
 	if v.Arb == "islip" {
 		cfg.Network.Arb = network.ArbISLIP
 		cfg.Network.ArbIters = 2
 	}
-	return cfg
+	return cfg, nil
 }
 
 // VariantsWithVCs returns the default curves with every multi-lane
-// variant's lane count replaced by nvc (nvc < 2 keeps the defaults) — the
-// hook behind mcbench's -vcs flag.
+// variant's lane count replaced by nvc (nvc < 2 keeps the defaults), never
+// below the scheme's own lane floor — the hook behind mcbench's -vcs flag.
 func VariantsWithVCs(nvc int) []RoutesVariant {
 	out := append([]RoutesVariant(nil), RoutesVariants...)
 	if nvc < 2 {
@@ -111,12 +110,10 @@ func VariantsWithVCs(nvc int) []RoutesVariant {
 	}
 	for i := range out {
 		if out[i].NumVCs >= 2 {
-			out[i].NumVCs = nvc
-		}
-		// Shufflenet's wrap-count lanes reach 2, so it can never run below
-		// three lanes regardless of the requested count.
-		if out[i].Route == "shufflenet" && out[i].NumVCs < 3 {
-			out[i].NumVCs = 3
+			// An unknown route is sim.Run's error to report; its zero
+			// Scheme has no floor, so nothing changes here.
+			sch, _ := vcroute.Lookup(out[i].Route)
+			out[i].NumVCs = max(nvc, sch.MinLanes)
 		}
 	}
 	return out
@@ -133,7 +130,11 @@ func routesGrid(s Scale, seed uint64, variants []RoutesVariant) sweep.Grid[Route
 			g.Add(figPoint{Scheme: v.Name, Load: load, Warmup: warm, Measure: meas,
 				Route: v.Route, NumVCs: v.NumVCs, Arb: v.Arb},
 				func(_ context.Context, pseed uint64) (RoutesRow, error) {
-					r, err := sim.Run(routesConfig(v, load, warm, meas, pseed))
+					cfg, err := routesConfig(v, load, warm, meas, pseed)
+					if err != nil {
+						return RoutesRow{}, err
+					}
+					r, err := sim.Run(cfg)
 					if err != nil {
 						return RoutesRow{}, fmt.Errorf("routes %s load %v: %w", v.Name, load, err)
 					}

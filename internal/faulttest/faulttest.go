@@ -24,6 +24,7 @@ import (
 	"wormlan/internal/network"
 	"wormlan/internal/topology"
 	"wormlan/internal/updown"
+	"wormlan/internal/vcroute"
 )
 
 // Bench is one fully wired LAN plus its fault injector.
@@ -41,35 +42,40 @@ type Bench struct {
 	UD  *updown.Routing
 	Tbl *updown.Table
 
-	// Rebuild, when set before the kernel runs, recomputes the routing
-	// table after each remap from the fresh up*/down* labelling (whose
-	// failure set reflects the detector's view).  Alternative schemes use
-	// it to reroute over the survivors; nil keeps the remap's own up/down
-	// table.  A rebuild error is a construction-level bug (bad geometry),
-	// pre-excluded by the initial build, so it panics.
-	Rebuild func(b *Bench, ud *updown.Routing, tbl *updown.Table) (*updown.Table, error)
+	// Scheme is the routing discipline the bench runs.  After each remap
+	// its Build recomputes the table from the fresh up*/down* labelling,
+	// whose failure set reflects the detector's view; up/down (Build nil)
+	// keeps the remap's own table.
+	Scheme vcroute.Scheme
+	net    topology.Net // G with its geometry, for Scheme.Build
+	nvc    int          // lanes per link the fabric runs
 
 	// Delivery observations.
 	UniDelivered int64
 	McDelivered  map[int64]int // transfer ID -> copies delivered
 }
 
-// NewBench builds the stack over g and schedules plan against it.  The
-// injector is wired so that every topology change re-runs the mapper and
-// installs the recomputed routing into both the fabric and the adapter
-// layer.  Unlike New it needs no testing.TB, so sweep grids can build
-// benches from worker goroutines.
+// NewBench builds the up*/down*-routed stack over g and schedules plan
+// against it.  The injector is wired so that every topology change re-runs
+// the mapper and installs the recomputed routing into both the fabric and
+// the adapter layer.  Unlike New it needs no testing.TB, so sweep grids can
+// build benches from worker goroutines.
 func NewBench(g *topology.Graph, acfg adapter.Config, plan *fault.Plan, icfg fault.InjectorConfig) (*Bench, error) {
-	return NewBenchRouted(g, acfg, plan, icfg, network.Config{}, nil)
+	sch, err := vcroute.Lookup("")
+	if err != nil {
+		return nil, err
+	}
+	return NewBenchRouted(topology.Net{Graph: g}, sch, acfg, plan, icfg, network.Config{})
 }
 
-// NewBenchRouted is NewBench with a custom fabric config and routing
-// scheme: mkTable, when non-nil, builds the initial table from the fresh
-// up*/down* labelling (up/down's own table is used otherwise).  Set
-// b.Rebuild before running to reroute the scheme after remaps.
-func NewBenchRouted(g *topology.Graph, acfg adapter.Config, plan *fault.Plan, icfg fault.InjectorConfig,
-	ncfg network.Config, mkTable func(ud *updown.Routing) (*updown.Table, error)) (*Bench, error) {
-	b := &Bench{K: des.NewKernel(), G: g, McDelivered: map[int64]int{}}
+// NewBenchRouted is NewBench under routing scheme sch with a custom fabric
+// config, which it raises to the scheme's lane floor and header mode.
+func NewBenchRouted(net topology.Net, sch vcroute.Scheme, acfg adapter.Config, plan *fault.Plan,
+	icfg fault.InjectorConfig, ncfg network.Config) (*Bench, error) {
+	ncfg.NumVCs = max(ncfg.NumVCs, sch.MinLanes)
+	ncfg.VCHeaders = ncfg.VCHeaders || sch.VCEncoded
+	g := net.Graph
+	b := &Bench{K: des.NewKernel(), G: g, Scheme: sch, net: net, nvc: ncfg.NumVCs, McDelivered: map[int64]int{}}
 
 	m, err := mapper.Run(g, nil)
 	if err != nil {
@@ -79,16 +85,19 @@ func NewBenchRouted(g *topology.Graph, acfg adapter.Config, plan *fault.Plan, ic
 	if err != nil {
 		return nil, err
 	}
-	if mkTable != nil {
-		b.Tbl, err = mkTable(b.UD)
-	} else {
+	if sch.Build == nil {
 		b.Tbl, err = b.UD.NewTable(false)
+	} else {
+		b.Tbl, err = sch.Build(net, b.nvc, b.UD)
 	}
 	if err != nil {
 		return nil, err
 	}
 	b.F, err = network.New(b.K, g, b.UD, ncfg)
 	if err != nil {
+		return nil, err
+	}
+	if err := b.installAdaptive(b.UD); err != nil {
 		return nil, err
 	}
 	b.Sys, err = adapter.NewSystem(b.K, b.F, b.Tbl, acfg, 77)
@@ -103,24 +112,45 @@ func NewBenchRouted(g *topology.Graph, acfg adapter.Config, plan *fault.Plan, ic
 		}
 	}
 	if icfg.OnRemap == nil {
-		icfg.OnRemap = func(ud *updown.Routing, tbl *updown.Table) {
-			ntbl := tbl
-			if b.Rebuild != nil {
-				var rerr error
-				ntbl, rerr = b.Rebuild(b, ud, tbl)
-				if rerr != nil {
-					panic(fmt.Sprintf("faulttest: scheme rebuild after remap: %v", rerr))
-				}
-			}
-			b.UD, b.Tbl = ud, ntbl
-			b.Sys.Reroute(ntbl, ud.Reachable)
-		}
+		icfg.OnRemap = b.reroute
 	}
 	b.Inj, err = fault.NewInjector(b.K, b.F, plan, icfg)
 	if err != nil {
 		return nil, err
 	}
 	return b, nil
+}
+
+// installAdaptive gives an adaptive scheme's fabric the per-hop candidate
+// table for labelling ud; other schemes need nothing installed.
+func (b *Bench) installAdaptive(ud *updown.Routing) error {
+	if !b.Scheme.Adaptive {
+		return nil
+	}
+	at, err := network.NewAdaptiveTable(b.G, ud)
+	if err != nil {
+		return err
+	}
+	return b.F.SetAdaptive(at)
+}
+
+// reroute is the default remap callback: rebuild the scheme's table over
+// the survivors and install it.  A rebuild error is a construction-level
+// failure (bad geometry) the initial build pre-excludes; it halts the
+// kernel on the old routes so RunErr returns it.
+func (b *Bench) reroute(ud *updown.Routing, tbl *updown.Table) {
+	if b.Scheme.Build != nil {
+		err := b.installAdaptive(ud)
+		if err == nil {
+			tbl, err = b.Scheme.Build(b.net, b.nvc, ud)
+		}
+		if err != nil {
+			b.K.Halt(fmt.Errorf("faulttest: route %s rebuild after remap: %w", b.Scheme.Name, err))
+			return
+		}
+	}
+	b.UD, b.Tbl = ud, tbl
+	b.Sys.Reroute(tbl, ud.Reachable)
 }
 
 // New is NewBench for tests: construction errors Fatal tb.
@@ -229,10 +259,18 @@ func (b *Bench) CheckNoHeldChannels() {
 	}
 }
 
-// RoutesErr verifies, for every ordered pair of reachable hosts, that the
-// surviving route table has a route and that it is valid over the
-// surviving subgraph (crosses no failed link, respects up*/down*).
+// RoutesErr verifies the installed table after recovery.  Under up*/down*:
+// every ordered pair of reachable hosts has a route, valid over the
+// surviving subgraph (crosses no failed link, respects up*/down*).  A
+// scheme-built table must still walk the topology; the rigid schemes prune
+// pairs they cannot detour (empty routes), so completeness is not required.
 func (b *Bench) RoutesErr() error {
+	if b.Scheme.Build != nil {
+		if err := vcroute.ValidateTable(b.G, b.Tbl, b.Scheme.VCEncoded, false); err != nil {
+			return fmt.Errorf("rebuilt %s table invalid after recovery: %w", b.Scheme.Name, err)
+		}
+		return nil
+	}
 	hosts := b.G.Hosts()
 	checked := 0
 	for _, src := range hosts {

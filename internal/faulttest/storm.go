@@ -12,7 +12,6 @@ import (
 	"wormlan/internal/sweep"
 	"wormlan/internal/topology"
 	"wormlan/internal/traffic"
-	"wormlan/internal/updown"
 	"wormlan/internal/vcroute"
 )
 
@@ -22,13 +21,15 @@ import (
 // and storms fan out across workers like any other figure.
 type StormSpec struct {
 	Name string `json:"name"`
-	// Topo names the fabric: "torus8x8" or "shufflenet24".
+	// Topo names the fabric (topology.Named): "torus8x8", "shufflenet24",
+	// "fullmesh8x4", ...
 	Topo string `json:"topo"`
 	// Faults parameterizes fault.RandomPlan.  A zero Seed is replaced by
 	// the sweep's derived per-point seed.
 	Faults fault.Options `json:"faults"`
 	// Traffic offered during the storm (defaults: load 0.02, mean worm
-	// 300 bytes, 20% multicast, generator seed 5).
+	// 300 bytes, generator seed 5; 20% multicast under up/down, none under
+	// the other schemes unless asked).
 	OfferedLoad   float64 `json:"load,omitempty"`
 	MulticastProb float64 `json:"mcProb,omitempty"`
 	MeanWorm      int     `json:"meanWorm,omitempty"`
@@ -45,28 +46,15 @@ type StormSpec struct {
 	HelloInterval des.Time `json:"helloInterval,omitempty"`
 	DetectMult    int      `json:"detectMult,omitempty"`
 
-	// Route selects the routing scheme: "" or "updown" (default), or
-	// "vcmin"/"fullmesh"/"adaptive" for the alternative deadlock-free
-	// schemes.  All schemes take the full fault repertoire — topology
-	// changes rebuild the scheme's table over the survivors (pruning for
-	// vcmin/fullmesh, genuine rerouting for adaptive).
+	// Route names the routing scheme (vcroute.Lookup; "" is up/down).  All
+	// schemes take the full fault repertoire — topology changes rebuild
+	// the scheme's table over the survivors (pruning for the rigid
+	// schemes, genuine rerouting for the others).
 	// Omitempty, like the detection knobs: the default matrix's specs —
 	// and therefore their derived storm seeds — serialize unchanged.
 	Route  string `json:"route,omitempty"`
 	NumVCs int    `json:"nvc,omitempty"`
 	Arb    string `json:"arb,omitempty"` // "" = port scan, "islip"
-}
-
-// BuildTopo constructs the fabric a spec names.
-func BuildTopo(name string) (*topology.Graph, error) {
-	switch name {
-	case "torus8x8":
-		return topology.Torus(8, 8, 1, 1), nil
-	case "shufflenet24":
-		return topology.BidirShufflenet(2, 3, 1000), nil
-	default:
-		return nil, fmt.Errorf("faulttest: unknown topology %q", name)
-	}
 }
 
 // StormAdapterConfig keeps retries finite and timeouts short so give-ups
@@ -89,17 +77,22 @@ func StormAdapterConfig() adapter.Config {
 // matrix test pins across worker counts).
 func RunStorm(spec StormSpec) (Outcome, error) {
 	var zero Outcome
-	if spec.Route != "" && spec.Route != "updown" {
-		return runVCStorm(spec)
+	sch, err := vcroute.Lookup(spec.Route)
+	if err != nil {
+		return zero, err
 	}
-	g, err := BuildTopo(spec.Topo)
+	net, err := topology.Named(spec.Topo, 0)
 	if err != nil {
 		return zero, err
 	}
 	if spec.OfferedLoad == 0 {
 		spec.OfferedLoad = 0.02
 	}
-	if spec.MulticastProb == 0 {
+	if spec.MulticastProb == 0 && sch.Build == nil {
+		// Up/down storms carry the paper's multicast mix by default.  The
+		// other schemes' published specs predate multicast over their
+		// tables; they stay unicast unless a spec asks, which keeps their
+		// outcomes.
 		spec.MulticastProb = 0.2
 	}
 	if spec.MeanWorm == 0 {
@@ -108,43 +101,37 @@ func RunStorm(spec StormSpec) (Outcome, error) {
 	if spec.TrafficSeed == 0 {
 		spec.TrafficSeed = 5
 	}
-	plan := fault.RandomPlan(g, spec.Faults)
-	mode, err := fault.ParseDetectMode(spec.Detect)
+	ncfg := network.Config{NumVCs: spec.NumVCs}
+	switch spec.Arb {
+	case "":
+	case "islip":
+		ncfg.Arb = network.ArbISLIP
+		ncfg.ArbIters = 2
+	default:
+		return zero, fmt.Errorf("faulttest: unknown arbiter %q", spec.Arb)
+	}
+	icfg, err := stormInjectorConfig(spec)
 	if err != nil {
 		return zero, err
 	}
-	icfg := fault.InjectorConfig{Mode: mode}
-	if mode == fault.DetectHello {
-		icfg.Hello = liveness.Config{
-			Interval:   spec.HelloInterval,
-			DetectMult: spec.DetectMult,
-			Seed:       spec.Faults.Seed,
-		}
-		// Hellos outlive the fault window and the traffic horizon so late
-		// failures are still detected, then stop well before the drain
-		// deadline so quiescence invariants stay checkable.
-		icfg.HelloUntil = des.Time(spec.Faults.Window) * 4
-	}
-	b, err := NewBench(g, StormAdapterConfig(), plan, icfg)
+	plan := fault.RandomPlan(net.Graph, spec.Faults)
+	b, err := NewBenchRouted(net, sch, StormAdapterConfig(), plan, icfg, ncfg)
 	if err != nil {
 		return zero, err
 	}
 
-	hosts := g.Hosts()
-	grpA, err := b.AddGroupErr(0, hosts[:len(hosts)/2])
-	if err != nil {
-		return zero, err
-	}
-	grpB, err := b.AddGroupErr(1, hosts[len(hosts)/3:])
-	if err != nil {
-		return zero, err
-	}
-	groupsOf := map[topology.NodeID][]int{}
-	for _, h := range grpA.Members {
-		groupsOf[h] = append(groupsOf[h], 0)
-	}
-	for _, h := range grpB.Members {
-		groupsOf[h] = append(groupsOf[h], 1)
+	hosts := net.Graph.Hosts()
+	var groupsOf map[topology.NodeID][]int
+	if spec.MulticastProb > 0 {
+		groupsOf = map[topology.NodeID][]int{}
+		for id, members := range [][]topology.NodeID{hosts[:len(hosts)/2], hosts[len(hosts)/3:]} {
+			if _, err := b.AddGroupErr(id, members); err != nil {
+				return zero, err
+			}
+			for _, h := range members {
+				groupsOf[h] = append(groupsOf[h], id)
+			}
+		}
 	}
 	gen, err := traffic.New(b.K, traffic.Config{
 		OfferedLoad:   spec.OfferedLoad,
@@ -160,30 +147,8 @@ func RunStorm(spec StormSpec) (Outcome, error) {
 	if err := b.RunErr(des.Time(spec.Faults.Window) * 40); err != nil {
 		return zero, err
 	}
-
-	// The schedule must actually have hit the fabric mid-run.
-	ic := b.Inj.Counters()
-	if spec.Faults.LinkDowns > 0 && ic.LinkDowns < 1 {
-		return zero, fmt.Errorf("chaos plan killed no links: %+v", ic)
-	}
-	if spec.Faults.SwitchDowns > 0 && ic.SwitchDowns < 1 {
-		return zero, fmt.Errorf("chaos plan killed no switches: %+v", ic)
-	}
-	if (spec.Faults.LinkDowns > 0 || spec.Faults.SwitchDowns > 0) && ic.Remaps < 1 {
-		return zero, fmt.Errorf("no remap completed: %+v", ic)
-	}
-	if mode == fault.DetectHello && spec.Faults.LinkDowns+spec.Faults.SwitchDowns > 0 {
-		// Detection, not the oracle, must have driven those remaps.
-		d := b.Inj.Detection()
-		if d.Liveness.PeerDowns < 1 {
-			return zero, fmt.Errorf("hello detection issued no down verdicts: %+v", d.Liveness)
-		}
-		if d.Remaps < 1 {
-			return zero, fmt.Errorf("no detection-driven remap completed: %+v", d)
-		}
-		if d.DetectToReroute.Count < 1 {
-			return zero, fmt.Errorf("no detection-to-reroute latency recorded: %+v", d)
-		}
+	if err := stormHit(spec, icfg.Mode, b.Inj); err != nil {
+		return zero, err
 	}
 	worms, _, _ := gen.Generated()
 	if worms == 0 {
@@ -192,7 +157,6 @@ func RunStorm(spec StormSpec) (Outcome, error) {
 	if b.UniDelivered == 0 {
 		return zero, fmt.Errorf("no unicast deliveries survived the storm")
 	}
-
 	if err := b.ConservationErr(); err != nil {
 		return zero, err
 	}
@@ -203,6 +167,61 @@ func RunStorm(spec StormSpec) (Outcome, error) {
 		return zero, err
 	}
 	return b.Outcome(), nil
+}
+
+// stormInjectorConfig selects the spec's detection mode and, under hello
+// detection, its liveness parameters.
+func stormInjectorConfig(spec StormSpec) (fault.InjectorConfig, error) {
+	mode, err := fault.ParseDetectMode(spec.Detect)
+	icfg := fault.InjectorConfig{Mode: mode}
+	if mode == fault.DetectHello {
+		icfg.Hello = liveness.Config{
+			Interval:   spec.HelloInterval,
+			DetectMult: spec.DetectMult,
+			Seed:       spec.Faults.Seed,
+		}
+		// Hellos outlive the fault window and the traffic horizon so late
+		// failures are still detected, then stop well before the drain
+		// deadline so quiescence invariants stay checkable.
+		icfg.HelloUntil = des.Time(spec.Faults.Window) * 4
+	}
+	return icfg, err
+}
+
+// stormHit checks that the schedule actually hit the fabric mid-run: every
+// kind of fault the spec asked for happened at least once, topology
+// changes completed a remap, and under hello detection it was detection,
+// not the oracle, that drove those remaps.
+func stormHit(spec StormSpec, mode fault.DetectMode, inj *fault.Injector) error {
+	ic, f := inj.Counters(), spec.Faults
+	if f.LinkDowns > 0 && ic.LinkDowns < 1 {
+		return fmt.Errorf("chaos plan killed no links: %+v", ic)
+	}
+	if f.SwitchDowns > 0 && ic.SwitchDowns < 1 {
+		return fmt.Errorf("chaos plan killed no switches: %+v", ic)
+	}
+	if f.LinkDowns+f.SwitchDowns > 0 && ic.Remaps < 1 {
+		return fmt.Errorf("no remap completed: %+v", ic)
+	}
+	if f.Corruptions > 0 && ic.Corruptions < 1 {
+		return fmt.Errorf("chaos plan corrupted nothing: %+v", ic)
+	}
+	if f.Stalls > 0 && ic.Stalls < 1 {
+		return fmt.Errorf("chaos plan stalled no hosts: %+v", ic)
+	}
+	if mode == fault.DetectHello && f.LinkDowns+f.SwitchDowns > 0 {
+		d := inj.Detection()
+		if d.Liveness.PeerDowns < 1 {
+			return fmt.Errorf("hello detection issued no down verdicts: %+v", d.Liveness)
+		}
+		if d.Remaps < 1 {
+			return fmt.Errorf("no detection-driven remap completed: %+v", d)
+		}
+		if d.DetectToReroute.Count < 1 {
+			return fmt.Errorf("no detection-to-reroute latency recorded: %+v", d)
+		}
+	}
+	return nil
 }
 
 // StormGrid expresses a storm matrix as a sweep grid.  Specs with a zero
@@ -235,202 +254,6 @@ func DetectionStormMatrix() []StormSpec {
 		specs[i].Detect = "hello"
 	}
 	return specs
-}
-
-// runVCStorm is the alternative-routing storm path: chaos against traffic
-// on a VC-partitioned minimal torus, an adaptively routed torus, or a
-// direct-routed full mesh.  The full fault repertoire applies — every
-// topology change re-runs the mapper and the scheme rebuilds its table
-// over the survivors (Bench.Rebuild).  The usual invariants hold: the
-// schedule must hit, traffic must survive, worms are conserved, the
-// fabric drains with no held channels, and the rebuilt table walks the
-// topology (vcroute.ValidateTable; the up/down RoutesErr check does not
-// apply to scheme tables).
-func runVCStorm(spec StormSpec) (Outcome, error) {
-	var zero Outcome
-	if spec.OfferedLoad == 0 {
-		spec.OfferedLoad = 0.02
-	}
-	if spec.MeanWorm == 0 {
-		spec.MeanWorm = 300
-	}
-	if spec.TrafficSeed == 0 {
-		spec.TrafficSeed = 5
-	}
-
-	var (
-		g         *topology.Graph
-		ncfg      network.Config
-		mkTable   func(ud *updown.Routing) (*updown.Table, error)
-		rebuild   func(b *Bench, ud *updown.Routing, tbl *updown.Table) (*updown.Table, error)
-		vcEncoded bool
-	)
-	switch spec.Route {
-	case "vcmin":
-		if spec.Topo != "torus8x8" {
-			return zero, fmt.Errorf("faulttest: vcmin storms run on torus8x8, not %q", spec.Topo)
-		}
-		var geo *topology.TorusGeom
-		g, geo = topology.TorusWithGeom(8, 8, 1, 1)
-		ncfg.NumVCs = spec.NumVCs
-		if ncfg.NumVCs < 2 {
-			ncfg.NumVCs = 2
-		}
-		ncfg.VCHeaders = true
-		vcEncoded = true
-		nvc := ncfg.NumVCs
-		mkTable = func(*updown.Routing) (*updown.Table, error) {
-			return vcroute.TorusMinimal(g, geo, nvc)
-		}
-		rebuild = func(_ *Bench, ud *updown.Routing, _ *updown.Table) (*updown.Table, error) {
-			return vcroute.TorusMinimalSurviving(g, geo, nvc, ud.Failures())
-		}
-	case "fullmesh":
-		if spec.Topo != "fullmesh8x4" {
-			return zero, fmt.Errorf("faulttest: fullmesh storms run on fullmesh8x4, not %q", spec.Topo)
-		}
-		g = topology.FullMesh(8, 4, 1)
-		ncfg.NumVCs = spec.NumVCs
-		mkTable = func(*updown.Routing) (*updown.Table, error) {
-			return vcroute.FullMesh(g)
-		}
-		rebuild = func(_ *Bench, ud *updown.Routing, _ *updown.Table) (*updown.Table, error) {
-			return vcroute.FullMeshSurviving(g, ud.Failures())
-		}
-	case "adaptive":
-		if spec.Topo != "torus8x8" {
-			return zero, fmt.Errorf("faulttest: adaptive storms run on torus8x8, not %q", spec.Topo)
-		}
-		g = topology.Torus(8, 8, 1, 1)
-		ncfg.NumVCs = spec.NumVCs
-		if ncfg.NumVCs < 2 {
-			ncfg.NumVCs = 2
-		}
-		ncfg.VCHeaders = true
-		vcEncoded = true
-		mkTable = func(ud *updown.Routing) (*updown.Table, error) {
-			return vcroute.Adaptive(g, ud)
-		}
-		rebuild = func(b *Bench, ud *updown.Routing, _ *updown.Table) (*updown.Table, error) {
-			at, err := network.NewAdaptiveTable(g, ud)
-			if err != nil {
-				return nil, err
-			}
-			if err := b.F.SetAdaptive(at); err != nil {
-				return nil, err
-			}
-			return vcroute.Adaptive(g, ud)
-		}
-	default:
-		return zero, fmt.Errorf("faulttest: unknown route scheme %q", spec.Route)
-	}
-	switch spec.Arb {
-	case "":
-	case "islip":
-		ncfg.Arb = network.ArbISLIP
-		ncfg.ArbIters = 2
-	default:
-		return zero, fmt.Errorf("faulttest: unknown arbiter %q", spec.Arb)
-	}
-
-	plan := fault.RandomPlan(g, spec.Faults)
-	mode, err := fault.ParseDetectMode(spec.Detect)
-	if err != nil {
-		return zero, err
-	}
-	icfg := fault.InjectorConfig{Mode: mode}
-	if mode == fault.DetectHello {
-		icfg.Hello = liveness.Config{
-			Interval:   spec.HelloInterval,
-			DetectMult: spec.DetectMult,
-			Seed:       spec.Faults.Seed,
-		}
-		icfg.HelloUntil = des.Time(spec.Faults.Window) * 4
-	}
-	b, err := NewBenchRouted(g, StormAdapterConfig(), plan, icfg, ncfg, mkTable)
-	if err != nil {
-		return zero, err
-	}
-	b.Rebuild = rebuild
-	if spec.Route == "adaptive" {
-		at, aerr := network.NewAdaptiveTable(g, b.UD)
-		if aerr != nil {
-			return zero, aerr
-		}
-		if aerr := b.F.SetAdaptive(at); aerr != nil {
-			return zero, aerr
-		}
-	}
-
-	hosts := g.Hosts()
-	var groupsOf map[topology.NodeID][]int
-	if spec.MulticastProb > 0 {
-		grpA, gerr := b.AddGroupErr(0, hosts[:len(hosts)/2])
-		if gerr != nil {
-			return zero, gerr
-		}
-		grpB, gerr := b.AddGroupErr(1, hosts[len(hosts)/3:])
-		if gerr != nil {
-			return zero, gerr
-		}
-		groupsOf = map[topology.NodeID][]int{}
-		for _, h := range grpA.Members {
-			groupsOf[h] = append(groupsOf[h], 0)
-		}
-		for _, h := range grpB.Members {
-			groupsOf[h] = append(groupsOf[h], 1)
-		}
-	}
-	gen, err := traffic.New(b.K, traffic.Config{
-		OfferedLoad:   spec.OfferedLoad,
-		MeanWorm:      spec.MeanWorm,
-		MulticastProb: spec.MulticastProb,
-		Until:         des.Time(spec.Faults.Window) * 2,
-	}, hosts, groupsOf, b.Sys, spec.TrafficSeed)
-	if err != nil {
-		return zero, err
-	}
-	gen.Start()
-
-	if err := b.RunErr(des.Time(spec.Faults.Window) * 40); err != nil {
-		return zero, err
-	}
-
-	ic := b.Inj.Counters()
-	if spec.Faults.LinkDowns > 0 && ic.LinkDowns < 1 {
-		return zero, fmt.Errorf("chaos plan killed no links: %+v", ic)
-	}
-	if spec.Faults.SwitchDowns > 0 && ic.SwitchDowns < 1 {
-		return zero, fmt.Errorf("chaos plan killed no switches: %+v", ic)
-	}
-	if (spec.Faults.LinkDowns > 0 || spec.Faults.SwitchDowns > 0) && ic.Remaps < 1 {
-		return zero, fmt.Errorf("no remap completed: %+v", ic)
-	}
-	if spec.Faults.Corruptions > 0 && ic.Corruptions < 1 {
-		return zero, fmt.Errorf("chaos plan corrupted nothing: %+v", ic)
-	}
-	if spec.Faults.Stalls > 0 && ic.Stalls < 1 {
-		return zero, fmt.Errorf("chaos plan stalled no hosts: %+v", ic)
-	}
-	worms, _, _ := gen.Generated()
-	if worms == 0 {
-		return zero, fmt.Errorf("no traffic generated")
-	}
-	if b.UniDelivered == 0 {
-		return zero, fmt.Errorf("no unicast deliveries survived the storm")
-	}
-	if err := b.ConservationErr(); err != nil {
-		return zero, err
-	}
-	if err := b.HeldChannelsErr(); err != nil {
-		return zero, err
-	}
-	// The surviving scheme table must still walk the topology; pruned
-	// pairs (empty routes) are fine, so completeness is not required.
-	if err := vcroute.ValidateTable(g, b.Tbl, vcEncoded, false); err != nil {
-		return zero, fmt.Errorf("rebuilt %s table invalid after storm: %w", spec.Route, err)
-	}
-	return b.Outcome(), nil
 }
 
 // VCStormMatrix is the alternative-routing storm grid: the dateline torus

@@ -9,10 +9,14 @@ package faulttest
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wormlan/internal/fault"
+	"wormlan/internal/network"
 	"wormlan/internal/sweep"
+	"wormlan/internal/topology"
+	"wormlan/internal/vcroute"
 )
 
 // TestStormMatrixParallelEquivalence runs the default storm matrix
@@ -73,7 +77,7 @@ func TestStormDerivedSeeds(t *testing.T) {
 
 // TestVCStormMatrix: the alternative-routing storms (dateline torus under
 // both arbiters, direct-routed full mesh) drain with every invariant
-// runVCStorm checks — conservation, no held channels, schedule actually
+// RunStorm checks — conservation, no held channels, schedule actually
 // hit — and rerun bit-identically, including across worker counts.
 func TestVCStormMatrix(t *testing.T) {
 	specs := VCStormMatrix()
@@ -114,5 +118,32 @@ func TestVCStormLinkKillRecovers(t *testing.T) {
 	}
 	if o.Inject.LinkDowns < 1 || o.Inject.Remaps < 1 {
 		t.Fatalf("link kill did not drive a remap: %+v", o.Inject)
+	}
+}
+
+// TestRemapRebuildFailureIsAnError: when the scheme table cannot be rebuilt
+// after a remap, the bench halts the kernel and RunErr returns the error —
+// it used to panic.  A valid bench cannot get there (the initial build
+// excludes every construction error), so the test breaks the shared torus
+// geometry after construction, before the link kill triggers the remap.
+func TestRemapRebuildFailureIsAnError(t *testing.T) {
+	net, err := topology.Named("torus8x8", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, err := vcroute.Lookup("vcmin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo := net.Torus
+	plan := (&fault.Plan{}).LinkDown(20_000, geo.Sw[1][1], geo.XPlus[1][1])
+	b, err := NewBenchRouted(net, sch, StormAdapterConfig(), plan, fault.InjectorConfig{}, network.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo.Hosts[0][0] = nil // host 0.0.0 vanishes from the geometry
+	err = b.RunErr(1_000_000)
+	if err == nil || !strings.Contains(err.Error(), "rebuild after remap") {
+		t.Fatalf("RunErr = %v, want the rebuild error", err)
 	}
 }

@@ -136,8 +136,8 @@ func BenchmarkDeliveredWormAllocs(b *testing.B) {
 			}
 		})
 	}
-	// Named "adaptive" (not "vcs=N") so benchreport's per-lane regex keeps
-	// tracking only the deterministic-route trajectory.
+	// Named "adaptive" (not "vcs=N"): the vcs=N entries are the
+	// deterministic-route lane sweep; this one adds the per-hop choice.
 	b.Run("adaptive", func(b *testing.B) {
 		step := newAllocRig(b, 2, true)
 		for i := 0; i < 8; i++ {

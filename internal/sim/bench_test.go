@@ -6,13 +6,13 @@ import (
 	"wormlan/internal/topology"
 )
 
-// benchResults keeps BenchmarkSetup's result live.
-var benchResults *Results
+// benchStack keeps BenchmarkSetup's result live.
+var benchStack *stack
 
-// BenchmarkSetup prices sim.Run's set-up and teardown alone, per routing
-// scheme: a one-byte-time window (Warmup 0, Measure 1, Drain 1) leaves
-// topology validation, the up/down labelling, the scheme's route table, the
-// fabric, the adapter system and the traffic generator as the whole cost.
+// BenchmarkSetup prices sim.Run's set-up alone, per routing scheme: the
+// build and wire stages — topology validation, the up/down labelling, the
+// scheme's route table, the fabric, the adapter system and the started
+// traffic generator — with no kernel run behind them.
 // The 64-host shapes are the routing comparison's (core.RoutesVariants).
 func BenchmarkSetup(b *testing.B) {
 	torus := func(route string, nvc int) Config {
@@ -42,16 +42,19 @@ func BenchmarkSetup(b *testing.B) {
 		cfg := c.cfg
 		cfg.Scheme = HamiltonianSF // multicast mode; irrelevant for pure unicast
 		cfg.OfferedLoad = 0.08
-		cfg.Warmup, cfg.Measure, cfg.Drain = 0, 1, 1
+		cfg.Measure = 1
 		cfg.Seed = 1996
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := Run(cfg)
+				st, err := build(cfg)
+				if err == nil {
+					err = st.wire()
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
-				benchResults = r
+				benchStack = st
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/point")
 		})

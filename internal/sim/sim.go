@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"wormlan/internal/adapter"
 	"wormlan/internal/des"
@@ -98,28 +97,28 @@ type Config struct {
 	// Network overrides the fabric defaults.
 	Network network.Config
 
-	// Route selects the unicast routing scheme: "" or "updown" (the
-	// deadlock-free spanning-tree routing the paper assumes), "vcmin"
-	// (VC-partitioned minimal torus routing with dateline lane switching;
-	// needs TorusGeom and at least two virtual channels — see
-	// internal/vcroute), "fullmesh" (direct routing over a pairwise-
-	// adjacent switch mesh, deadlock-free without VCs), "adaptive"
-	// (Duato escape-lane routing: adaptive lanes >= 1 chosen per hop from
-	// local occupancy, lane-0 up*/down* escape), "clos" (spine-
-	// deterministic leaf-spine direct routing; needs ClosGeom), or
-	// "shufflenet" (forward-column routing with wrap-count lanes; needs
-	// ShuffleGeom and three virtual channels).  Per-scheme capabilities —
-	// multicast traffic, switch-level replication, topology-change
-	// recovery — are declared in routeSchemes and enforced by Validate.
+	// Route names the unicast routing scheme, looked up in the one scheme
+	// registry (internal/vcroute/scheme.go): "" or "updown" (the deadlock-
+	// free spanning-tree routing the paper assumes), "vcmin" (dateline
+	// minimal torus routing; needs TorusGeom), "fullmesh" (direct routing
+	// over pairwise-adjacent switches, VC-free), "adaptive" (Duato
+	// escape-lane routing, any topology), "clos" (spine-deterministic
+	// leaf-spine routing; needs ClosGeom) or "shufflenet" (forward-column
+	// routing with wrap-count lanes; needs ShuffleGeom).  Run raises
+	// Network.NumVCs to the scheme's lane floor and turns VCHeaders on for
+	// lane-encoded tables.  Every scheme carries adapter-level multicast
+	// and rebuilds its table after a remap; switch-level replication is
+	// up/down only.  A new scheme is one vcroute.Scheme literal plus its
+	// builder — nothing here changes.
 	Route string `json:"route,omitempty"`
-	// TorusGeom supplies the torus geometry for Route == "vcmin"; build
+	// TorusGeom supplies the torus geometry the "vcmin" route needs; build
 	// the Graph with topology.TorusWithGeom to obtain it.
 	TorusGeom *topology.TorusGeom `json:"-"`
-	// ClosGeom supplies the leaf-spine geometry for Route == "clos"; build
+	// ClosGeom supplies the leaf-spine geometry the "clos" route needs; build
 	// the Graph with topology.ClosWithGeom to obtain it.
 	ClosGeom *topology.ClosGeom `json:"-"`
-	// ShuffleGeom supplies the shufflenet geometry for Route ==
-	// "shufflenet"; build the Graph with topology.BidirShufflenetWithGeom.
+	// ShuffleGeom supplies the shufflenet geometry the "shufflenet" route
+	// needs; build the Graph with topology.BidirShufflenetWithGeom.
 	ShuffleGeom *topology.ShuffleGeom `json:"-"`
 
 	// Tracer, when non-nil, receives the run's worm-lifecycle and protocol
@@ -222,49 +221,14 @@ type Results struct {
 	EndTime des.Time
 }
 
-// routeCaps declares what a routing scheme supports.  Every hard
-// rejection in Validate traces back to one of these flags, so adding a
-// scheme means declaring its capabilities here, not editing validation
-// logic.
-type routeCaps struct {
-	// multicast: the adapter-level multicast embeddings (Hamiltonian
-	// circuit, trees) may ride this scheme's unicast tables.
-	multicast bool
-	// switchMC: tree-restricted switch-level replication works — it
-	// requires the routes to BE the up/down spanning tree, so only the
-	// up/down scheme qualifies.
-	switchMC bool
-	// recovery: topology changes rebuild this scheme's table over the
-	// survivors (fault plans with link/switch events and hello detection
-	// are allowed).
-	recovery bool
-}
-
-// routeSchemes is the capability registry of legal Config.Route values.
-// All current schemes carry adapter multicast (the embeddings send plain
-// unicast worms host-to-host) and rebuild-on-remap recovery; switch-level
-// replication stays up/down-only.
-var routeSchemes = map[string]routeCaps{
-	"":           {multicast: true, switchMC: true, recovery: true},
-	"updown":     {multicast: true, switchMC: true, recovery: true},
-	"vcmin":      {multicast: true, recovery: true},
-	"fullmesh":   {multicast: true, recovery: true},
-	"adaptive":   {multicast: true, recovery: true},
-	"clos":       {multicast: true, recovery: true},
-	"shufflenet": {multicast: true, recovery: true},
-}
-
 // Routes returns the legal Config.Route values, sorted ("" is the updown
 // default and is not listed separately).
-func Routes() []string {
-	names := make([]string, 0, len(routeSchemes))
-	for n := range routeSchemes {
-		if n != "" {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
+func Routes() []string { return vcroute.Names() }
+
+// net pairs the graph with the geometries the caller supplied, the form
+// the scheme registry consumes.
+func (cfg *Config) net() topology.Net {
+	return topology.Net{Graph: cfg.Graph, Torus: cfg.TorusGeom, Clos: cfg.ClosGeom, Shuffle: cfg.ShuffleGeom}
 }
 
 // Validate checks the routing scheme and its capability combinations
@@ -273,86 +237,69 @@ func Routes() []string {
 // Geometry requirements are only checked when a Graph is present, letting
 // flag-level validation work on an otherwise zero Config.
 func (cfg *Config) Validate() error {
-	caps, ok := routeSchemes[cfg.Route]
-	if !ok {
-		return fmt.Errorf("sim: unknown route scheme %q (want one of %s)", cfg.Route, strings.Join(Routes(), ", "))
+	_, err := cfg.scheme()
+	return err
+}
+
+// scheme looks Config.Route up in the registry and checks what the rest of
+// the configuration asks of it.
+func (cfg *Config) scheme() (vcroute.Scheme, error) {
+	sch, err := vcroute.Lookup(cfg.Route)
+	if err != nil {
+		return sch, err
 	}
-	if cfg.Scheme.SwitchLevel && !caps.switchMC {
-		return fmt.Errorf("sim: route %q is incompatible with switch-level replication (tree-restricted routing required)", cfg.Route)
-	}
-	if !caps.multicast && (cfg.MulticastProb != 0 || cfg.NumGroups > 0 || cfg.Groups != nil) {
-		return fmt.Errorf("sim: route %q is unicast-only (multicast traffic configured)", cfg.Route)
-	}
-	if !caps.recovery {
-		if cfg.FaultPlan != nil {
-			for _, ev := range cfg.FaultPlan.Events {
-				//wormlint:partial only topology-changing kinds are rejected; corruption and stalls need no route recovery
-				switch ev.Kind {
-				case fault.LinkDown, fault.LinkUp, fault.SwitchDown, fault.SwitchUp:
-					return fmt.Errorf("sim: route %q has no topology-change recovery (fault plan schedules %s)", cfg.Route, ev.Kind)
-				}
-			}
-		}
-		if cfg.Detect == fault.DetectHello {
-			return fmt.Errorf("sim: route %q does not support hello detection (suspicion recovery recomputes routes)", cfg.Route)
-		}
+	if cfg.Scheme.SwitchLevel && !sch.SwitchMC {
+		return sch, fmt.Errorf("sim: route %q is incompatible with switch-level replication (tree-restricted routing required)", cfg.Route)
 	}
 	if cfg.Graph != nil {
-		switch {
-		case cfg.Route == "vcmin" && cfg.TorusGeom == nil:
-			return fmt.Errorf("sim: route vcmin needs the torus geometry (build the Graph with topology.TorusWithGeom)")
-		case cfg.Route == "clos" && cfg.ClosGeom == nil:
-			return fmt.Errorf("sim: route clos needs the leaf-spine geometry (build the Graph with topology.ClosWithGeom)")
-		case cfg.Route == "shufflenet" && cfg.ShuffleGeom == nil:
-			return fmt.Errorf("sim: route shufflenet needs the shufflenet geometry (build the Graph with topology.BidirShufflenetWithGeom)")
-		}
+		err = sch.Check(cfg.net())
 	}
-	return nil
+	return sch, err
 }
 
-// vcEncodedRoute reports whether the scheme's route bytes carry VC lane
-// ids (vc<<6|port) rather than raw port numbers.
-func vcEncodedRoute(route string) bool {
-	switch route {
-	case "vcmin", "adaptive", "shufflenet":
-		return true
-	}
-	return false
-}
+// stack is one run's wired layers, handed from stage to stage: build makes
+// the routed fabric, wire attaches protocol, faults and traffic, run drives
+// the kernel, collect reads the results out.
+type stack struct {
+	cfg    Config // defaults applied
+	sch    vcroute.Scheme
+	nvc    int // lanes per link the fabric runs (>= sch.MinLanes)
+	tracer trace.Recorder
 
-// rebuildSchemeTable recomputes the Route scheme's table over the
-// survivors after a remap: the recovery pipeline hands us the fresh
-// up/down labelling (whose failure set is the detector's view), and each
-// scheme derives its surviving table from it — pruning for the rigid
-// schemes (vcmin, fullmesh), genuine rerouting for clos, shufflenet, and
-// adaptive (which also reinstalls the fabric-side AdaptiveTable).
-func rebuildSchemeTable(cfg *Config, fab *network.Fabric, ud *updown.Routing, tbl *updown.Table, nvc int) (*updown.Table, error) {
-	switch cfg.Route {
-	case "", "updown":
-		return tbl, nil
-	case "vcmin":
-		return vcroute.TorusMinimalSurviving(cfg.Graph, cfg.TorusGeom, nvc, ud.Failures())
-	case "fullmesh":
-		return vcroute.FullMeshSurviving(cfg.Graph, ud.Failures())
-	case "clos":
-		return vcroute.Clos(cfg.Graph, cfg.ClosGeom, ud.Failures())
-	case "shufflenet":
-		return vcroute.Shufflenet(cfg.Graph, cfg.ShuffleGeom, nvc, ud.Failures())
-	case "adaptive":
-		at, err := network.NewAdaptiveTable(cfg.Graph, ud)
-		if err != nil {
-			return nil, err
-		}
-		if err := fab.SetAdaptive(at); err != nil {
-			return nil, err
-		}
-		return vcroute.Adaptive(cfg.Graph, ud)
-	}
-	return nil, fmt.Errorf("sim: unknown route scheme %q", cfg.Route)
+	k     *des.Kernel
+	ud    *updown.Routing
+	table *updown.Table
+	fab   *network.Fabric
+	hosts []topology.NodeID
+	sys   *adapter.System // nil under switch-level replication
+	inj   *fault.Injector // nil without a fault plan or hello detection
+	gen   *traffic.Generator
+
+	res         *Results
+	windowEnd   des.Time
+	windowBytes int64
 }
 
 // Run executes one simulation.
 func Run(cfg Config) (*Results, error) {
+	st, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.wire(); err != nil {
+		return nil, err
+	}
+	if err := st.run(); err != nil {
+		return nil, err
+	}
+	return st.collect(), nil
+}
+
+// build checks the configuration and constructs the routed fabric: kernel,
+// up/down labelling, the scheme's table, the fabric, and — for adaptive
+// routing — the fabric-side table.  Every later stage keeps this order:
+// event sequence numbers and RNG draws depend on it.
+func build(cfg Config) (*stack, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("sim: nil topology")
 	}
@@ -368,290 +315,283 @@ func Run(cfg Config) (*Results, error) {
 	if (cfg.FaultPlan != nil || cfg.Detect == fault.DetectHello) && cfg.Scheme.SwitchLevel {
 		return nil, fmt.Errorf("sim: fault injection and hello detection are not supported with switch-level replication (no recovery protocol)")
 	}
-	if err := cfg.Validate(); err != nil {
+	sch, err := cfg.scheme()
+	if err != nil {
 		return nil, err
 	}
-	k := des.NewKernel()
-	ud, err := updown.New(cfg.Graph, topology.None)
+	st := &stack{cfg: cfg, sch: sch, k: des.NewKernel(), tracer: cfg.Tracer,
+		hosts: cfg.Graph.Hosts(), res: &Results{Config: cfg}, windowEnd: cfg.Warmup + cfg.Measure}
+	st.ud, err = updown.New(cfg.Graph, topology.None)
 	if err != nil {
 		return nil, err
 	}
 	// Observability: an explicit Tracer/Metrics request wins; otherwise the
 	// WORMTRACE environment toggle forces both on, recording into a bounded
 	// ring so arbitrarily long runs stay safe.
-	tracer := cfg.Tracer
 	metricsOn := cfg.Metrics
 	if forceTrace {
-		if tracer == nil {
-			tracer = trace.NewRing(1 << 16)
+		if st.tracer == nil {
+			st.tracer = trace.NewRing(1 << 16)
 		}
 		metricsOn = true
 	}
-	// The network config must be settled before table construction: the
-	// vcmin table encodes lane numbers that the fabric only understands
-	// with VCHeaders on and enough lanes configured.
+	// The network config must be settled before table construction: a
+	// VC-encoded table names lanes the fabric only understands with
+	// VCHeaders on and enough lanes configured.
 	ncfg := cfg.Network
 	if ncfg.Recorder == nil {
-		ncfg.Recorder = tracer
+		ncfg.Recorder = st.tracer
 	}
 	ncfg.Metrics = ncfg.Metrics || metricsOn
-	var table *updown.Table
-	switch cfg.Route {
-	case "", "updown":
-		table, err = ud.NewTable(false)
-	case "vcmin":
-		if ncfg.NumVCs < 2 {
-			ncfg.NumVCs = 2
-		}
-		ncfg.VCHeaders = true
-		table, err = vcroute.TorusMinimal(cfg.Graph, cfg.TorusGeom, ncfg.NumVCs)
-	case "fullmesh":
-		table, err = vcroute.FullMesh(cfg.Graph)
-	case "adaptive":
-		if ncfg.NumVCs < 2 {
-			ncfg.NumVCs = 2
-		}
-		ncfg.VCHeaders = true
-		table, err = vcroute.Adaptive(cfg.Graph, ud)
-	case "clos":
-		table, err = vcroute.Clos(cfg.Graph, cfg.ClosGeom, nil)
-	case "shufflenet":
-		if ncfg.NumVCs < 3 {
-			ncfg.NumVCs = 3
-		}
-		ncfg.VCHeaders = true
-		table, err = vcroute.Shufflenet(cfg.Graph, cfg.ShuffleGeom, ncfg.NumVCs, nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Route != "" && cfg.Route != "updown" {
+	ncfg.NumVCs = max(ncfg.NumVCs, sch.MinLanes)
+	ncfg.VCHeaders = ncfg.VCHeaders || sch.VCEncoded
+	st.nvc = ncfg.NumVCs
+	if sch.Build == nil {
+		st.table, err = st.ud.NewTable(false)
+	} else if st.table, err = sch.Build(cfg.net(), st.nvc, st.ud); err == nil {
 		// One pass over the fresh table reports every broken pair at once —
 		// a miswired builder or geometry is diagnosable in a single run.
-		if verr := vcroute.ValidateTable(cfg.Graph, table, vcEncodedRoute(cfg.Route), true); verr != nil {
-			return nil, verr
-		}
+		err = vcroute.ValidateTable(cfg.Graph, st.table, sch.VCEncoded, true)
 	}
-	fab, err := network.New(k, cfg.Graph, ud, ncfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Route == "adaptive" {
-		at, aerr := network.NewAdaptiveTable(cfg.Graph, ud)
-		if aerr != nil {
-			return nil, aerr
-		}
-		if aerr := fab.SetAdaptive(at); aerr != nil {
-			return nil, aerr
-		}
+	st.fab, err = network.New(st.k, cfg.Graph, st.ud, ncfg)
+	if err != nil {
+		return nil, err
 	}
-	hosts := cfg.Graph.Hosts()
-	res := &Results{Config: cfg}
-	var hists *trace.LatencyHists
+	if err := st.installAdaptive(st.ud); err != nil {
+		return nil, err
+	}
 	if metricsOn {
-		hists = trace.NewLatencyHists()
-		res.Histograms = hists
-		k.Observe = func(des.Time) {
-			hists.Queue.Add(float64(k.Pending()))
+		hists := trace.NewLatencyHists()
+		st.res.Histograms = hists
+		st.k.Observe = func(des.Time) {
+			hists.Queue.Add(float64(st.k.Pending()))
 		}
 	}
-	windowStart := cfg.Warmup
-	windowEnd := cfg.Warmup + cfg.Measure
-	var windowBytes int64
-	recordMC := func(created, now des.Time, payload int) {
-		if created >= windowStart && created < windowEnd {
-			lat := float64(now - created)
-			res.MCLatency.Add(lat)
-			res.AllLatency.Add(lat)
-			res.MCDeliveries++
-			if hists != nil {
-				hists.MC.Add(lat)
-				hists.All.Add(lat)
-			}
-		}
-		if now >= windowStart && now < windowEnd {
-			windowBytes += int64(payload)
-		}
-	}
-	recordUni := func(created, now des.Time, payload int) {
-		if created >= windowStart && created < windowEnd {
-			lat := float64(now - created)
-			res.UniLatency.Add(lat)
-			res.AllLatency.Add(lat)
-			res.UniDeliveries++
-			if hists != nil {
-				hists.Uni.Add(lat)
-				hists.All.Add(lat)
-			}
-		}
-		if now >= windowStart && now < windowEnd {
-			windowBytes += int64(payload)
-		}
-	}
+	return st, nil
+}
 
-	type groupDef struct {
-		id  int
-		set []topology.NodeID
+// installAdaptive gives an adaptive scheme's fabric the per-hop candidate
+// table for labelling ud; other schemes need nothing installed.
+func (st *stack) installAdaptive(ud *updown.Routing) error {
+	if !st.sch.Adaptive {
+		return nil
 	}
-	var groupDefs []groupDef
-	var groupsOf map[topology.NodeID][]int
+	at, err := network.NewAdaptiveTable(st.cfg.Graph, ud)
+	if err != nil {
+		return err
+	}
+	return st.fab.SetAdaptive(at)
+}
+
+// record books one application-level delivery: latency by the window the
+// worm was created in, throughput by the window it landed in.
+func (st *stack) record(mc bool, created, now des.Time, payload int) {
+	res, start := st.res, st.cfg.Warmup
+	if created >= start && created < st.windowEnd {
+		lat := float64(now - created)
+		res.AllLatency.Add(lat)
+		if mc {
+			res.MCLatency.Add(lat)
+			res.MCDeliveries++
+		} else {
+			res.UniLatency.Add(lat)
+			res.UniDeliveries++
+		}
+		if h := res.Histograms; h != nil {
+			h.All.Add(lat)
+			if mc {
+				h.MC.Add(lat)
+			} else {
+				h.Uni.Add(lat)
+			}
+		}
+	}
+	if now >= start && now < st.windowEnd {
+		st.windowBytes += int64(payload)
+	}
+}
+
+// groups resolves the run's multicast groups — explicit memberships in
+// ascending id order, else a seeded random assignment numbered by
+// position — and the per-host membership index the traffic generator
+// draws from.
+func (st *stack) groups() (ids []int, sets [][]topology.NodeID, groupsOf map[topology.NodeID][]int, err error) {
+	cfg := &st.cfg
 	switch {
 	case cfg.Groups != nil:
 		groupsOf = make(map[topology.NodeID][]int)
-		ids := make([]int, 0, len(cfg.Groups))
 		for id := range cfg.Groups {
 			ids = append(ids, id)
 		}
 		sort.Ints(ids)
 		for _, id := range ids {
-			groupDefs = append(groupDefs, groupDef{id, cfg.Groups[id]})
+			sets = append(sets, cfg.Groups[id])
 			for _, h := range cfg.Groups[id] {
 				groupsOf[h] = append(groupsOf[h], id)
 			}
 		}
 	case cfg.NumGroups > 0:
-		ms, gof, err := traffic.AssignGroups(hosts, cfg.NumGroups, cfg.GroupSize, cfg.Seed)
-		if err != nil {
-			return nil, err
+		sets, groupsOf, err = traffic.AssignGroups(st.hosts, cfg.NumGroups, cfg.GroupSize, cfg.Seed)
+		for gi := range sets {
+			ids = append(ids, gi)
 		}
-		for gi, set := range ms {
-			groupDefs = append(groupDefs, groupDef{gi, set})
-		}
-		groupsOf = gof
 	}
+	return ids, sets, groupsOf, err
+}
 
+// wire attaches everything that rides the fabric, in the order the layers
+// draw sequence numbers: groups, the adapter (or switch-level) multicast
+// system, the fault injector, and the started traffic generator.
+func (st *stack) wire() error {
+	cfg := &st.cfg
+	ids, sets, groupsOf, err := st.groups()
+	if err != nil {
+		return err
+	}
 	var sink traffic.Sink
-	var sys *adapter.System
+	var addGroup func(*multicast.Group) error
 	if cfg.Scheme.SwitchLevel {
-		swsys, err := switchmc.New(k, fab, ud, switchmc.Config{})
+		swsys, err := switchmc.New(st.k, st.fab, st.ud, switchmc.Config{})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		swsys.SetRecorder(tracer)
-		for _, gd := range groupDefs {
-			grp, err := multicast.NewGroup(gd.id, gd.set)
-			if err != nil {
-				return nil, err
-			}
-			if err := swsys.AddGroup(grp); err != nil {
-				return nil, err
-			}
-		}
+		swsys.SetRecorder(st.tracer)
 		swsys.OnDeliver = func(d switchmc.Delivery) {
-			if d.Multicast {
-				recordMC(d.Worm.Created, d.At, d.Worm.PayloadLen)
-			} else {
-				recordUni(d.Worm.Created, d.At, d.Worm.PayloadLen)
-			}
+			st.record(d.Multicast, d.Worm.Created, d.At, d.Worm.PayloadLen)
 		}
-		sink = swsys
+		sink, addGroup = swsys, swsys.AddGroup
 	} else {
 		acfg := cfg.Adapter
 		acfg.Mode = cfg.Scheme.Mode
 		acfg.CutThrough = cfg.Scheme.CutThrough
 		acfg.TotalOrdering = cfg.TotalOrdering
-		sys, err = adapter.NewSystem(k, fab, table, acfg, cfg.Seed)
+		sys, err := adapter.NewSystem(st.k, st.fab, st.table, acfg, cfg.Seed)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		sys.SetRecorder(tracer)
-		for _, gd := range groupDefs {
-			grp, err := multicast.NewGroup(gd.id, gd.set)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := sys.AddGroup(grp); err != nil {
-				return nil, err
-			}
-		}
+		sys.SetRecorder(st.tracer)
 		sys.OnAppDeliver = func(d adapter.AppDelivery) {
 			if d.Transfer != nil {
-				recordMC(d.Transfer.Created, d.At, d.Transfer.Payload)
+				st.record(true, d.Transfer.Created, d.At, d.Transfer.Payload)
 			} else {
-				recordUni(d.Worm.Created, d.At, d.Worm.PayloadLen)
+				st.record(false, d.Worm.Created, d.At, d.Worm.PayloadLen)
 			}
 		}
-		sink = sys
+		st.sys, sink = sys, sys
+		addGroup = func(grp *multicast.Group) error {
+			_, err := sys.AddGroup(grp)
+			return err
+		}
 	}
-
-	var inj *fault.Injector
+	for i, id := range ids {
+		grp, err := multicast.NewGroup(id, sets[i])
+		if err != nil {
+			return err
+		}
+		if err := addGroup(grp); err != nil {
+			return err
+		}
+	}
 	if cfg.FaultPlan != nil || cfg.Detect == fault.DetectHello {
-		icfg := fault.InjectorConfig{
-			RemapDelay: cfg.RemapDelay,
-			Mode:       cfg.Detect,
-			OnRemap: func(rud *updown.Routing, tbl *updown.Table) {
-				ntbl, rerr := rebuildSchemeTable(&cfg, fab, rud, tbl, ncfg.NumVCs)
-				if rerr != nil {
+		if err := st.wireFaults(); err != nil {
+			return err
+		}
+	}
+	st.gen, err = traffic.New(st.k, traffic.Config{
+		OfferedLoad:   cfg.OfferedLoad,
+		MeanWorm:      cfg.MeanWorm,
+		MulticastProb: cfg.MulticastProb,
+		Until:         st.windowEnd,
+	}, st.hosts, groupsOf, sink, cfg.Seed)
+	if err != nil {
+		return err
+	}
+	st.gen.Start()
+	return nil
+}
+
+// wireFaults attaches the fault injector.  Its remap callback re-derives
+// the scheme's table from the recovery pipeline's fresh labelling (whose
+// failure set is the detector's view) and reroutes the adapters onto it.
+func (st *stack) wireFaults() error {
+	cfg := &st.cfg
+	icfg := fault.InjectorConfig{
+		RemapDelay: cfg.RemapDelay,
+		Mode:       cfg.Detect,
+		OnRemap: func(rud *updown.Routing, tbl *updown.Table) {
+			if st.sch.Build != nil {
+				err := st.installAdaptive(rud)
+				if err == nil {
+					tbl, err = st.sch.Build(cfg.net(), st.nvc, rud)
+				}
+				if err != nil {
 					// Scheme rebuilds only fail on construction-level
 					// errors (bad geometry), which Validate and the
 					// initial build should have excluded: stop the run
 					// on the old routes and let Run return the error.
-					k.Halt(fmt.Errorf("sim: route %q rebuild after remap: %w", cfg.Route, rerr))
+					st.k.Halt(fmt.Errorf("sim: route %q rebuild after remap: %w", cfg.Route, err))
 					return
 				}
-				sys.Reroute(ntbl, rud.Reachable)
-			},
-		}
-		if cfg.Detect == fault.DetectHello {
-			if cfg.Liveness != nil {
-				icfg.Hello = *cfg.Liveness
 			}
-			// Hellos stop with traffic generation: the drain phase then
-			// empties the fabric so quiescence invariants stay checkable.
-			icfg.HelloUntil = windowEnd
-			icfg.Recorder = tracer
-		}
-		plan := cfg.FaultPlan
-		if plan == nil {
-			plan = &fault.Plan{}
-		}
-		inj, err = fault.NewInjector(k, fab, plan, icfg)
-		if err != nil {
-			return nil, err
-		}
+			st.sys.Reroute(tbl, rud.Reachable)
+		},
 	}
+	if cfg.Detect == fault.DetectHello {
+		if cfg.Liveness != nil {
+			icfg.Hello = *cfg.Liveness
+		}
+		// Hellos stop with traffic generation: the drain phase then
+		// empties the fabric so quiescence invariants stay checkable.
+		icfg.HelloUntil = st.windowEnd
+		icfg.Recorder = st.tracer
+	}
+	plan := cfg.FaultPlan
+	if plan == nil {
+		plan = &fault.Plan{}
+	}
+	var err error
+	st.inj, err = fault.NewInjector(st.k, st.fab, plan, icfg)
+	return err
+}
 
-	gen, err := traffic.New(k, traffic.Config{
-		OfferedLoad:   cfg.OfferedLoad,
-		MeanWorm:      cfg.MeanWorm,
-		MulticastProb: cfg.MulticastProb,
-		Until:         windowEnd,
-	}, hosts, groupsOf, sink, cfg.Seed)
-	if err != nil {
-		return nil, err
+// run drives the kernel through the measurement window and the drain.
+func (st *stack) run() error {
+	if err := st.k.Run(st.windowEnd + st.cfg.Drain); err != nil {
+		return err
 	}
-	gen.Start()
+	return st.gen.Err()
+}
 
-	if err := k.Run(windowEnd + cfg.Drain); err != nil {
-		return nil, err
-	}
-	if gen.Err() != nil {
-		return nil, gen.Err()
-	}
-	res.GeneratedWorms, res.GeneratedMC, _ = gen.Generated()
-	res.ThroughputPerHost = float64(windowBytes) / float64(cfg.Measure) / float64(len(hosts))
-	if sys != nil {
-		res.Adapter = sys.Stats()
+// collect reads the finished run out of the layers.
+func (st *stack) collect() *Results {
+	res, k, fab := st.res, st.k, st.fab
+	res.GeneratedWorms, res.GeneratedMC, _ = st.gen.Generated()
+	res.ThroughputPerHost = float64(st.windowBytes) / float64(st.cfg.Measure) / float64(len(st.hosts))
+	if st.sys != nil {
+		res.Adapter = st.sys.Stats()
 	}
 	res.Fabric = fab.Counters()
-	if inj != nil {
-		res.Fault = inj.Counters()
-		res.Detection = inj.Detection()
+	if st.inj != nil {
+		res.Fault = st.inj.Counters()
+		res.Detection = st.inj.Detection()
 	}
-	res.Stalled = fab.Stalled(10 * des.Time(cfg.MeanWorm))
+	res.Stalled = fab.Stalled(10 * des.Time(st.cfg.MeanWorm))
 	res.Drained = k.Pending() == 0
 	res.HeldChannels = len(fab.HeldChannels())
 	res.EndTime = k.Now()
 	res.EventsDispatched = k.Dispatched()
 	res.MaxQueueDepth = k.MaxQueue()
 	res.EventsPerTick = k.EventsPerTick()
-	if metricsOn {
+	if res.Histograms != nil {
 		m := fab.Metrics()
 		res.Channels = m.Channels
 		res.Switches = m.Switches
 		res.FabricTicks = m.Ticks
 	}
-	return res, nil
+	return res
 }
 
 // Metrics reassembles the fabric metrics snapshot (nil unless the run was

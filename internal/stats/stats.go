@@ -1,14 +1,11 @@
-// Package stats provides the small set of statistics collectors the
-// simulation experiments need: streaming mean/variance (Welford), min/max,
-// a fixed-size reservoir for quantiles, and windowed rate counters.
+// Package stats provides the streaming mean/variance/min/max collector
+// (Welford) the simulation experiments report latencies with.  Quantiles
+// live in trace.Histogram.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
-
-	"wormlan/internal/rng"
 )
 
 // Welford accumulates a streaming mean and variance.
@@ -84,95 +81,3 @@ func (w *Welford) Max() float64 {
 func (w *Welford) String() string {
 	return fmt.Sprintf("%.1f±%.1f (n=%d)", w.Mean(), w.Std(), w.n)
 }
-
-// Reservoir keeps a uniform random sample of a stream for quantile
-// estimates (Vitter's algorithm R, deterministic under the given source).
-type Reservoir struct {
-	cap    int
-	seen   int64
-	sample []float64
-	r      *rng.Source
-}
-
-// NewReservoir returns a reservoir holding up to capacity samples.
-func NewReservoir(capacity int, seed uint64) *Reservoir {
-	if capacity <= 0 {
-		panic("stats: reservoir capacity must be positive")
-	}
-	return &Reservoir{cap: capacity, r: rng.New(seed, 0x5A)}
-}
-
-// Add records one observation.  The replacement draw is 64-bit: on 32-bit
-// platforms an int conversion of seen would overflow past 2^31 samples and
-// panic (or bias) the draw.
-func (rv *Reservoir) Add(x float64) {
-	rv.seen++
-	if len(rv.sample) < rv.cap {
-		rv.sample = append(rv.sample, x)
-		return
-	}
-	if j := rv.r.Int63n(rv.seen); j < int64(rv.cap) {
-		rv.sample[int(j)] = x
-	}
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the sampled stream by
-// linear interpolation between order statistics (the "R-7" definition), or
-// NaN when empty.  q=0 and q=1 return the exact extremes.  The former
-// truncating nearest-rank index biased upper quantiles low: on 100 samples
-// of 0..99, p99 reported 98 instead of 98.01, and p50 reported 49 instead
-// of 49.5.
-func (rv *Reservoir) Quantile(q float64) float64 {
-	if len(rv.sample) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), rv.sample...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo] + frac*(s[lo+1]-s[lo])
-}
-
-// N returns how many observations were offered.
-func (rv *Reservoir) N() int64 { return rv.seen }
-
-// Rate measures a quantity accumulated over a time window.
-type Rate struct {
-	total       float64
-	start, stop int64
-}
-
-// NewRate returns a rate counter over the half-open window [start, stop)
-// in byte-times — the same convention as sim.Run's latency recorders, so
-// an event landing exactly at the window end is excluded by both.  (The
-// window used to be closed here and half-open there, silently counting
-// boundary events in throughput but not in latency.)
-func NewRate(start, stop int64) *Rate {
-	if stop <= start {
-		panic("stats: empty rate window")
-	}
-	return &Rate{start: start, stop: stop}
-}
-
-// Add accumulates amount if t falls inside [start, stop).
-func (r *Rate) Add(t int64, amount float64) {
-	if t >= r.start && t < r.stop {
-		r.total += amount
-	}
-}
-
-// Total returns the accumulated amount.
-func (r *Rate) Total() float64 { return r.total }
-
-// PerTime returns the accumulated amount divided by the window length.
-func (r *Rate) PerTime() float64 { return r.total / float64(r.stop-r.start) }

@@ -81,111 +81,3 @@ func TestWelfordMatchesNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestReservoirSmallStream(t *testing.T) {
-	rv := NewReservoir(100, 7)
-	for i := 1; i <= 10; i++ {
-		rv.Add(float64(i))
-	}
-	if rv.N() != 10 {
-		t.Fatalf("N = %d", rv.N())
-	}
-	if rv.Quantile(0) != 1 || rv.Quantile(1) != 10 {
-		t.Fatalf("quantiles %v %v", rv.Quantile(0), rv.Quantile(1))
-	}
-	if q := rv.Quantile(0.5); q < 5 || q > 6 {
-		t.Fatalf("median %v", q)
-	}
-}
-
-func TestReservoirLargeStreamApproximatesQuantiles(t *testing.T) {
-	rv := NewReservoir(2000, 9)
-	r := rng.New(3, 3)
-	for i := 0; i < 100000; i++ {
-		rv.Add(r.Float64())
-	}
-	if q := rv.Quantile(0.9); math.Abs(q-0.9) > 0.05 {
-		t.Fatalf("p90 = %v", q)
-	}
-	if q := rv.Quantile(0.1); math.Abs(q-0.1) > 0.05 {
-		t.Fatalf("p10 = %v", q)
-	}
-}
-
-// TestReservoirGoldenQuantiles feeds 0..99 into a reservoir large enough
-// to keep everything: interpolated quantiles are then exact.  The old
-// truncating nearest-rank index reported p50=49 and p99=98.
-func TestReservoirGoldenQuantiles(t *testing.T) {
-	rv := NewReservoir(200, 1)
-	for i := 0; i < 100; i++ {
-		rv.Add(float64(i))
-	}
-	for _, c := range []struct{ q, want float64 }{
-		{0, 0}, {0.25, 24.75}, {0.5, 49.5}, {0.9, 89.1}, {0.99, 98.01}, {1, 99},
-	} {
-		if got := rv.Quantile(c.q); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
-func TestReservoirEmptyAndBadCapacity(t *testing.T) {
-	rv := NewReservoir(4, 1)
-	if !math.IsNaN(rv.Quantile(0.5)) {
-		t.Fatal("empty reservoir quantile should be NaN")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero capacity accepted")
-		}
-	}()
-	NewReservoir(0, 1)
-}
-
-// TestRateWindow pins the half-open [start, stop) convention shared with
-// sim.Run's latency recorders: the start boundary counts, the stop
-// boundary does not.
-func TestRateWindow(t *testing.T) {
-	cases := []struct {
-		name string
-		t    int64
-		in   bool
-	}{
-		{"start-1", 99, false},
-		{"start", 100, true},
-		{"mid", 150, true},
-		{"stop-1", 199, true},
-		{"stop", 200, false},
-		{"stop+1", 201, false},
-	}
-	for _, c := range cases {
-		r := NewRate(100, 200)
-		r.Add(c.t, 5)
-		want := 0.0
-		if c.in {
-			want = 5
-		}
-		if r.Total() != want {
-			t.Errorf("%s: Add(%d) -> Total %v, want %v", c.name, c.t, r.Total(), want)
-		}
-	}
-	r := NewRate(100, 200)
-	for _, c := range cases {
-		r.Add(c.t, 5)
-	}
-	if r.Total() != 15 {
-		t.Fatalf("Total = %v, want 15", r.Total())
-	}
-	if r.PerTime() != 0.15 {
-		t.Fatalf("PerTime = %v, want 0.15", r.PerTime())
-	}
-}
-
-func TestRateBadWindow(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty window accepted")
-		}
-	}()
-	NewRate(5, 5)
-}

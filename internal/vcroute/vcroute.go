@@ -1,6 +1,8 @@
-// Package vcroute computes routing tables for the two non-up/down schemes
-// the fabric supports: VC-partitioned minimal (dimension-order) routing on
-// a torus, and direct routing on a full mesh.
+// Package vcroute owns routing-scheme identity: the registry of Scheme
+// values (scheme.go) that sim, faulttest, core and the CLIs look up, and
+// the table builders for every scheme other than up/down.  This file has
+// the two original ones — VC-partitioned minimal (dimension-order) routing
+// on a torus, and direct routing on a full mesh; schemes.go has the rest.
 //
 // Up/down routing buys deadlock freedom by detouring through the spanning
 // tree root.  Minimal torus routing keeps every path shortest but its ring
@@ -24,7 +26,7 @@
 // full-mesh datacenter-topology line of work (arXiv 2510.14730); this
 // package provides its LAN-scale analogue as a comparison point.
 //
-// Both schemes return an updown.Table so the adapter and sim layers are
+// Every builder returns an updown.Table so the adapter and sim layers are
 // scheme-agnostic.
 package vcroute
 
