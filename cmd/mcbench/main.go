@@ -33,6 +33,7 @@ import (
 	"wormlan/internal/core"
 	"wormlan/internal/des"
 	"wormlan/internal/faulttest"
+	"wormlan/internal/network"
 	"wormlan/internal/profiling"
 	"wormlan/internal/sweep"
 	"wormlan/internal/trace"
@@ -81,6 +82,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// mcbench fail identically.
 	filter, err := vcroute.Lookup(*routeFilter)
 	if err != nil {
+		fmt.Fprintf(stderr, "mcbench: %v\n", err)
+		return 2
+	}
+	if err := (&network.Config{NumVCs: *vcs}).Validate(); err != nil {
 		fmt.Fprintf(stderr, "mcbench: %v\n", err)
 		return 2
 	}

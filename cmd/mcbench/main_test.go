@@ -24,6 +24,10 @@ func TestExitCodes(t *testing.T) {
 			"unknown route scheme"},
 		{"route legal set", []string{"-fig", "routes", "-route", "left-hand"}, 2,
 			"adaptive, clos, fullmesh, shufflenet, updown, vcmin"},
+		// A lane count no fabric accepts is a usage error too: one line
+		// from network's own check, not a panic out of the first point.
+		{"vcs out of range", []string{"-fig", "10", "-vcs", "9"}, 2,
+			"mcbench: network: NumVCs 9 outside [1,4]\n"},
 		// An impossible per-point timeout makes every simulation point
 		// fail mid-run: the error must propagate to a non-zero exit.
 		{"figure fails mid-run", []string{"-fig", "10", "-timeout", "1ns"}, 1, "timed out"},

@@ -113,10 +113,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Reject a bad -route before any work, with the full legal set in the
-	// error — the same check (and message) sim.Run would apply, shared
-	// with mcbench so both CLIs fail identically.
-	if err := (&sim.Config{Route: *routeName}).Validate(); err != nil {
+	// Reject a bad -route or -vcs before any work, with the full legal set
+	// in the error — the same checks (and messages) sim.Run would apply,
+	// shared with mcbench so both CLIs fail identically.
+	early := sim.Config{Route: *routeName}
+	early.Network.NumVCs = *vcs
+	if err := early.Validate(); err != nil {
 		fmt.Fprintf(stderr, "wormsim: %v\n", err)
 		return 2
 	}

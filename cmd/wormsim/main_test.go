@@ -60,6 +60,19 @@ func TestRunRouteValidation(t *testing.T) {
 	}
 }
 
+// TestRunVCsValidation pins the -vcs flag contract: a lane count no fabric
+// accepts exits 2 with network's one-line error, not a panic.
+func TestRunVCsValidation(t *testing.T) {
+	var out, errb bytes.Buffer
+	args := []string{"-topology", "torus4x4", "-vcs", "9", "-measure", "1000"}
+	if code := run(args, &out, &errb); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if got, want := errb.String(), "wormsim: network: NumVCs 9 outside [1,4]\n"; got != want {
+		t.Errorf("stderr %q, want %q", got, want)
+	}
+}
+
 // TestRunVCRoutes is the CLI smoke test for the VC scheme family: each
 // (topology, route) pairing runs clean, multicast included.
 func TestRunVCRoutes(t *testing.T) {

@@ -70,10 +70,6 @@ type Kernel struct {
 	runTickFn   func() // k.runTick, bound once to avoid per-tick closures
 	deadline    Time   // current Run's deadline; bounds tick batching
 
-	// Trace, if non-nil, receives a line per dispatched event when tracing
-	// is enabled.  It exists for debugging protocol interleavings.
-	Trace func(format string, args ...any)
-
 	// Observe, if non-nil, runs after every dispatched event with the
 	// current time.  Metrics collectors use it to sample kernel state
 	// (queue depth, progress) at deterministic points; the hook must not

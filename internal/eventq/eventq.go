@@ -1,23 +1,15 @@
 // Package eventq implements the pending-event set used by the discrete-event
-// simulation kernel: a hierarchical timing wheel ordered by (time, sequence
+// simulation kernel: a pooled binary min-heap ordered by (time, sequence
 // number).
 //
-// The structure is an aligned (Linux-style) 8-level wheel with 256 slots per
-// level.  An event lands at the level of the highest byte in which its firing
-// time differs from the queue's horizon `cur` (the lower bound of all pending
-// times), in the slot addressed by that byte.  Byte-time locality — most
-// events land within a few hundred byte-times of now — means nearly all
-// traffic stays in level 0, where schedule and pop are O(1) bitmap
-// operations.  Far events cascade down one level at a time as the horizon
-// crosses their block boundary.
+// The byte clock does the simulator's work, so discrete events (Poisson
+// arrivals, ACK/NACK timers, hello probes) are rare and the queue is a
+// hundred or so deep: a heap is all that traffic needs (DESIGN.md §12).
 //
 // Ordering is total and FIFO among simultaneous events, which is what makes
 // simulations reproducible: two events scheduled for the same instant fire
-// in the order they were scheduled.  The wheel preserves this without
-// comparisons: same-time events always share a slot at every level, slot
-// lists append at the tail, and cascades re-insert in traversal order, so
-// list order is scheduling order.  (internal/eventq/heapref keeps the
-// original binary-heap implementation as a test oracle for this contract.)
+// in the order they were scheduled.  The sequence number stamped by Schedule
+// is the tie-break.
 //
 // Events are pooled on an internal free list; Schedule returns a
 // generation-checked Handle so canceling an event that already fired — and
@@ -25,19 +17,7 @@
 // is a safe no-op.
 package eventq
 
-import (
-	"fmt"
-	"math/bits"
-)
-
-const (
-	levelBits = 8
-	numSlots  = 1 << levelBits // 256 slots per level
-	slotMask  = numSlots - 1
-	numLevels = 8 // 8 levels x 8 bits covers the full int64 time range
-	wordBits  = 64
-	numWords  = numSlots / wordBits // occupancy-bitmap words per level
-)
+import "fmt"
 
 // Event is a scheduled callback.  Event structs are owned and recycled by
 // the Queue; callers hold Handles, never long-lived *Event pointers.
@@ -47,11 +27,11 @@ type Event struct {
 	// Fire is invoked when the event is dispatched.
 	Fire func()
 
-	seq  uint64 // scheduling order, documents the (time, seq) contract
+	seq  uint64 // scheduling order: the FIFO tie-break among equal times
 	gen  uint64 // bumped on recycle; stale Handles no-op
-	next *Event
-	prev *Event
-	// pos packs level<<levelBits|slot while queued; -1 when free or popped.
+	next *Event // free-list link
+	// pos is the event's index in the heap while queued; -1 when free or
+	// popped.
 	pos int32
 }
 
@@ -68,50 +48,33 @@ func (h Handle) Scheduled() bool {
 	return h.e != nil && h.e.gen == h.gen && h.e.pos >= 0
 }
 
-type slotList struct{ head, tail *Event }
-
 // Queue is a pending-event set.  The zero value is ready to use.
 // Queue is not safe for concurrent use; the DES kernel is single-threaded.
 type Queue struct {
-	// cur is the horizon: no pending event fires before it.  It advances
-	// as events pop and as cascades cross block boundaries, and is lowered
-	// (never below popped) when a schedule lands in the gap a cascade
-	// opened.
-	cur int64
-	// popped is the time of the most recent Pop: the hard floor below
-	// which scheduling is a model bug.
+	heap []*Event
+	// popped is the time of the most recent Pop: the floor below which
+	// scheduling is a model bug.
 	popped int64
-	count  int
 	seq    uint64
-
-	slots [numLevels][numSlots]slotList
-	occ   [numLevels][numWords]uint64
-
-	free *Event
+	free   *Event
 }
 
 // Len returns the number of scheduled (non-canceled) events.
 // Canceled events are removed eagerly, so Len is exact.
-func (q *Queue) Len() int { return q.count }
+func (q *Queue) Len() int { return len(q.heap) }
 
 // Schedule adds an event firing at time t and returns a handle that can be
 // used to cancel it.  Scheduling before the time of the last Pop panics:
-// the kernel never schedules in the past.  (The horizon can sit past the
-// last pop when a cascade crossed a block boundary while the next pending
-// event was still far away; scheduling into that gap is legal and lowers
-// the horizon back, an O(n) re-place on a cold path.)
+// the kernel never schedules in the past.
 func (q *Queue) Schedule(t int64, fire func()) Handle {
-	if t < q.cur {
-		if t < q.popped {
-			panic(fmt.Sprintf("eventq: scheduling at %d before last pop %d", t, q.popped))
-		}
-		q.lowerHorizon(t)
+	if t < q.popped {
+		panic(fmt.Sprintf("eventq: scheduling at %d before last pop %d", t, q.popped))
 	}
 	e := q.alloc()
 	q.seq++
 	e.Time, e.Fire, e.seq = t, fire, q.seq
-	q.place(e)
-	q.count++
+	q.heap = append(q.heap, e)
+	q.up(len(q.heap)-1, e)
 	return Handle{e: e, gen: e.gen}
 }
 
@@ -122,27 +85,21 @@ func (q *Queue) Cancel(h Handle) {
 	if e == nil || e.gen != h.gen || e.pos < 0 {
 		return
 	}
-	q.unlink(e)
-	q.count--
+	q.remove(int(e.pos))
 	q.recycle(e)
 }
 
 // PeekTime returns the firing time of the earliest event.
 // It panics if the queue is empty.
-func (q *Queue) PeekTime() int64 {
-	return q.slots[0][q.front()].head.Time
-}
+func (q *Queue) PeekTime() int64 { return q.heap[0].Time }
 
 // Pop removes and returns the earliest event.  It panics if the queue is
 // empty.  The caller should pass the event to Free once done with it so the
 // struct returns to the pool; an un-Freed event is simply garbage-collected.
 func (q *Queue) Pop() *Event {
-	s := q.front()
-	e := q.slots[0][s].head
-	q.cur = e.Time
+	e := q.heap[0]
 	q.popped = e.Time
-	q.unlink(e)
-	q.count--
+	q.remove(0)
 	return e
 }
 
@@ -155,106 +112,63 @@ func (q *Queue) Free(e *Event) {
 	q.recycle(e)
 }
 
-// place inserts e at the level of the highest byte where e.Time differs
-// from the horizon, appending at the slot's tail (stable order).
-func (q *Queue) place(e *Event) {
-	lvl := 0
-	if diff := uint64(e.Time ^ q.cur); diff != 0 {
-		lvl = (bits.Len64(diff) - 1) / levelBits
-	}
-	slot := int(uint64(e.Time)>>(uint(lvl)*levelBits)) & slotMask
-	e.pos = int32(lvl<<levelBits | slot)
-	l := &q.slots[lvl][slot]
-	e.prev = l.tail
-	e.next = nil
-	if l.tail == nil {
-		l.head = e
-		q.occ[lvl][slot>>6] |= 1 << uint(slot&63)
-	} else {
-		l.tail.next = e
-	}
-	l.tail = e
+func less(a, b *Event) bool {
+	return a.Time < b.Time || a.Time == b.Time && a.seq < b.seq
 }
 
-func (q *Queue) unlink(e *Event) {
-	lvl, slot := int(e.pos)>>levelBits, int(e.pos)&slotMask
-	l := &q.slots[lvl][slot]
-	if e.prev == nil {
-		l.head = e.next
+// remove takes the event at heap index i out of the queue and re-seats the
+// last event in the hole it leaves.
+func (q *Queue) remove(i int) {
+	n := len(q.heap) - 1
+	q.heap[i].pos = -1
+	last := q.heap[n]
+	q.heap[n] = nil
+	q.heap = q.heap[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && less(last, q.heap[(i-1)/2]) {
+		q.up(i, last)
 	} else {
-		e.prev.next = e.next
+		q.down(i, last)
 	}
-	if e.next == nil {
-		l.tail = e.prev
-	} else {
-		e.next.prev = e.prev
-	}
-	if l.head == nil {
-		q.occ[lvl][slot>>6] &^= 1 << uint(slot&63)
-	}
-	e.next, e.prev = nil, nil
-	e.pos = -1
 }
 
-// front returns the level-0 slot of the earliest event, cascading
-// higher-level blocks down as the horizon advances.  The queue must be
-// non-empty.  All events in one level-0 slot share one exact firing time.
-func (q *Queue) front() int {
-	for {
-		if s := q.scan(0, int(uint64(q.cur))&slotMask); s >= 0 {
-			return s
-		}
-		// Level 0 is empty at or after the horizon's slot: advance to the
-		// next occupied block at the lowest non-empty level and pull its
-		// events down (they re-place at strictly lower levels).
-		cascaded := false
-		for lvl := 1; lvl < numLevels; lvl++ {
-			shift := uint(lvl) * levelBits
-			cs := int(uint64(q.cur)>>shift) & slotMask
-			// Slot cs itself cannot hold events (they would differ from
-			// cur in a lower byte and live at a lower level).
-			s := q.scan(lvl, cs+1)
-			if s < 0 {
-				continue
-			}
-			blockMask := (uint64(1) << (shift + levelBits)) - 1
-			q.cur = int64(uint64(q.cur)&^blockMask | uint64(s)<<shift)
-			l := &q.slots[lvl][s]
-			head := l.head
-			l.head, l.tail = nil, nil
-			q.occ[lvl][s>>6] &^= 1 << uint(s&63)
-			for e := head; e != nil; {
-				nx := e.next
-				q.place(e)
-				e = nx
-			}
-			cascaded = true
+// up seats e at or above the hole at index i, moving larger parents down.
+func (q *Queue) up(i int, e *Event) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !less(e, q.heap[p]) {
 			break
 		}
-		if !cascaded {
-			panic("eventq: non-empty queue with no occupied slot")
-		}
+		q.heap[i] = q.heap[p]
+		q.heap[i].pos = int32(i)
+		i = p
 	}
+	q.heap[i] = e
+	e.pos = int32(i)
 }
 
-// scan returns the first occupied slot index >= from at the given level,
-// or -1.
-func (q *Queue) scan(lvl, from int) int {
-	if from >= numSlots {
-		return -1
-	}
-	w := from >> 6
-	word := q.occ[lvl][w] >> uint(from&63) << uint(from&63)
+// down seats e at or below the hole at index i, moving smaller children up.
+func (q *Queue) down(i int, e *Event) {
+	n := len(q.heap)
 	for {
-		if word != 0 {
-			return w<<6 + bits.TrailingZeros64(word)
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		w++
-		if w == numWords {
-			return -1
+		if r := c + 1; r < n && less(q.heap[r], q.heap[c]) {
+			c = r
 		}
-		word = q.occ[lvl][w]
+		if !less(q.heap[c], e) {
+			break
+		}
+		q.heap[i] = q.heap[c]
+		q.heap[i].pos = int32(i)
+		i = c
 	}
+	q.heap[i] = e
+	e.pos = int32(i)
 }
 
 func (q *Queue) alloc() *Event {
@@ -267,47 +181,12 @@ func (q *Queue) alloc() *Event {
 	return &Event{pos: -1}
 }
 
-// lowerHorizon moves the horizon back to t and re-places every pending
-// event: slot addressing is relative to the horizon's high bytes, so a
-// backward move across a block boundary invalidates positions wholesale.
-// Same-time events always share a slot, so draining slots in any order and
-// re-placing each list in traversal order preserves FIFO.
-func (q *Queue) lowerHorizon(t int64) {
-	var head, tail *Event
-	for lvl := 0; lvl < numLevels; lvl++ {
-		for w := 0; w < numWords; w++ {
-			word := q.occ[lvl][w]
-			q.occ[lvl][w] = 0
-			for word != 0 {
-				slot := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				l := &q.slots[lvl][slot]
-				if tail == nil {
-					head = l.head
-				} else {
-					tail.next = l.head
-					l.head.prev = tail
-				}
-				tail = l.tail
-				l.head, l.tail = nil, nil
-			}
-		}
-	}
-	q.cur = t
-	for e := head; e != nil; {
-		nx := e.next
-		q.place(e)
-		e = nx
-	}
-}
-
 func (q *Queue) recycle(e *Event) {
 	e.gen++
 	e.Time = 0
 	e.seq = 0
 	e.Fire = nil
 	e.pos = -1
-	e.prev = nil
 	e.next = q.free
 	q.free = e
 }

@@ -136,8 +136,8 @@ func TestPeekTime(t *testing.T) {
 	}
 }
 
-// TestFarEventsCascade exercises multi-level placement and cascade: times
-// spanning every wheel level still pop in order.
+// TestFarEventsCascade pins far-future ordering: times spanning every power
+// of 256 up to 2^62, scheduled in shuffled order, still pop in order.
 func TestFarEventsCascade(t *testing.T) {
 	var q Queue
 	times := []int64{0, 1, 255, 256, 257, 65535, 65536, 1 << 20, 1<<40 + 3, 1 << 62, 1<<62 + 1}
@@ -152,9 +152,10 @@ func TestFarEventsCascade(t *testing.T) {
 	}
 }
 
-// TestScheduleBelowHorizon pins the horizon-lowering path: a cascade can
-// advance the horizon past a gap, and a later schedule into that gap (legal
-// as long as it is not before the last pop) must still fire in order.
+// TestScheduleBelowHorizon pins scheduling into the gap between the last
+// pop and the earliest pending event: legal as long as it is not before the
+// last pop, even after PeekTime has looked past the gap, and the newcomer
+// must fire first.
 func TestScheduleBelowHorizon(t *testing.T) {
 	var q Queue
 	q.Schedule(10, nil)
@@ -163,10 +164,10 @@ func TestScheduleBelowHorizon(t *testing.T) {
 	if got := q.Pop().Time; got != 10 {
 		t.Fatalf("pop = %d, want 10", got)
 	}
-	if got := q.PeekTime(); got != far { // cascades, advancing the horizon
+	if got := q.PeekTime(); got != far {
 		t.Fatalf("PeekTime = %d, want %d", got, far)
 	}
-	q.Schedule(50, nil) // below the cascaded horizon, after the last pop
+	q.Schedule(50, nil) // before the earliest pending event, after the last pop
 	q.Schedule(far+1, nil)
 	want := []int64{50, far, far + 1}
 	for i, w := range want {
@@ -221,6 +222,33 @@ func TestOrderingPropertyRandomized(t *testing.T) {
 	}, &quick.Config{MaxCount: 50})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueueSteadyStateZeroAlloc pins the pooling contract at this layer:
+// once the free list and the heap slice have grown to the working depth,
+// schedule/cancel/pop/free cycles allocate nothing.
+func TestQueueSteadyStateZeroAlloc(t *testing.T) {
+	const depth = 128
+	var q Queue
+	var handles [depth]Handle
+	now := int64(0)
+	cycle := func() {
+		for i := range handles {
+			handles[i] = q.Schedule(now+int64(i*37%64), nil)
+		}
+		for i := 0; i < depth; i += 3 {
+			q.Cancel(handles[i])
+		}
+		for q.Len() > 0 {
+			e := q.Pop()
+			now = e.Time
+			q.Free(e)
+		}
+	}
+	cycle() // warm-up: grows the pool and the slice to depth
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("steady-state schedule/cancel/pop/free cycle allocates %v times, want 0", allocs)
 	}
 }
 

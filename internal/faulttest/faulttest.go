@@ -94,10 +94,10 @@ func NewBenchRouted(net topology.Net, sch vcroute.Scheme, acfg adapter.Config, p
 		return nil, err
 	}
 	b.F, err = network.New(b.K, g, b.UD, ncfg)
-	if err != nil {
-		return nil, err
+	if err == nil && b.Scheme.Adaptive {
+		err = b.F.InstallAdaptive(b.UD)
 	}
-	if err := b.installAdaptive(b.UD); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	b.Sys, err = adapter.NewSystem(b.K, b.F, b.Tbl, acfg, 77)
@@ -121,26 +121,16 @@ func NewBenchRouted(net topology.Net, sch vcroute.Scheme, acfg adapter.Config, p
 	return b, nil
 }
 
-// installAdaptive gives an adaptive scheme's fabric the per-hop candidate
-// table for labelling ud; other schemes need nothing installed.
-func (b *Bench) installAdaptive(ud *updown.Routing) error {
-	if !b.Scheme.Adaptive {
-		return nil
-	}
-	at, err := network.NewAdaptiveTable(b.G, ud)
-	if err != nil {
-		return err
-	}
-	return b.F.SetAdaptive(at)
-}
-
 // reroute is the default remap callback: rebuild the scheme's table over
 // the survivors and install it.  A rebuild error is a construction-level
 // failure (bad geometry) the initial build pre-excludes; it halts the
 // kernel on the old routes so RunErr returns it.
 func (b *Bench) reroute(ud *updown.Routing, tbl *updown.Table) {
 	if b.Scheme.Build != nil {
-		err := b.installAdaptive(ud)
+		var err error
+		if b.Scheme.Adaptive {
+			err = b.F.InstallAdaptive(ud)
+		}
 		if err == nil {
 			tbl, err = b.Scheme.Build(b.net, b.nvc, ud)
 		}

@@ -195,6 +195,17 @@ func (f *Fabric) SetAdaptive(t *AdaptiveTable) error {
 	return nil
 }
 
+// InstallAdaptive computes the adaptive table for labelling ud over the
+// fabric's graph and installs it: the one call an adaptive scheme makes at
+// build time and again after every remap.
+func (f *Fabric) InstallAdaptive(ud *updown.Routing) error {
+	t, err := NewAdaptiveTable(f.G, ud)
+	if err != nil {
+		return err
+	}
+	return f.SetAdaptive(t)
+}
+
 // adaptiveSelect makes (or re-makes) the per-hop routing decision for a
 // pmWait head holding the adaptive marker, then attempts the grant.  Runs
 // every tick until the head binds or drops, so the choice always reflects

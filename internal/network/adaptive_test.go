@@ -14,11 +14,7 @@ import (
 func adaptiveRig(t *testing.T, g *topology.Graph, nvc int) *rig {
 	t.Helper()
 	r := newRig(t, g, Config{NumVCs: nvc, VCHeaders: true})
-	at, err := NewAdaptiveTable(g, r.ud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.f.SetAdaptive(at); err != nil {
+	if err := r.f.InstallAdaptive(r.ud); err != nil {
 		t.Fatal(err)
 	}
 	return r

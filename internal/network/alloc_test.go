@@ -57,11 +57,7 @@ func newAllocRig(tb testing.TB, nvc int, adaptive bool) func() {
 	hosts := g.Hosts()
 	var hdr []byte
 	if adaptive {
-		at, aerr := NewAdaptiveTable(g, ud)
-		if aerr != nil {
-			tb.Fatal(aerr)
-		}
-		if aerr := f.SetAdaptive(at); aerr != nil {
+		if aerr := f.InstallAdaptive(ud); aerr != nil {
 			tb.Fatal(aerr)
 		}
 		hdr = []byte{route.AdaptivePort}
@@ -100,7 +96,7 @@ func TestDeliveredWormZeroAlloc(t *testing.T) {
 		t.Run(fmt.Sprintf("vcs=%d", nvc), func(t *testing.T) {
 			step := newAllocRig(t, nvc, false)
 			// Warm the one-time capacities (host queue, port request
-			// slices, event wheel) that legitimately allocate on first use.
+			// slices, event heap) that legitimately allocate on first use.
 			for i := 0; i < 8; i++ {
 				step()
 			}

@@ -141,11 +141,10 @@ type Config struct {
 	VCHeaders bool
 
 	// Arb selects the crossbar arbitration policy; ArbIters is the iSLIP
-	// iteration count (default 1) and ArbSeed seeds the per-switch
-	// grant/accept pointer positions.  Ignored under ArbScan.
+	// iteration count (default 1).  Each switch's grant/accept pointers
+	// start from a seed derived from its node ID.  Ignored under ArbScan.
 	Arb      ArbPolicy
 	ArbIters int
-	ArbSeed  uint64
 
 	// DisableFastForward turns off the quiescent-steady-state Skip
 	// optimization (see fastforward.go), forcing tick-by-tick execution.
@@ -206,13 +205,20 @@ func (c *Config) withDefaults() Config {
 	if out.ArbIters == 0 {
 		out.ArbIters = 1
 	}
-	if out.GoMark > out.StopMark {
-		panic(fmt.Sprintf("network: GoMark %d above StopMark %d", out.GoMark, out.StopMark))
-	}
-	if out.NumVCs < 1 || out.NumVCs > 4 {
-		panic(fmt.Sprintf("network: NumVCs %d outside [1,4]", out.NumVCs))
-	}
 	return out
+}
+
+// Validate reports a configuration no fabric can be built from; New
+// returns the same error.  Zero fields mean "default" and are always valid.
+func (c *Config) Validate() error {
+	d := c.withDefaults()
+	if d.GoMark > d.StopMark {
+		return fmt.Errorf("network: GoMark %d above StopMark %d", d.GoMark, d.StopMark)
+	}
+	if d.NumVCs < 1 || d.NumVCs > 4 {
+		return fmt.Errorf("network: NumVCs %d outside [1,4]", d.NumVCs)
+	}
+	return nil
 }
 
 // Counters aggregates fabric-wide statistics.
@@ -314,6 +320,9 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("network: %w", err)
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	f := &Fabric{K: k, G: g, Cfg: cfg.withDefaults(), UD: ud,
 		fail: updown.NewFailures(), dropped: make(map[*flit.Worm]bool)}
 	f.rec = f.Cfg.Recorder
@@ -353,8 +362,7 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 				s.in[li].vc = uint8(li % nvc)
 			}
 			if cfg.Arb == ArbISLIP {
-				s.arb = arb.New(lanes, lanes, f.Cfg.ArbIters,
-					f.Cfg.ArbSeed+uint64(n.ID))
+				s.arb = arb.New(lanes, lanes, f.Cfg.ArbIters, uint64(n.ID))
 				s.arbLanes = make([]int, 0, lanes)
 				s.arbMark = make([]bool, lanes)
 			}

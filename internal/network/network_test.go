@@ -471,6 +471,24 @@ func TestBroadcastRequiresUpDown(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadConfig: a configuration no fabric can be built from is an
+// error from New, never a panic.
+func TestNewRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{NumVCs: 9}, "network: NumVCs 9 outside [1,4]"},
+		{Config{NumVCs: -1}, "network: NumVCs -1 outside [1,4]"},
+		{Config{GoMark: 60}, "network: GoMark 60 above StopMark 56"},
+	} {
+		_, err := New(des.NewKernel(), topology.Star(2), nil, tc.cfg)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("New(%+v) error = %v, want %q", tc.cfg, err, tc.want)
+		}
+	}
+}
+
 func TestInjectValidation(t *testing.T) {
 	g := topology.Star(2)
 	r := newRig(t, g, Config{})

@@ -231,14 +231,16 @@ func (cfg *Config) net() topology.Net {
 	return topology.Net{Graph: cfg.Graph, Torus: cfg.TorusGeom, Clos: cfg.ClosGeom, Shuffle: cfg.ShuffleGeom}
 }
 
-// Validate checks the routing scheme and its capability combinations
-// without running anything, so CLIs can reject a bad -route (or an
-// unsupported combination) with the same error a Run would produce.
-// Geometry requirements are only checked when a Graph is present, letting
-// flag-level validation work on an otherwise zero Config.
+// Validate checks the routing scheme, its capability combinations and the
+// fabric parameters without running anything, so CLIs can reject a bad
+// -route or -vcs (or an unsupported combination) with the same error a Run
+// would produce.  Geometry requirements are only checked when a Graph is
+// present, letting flag-level validation work on an otherwise zero Config.
 func (cfg *Config) Validate() error {
-	_, err := cfg.scheme()
-	return err
+	if _, err := cfg.scheme(); err != nil {
+		return err
+	}
+	return cfg.Network.Validate()
 }
 
 // scheme looks Config.Route up in the registry and checks what the rest of
@@ -357,10 +359,10 @@ func build(cfg Config) (*stack, error) {
 		return nil, err
 	}
 	st.fab, err = network.New(st.k, cfg.Graph, st.ud, ncfg)
-	if err != nil {
-		return nil, err
+	if err == nil && sch.Adaptive {
+		err = st.fab.InstallAdaptive(st.ud)
 	}
-	if err := st.installAdaptive(st.ud); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	if metricsOn {
@@ -371,19 +373,6 @@ func build(cfg Config) (*stack, error) {
 		}
 	}
 	return st, nil
-}
-
-// installAdaptive gives an adaptive scheme's fabric the per-hop candidate
-// table for labelling ud; other schemes need nothing installed.
-func (st *stack) installAdaptive(ud *updown.Routing) error {
-	if !st.sch.Adaptive {
-		return nil
-	}
-	at, err := network.NewAdaptiveTable(st.cfg.Graph, ud)
-	if err != nil {
-		return err
-	}
-	return st.fab.SetAdaptive(at)
 }
 
 // record books one application-level delivery: latency by the window the
@@ -523,7 +512,10 @@ func (st *stack) wireFaults() error {
 		Mode:       cfg.Detect,
 		OnRemap: func(rud *updown.Routing, tbl *updown.Table) {
 			if st.sch.Build != nil {
-				err := st.installAdaptive(rud)
+				var err error
+				if st.sch.Adaptive {
+					err = st.fab.InstallAdaptive(rud)
+				}
 				if err == nil {
 					tbl, err = st.sch.Build(cfg.net(), st.nvc, rud)
 				}

@@ -220,7 +220,6 @@ func TestISLIPDeterministicAndSound(t *testing.T) {
 		cfg := vcminConfig(0.6)
 		cfg.Network.Arb = network.ArbISLIP
 		cfg.Network.ArbIters = 2
-		cfg.Network.ArbSeed = 99
 		return cfg
 	}
 	a, err := Run(mk())
@@ -253,6 +252,7 @@ func TestRouteValidation(t *testing.T) {
 		{"no-geom", func(c *Config) { c.TorusGeom = nil }, "geometry"},
 		{"clos-no-geom", func(c *Config) { c.Route = "clos"; c.TorusGeom = nil }, "leaf-spine geometry"},
 		{"shufflenet-no-geom", func(c *Config) { c.Route = "shufflenet"; c.TorusGeom = nil }, "shufflenet geometry"},
+		{"too-many-lanes", func(c *Config) { c.Network.NumVCs = 9 }, "NumVCs 9 outside [1,4]"},
 	}
 	for _, tc := range cases {
 		cfg := mk(0.2)

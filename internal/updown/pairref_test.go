@@ -2,7 +2,8 @@ package updown
 
 // The per-pair reference: the early-exit breadth-first search that computed
 // every route before the single-source Walk replaced it, kept verbatim as
-// the oracle the Walk is compared against (the eventq/heapref pattern).
+// the oracle the Walk is compared against (a naive in-test reference, as in
+// eventq's sorted-slice oracle).
 // One search per (start switch, destination host), fresh scratch each time,
 // stopping at the first state discovered on the destination's switch.
 
