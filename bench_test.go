@@ -10,14 +10,14 @@ package wormlan
 //	BenchmarkFig12   prototype per-host throughput vs packet size
 //	BenchmarkFig13   prototype per-host input-buffer loss
 //
-// Absolute byte-time numbers depend on the machine only through the seed-
-// fixed simulation (Figs 10/11, deterministic) and wall-clock scheduling
-// (Figs 12/13, measured); shapes are asserted by internal/core's tests.
+// Every reported quantity is deterministic — seed-fixed simulation for
+// Figs 10/11, a seedless queueing model for Figs 12/13 — so only ns/op
+// depends on the machine; shapes are asserted by internal/core's and
+// internal/emu's tests.
 
 import (
 	"context"
 	"testing"
-	"time"
 
 	"wormlan/internal/core"
 	"wormlan/internal/sim"
@@ -109,7 +109,7 @@ func BenchmarkFig11(b *testing.B) {
 
 func BenchmarkFig12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		single, _ := core.Fig12And13(core.Quick, 300*time.Millisecond)
+		single, _ := core.Fig12And13(core.Quick)
 		b.ReportMetric(single[len(single)-1].ThroughputMbps, "single-8K-Mbps")
 		b.ReportMetric(single[0].ThroughputMbps, "single-1K-Mbps")
 	}
@@ -117,7 +117,7 @@ func BenchmarkFig12(b *testing.B) {
 
 func BenchmarkFig13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, all := core.Fig12And13(core.Quick, 300*time.Millisecond)
+		_, all := core.Fig12And13(core.Quick)
 		b.ReportMetric(all[len(all)-1].LossRate*100, "allsend-8K-loss-%")
 		b.ReportMetric(all[len(all)-1].ThroughputMbps, "allsend-8K-Mbps")
 	}

@@ -12,8 +12,10 @@
 // Simulation figures (10, 11, ablations) are sweeps of independent
 // deterministic points: -parallel changes wall-clock time only, never the
 // rows (each point derives its own seed from its identity).  Figures 12
-// and 13 come from the same wall-clock-measured emulation run, so they
-// always execute sequentially and are never cached.
+// and 13 are two read-outs of one run of the prototype-card queueing model
+// (internal/emu): sixteen deterministic points that take milliseconds, so
+// they run in-line — no workers, no cache — and print the same bytes
+// every time.
 //
 // Exit status: 0 on success, 1 if any figure fails mid-run, 2 on usage
 // errors (unknown figure or scale).
@@ -28,6 +30,8 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"wormlan/internal/core"
@@ -44,22 +48,19 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-var validFigs = map[string]bool{
-	"10": true, "11": true, "12": true, "13": true, "ablations": true, "all": true,
-	// storms and routes are opt-in (not part of "all"): the chaos matrix
-	// with the selected failure-detection mode in the recovery loop, and
-	// the routing-scheme comparison (not a figure from the paper).
-	"storms": true,
-	"routes": true,
-}
+// validFigs is the legal -fig set, sorted; the flag help and the usage
+// error are both built from it.  storms and routes are opt-in (not part of
+// "all"): the chaos matrix with the selected failure-detection mode in the
+// recovery loop, and the routing-scheme comparison (not a figure from the
+// paper).
+var validFigs = []string{"10", "11", "12", "13", "ablations", "all", "routes", "storms"}
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mcbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fig := fs.String("fig", "all", "figure to regenerate: 10, 11, 12, 13, ablations, all, storms, routes")
+	fig := fs.String("fig", "all", "figure to regenerate: "+strings.Join(validFigs, ", "))
 	scaleFlag := fs.String("scale", "quick", "experiment scale: quick or full")
 	seed := fs.Uint64("seed", 1996, "random seed")
-	perPoint := fs.Duration("perpoint", 0, "wall-clock time per emulation point (figs 12/13)")
 	parallel := fs.Int("parallel", 0, "simulation points run concurrently (0 = GOMAXPROCS, 1 = sequential)")
 	cacheDir := fs.String("cache", "", "memoize completed sweep points in this directory")
 	timeout := fs.Duration("timeout", 0, "per-point wall-clock timeout (0 = none)")
@@ -124,8 +125,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "mcbench: unknown scale %q (want quick or full)\n", *scaleFlag)
 		return 2
 	}
-	if !validFigs[*fig] {
-		fmt.Fprintf(stderr, "mcbench: unknown figure %q (want 10, 11, 12, 13, ablations, or all)\n", *fig)
+	if !slices.Contains(validFigs, *fig) {
+		fmt.Fprintf(stderr, "mcbench: unknown figure %q (want %s)\n", *fig, strings.Join(validFigs, ", "))
 		return 2
 	}
 
@@ -195,7 +196,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if want("12") || want("13") {
 		runFig("fig12+13", func() error {
-			single, all := core.Fig12And13(scale, *perPoint)
+			single, all := core.Fig12And13(scale)
 			core.PrintFig12And13(stdout, single, all)
 			return nil
 		})

@@ -16,6 +16,8 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"unknown figure", []string{"-fig", "14"}, 2, `unknown figure "14"`},
 		{"garbage figure", []string{"-fig", "bogus"}, 2, "unknown figure"},
+		{"figure legal set", []string{"-fig", "nope"}, 2,
+			"(want 10, 11, 12, 13, ablations, all, routes, storms)"},
 		{"unknown scale", []string{"-fig", "10", "-scale", "huge"}, 2, `unknown scale "huge"`},
 		{"bad flag", []string{"-nope"}, 2, ""},
 		// The -route contract shared with wormsim: exit 2 with the full
@@ -48,7 +50,7 @@ func TestExitCodes(t *testing.T) {
 
 func TestFig12RunsClean(t *testing.T) {
 	var out, errb strings.Builder
-	if got := run([]string{"-fig", "12", "-perpoint", "50ms"}, &out, &errb); got != 0 {
+	if got := run([]string{"-fig", "12"}, &out, &errb); got != 0 {
 		t.Fatalf("exit %d\nstderr: %s", got, errb.String())
 	}
 	if !strings.Contains(out.String(), "Figure 12") || !strings.Contains(out.String(), "points") {

@@ -14,9 +14,9 @@
 //     circuit and rooted tree, implicit ACK/NACK buffer reservation, two
 //     buffer classes, cut-through forwarding (internal/adapter,
 //     internal/multicast).
-//   - A goroutine-based emulation of the Myrinet/LANai prototype of
-//     Section 8 (internal/emu) and the IP class-D address mapping of
-//     Section 8.1 (internal/ipmap).
+//   - A queueing model of the Myrinet/LANai prototype cards of Section 8
+//     on the same event kernel (internal/emu) and the IP class-D address
+//     mapping of Section 8.1 (internal/ipmap).
 //   - One-call presets for every figure of the evaluation and the design
 //     ablations (internal/core), driven by cmd/mcbench and the benchmarks
 //     in bench_test.go.

@@ -1,29 +1,28 @@
 // myrinet-measurement: the Section 8.2 experiment — LANai-resident
-// Hamiltonian multicast on eight emulated host adapter cards, measuring
+// Hamiltonian multicast on eight modelled host adapter cards, measuring
 // per-host throughput (Figure 12) and input-buffer loss (Figure 13) as
 // packet size grows, for one sender and for all eight sending at once.
 //
-// The emulation runs in dilated wall-clock time (see internal/emu), so
-// this example takes ~20 seconds of real time.
+// The cards are a queueing model on the event kernel (see internal/emu):
+// each point covers 100 ms of Myrinet time, takes about a millisecond to
+// compute, and prints the same numbers on every run.
 package main
 
 import (
 	"fmt"
-	"time"
 
 	"wormlan/internal/emu"
 )
 
 func main() {
-	cfg := emu.Config{TimeScale: 25}
 	sizes := []int{1024, 2048, 4096, 8192}
 
 	fmt.Println("single transmitting host (solid curve of Figure 12):")
-	for _, p := range emu.Sweep(cfg, sizes, false, time.Second) {
+	for _, p := range emu.Sweep(sizes, false) {
 		fmt.Printf("  %s\n", p)
 	}
 	fmt.Println("all eight hosts transmitting (dashed curve; losses are Figure 13):")
-	for _, p := range emu.Sweep(cfg, sizes, true, time.Second) {
+	for _, p := range emu.Sweep(sizes, true) {
 		fmt.Printf("  %s\n", p)
 	}
 	fmt.Println("\nExpected shape (paper): throughput rises with packet size as the")

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"os"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestFig10QuickShapes(t *testing.T) {
@@ -84,10 +84,7 @@ func TestFig11QuickShapes(t *testing.T) {
 }
 
 func TestFig12And13Quick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: wall-clock emulation points are not race-job material")
-	}
-	single, all := Fig12And13(Quick, 250*time.Millisecond)
+	single, all := Fig12And13(Quick)
 	if len(single) != len(Fig12Sizes(Quick)) || len(all) != len(single) {
 		t.Fatalf("points %d/%d", len(single), len(all))
 	}
@@ -112,6 +109,21 @@ func TestFig12And13Quick(t *testing.T) {
 	PrintFig12And13(&sb, single, all)
 	if !strings.Contains(sb.String(), "Figure 12") {
 		t.Fatal("print output")
+	}
+}
+
+// TestFig12And13Golden pins the full-scale figure to the tracked results
+// file: the model is deterministic, so the comparison is byte for byte.
+func TestFig12And13Golden(t *testing.T) {
+	want, err := os.ReadFile("../../results_fig12_13.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, all := Fig12And13(Full)
+	var sb strings.Builder
+	PrintFig12And13(&sb, single, all)
+	if sb.String() != string(want) {
+		t.Errorf("results_fig12_13.txt is stale (regenerate with `mcbench -fig 12 -scale full`):\ngot:\n%swant:\n%s", sb.String(), want)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"wormlan/internal/adapter"
 	"wormlan/internal/emu"
@@ -276,22 +275,8 @@ type Fig12Point = emu.Point
 // Fig12And13 reproduces the prototype measurements: per-host throughput
 // (Figure 12) and per-host input-buffer loss (Figure 13) for a Hamiltonian
 // circuit of eight hosts, single-sender and all-send, across packet sizes.
-// perPoint is wall-clock time per measurement (the emulation runs time-
-// dilated; see internal/emu).
-func Fig12And13(s Scale, perPoint time.Duration) (single, all []Fig12Point) {
-	if perPoint == 0 {
-		perPoint = 1200 * time.Millisecond
-		if s == Quick {
-			perPoint = 400 * time.Millisecond
-		}
-	}
-	cfg := emu.Config{TimeScale: 25}
-	if s == Quick {
-		cfg.TimeScale = 10
-	}
-	single = emu.Sweep(cfg, Fig12Sizes(s), false, perPoint)
-	all = emu.Sweep(cfg, Fig12Sizes(s), true, perPoint)
-	return single, all
+func Fig12And13(s Scale) (single, all []Fig12Point) {
+	return emu.Sweep(Fig12Sizes(s), false), emu.Sweep(Fig12Sizes(s), true)
 }
 
 // PrintFig12And13 renders both figures' rows.

@@ -1,314 +1,200 @@
-// Package emu emulates the paper's Myrinet prototype (Section 8): the
-// Hamiltonian-circuit multicast implemented entirely in the network
-// interface cards, measured on eight hosts across a four-switch Myrinet.
+// Package emu models the paper's Myrinet prototype (Section 8): the
+// Hamiltonian-circuit multicast run entirely in the LANai interface cards
+// of eight hosts.  It is a queueing model on des.Kernel — single-threaded,
+// in byte-times (1 bt = 12.5 ns, one byte on the 640 Mb/s wire), drawing no
+// random numbers — so every number it produces is bit-reproducible.
 //
-// Unlike internal/sim — a deterministic byte-level simulator — this is a
-// concurrent emulation: every host adapter card runs as a goroutine, links
-// are bounded rings, and time is real (wall-clock) time.  That reproduces
-// the *measurement* character of Section 8.2: numbers vary slightly run to
-// run, loss occurs exactly where the prototype lost packets (the card's
-// finite input buffer, "the only place that loss can occur in this
-// scheme"), and throughput is limited by per-packet host/LANai processing
-// rather than the 640 Mb/s wire.
+// The LANai's one CPU serializes origination, reception and retransmission:
+// each card is one busy/idle server fed by a host send queue and an input
+// ring, every operation a fixed per-packet plus per-byte cost.  Cards
+// cannot cut through ("worms are stored and forwarded at each host"), so
+// receive-and-retransmit is one interval.  The ring is the LANai's ~25 KB
+// of packet SRAM, "the only place that loss can occur in this scheme".  The
+// fabric outran every host: links are handoffs, wire time paid by the sender.
 //
-// What the paper had -> what this package builds:
-//
-//   - The LANai: a single 16-bit CPU that serializes origination DMA,
-//     packet reception, and retransmission -> one firmware goroutine per
-//     card that multiplexes a host send-request channel and the input
-//     ring; every operation occupies the engine for its modelled cost.
-//   - SPARCstation 5 hosts with slow peripheral buses -> reception charges
-//     a host-DMA transfer at half wire speed on top of a fixed per-packet
-//     cost; origination charges the large fixed cost that capped the
-//     prototype near 120 Mb/s at 8 KB packets.
-//   - The LANai's ~25 KB of packet SRAM -> a byte-bounded input ring.
-//     Big packets fit only ~3 deep, so bursts overflow it — which is why
-//     the prototype's Figure 13 loss grows with packet size.
-//   - The four-switch fabric at 640 Mb/s, faster than any host -> links
-//     are direct handoffs; wire time is charged at the sending interface.
-//   - The multicast group manager informing the card of the (group, next
-//     hop, hop count) triple via the device driver -> Card.SetGroup.
+// The service rule is the model, not an implementation detail: an engine
+// with both a send request and an inbound packet waiting alternates
+// between them, which is how an originating card falls behind its input
+// ring (Figure 13).  One that always received first would lose nothing.
 package emu
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
+
+	"wormlan/internal/des"
 )
 
-// Packet is one multicast worm on the emulated network.  The header
-// mirrors Section 5: multicast group ID and a hop count decremented at
-// each retransmission.
+// The calibrated prototype (DESIGN.md §3).  Wire time is 1 bt per byte.
+const (
+	Hosts                    = 8         // cards on the circuit
+	RingBytes                = 25 * 1024 // input ring capacity: the LANai's packet SRAM
+	SendOverhead    des.Time = 35200     // 440 us: application, driver, host DMA set-up
+	ForwardOverhead des.Time = 8800      // 110 us: store-and-forward retransmission
+	RecvOverhead    des.Time = 4800      // 60 us: reception and delivery
+	DMAPerByte      des.Time = 2         // LANai-to-host copy over the SPARC peripheral bus
+	Window          des.Time = 8_000_000 // Measure's interval: 100 ms of Myrinet time
+)
+
+// Packet is one multicast worm: Section 5's header of group ID and a hop
+// count decremented at each retransmission.
 type Packet struct {
-	Origin int
-	Group  uint8
-	Hops   int
-	Size   int
+	Group      uint8
+	Hops, Size int
 }
 
-// groupEntry is the (next hop, hop length) of the paper's group table.
-type groupEntry struct {
-	next   *Card
-	hopLen int
-}
-
-// Config parameterizes the emulation; zero values take the calibrated
-// defaults (chosen so the single-sender curve tops out near the
-// prototype's ~120 Mb/s at 8 KB packets, see DESIGN.md).
-type Config struct {
-	// Hosts is the number of cards (the paper measured 8).
-	Hosts int
-	// RingBytes is the card's input buffer capacity in bytes (the LANai
-	// has ~25 KB of packet memory).
-	RingBytes int
-	// SendOverhead is the fixed per-packet origination cost (application,
-	// driver, and host-to-LANai DMA setup).
-	SendOverhead time.Duration
-	// ForwardOverhead is the fixed per-packet store-and-forward cost.
-	ForwardOverhead time.Duration
-	// RecvOverhead is the fixed per-packet reception/delivery cost.
-	RecvOverhead time.Duration
-	// WireBytesPerMicro is the link transmission rate charged at the
-	// output (Myrinet: 80 B/us = 640 Mb/s).
-	WireBytesPerMicro float64
-	// DMABytesPerMicro is the LANai-to-host delivery rate charged on
-	// reception (the SPARC peripheral bus, slower than the wire).
-	DMABytesPerMicro float64
-
-	// TimeScale dilates every modelled duration by this factor at
-	// execution time; measured throughput is scaled back so results are
-	// reported in modelled (Myrinet) terms.  Wall-clock sleep granularity
-	// on commodity kernels is ~1 ms, far above the microsecond-scale
-	// constants above; running 50x slowed keeps the granularity error a
-	// few percent.  Default 50.
-	TimeScale float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Hosts == 0 {
-		c.Hosts = 8
-	}
-	if c.RingBytes == 0 {
-		c.RingBytes = 25 * 1024
-	}
-	if c.SendOverhead == 0 {
-		c.SendOverhead = 440 * time.Microsecond
-	}
-	if c.ForwardOverhead == 0 {
-		c.ForwardOverhead = 110 * time.Microsecond
-	}
-	if c.RecvOverhead == 0 {
-		c.RecvOverhead = 60 * time.Microsecond
-	}
-	if c.WireBytesPerMicro == 0 {
-		c.WireBytesPerMicro = 80
-	}
-	if c.DMABytesPerMicro == 0 {
-		c.DMABytesPerMicro = 40
-	}
-	if c.TimeScale == 0 {
-		c.TimeScale = 50
-	}
-	return c
-}
-
-// scale dilates a modelled duration into wall-clock time.
-func (l *LAN) scale(d time.Duration) time.Duration {
-	return time.Duration(float64(d) * l.Cfg.TimeScale)
-}
-
-// Card is one emulated LANai network interface card.
+// Card is one modelled LANai network interface card.
 type Card struct {
-	ID int
-
-	lan     *LAN
-	in      chan Packet // input ring (byte-bounded via ringBytes)
-	sendReq chan Packet // origination requests from the host application
-	groups  map[uint8]groupEntry
-	mu      sync.RWMutex // guards groups against concurrent SetGroup
-
-	ringBytes atomic.Int64
-
-	// Counters (atomic: read while the emulation runs).
-	rxPackets atomic.Int64 // packets accepted into the input ring
-	rxBytes   atomic.Int64 // payload bytes delivered to the local host
-	drops     atomic.Int64 // packets lost to input-ring overflow
-	txPackets atomic.Int64 // packets transmitted (originated + forwarded)
+	ID               int
+	RxPackets, Drops int64 // packets delivered to the host; lost to ring overflow
+	k                *des.Kernel
+	next             map[uint8]*Card // the paper's group table: next hop
+	hops             map[uint8]int   // and hop length, by group
+	sendQ            []Packet        // origination requests from the host application
+	ring             []Packet        // input ring, bounded by RingBytes
+	ringBytes        int
+	busy, sentLast   bool // engine occupied; its previous operation was an origination
 }
 
-// LAN is the emulated Myrinet: a set of cards joined into Hamiltonian
-// circuits by their group tables.
+// LAN is the modelled Myrinet: Hosts cards on one event kernel.
 type LAN struct {
-	Cfg   Config
+	K     *des.Kernel
 	Cards []*Card
-
-	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
-// New builds the LAN and starts one firmware goroutine per card.
-func New(cfg Config) *LAN {
-	cfg = cfg.withDefaults()
-	l := &LAN{Cfg: cfg, stop: make(chan struct{})}
-	for i := 0; i < cfg.Hosts; i++ {
-		c := &Card{
-			ID:      i,
-			lan:     l,
-			in:      make(chan Packet, 1024), // count cap is generous; bytes bound for real
-			sendReq: make(chan Packet, 2),
-			groups:  make(map[uint8]groupEntry),
-		}
-		l.Cards = append(l.Cards, c)
-	}
-	for _, c := range l.Cards {
-		l.wg.Add(1)
-		go c.firmware()
+// New builds an idle LAN at time zero.
+func New() *LAN {
+	l := &LAN{K: des.NewKernel()}
+	for i := 0; i < Hosts; i++ {
+		l.Cards = append(l.Cards, &Card{ID: i, k: l.K, next: map[uint8]*Card{}, hops: map[uint8]int{}})
 	}
 	return l
 }
 
-// SetupCircuit installs group g as the Hamiltonian circuit over all cards
-// in ID order — what the multicast group manager does via the device
-// driver in Section 8 ("the triple of multicast group, next hop address
-// and hop count").
+// SetupCircuit installs group g as the Hamiltonian circuit in ID order.
 func (l *LAN) SetupCircuit(g uint8) {
-	n := len(l.Cards)
 	for i, c := range l.Cards {
-		c.SetGroup(g, l.Cards[(i+1)%n], n-1)
+		c.SetGroup(g, l.Cards[(i+1)%Hosts], Hosts-1)
 	}
 }
 
-// SetGroup installs one card's group-table entry.
+// SetGroup installs the group manager's (group, next hop, hop count) triple.
 func (c *Card) SetGroup(g uint8, next *Card, hopLen int) {
-	c.mu.Lock()
-	c.groups[g] = groupEntry{next: next, hopLen: hopLen}
-	c.mu.Unlock()
+	c.next[g], c.hops[g] = next, hopLen
 }
 
-func (c *Card) lookup(g uint8) (groupEntry, bool) {
-	c.mu.RLock()
-	e, ok := c.groups[g]
-	c.mu.RUnlock()
-	return e, ok
-}
-
-// wireTime is the output-serialization cost of size bytes.
-func (l *LAN) wireTime(size int) time.Duration {
-	return time.Duration(float64(size) / l.Cfg.WireBytesPerMicro * float64(time.Microsecond))
-}
-
-// dmaTime is the LANai-to-host delivery cost of size bytes.
-func (l *LAN) dmaTime(size int) time.Duration {
-	return time.Duration(float64(size) / l.Cfg.DMABytesPerMicro * float64(time.Microsecond))
-}
-
-// push attempts to place a packet in a card's input ring, dropping it when
-// the ring's byte budget is exhausted (the prototype's only loss point).
-func (c *Card) push(p Packet) {
-	for {
-		cur := c.ringBytes.Load()
-		if cur+int64(p.Size) > int64(c.lan.Cfg.RingBytes) {
-			c.drops.Add(1)
-			return
-		}
-		if c.ringBytes.CompareAndSwap(cur, cur+int64(p.Size)) {
-			break
-		}
-	}
-	c.in <- p // count capacity is far above any byte-feasible depth
-}
-
-// firmware is the card's single processing engine: it multiplexes host
-// origination requests and inbound packets, charging each operation its
-// modelled time.  Myrinet cards cannot cut through, so forwarding happens
-// only after full reception (Section 8: "worms are stored and forwarded at
-// each host").
-func (c *Card) firmware() {
-	defer c.lan.wg.Done()
-	cfg := &c.lan.Cfg
-	for {
-		select {
-		case <-c.lan.stop:
-			return
-		case p := <-c.sendReq:
-			// Origination: host DMA + header build + wire transmission.
-			time.Sleep(c.lan.scale(cfg.SendOverhead + c.lan.wireTime(p.Size)))
-			c.txPackets.Add(1)
-			if e, ok := c.lookup(p.Group); ok && e.next != nil && p.Hops >= 1 {
-				e.next.push(p)
-			}
-		case p := <-c.in:
-			c.ringBytes.Add(-int64(p.Size))
-			// Reception: copy the worm to the host over the peripheral
-			// bus; if the hop count permits, retransmit to the successor.
-			// The engine time for both is charged as one interval so that
-			// wall-clock sleep overshoot (which affects every sleep once)
-			// biases the sender and forwarder stages equally.
-			busy := cfg.RecvOverhead + c.lan.dmaTime(p.Size)
-			var fwd *Card
-			if p.Hops > 1 {
-				if e, ok := c.lookup(p.Group); ok && e.next != nil {
-					fwd = e.next
-					busy += cfg.ForwardOverhead + c.lan.wireTime(p.Size)
-				}
-			}
-			time.Sleep(c.lan.scale(busy))
-			c.rxPackets.Add(1)
-			c.rxBytes.Add(int64(p.Size))
-			if fwd != nil {
-				p.Hops--
-				c.txPackets.Add(1)
-				fwd.push(p)
-			}
-		}
-	}
-}
-
-// Originate asks the card to send one multicast packet of the given size
-// on group g, blocking until the card's request queue has room (the
-// application-space interface of Section 8.2 blasting "as many packets as
-// possible").  It reports an error for an unknown group.
+// Originate queues one packet of size bytes on group g; an unknown group is an error.
 func (c *Card) Originate(g uint8, size int) error {
-	e, ok := c.lookup(g)
+	hops, ok := c.hops[g]
 	if !ok {
 		return fmt.Errorf("emu: card %d has no entry for group %d", c.ID, g)
 	}
-	p := Packet{Origin: c.ID, Group: g, Hops: e.hopLen, Size: size}
-	select {
-	case c.sendReq <- p:
-		return nil
-	case <-c.lan.stop:
-		return fmt.Errorf("emu: LAN closed")
+	c.sendQ = append(c.sendQ, Packet{g, hops, size})
+	c.serve()
+	return nil
+}
+
+// push places a packet in the input ring, or drops it when it is full.
+func (c *Card) push(p Packet) {
+	if c.ringBytes+p.Size > RingBytes {
+		c.Drops++
+		return
 	}
+	c.ring, c.ringBytes = append(c.ring, p), c.ringBytes+p.Size
+	c.serve()
 }
 
-// Close stops all card goroutines and waits for them to exit.
-func (l *LAN) Close() {
-	close(l.stop)
-	l.wg.Wait()
-}
-
-// CardStats is a snapshot of one card's counters.
-type CardStats struct {
-	ID        int
-	RxPackets int64
-	RxBytes   int64
-	Drops     int64
-	TxPackets int64
-}
-
-// Stats snapshots every card.
-func (l *LAN) Stats() []CardStats {
-	out := make([]CardStats, len(l.Cards))
-	for i, c := range l.Cards {
-		out[i] = CardStats{
-			ID:        c.ID,
-			RxPackets: c.rxPackets.Load(),
-			RxBytes:   c.rxBytes.Load(),
-			Drops:     c.drops.Load(),
-			TxPackets: c.txPackets.Load(),
+// serve starts the engine's next operation if it is idle and work waits.
+func (c *Card) serve() {
+	send, recv := len(c.sendQ) > 0, len(c.ring) > 0
+	if c.busy || !send && !recv {
+		return
+	}
+	send = send && !(recv && c.sentLast) // both ready: alternate
+	var p Packet
+	var cost des.Time
+	if send { // host DMA + header build + wire transmission
+		p, c.sendQ = c.sendQ[0], c.sendQ[1:]
+		cost = SendOverhead + des.Time(p.Size)
+	} else { // copy the worm to the host over the peripheral bus
+		p = c.ring[0]
+		c.ring, c.ringBytes = c.ring[1:], c.ringBytes-p.Size
+		cost = RecvOverhead + DMAPerByte*des.Time(p.Size)
+		p.Hops--
+	}
+	next := c.next[p.Group]
+	fwd := next != nil && p.Hops >= 1
+	if fwd && !send {
+		cost += ForwardOverhead + des.Time(p.Size)
+	}
+	c.busy, c.sentLast = true, send
+	c.k.After(cost, func() {
+		if !send {
+			c.RxPackets++
 		}
+		if fwd {
+			next.push(p)
+		}
+		c.busy = false
+		c.serve()
+	})
+}
+
+// Point is one measured point of Figures 12/13 at a given packet size.
+type Point struct {
+	PacketSize int
+	AllSend    bool
+	// Mean data rate per receiving host (Figure 12), and the share of
+	// arrivals that found the ring full, Dropped/(Received+Dropped) (Figure 13).
+	ThroughputMbps, LossRate float64
+	Received, Dropped        int64
+}
+
+// String renders the point as a figure row.
+func (p Point) String() string {
+	mode := "single"
+	if p.AllSend {
+		mode = "all-send"
+	}
+	return fmt.Sprintf("%5d B  %-8s  %7.1f Mb/s  loss %5.1f%%",
+		p.PacketSize, mode, p.ThroughputMbps, p.LossRate*100)
+}
+
+// Measure runs one point: one host or every host queues more packets of
+// the given size than the Window can drain ("the application simply sent
+// as many packets as possible", Section 8.2).  The kernel stops at the
+// Window edge and the counters are read there, as the prototype's were;
+// draining first would credit all-send with a backlog no interval saw.
+func Measure(size int, allSend bool) Point {
+	l := New()
+	l.SetupCircuit(1)
+	senders, receivers := l.Cards[:1], Hosts-1 // the circuit stops short of its origin
+	if allSend {
+		senders, receivers = l.Cards, Hosts
+	}
+	for _, c := range senders {
+		for t := des.Time(0); t <= Window; t += SendOverhead { // one origination takes longer
+			_ = c.Originate(1, size) // the group was installed just above
+		}
+	}
+	_ = l.K.Run(Window) // nothing halts this kernel
+	p := Point{PacketSize: size, AllSend: allSend}
+	for _, c := range l.Cards {
+		p.Received += c.RxPackets
+		p.Dropped += c.Drops
+	}
+	// One byte per byte-time is the 640 Mb/s wire.
+	p.ThroughputMbps = float64(p.Received) * float64(size) / float64(receivers) / float64(Window) * 640
+	if p.Received+p.Dropped > 0 {
+		p.LossRate = float64(p.Dropped) / float64(p.Received+p.Dropped)
+	}
+	return p
+}
+
+// Sweep measures one curve of Figure 12 and its Figure 13 counterpart.
+func Sweep(sizes []int, allSend bool) []Point {
+	out := make([]Point, 0, len(sizes))
+	for _, s := range sizes {
+		out = append(out, Measure(s, allSend))
 	}
 	return out
 }

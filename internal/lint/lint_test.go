@@ -106,7 +106,7 @@ func TestScope(t *testing.T) {
 		"wormlan/internal/arb":                    true,
 		"wormlan/internal/vcroute":                true,
 		"wormlan/internal/sweep":                  false,
-		"wormlan/internal/emu":                    false,
+		"wormlan/internal/emu":                    true,
 		"wormlan/internal/lint":                   false,
 		"wormlan/cmd/mcbench":                     false,
 		"internal/sim":                            true,

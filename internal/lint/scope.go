@@ -12,10 +12,8 @@ import (
 // internal/sweep and the cmd/ binaries are deliberately absent: the sweep
 // engine owns all concurrency and progress timing (it parallelizes whole
 // simulations, each of which is deterministic), and the CLIs may report
-// wall-clock elapsed time.  internal/emu is absent because it is a
-// real-time Myrinet emulation — wall-clock time IS its simulation clock.
-// internal/rng is absent from seed checks because it is the sanctioned
-// randomness implementation.
+// wall-clock elapsed time.  internal/rng is absent from seed checks
+// because it is the sanctioned randomness implementation.
 var deterministicScope = []string{
 	"internal/des",
 	"internal/eventq",
@@ -31,6 +29,7 @@ var deterministicScope = []string{
 	"internal/vcroute",
 	"internal/arb",
 	"internal/core",
+	"internal/emu",
 	// Beyond the contract's original kernel list: these feed the kernel
 	// deterministically (topology/route construction, traffic draws,
 	// statistics, the distributed mapper) or assert over its state

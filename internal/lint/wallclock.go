@@ -24,9 +24,8 @@ var wallclockForbidden = map[string]bool{
 // WallClock forbids reading the host clock inside the deterministic
 // packages.  Simulation time is des.Time, advanced only by the event
 // kernel; a wall-clock read anywhere in sim-core makes results depend on
-// host speed and scheduling.  The sweep engine, the benchmark CLIs, and
-// the real-time Myrinet emulation (internal/emu) are out of scope by
-// construction and keep their progress/elapsed timing.
+// host speed and scheduling.  The sweep engine and the benchmark CLIs are
+// out of scope by construction and keep their progress/elapsed timing.
 var WallClock = &Analyzer{
 	Name: "wallclock",
 	Doc:  "forbids time.Now/Since/Sleep and timers in deterministic packages",
