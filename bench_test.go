@@ -21,17 +21,26 @@ import (
 
 	"wormlan/internal/core"
 	"wormlan/internal/sim"
+	"wormlan/internal/sweep"
 	"wormlan/internal/topology"
 
 	"wormlan/internal/adapter"
 )
 
+// runGrid runs a figure grid on the given worker count (1 = sequential,
+// 0 = GOMAXPROCS).
+func runGrid[R any](b *testing.B, workers int, g sweep.Grid[R]) []R {
+	b.Helper()
+	rows, err := sweep.Run(context.Background(), &sweep.Engine{Workers: workers}, g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rows
+}
+
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := core.Fig10(core.Quick, 1996)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runGrid(b, 1, core.Fig10Grid(core.Quick, 1996, 0))
 		// Report the heaviest-load latency of each scheme.
 		last := map[string]float64{}
 		for _, r := range rows {
@@ -72,11 +81,7 @@ func BenchmarkFig10Point(b *testing.B) {
 // both by the engine's determinism contract (DESIGN.md §8).
 func BenchmarkFig10Parallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := core.Fig10With(context.Background(), core.Quick, 1996,
-			core.Options{Workers: 0})
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runGrid(b, 0, core.Fig10Grid(core.Quick, 1996, 0))
 		last := map[string]float64{}
 		for _, r := range rows {
 			last[r.Scheme] = r.MCLatency
@@ -87,10 +92,7 @@ func BenchmarkFig10Parallel(b *testing.B) {
 
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := core.Fig11(core.Quick, 1996)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runGrid(b, 1, core.Fig11Grid(core.Quick, 1996))
 		var tree, hc float64
 		var nTree, nHC int
 		for _, r := range rows {
@@ -125,10 +127,7 @@ func BenchmarkFig13(b *testing.B) {
 
 func BenchmarkAblationBufferClasses(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := core.AblationBufferClasses(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runGrid(b, 1, core.BufferClassesGrid(uint64(i+1)))
 		b.ReportMetric(float64(r[0].GiveUps), "two-class-giveups")
 		b.ReportMetric(float64(r[1].GiveUps), "one-class-giveups")
 	}
@@ -136,10 +135,7 @@ func BenchmarkAblationBufferClasses(b *testing.B) {
 
 func BenchmarkAblationOrdering(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := core.AblationOrdering(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runGrid(b, 1, core.OrderingGrid(uint64(i+1)))
 		b.ReportMetric(r[1].MCLatency-r[0].MCLatency, "ordering-cost")
 	}
 }
@@ -157,10 +153,7 @@ func BenchmarkAblationTreeConstruction(b *testing.B) {
 
 func BenchmarkAblationFabricVsAdapter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := core.AblationFabricVsAdapter(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runGrid(b, 1, core.FabricVsAdapterGrid(uint64(i+1)))
 		b.ReportMetric(r[0].MCLatency, "fabric-mc-latency")
 		b.ReportMetric(r[1].MCLatency, "adapter-tree-mc-latency")
 	}

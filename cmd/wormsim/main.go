@@ -16,12 +16,10 @@
 package main
 
 import (
-	"expvar"
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 
 	"wormlan/internal/adapter"
@@ -54,17 +52,6 @@ func pickScheme(name string) (sim.Scheme, error) {
 		}
 	}
 	return sim.Scheme{}, fmt.Errorf("unknown scheme %q (try hamiltonian, hamiltonian-cut-thru, tree, tree-cut-thru, tree-flood)", name)
-}
-
-// servePprof exposes net/http/pprof and expvar on addr.  It touches expvar
-// so the import registers /debug/vars even when nothing else publishes.
-func servePprof(addr string, stderr io.Writer) {
-	expvar.NewString("cmd").Set("wormsim")
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(stderr, "wormsim: pprof server: %v\n", err)
-		}
-	}()
 }
 
 // traceRingCap bounds in-memory trace recording: the newest ~4M events are
@@ -106,9 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	detectMult := fs.Int("detect-mult", 0, "consecutive missed hellos before a peer-down verdict (0 = liveness default)")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event (Perfetto) JSON of the run to this file")
 	metrics := fs.Bool("metrics", false, "collect and print per-channel utilization, crossbar occupancy, and latency histograms")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
+	startProfiles := profiling.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -119,30 +104,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	early := sim.Config{Route: *routeName}
 	early.Network.NumVCs = *vcs
 	if err := early.Validate(); err != nil {
-		fmt.Fprintf(stderr, "wormsim: %v\n", err)
-		return 2
+		return fail(stderr, 2, err)
 	}
-
-	if *cpuProfile != "" {
-		stop, err := profiling.StartCPU(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(stderr, "wormsim: %v\n", err)
-			return 2
-		}
-		defer stop()
-	}
-	if *memProfile != "" {
-		defer func() {
-			if err := profiling.WriteAllocs(*memProfile); err != nil {
-				fmt.Fprintf(stderr, "wormsim: %v\n", err)
-			}
-		}()
-	}
-
-	if *pprofAddr != "" {
-		servePprof(*pprofAddr, stderr)
-	}
-
 	var net topology.Net
 	var fileGroups map[int][]topology.NodeID
 	var err error
@@ -152,44 +115,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		net, err = topology.Named(*topoName, *linkDelay)
 	}
 	if err != nil {
-		fmt.Fprintf(stderr, "wormsim: %v\n", err)
-		return 2
+		return fail(stderr, 2, err)
 	}
-	g := net.Graph
 	scheme, err := pickScheme(*schemeName)
 	if err != nil {
-		fmt.Fprintf(stderr, "wormsim: %v\n", err)
-		return 2
-	}
-	var plan *fault.Plan
-	if *failLinks > 0 || *failSwitches > 0 {
-		fsd := *failSeed
-		if fsd == 0 {
-			fsd = *seed
-		}
-		window := *failAt
-		if window == 0 {
-			window = *warmup + *measure/2
-		}
-		plan = fault.RandomPlan(g, fault.Options{
-			Seed:        fsd,
-			LinkDowns:   *failLinks,
-			SwitchDowns: *failSwitches,
-			Window:      des.Time(window),
-			Heal:        des.Time(*failHeal),
-		})
+		return fail(stderr, 2, err)
 	}
 	mode, err := fault.ParseDetectMode(*detect)
 	if err != nil {
-		fmt.Fprintf(stderr, "wormsim: %v\n", err)
-		return 2
+		return fail(stderr, 2, err)
 	}
-	var ring *trace.Ring
-	if *tracePath != "" {
-		ring = trace.NewRing(traceRingCap)
+	arb, err := network.ParseArb(*arbName)
+	if err != nil {
+		return fail(stderr, 2, err)
 	}
+	stopProfiles, err := startProfiles(stderr)
+	if err != nil {
+		return fail(stderr, 2, err)
+	}
+	defer stopProfiles()
+
 	cfg := sim.Config{
-		Graph:         g,
+		Graph:         net.Graph,
 		Scheme:        scheme,
 		TotalOrdering: *ordered,
 		OfferedLoad:   *load,
@@ -206,19 +153,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ClosGeom:      net.Clos,
 		ShuffleGeom:   net.Shuffle,
 		Adapter:       adapter.Config{PlainForwarding: !*reliable},
-		FaultPlan:     plan,
 		Detect:        mode,
 		Metrics:       *metrics,
 	}
 	cfg.Network.NumVCs = *vcs
-	switch *arbName {
-	case "", "scan":
-	case "islip":
-		cfg.Network.Arb = network.ArbISLIP
-		cfg.Network.ArbIters = *arbIters
-	default:
-		fmt.Fprintf(stderr, "wormsim: unknown arbiter %q (want scan or islip)\n", *arbName)
-		return 2
+	cfg.Network.Arb, cfg.Network.ArbIters = arb, *arbIters
+	if *failLinks > 0 || *failSwitches > 0 {
+		cfg.FaultPlan = fault.RandomPlan(net.Graph, fault.Options{
+			Seed:        cmp.Or(*failSeed, *seed),
+			LinkDowns:   *failLinks,
+			SwitchDowns: *failSwitches,
+			Window:      des.Time(cmp.Or(*failAt, *warmup+*measure/2)),
+			Heal:        des.Time(*failHeal),
+		})
 	}
 	if mode == fault.DetectHello && (*helloInterval > 0 || *detectMult > 0) {
 		cfg.Liveness = &liveness.Config{
@@ -226,14 +173,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 			DetectMult: *detectMult,
 		}
 	}
-	if ring != nil {
+	return simulate(cfg, *tracePath, stdout, stderr)
+}
+
+// fail reports err and returns the exit code.
+func fail(stderr io.Writer, code int, err error) int {
+	fmt.Fprintf(stderr, "wormsim: %v\n", err)
+	return code
+}
+
+// simulate runs cfg, prints the results and, when tracePath is set, records
+// and exports the run's trace.  A failed or stalled run exits 1.
+func simulate(cfg sim.Config, tracePath string, stdout, stderr io.Writer) int {
+	var ring *trace.Ring
+	if tracePath != "" {
+		ring = trace.NewRing(traceRingCap)
 		cfg.Tracer = ring
 	}
 	res, err := sim.Run(cfg)
 	if err != nil {
-		fmt.Fprintf(stderr, "wormsim: %v\n", err)
+		return fail(stderr, 1, err)
+	}
+	printResults(stdout, res, cfg.FaultPlan != nil, cfg.Metrics)
+	if ring != nil {
+		if err := writeTrace(stdout, tracePath, ring); err != nil {
+			return fail(stderr, 1, err)
+		}
+	}
+	if res.Stalled {
+		fmt.Fprintln(stdout, "WARNING: worms remained frozen in the fabric (deadlock symptom)")
 		return 1
 	}
+	return 0
+}
+
+// printResults writes the run's result row and counter dumps; metrics adds
+// the kernel statistics, latency histograms and fabric metrics summary.
+func printResults(stdout io.Writer, res *sim.Results, faults, metrics bool) {
 	fmt.Fprintln(stdout, res)
 	fmt.Fprintf(stdout, "multicast latency: mean=%.0f std=%.0f min=%.0f max=%.0f (n=%d)\n",
 		res.MCLatency.Mean(), res.MCLatency.Std(), res.MCLatency.Min(), res.MCLatency.Max(), res.MCLatency.N())
@@ -242,18 +218,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "generated worms:   %d (%d multicast)\n", res.GeneratedWorms, res.GeneratedMC)
 	fmt.Fprintf(stdout, "adapter stats:     %+v\n", res.Adapter)
 	fmt.Fprintf(stdout, "fabric counters:   %+v\n", res.Fabric)
-	if plan != nil {
+	if faults {
 		fmt.Fprintf(stdout, "fault counters:    %+v\n", res.Fault)
 	}
 	if d := res.Detection; d != nil {
 		fmt.Fprintf(stdout, "detection:         %+v\n", d.Liveness)
 		fmt.Fprintf(stdout, "detection remaps:  %d\n", d.Remaps)
-		if *metrics {
+		if metrics {
 			fmt.Fprintf(stdout, "%s\n", &d.DetectToReroute)
 			fmt.Fprintf(stdout, "%s\n", &d.FaultToDetect)
 		}
 	}
-	if *metrics {
+	if metrics {
 		fmt.Fprintf(stdout, "kernel:            %d events dispatched, peak queue %d, %.2f events/tick\n",
 			res.EventsDispatched, res.MaxQueueDepth, res.EventsPerTick)
 		if h := res.Histograms; h != nil {
@@ -265,26 +241,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			m.WriteSummary(stdout, 10, int64(res.EndTime))
 		}
 	}
-	if ring != nil {
-		if err := writeTrace(*tracePath, ring); err != nil {
-			fmt.Fprintf(stderr, "wormsim: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "trace:             %d events -> %s", ring.Total(), *tracePath)
-		if d := ring.Dropped(); d > 0 {
-			fmt.Fprintf(stdout, " (oldest %d dropped by the %d-event ring)", d, traceRingCap)
-		}
-		fmt.Fprintln(stdout)
-	}
-	if res.Stalled {
-		fmt.Fprintln(stdout, "WARNING: worms remained frozen in the fabric (deadlock symptom)")
-		return 1
-	}
-	return 0
 }
 
-// writeTrace exports the recorded events as Chrome trace-event JSON.
-func writeTrace(path string, ring *trace.Ring) error {
+// writeTrace exports the recorded events as Chrome trace-event JSON and
+// prints the trace summary line.
+func writeTrace(stdout io.Writer, path string, ring *trace.Ring) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -293,5 +254,13 @@ func writeTrace(path string, ring *trace.Ring) error {
 		f.Close()
 		return err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "trace:             %d events -> %s", ring.Total(), path)
+	if d := ring.Dropped(); d > 0 {
+		fmt.Fprintf(stdout, " (oldest %d dropped by the %d-event ring)", d, traceRingCap)
+	}
+	fmt.Fprintln(stdout)
+	return nil
 }

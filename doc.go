@@ -17,9 +17,10 @@
 //   - A queueing model of the Myrinet/LANai prototype cards of Section 8
 //     on the same event kernel (internal/emu) and the IP class-D address
 //     mapping of Section 8.1 (internal/ipmap).
-//   - One-call presets for every figure of the evaluation and the design
-//     ablations (internal/core), driven by cmd/mcbench and the benchmarks
-//     in bench_test.go.
+//   - Every figure of the evaluation and the design ablations as a sweep
+//     grid plus its printer (internal/core), run through the parallel
+//     sweep engine (internal/sweep) by cmd/mcbench's figure table and the
+//     benchmarks in bench_test.go; the output is tracked in results_*.txt.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for paper-vs-measured results.

@@ -19,7 +19,7 @@ import (
 // ablationPoint is the declarative identity of one ablation cell.  The
 // base seed is part of the identity (not replaced by the derived per-point
 // seed): ablations are paired comparisons, so every variant must see the
-// same stochastic workload and the cache must still distinguish seeds.
+// same stochastic workload and the point key must still distinguish seeds.
 type ablationPoint struct {
 	Ablation string  `json:"ablation"`
 	Variant  string  `json:"variant"`
@@ -27,18 +27,40 @@ type ablationPoint struct {
 	Seed     uint64  `json:"seed"`
 }
 
-// runPaired runs a grid whose result slice has exactly n entries and
-// copies it into the caller's fixed-size row array.
-func runPaired[R any](ctx context.Context, o Options, g sweep.Grid[R], out []R) error {
-	eng, err := o.engine()
+// Ablations runs the DESIGN.md ablations in their published order — four
+// paired grids under eng, the two closed-form comparisons between them —
+// and prints each to w.
+func Ablations(ctx context.Context, eng *sweep.Engine, seed uint64, w io.Writer) error {
+	bc, err := sweep.Run(ctx, eng, BufferClassesGrid(seed))
 	if err != nil {
 		return err
 	}
-	rows, err := sweep.Run(ctx, eng, g)
+	PrintBufferClasses(w, bc)
+	or, err := sweep.Run(ctx, eng, OrderingGrid(seed))
 	if err != nil {
 		return err
 	}
-	copy(out, rows)
+	PrintOrdering(w, or)
+	tc, err := AblationTreeConstruction(seed)
+	if err != nil {
+		return err
+	}
+	PrintTreeConstruction(w, tc)
+	rt, err := AblationRouting()
+	if err != nil {
+		return err
+	}
+	PrintRouting(w, rt)
+	fa, err := sweep.Run(ctx, eng, FabricVsAdapterGrid(seed))
+	if err != nil {
+		return err
+	}
+	PrintFabricVsAdapter(w, fa)
+	bs, err := sweep.Run(ctx, eng, BufferStudyGrid(seed, []float64{0.01, 0.02, 0.04, 0.06}))
+	if err != nil {
+		return err
+	}
+	PrintBufferStudy(w, bs)
 	return nil
 }
 
@@ -108,16 +130,12 @@ func runBufferClass(single bool, seed uint64) (BufferClassResult, error) {
 	}, nil
 }
 
-// AblationBufferClasses runs the Figure 6 scenario at system scale: every
-// member of a group originates simultaneously with buffers sized for
-// exactly one worm.  With two classes everything completes; with one class
-// the crossing reservations livelock into NACK storms and give-ups.
-func AblationBufferClasses(seed uint64) ([2]BufferClassResult, error) {
-	return AblationBufferClassesWith(context.Background(), seed, sequential)
-}
-
-// AblationBufferClassesWith runs the two variants as a sweep grid.
-func AblationBufferClassesWith(ctx context.Context, seed uint64, o Options) ([2]BufferClassResult, error) {
+// BufferClassesGrid is the Figure 6 scenario at system scale: every member
+// of a group originates simultaneously with buffers sized for exactly one
+// worm.  With two classes everything completes; with one class the
+// crossing reservations livelock into NACK storms and give-ups.  Rows:
+// two-class, single-class.
+func BufferClassesGrid(seed uint64) sweep.Grid[BufferClassResult] {
 	g := sweep.Grid[BufferClassResult]{Name: "ablation-buffer-classes", BaseSeed: seed}
 	for _, single := range []bool{false, true} {
 		single := single
@@ -130,13 +148,11 @@ func AblationBufferClassesWith(ctx context.Context, seed uint64, o Options) ([2]
 				return runBufferClass(single, seed)
 			})
 	}
-	var out [2]BufferClassResult
-	err := runPaired(ctx, o, g, out[:])
-	return out, err
+	return g
 }
 
 // PrintBufferClasses renders the ablation.
-func PrintBufferClasses(w io.Writer, r [2]BufferClassResult) {
+func PrintBufferClasses(w io.Writer, r []BufferClassResult) {
 	fmt.Fprintln(w, "Ablation: two buffer classes vs single class (Figure 6/7)")
 	for _, row := range r {
 		name := "two-class"
@@ -155,14 +171,9 @@ type OrderingResult struct {
 	MCLatency float64
 }
 
-// AblationOrdering measures the latency cost of total ordering on the 8x8
-// torus at a moderate load.
-func AblationOrdering(seed uint64) ([2]OrderingResult, error) {
-	return AblationOrderingWith(context.Background(), seed, sequential)
-}
-
-// AblationOrderingWith runs the two variants as a sweep grid.
-func AblationOrderingWith(ctx context.Context, seed uint64, o Options) ([2]OrderingResult, error) {
+// OrderingGrid measures the latency cost of total ordering on the 8x8
+// torus at a moderate load.  Rows: unordered, ordered.
+func OrderingGrid(seed uint64) sweep.Grid[OrderingResult] {
 	g := sweep.Grid[OrderingResult]{Name: "ablation-ordering", BaseSeed: seed}
 	for _, ordered := range []bool{false, true} {
 		ordered := ordered
@@ -191,13 +202,11 @@ func AblationOrderingWith(ctx context.Context, seed uint64, o Options) ([2]Order
 				return OrderingResult{Ordered: ordered, MCLatency: r.MCLatency.Mean()}, nil
 			})
 	}
-	var out [2]OrderingResult
-	err := runPaired(ctx, o, g, out[:])
-	return out, err
+	return g
 }
 
 // PrintOrdering renders the ablation.
-func PrintOrdering(w io.Writer, r [2]OrderingResult) {
+func PrintOrdering(w io.Writer, r []OrderingResult) {
 	fmt.Fprintln(w, "Ablation: total-ordering cost (circuit via lowest-ID serializer)")
 	for _, row := range r {
 		name := "unordered"
@@ -262,16 +271,12 @@ type FabricVsAdapterResult struct {
 	UniLat    float64
 }
 
-// AblationFabricVsAdapter runs the paper's central design comparison: the
+// FabricVsAdapterGrid is the paper's central design comparison: the
 // switch fabric gives the lowest multicast latency but taxes unicast
 // traffic with tree-restricted routing; the adapter schemes leave unicast
-// free and pay per-hop reassembly on multicast.
-func AblationFabricVsAdapter(seed uint64) ([3]FabricVsAdapterResult, error) {
-	return AblationFabricVsAdapterWith(context.Background(), seed, sequential)
-}
-
-// AblationFabricVsAdapterWith runs the three schemes as a sweep grid.
-func AblationFabricVsAdapterWith(ctx context.Context, seed uint64, o Options) ([3]FabricVsAdapterResult, error) {
+// free and pay per-hop reassembly on multicast.  Rows: switch-fabric,
+// tree, hamiltonian.
+func FabricVsAdapterGrid(seed uint64) sweep.Grid[FabricVsAdapterResult] {
 	g := sweep.Grid[FabricVsAdapterResult]{Name: "ablation-fabric-vs-adapter", BaseSeed: seed}
 	for _, scheme := range []sim.Scheme{sim.SwitchFabric, sim.TreeSF, sim.HamiltonianSF} {
 		scheme := scheme
@@ -299,13 +304,11 @@ func AblationFabricVsAdapterWith(ctx context.Context, seed uint64, o Options) ([
 				}, nil
 			})
 	}
-	var out [3]FabricVsAdapterResult
-	err := runPaired(ctx, o, g, out[:])
-	return out, err
+	return g
 }
 
 // PrintFabricVsAdapter renders the comparison.
-func PrintFabricVsAdapter(w io.Writer, r [3]FabricVsAdapterResult) {
+func PrintFabricVsAdapter(w io.Writer, r []FabricVsAdapterResult) {
 	fmt.Fprintln(w, "Ablation: switch-fabric vs host-adapter multicast")
 	for _, row := range r {
 		fmt.Fprintf(w, "  %-22s mcLatency=%8.0f uniLatency=%8.0f\n",

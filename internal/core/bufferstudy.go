@@ -35,19 +35,14 @@ type BufferStudyRow struct {
 	Deliveries, GiveUps int64
 }
 
-// BufferOccupancyStudy sweeps offered load under the full reliable
-// protocol (ACK/NACK reservation, two buffer classes, LANai-sized pools)
-// and reports buffer contention.  The paper's conjecture — that when NACK
+// BufferStudyGrid sweeps offered load under the full reliable protocol
+// (ACK/NACK reservation, two buffer classes, LANai-sized pools) and
+// reports buffer contention.  The paper's conjecture — that when NACK
 // probability is low a cheaper, less reliable multicast might be
-// preferable — becomes measurable here.
-func BufferOccupancyStudy(seed uint64, loads []float64) ([]BufferStudyRow, error) {
-	return BufferOccupancyStudyWith(context.Background(), seed, loads, sequential)
-}
-
-// BufferOccupancyStudyWith runs the load grid as a sweep.  Every load
-// point reuses the base seed (same groups, same arrival streams) so the
-// load axis is the only thing that varies across rows.
-func BufferOccupancyStudyWith(ctx context.Context, seed uint64, loads []float64, o Options) ([]BufferStudyRow, error) {
+// preferable — becomes measurable here.  Every load point reuses the base
+// seed (same groups, same arrival streams) so the load axis is the only
+// thing that varies across rows.
+func BufferStudyGrid(seed uint64, loads []float64) sweep.Grid[BufferStudyRow] {
 	g := sweep.Grid[BufferStudyRow]{Name: "buffer-occupancy", BaseSeed: seed}
 	for _, load := range loads {
 		load := load
@@ -56,11 +51,7 @@ func BufferOccupancyStudyWith(ctx context.Context, seed uint64, loads []float64,
 				return bufferStudyPoint(seed, load)
 			})
 	}
-	eng, err := o.engine()
-	if err != nil {
-		return nil, err
-	}
-	return sweep.Run(ctx, eng, g)
+	return g
 }
 
 // bufferStudyPoint measures one load point of the study.

@@ -1,19 +1,29 @@
 package core
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
+
+	"wormlan/internal/sweep"
 )
+
+// runSeq runs a grid on one worker.
+func runSeq[R any](t *testing.T, g sweep.Grid[R]) []R {
+	t.Helper()
+	rows, err := sweep.Run(context.Background(), &sweep.Engine{Workers: 1}, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
 
 func TestFig10QuickShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: TestFig10ParallelEquivalence exercises the grid")
 	}
-	rows, err := Fig10(Quick, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runSeq(t, Fig10Grid(Quick, 1, 0))
 	if len(rows) != len(Fig10Schemes)*len(Fig10Loads(Quick)) {
 		t.Fatalf("rows %d", len(rows))
 	}
@@ -49,10 +59,7 @@ func TestFig11QuickShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: the full shufflenet grid is minutes under -race")
 	}
-	rows, err := Fig11(Quick, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runSeq(t, Fig11Grid(Quick, 2))
 	// Tree delay below the Hamiltonian's at matching (prop, load) cells.
 	type key struct {
 		prop, load float64
@@ -128,9 +135,9 @@ func TestFig12And13Golden(t *testing.T) {
 }
 
 func TestAblationBufferClasses(t *testing.T) {
-	r, err := AblationBufferClasses(3)
-	if err != nil {
-		t.Fatal(err)
+	r := runSeq(t, BufferClassesGrid(3))
+	if len(r) != 2 {
+		t.Fatalf("rows %d", len(r))
 	}
 	if r[0].SingleClass || !r[1].SingleClass {
 		t.Fatal("row order")
@@ -155,9 +162,9 @@ func TestAblationOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: ordering ablation is a long paired run")
 	}
-	r, err := AblationOrdering(4)
-	if err != nil {
-		t.Fatal(err)
+	r := runSeq(t, OrderingGrid(4))
+	if len(r) != 2 {
+		t.Fatalf("rows %d", len(r))
 	}
 	if r[1].MCLatency <= r[0].MCLatency {
 		t.Errorf("total ordering came for free: unordered=%v ordered=%v",
@@ -190,9 +197,9 @@ func TestAblationFabricVsAdapter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: three full simulation runs")
 	}
-	r, err := AblationFabricVsAdapter(6)
-	if err != nil {
-		t.Fatal(err)
+	r := runSeq(t, FabricVsAdapterGrid(6))
+	if len(r) != 3 {
+		t.Fatalf("rows %d", len(r))
 	}
 	if r[0].Scheme != "switch-fabric" {
 		t.Fatal("row order")
@@ -232,10 +239,7 @@ func TestAblationRouting(t *testing.T) {
 }
 
 func TestBufferOccupancyStudy(t *testing.T) {
-	rows, err := BufferOccupancyStudy(7, []float64{0.01, 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runSeq(t, BufferStudyGrid(7, []float64{0.01, 0.05}))
 	if len(rows) != 2 {
 		t.Fatalf("rows %d", len(rows))
 	}

@@ -2,14 +2,11 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
-
-	"wormlan/internal/sweep"
 )
 
 const (
@@ -25,16 +22,9 @@ func TestCrossProcChild(t *testing.T) {
 	if os.Getenv(crossProcEnv) != "1" {
 		t.Skip("helper for TestCrossProcessDeterminism")
 	}
-	g := fig10Grid(Quick, 7, 0)
+	g := Fig10Grid(Quick, 7, 0)
 	g.Points = g.Points[:1] // one (scheme, load) cell is enough to detect divergence
-	eng, err := sequential.engine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := sweep.Run(context.Background(), eng, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runSeq(t, g)
 	var out bytes.Buffer
 	for _, r := range rows {
 		fmt.Fprintf(&out, "%s %v %v %v %v %d\n",

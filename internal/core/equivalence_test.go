@@ -41,7 +41,7 @@ func assertWorkerInvariant[R any](t *testing.T, g sweep.Grid[R]) {
 }
 
 func TestFig10ParallelEquivalence(t *testing.T) {
-	g := fig10Grid(Quick, 1996, 0)
+	g := Fig10Grid(Quick, 1996, 0)
 	if testing.Short() {
 		// Point seeds depend only on point identity, never on position, so
 		// a truncated grid exercises the same property at race-job cost.
@@ -54,5 +54,5 @@ func TestFig11ParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: the trimmed Figure 10 grid covers worker invariance")
 	}
-	assertWorkerInvariant(t, fig11Grid(Quick, 1996))
+	assertWorkerInvariant(t, Fig11Grid(Quick, 1996))
 }

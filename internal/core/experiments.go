@@ -1,7 +1,9 @@
-// Package core exposes the paper's experiments as one-call presets: every
-// figure of the evaluation (Figures 10-13) and the ablations listed in
-// DESIGN.md.  cmd/mcbench and the top-level benchmarks are thin wrappers
-// around this package.
+// Package core declares the paper's experiments: every figure of the
+// evaluation (Figures 10-13) and the ablations listed in DESIGN.md, each a
+// sweep.Grid of independent points (Fig10Grid, Fig11Grid, RoutesGrid, the
+// ablation grids) plus the printer for its rows.  Callers run a grid with
+// sweep.Run under their own sweep.Engine; cmd/mcbench's figure table and
+// the top-level benchmarks are the consumers.
 package core
 
 import (
@@ -67,7 +69,7 @@ func fig10Windows(s Scale) (warm, meas int64) {
 
 // figPoint is the declarative identity of one figure cell: everything
 // that determines the cell's simulation, and nothing else, so the sweep
-// cache key and derived seed change exactly when the cell does.
+// point key and derived seed change exactly when the cell does.
 type figPoint struct {
 	Scheme        string  `json:"scheme"`
 	Load          float64 `json:"load"`
@@ -75,7 +77,7 @@ type figPoint struct {
 	Warmup        int64   `json:"warmup"`
 	Measure       int64   `json:"measure"`
 	// Routing-scheme comparison knobs (the routes grid).  omitempty keeps
-	// the cache keys and derived seeds of the pre-VC figures byte-stable:
+	// the point keys and derived seeds of the pre-VC figures byte-stable:
 	// a fig10 point still serializes exactly as it did before these fields
 	// existed.
 	Route  string `json:"route,omitempty"`
@@ -83,13 +85,17 @@ type figPoint struct {
 	Arb    string `json:"arb,omitempty"`
 }
 
-// fig10Grid expresses Figure 10 as a sweep grid: one point per
-// (scheme, load) cell, each running an independent kernel under a derived
-// per-point seed.  nvc > 1 runs the same figure on a multi-lane fabric —
-// the rows are byte-identical (routes ride lane 0; see TestVCTransparency)
-// but the timing records what the extra lanes cost, which is what the
-// BENCH trajectory tracks.  nvc <= 1 leaves the point identity untouched.
-func fig10Grid(s Scale, seed uint64, nvc int) sweep.Grid[Fig10Row] {
+// Fig10Grid is Figure 10 as a sweep grid: average multicast latency vs
+// offered load on the 8x8 torus for the Hamiltonian circuit
+// (store-and-forward), the Hamiltonian circuit with cut-through, and the
+// tree; 10 multicast groups of 10 members, 10% multicast probability, mean
+// worm 400 bytes (Section 7.1).  One point per (scheme, load) cell, each
+// running an independent kernel under a derived per-point seed, so rows
+// are identical for any worker count.  nvc > 1 runs the same figure on a
+// multi-lane fabric — the rows are byte-identical (routes ride lane 0; see
+// TestVCTransparency) but the timing records what the extra lanes cost.
+// nvc <= 1 leaves the point identity untouched.
+func Fig10Grid(s Scale, seed uint64, nvc int) sweep.Grid[Fig10Row] {
 	warm, meas := fig10Windows(s)
 	g := sweep.Grid[Fig10Row]{Name: "fig10", BaseSeed: seed}
 	if nvc <= 1 {
@@ -131,34 +137,6 @@ func fig10Grid(s Scale, seed uint64, nvc int) sweep.Grid[Fig10Row] {
 	return g
 }
 
-// Fig10 reproduces Figure 10: average multicast latency vs offered load on
-// the 8x8 torus for the Hamiltonian circuit (store-and-forward), the
-// Hamiltonian circuit with cut-through, and the rooted tree.
-// 10 multicast groups of 10 members, 10% multicast probability, mean worm
-// 400 bytes (Section 7.1).  Sequential; see Fig10With for parallel sweeps.
-func Fig10(s Scale, seed uint64) ([]Fig10Row, error) {
-	return Fig10With(context.Background(), s, seed, sequential)
-}
-
-// Fig10With runs the Figure 10 grid under the given sweep options.  Rows
-// are identical for any worker count: every point owns its kernel and its
-// seed is derived from the point identity alone.
-func Fig10With(ctx context.Context, s Scale, seed uint64, o Options) ([]Fig10Row, error) {
-	return Fig10VCsWith(ctx, s, seed, o, 0)
-}
-
-// Fig10VCsWith is Fig10With on a fabric with nvc lanes per link (nvc <= 1
-// is the default single-lane fabric).  The rows do not depend on nvc —
-// lane transparency is pinned by TestVCTransparency — so this exists for
-// the BENCH trajectory, which times the figure at NumVCs of 1, 2, and 4.
-func Fig10VCsWith(ctx context.Context, s Scale, seed uint64, o Options, nvc int) ([]Fig10Row, error) {
-	eng, err := o.engine()
-	if err != nil {
-		return nil, err
-	}
-	return sweep.Run(ctx, eng, fig10Grid(s, seed, nvc))
-}
-
 // PrintFig10 renders the rows as the figure's series.
 func PrintFig10(w io.Writer, rows []Fig10Row) {
 	fmt.Fprintln(w, "Figure 10: average multicast latency vs offered load, 8x8 torus")
@@ -190,9 +168,11 @@ func Fig11Loads(s Scale) []float64 {
 	return []float64{0.005, 0.010, 0.015, 0.020, 0.025, 0.030, 0.035, 0.040, 0.045}
 }
 
-// fig11Grid expresses Figure 11 as a sweep grid: one point per
-// (scheme, proportion, load) cell.
-func fig11Grid(s Scale, seed uint64) sweep.Grid[Fig11Row] {
+// Fig11Grid is Figure 11 as a sweep grid: average delay for varying
+// proportions of multicast traffic on the 24-node bidirectional shufflenet
+// (propagation delay 1000 byte-times), tree vs Hamiltonian circuit; 4
+// groups of 6.  One point per (scheme, proportion, load) cell.
+func Fig11Grid(s Scale, seed uint64) sweep.Grid[Fig11Row] {
 	warm, meas := int64(100_000), int64(500_000)
 	if s == Full {
 		warm, meas = 150_000, 800_000
@@ -231,23 +211,6 @@ func fig11Grid(s Scale, seed uint64) sweep.Grid[Fig11Row] {
 		}
 	}
 	return g
-}
-
-// Fig11 reproduces Figure 11: average delay for varying proportions of
-// multicast traffic on the 24-node bidirectional shufflenet (propagation
-// delay 1000 byte-times), tree vs Hamiltonian circuit; 4 groups of 6.
-// Sequential; see Fig11With for parallel sweeps.
-func Fig11(s Scale, seed uint64) ([]Fig11Row, error) {
-	return Fig11With(context.Background(), s, seed, sequential)
-}
-
-// Fig11With runs the Figure 11 grid under the given sweep options.
-func Fig11With(ctx context.Context, s Scale, seed uint64, o Options) ([]Fig11Row, error) {
-	eng, err := o.engine()
-	if err != nil {
-		return nil, err
-	}
-	return sweep.Run(ctx, eng, fig11Grid(s, seed))
 }
 
 // PrintFig11 renders the rows.

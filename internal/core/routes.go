@@ -93,11 +93,9 @@ func routesConfig(v RoutesVariant, load float64, warm, meas int64, seed uint64) 
 		Seed:        seed,
 	}
 	cfg.Network.NumVCs = v.NumVCs
-	if v.Arb == "islip" {
-		cfg.Network.Arb = network.ArbISLIP
-		cfg.Network.ArbIters = 2
-	}
-	return cfg, nil
+	cfg.Network.ArbIters = 2 // read only under iSLIP
+	cfg.Network.Arb, err = network.ParseArb(v.Arb)
+	return cfg, err
 }
 
 // VariantsWithVCs returns the default curves with every multi-lane
@@ -119,9 +117,11 @@ func VariantsWithVCs(nvc int) []RoutesVariant {
 	return out
 }
 
-// routesGrid expresses the comparison as a sweep grid: one point per
-// (variant, load) cell, each with a seed derived from the point identity.
-func routesGrid(s Scale, seed uint64, variants []RoutesVariant) sweep.Grid[RoutesRow] {
+// RoutesGrid is the comparison as a sweep grid over the given curves
+// (RoutesVariants, or VariantsWithVCs for another lane count): one point
+// per (variant, load) cell, each with a seed derived from the point
+// identity, so rows are identical for any worker count.
+func RoutesGrid(s Scale, seed uint64, variants []RoutesVariant) sweep.Grid[RoutesRow] {
 	warm, meas := routesWindows(s)
 	g := sweep.Grid[RoutesRow]{Name: "routes", BaseSeed: seed}
 	for _, v := range variants {
@@ -149,28 +149,6 @@ func routesGrid(s Scale, seed uint64, variants []RoutesVariant) sweep.Grid[Route
 		}
 	}
 	return g
-}
-
-// Routes runs the routing comparison sequentially; see RoutesWith for
-// parallel sweeps.
-func Routes(s Scale, seed uint64) ([]RoutesRow, error) {
-	return RoutesWith(context.Background(), s, seed, sequential)
-}
-
-// RoutesWith runs the routing comparison grid under the given sweep
-// options.  Rows are identical for any worker count.
-func RoutesWith(ctx context.Context, s Scale, seed uint64, o Options) ([]RoutesRow, error) {
-	return RoutesWithVariants(ctx, s, seed, o, RoutesVariants)
-}
-
-// RoutesWithVariants is RoutesWith over a custom curve list (e.g. the
-// default variants at a different lane count; see VariantsWithVCs).
-func RoutesWithVariants(ctx context.Context, s Scale, seed uint64, o Options, variants []RoutesVariant) ([]RoutesRow, error) {
-	eng, err := o.engine()
-	if err != nil {
-		return nil, err
-	}
-	return sweep.Run(ctx, eng, routesGrid(s, seed, variants))
 }
 
 // PrintRoutes renders the rows as the comparison's series.

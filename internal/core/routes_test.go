@@ -8,7 +8,7 @@ import (
 // TestRoutesParallelEquivalence: the routing comparison grid is
 // worker-count invariant, like every other figure grid.
 func TestRoutesParallelEquivalence(t *testing.T) {
-	g := routesGrid(Quick, 1996, RoutesVariants)
+	g := RoutesGrid(Quick, 1996, RoutesVariants)
 	if testing.Short() {
 		// Point seeds depend only on point identity, never on position,
 		// so a truncated grid exercises the same property at race-job
@@ -20,8 +20,8 @@ func TestRoutesParallelEquivalence(t *testing.T) {
 
 // TestFigPointKeyStability: the routing knobs on figPoint are omitempty,
 // so a pre-VC figure cell (fig10/fig11) serializes exactly as it did
-// before the fields existed — its sweep cache key and derived seed are
-// unchanged, and no cached figure re-runs.
+// before the fields existed — its sweep point key and derived seed are
+// unchanged, so no published figure row moves.
 func TestFigPointKeyStability(t *testing.T) {
 	p := figPoint{Scheme: "hamiltonian-sf", Load: 0.03, MulticastProb: 0.1,
 		Warmup: 30_000, Measure: 120_000}
@@ -31,6 +31,6 @@ func TestFigPointKeyStability(t *testing.T) {
 	}
 	want := `{"scheme":"hamiltonian-sf","load":0.03,"mcProb":0.1,"warmup":30000,"measure":120000}`
 	if string(b) != want {
-		t.Fatalf("pre-VC figPoint encoding changed (cache keys would rotate):\n got  %s\n want %s", b, want)
+		t.Fatalf("pre-VC figPoint encoding changed (point keys and seeds would rotate):\n got  %s\n want %s", b, want)
 	}
 }

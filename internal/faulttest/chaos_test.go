@@ -120,7 +120,7 @@ func TestChaosTargeted(t *testing.T) {
 	plan := (&fault.Plan{}).
 		LinkDown(5_000, sw[3], 0).
 		SwitchDown(9_000, victim)
-	b := New(t, g, StormAdapterConfig(), plan, fault.InjectorConfig{})
+	b := newBench(t, g, StormAdapterConfig(), plan, fault.InjectorConfig{})
 
 	hosts := g.Hosts()
 	gen, err := traffic.New(b.K, traffic.Config{
@@ -132,7 +132,7 @@ func TestChaosTargeted(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen.Start()
-	b.Run(1_500_000)
+	must(t, b.RunErr(1_500_000))
 
 	if e := b.F.TopologyEpoch(); e != 2 {
 		t.Fatalf("epoch %d after two topology changes", e)
@@ -145,9 +145,9 @@ func TestChaosTargeted(t *testing.T) {
 	if ic.LinkDowns != 1 || ic.SwitchDowns != 1 || ic.Remaps < 1 {
 		t.Fatalf("injector counters: %+v", ic)
 	}
-	b.CheckConservation()
-	b.CheckNoHeldChannels()
-	b.CheckRoutes()
+	must(t, b.ConservationErr())
+	must(t, b.HeldChannelsErr())
+	must(t, b.RoutesErr())
 
 	// The dead switch's hosts are unreachable, everyone else routable.
 	for _, h := range hosts {

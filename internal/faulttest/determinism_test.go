@@ -14,7 +14,7 @@ import (
 // iteration order, so two identical runs could disagree byte-for-byte.
 func heldChannelsReport(t *testing.T) string {
 	t.Helper()
-	b := New(t, topology.Line(4, 1), adapter.Config{PlainForwarding: true},
+	b := newBench(t, topology.Line(4, 1), adapter.Config{PlainForwarding: true},
 		&fault.Plan{}, fault.InjectorConfig{})
 	hosts := b.G.Hosts()
 	send := func(src, dst topology.NodeID) {

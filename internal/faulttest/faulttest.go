@@ -5,15 +5,14 @@
 // conservation of worms, route validity after recovery, absence of
 // deadlock, and no leaked held channels.
 //
-// The invariant checks come in two flavours: error-returning (ConservationErr
-// and friends, usable from non-test code such as the storm matrix consumed
-// by the sweep engine) and testing.TB wrappers that Fatal on violation.
+// The invariant checks return errors (ConservationErr and friends), so the
+// storm matrix consumed by the sweep engine and mcbench can use them; the
+// package imports no testing.
 package faulttest
 
 import (
 	"fmt"
 	"sort"
-	"testing"
 
 	"wormlan/internal/adapter"
 	"wormlan/internal/des"
@@ -29,8 +28,6 @@ import (
 
 // Bench is one fully wired LAN plus its fault injector.
 type Bench struct {
-	// TB is set only by New; the error-returning methods never touch it.
-	TB  testing.TB
 	K   *des.Kernel
 	G   *topology.Graph
 	F   *network.Fabric
@@ -58,8 +55,8 @@ type Bench struct {
 // NewBench builds the up*/down*-routed stack over g and schedules plan
 // against it.  The injector is wired so that every topology change re-runs
 // the mapper and installs the recomputed routing into both the fabric and
-// the adapter layer.  Unlike New it needs no testing.TB, so sweep grids can
-// build benches from worker goroutines.
+// the adapter layer.  It needs no testing.TB, so sweep grids can build
+// benches from worker goroutines.
 func NewBench(g *topology.Graph, acfg adapter.Config, plan *fault.Plan, icfg fault.InjectorConfig) (*Bench, error) {
 	sch, err := vcroute.Lookup("")
 	if err != nil {
@@ -143,17 +140,6 @@ func (b *Bench) reroute(ud *updown.Routing, tbl *updown.Table) {
 	b.Sys.Reroute(tbl, ud.Reachable)
 }
 
-// New is NewBench for tests: construction errors Fatal tb.
-func New(tb testing.TB, g *topology.Graph, acfg adapter.Config, plan *fault.Plan, icfg fault.InjectorConfig) *Bench {
-	tb.Helper()
-	b, err := NewBench(g, acfg, plan, icfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	b.TB = tb
-	return b
-}
-
 // AddGroupErr registers a multicast group over the given members.
 func (b *Bench) AddGroupErr(id int, members []topology.NodeID) (*multicast.Group, error) {
 	grp, err := multicast.NewGroup(id, members)
@@ -164,16 +150,6 @@ func (b *Bench) AddGroupErr(id int, members []topology.NodeID) (*multicast.Group
 		return nil, err
 	}
 	return grp, nil
-}
-
-// AddGroup registers a multicast group, Fataling on error.
-func (b *Bench) AddGroup(id int, members []topology.NodeID) *multicast.Group {
-	b.TB.Helper()
-	grp, err := b.AddGroupErr(id, members)
-	if err != nil {
-		b.TB.Fatal(err)
-	}
-	return grp
 }
 
 // RunErr drives the kernel and reports an error if the simulation does
@@ -191,14 +167,6 @@ func (b *Bench) RunErr(deadline des.Time) error {
 	return nil
 }
 
-// Run drives the kernel, Fataling if the simulation does not drain.
-func (b *Bench) Run(deadline des.Time) {
-	b.TB.Helper()
-	if err := b.RunErr(deadline); err != nil {
-		b.TB.Fatal(err)
-	}
-}
-
 // ConservationErr checks the fabric-level worm conservation law: every
 // injected worm was either delivered or counted as dropped.  (Valid for
 // adapter-level protocols, where every fabric worm is a unicast.)
@@ -209,14 +177,6 @@ func (b *Bench) ConservationErr() error {
 			ctr.Injected, ctr.Delivered, ctr.WormsDropped)
 	}
 	return nil
-}
-
-// CheckConservation asserts the conservation law, Fataling on violation.
-func (b *Bench) CheckConservation() {
-	b.TB.Helper()
-	if err := b.ConservationErr(); err != nil {
-		b.TB.Fatal(err)
-	}
 }
 
 // HeldChannelsErr checks that no switch output is still bound to a worm —
@@ -239,14 +199,6 @@ func (b *Bench) HeldChannelsErr() error {
 	}
 	return fmt.Errorf("%d worms hold channels after drain: %s\n%s",
 		len(held), msg, b.F.StallReport())
-}
-
-// CheckNoHeldChannels asserts no held channels, Fataling on violation.
-func (b *Bench) CheckNoHeldChannels() {
-	b.TB.Helper()
-	if err := b.HeldChannelsErr(); err != nil {
-		b.TB.Fatal(err)
-	}
 }
 
 // RoutesErr verifies the installed table after recovery.  Under up*/down*:
@@ -282,14 +234,6 @@ func (b *Bench) RoutesErr() error {
 		return fmt.Errorf("no reachable host pairs survived — nothing verified")
 	}
 	return nil
-}
-
-// CheckRoutes asserts route validity, Fataling on violation.
-func (b *Bench) CheckRoutes() {
-	b.TB.Helper()
-	if err := b.RoutesErr(); err != nil {
-		b.TB.Fatal(err)
-	}
 }
 
 // Outcome is a comparable summary of one chaos run, for determinism

@@ -3,6 +3,7 @@ package faulttest
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"wormlan/internal/adapter"
 	"wormlan/internal/des"
@@ -11,6 +12,7 @@ import (
 	"wormlan/internal/network"
 	"wormlan/internal/sweep"
 	"wormlan/internal/topology"
+	"wormlan/internal/trace"
 	"wormlan/internal/traffic"
 	"wormlan/internal/vcroute"
 )
@@ -101,15 +103,12 @@ func RunStorm(spec StormSpec) (Outcome, error) {
 	if spec.TrafficSeed == 0 {
 		spec.TrafficSeed = 5
 	}
-	ncfg := network.Config{NumVCs: spec.NumVCs}
-	switch spec.Arb {
-	case "":
-	case "islip":
-		ncfg.Arb = network.ArbISLIP
-		ncfg.ArbIters = 2
-	default:
-		return zero, fmt.Errorf("faulttest: unknown arbiter %q", spec.Arb)
+	arb, err := network.ParseArb(spec.Arb)
+	if err != nil {
+		return zero, err
 	}
+	// ArbIters is read only under iSLIP.
+	ncfg := network.Config{NumVCs: spec.NumVCs, Arb: arb, ArbIters: 2}
 	icfg, err := stormInjectorConfig(spec)
 	if err != nil {
 		return zero, err
@@ -240,6 +239,33 @@ func StormGrid(specs []StormSpec, baseSeed uint64) sweep.Grid[Outcome] {
 		})
 	}
 	return g
+}
+
+// PrintStorms renders a storm matrix's outcomes, one summary row per storm.
+// A storm run under hello detection gets its liveness statistics on a
+// second row, and metrics adds the matrix-wide detection-latency
+// histograms (merged across those storms).
+func PrintStorms(w io.Writer, specs []StormSpec, outcomes []Outcome, metrics bool) {
+	var d2r, f2d trace.Histogram
+	hello := false
+	for i, o := range outcomes {
+		fmt.Fprintf(w, "%-24s injected=%d delivered=%d dropped=%d remaps=%d uni=%d mc=%d\n",
+			specs[i].Name, o.Fabric.Injected, o.Fabric.Delivered, o.Fabric.WormsDropped,
+			o.Inject.Remaps, o.Uni, o.McSum)
+		// RunStorm has already rejected an unknown mode.
+		if mode, _ := fault.ParseDetectMode(specs[i].Detect); mode == fault.DetectHello {
+			hello = true
+			l := o.Detection.Liveness
+			fmt.Fprintf(w, "%-24s downs=%d ups=%d falsePos=%d flaps=%d suppressed=%d detectionRemaps=%d\n",
+				"", l.PeerDowns, l.PeerUps, l.FalsePositives, l.Flaps, l.FlapsSuppressed, o.Detection.Remaps)
+			d2r.Merge(&o.Detection.DetectToReroute)
+			f2d.Merge(&o.Detection.FaultToDetect)
+		}
+	}
+	if hello && metrics {
+		d2r.Name, f2d.Name = "detect-to-reroute", "fault-to-detect"
+		fmt.Fprintf(w, "%s\n%s\n", &d2r, &f2d)
+	}
 }
 
 // DetectionStormMatrix is the published detection-in-the-loop storm grid:

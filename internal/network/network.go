@@ -105,6 +105,19 @@ func (a ArbPolicy) String() string {
 	}
 }
 
+// ParseArb parses an arbiter name as String prints it; the empty name is
+// the default port scan.
+func ParseArb(name string) (ArbPolicy, error) {
+	switch name {
+	case "", "scan":
+		return ArbScan, nil
+	case "islip":
+		return ArbISLIP, nil
+	default:
+		return 0, fmt.Errorf("network: unknown arbiter %q (want scan or islip)", name)
+	}
+}
+
 // Delivery describes one worm (or worm fragment set) fully received by a
 // host interface.
 type Delivery struct {

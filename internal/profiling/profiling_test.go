@@ -2,6 +2,8 @@ package profiling
 
 import (
 	"errors"
+	"flag"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -22,7 +24,7 @@ func nonEmpty(t *testing.T, path string) {
 
 func TestStartCPUWritesProfile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cpu.prof")
-	stop, err := StartCPU(path)
+	stop, err := startCPU(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func TestStartCPUWritesProfile(t *testing.T) {
 
 func TestWriteAllocsWritesProfile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mem.prof")
-	if err := WriteAllocs(path); err != nil {
+	if err := writeAllocs(path); err != nil {
 		t.Fatal(err)
 	}
 	nonEmpty(t, path)
@@ -42,10 +44,38 @@ func TestWriteAllocsWritesProfile(t *testing.T) {
 // still unwraps to the file-system cause.
 func TestUncreatablePath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "no-such-dir", "x.prof")
-	if _, err := StartCPU(path); !errors.Is(err, fs.ErrNotExist) || !strings.HasPrefix(err.Error(), "cpu profile:") {
-		t.Errorf("StartCPU: %v", err)
+	if _, err := startCPU(path); !errors.Is(err, fs.ErrNotExist) || !strings.HasPrefix(err.Error(), "cpu profile:") {
+		t.Errorf("startCPU: %v", err)
 	}
-	if err := WriteAllocs(path); !errors.Is(err, fs.ErrNotExist) || !strings.HasPrefix(err.Error(), "alloc profile:") {
-		t.Errorf("WriteAllocs: %v", err)
+	if err := writeAllocs(path); !errors.Is(err, fs.ErrNotExist) || !strings.HasPrefix(err.Error(), "alloc profile:") {
+		t.Errorf("writeAllocs: %v", err)
+	}
+}
+
+// Flags wires the file profiles to a FlagSet: start begins the CPU profile
+// (an uncreatable path is its error), stop writes both files.
+func TestFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	set := flag.NewFlagSet("tool", flag.ContinueOnError)
+	start := Flags(set)
+	if err := set.Parse([]string{"-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	stop, err := start(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	nonEmpty(t, cpu)
+	nonEmpty(t, mem)
+
+	set = flag.NewFlagSet("tool", flag.ContinueOnError)
+	start = Flags(set)
+	if err := set.Parse([]string{"-cpuprofile", filepath.Join(dir, "no-such-dir", "x.prof")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := start(io.Discard); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("start: %v", err)
 	}
 }

@@ -8,12 +8,11 @@ import (
 	"fmt"
 )
 
-// identityVersion is folded into every hash.  Bump it to invalidate all
-// cached points and re-derive all seeds (e.g. if the canonical config
-// encoding changes).
+// identityVersion is folded into every hash.  Bump it to re-derive all
+// keys and seeds (e.g. if the canonical config encoding changes).
 const identityVersion = "wormlan/sweep/v1"
 
-// PointIdentity derives a point's stable identity: a 128-bit cache key
+// PointIdentity derives a point's stable identity: a 128-bit key
 // and an independent 64-bit seed, both SHA-256 digests of
 // (version, grid name, base seed, canonical JSON of config).
 //

@@ -5,11 +5,10 @@
 // run those points on separate goroutines as long as each point owns its
 // own kernel and RNG streams.  The engine fans a Grid's points out across
 // a bounded worker pool, derives an independent deterministic seed per
-// point (see PointIdentity), honours context cancellation and an optional
-// per-point timeout, streams progress through a callback, and memoizes
-// completed points in an on-disk Cache keyed by a stable hash of the point
-// configuration — so re-running a figure after editing one cell is
-// incremental.
+// point (see PointIdentity), honours context cancellation, and streams
+// progress through a callback.  It stores no results and puts no
+// wall-clock bound on a point: the whole evaluation regenerates in under
+// half a minute, and every point stops at a virtual-time deadline.
 //
 // Determinism contract: a point's result may depend only on its derived
 // seed and its Config; it must never read shared mutable state or the
@@ -31,7 +30,7 @@ type Point[R any] struct {
 	// Config is the point's declarative identity: a JSON-marshalable
 	// value (typically a small struct) that fully determines the work.
 	// It is hashed — together with the grid name and base seed — into
-	// the cache key and the per-point seed, so two points with equal
+	// the point key and the per-point seed, so two points with equal
 	// Configs in the same grid are the same point.
 	Config any
 	// Run executes the point.  seed is the derived per-point seed; ctx
@@ -43,7 +42,7 @@ type Point[R any] struct {
 // Grid is a declarative set of independent points plus the identity
 // namespace they are keyed under.
 type Grid[R any] struct {
-	// Name namespaces the grid's cache keys and seeds (e.g. "fig10").
+	// Name namespaces the grid's point keys and seeds (e.g. "fig10").
 	Name string
 	// BaseSeed is folded into every point's identity, so sweeping the
 	// same grid under a different seed re-runs every point.
@@ -61,28 +60,21 @@ func (g *Grid[R]) Add(config any, run func(ctx context.Context, seed uint64) (R,
 // Progress reports one completed (or failed) point.  Callbacks are
 // serialized by the engine; Done is monotonically increasing.
 type Progress struct {
-	Grid     string
-	Index    int // point index within the grid
-	Total    int
-	Done     int // points completed so far, including this one
-	Key      string
-	CacheHit bool
-	Err      error
-	Elapsed  time.Duration // time spent executing this point (0 on cache hit)
+	Grid    string
+	Index   int // point index within the grid
+	Total   int
+	Done    int // points completed so far, including this one
+	Key     string
+	Err     error
+	Elapsed time.Duration // time spent executing this point
 }
 
 // Engine holds the execution policy for sweeps.  The zero value runs
-// points sequentially on GOMAXPROCS workers with no cache and no timeout.
+// points on GOMAXPROCS workers.
 type Engine struct {
 	// Workers bounds concurrent points; <= 0 means GOMAXPROCS.
 	// Workers == 1 is exact sequential execution.
 	Workers int
-	// Cache, when non-nil, memoizes completed points on disk.
-	Cache *Cache
-	// Timeout, when positive, bounds each point's wall-clock execution.
-	// A point that exceeds it fails the sweep (its goroutine is
-	// abandoned; the simulation kernel has no preemption points).
-	Timeout time.Duration
 	// OnProgress, when non-nil, receives one serialized callback per
 	// completed point.
 	OnProgress func(Progress)
@@ -92,8 +84,8 @@ type Engine struct {
 // order.  The first point error cancels the remaining points and is
 // returned (annotated with its point index); results computed before the
 // failure are discarded.  Execution order is unspecified, but the result
-// slice, each point's derived seed, and each point's cache key are
-// independent of Workers.
+// slice, each point's derived seed, and each point's key are independent
+// of Workers.
 func Run[R any](ctx context.Context, e *Engine, g Grid[R]) ([]R, error) {
 	if e == nil {
 		e = &Engine{}
@@ -123,9 +115,8 @@ func Run[R any](ctx context.Context, e *Engine, g Grid[R]) ([]R, error) {
 		mu.Lock()
 		done++
 		p.Done = done
-		cb := e.OnProgress
-		if cb != nil {
-			cb(p)
+		if e.OnProgress != nil {
+			e.OnProgress(p)
 		}
 		mu.Unlock()
 	}
@@ -138,17 +129,13 @@ func Run[R any](ctx context.Context, e *Engine, g Grid[R]) ([]R, error) {
 			defer wg.Done()
 			for i := range idx {
 				start := time.Now()
-				r, key, hit, err := runPoint(ctx, e, g, i)
+				r, key, err := runPoint(ctx, g, i)
 				results[i], errs[i] = r, err
-				elapsed := time.Since(start)
-				if hit {
-					elapsed = 0
-				}
 				if err != nil {
 					cancel() // first failure aborts the sweep
 				}
 				report(Progress{Grid: g.Name, Index: i, Total: n,
-					Key: key, CacheHit: hit, Err: err, Elapsed: elapsed})
+					Key: key, Err: err, Elapsed: time.Since(start)})
 			}
 		}()
 	}
@@ -193,53 +180,19 @@ feed:
 	return results, nil
 }
 
-// runPoint resolves one point: identity, cache lookup, execution under
-// the timeout, cache fill.
-func runPoint[R any](ctx context.Context, e *Engine, g Grid[R], i int) (r R, key string, hit bool, err error) {
+// runPoint resolves one point's identity and executes it.
+func runPoint[R any](ctx context.Context, g Grid[R], i int) (r R, key string, err error) {
 	key, seed, err := PointIdentity(g.Name, g.BaseSeed, g.Points[i].Config)
 	if err != nil {
-		return r, key, false, err
-	}
-	if e.Cache != nil {
-		if hit, err = e.Cache.Get(key, &r); err != nil || hit {
-			return r, key, hit, err
-		}
+		return r, key, err
 	}
 	if err = ctx.Err(); err != nil {
-		return r, key, false, err
+		return r, key, err
 	}
 	run := g.Points[i].Run
 	if run == nil {
-		return r, key, false, fmt.Errorf("nil Run func")
+		return r, key, fmt.Errorf("nil Run func")
 	}
-	if e.Timeout <= 0 {
-		r, err = run(ctx, seed)
-	} else {
-		// The simulation kernel has no preemption points, so the
-		// timeout is enforced from outside: the point runs on its own
-		// goroutine and is abandoned if the timer fires first.
-		type outcome struct {
-			r   R
-			err error
-		}
-		ch := make(chan outcome, 1)
-		go func() {
-			rr, rerr := run(ctx, seed)
-			ch <- outcome{rr, rerr}
-		}()
-		t := time.NewTimer(e.Timeout)
-		defer t.Stop()
-		select {
-		case o := <-ch:
-			r, err = o.r, o.err
-		case <-t.C:
-			return r, key, false, fmt.Errorf("timed out after %v", e.Timeout)
-		case <-ctx.Done():
-			return r, key, false, ctx.Err()
-		}
-	}
-	if err == nil && e.Cache != nil {
-		err = e.Cache.Put(key, r)
-	}
-	return r, key, false, err
+	r, err = run(ctx, seed)
+	return r, key, err
 }

@@ -2,17 +2,12 @@ package sweep
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 type tcfg struct {
@@ -36,7 +31,6 @@ func mkGrid(name string, baseSeed uint64, schemes []string, loads []float64) Gri
 		for _, l := range loads {
 			s, l := s, l
 			g.Add(tcfg{Scheme: s, Load: l, N: 3}, func(_ context.Context, seed uint64) (trow, error) {
-				// An irrational-ish float exercises exact round-tripping.
 				return trow{Scheme: s, Load: l, Seed: seed,
 					Mean: l * math.Sqrt(float64(seed%1e6)+2)}, nil
 			})
@@ -138,115 +132,6 @@ func TestSeedGoldenValues(t *testing.T) {
 	}
 }
 
-// TestCacheHitBitIdentical: a warm sweep must return rows bit-identical
-// to the cold run that filled the cache, without re-executing any point.
-func TestCacheHitBitIdentical(t *testing.T) {
-	cache, err := NewCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var executed atomic.Int64
-	build := func() Grid[trow] {
-		g := mkGrid("g", 3, []string{"x", "y"}, []float64{0.013, 0.029, 0.041})
-		for i := range g.Points {
-			inner := g.Points[i].Run
-			g.Points[i].Run = func(ctx context.Context, seed uint64) (trow, error) {
-				executed.Add(1)
-				return inner(ctx, seed)
-			}
-		}
-		return g
-	}
-	cold, err := Run(context.Background(), &Engine{Workers: 2, Cache: cache}, build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := executed.Load(); got != 6 {
-		t.Fatalf("cold run executed %d points, want 6", got)
-	}
-	hits := 0
-	warm, err := Run(context.Background(), &Engine{Workers: 2, Cache: cache,
-		OnProgress: func(p Progress) {
-			if p.CacheHit {
-				hits++
-			}
-		}}, build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := executed.Load(); got != 6 {
-		t.Fatalf("warm run re-executed points (%d total executions)", got)
-	}
-	if hits != 6 {
-		t.Fatalf("warm run reported %d cache hits, want 6", hits)
-	}
-	coldJSON, _ := json.Marshal(cold)
-	warmJSON, _ := json.Marshal(warm)
-	if string(coldJSON) != string(warmJSON) {
-		t.Fatalf("cache hit not bit-identical:\n cold=%s\n warm=%s", coldJSON, warmJSON)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatal("cache hit rows differ structurally")
-	}
-}
-
-func TestCacheInvalidatesOnConfigChange(t *testing.T) {
-	cache, err := NewCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(context.Background(), &Engine{Cache: cache},
-		mkGrid("g", 3, []string{"x"}, []float64{0.01})); err != nil {
-		t.Fatal(err)
-	}
-	// Different base seed, different load, different grid name: all miss.
-	for name, g := range map[string]Grid[trow]{
-		"base seed": mkGrid("g", 4, []string{"x"}, []float64{0.01}),
-		"load":      mkGrid("g", 3, []string{"x"}, []float64{0.02}),
-		"grid name": mkGrid("h", 3, []string{"x"}, []float64{0.01}),
-	} {
-		hit := false
-		if _, err := Run(context.Background(), &Engine{Cache: cache,
-			OnProgress: func(p Progress) { hit = hit || p.CacheHit }}, g); err != nil {
-			t.Fatal(err)
-		}
-		if hit {
-			t.Errorf("changed %s still hit the cache", name)
-		}
-	}
-}
-
-func TestCorruptCacheEntryHeals(t *testing.T) {
-	dir := t.TempDir()
-	cache, err := NewCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := mkGrid("g", 9, []string{"x"}, []float64{0.01})
-	first, err := Run(context.Background(), &Engine{Cache: cache}, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil || len(ents) != 1 {
-		t.Fatalf("cache entries: %v %v", ents, err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ents[0].Name()), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	again, err := Run(context.Background(), &Engine{Cache: cache}, mkGrid("g", 9, []string{"x"}, []float64{0.01}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, again) {
-		t.Fatal("healed rows differ")
-	}
-	b, err := os.ReadFile(filepath.Join(dir, ents[0].Name()))
-	if err != nil || !json.Valid(b) {
-		t.Fatalf("entry not healed: %q %v", b, err)
-	}
-}
-
 func TestErrorAbortsSweepDeterministically(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
@@ -292,22 +177,6 @@ func TestContextCancellation(t *testing.T) {
 	}
 	if n := len(started); n > 4 {
 		t.Fatalf("%d points started after cancellation", n)
-	}
-}
-
-func TestPerPointTimeout(t *testing.T) {
-	g := Grid[trow]{Name: "g", BaseSeed: 1}
-	g.Add(tcfg{N: 0}, func(context.Context, uint64) (trow, error) {
-		time.Sleep(5 * time.Second)
-		return trow{}, nil
-	})
-	start := time.Now()
-	_, err := Run(context.Background(), &Engine{Workers: 1, Timeout: 30 * time.Millisecond}, g)
-	if err == nil || !strings.Contains(err.Error(), "timed out") {
-		t.Fatalf("err = %v, want timeout", err)
-	}
-	if time.Since(start) > 3*time.Second {
-		t.Fatal("timeout did not abandon the point")
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // Tally aggregates per-point execution metrics from Progress callbacks: how
-// many points ran, hit the cache, or failed, and the distribution of
-// per-point wall-clock times.  It exists so cmd/mcbench -metrics can report
+// many points ran or failed, and the distribution of per-point wall-clock
+// times.  It exists so cmd/mcbench -metrics can report
 // where a figure's time went without every caller reimplementing the
 // bookkeeping.
 //
@@ -18,10 +18,10 @@ import (
 // callback).  The engine serializes progress callbacks, so Tally needs no
 // locking; read it only after the sweep returns.
 type Tally struct {
-	// Ran / Cached / Failed partition the completed points.
-	Ran, Cached, Failed int
-	// Elapsed is the distribution of per-executed-point wall-clock times in
-	// milliseconds (cache hits, which report zero elapsed, are excluded).
+	// Ran / Failed partition the completed points.
+	Ran, Failed int
+	// Elapsed is the distribution of per-point wall-clock times in
+	// milliseconds.
 	Elapsed trace.Histogram
 	// Total is the summed execution time across points — CPU-time-ish under
 	// parallel sweeps, as points overlap on the wall clock.
@@ -35,16 +35,13 @@ func NewTally() *Tally {
 
 // Observe folds one progress report into the tally.
 func (t *Tally) Observe(p Progress) {
-	switch {
-	case p.Err != nil:
+	if p.Err != nil {
 		t.Failed++
-	case p.CacheHit:
-		t.Cached++
-	default:
-		t.Ran++
-		t.Elapsed.Add(float64(p.Elapsed.Milliseconds()))
-		t.Total += p.Elapsed
+		return
 	}
+	t.Ran++
+	t.Elapsed.Add(float64(p.Elapsed.Milliseconds()))
+	t.Total += p.Elapsed
 }
 
 // Hook returns an OnProgress callback that feeds the tally and then invokes
@@ -60,8 +57,8 @@ func (t *Tally) Hook(next func(Progress)) func(Progress) {
 
 // WriteSummary prints a one-figure execution report.
 func (t *Tally) WriteSummary(w io.Writer) {
-	fmt.Fprintf(w, "sweep: %d ran, %d cached, %d failed; exec time %v\n",
-		t.Ran, t.Cached, t.Failed, t.Total.Round(time.Millisecond))
+	fmt.Fprintf(w, "sweep: %d ran, %d failed; exec time %v\n",
+		t.Ran, t.Failed, t.Total.Round(time.Millisecond))
 	if t.Elapsed.Count > 0 {
 		fmt.Fprintf(w, "sweep: %s\n", t.Elapsed.String())
 	}
