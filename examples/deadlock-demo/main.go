@@ -16,13 +16,11 @@ import (
 	"log"
 
 	"wormlan/internal/adapter"
-	"wormlan/internal/des"
 	"wormlan/internal/flit"
-	"wormlan/internal/multicast"
 	"wormlan/internal/network"
 	"wormlan/internal/route"
+	"wormlan/internal/sim"
 	"wormlan/internal/topology"
-	"wormlan/internal/updown"
 )
 
 func main() {
@@ -36,19 +34,9 @@ func main() {
 func pathDeadlock() {
 	fmt.Println("== Part 1: wormhole path deadlock on a ring ==")
 	g := topology.Ring(4, 1)
-	ud, err := updown.New(g, topology.None)
-	if err != nil {
-		log.Fatal(err)
-	}
-	k := des.NewKernel()
 	delivered := 0
-	fab, err := network.New(k, g, ud, network.Config{
-		StopMark: 8, GoMark: 4,
-		OnDeliver: func(network.Delivery) { delivered++ },
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	st := ringFabric(g, &delivered)
+	k, fab := st.K, st.Fabric
 	hosts := g.Hosts()
 
 	// Hand-built clockwise 2-hop routes h(i) -> h(i+2): these ignore the
@@ -95,17 +83,11 @@ func pathDeadlock() {
 	}
 
 	// The same traffic under up/down routing drains without deadlock.
-	k2 := des.NewKernel()
 	delivered2 := 0
-	fab2, err := network.New(k2, g, ud, network.Config{
-		StopMark: 8, GoMark: 4,
-		OnDeliver: func(network.Delivery) { delivered2++ },
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	st2 := ringFabric(g, &delivered2)
+	k2, fab2 := st2.K, st2.Fabric
 	for i := 0; i < 4; i++ {
-		rt, err := ud.Route(hosts[i], hosts[(i+2)%4])
+		rt, err := st2.UD.Route(hosts[i], hosts[(i+2)%4])
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -124,43 +106,47 @@ func pathDeadlock() {
 		delivered2, fab2.Stalled(1000))
 }
 
+// ringFabric builds a kernel and a routed fabric over g that counts its
+// deliveries; no adapter layer is attached, the caller injects raw worms.
+func ringFabric(g *topology.Graph, delivered *int) *sim.Stack {
+	st, err := sim.Build(sim.Config{Graph: g, Network: network.Config{
+		StopMark: 8, GoMark: 4,
+		OnDeliver: func(network.Delivery) { *delivered++ },
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return st
+}
+
 // bufferDeadlock runs the Figure 6 crossing-multicast scenario under both
 // buffer disciplines.
 func bufferDeadlock() {
 	fmt.Println("== Part 2: host-adapter buffer deadlock (Figure 6) ==")
 	for _, single := range []bool{true, false} {
 		g := topology.Line(2, 1)
-		k := des.NewKernel()
-		ud, err := updown.New(g, topology.None)
+		st, err := sim.Build(sim.Config{
+			Graph:  g,
+			Scheme: sim.HamiltonianSF,
+			Seed:   11,
+			Adapter: adapter.Config{
+				ClassBytes:  400, // exactly one worm per class
+				NackBackoff: 1024,
+				MaxRetries:  6,
+				SingleClass: single,
+			},
+		})
+		if err == nil {
+			err = st.Attach()
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		tbl, err := ud.NewTable(false)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fab, err := network.New(k, g, ud, network.Config{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		sys, err := adapter.NewSystem(k, fab, tbl, adapter.Config{
-			Mode:        adapter.ModeCircuit,
-			ClassBytes:  400, // exactly one worm per class
-			NackBackoff: 1024,
-			MaxRetries:  6,
-			SingleClass: single,
-		}, 11)
-		if err != nil {
-			log.Fatal(err)
-		}
+		sys := st.Sys
 		delivered := 0
 		sys.OnAppDeliver = func(adapter.AppDelivery) { delivered++ }
 		hosts := g.Hosts()
-		grp, err := multicast.NewGroup(1, hosts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := sys.AddGroup(grp); err != nil {
+		if err := st.AddGroup(1, hosts); err != nil {
 			log.Fatal(err)
 		}
 		// Both hosts multicast simultaneously: each pins its only buffer
@@ -170,16 +156,16 @@ func bufferDeadlock() {
 				log.Fatal(err)
 			}
 		}
-		if err := k.Run(0); err != nil {
+		if err := st.K.Run(0); err != nil {
 			log.Fatal(err)
 		}
-		st := sys.Stats()
+		as := sys.Stats()
 		mode := "two-class rule "
 		if single {
 			mode = "single class   "
 		}
 		fmt.Printf("%s: delivered=%d/4 nacks=%d retransmits=%d giveups=%d\n",
-			mode, delivered, st.Nacks, st.Retransmits, st.GiveUps)
+			mode, delivered, as.Nacks, as.Retransmits, as.GiveUps)
 	}
 	fmt.Println("\nThe two-buffer-class rule (class 1 before the ID reversal, class 2")
 	fmt.Println("after) makes every buffer-wait chain point to a higher (ID, class)")

@@ -13,12 +13,9 @@ import (
 	"net"
 
 	"wormlan/internal/adapter"
-	"wormlan/internal/des"
 	"wormlan/internal/ipmap"
-	"wormlan/internal/multicast"
-	"wormlan/internal/network"
+	"wormlan/internal/sim"
 	"wormlan/internal/topology"
-	"wormlan/internal/updown"
 )
 
 // session pairs a transfer with the IP group it was sent to (a real stack
@@ -54,28 +51,15 @@ func main() {
 	fmt.Printf("union membership of group %d: %v\n\n", mg, tbl.Members(mg))
 
 	// Wire the LAN with that union group.
-	ud, err := updown.New(g, topology.None)
+	lan, err := sim.Build(sim.Config{Graph: g, Scheme: sim.HamiltonianSF, Seed: 3})
+	if err == nil {
+		err = lan.Attach()
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	routeTbl, err := ud.NewTable(false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	k := des.NewKernel()
-	fab, err := network.New(k, g, ud, network.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	sys, err := adapter.NewSystem(k, fab, routeTbl, adapter.Config{Mode: adapter.ModeCircuit}, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	grp, err := multicast.NewGroup(int(mg), tbl.Members(mg))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := sys.AddGroup(grp); err != nil {
+	sys, k := lan.Sys, lan.K
+	if err := lan.AddGroup(int(mg), tbl.Members(mg)); err != nil {
 		log.Fatal(err)
 	}
 

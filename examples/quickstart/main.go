@@ -8,11 +8,8 @@ import (
 	"log"
 
 	"wormlan/internal/adapter"
-	"wormlan/internal/des"
-	"wormlan/internal/multicast"
-	"wormlan/internal/network"
+	"wormlan/internal/sim"
 	"wormlan/internal/topology"
-	"wormlan/internal/updown"
 )
 
 func main() {
@@ -20,33 +17,20 @@ func main() {
 	// the paper's prototype configuration.
 	g := topology.Myrinet4()
 
-	// Deadlock-free up/down routing (Autonet/Myrinet style) and the
-	// precomputed route table between all host pairs.
-	ud, err := updown.New(g, topology.None)
-	if err != nil {
-		log.Fatal(err)
+	// sim.Build makes the kernel, the deadlock-free up/down routing
+	// (Autonet/Myrinet style) with its precomputed route table, and the
+	// byte-level switching fabric; Attach puts the host-adapter protocol
+	// layer on it (Hamiltonian-circuit multicast with ACK/NACK buffer
+	// reservation).
+	lan, err := sim.Build(sim.Config{Graph: g, Scheme: sim.HamiltonianCT, Seed: 42})
+	if err == nil {
+		err = lan.Attach()
 	}
-	table, err := ud.NewTable(false)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// The byte-level switching fabric and the host-adapter protocol layer
-	// (Hamiltonian-circuit multicast with ACK/NACK buffer reservation).
-	k := des.NewKernel()
-	fab, err := network.New(k, g, ud, network.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	sys, err := adapter.NewSystem(k, fab, table, adapter.Config{
-		Mode:       adapter.ModeCircuit,
-		CutThrough: true,
-	}, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	sys.OnAppDeliver = func(d adapter.AppDelivery) {
+	lan.Sys.OnAppDeliver = func(d adapter.AppDelivery) {
 		if d.Transfer != nil {
 			fmt.Printf("t=%6d byte-times: host %d received multicast #%d from host %d (%d bytes)\n",
 				d.At, d.Host, d.Transfer.ID, d.Transfer.Origin, d.Transfer.Payload)
@@ -55,28 +39,24 @@ func main() {
 
 	// A group of five of the eight hosts.
 	hosts := g.Hosts()
-	grp, err := multicast.NewGroup(1, []topology.NodeID{
+	if err := lan.AddGroup(1, []topology.NodeID{
 		hosts[0], hosts[2], hosts[3], hosts[5], hosts[7],
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := sys.AddGroup(grp); err != nil {
+	}); err != nil {
 		log.Fatal(err)
 	}
 
 	// Host 3 multicasts a 2000-byte message to the group.  The adapter
 	// delivers the originator's own copy synchronously at send time
 	// (unordered circuit), so the originate line comes first.
-	fmt.Printf("host %d originates a 2000-byte multicast to group %d\n", hosts[3], grp.ID)
-	if _, err := sys.Adapter(hosts[3]).SendMulticast(1, 2000); err != nil {
+	fmt.Printf("host %d originates a 2000-byte multicast to group 1\n", hosts[3])
+	if _, err := lan.Sys.Adapter(hosts[3]).SendMulticast(1, 2000); err != nil {
 		log.Fatal(err)
 	}
 
-	if err := k.Run(0); err != nil {
+	if err := lan.K.Run(0); err != nil {
 		log.Fatal(err)
 	}
-	st := sys.Stats()
+	st := lan.Sys.Stats()
 	fmt.Printf("done at t=%d: %d deliveries, %d cut-through forwards, %d NACKs\n",
-		k.Now(), st.Deliveries, st.CutThroughFwds, st.Nacks)
+		lan.K.Now(), st.Deliveries, st.CutThroughFwds, st.Nacks)
 }

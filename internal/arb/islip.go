@@ -82,9 +82,6 @@ func New(nIn, nOut, iters int, seed uint64) *ISLIP {
 	return a
 }
 
-// Iters returns the configured iteration count.
-func (a *ISLIP) Iters() int { return a.iters }
-
 // GrantPtr returns output o's grant pointer (for tests and diagnostics).
 func (a *ISLIP) GrantPtr(o int) int { return a.gptr[o] }
 

@@ -6,9 +6,7 @@ import (
 	"io"
 
 	"wormlan/internal/adapter"
-	"wormlan/internal/des"
 	"wormlan/internal/multicast"
-	"wormlan/internal/network"
 	"wormlan/internal/rng"
 	"wormlan/internal/sim"
 	"wormlan/internal/sweep"
@@ -79,54 +77,44 @@ type BufferClassResult struct {
 func runBufferClass(single bool, seed uint64) (BufferClassResult, error) {
 	var out BufferClassResult
 	g := topology.Star(6)
-	k := des.NewKernel()
-	ud, err := updown.New(g, topology.None)
-	if err != nil {
-		return out, err
+	st, err := sim.Build(sim.Config{
+		Graph:  g,
+		Scheme: sim.HamiltonianSF,
+		Seed:   seed,
+		Adapter: adapter.Config{
+			ClassBytes:  400,
+			NackBackoff: 1024,
+			MaxRetries:  8,
+			SingleClass: single,
+		},
+	})
+	if err == nil {
+		err = st.Attach()
 	}
-	tbl, err := ud.NewTable(false)
-	if err != nil {
-		return out, err
-	}
-	fab, err := network.New(k, g, ud, network.Config{})
-	if err != nil {
-		return out, err
-	}
-	sys, err := adapter.NewSystem(k, fab, tbl, adapter.Config{
-		Mode:        adapter.ModeCircuit,
-		ClassBytes:  400,
-		NackBackoff: 1024,
-		MaxRetries:  8,
-		SingleClass: single,
-	}, seed)
 	if err != nil {
 		return out, err
 	}
 	var delivered int64
-	sys.OnAppDeliver = func(adapter.AppDelivery) { delivered++ }
+	st.Sys.OnAppDeliver = func(adapter.AppDelivery) { delivered++ }
 	hosts := g.Hosts()
-	grp, err := multicast.NewGroup(1, hosts)
-	if err != nil {
-		return out, err
-	}
-	if _, err := sys.AddGroup(grp); err != nil {
+	if err := st.AddGroup(1, hosts); err != nil {
 		return out, err
 	}
 	for _, h := range hosts {
-		if _, err := sys.Adapter(h).SendMulticast(1, 400); err != nil {
+		if _, err := st.Sys.Adapter(h).SendMulticast(1, 400); err != nil {
 			return out, err
 		}
 	}
-	if err := k.Run(0); err != nil {
+	if err := st.K.Run(0); err != nil {
 		return out, err
 	}
-	st := sys.Stats()
+	as := st.Sys.Stats()
 	return BufferClassResult{
 		SingleClass: single,
 		Delivered:   delivered,
-		GiveUps:     st.GiveUps,
-		Nacks:       st.Nacks,
-		Retransmits: st.Retransmits,
+		GiveUps:     as.GiveUps,
+		Nacks:       as.Nacks,
+		Retransmits: as.Retransmits,
 	}, nil
 }
 

@@ -5,14 +5,9 @@ import (
 	"fmt"
 	"io"
 
-	"wormlan/internal/adapter"
-	"wormlan/internal/des"
-	"wormlan/internal/multicast"
-	"wormlan/internal/network"
+	"wormlan/internal/sim"
 	"wormlan/internal/sweep"
 	"wormlan/internal/topology"
-	"wormlan/internal/traffic"
-	"wormlan/internal/updown"
 )
 
 // BufferStudyRow is one load point of the buffer-contention study — the
@@ -56,73 +51,42 @@ func BufferStudyGrid(seed uint64, loads []float64) sweep.Grid[BufferStudyRow] {
 
 // bufferStudyPoint measures one load point of the study.
 func bufferStudyPoint(seed uint64, load float64) (BufferStudyRow, error) {
-	var row BufferStudyRow
+	row := BufferStudyRow{Load: load}
 	g := topology.Torus(4, 4, 1, 1)
-	k := des.NewKernel()
-	ud, err := updown.New(g, topology.None)
-	if err != nil {
-		return row, err
-	}
-	tbl, err := ud.NewTable(false)
-	if err != nil {
-		return row, err
-	}
-	fab, err := network.New(k, g, ud, network.Config{})
-	if err != nil {
-		return row, err
-	}
-	sys, err := adapter.NewSystem(k, fab, tbl, adapter.Config{
-		Mode: adapter.ModeCircuit,
-	}, seed)
-	if err != nil {
-		return row, err
-	}
-	hosts := g.Hosts()
-	memberSets, groupsOf, err := traffic.AssignGroups(hosts, 4, 6, seed)
-	if err != nil {
-		return row, err
-	}
-	for gi, set := range memberSets {
-		grp, err := multicast.NewGroup(gi, set)
-		if err != nil {
-			return row, err
-		}
-		if _, err := sys.AddGroup(grp); err != nil {
-			return row, err
-		}
-	}
-	gen, err := traffic.New(k, traffic.Config{
+	st, err := sim.Build(sim.Config{
+		Graph:         g,
+		Scheme:        sim.HamiltonianSF,
 		OfferedLoad:   load,
-		MeanWorm:      400,
 		MulticastProb: 0.15,
-		Until:         200_000,
-	}, hosts, groupsOf, sys, seed)
+		NumGroups:     4,
+		GroupSize:     6,
+		Measure:       200_000,
+		Drain:         600_000,
+		Seed:          seed,
+	})
+	if err == nil {
+		err = st.Wire()
+	}
 	if err != nil {
 		return row, err
 	}
-	gen.Start()
-	if err := k.Run(800_000); err != nil {
+	if err := st.K.Run(800_000); err != nil {
 		return row, err
 	}
-	row.Load = load
-	for _, h := range hosts {
-		c1, c2, _ := sys.Adapter(h).Pools()
-		if c1.Peak > row.PeakClass1 {
-			row.PeakClass1 = c1.Peak
-		}
-		if c2.Peak > row.PeakClass2 {
-			row.PeakClass2 = c2.Peak
-		}
+	for _, h := range g.Hosts() {
+		c1, c2, _ := st.Sys.Adapter(h).Pools()
+		row.PeakClass1 = max(row.PeakClass1, c1.Peak)
+		row.PeakClass2 = max(row.PeakClass2, c2.Peak)
 	}
-	st := sys.Stats()
-	row.Deliveries = st.Deliveries
-	row.GiveUps = st.GiveUps
+	as := st.Sys.Stats()
+	row.Deliveries = as.Deliveries
+	row.GiveUps = as.GiveUps
 	// Hops attempted ~= deliveries minus origins' local copies plus
 	// retransmissions; NACKs per attempted hop is the paper's failure
 	// probability.
-	hops := st.Deliveries - st.MulticastsSent + st.Retransmits
+	hops := as.Deliveries - as.MulticastsSent + as.Retransmits
 	if hops > 0 {
-		row.NackRate = float64(st.Nacks) / float64(hops)
+		row.NackRate = float64(as.Nacks) / float64(hops)
 	}
 	return row, nil
 }

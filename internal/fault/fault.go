@@ -369,12 +369,7 @@ func (inj *Injector) Remap() {
 // from the elected root join fail, so they count as unreachable.  It reports
 // whether the new routing was installed.
 func (inj *Injector) rebuild(fail *updown.Failures) bool {
-	failedLinks := make(map[mapper.LinkID]bool, len(fail.Links))
-	//wormlint:ordered set re-keyed into a set; insertion order is invisible
-	for e := range fail.Links {
-		failedLinks[mapper.LinkID{Node: e.Node, Port: e.Port}] = true
-	}
-	res, err := mapper.RunSurviving(inj.F.G, failedLinks, fail.Switches)
+	res, err := mapper.RunSurviving(inj.F.G, fail.Links, fail.Switches)
 	if err != nil {
 		inj.ctr.RemapFailures++
 		return false

@@ -134,10 +134,10 @@ func TestChaosTargeted(t *testing.T) {
 	gen.Start()
 	must(t, b.RunErr(1_500_000))
 
-	if e := b.F.TopologyEpoch(); e != 2 {
+	if e := b.Fabric.TopologyEpoch(); e != 2 {
 		t.Fatalf("epoch %d after two topology changes", e)
 	}
-	fail := b.F.Failures()
+	fail := b.Fabric.Failures()
 	if !fail.Switches[victim] {
 		t.Fatalf("switch %d not recorded as failed", victim)
 	}

@@ -29,7 +29,7 @@ func heldChannelsReport(t *testing.T) string {
 	// Stop long before the 800-byte worms can drain, so several of them
 	// are frozen holding switch output channels.
 	b.K.Run(60)
-	if got := len(b.F.HeldChannels()); got < 2 {
+	if got := len(b.Fabric.HeldChannels()); got < 2 {
 		t.Fatalf("scenario needs >= 2 in-flight worms to exercise report ordering, got %d", got)
 	}
 	err := b.HeldChannelsErr()

@@ -1,9 +1,9 @@
-// Package faulttest wires a full stack (distributed mapper, up*/down*
-// routing, byte-level fabric, host adapters) together with a fault
-// injector, so chaos tests can run a deterministic failure schedule
-// against live traffic and then check the system-wide invariants:
-// conservation of worms, route validity after recovery, absence of
-// deadlock, and no leaked held channels.
+// Package faulttest puts a fault injector and delivery counters on a
+// sim.Stack (up*/down* or scheme routing, byte-level fabric, host adapters),
+// so chaos tests can run a deterministic failure schedule against live
+// traffic and then check the system-wide invariants: conservation of worms,
+// route validity after recovery, absence of deadlock, and no leaked held
+// channels.
 //
 // The invariant checks return errors (ConservationErr and friends), so the
 // storm matrix consumed by the sweep engine and mcbench can use them; the
@@ -18,89 +18,54 @@ import (
 	"wormlan/internal/des"
 	"wormlan/internal/fault"
 	"wormlan/internal/flit"
-	"wormlan/internal/mapper"
-	"wormlan/internal/multicast"
 	"wormlan/internal/network"
+	"wormlan/internal/sim"
 	"wormlan/internal/topology"
-	"wormlan/internal/updown"
 	"wormlan/internal/vcroute"
 )
 
-// Bench is one fully wired LAN plus its fault injector.
+// Bench is one fully wired LAN plus its fault injector: the stack's K,
+// Fabric, Sys and Inj, and UD/Table tracking the routing currently installed
+// (replaced on every successful remap).
 type Bench struct {
-	K   *des.Kernel
-	G   *topology.Graph
-	F   *network.Fabric
-	Sys *adapter.System
-	Inj *fault.Injector
-
-	// UD/Tbl track the routing currently installed (replaced on every
-	// successful remap).
-	UD  *updown.Routing
-	Tbl *updown.Table
+	*sim.Stack
+	G *topology.Graph
 
 	// Scheme is the routing discipline the bench runs.  After each remap
 	// its Build recomputes the table from the fresh up*/down* labelling,
 	// whose failure set reflects the detector's view; up/down (Build nil)
 	// keeps the remap's own table.
 	Scheme vcroute.Scheme
-	net    topology.Net // G with its geometry, for Scheme.Build
-	nvc    int          // lanes per link the fabric runs
 
 	// Delivery observations.
 	UniDelivered int64
 	McDelivered  map[int64]int // transfer ID -> copies delivered
 }
 
-// NewBench builds the up*/down*-routed stack over g and schedules plan
-// against it.  The injector is wired so that every topology change re-runs
-// the mapper and installs the recomputed routing into both the fabric and
-// the adapter layer.  It needs no testing.TB, so sweep grids can build
-// benches from worker goroutines.
-func NewBench(g *topology.Graph, acfg adapter.Config, plan *fault.Plan, icfg fault.InjectorConfig) (*Bench, error) {
-	sch, err := vcroute.Lookup("")
-	if err != nil {
-		return nil, err
-	}
-	return NewBenchRouted(topology.Net{Graph: g}, sch, acfg, plan, icfg, network.Config{})
-}
-
-// NewBenchRouted is NewBench under routing scheme sch with a custom fabric
-// config, which it raises to the scheme's lane floor and header mode.
+// NewBenchRouted builds the stack over net under routing scheme sch (the
+// fabric config is raised to the scheme's lane floor and header mode) and
+// schedules plan against it.  The injector is wired so that every topology
+// change re-runs the mapper and installs the recomputed routing into both
+// the fabric and the adapter layer.  It needs no testing.TB, so sweep grids
+// can build benches from worker goroutines.
 func NewBenchRouted(net topology.Net, sch vcroute.Scheme, acfg adapter.Config, plan *fault.Plan,
 	icfg fault.InjectorConfig, ncfg network.Config) (*Bench, error) {
-	ncfg.NumVCs = max(ncfg.NumVCs, sch.MinLanes)
-	ncfg.VCHeaders = ncfg.VCHeaders || sch.VCEncoded
-	g := net.Graph
-	b := &Bench{K: des.NewKernel(), G: g, Scheme: sch, net: net, nvc: ncfg.NumVCs, McDelivered: map[int64]int{}}
-
-	m, err := mapper.Run(g, nil)
-	if err != nil {
-		return nil, err
-	}
-	b.UD, err = updown.New(g, m.Root)
-	if err != nil {
-		return nil, err
-	}
-	if sch.Build == nil {
-		b.Tbl, err = b.UD.NewTable(false)
-	} else {
-		b.Tbl, err = sch.Build(net, b.nvc, b.UD)
+	st, err := sim.Build(sim.Config{
+		Graph: net.Graph, TorusGeom: net.Torus, ClosGeom: net.Clos, ShuffleGeom: net.Shuffle,
+		Route:         sch.Name,
+		Scheme:        sim.Scheme{Mode: acfg.Mode, CutThrough: acfg.CutThrough},
+		TotalOrdering: acfg.TotalOrdering,
+		Adapter:       acfg,
+		Network:       ncfg,
+		Seed:          77,
+	})
+	if err == nil {
+		err = st.Attach()
 	}
 	if err != nil {
 		return nil, err
 	}
-	b.F, err = network.New(b.K, g, b.UD, ncfg)
-	if err == nil && b.Scheme.Adaptive {
-		err = b.F.InstallAdaptive(b.UD)
-	}
-	if err != nil {
-		return nil, err
-	}
-	b.Sys, err = adapter.NewSystem(b.K, b.F, b.Tbl, acfg, 77)
-	if err != nil {
-		return nil, err
-	}
+	b := &Bench{Stack: st, G: net.Graph, Scheme: sch, McDelivered: map[int64]int{}}
 	b.Sys.OnAppDeliver = func(d adapter.AppDelivery) {
 		if d.Transfer != nil {
 			b.McDelivered[d.Transfer.ID]++
@@ -108,48 +73,10 @@ func NewBenchRouted(net topology.Net, sch vcroute.Scheme, acfg adapter.Config, p
 			b.UniDelivered++
 		}
 	}
-	if icfg.OnRemap == nil {
-		icfg.OnRemap = b.reroute
-	}
-	b.Inj, err = fault.NewInjector(b.K, b.F, plan, icfg)
-	if err != nil {
+	if err := b.Faults(plan, icfg); err != nil {
 		return nil, err
 	}
 	return b, nil
-}
-
-// reroute is the default remap callback: rebuild the scheme's table over
-// the survivors and install it.  A rebuild error is a construction-level
-// failure (bad geometry) the initial build pre-excludes; it halts the
-// kernel on the old routes so RunErr returns it.
-func (b *Bench) reroute(ud *updown.Routing, tbl *updown.Table) {
-	if b.Scheme.Build != nil {
-		var err error
-		if b.Scheme.Adaptive {
-			err = b.F.InstallAdaptive(ud)
-		}
-		if err == nil {
-			tbl, err = b.Scheme.Build(b.net, b.nvc, ud)
-		}
-		if err != nil {
-			b.K.Halt(fmt.Errorf("faulttest: route %s rebuild after remap: %w", b.Scheme.Name, err))
-			return
-		}
-	}
-	b.UD, b.Tbl = ud, tbl
-	b.Sys.Reroute(tbl, ud.Reachable)
-}
-
-// AddGroupErr registers a multicast group over the given members.
-func (b *Bench) AddGroupErr(id int, members []topology.NodeID) (*multicast.Group, error) {
-	grp, err := multicast.NewGroup(id, members)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := b.Sys.AddGroup(grp); err != nil {
-		return nil, err
-	}
-	return grp, nil
 }
 
 // RunErr drives the kernel and reports an error if the simulation does
@@ -162,7 +89,7 @@ func (b *Bench) RunErr(deadline des.Time) error {
 	}
 	if n := b.K.Pending(); n != 0 {
 		return fmt.Errorf("simulation did not drain by t=%d: %d events pending (deadlock?)\n%s",
-			deadline, n, b.F.StallReport())
+			deadline, n, b.Fabric.StallReport())
 	}
 	return nil
 }
@@ -171,7 +98,7 @@ func (b *Bench) RunErr(deadline des.Time) error {
 // injected worm was either delivered or counted as dropped.  (Valid for
 // adapter-level protocols, where every fabric worm is a unicast.)
 func (b *Bench) ConservationErr() error {
-	ctr := b.F.Counters()
+	ctr := b.Fabric.Counters()
 	if ctr.Injected != ctr.Delivered+ctr.WormsDropped {
 		return fmt.Errorf("conservation violated: injected %d != delivered %d + dropped %d",
 			ctr.Injected, ctr.Delivered, ctr.WormsDropped)
@@ -184,7 +111,7 @@ func (b *Bench) ConservationErr() error {
 // order: the message is asserted byte-for-byte by determinism replays, so
 // its wording must not depend on map iteration order.
 func (b *Bench) HeldChannelsErr() error {
-	held := b.F.HeldChannels()
+	held := b.Fabric.HeldChannels()
 	if len(held) == 0 {
 		return nil
 	}
@@ -198,7 +125,7 @@ func (b *Bench) HeldChannelsErr() error {
 		msg += fmt.Sprintf("worm %d still holds %v; ", w.ID, held[w])
 	}
 	return fmt.Errorf("%d worms hold channels after drain: %s\n%s",
-		len(held), msg, b.F.StallReport())
+		len(held), msg, b.Fabric.StallReport())
 }
 
 // RoutesErr verifies the installed table after recovery.  Under up*/down*:
@@ -208,7 +135,7 @@ func (b *Bench) HeldChannelsErr() error {
 // pairs they cannot detour (empty routes), so completeness is not required.
 func (b *Bench) RoutesErr() error {
 	if b.Scheme.Build != nil {
-		if err := vcroute.ValidateTable(b.G, b.Tbl, b.Scheme.VCEncoded, false); err != nil {
+		if err := vcroute.ValidateTable(b.G, b.Table, b.Scheme.VCEncoded, false); err != nil {
 			return fmt.Errorf("rebuilt %s table invalid after recovery: %w", b.Scheme.Name, err)
 		}
 		return nil
@@ -220,7 +147,7 @@ func (b *Bench) RoutesErr() error {
 			if src == dst || !b.UD.Reachable(src) || !b.UD.Reachable(dst) {
 				continue
 			}
-			rt := b.Tbl.Lookup(src, dst)
+			rt := b.Table.Lookup(src, dst)
 			if len(rt.Ports) == 0 {
 				return fmt.Errorf("no surviving route %d -> %d", src, dst)
 			}
@@ -254,10 +181,10 @@ type Outcome struct {
 // Outcome snapshots the run's observable state.
 func (b *Bench) Outcome() Outcome {
 	o := Outcome{
-		Fabric:  b.F.Counters(),
+		Fabric:  b.Fabric.Counters(),
 		Adapter: b.Sys.Stats(),
 		Inject:  b.Inj.Counters(),
-		Epoch:   b.F.TopologyEpoch(),
+		Epoch:   b.Fabric.TopologyEpoch(),
 		Uni:     b.UniDelivered,
 		McCount: len(b.McDelivered),
 	}

@@ -5,13 +5,18 @@ import (
 
 	"wormlan/internal/adapter"
 	"wormlan/internal/fault"
+	"wormlan/internal/network"
 	"wormlan/internal/topology"
+	"wormlan/internal/vcroute"
 )
 
-// newBench is NewBench for tests: construction errors Fatal tb.
+// newBench is NewBenchRouted under up*/down* with the default fabric config,
+// for tests: construction errors Fatal tb.
 func newBench(tb testing.TB, g *topology.Graph, acfg adapter.Config, plan *fault.Plan, icfg fault.InjectorConfig) *Bench {
 	tb.Helper()
-	b, err := NewBench(g, acfg, plan, icfg)
+	sch, err := vcroute.Lookup("")
+	must(tb, err)
+	b, err := NewBenchRouted(topology.Net{Graph: g}, sch, acfg, plan, icfg, network.Config{})
 	must(tb, err)
 	return b
 }

@@ -124,7 +124,7 @@ func RunStorm(spec StormSpec) (Outcome, error) {
 	if spec.MulticastProb > 0 {
 		groupsOf = map[topology.NodeID][]int{}
 		for id, members := range [][]topology.NodeID{hosts[:len(hosts)/2], hosts[len(hosts)/3:]} {
-			if _, err := b.AddGroupErr(id, members); err != nil {
+			if err := b.AddGroup(id, members); err != nil {
 				return zero, err
 			}
 			for _, h := range members {

@@ -19,6 +19,7 @@ import (
 
 	"wormlan/internal/des"
 	"wormlan/internal/topology"
+	"wormlan/internal/updown"
 )
 
 // claim is one mapping message: "my best known root is Root, and I sit
@@ -34,13 +35,6 @@ func (c claim) better(cur claim) bool {
 		return c.Root < cur.Root
 	}
 	return c.Dist < cur.Dist
-}
-
-// LinkID identifies a directed switch-to-switch link for failure
-// injection.
-type LinkID struct {
-	Node topology.NodeID
-	Port topology.PortID
 }
 
 // Result is the converged map.
@@ -78,7 +72,7 @@ type node struct {
 // g, treating links in failed as unusable (both directions fail together;
 // passing either direction suffices).  It returns an error if the
 // surviving topology is disconnected.
-func Run(g *topology.Graph, failed map[LinkID]bool) (*Result, error) {
+func Run(g *topology.Graph, failed map[updown.Edge]bool) (*Result, error) {
 	res, err := RunSurviving(g, failed, nil)
 	if err != nil {
 		return nil, err
@@ -97,7 +91,7 @@ func Run(g *topology.Graph, failed map[LinkID]bool) (*Result, error) {
 // the lowest-numbered live switch, and live switches stranded in other
 // components are reported in Result.Unmapped with Level -1 rather than
 // failing the whole mapping.
-func RunSurviving(g *topology.Graph, failed map[LinkID]bool,
+func RunSurviving(g *topology.Graph, failed map[updown.Edge]bool,
 	deadSwitch map[topology.NodeID]bool) (*Result, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("mapper: %w", err)
@@ -124,11 +118,11 @@ func RunSurviving(g *topology.Graph, failed map[LinkID]bool,
 		if failed == nil {
 			return false
 		}
-		if failed[LinkID{n, p}] {
+		if failed[updown.Edge{Node: n, Port: p}] {
 			return true
 		}
 		peer := g.Node(n).Ports[p]
-		return failed[LinkID{peer.Peer, peer.PeerPort}]
+		return failed[updown.Edge{Node: peer.Peer, Port: peer.PeerPort}]
 	}
 
 	// send schedules delivery of a claim across a link after its delay.
@@ -205,7 +199,7 @@ func RunSurviving(g *topology.Graph, failed map[LinkID]bool,
 // Verify checks the structural invariants of the converged map: a single
 // root at level 0, every other switch with a parent one level up across a
 // live link.
-func (r *Result) Verify(g *topology.Graph, failed map[LinkID]bool) error {
+func (r *Result) Verify(g *topology.Graph, failed map[updown.Edge]bool) error {
 	if r.Level[r.Root] != 0 || r.Parent[r.Root] != topology.None {
 		return fmt.Errorf("mapper: root %d has level %d / parent %d",
 			r.Root, r.Level[r.Root], r.Parent[r.Root])
@@ -228,8 +222,8 @@ func (r *Result) Verify(g *topology.Graph, failed map[LinkID]bool) error {
 		wired := false
 		for pi, port := range g.Node(sw).Ports {
 			if port.Wired() && port.Peer == p {
-				if failed == nil || (!failed[LinkID{sw, topology.PortID(pi)}] &&
-					!failed[LinkID{p, port.PeerPort}]) {
+				if failed == nil || (!failed[updown.Edge{Node: sw, Port: topology.PortID(pi)}] &&
+					!failed[updown.Edge{Node: p, Port: port.PeerPort}]) {
 					wired = true
 				}
 			}

@@ -46,6 +46,31 @@ func TestConvergesToLowestRootBFSLevels(t *testing.T) {
 	}
 }
 
+// TestRootMatchesUpdownDefault pins the rule both packages document — the
+// lowest-numbered live switch is the root — on every named fabric.  sim.Build
+// labels with updown.New(g, topology.None) rather than running the
+// distributed mapper first; that is only the same stack while this holds.
+func TestRootMatchesUpdownDefault(t *testing.T) {
+	for _, name := range []string{"torus8x8", "torus4x4", "shufflenet24", "shufflenet64", "clos8x4",
+		"fullmesh8x4", "fullmesh8x8", "myrinet4", "star:6", "line:4", "ring:5"} {
+		n, err := topology.Named(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Run(n.Graph, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ud, err := updown.New(n.Graph, topology.None)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if m.Root != ud.Root {
+			t.Errorf("%s: mapper elects root %d, updown.New defaults to %d", name, m.Root, ud.Root)
+		}
+	}
+}
+
 func TestConvergenceTimeScalesWithDelay(t *testing.T) {
 	fast, err := Run(topology.Ring(6, 1), nil)
 	if err != nil {
@@ -71,7 +96,7 @@ func TestRemapAfterLinkFailure(t *testing.T) {
 			failPort = topology.PortID(pi)
 		}
 	}
-	failed := map[LinkID]bool{{sws[0], failPort}: true}
+	failed := map[updown.Edge]bool{{Node: sws[0], Port: failPort}: true}
 	r, err := Run(g, failed)
 	if err != nil {
 		t.Fatal(err)
@@ -98,10 +123,10 @@ func TestDisconnectionDetected(t *testing.T) {
 	// partition instead of returning a bogus tree.
 	g := topology.Line(3, 1)
 	sws := g.Switches()
-	failed := map[LinkID]bool{}
+	failed := map[updown.Edge]bool{}
 	for pi, p := range g.Node(sws[1]).Ports {
 		if p.Wired() && g.Node(p.Peer).Kind == topology.Switch {
-			failed[LinkID{sws[1], topology.PortID(pi)}] = true
+			failed[updown.Edge{Node: sws[1], Port: topology.PortID(pi)}] = true
 		}
 	}
 	if _, err := Run(g, failed); err == nil {
@@ -119,7 +144,7 @@ func TestFailureSpecifiedFromEitherEnd(t *testing.T) {
 			reversePort = topology.PortID(pi)
 		}
 	}
-	r, err := Run(g, map[LinkID]bool{{sws[1], reversePort}: true})
+	r, err := Run(g, map[updown.Edge]bool{{Node: sws[1], Port: reversePort}: true})
 	if err != nil {
 		t.Fatal(err)
 	}

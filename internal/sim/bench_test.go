@@ -7,10 +7,10 @@ import (
 )
 
 // benchStack keeps BenchmarkSetup's result live.
-var benchStack *stack
+var benchStack *Stack
 
 // BenchmarkSetup prices sim.Run's set-up alone, per routing scheme: the
-// build and wire stages — topology validation, the up/down labelling, the
+// Build and Wire stages — topology validation, the up/down labelling, the
 // scheme's route table, the fabric, the adapter system and the started
 // traffic generator — with no kernel run behind them.
 // The 64-host shapes are the routing comparison's (core.RoutesVariants).
@@ -47,9 +47,9 @@ func BenchmarkSetup(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				st, err := build(cfg)
+				st, err := Build(cfg)
 				if err == nil {
-					err = st.wire()
+					err = st.Wire()
 				}
 				if err != nil {
 					b.Fatal(err)

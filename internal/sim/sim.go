@@ -259,71 +259,83 @@ func (cfg *Config) scheme() (vcroute.Scheme, error) {
 	return sch, err
 }
 
-// stack is one run's wired layers, handed from stage to stage: build makes
-// the routed fabric, wire attaches protocol, faults and traffic, run drives
-// the kernel, collect reads the results out.
-type stack struct {
+// Stack is one run's wired layers, handed from stage to stage: Build makes
+// the routed fabric; Attach, AddGroup and Faults — or Wire, which calls all
+// three from the Config and starts the traffic generator — put protocol,
+// groups and failures on it; the caller drives K; Collect reads the results
+// out.  Run is that sequence and every other harness outside bench/ is a
+// client of the same stages: the stack is composed here and nowhere else.
+type Stack struct {
+	K *des.Kernel
+	// UD and Table are the routing currently installed: the build's, then
+	// whatever the latest remap put in (see Reroute).
+	UD     *updown.Routing
+	Table  *updown.Table
+	Fabric *network.Fabric
+	Sys    *adapter.System    // set by Attach; nil under switch-level replication
+	Inj    *fault.Injector    // set by Faults
+	Gen    *traffic.Generator // set by Wire
+
 	cfg    Config // defaults applied
 	sch    vcroute.Scheme
 	nvc    int // lanes per link the fabric runs (>= sch.MinLanes)
 	tracer trace.Recorder
+	hosts  []topology.NodeID
 
-	k     *des.Kernel
-	ud    *updown.Routing
-	table *updown.Table
-	fab   *network.Fabric
-	hosts []topology.NodeID
-	sys   *adapter.System // nil under switch-level replication
-	inj   *fault.Injector // nil without a fault plan or hello detection
-	gen   *traffic.Generator
+	// The attached system, adapter- or switch-level, as Gen and AddGroup see it.
+	sink     traffic.Sink
+	addGroup func(*multicast.Group) error
 
 	res         *Results
 	windowEnd   des.Time
 	windowBytes int64
 }
 
+var errSwitchLevelFaults = fmt.Errorf("sim: fault injection and hello detection are not supported with switch-level replication (no recovery protocol)")
+
 // Run executes one simulation.
 func Run(cfg Config) (*Results, error) {
-	st, err := build(cfg)
+	st, err := Build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := st.wire(); err != nil {
+	if err := st.Wire(); err != nil {
 		return nil, err
 	}
-	if err := st.run(); err != nil {
+	if err := st.K.Run(st.windowEnd + st.cfg.Drain); err != nil {
 		return nil, err
 	}
-	return st.collect(), nil
+	if err := st.Gen.Err(); err != nil {
+		return nil, err
+	}
+	return st.Collect(), nil
 }
 
-// build checks the configuration and constructs the routed fabric: kernel,
+// Build checks the configuration and constructs the routed fabric: kernel,
 // up/down labelling, the scheme's table, the fabric, and — for adaptive
 // routing — the fabric-side table.  Every later stage keeps this order:
-// event sequence numbers and RNG draws depend on it.
-func build(cfg Config) (*stack, error) {
+// event sequence numbers and RNG draws depend on it.  A harness that
+// injects its own traffic needs no measurement window; Wire does.
+func Build(cfg Config) (*Stack, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("sim: nil topology")
 	}
 	if cfg.MeanWorm == 0 {
 		cfg.MeanWorm = 400
 	}
-	if cfg.Measure == 0 {
-		return nil, fmt.Errorf("sim: zero measure window")
-	}
 	if cfg.Drain == 0 {
 		cfg.Drain = cfg.Measure / 2
 	}
 	if (cfg.FaultPlan != nil || cfg.Detect == fault.DetectHello) && cfg.Scheme.SwitchLevel {
-		return nil, fmt.Errorf("sim: fault injection and hello detection are not supported with switch-level replication (no recovery protocol)")
+		return nil, errSwitchLevelFaults
 	}
 	sch, err := cfg.scheme()
 	if err != nil {
 		return nil, err
 	}
-	st := &stack{cfg: cfg, sch: sch, k: des.NewKernel(), tracer: cfg.Tracer,
+	st := &Stack{cfg: cfg, sch: sch, K: des.NewKernel(), tracer: cfg.Tracer,
 		hosts: cfg.Graph.Hosts(), res: &Results{Config: cfg}, windowEnd: cfg.Warmup + cfg.Measure}
-	st.ud, err = updown.New(cfg.Graph, topology.None)
+	st.UD, err = updown.New(cfg.Graph, topology.None)
 	if err != nil {
 		return nil, err
 	}
@@ -349,18 +361,18 @@ func build(cfg Config) (*stack, error) {
 	ncfg.VCHeaders = ncfg.VCHeaders || sch.VCEncoded
 	st.nvc = ncfg.NumVCs
 	if sch.Build == nil {
-		st.table, err = st.ud.NewTable(false)
-	} else if st.table, err = sch.Build(cfg.net(), st.nvc, st.ud); err == nil {
+		st.Table, err = st.UD.NewTable(false)
+	} else if st.Table, err = sch.Build(cfg.net(), st.nvc, st.UD); err == nil {
 		// One pass over the fresh table reports every broken pair at once —
 		// a miswired builder or geometry is diagnosable in a single run.
-		err = vcroute.ValidateTable(cfg.Graph, st.table, sch.VCEncoded, true)
+		err = vcroute.ValidateTable(cfg.Graph, st.Table, sch.VCEncoded, true)
 	}
 	if err != nil {
 		return nil, err
 	}
-	st.fab, err = network.New(st.k, cfg.Graph, st.ud, ncfg)
+	st.Fabric, err = network.New(st.K, cfg.Graph, st.UD, ncfg)
 	if err == nil && sch.Adaptive {
-		err = st.fab.InstallAdaptive(st.ud)
+		err = st.Fabric.InstallAdaptive(st.UD)
 	}
 	if err != nil {
 		return nil, err
@@ -368,8 +380,8 @@ func build(cfg Config) (*stack, error) {
 	if metricsOn {
 		hists := trace.NewLatencyHists()
 		st.res.Histograms = hists
-		st.k.Observe = func(des.Time) {
-			hists.Queue.Add(float64(st.k.Pending()))
+		st.K.Observe = func(des.Time) {
+			hists.Queue.Add(float64(st.K.Pending()))
 		}
 	}
 	return st, nil
@@ -377,7 +389,7 @@ func build(cfg Config) (*stack, error) {
 
 // record books one application-level delivery: latency by the window the
 // worm was created in, throughput by the window it landed in.
-func (st *stack) record(mc bool, created, now des.Time, payload int) {
+func (st *Stack) record(mc bool, created, now des.Time, payload int) {
 	res, start := st.res, st.cfg.Warmup
 	if created >= start && created < st.windowEnd {
 		lat := float64(now - created)
@@ -407,7 +419,7 @@ func (st *stack) record(mc bool, created, now des.Time, payload int) {
 // ascending id order, else a seeded random assignment numbered by
 // position — and the per-host membership index the traffic generator
 // draws from.
-func (st *stack) groups() (ids []int, sets [][]topology.NodeID, groupsOf map[topology.NodeID][]int, err error) {
+func (st *Stack) groups() (ids []int, sets [][]topology.NodeID, groupsOf map[topology.NodeID][]int, err error) {
 	cfg := &st.cfg
 	switch {
 	case cfg.Groups != nil:
@@ -431,19 +443,14 @@ func (st *stack) groups() (ids []int, sets [][]topology.NodeID, groupsOf map[top
 	return ids, sets, groupsOf, err
 }
 
-// wire attaches everything that rides the fabric, in the order the layers
-// draw sequence numbers: groups, the adapter (or switch-level) multicast
-// system, the fault injector, and the started traffic generator.
-func (st *stack) wire() error {
+// Attach puts the multicast system on the fabric — host adapters seeded
+// from Config.Seed, or switch-level replication — with its deliveries booked
+// into the results.  A harness that wants its own delivery hook overwrites
+// Sys.OnAppDeliver afterwards.
+func (st *Stack) Attach() error {
 	cfg := &st.cfg
-	ids, sets, groupsOf, err := st.groups()
-	if err != nil {
-		return err
-	}
-	var sink traffic.Sink
-	var addGroup func(*multicast.Group) error
 	if cfg.Scheme.SwitchLevel {
-		swsys, err := switchmc.New(st.k, st.fab, st.ud, switchmc.Config{})
+		swsys, err := switchmc.New(st.K, st.Fabric, st.UD, switchmc.Config{})
 		if err != nil {
 			return err
 		}
@@ -451,124 +458,147 @@ func (st *stack) wire() error {
 		swsys.OnDeliver = func(d switchmc.Delivery) {
 			st.record(d.Multicast, d.Worm.Created, d.At, d.Worm.PayloadLen)
 		}
-		sink, addGroup = swsys, swsys.AddGroup
-	} else {
-		acfg := cfg.Adapter
-		acfg.Mode = cfg.Scheme.Mode
-		acfg.CutThrough = cfg.Scheme.CutThrough
-		acfg.TotalOrdering = cfg.TotalOrdering
-		sys, err := adapter.NewSystem(st.k, st.fab, st.table, acfg, cfg.Seed)
-		if err != nil {
-			return err
-		}
-		sys.SetRecorder(st.tracer)
-		sys.OnAppDeliver = func(d adapter.AppDelivery) {
-			if d.Transfer != nil {
-				st.record(true, d.Transfer.Created, d.At, d.Transfer.Payload)
-			} else {
-				st.record(false, d.Worm.Created, d.At, d.Worm.PayloadLen)
-			}
-		}
-		st.sys, sink = sys, sys
-		addGroup = func(grp *multicast.Group) error {
-			_, err := sys.AddGroup(grp)
-			return err
-		}
+		st.sink, st.addGroup = swsys, swsys.AddGroup
+		return nil
 	}
-	for i, id := range ids {
-		grp, err := multicast.NewGroup(id, sets[i])
-		if err != nil {
-			return err
-		}
-		if err := addGroup(grp); err != nil {
-			return err
-		}
-	}
-	if cfg.FaultPlan != nil || cfg.Detect == fault.DetectHello {
-		if err := st.wireFaults(); err != nil {
-			return err
-		}
-	}
-	st.gen, err = traffic.New(st.k, traffic.Config{
-		OfferedLoad:   cfg.OfferedLoad,
-		MeanWorm:      cfg.MeanWorm,
-		MulticastProb: cfg.MulticastProb,
-		Until:         st.windowEnd,
-	}, st.hosts, groupsOf, sink, cfg.Seed)
+	acfg := cfg.Adapter
+	acfg.Mode = cfg.Scheme.Mode
+	acfg.CutThrough = cfg.Scheme.CutThrough
+	acfg.TotalOrdering = cfg.TotalOrdering
+	sys, err := adapter.NewSystem(st.K, st.Fabric, st.Table, acfg, cfg.Seed)
 	if err != nil {
 		return err
 	}
-	st.gen.Start()
+	sys.SetRecorder(st.tracer)
+	sys.OnAppDeliver = func(d adapter.AppDelivery) {
+		if d.Transfer != nil {
+			st.record(true, d.Transfer.Created, d.At, d.Transfer.Payload)
+		} else {
+			st.record(false, d.Worm.Created, d.At, d.Worm.PayloadLen)
+		}
+	}
+	st.Sys, st.sink = sys, sys
+	st.addGroup = func(grp *multicast.Group) error {
+		_, err := sys.AddGroup(grp)
+		return err
+	}
 	return nil
 }
 
-// wireFaults attaches the fault injector.  Its remap callback re-derives
-// the scheme's table from the recovery pipeline's fresh labelling (whose
-// failure set is the detector's view) and reroutes the adapters onto it.
-func (st *stack) wireFaults() error {
-	cfg := &st.cfg
-	icfg := fault.InjectorConfig{
-		RemapDelay: cfg.RemapDelay,
-		Mode:       cfg.Detect,
-		OnRemap: func(rud *updown.Routing, tbl *updown.Table) {
-			if st.sch.Build != nil {
-				var err error
-				if st.sch.Adaptive {
-					err = st.fab.InstallAdaptive(rud)
-				}
-				if err == nil {
-					tbl, err = st.sch.Build(cfg.net(), st.nvc, rud)
-				}
-				if err != nil {
-					// Scheme rebuilds only fail on construction-level
-					// errors (bad geometry), which Validate and the
-					// initial build should have excluded: stop the run
-					// on the old routes and let Run return the error.
-					st.k.Halt(fmt.Errorf("sim: route %q rebuild after remap: %w", cfg.Route, err))
-					return
-				}
-			}
-			st.sys.Reroute(tbl, rud.Reachable)
-		},
+// AddGroup registers multicast group id over members with the attached system.
+func (st *Stack) AddGroup(id int, members []topology.NodeID) error {
+	grp, err := multicast.NewGroup(id, members)
+	if err != nil {
+		return err
 	}
-	if cfg.Detect == fault.DetectHello {
-		if cfg.Liveness != nil {
-			icfg.Hello = *cfg.Liveness
-		}
-		// Hellos stop with traffic generation: the drain phase then
-		// empties the fabric so quiescence invariants stay checkable.
-		icfg.HelloUntil = st.windowEnd
+	return st.addGroup(grp)
+}
+
+// Faults schedules plan (nil: none) against the fabric and hooks the recovery
+// pipeline to the attached adapters.  A nil icfg.OnRemap is Reroute; a nil
+// icfg.Recorder is the stack's tracer.
+func (st *Stack) Faults(plan *fault.Plan, icfg fault.InjectorConfig) error {
+	if st.Sys == nil {
+		return errSwitchLevelFaults
+	}
+	if icfg.OnRemap == nil {
+		icfg.OnRemap = st.Reroute
+	}
+	if icfg.Recorder == nil {
 		icfg.Recorder = st.tracer
 	}
-	plan := cfg.FaultPlan
 	if plan == nil {
 		plan = &fault.Plan{}
 	}
 	var err error
-	st.inj, err = fault.NewInjector(st.k, st.fab, plan, icfg)
+	st.Inj, err = fault.NewInjector(st.K, st.Fabric, plan, icfg)
 	return err
 }
 
-// run drives the kernel through the measurement window and the drain.
-func (st *stack) run() error {
-	if err := st.k.Run(st.windowEnd + st.cfg.Drain); err != nil {
-		return err
+// Reroute is the remap callback: it re-derives the scheme's table from the
+// recovery pipeline's fresh labelling (whose failure set is the detector's
+// view; up/down keeps the pipeline's own table), reroutes the adapters onto
+// it and keeps UD/Table current.
+func (st *Stack) Reroute(ud *updown.Routing, tbl *updown.Table) {
+	if st.sch.Build != nil {
+		var err error
+		if st.sch.Adaptive {
+			err = st.Fabric.InstallAdaptive(ud)
+		}
+		if err == nil {
+			tbl, err = st.sch.Build(st.cfg.net(), st.nvc, ud)
+		}
+		if err != nil {
+			// Scheme rebuilds only fail on construction-level errors (bad
+			// geometry), which Validate and the initial build should have
+			// excluded: stop on the old routes and let K.Run return it.
+			st.K.Halt(fmt.Errorf("sim: route %q rebuild after remap: %w", st.sch.Name, err))
+			return
+		}
 	}
-	return st.gen.Err()
+	st.UD, st.Table = ud, tbl
+	st.Sys.Reroute(tbl, ud.Reachable)
 }
 
-// collect reads the finished run out of the layers.
-func (st *stack) collect() *Results {
-	res, k, fab := st.res, st.k, st.fab
-	res.GeneratedWorms, res.GeneratedMC, _ = st.gen.Generated()
+// Wire attaches everything the Config describes, in the order the layers
+// draw sequence numbers: the adapter (or switch-level) multicast system, the
+// groups, the fault injector, and the started traffic generator.
+func (st *Stack) Wire() error {
+	cfg := &st.cfg
+	if cfg.Measure == 0 {
+		return fmt.Errorf("sim: zero measure window")
+	}
+	ids, sets, groupsOf, err := st.groups()
+	if err != nil {
+		return err
+	}
+	if err := st.Attach(); err != nil {
+		return err
+	}
+	for i, id := range ids {
+		if err := st.AddGroup(id, sets[i]); err != nil {
+			return err
+		}
+	}
+	if cfg.FaultPlan != nil || cfg.Detect == fault.DetectHello {
+		icfg := fault.InjectorConfig{RemapDelay: cfg.RemapDelay, Mode: cfg.Detect}
+		if cfg.Detect == fault.DetectHello {
+			if cfg.Liveness != nil {
+				icfg.Hello = *cfg.Liveness
+			}
+			// Hellos stop with traffic generation: the drain phase then
+			// empties the fabric so quiescence invariants stay checkable.
+			icfg.HelloUntil = st.windowEnd
+		}
+		if err := st.Faults(cfg.FaultPlan, icfg); err != nil {
+			return err
+		}
+	}
+	st.Gen, err = traffic.New(st.K, traffic.Config{
+		OfferedLoad:   cfg.OfferedLoad,
+		MeanWorm:      cfg.MeanWorm,
+		MulticastProb: cfg.MulticastProb,
+		Until:         st.windowEnd,
+	}, st.hosts, groupsOf, st.sink, cfg.Seed)
+	if err != nil {
+		return err
+	}
+	st.Gen.Start()
+	return nil
+}
+
+// Collect reads a wired run out of the layers once the kernel has stopped.
+func (st *Stack) Collect() *Results {
+	res, k, fab := st.res, st.K, st.Fabric
+	res.GeneratedWorms, res.GeneratedMC, _ = st.Gen.Generated()
 	res.ThroughputPerHost = float64(st.windowBytes) / float64(st.cfg.Measure) / float64(len(st.hosts))
-	if st.sys != nil {
-		res.Adapter = st.sys.Stats()
+	if st.Sys != nil {
+		res.Adapter = st.Sys.Stats()
 	}
 	res.Fabric = fab.Counters()
-	if st.inj != nil {
-		res.Fault = st.inj.Counters()
-		res.Detection = st.inj.Detection()
+	if st.Inj != nil {
+		res.Fault = st.Inj.Counters()
+		res.Detection = st.Inj.Detection()
 	}
 	res.Stalled = fab.Stalled(10 * des.Time(st.cfg.MeanWorm))
 	res.Drained = k.Pending() == 0

@@ -14,7 +14,6 @@ package topology
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -378,14 +377,4 @@ func (g *Graph) Summary() Stats {
 		}
 	}
 	return s
-}
-
-// SortedNames returns node names in ID order; used by tests and tools.
-func (g *Graph) SortedNames() []string {
-	names := make([]string, len(g.Nodes))
-	for i := range g.Nodes {
-		names[i] = g.Nodes[i].Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -33,11 +33,6 @@ func NewFailures() *Failures {
 	}
 }
 
-// Empty reports whether the set records no failures.
-func (f *Failures) Empty() bool {
-	return f == nil || (len(f.Links) == 0 && len(f.Switches) == 0)
-}
-
 // FailLink records the cable out of port p of node n (both sides) as dead.
 func (f *Failures) FailLink(g *topology.Graph, n topology.NodeID, p topology.PortID) {
 	port := g.Node(n).Ports[p]
