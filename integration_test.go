@@ -21,8 +21,9 @@ import (
 	"wormlan/internal/updown"
 )
 
-// stack is a fully wired LAN: the up/down tree comes from the distributed
-// mapper, not the centralized BFS, to exercise the whole control plane.
+// stack is a fully wired LAN whose up/down root comes from the distributed
+// mapper.  The mapper runs on no simulation path (sim and fault label with
+// updown alone); here it is the independent oracle for updown's root rule.
 type stack struct {
 	t   *testing.T
 	k   *des.Kernel

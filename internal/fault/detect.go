@@ -3,8 +3,8 @@ package fault
 // Hello detection mode: instead of the injector telling the recovery
 // pipeline the topology changed (the oracle), an in-band liveness protocol
 // (internal/liveness) watches every directional link and its local up/down
-// verdicts drive the same mapper-rerun -> relabel -> route-rebuild ->
-// adapter.Reroute pipeline.
+// verdicts drive the same relabel -> route-rebuild -> adapter.Reroute
+// pipeline.
 //
 // The crucial difference from the oracle: recovery acts on the *detected*
 // failure set, not the true one.  A congestion-starved link that missed its
@@ -62,8 +62,9 @@ func ParseDetectMode(s string) (DetectMode, error) {
 }
 
 // DefaultConvergeDelay is the hello mode's verdict-to-reroute latency: the
-// mapper re-run and table distribution the oracle's RemapDelay also covers,
-// minus the detection share the protocol now measures for real.
+// modelled mapper convergence and table distribution that the oracle's
+// RemapDelay also covers, minus the detection share the protocol now
+// measures for real.
 const DefaultConvergeDelay des.Time = 128
 
 // DetectionStats summarizes one run of the hello detection mode.  All
@@ -85,9 +86,10 @@ type DetectionStats struct {
 // detState is the injector's hello-mode bookkeeping.
 type detState struct {
 	mon *liveness.Monitor
-	// down is the detected failure set: both directed sides of every cable
-	// the protocol currently believes dead.
-	down map[updown.Edge]bool
+	// down is the detected failure set: every cable the protocol currently
+	// believes dead.  WithoutEdges copies it, so later verdicts never touch
+	// an installed routing.
+	down *updown.Failures
 	// downSince is ground truth from applied plan events: when each directed
 	// edge actually died.  Statistics only — recovery never reads it.
 	downSince map[updown.Edge]des.Time
@@ -135,7 +137,7 @@ func (inj *Injector) setupHello() error {
 	}
 	inj.det = &detState{
 		mon:             mon,
-		down:            make(map[updown.Edge]bool),
+		down:            updown.NewFailures(),
 		downSince:       make(map[updown.Edge]des.Time),
 		detectToReroute: trace.Histogram{Name: "detect-to-reroute"},
 		faultToDetect:   trace.Histogram{Name: "fault-to-detect"},
@@ -199,11 +201,10 @@ func (inj *Injector) onVerdict(v liveness.Verdict) {
 	d := inj.det
 	a, b := edgePair(inj.F.G, v.Node, v.Port)
 	if v.Up {
-		delete(d.down, a)
-		delete(d.down, b)
+		delete(d.down.Links, a)
+		delete(d.down.Links, b)
 	} else {
-		d.down[a] = true
-		d.down[b] = true
+		d.down.FailLink(inj.F.G, v.Node, v.Port)
 		if t, ok := d.downSince[a]; ok && !v.FalsePositive {
 			d.faultToDetect.Add(float64(v.At - t))
 		}
@@ -217,12 +218,7 @@ func (inj *Injector) onVerdict(v liveness.Verdict) {
 // still routed into.
 func (inj *Injector) remapDetected() {
 	d := inj.det
-	fail := updown.NewFailures()
-	//wormlint:ordered set copied into a set; insertion order is invisible
-	for e := range d.down {
-		fail.Links[e] = true
-	}
-	if !inj.rebuild(fail) {
+	if !inj.rebuild(d.down) {
 		return
 	}
 	d.remaps++

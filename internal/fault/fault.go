@@ -1,8 +1,7 @@
 // Package fault schedules deterministic failure events against a running
-// fabric and drives recovery: when the topology changes it re-runs the
-// distributed mapper over the surviving subgraph, recomputes the up*/down*
-// labelling (updown.WithoutEdges), rebuilds the route table, and hands the
-// result to the adapter layer via a callback.
+// fabric and drives recovery: when the topology changes it relabels the
+// surviving subgraph up*/down* (updown.WithoutEdges), rebuilds the route
+// table, and hands the result to the adapter layer via a callback.
 //
 // The paper's Myrinet setting assumes exactly this division of labour: the
 // fabric detects nothing, worms in flight at the moment of a failure are
@@ -17,7 +16,6 @@ import (
 
 	"wormlan/internal/des"
 	"wormlan/internal/liveness"
-	"wormlan/internal/mapper"
 	"wormlan/internal/network"
 	"wormlan/internal/rng"
 	"wormlan/internal/topology"
@@ -250,8 +248,8 @@ type InjectorConfig struct {
 	// quiescence invariants.
 	HelloUntil des.Time
 	// ConvergeDelay is the verdict-to-reroute latency in hello mode: once
-	// the detector speaks, the mapper re-run and table distribution still
-	// take time (default DefaultConvergeDelay).
+	// the detector speaks, the modelled mapper convergence and table
+	// distribution still take time (default DefaultConvergeDelay).
 	ConvergeDelay des.Time
 	// Recorder, when non-nil, receives the liveness event stream
 	// (hello-missed, peer-down, peer-up, flap-suppressed).
@@ -342,7 +340,7 @@ func (inj *Injector) topoChanged(e Event) {
 		inj.det.trackTruth(inj, e)
 		return
 	}
-	inj.coalesce(&inj.remapPending, inj.Cfg.RemapDelay, inj.Remap)
+	inj.coalesce(&inj.remapPending, inj.Cfg.RemapDelay, func() { inj.rebuild(inj.F.Failures()) })
 }
 
 // coalesce turns a burst of triggers into one recovery pass: fn runs delay
@@ -359,25 +357,11 @@ func (inj *Injector) coalesce(pending *bool, delay des.Time, fn func()) {
 	})
 }
 
-// Remap runs the recovery pipeline now over the fabric's true failure set.
-func (inj *Injector) Remap() {
-	inj.rebuild(inj.F.Failures())
-}
-
-// rebuild is the recovery pipeline: distributed mapper over the survivors of
-// fail, up/down relabelling, route table rebuild, OnRemap.  Switches stranded
-// from the elected root join fail, so they count as unreachable.  It reports
-// whether the new routing was installed.
+// rebuild is the recovery pipeline: up/down relabelling of the survivors of
+// fail (switches stranded from the root count as dead), route table rebuild,
+// OnRemap.  It reports whether the new routing was installed.
 func (inj *Injector) rebuild(fail *updown.Failures) bool {
-	res, err := mapper.RunSurviving(inj.F.G, fail.Links, fail.Switches)
-	if err != nil {
-		inj.ctr.RemapFailures++
-		return false
-	}
-	for _, st := range res.Unmapped {
-		fail.FailSwitch(st.Switch)
-	}
-	ud, err := updown.WithoutEdges(inj.F.G, res.Root, fail)
+	ud, err := updown.WithoutEdges(inj.F.G, topology.None, fail)
 	if err != nil {
 		inj.ctr.RemapFailures++
 		return false

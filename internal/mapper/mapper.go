@@ -9,9 +9,13 @@
 // exchange (root, distance) claims with their neighbours over the real
 // link delays; a switch adopts a claim that names a lower root ID, or the
 // same root at a shorter distance, and re-propagates.  The protocol
-// converges to a spanning tree rooted at the lowest-numbered switch.
-// The package also recomputes the map after link failures — the scenario
-// the paper raises when it calls crosslinks "back-ups in case of failure".
+// converges to a spanning tree rooted at the lowest-numbered switch, also
+// over the survivors of link and switch failures — the scenario the paper
+// raises when it calls crosslinks "back-ups in case of failure".
+//
+// No simulation path runs it: fault recovery labels the survivors with
+// updown.WithoutEdges alone, and this package is the independent oracle
+// its tests check that labelling against.
 package mapper
 
 import (

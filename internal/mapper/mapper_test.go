@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"wormlan/internal/rng"
 	"wormlan/internal/topology"
 	"wormlan/internal/updown"
 )
@@ -153,31 +154,65 @@ func TestFailureSpecifiedFromEitherEnd(t *testing.T) {
 	}
 }
 
-func TestMapperMatchesCentralizedOnRandomTopologies(t *testing.T) {
-	err := quick.Check(func(seed uint64, nRaw, dRaw uint8) bool {
-		n := int(nRaw%20) + 3
-		d := int(dRaw%3) + 2
-		g := topology.Random(n, d, seed)
-		r, err := Run(g, nil)
-		if err != nil {
+// TestRunSurvivingMatchesWithoutEdges keeps this package as the oracle for
+// the labelling every remap uses: fault recovery relabels the survivors with
+// updown.WithoutEdges alone, so on random graphs under random link and
+// switch failures (partitions allowed, zero failures the healthy case) the
+// distributed protocol and the centralized BFS must elect the same root,
+// strand the same switches and agree on every switch's level.
+func TestRunSurvivingMatchesWithoutEdges(t *testing.T) {
+	cases, partitioned := 0, 0
+	err := quick.Check(func(seed uint64, nRaw, dRaw, linksRaw, switchesRaw uint8) bool {
+		g := topology.Random(int(nRaw%20)+2, int(dRaw%3)+2, seed)
+		sws := g.Switches()
+		r := rng.New(seed, 0xfa11)
+		fail := updown.NewFailures()
+		for i := 0; i < int(linksRaw%8); i++ {
+			sw := sws[r.Intn(len(sws))]
+			var ports []topology.PortID
+			for pi, p := range g.Node(sw).Ports {
+				if p.Wired() && g.Node(p.Peer).Kind == topology.Switch {
+					ports = append(ports, topology.PortID(pi))
+				}
+			}
+			if len(ports) > 0 {
+				fail.FailLink(g, sw, ports[r.Intn(len(ports))])
+			}
+		}
+		for i := 0; i < int(switchesRaw%4); i++ {
+			fail.FailSwitch(sws[r.Intn(len(sws))])
+		}
+		cases++
+		m, merr := RunSurviving(g, fail.Links, fail.Switches)
+		ud, uerr := updown.WithoutEdges(g, topology.None, fail)
+		if merr != nil || uerr != nil {
+			return (merr != nil) == (uerr != nil)
+		}
+		if m.Root != ud.Root || m.Verify(g, fail.Links) != nil {
 			return false
 		}
-		if r.Verify(g, nil) != nil {
-			return false
+		unmapped := map[topology.NodeID]bool{}
+		for _, st := range m.Unmapped {
+			unmapped[st.Switch] = true
 		}
-		ud, err := updown.New(g, r.Root)
-		if err != nil {
-			return false
+		if len(unmapped) > 0 {
+			partitioned++
 		}
-		for _, sw := range g.Switches() {
-			if r.Level[sw] != ud.Level[sw] {
+		for _, sw := range sws {
+			stranded := !fail.SwitchDead(sw) && ud.Failures().SwitchDead(sw)
+			if m.Level[sw] != ud.Level[sw] || stranded != unmapped[sw] {
+				t.Logf("seed %d switch %d: mapper level %d unmapped %v, updown level %d stranded %v",
+					seed, sw, m.Level[sw], unmapped[sw], ud.Level[sw], stranded)
 				return false
 			}
 		}
 		return true
-	}, &quick.Config{MaxCount: 30})
+	}, &quick.Config{MaxCount: 2000})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if partitioned == 0 || partitioned == cases {
+		t.Fatalf("%d of %d cases partitioned: the generator misses a regime", partitioned, cases)
 	}
 }
 

@@ -39,7 +39,7 @@ import (
 func (f *Fabric) TopologyEpoch() int64 { return f.epoch }
 
 // Failures returns a snapshot of the current failure set, suitable as
-// input to updown.WithoutEdges / mapper.RunSurviving.
+// input to updown.WithoutEdges.
 func (f *Fabric) Failures() *updown.Failures { return f.fail.Clone() }
 
 // SetRouting installs a (re)computed up/down labelling, used by Broadcast

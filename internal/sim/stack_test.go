@@ -91,6 +91,50 @@ func TestRerouteKeepsRoutingCurrent(t *testing.T) {
 	}
 }
 
+// TestRemapStrandsCutOffSwitch: cutting every cable of one non-root torus
+// switch leaves it alive but unreachable.  The fabric's true failure set
+// does not list it; the relabelling must, because the vcmin rebuild reads
+// its surviving fabric from UD.Failures() and would otherwise route into it.
+func TestRemapStrandsCutOffSwitch(t *testing.T) {
+	g, geo := topology.TorusWithGeom(4, 4, 1, 1)
+	st, err := Build(Config{Graph: g, TorusGeom: geo, Route: "vcmin", Scheme: HamiltonianSF, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Attach(); err != nil {
+		t.Fatal(err)
+	}
+	k := geo.Sw[1][1]
+	plan := &fault.Plan{}
+	for pi, p := range g.Node(k).Ports {
+		if p.Wired() && g.Node(p.Peer).Kind == topology.Switch {
+			plan.LinkDown(1_000, k, topology.PortID(pi))
+		}
+	}
+	if err := st.Faults(plan, fault.InjectorConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.K.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Inj.Counters().Remaps; n != 1 {
+		t.Fatalf("remaps = %d, want 1", n)
+	}
+	if st.Fabric.Failures().SwitchDead(k) {
+		t.Fatalf("switch %d crashed in the fabric; the plan only cut its cables", k)
+	}
+	if !st.UD.Failures().SwitchDead(k) {
+		t.Fatalf("stranded switch %d missing from the installed labelling's failure set", k)
+	}
+	for _, h := range geo.Hosts[1][1] {
+		for _, o := range g.Hosts() {
+			if o != h && (st.Table.HasRoute(o, h) || st.Table.HasRoute(h, o)) {
+				t.Fatalf("table routes between %d and stranded host %d", o, h)
+			}
+		}
+	}
+}
+
 // TestBuildNeedsNoWindow: a harness that drives its own traffic can Build
 // (and Attach) without a measurement window; Wire, which starts the
 // windowed generator, and therefore Run, still refuse.

@@ -14,7 +14,7 @@ type Edge struct {
 }
 
 // Failures is the set of dead cables and dead switches a routing must
-// avoid — the surviving-subgraph input to WithoutEdges and Recompute.
+// avoid — the surviving-subgraph input to WithoutEdges.
 // A nil *Failures means a healthy fabric everywhere it is accepted.
 type Failures struct {
 	// Links holds the failed cables; FailLink records both directed sides
@@ -88,11 +88,12 @@ func (f *Failures) Clone() *Failures {
 // WithoutEdges computes the up/down labelling of the surviving subgraph of
 // g: the BFS spanning tree simply never crosses dead links or enters dead
 // switches, reusing the machinery of New.  If root is topology.None the
-// lowest-numbered live switch is used (the same election rule as the
-// distributed mapper, so a re-map after the old root dies converges to the
-// same choice).  Switches cut off from the root keep Level -1 and the
-// hosts behind them are reported unreachable by Reachable; routing to them
-// fails rather than mis-delivering.
+// lowest-numbered live switch is used — the root rule of every remap, and
+// the one the distributed mapper (internal/mapper) converges to.  A live
+// switch the BFS never reaches is cut off from the root: it joins the
+// routing's own failure set, so it keeps Level -1, the hosts behind it are
+// reported unreachable by Reachable, and routing to them fails rather than
+// mis-delivering.  fail itself is never modified or retained.
 func WithoutEdges(g *topology.Graph, root topology.NodeID, fail *Failures) (*Routing, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("updown: invalid topology: %w", err)
@@ -122,7 +123,9 @@ func WithoutEdges(g *topology.Graph, root topology.NodeID, fail *Failures) (*Rou
 		Parent:     make([]topology.NodeID, len(g.Nodes)),
 		ParentPort: make([]topology.PortID, len(g.Nodes)),
 		inTree:     make([][]bool, len(g.Nodes)),
-		fail:       fail,
+	}
+	if fail != nil {
+		r.fail = fail.Clone()
 	}
 	for i := range g.Nodes {
 		r.Level[i] = -1
@@ -152,30 +155,24 @@ func WithoutEdges(g *topology.Graph, root topology.NodeID, fail *Failures) (*Rou
 			}
 		}
 	}
+	// g is connected (Validate), so only a non-nil fail can strand a switch.
+	for _, sw := range live {
+		if r.Level[sw] < 0 {
+			r.fail.FailSwitch(sw)
+		}
+	}
 	for i := range g.Nodes {
 		for pi, p := range g.Nodes[i].Ports {
 			if !p.Wired() {
 				continue
 			}
 			hostSide := g.Nodes[i].Kind == topology.Host || g.Node(p.Peer).Kind == topology.Host
-			if hostSide && !fail.LinkDead(g, topology.NodeID(i), topology.PortID(pi)) {
+			if hostSide && !r.fail.LinkDead(g, topology.NodeID(i), topology.PortID(pi)) {
 				r.inTree[i][pi] = true
 			}
 		}
 	}
 	return r, nil
-}
-
-// Recompute rebuilds the routing after (additional) failures, keeping the
-// current root when it survived and re-electing the lowest live switch
-// when it did not — what the Myrinet mapper daemon does after it detects a
-// dead link or switch.
-func (r *Routing) Recompute(fail *Failures) (*Routing, error) {
-	root := r.Root
-	if fail.SwitchDead(root) {
-		root = topology.None
-	}
-	return WithoutEdges(r.G, root, fail)
 }
 
 // Failures returns the failure set the routing was computed against (nil

@@ -77,7 +77,7 @@ func TestSchemeRegistry(t *testing.T) {
 			}
 			fail := updown.NewFailures()
 			fail.FailLink(net.Graph, net.Graph.Switches()[0], 0)
-			failed, err := healthy.Recompute(fail)
+			failed, err := updown.WithoutEdges(net.Graph, topology.None, fail)
 			if err != nil {
 				t.Fatal(err)
 			}
