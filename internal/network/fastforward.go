@@ -25,8 +25,8 @@ package network
 //   - link (validated: alive, inFlight == delay, reverse ring uniformly GO,
 //     sender view GO, every slot a clean payload): phase 1 delivers
 //     pipe[slot] and phase 3 writes an identical payload flit of the same
-//     worm back into the same slot, so pipe/occ/inFlight are unchanged;
-//     carried += 1 per tick.
+//     worm back into the same slot, so the pipe, its arrival bits, and
+//     inFlight are unchanged; carried += 1 per tick.
 //   - switch port (validated: pmBound*, pure-payload slack, feeding link
 //     full, every branch opPayload with idleTicks == 0 on a full live
 //     link): receives one payload and pops one, so fill, the head-relative
@@ -70,6 +70,17 @@ package network
 // crossing) is still steady: each wire on its path carries one lane's
 // flits, just not the same lane on every hop.
 //
+// Resting elements (active.go) decline without the walk.  A sleeping head
+// is a pmWait port, which the switch validation rejects as arbitrating; a
+// STOP-held lane or host fails the GO checks on its link; an empty napping
+// lane sent nothing this tick, so its outgoing pipe is not full (or, on a
+// multi-lane wire, a sibling lane sent and the wire is shared).  So
+// while Fabric.heads or Fabric.naps is non-zero Skip returns 0 and sets
+// the same skipHold a failed walk would, and the tick stays the exact
+// account of the napping senders' stall ticks (no skip spans a nap).
+// Under the wormcheck tag Skip still runs the walk there and panics if it
+// would have passed.
+//
 // No trace events fire on any of these paths (EvStop/EvGo need a wish
 // flip, EvInject a stream start, EvTailDrained/EvDelivered a tail,
 // EvBlocked an arbitration), so the skip is exact even with a Recorder
@@ -105,9 +116,58 @@ func (f *Fabric) Skip(now des.Time, max des.Time) des.Time {
 		// never executes, breaking the ticks/dispatched equivalence.
 		return 0
 	}
-	n := max
+	if f.heads > 0 || f.naps > 0 {
+		// A resting element never passes validation (see the header); the
+		// decline and its hold are the ones the validation walk would make.
+		if wormcheckEnabled {
+			f.wormcheckRestDeclines(now, max)
+		}
+		f.skipHold = now + skipRetryTicks
+		return 0
+	}
+	n, nLinks := f.steadyWindow(now, max)
+	if n == 0 {
+		f.skipHold = now + skipRetryTicks
+		return 0
+	}
+
+	// Steady: apply n ticks' worth of monotone counter movement.  Nothing
+	// else changes — that is the definition the validation just proved.
+	f.linkAct.forEach(func(li int) {
+		l := f.links[li]
+		l.carried += n
+		if h := f.hosts[l.dstNode]; h != nil {
+			h.rx.AdvancePayload(int(n))
+			h.rx.Worm().RxProgress += int(n)
+			f.ctr.FlitsDelivered += n
+		}
+	})
+	f.hostAct.forEach(func(ni int) {
+		f.hosts[ni].cur.Advance(int(n))
+	})
+	f.ctr.FlitsCarried += n * int64(nLinks)
+	if f.swBound != nil {
+		f.swAct.forEach(func(ni int) {
+			s := f.sw[ni]
+			f.swBound[s.node] += n * int64(s.nBoundOuts)
+		})
+		f.mticks += n
+	}
+	if nLinks > 0 {
+		f.lastMove = now + n - 1
+	}
+	f.skips++
+	f.skippedTicks += int64(n)
+	return n
+}
+
+// steadyWindow validates the steady shape over every active element and
+// returns how many ticks (at most max) are a pure shift, with the number
+// of active links; n is 0 when anything deviates.  It changes nothing.
+func (f *Fabric) steadyWindow(now des.Time, max des.Time) (n des.Time, nLinks int) {
+	n = max
 	steady := true
-	nLinks, nFed := 0, 0
+	nFed := 0
 
 	// Links: every active link must be a full pipeline of clean payload
 	// (necessarily all of one worm: a second worm would be separated by a
@@ -127,7 +187,7 @@ func (f *Fabric) Skip(now des.Time, max des.Time) des.Time {
 		// mixed pipe declines rather than risking a wrong fast-forward.
 		vc := l.pipe[0].VC
 		for s := 0; s < l.delay; s++ {
-			if !l.occ[s] || l.pipe[s].Kind != flit.Payload || l.pipe[s].Bad ||
+			if !l.occupied(s) || l.pipe[s].Kind != flit.Payload || l.pipe[s].Bad ||
 				l.pipe[s].VC != vc {
 				steady = false
 				return
@@ -150,8 +210,7 @@ func (f *Fabric) Skip(now des.Time, max des.Time) des.Time {
 		nLinks++
 	})
 	if !steady {
-		f.skipHold = now + skipRetryTicks
-		return 0
+		return 0, 0
 	}
 
 	// Switches: no port may be routing, arbitrating, draining, or settling
@@ -222,8 +281,7 @@ func (f *Fabric) Skip(now des.Time, max des.Time) des.Time {
 		})
 	})
 	if !steady {
-		f.skipHold = now + skipRetryTicks
-		return 0
+		return 0, 0
 	}
 
 	// Transmitting hosts: unstalled, unpaced, and inside a payload run
@@ -253,38 +311,9 @@ func (f *Fabric) Skip(now des.Time, max des.Time) des.Time {
 	// other source), whose remaining run then caps n; a linkful fabric with
 	// no active host cannot be steady, and the guard keeps n finite.
 	if !steady || nFed != nLinks || (nLinks > 0 && f.hostAct.empty()) {
-		f.skipHold = now + skipRetryTicks
-		return 0
+		return 0, 0
 	}
-
-	// Steady: apply n ticks' worth of monotone counter movement.  Nothing
-	// else changes — that is the definition the validation just proved.
-	f.linkAct.forEach(func(li int) {
-		l := f.links[li]
-		l.carried += n
-		if h := f.hosts[l.dstNode]; h != nil {
-			h.rx.AdvancePayload(int(n))
-			h.rx.Worm().RxProgress += int(n)
-			f.ctr.FlitsDelivered += n
-		}
-	})
-	f.hostAct.forEach(func(ni int) {
-		f.hosts[ni].cur.Advance(int(n))
-	})
-	f.ctr.FlitsCarried += n * int64(nLinks)
-	if f.swBound != nil {
-		f.swAct.forEach(func(ni int) {
-			s := f.sw[ni]
-			f.swBound[s.node] += n * int64(s.nBoundOuts)
-		})
-		f.mticks += n
-	}
-	if nLinks > 0 {
-		f.lastMove = now + n - 1
-	}
-	f.skips++
-	f.skippedTicks += int64(n)
-	return n
+	return n, nLinks
 }
 
 // SkipStats reports how many times fast-forward engaged and how many ticks

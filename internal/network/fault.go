@@ -72,9 +72,7 @@ func (f *Fabric) FailLink(n topology.NodeID, p topology.PortID) error {
 		return fmt.Errorf("network: link at port %d of node %d already failed", p, n)
 	}
 	f.fail.FailLink(f.G, n, p)
-	f.applyLiveness()
-	f.epoch++
-	f.activate()
+	f.newEpoch()
 	return nil
 }
 
@@ -90,9 +88,7 @@ func (f *Fabric) RestoreLink(n topology.NodeID, p topology.PortID) error {
 	}
 	delete(f.fail.Links, updown.Edge{Node: n, Port: p})
 	delete(f.fail.Links, updown.Edge{Node: port.Peer, Port: port.PeerPort})
-	f.applyLiveness()
-	f.epoch++
-	f.activate()
+	f.newEpoch()
 	return nil
 }
 
@@ -109,9 +105,7 @@ func (f *Fabric) FailSwitch(n topology.NodeID) error {
 	f.fail.FailSwitch(n)
 	s.dead = true
 	f.wipeSwitch(s)
-	f.applyLiveness()
-	f.epoch++
-	f.activate()
+	f.newEpoch()
 	return nil
 }
 
@@ -127,10 +121,18 @@ func (f *Fabric) RestoreSwitch(n topology.NodeID) error {
 	}
 	delete(f.fail.Switches, n)
 	s.dead = false
+	f.newEpoch()
+	return nil
+}
+
+// newEpoch applies a change of the failure set: links follow it, the
+// topology epoch moves, and every sleeping head wakes to re-prune its
+// request against the new liveness.
+func (f *Fabric) newEpoch() {
 	f.applyLiveness()
 	f.epoch++
+	f.wakeAllHeads()
 	f.activate()
-	return nil
 }
 
 // StallHost suspends the transmit side of host h's interface until the
@@ -145,6 +147,7 @@ func (f *Fabric) StallHost(h topology.NodeID, until des.Time) error {
 	if until > hi.stalledUntil {
 		hi.stalledUntil = until
 	}
+	hi.wake() // its next visit must see the stall
 	f.activate()
 	return nil
 }
@@ -153,6 +156,8 @@ func (f *Fabric) StallHost(h topology.NodeID, until des.Time) error {
 // index hint (mod the link count) for determinism.  It returns false when
 // no link currently carries a payload flit to corrupt.  The receiving host
 // detects the damage on checksum at reassembly and discards the worm.
+// Empty links are passed over without probing their slots: they have
+// nothing to corrupt, so the same link is picked.
 func (f *Fabric) CorruptOnLink(hint int) bool {
 	n := len(f.links)
 	if n == 0 {
@@ -163,11 +168,11 @@ func (f *Fabric) CorruptOnLink(hint int) bool {
 	}
 	for k := 0; k < n; k++ {
 		l := f.links[(hint+k)%n]
-		if l.dead {
+		if l.dead || l.inFlight == 0 {
 			continue
 		}
 		for s := 0; s < l.delay; s++ {
-			if l.occ[s] && l.pipe[s].Kind == flit.Payload && !l.pipe[s].Bad {
+			if l.occupied(s) && l.pipe[s].Kind == flit.Payload && !l.pipe[s].Bad {
 				l.pipe[s].Bad = true
 				return true
 			}
@@ -195,8 +200,9 @@ func (f *Fabric) applyLiveness() {
 // truncated worm stub at the downstream end with a forward reset.
 func (f *Fabric) killLink(l *dlink) {
 	l.dead = true
+	c := l.cls
 	for s := 0; s < l.delay; s++ {
-		if l.occ[s] {
+		if w := &c.arr[s*c.lw+l.aw]; *w&l.abit != 0 {
 			f.ctr.FlitsDropped++
 			// A worm with any flit still in flight here has lost its tail:
 			// the downstream copy can never complete.  On long links a whole
@@ -204,16 +210,20 @@ func (f *Fabric) killLink(l *dlink) {
 			// the receiver still unaware, so neither endpoint path would
 			// attribute the loss.
 			f.dropWorm(l.pipe[s].W)
-			l.occ[s] = false
+			*w &^= l.abit
 			l.pipe[s] = flit.Flit{}
 		}
 		l.ctrl[s] = 0
 	}
 	l.ctrlOnes = [4]int32{}
 	l.ctrlTrues = 0
+	f.inFlight -= l.inFlight
 	l.inFlight = 0
+	stop := l.stopMask
 	l.stopMask = 0
+	f.settle.clear(l.id)
 	f.deactivateLink(l)
+	f.wakeSenders(l, stop)
 	// Mark the sender's in-progress worm copies as lost right away (not
 	// only when their tails hit the black hole): if the link revives
 	// mid-worm, the remaining flits must be recognized downstream as a
@@ -253,7 +263,6 @@ func (f *Fabric) reviveLink(l *dlink) {
 	l.dead = false
 	for s := 0; s < l.delay; s++ {
 		l.pipe[s] = flit.Flit{}
-		l.occ[s] = false
 		l.ctrl[s] = 0
 	}
 	l.ctrlOnes = [4]int32{}
@@ -273,6 +282,7 @@ func (f *Fabric) reviveLink(l *dlink) {
 			// clears).
 			if s.in[base+v].stopWish {
 				s.pendIns.set(base + v)
+				f.pubSw.set(int(s.node))
 			}
 		}
 		if !s.dead {
@@ -373,6 +383,7 @@ func (f *Fabric) wipeSwitch(s *swState) {
 
 // reset returns an input port to idle with an empty slack buffer.
 func (in *inPort) reset() {
+	in.wake()
 	for i := range in.slack {
 		in.slack[i] = flit.Flit{}
 	}
@@ -381,7 +392,7 @@ func (in *inPort) reset() {
 	in.setMode(pmIdle)
 	// The fill changed without going through pop: re-evaluate the STOP
 	// wish at the next publish phase.
-	in.sw.dirtyIns.set(in.idx)
+	in.markDirty()
 	in.worm = nil
 	// A port wiped mid-blocked-episode must not suppress the next
 	// EvBlocked/EvResumed trace pair after a restore.

@@ -145,8 +145,7 @@ func (f *Fabric) helloPhase(now des.Time) {
 			f.helloNext(i)
 			continue
 		}
-		slot := f.delaySlots[l.dc]
-		if l.occ[slot] || l.stopMask != 0 {
+		if l.occupied(l.cls.slot) || l.stopMask != 0 {
 			// Congestion: data owns the wire (or the delayed STOP state
 			// holds the sending end).  The hello waits — this is the
 			// mechanism by which saturation mimics death.

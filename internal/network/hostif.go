@@ -34,8 +34,11 @@ type hostIf struct {
 
 	// active mirrors the host's presence in Fabric.hostAct (see active.go);
 	// it covers the transmit side only.  The receive side is accounted by
-	// Fabric.rxBusy.
-	active bool
+	// Fabric.rxBusy.  napping mirrors Fabric.hostNap; napAt is the transmit
+	// pass the nap began in.
+	active  bool
+	napping bool
+	napAt   int64
 
 	rx flit.Reassembler
 
@@ -151,6 +154,10 @@ func (h *hostIf) transmit(now des.Time) {
 	}
 	if h.outLink.stopped(0) {
 		h.outLink.stalled++
+		if h.cur.W.PaceFrom == nil {
+			// Until GO (or StallHost), every visit is this one again.
+			h.nap()
+		}
 		return
 	}
 	if !h.cur.CanSend(h.cur.W.PaceFrom) {

@@ -2,7 +2,9 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 
+	"wormlan/internal/des"
 	"wormlan/internal/flit"
 	"wormlan/internal/topology"
 )
@@ -43,25 +45,26 @@ type dlink struct {
 	grantTick int64
 	grantVC   int8
 
-	// dc indexes Fabric.delaySlots: the link's pipeline slot for the
-	// current tick, computed once per distinct delay value per tick
-	// instead of a 64-bit modulo at every use.
-	dc    int
+	// cls is the link's delay class: the pipeline slot for the current tick
+	// and the arrival bitsets that say which of the class's slots hold a
+	// flit.  aw/abit locate this link's bit in a slot's bitset.
+	cls   *delayClass
+	aw    int
+	abit  uint64
 	delay int
 
-	// pipe[s]/occ[s] hold the flit written at a tick with now%delay == s;
-	// it is delivered exactly delay ticks later when the slot index comes
-	// around again.
+	// pipe[s] holds the flit written at a tick with now%delay == s; it is
+	// delivered exactly delay ticks later when the slot index comes around
+	// again.  Whether slot s is occupied is this link's bit in the class's
+	// arrival bitset for s (see occupied) — the one record of occupancy.
 	pipe []flit.Flit
-	occ  []bool
 	// ctrl[s] carries the downstream per-lane STOP wishes written at slot
 	// s (bit v = lane v), read by the sender delay ticks later.
 	ctrl []uint8
 	// ctrlOnes[v] counts STOP bits for lane v currently in the ctrl ring;
-	// ctrlTrues is their sum.  The link must keep ticking until the ring
-	// is uniformly GO again (ctrlTrues == 0), or a stale STOP could be
-	// (mis)read after an idle period; a lane's reverse channel has settled
-	// when its count is 0 or delay.
+	// ctrlTrues is their sum.  A lane's reverse channel has settled when its
+	// count is 0 or delay; until every lane has, and stopMask has caught up
+	// with the ring, the link sits in Fabric.settle and is read every tick.
 	ctrlOnes  [4]int32
 	ctrlTrues int
 	// inFlight counts occupied pipeline slots, so the fabric knows the
@@ -76,7 +79,8 @@ type dlink struct {
 	dstHost *hostIf
 
 	// carried counts flits that have crossed this link (utilization);
-	// stalled counts ticks a bound sender was held by STOP backpressure.
+	// stalled counts ticks a bound sender was held by STOP backpressure
+	// (a napping sender's ticks are added when it wakes, see swState.nap).
 	carried int64
 	stalled int64
 
@@ -89,9 +93,42 @@ type dlink struct {
 	dstPort topology.PortID
 }
 
+// delayClass groups the links of one propagation delay.  Their pipelines
+// share a slot index (now % delay, refreshed once per tick instead of a
+// 64-bit modulo at every use) and one slab of arrival bitsets, slot-major:
+// arr[s*lw : (s+1)*lw] has bit l.id set when link l's slot s holds a flit.
+// Bits are indexed by fabric-wide link ID so phase 1 can OR the current
+// slot of every class into one bitset and visit arrivals in link order.
+type delayClass struct {
+	delay int64
+	slot  int
+	lw    int
+	arr   []uint64
+}
+
+// occupied reports whether pipeline slot s holds a flit.
+func (l *dlink) occupied(s int) bool { return l.cls.arr[s*l.cls.lw+l.aw]&l.abit != 0 }
+
 // stopped reports whether lane vc is STOP-backpressured as seen from the
 // sending end.
 func (l *dlink) stopped(vc uint8) bool { return l.stopMask>>vc&1 != 0 }
+
+// settled reports whether every lane's reverse ring is uniform and the
+// sender's view already equals it: reading the ring is then a no-op on
+// every tick until the next ctrl write.
+func (l *dlink) settled() bool {
+	var ring uint8
+	for v := 0; v < l.f.nvc; v++ {
+		switch l.ctrlOnes[v] {
+		case 0:
+		case int32(l.delay):
+			ring |= 1 << v
+		default:
+			return false
+		}
+	}
+	return l.stopMask == ring
+}
 
 // send places a flit on the wire at the given tick.  The caller must send
 // at most one flit per link per tick — across all lanes; a second send is
@@ -106,16 +143,79 @@ func (l *dlink) send(now int64, fl flit.Flit) {
 		}
 		return
 	}
-	slot := l.f.delaySlots[l.dc]
-	if l.occ[slot] {
+	c := l.cls
+	w := &c.arr[c.slot*c.lw+l.aw]
+	if *w&l.abit != 0 {
 		panic(fmt.Sprintf("network: double send on link %d.%d->%d.%d at t=%d",
 			l.srcNode, l.srcPort, l.dstNode, l.dstPort, now))
 	}
-	l.pipe[slot] = fl
-	l.occ[slot] = true
+	l.pipe[c.slot] = fl
+	*w |= l.abit
 	l.carried++
 	l.inFlight++
+	l.f.inFlight++
 	l.f.activateLink(l)
+}
+
+// deliver runs phase 1 for one link: the sender's delayed STOP view
+// advances one slot, and the flit written delay ticks ago (if any) reaches
+// the far end.  Tick calls it only for links with an arrival this tick or
+// a reverse channel still settling; for every other link both steps are
+// no-ops.
+func (l *dlink) deliver(now des.Time) {
+	f := l.f
+	c := l.cls
+	slot := c.slot
+	if m := l.ctrl[slot]; m != l.stopMask {
+		changed := m ^ l.stopMask
+		l.stopMask = m
+		f.wakeSenders(l, changed)
+	}
+	if w := &c.arr[slot*c.lw+l.aw]; *w&l.abit != 0 {
+		*w &^= l.abit
+		f.moved = true
+		fl := l.pipe[slot]
+		l.inFlight--
+		f.inFlight--
+		l.pipe[slot] = flit.Flit{}
+		switch {
+		case fl.Kind == flit.Hello:
+			// Control symbol: consumed here, never enters slack buffers or
+			// reassemblers.
+			f.helloRecv(l, now)
+		case l.dstIns != nil:
+			l.dstIns[fl.VC].receive(fl)
+		default:
+			l.dstHost.receive(fl, now)
+		}
+	}
+	if f.settle.has(l.id) && l.settled() {
+		f.settle.clear(l.id)
+	}
+	if l.inFlight == 0 && l.ctrlTrues == 0 && l.stopMask == 0 {
+		// Empty pipe, clean reverse channel: nothing for Skip to validate
+		// until the next send or STOP write re-activates.
+		f.deactivateLink(l)
+	}
+}
+
+// wakeSenders wakes the napping senders of l whose lanes' STOP bits just
+// changed: a STOP-held sender may now move, an empty one would now count
+// stall ticks.
+func (f *Fabric) wakeSenders(l *dlink, changed uint8) {
+	s := f.sw[l.srcNode]
+	if s == nil {
+		if changed&1 != 0 {
+			f.hosts[l.srcNode].wake()
+		}
+		return
+	}
+	base := int(l.srcPort) * f.nvc
+	for ; changed != 0; changed &= changed - 1 {
+		if o := &s.out[base+bits.TrailingZeros8(changed)]; o.boundIn >= 0 {
+			s.in[o.boundIn].wake()
+		}
+	}
 }
 
 // LinkStat reports per-link utilization.

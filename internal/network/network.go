@@ -289,17 +289,25 @@ type Fabric struct {
 	// header bytes as the Duato route-anywhere marker (see adaptive.go).
 	adaptive *AdaptiveTable
 
-	// Active-element sets (see active.go): Tick visits only these indices.
-	linkAct bitset // indices into links
-	swAct   bitset // switch NodeIDs
-	hostAct bitset // host NodeIDs (transmit side)
-	rxBusy  int    // hosts with a reception in progress
+	// Active-element sets and wake-up state (see active.go).  Phase 1 visits
+	// the links with an arrival this tick (the delay classes' arrival
+	// bitsets) plus settle; linkAct holds every link with state for Skip.
+	linkAct  bitset // links with a flit in flight or a STOP in the ring/view
+	settle   bitset // links whose reverse ring or STOP view is still moving
+	inFlight int    // flits in flight on all links
+	swAct    bitset // switch NodeIDs
+	pubSw    bitset // switches with a dirty or pending STOP/GO port
+	hostAct  bitset // host NodeIDs (transmit side)
+	hostNap  bitset // hosts in hostAct napping behind STOP
+	rxBusy   int    // hosts with a reception in progress
+	heads    int    // sleeping pmWait heads, fabric-wide
+	naps     int    // napping lanes and hosts, fabric-wide
+	// passes counts completed transmit phases; a napping sender records the
+	// pass it napped in, so the stall ticks it skipped are passes-napAt.
+	passes int64
 
-	// delays holds the distinct link propagation delays; delaySlots[i] is
-	// now % delays[i], refreshed once at the top of each Tick so the per-
-	// link/per-port hot paths index a table instead of dividing.
-	delays     []int64
-	delaySlots []int
+	// classes holds one delayClass per distinct link propagation delay.
+	classes []delayClass
 
 	lastMove des.Time // last tick at which any flit moved
 	work     bool     // any activity (movement or held state) this tick
@@ -362,6 +370,7 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 			s.out = make([]outPort, lanes)
 			s.routeIns = newBitset(lanes)
 			s.boundIns = newBitset(lanes)
+			s.restIns = newBitset(lanes)
 			s.dirtyIns = newBitset(lanes)
 			s.pendIns = newBitset(lanes)
 			s.deadIns = newBitset(lanes)
@@ -387,14 +396,14 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 	// The per-link pipeline rings and per-lane slack rings are carved from
 	// shared slabs: one allocation each instead of several per link, and
 	// the rings end up cache-adjacent in construction order.
-	var pipeFlits, boolSlots, ctrlSlots, slackFlits int
+	var nLinks, pipeFlits, ctrlSlots, slackFlits int
 	for ni := range g.Nodes {
 		for _, p := range g.Nodes[ni].Ports {
 			if !p.Wired() {
 				continue
 			}
+			nLinks++
 			pipeFlits += int(p.Delay)
-			boolSlots += int(p.Delay)
 			ctrlSlots += int(p.Delay)
 			if f.sw[p.Peer] != nil {
 				slackFlits += nvc * (f.Cfg.StopMark + 2*int(p.Delay))
@@ -402,9 +411,9 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 		}
 	}
 	pipeSlab := make([]flit.Flit, pipeFlits)
-	boolSlab := make([]bool, boolSlots)
 	ctrlSlab := make([]uint8, ctrlSlots)
 	slackSlab := make([]flit.Flit, slackFlits)
+	lw := (nLinks + 63) / 64
 
 	for ni := range g.Nodes {
 		n := &g.Nodes[ni]
@@ -420,21 +429,9 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 				dstNode: p.Peer, dstPort: p.PeerPort,
 			}
 			l.grantTick = -1
+			l.aw, l.abit = l.id>>6, 1<<uint(l.id&63)
 			l.pipe, pipeSlab = pipeSlab[:l.delay:l.delay], pipeSlab[l.delay:]
-			l.occ, boolSlab = boolSlab[:l.delay:l.delay], boolSlab[l.delay:]
 			l.ctrl, ctrlSlab = ctrlSlab[:l.delay:l.delay], ctrlSlab[l.delay:]
-			l.dc = -1
-			for i, d := range f.delays {
-				if d == int64(l.delay) {
-					l.dc = i
-					break
-				}
-			}
-			if l.dc < 0 {
-				l.dc = len(f.delays)
-				f.delays = append(f.delays, int64(l.delay))
-				f.delaySlots = append(f.delaySlots, 0)
-			}
 			f.links = append(f.links, l)
 			if s := f.sw[ni]; s != nil {
 				for v := 0; v < nvc; v++ {
@@ -461,9 +458,32 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 			}
 		}
 	}
+	// One delay class per distinct delay, in first-seen link order, each
+	// with its slab of delay slot-major arrival bitsets.
+	classOf := make([]int, len(f.links))
+	for i, l := range f.links {
+		classOf[i] = -1
+		for c := range f.classes {
+			if f.classes[c].delay == int64(l.delay) {
+				classOf[i] = c
+				break
+			}
+		}
+		if classOf[i] < 0 {
+			classOf[i] = len(f.classes)
+			f.classes = append(f.classes, delayClass{delay: int64(l.delay), lw: lw,
+				arr: make([]uint64, l.delay*lw)})
+		}
+	}
+	for i, l := range f.links {
+		l.cls = &f.classes[classOf[i]]
+	}
 	f.linkAct = newBitset(len(f.links))
+	f.settle = newBitset(len(f.links))
 	f.swAct = newBitset(len(g.Nodes))
+	f.pubSw = newBitset(len(g.Nodes))
 	f.hostAct = newBitset(len(g.Nodes))
+	f.hostNap = newBitset(len(g.Nodes))
 	return f, nil
 }
 
@@ -517,53 +537,34 @@ func (f *Fabric) activate() {
 
 // Tick advances the fabric one byte-time.  It implements des.Ticker.
 //
-// Each phase visits only the elements in its active set (see active.go);
-// an element outside its set is provably a no-op under the full scan this
-// loop replaces, so the visit order — ascending index — and every
+// Each phase visits only the elements that can act this tick (see
+// active.go): an element left out is provably a no-op under the full scan
+// this loop replaces, so the visit order — ascending index — and every
 // observable effect are identical to scanning everything.
 func (f *Fabric) Tick(now des.Time) bool {
 	f.work = false
 	f.moved = false
-	for i, d := range f.delays {
-		f.delaySlots[i] = int(now % d)
+	for i := range f.classes {
+		c := &f.classes[i]
+		c.slot = int(now % c.delay)
 	}
 
 	// Phase 1: links deliver the flits and control state that have been in
-	// flight for one full propagation delay.
-	f.linkAct.forEach(func(li int) {
-		l := f.links[li]
-		if l.dead {
-			return // a dead link delivers nothing, in either direction
+	// flight for one full propagation delay — the links with an arrival bit
+	// in their class's current slot, plus those whose reverse channel is
+	// still settling, in ascending link order.
+	for wi, w := range f.settle.words {
+		for i := range f.classes {
+			c := &f.classes[i]
+			w |= c.arr[c.slot*c.lw+wi]
 		}
-		slot := f.delaySlots[l.dc]
-		l.stopMask = l.ctrl[slot]
-		if l.occ[slot] {
-			f.work = true
-			f.moved = true
-			fl := l.pipe[slot]
-			l.occ[slot] = false
-			l.inFlight--
-			l.pipe[slot] = flit.Flit{}
-			switch {
-			case fl.Kind == flit.Hello:
-				// Control symbol: consumed here, never enters slack buffers
-				// or reassemblers.
-				f.helloRecv(l, now)
-			case l.dstIns != nil:
-				l.dstIns[fl.VC].receive(fl)
-			default:
-				l.dstHost.receive(fl, now)
-			}
+		for ; w != 0; w &= w - 1 {
+			f.links[wi<<6+bits.TrailingZeros64(w)].deliver(now)
 		}
-		if l.inFlight > 0 {
-			f.work = true
-		} else if l.ctrlTrues == 0 && l.stopMask == 0 {
-			// Empty pipe, clean reverse channel: every future tick is a
-			// no-op until the next send or STOP write re-activates.
-			l.active = false
-			f.linkAct.clear(li)
-		}
-	})
+	}
+	if f.moved || f.inFlight > 0 {
+		f.work = true
+	}
 
 	// Phase 2: switches route worm heads and arbitrate output ports.
 	f.swAct.forEach(func(ni int) {
@@ -572,13 +573,17 @@ func (f *Fabric) Tick(now des.Time) bool {
 		}
 	})
 
-	// Phase 3: bound outputs and host interfaces transmit one flit each.
+	// Phase 3: bound outputs and host interfaces transmit one flit each.  A
+	// switch with nothing to publish settles its liveness right here.
 	f.swAct.forEach(func(ni int) {
 		if s := f.sw[ni]; !s.dead {
 			s.transmit(now)
+			if !f.pubSw.has(ni) {
+				s.settleLiveness()
+			}
 		}
 	})
-	f.hostAct.forEach(func(ni int) {
+	f.hostAct.forEachAndNot(&f.hostNap, func(ni int) {
 		h := f.hosts[ni]
 		h.transmit(now)
 		if h.cur != nil || h.qlen() > 0 {
@@ -589,101 +594,22 @@ func (f *Fabric) Tick(now des.Time) bool {
 			f.hostAct.clear(ni)
 		}
 	})
+	f.passes++
+	if f.naps > 0 {
+		// A napping host still has its stream to send.
+		f.work = true
+	}
 
 	// Phase 3b: due liveness hellos go out on links the data phases left
 	// free this tick (no-op unless EnableHello was called).
 	f.helloPhase(now)
 
-	// Phase 4: input ports publish STOP/GO onto the reverse channels.
-	//
-	// Only two kinds of port can differ from a no-op under the full scan:
-	// one whose slack fill crossed a STOP/GO threshold since the last
-	// publish (dirtyIns — the wish is a pure function of fill with
-	// hysteresis, so any other fill history cannot flip it) and one whose
-	// reverse ring is still settling toward the current wish (pendIns —
-	// the conditional ctrl write is a no-op once the ring is uniform).
-	// Everything else is summarized by the aggregate indexes.
-	f.swAct.forEach(func(ni int) {
-		s := f.sw[ni]
-		if s.dead {
-			return
-		}
-		stopMark, goMark := f.Cfg.StopMark, f.Cfg.GoMark
-		for wi := range s.dirtyIns.words {
-			w := s.dirtyIns.words[wi] | s.pendIns.words[wi]
-			s.dirtyIns.words[wi] = 0
-			for w != 0 {
-				pi := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				in := &s.in[pi]
-				l := in.inLink
-				if l == nil || l.dead {
-					continue
-				}
-				fill := in.fill
-				switch {
-				case fill >= stopMark:
-					if !in.stopWish {
-						in.stopWish = true
-						s.wishPorts++
-						if f.rec != nil {
-							f.emit(now, trace.EvStop, s.node, pi, in.wormID(), int64(fill))
-						}
-					}
-				case fill <= goMark:
-					if in.stopWish {
-						in.stopWish = false
-						s.wishPorts--
-						if f.rec != nil {
-							f.emit(now, trace.EvGo, s.node, pi, in.wormID(), int64(fill))
-						}
-					}
-				}
-				slot := f.delaySlots[l.dc]
-				bit := uint8(1) << in.vc
-				if (l.ctrl[slot]&bit != 0) != in.stopWish {
-					if in.stopWish {
-						l.ctrl[slot] |= bit
-						l.ctrlOnes[in.vc]++
-						l.ctrlTrues++
-						f.activateLink(l)
-					} else {
-						l.ctrl[slot] &^= bit
-						l.ctrlOnes[in.vc]--
-						l.ctrlTrues--
-					}
-				}
-				if (in.stopWish && int(l.ctrlOnes[in.vc]) == l.delay) ||
-					(!in.stopWish && l.ctrlOnes[in.vc] == 0) {
-					s.pendIns.clear(pi)
-				} else {
-					s.pendIns.set(pi)
-				}
-			}
-		}
-		// Work and liveness, from the aggregates.  Equivalences with the
-		// full scan: routeIns|boundIns is exactly "fill > 0 or mode not
-		// idle" (a flush/drop port stays in routeIns until it re-idles);
-		// wishPorts covers both standing STOP wishes and rings pinned
-		// uniformly-STOP (old criterion ctrlTrues > 0 with a true wish);
-		// pendIns covers settling rings (ctrlTrues > 0 with a false wish).
-		if anyAndNot(&s.routeIns, &s.boundIns, &s.deadIns) {
-			f.work = true
-		}
-		busy := s.wishPorts > 0 || !s.pendIns.empty() || anyOr(&s.routeIns, &s.boundIns)
-		if s.nBoundOuts > 0 {
-			f.work = true
-			busy = true
-			if f.swBound != nil {
-				f.swBound[s.node] += int64(s.nBoundOuts)
-				if s.nBoundOuts > f.swPeak[s.node] {
-					f.swPeak[s.node] = s.nBoundOuts
-				}
-			}
-		}
-		if !busy {
-			s.active = false
-			f.swAct.clear(ni)
+	// Phase 4: input ports publish STOP/GO onto the reverse channels, at the
+	// active switches with a dirty or pending port (see swState.publish).
+	f.pubSw.forEach(func(ni int) {
+		if s := f.sw[ni]; s.active && !s.dead {
+			s.publish(now)
+			s.settleLiveness()
 		}
 	})
 	if f.swBound != nil {

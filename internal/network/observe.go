@@ -40,10 +40,22 @@ func (f *Fabric) Metrics() *trace.Metrics {
 			Busy: l.carried, Stalled: l.stalled,
 		}
 	}
+	// STOP-held senders still napping have not yet added the stall ticks
+	// their skipped visits would have counted (see active.go).
+	for _, h := range f.hosts {
+		if h != nil && h.napping {
+			m.Channels[h.outLink.id].Stalled += f.passes - h.napAt
+		}
+	}
 	for _, s := range f.sw {
 		if s == nil {
 			continue
 		}
+		s.restIns.forEach(func(pi int) {
+			if in := &s.in[pi]; in.rest == napStopped {
+				m.Channels[in.ou.link.id].Stalled += f.passes - in.napAt
+			}
+		})
 		st := trace.SwitchStat{Node: s.node}
 		if f.swBound != nil {
 			st.BoundTicks = f.swBound[s.node]

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wormlan/internal/arb"
 	"wormlan/internal/des"
@@ -54,8 +55,6 @@ type inPort struct {
 	f   *Fabric
 	sw  *swState
 	idx int
-	// vc is this lane's virtual-channel id within its physical port.
-	vc uint8
 
 	// Slack ring buffer (Figure 1).
 	slack []flit.Flit
@@ -67,28 +66,32 @@ type inPort struct {
 	// fill against them on every flit, and a config chase there is hot.
 	stopMark, goMark int
 
+	inLink *dlink
+	worm   *flit.Worm
+
+	// The one-byte fields share a word.  vc is this lane's virtual-channel
+	// id within its physical port.
+	vc   uint8
+	mode portMode
+	// rest says whether the port is out of its phase's visit set, and why
+	// (see active.go).
+	rest restKind
 	//wormlint:keep reset callers clear it themselves, paired with the sw.wishPorts accounting only they can see
 	stopWish bool
-	inLink   *dlink
-
-	mode portMode
-	worm *flit.Worm
-
 	// blocked marks a pmWait input whose EvBlocked has been emitted, so a
 	// blocking episode traces as one Blocked/Resumed pair, not one event
 	// per retried tick.
 	blocked bool
-
 	// adaptive marks a pmWait head holding the route.AdaptivePort marker:
 	// its output request is recomputed from live lane occupancy every tick
 	// (adaptiveSelect) instead of being fixed at decode time.  Only
 	// meaningful in pmWait; setMode clears it on every other transition.
 	adaptive bool
-
-	// Multicast header collection parser state.
+	// mcExpectPtr, mcBuf and mcSkip are the multicast header collection
+	// parser state.
+	mcExpectPtr bool
 	mcBuf       []byte
 	mcSkip      int
-	mcExpectPtr bool
 
 	// Requested/bound outputs and the header to stamp on each branch
 	// (nil for host delivery).
@@ -101,6 +104,13 @@ type inPort struct {
 	// Only meaningful in pmBoundUni; left stale otherwise.
 	//wormlint:keep only read in pmBoundUni, where bind just wrote it
 	ou *outPort
+
+	// napAt is the transmit pass a napping lane stopped being visited in.
+	//wormlint:keep only read while rest is a nap, and every nap writes it
+	napAt int64
+	// prunedAt is the topology epoch + 1 at which pruneStale last found
+	// every requested output live (0: not since the request was decoded).
+	prunedAt int64
 }
 
 func (in *inPort) receive(fl flit.Flit) {
@@ -109,6 +119,9 @@ func (in *inPort) receive(fl flit.Flit) {
 	// skipping it avoids a load of the (cold) swState header per flit.
 	if in.fill == 0 && in.mode == pmIdle {
 		in.f.activateSwitch(in.sw)
+	}
+	if in.rest == napEmpty {
+		in.wake() // something to relay again
 	}
 	if in.fill >= in.cap {
 		panic(fmt.Sprintf("network: slack overflow at switch %d port %d (cap %d): STOP/GO sizing bug",
@@ -124,7 +137,7 @@ func (in *inPort) receive(fl flit.Flit) {
 	// mark while the wish is clear; any other fill change leaves the publish
 	// phase a provable no-op, so the port is not marked dirty for it.
 	if in.fill >= in.stopMark && !in.stopWish {
-		in.sw.dirtyIns.set(in.idx)
+		in.markDirty()
 	}
 	if in.mode == pmIdle {
 		in.sw.routeIns.set(in.idx)
@@ -144,7 +157,7 @@ func (in *inPort) pop() flit.Flit {
 	// Mirror of receive: only a drain to the GO mark with a standing STOP
 	// wish can flip the wish at the next publish.
 	if in.fill <= in.goMark && in.stopWish {
-		in.sw.dirtyIns.set(in.idx)
+		in.markDirty()
 	}
 	if in.fill == 0 && in.mode == pmIdle {
 		in.sw.routeIns.clear(in.idx)
@@ -157,6 +170,7 @@ func (in *inPort) pop() flit.Flit {
 // construction must go through here.
 func (in *inPort) setMode(m portMode) {
 	in.mode = m
+	in.prunedAt = 0
 	if m != pmWait {
 		in.adaptive = false
 	}
@@ -244,6 +258,10 @@ type swState struct {
 	// setMode/receive/pop so route and transmit touch only live ports.
 	routeIns bitset
 	boundIns bitset
+	// restIns holds the resting ports (see active.go): sleeping pmWait
+	// heads, which route skips, and napping pmBoundUni lanes, which
+	// transmit skips, until a wake-up.
+	restIns bitset
 	// dirtyIns marks ports whose STOP wish may need to flip at the next
 	// publish phase: receive/pop set it only when the fill crosses the
 	// STOP mark (wish clear) or the GO mark (wish set) — any other fill
@@ -274,27 +292,23 @@ type swState struct {
 // route advances the head-of-worm state machines of every input port:
 // header consumption, route decoding, and output arbitration.
 func (s *swState) route(now des.Time) {
-	n := len(s.in)
-	if n == 0 {
-		return
-	}
 	// Rotating scan order provides round-robin fairness between inputs
-	// contending for the same outputs.  routeIns holds exactly the ports
-	// for which routeInput is not a no-op (bound/idle-empty ports are
-	// excluded), so iterating the mask in rotated order visits the same
-	// ports in the same order as the full rotating scan did.  The start
-	// index rotates over physical ports (scaled to lane 0), so a multi-VC
-	// fabric carrying lane-0-only traffic visits ports in exactly the
-	// NumVCs == 1 order.
-	if s.routeIns.empty() {
+	// contending for the same outputs.  routeIns minus restIns holds
+	// exactly the ports for which routeInput is not a no-op (bound and
+	// idle-empty ports are excluded, sleeping heads would fail again), so
+	// iterating the mask in rotated order visits the same ports in the same
+	// order as the full rotating scan did.  The start index rotates over
+	// physical ports (scaled to lane 0), so a multi-VC fabric carrying
+	// lane-0-only traffic visits ports in exactly the NumVCs == 1 order.
+	if !s.routeIns.anyAndNot(&s.restIns) {
 		return
 	}
 	if s.arb != nil {
 		s.arbLanes = s.arbLanes[:0]
 	}
 	nvc := s.f.nvc
-	start := int(now%int64(n/nvc)) * nvc
-	s.routeIns.forEachFrom(start, func(pi int) {
+	start := int(now%int64(len(s.in)/nvc)) * nvc
+	s.routeIns.forEachFromAndNot(start, &s.restIns, func(pi int) {
 		s.routeInput(&s.in[pi], now)
 	})
 	if s.arb != nil && len(s.arbLanes) > 0 {
@@ -514,6 +528,11 @@ func (s *swState) broadcastBranches(arrival int) (outs []int, stamps [][]byte) {
 // route was computed (a stale source route), and reports false when the
 // worm lost every branch and was drained.
 func (s *swState) pruneStale(in *inPort) bool {
+	if in.prunedAt == s.f.epoch+1 && !in.adaptive {
+		// Every branch was live at this epoch, and liveness only changes
+		// with the epoch.  (Adaptive heads rewrite their request per tick.)
+		return true
+	}
 	pruned := false
 	liveOuts := in.reqOuts[:0]
 	liveStamps := in.reqStamps[:0]
@@ -543,6 +562,7 @@ func (s *swState) pruneStale(in *inPort) bool {
 			return false
 		}
 	}
+	in.prunedAt = s.f.epoch + 1
 	return true
 }
 
@@ -559,6 +579,11 @@ func (s *swState) bindRequested(in *inPort) {
 		in.setMode(pmBoundUni)
 	} else {
 		in.setMode(pmBoundMC)
+		if s.f.nvc > 1 {
+			for _, oi := range in.outs {
+				s.wakeWireSiblings(&s.out[oi])
+			}
+		}
 	}
 }
 
@@ -633,6 +658,10 @@ func (s *swState) tryGrant(in *inPort, now des.Time) {
 			if s.f.rec != nil {
 				s.f.emit(now, trace.EvBlocked, s.node, in.idx, in.worm.ID, int64(len(in.reqOuts)))
 			}
+		}
+		if !in.adaptive && (s.arb == nil || len(in.reqOuts) != 1) {
+			// The next retry is this one again until an output frees.
+			s.sleep(in)
 		}
 		return
 	}
@@ -720,9 +749,10 @@ func (s *swState) flush(in *inPort, now des.Time) {
 // Section 3), with SchemeInterrupt's fragment/resume logic layered on top.
 func (s *swState) transmit(now des.Time) {
 	// boundIns holds exactly the ports in pmBoundUni/pmBoundMC, in index
-	// order — the same ports the full scan would act on.
+	// order — the same ports the full scan would act on — and restIns the
+	// ones whose visit would be a no-op.
 	f := s.f
-	s.boundIns.forEach(func(ii int) {
+	s.boundIns.forEachAndNot(&s.restIns, func(ii int) {
 		in := &s.in[ii]
 		// boundIns holds only pmBoundUni and pmBoundMC ports.
 		switch in.mode {
@@ -733,11 +763,15 @@ func (s *swState) transmit(now des.Time) {
 				// ready); a stopped lane's wait still counts as a stall.
 				if o.link.stopped(o.vc) {
 					o.link.stalled++
+					s.nap(in, napStopped)
+				} else if in.fill == 0 && o.phase == opPayload {
+					s.nap(in, napEmpty)
 				}
 				return
 			}
 			if o.link.stopped(o.vc) {
 				o.link.stalled++
+				s.nap(in, napStopped)
 				return
 			}
 			if o.phase == opPrefix {
@@ -754,6 +788,7 @@ func (s *swState) transmit(now des.Time) {
 				return
 			}
 			if in.fill == 0 {
+				s.nap(in, napEmpty)
 				return
 			}
 			fl := in.pop()
@@ -771,11 +806,111 @@ func (s *swState) transmit(now des.Time) {
 				s.nBoundOuts--
 				in.setMode(pmIdle)
 				in.worm = nil
+				s.wakeHeads(o.base + int(o.vc))
 			}
 		case pmBoundMC:
 			s.transmitMC(in, now)
 		}
 	})
+}
+
+// publish runs phase 4 for the switch: every port whose slack fill crossed
+// a STOP/GO threshold since the last publish (dirtyIns — the wish is a pure
+// function of fill with hysteresis, so any other fill history cannot flip
+// it) re-evaluates its wish, and every port whose reverse ring is still
+// settling toward the wish (pendIns) writes this tick's slot.  Any other
+// port's publish is a no-op, and a switch with neither kind is not in
+// Fabric.pubSw at all.
+func (s *swState) publish(now des.Time) {
+	f := s.f
+	stopMark, goMark := f.Cfg.StopMark, f.Cfg.GoMark
+	for wi := range s.dirtyIns.words {
+		w := s.dirtyIns.words[wi] | s.pendIns.words[wi]
+		s.dirtyIns.words[wi] = 0
+		for w != 0 {
+			pi := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			in := &s.in[pi]
+			l := in.inLink
+			if l == nil || l.dead {
+				continue
+			}
+			fill := in.fill
+			switch {
+			case fill >= stopMark:
+				if !in.stopWish {
+					in.stopWish = true
+					s.wishPorts++
+					if f.rec != nil {
+						f.emit(now, trace.EvStop, s.node, pi, in.wormID(), int64(fill))
+					}
+				}
+			case fill <= goMark:
+				if in.stopWish {
+					in.stopWish = false
+					s.wishPorts--
+					if f.rec != nil {
+						f.emit(now, trace.EvGo, s.node, pi, in.wormID(), int64(fill))
+					}
+				}
+			}
+			slot := l.cls.slot
+			bit := uint8(1) << in.vc
+			if (l.ctrl[slot]&bit != 0) != in.stopWish {
+				if in.stopWish {
+					l.ctrl[slot] |= bit
+					l.ctrlOnes[in.vc]++
+					l.ctrlTrues++
+					f.activateLink(l)
+				} else {
+					l.ctrl[slot] &^= bit
+					l.ctrlOnes[in.vc]--
+					l.ctrlTrues--
+				}
+				// The sender read this slot this tick: its view now lags.
+				f.settle.set(l.id)
+			}
+			if (in.stopWish && int(l.ctrlOnes[in.vc]) == l.delay) ||
+				(!in.stopWish && l.ctrlOnes[in.vc] == 0) {
+				s.pendIns.clear(pi)
+			} else {
+				s.pendIns.set(pi)
+			}
+		}
+	}
+	if s.pendIns.empty() {
+		f.pubSw.clear(int(s.node))
+	}
+}
+
+// settleLiveness folds the switch's end-of-tick state into the fabric work
+// flag and drops the switch from swAct when every phase would be a no-op.
+// Equivalences with the full scan: routeIns|boundIns is exactly "fill > 0
+// or mode not idle" (a flush/drop port stays in routeIns until it
+// re-idles; sleeping and napping ports stay members); wishPorts covers
+// both standing STOP wishes and rings pinned uniformly-STOP (old criterion
+// ctrlTrues > 0 with a true wish); pendIns covers settling rings
+// (ctrlTrues > 0 with a false wish).
+func (s *swState) settleLiveness() {
+	f := s.f
+	if anyAndNot(&s.routeIns, &s.boundIns, &s.deadIns) {
+		f.work = true
+	}
+	busy := s.wishPorts > 0 || !s.pendIns.empty() || anyOr(&s.routeIns, &s.boundIns)
+	if s.nBoundOuts > 0 {
+		f.work = true
+		busy = true
+		if f.swBound != nil {
+			f.swBound[s.node] += int64(s.nBoundOuts)
+			if s.nBoundOuts > f.swPeak[s.node] {
+				f.swPeak[s.node] = s.nBoundOuts
+			}
+		}
+	}
+	if !busy {
+		s.active = false
+		f.swAct.clear(int(s.node))
+	}
 }
 
 // laneGrant returns the lane granted the physical wire of link l this
@@ -894,8 +1029,13 @@ func (s *swState) transmitMC(in *inPort, now des.Time) {
 				o := &s.out[oi]
 				if o.phase == opPayload && !o.link.stopped(o.vc) {
 					o.idleTicks++
-					if o.idleTicks == s.f.Cfg.IdleFlagTicks && s.f.rec != nil {
-						s.f.emit(now, trace.EvMCIdle, s.node, oi, in.worm.ID, int64(o.idleTicks))
+					if o.idleTicks == s.f.Cfg.IdleFlagTicks {
+						if s.f.rec != nil {
+							s.f.emit(now, trace.EvMCIdle, s.node, oi, in.worm.ID, int64(o.idleTicks))
+						}
+						// A unicast head blocked on this output may now be
+						// flushed (flushIfMCIdle).
+						s.wakeHeads(oi)
 					}
 				}
 			}
@@ -953,6 +1093,9 @@ func (s *swState) transmitMC(in *inPort, now des.Time) {
 		s.nBoundOuts -= len(in.outs)
 		in.setMode(pmIdle)
 		in.worm = nil
+		for _, oi := range in.outs {
+			s.wakeHeads(oi)
+		}
 		in.outs = in.outs[:0]
 	}
 }

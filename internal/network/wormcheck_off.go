@@ -11,3 +11,5 @@ import "wormlan/internal/des"
 const wormcheckEnabled = false
 
 func (f *Fabric) wormcheckTick(now des.Time) {}
+
+func (f *Fabric) wormcheckRestDeclines(now, max des.Time) {}

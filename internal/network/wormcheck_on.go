@@ -30,30 +30,53 @@ func (f *Fabric) wormcheckTick(now des.Time) {
 	f.checkHosts(now)
 }
 
+// wormcheckRestDeclines proves Skip's shortcut: with anything resting, the
+// validation walk it stands in for must decline too.
+func (f *Fabric) wormcheckRestDeclines(now, max des.Time) {
+	if n, _ := f.steadyWindow(now, max); n != 0 {
+		f.wormfail(now, "fast-forward validation passes with %d sleeping heads and %d naps", f.heads, f.naps)
+	}
+}
+
 func (f *Fabric) wormfail(now des.Time, format string, args ...any) {
 	panic(fmt.Sprintf("network: wormcheck t=%d: %s", now, fmt.Sprintf(format, args...)))
 }
 
 // checkLinks: pipeline occupancy counters and reverse-channel STOP counts
-// must equal direct recounts of the rings, empty slots must be zeroed,
-// and a link still holding state must be in the active set.
+// must equal direct recounts of the rings (occupancy being the arrival
+// bits), empty slots must be zeroed, a link outside the settle set must
+// read a uniform ring, and a link still holding state must be in the
+// active set.
 func (f *Fabric) checkLinks(now des.Time) {
+	total := 0
 	for _, l := range f.links {
+		occ := 0
+		for s := 0; s < l.delay; s++ {
+			if l.occupied(s) {
+				occ++
+			}
+		}
+		total += occ
+		if occ != l.inFlight {
+			f.wormfail(now, "link %d.%d->%d.%d inFlight=%d but %d arrival bits set",
+				l.srcNode, l.srcPort, l.dstNode, l.dstPort, l.inFlight, occ)
+		}
+		if !f.settle.has(l.id) && !l.settled() {
+			f.wormfail(now, "link %d.%d->%d.%d outside the settle set with ctrlOnes=%v stopMask=%#x: its ring would not be read",
+				l.srcNode, l.srcPort, l.dstNode, l.dstPort, l.ctrlOnes, l.stopMask)
+		}
 		if l.dead {
 			// killLink wipes everything; reconfirm so a flit can never ride
 			// a dead wire into a later revive.
-			if l.inFlight != 0 || l.ctrlTrues != 0 || l.stopMask != 0 {
-				f.wormfail(now, "dead link %d.%d->%d.%d holds state: inFlight=%d ctrlTrues=%d stopMask=%#x",
-					l.srcNode, l.srcPort, l.dstNode, l.dstPort, l.inFlight, l.ctrlTrues, l.stopMask)
+			if l.inFlight != 0 || l.ctrlTrues != 0 || l.stopMask != 0 || f.settle.has(l.id) {
+				f.wormfail(now, "dead link %d.%d->%d.%d holds state: inFlight=%d ctrlTrues=%d stopMask=%#x settle=%v",
+					l.srcNode, l.srcPort, l.dstNode, l.dstPort, l.inFlight, l.ctrlTrues, l.stopMask, f.settle.has(l.id))
 			}
 			continue
 		}
-		occ := 0
 		var ones [4]int32
 		for s := 0; s < l.delay; s++ {
-			if l.occ[s] {
-				occ++
-			} else if l.pipe[s] != (flit.Flit{}) {
+			if !l.occupied(s) && l.pipe[s] != (flit.Flit{}) {
 				f.wormfail(now, "link %d.%d->%d.%d slot %d unoccupied but not zeroed",
 					l.srcNode, l.srcPort, l.dstNode, l.dstPort, s)
 			}
@@ -62,10 +85,6 @@ func (f *Fabric) checkLinks(now des.Time) {
 					ones[v]++
 				}
 			}
-		}
-		if occ != l.inFlight {
-			f.wormfail(now, "link %d.%d->%d.%d inFlight=%d but %d occupied slots",
-				l.srcNode, l.srcPort, l.dstNode, l.dstPort, l.inFlight, occ)
 		}
 		trues := 0
 		for v := 0; v < 4; v++ {
@@ -88,15 +107,22 @@ func (f *Fabric) checkLinks(now des.Time) {
 				l.srcNode, l.srcPort, l.dstNode, l.dstPort, l.active)
 		}
 	}
+	if total != f.inFlight {
+		f.wormfail(now, "fabric inFlight=%d but %d arrival bits set in total", f.inFlight, total)
+	}
 }
 
 // checkSwitches: slack occupancy windows, post-publish STOP/GO wish
 // consistency, the wishPorts count, the route/bound/pend/dead port
 // indexes, and crossbar reservation-release balance.
 func (f *Fabric) checkSwitches(now des.Time) {
+	heads, naps := 0, 0
 	for _, s := range f.sw {
 		if s == nil {
 			continue
+		}
+		if (!s.dirtyIns.empty() || !s.pendIns.empty()) && !f.pubSw.has(int(s.node)) {
+			f.wormfail(now, "switch %d has a dirty or pending STOP/GO port but is not in pubSw: lost publish", s.node)
 		}
 		wishes := 0
 		for pi := range s.in {
@@ -104,6 +130,13 @@ func (f *Fabric) checkSwitches(now des.Time) {
 			if in.stopWish {
 				wishes++
 			}
+			switch in.rest {
+			case asleep:
+				heads++
+			case napEmpty, napStopped:
+				naps++
+			}
+			f.checkRest(now, s, in)
 			f.checkSlack(now, s, in)
 			dead := in.inLink != nil && in.inLink.dead
 			if s.deadIns.has(pi) != dead {
@@ -145,6 +178,69 @@ func (f *Fabric) checkSwitches(now des.Time) {
 		}
 		if s.active != f.swAct.has(int(s.node)) {
 			f.wormfail(now, "switch %d active flag %v disagrees with bitmap", s.node, s.active)
+		}
+	}
+	for _, h := range f.hosts {
+		if h != nil && h.napping {
+			naps++
+		}
+	}
+	if heads != f.heads || naps != f.naps {
+		f.wormfail(now, "heads=%d naps=%d but %d sleeping heads and %d napping senders", f.heads, f.naps, heads, naps)
+	}
+}
+
+// checkRest: a resting port is exactly one whose skipped visits are
+// no-ops.  A sleeping head has no grantable request (some requested
+// output bound, no flush flag up, pruned at this epoch) and is not one the
+// iSLIP cell or adaptive selection polls; a napping lane is a unicast
+// relay held by STOP, or empty and free to send, on a wire no fork shares.
+func (f *Fabric) checkRest(now des.Time, s *swState, in *inPort) {
+	if s.restIns.has(in.idx) != (in.rest != awake) {
+		f.wormfail(now, "switch %d lane %d rest=%d but restIns=%v", s.node, in.idx, in.rest, s.restIns.has(in.idx))
+	}
+	switch in.rest {
+	case asleep:
+		if in.mode != pmWait || in.adaptive || (s.arb != nil && len(in.reqOuts) == 1) {
+			f.wormfail(now, "switch %d lane %d sleeping head in mode %d (adaptive=%v, %d requests)",
+				s.node, in.idx, in.mode, in.adaptive, len(in.reqOuts))
+		}
+		if in.prunedAt != f.epoch+1 {
+			f.wormfail(now, "switch %d lane %d sleeping head not pruned at epoch %d", s.node, in.idx, f.epoch)
+		}
+		bound := false
+		for _, oi := range in.reqOuts {
+			o := &s.out[oi]
+			if o.boundIn < 0 {
+				continue
+			}
+			bound = true
+			if f.Cfg.Scheme == SchemeFlushUnicast && in.worm.Mode == flit.Unicast &&
+				s.in[o.boundIn].mode == pmBoundMC && o.idleTicks >= f.Cfg.IdleFlagTicks {
+				f.wormfail(now, "switch %d lane %d sleeping head blocked by flagged multicast-IDLE output %d",
+					s.node, in.idx, oi)
+			}
+		}
+		if !bound {
+			f.wormfail(now, "switch %d lane %d sleeping head has a grantable request %v", s.node, in.idx, in.reqOuts)
+		}
+	case napEmpty, napStopped:
+		if in.mode != pmBoundUni {
+			f.wormfail(now, "switch %d lane %d napping lane in mode %d", s.node, in.idx, in.mode)
+		}
+		o := in.ou
+		stopped := o.link.stopped(o.vc)
+		if in.rest == napStopped && !stopped {
+			f.wormfail(now, "switch %d lane %d napping lane is not STOP-held", s.node, in.idx)
+		}
+		if in.rest == napEmpty && (stopped || in.fill != 0 || o.phase != opPayload) {
+			f.wormfail(now, "switch %d lane %d napping lane has something to relay (fill=%d phase=%d stopped=%v)",
+				s.node, in.idx, in.fill, o.phase, stopped)
+		}
+		for v := 0; f.nvc > 1 && v < f.nvc; v++ {
+			if b := s.out[o.base+v].boundIn; b >= 0 && s.in[b].mode == pmBoundMC {
+				f.wormfail(now, "switch %d lane %d napping lane shares its wire with a fork", s.node, in.idx)
+			}
 		}
 	}
 }
@@ -264,6 +360,13 @@ func (f *Fabric) checkHosts(now des.Time) {
 		}
 		if h.active != f.hostAct.has(int(h.node)) {
 			f.wormfail(now, "host %d active flag %v disagrees with bitmap", h.node, h.active)
+		}
+		if h.napping != f.hostNap.has(int(h.node)) {
+			f.wormfail(now, "host %d napping flag %v disagrees with bitmap", h.node, h.napping)
+		}
+		if h.napping && (!h.active || h.cur == nil || h.cur.W.PaceFrom != nil ||
+			!h.outLink.stopped(0) || now < h.stalledUntil) {
+			f.wormfail(now, "host %d napping host is not an unpaced, unstalled stream held by STOP", h.node)
 		}
 	}
 	if rx != f.rxBusy {

@@ -27,6 +27,23 @@ func mustWormfail(t *testing.T, r *rig, frag string, fn func()) {
 	r.f.wormcheckTick(r.k.Now())
 }
 
+// streaming returns a switch lane relaying the rig's worm.
+func streaming(t *testing.T, r *rig) (*swState, *inPort) {
+	t.Helper()
+	for _, s := range r.f.sw {
+		if s == nil {
+			continue
+		}
+		for pi := range s.in {
+			if s.in[pi].mode == pmBoundUni {
+				return s, &s.in[pi]
+			}
+		}
+	}
+	t.Fatal("no streaming lane")
+	return nil, nil
+}
+
 // TestWormcheckDetectsCorruption deliberately desynchronizes each class of
 // derived state and asserts the checker catches it: a checker that cannot
 // fail proves nothing.
@@ -47,7 +64,53 @@ func TestWormcheckDetectsCorruption(t *testing.T) {
 	})
 	t.Run("link-inflight", func(t *testing.T) {
 		r := build()
-		mustWormfail(t, r, "occupied slots", func() { r.f.links[0].inFlight++ })
+		mustWormfail(t, r, "arrival bits set", func() { r.f.links[0].inFlight++ })
+	})
+	t.Run("fabric-inflight", func(t *testing.T) {
+		r := build()
+		mustWormfail(t, r, "in total", func() { r.f.inFlight++ })
+	})
+	t.Run("settle", func(t *testing.T) {
+		r := build()
+		mustWormfail(t, r, "outside the settle set", func() {
+			l := r.f.links[0]
+			l.stopMask = 1
+			r.f.activateLink(l)
+		})
+	})
+	t.Run("sleeping-head", func(t *testing.T) {
+		r := build()
+		s, _ := streaming(t, r)
+		mustWormfail(t, r, "sleeping head", func() {
+			for pi := range s.in {
+				if in := &s.in[pi]; in.mode == pmIdle {
+					s.sleep(in)
+					return
+				}
+			}
+			t.Fatal("no idle lane")
+		})
+	})
+	t.Run("napping-lane", func(t *testing.T) {
+		r := build()
+		s, in := streaming(t, r)
+		mustWormfail(t, r, "napping lane is not STOP-held", func() { s.nap(in, napStopped) })
+	})
+	t.Run("napping-host", func(t *testing.T) {
+		r := build()
+		mustWormfail(t, r, "napping host", func() { r.f.hosts[r.g.Hosts()[0]].nap() })
+	})
+	t.Run("rest-count", func(t *testing.T) {
+		r := build()
+		mustWormfail(t, r, "naps=", func() { r.f.naps++ })
+	})
+	t.Run("pub-switch", func(t *testing.T) {
+		r := build()
+		s, in := streaming(t, r)
+		mustWormfail(t, r, "not in pubSw", func() {
+			s.dirtyIns.set(in.idx)
+			r.f.pubSw.clear(int(s.node))
+		})
 	})
 	t.Run("ctrl-ones", func(t *testing.T) {
 		r := build()
