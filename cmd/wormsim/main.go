@@ -98,11 +98,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Reject a bad -route or -vcs before any work, with the full legal set
-	// in the error — the same checks (and messages) sim.Run would apply,
-	// shared with mcbench so both CLIs fail identically.
+	// Reject a bad -route, -vcs or -arb-iters before any work, with the full
+	// legal set in the error — the same checks (and messages) sim.Run would
+	// apply, shared with mcbench so both CLIs fail identically.
 	early := sim.Config{Route: *routeName}
-	early.Network.NumVCs = *vcs
+	early.Network.NumVCs, early.Network.ArbIters = *vcs, *arbIters
 	if err := early.Validate(); err != nil {
 		return fail(stderr, 2, err)
 	}

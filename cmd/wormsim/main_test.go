@@ -36,6 +36,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"-scheme", "nosuch"},
 		{"-badflag"},
 		{"-route", "left-hand"},
+		{"-arb", "islip", "-arb-iters", "-3"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(args, &out, &errb); code != 2 {

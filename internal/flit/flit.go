@@ -134,10 +134,12 @@ type Worm struct {
 	// once PaceFrom.RxDone — a retransmission cannot outrun its reception.
 	PaceFrom *Worm
 
-	// RxAborted is set when this worm's reception was abandoned (its copy
-	// was truncated by a link failure or discarded as corrupt).  A
-	// cut-through forward paced against an aborted worm can never finish
-	// and must itself be aborted.
+	// RxAborted is the fabric's drop mark: set the first time a copy of
+	// this worm is lost (truncated by a link or switch failure, discarded
+	// as corrupt), it is what counts the worm once in WormsDropped however
+	// many paths notice the loss, and what identifies leftover flits of a
+	// torn-down worm.  A cut-through forward paced against an aborted worm
+	// can never finish and must itself be aborted.
 	RxAborted bool
 }
 
@@ -306,9 +308,11 @@ func (s *Stream) CanSend(from *Worm) bool {
 // worm — only the layer that allocated (or Got) a worm may Put it back,
 // and only once the worm is fully retired: delivered (or abandoned) at
 // every destination, not the PaceFrom source of any live cut-through
-// forward, and never in a run where a fault may have touched it (the
-// fabric's drop accounting is keyed by worm pointer, so recycling a
-// possibly-dropped worm would corrupt WormsDropped).
+// forward, and never in a run where a fault may have touched it.  The
+// fabric's drop accounting keys on the RxAborted mark, which Get zeroes,
+// so a recycled worm is counted afresh; but leftover flits of a dropped
+// worm may still be in the fabric, which recognizes them by that mark,
+// and recycling the worm would erase it.
 type WormPool struct {
 	free []*Worm
 }

@@ -11,7 +11,9 @@ import "math/bits"
 // Fabric.Tick therefore visits only the elements that can act this tick,
 // in ascending index order — the same order as the full scan, so
 // determinism is unaffected.  Every rule below keeps out exactly the
-// elements whose visit the original full scan spent as a no-op.
+// elements whose visit the original full scan spent as a no-op.  Each set
+// is a bitset and nothing else: no link, switch or host carries a flag
+// mirroring its membership.
 //
 // Visit sets, and what puts an element back in:
 //
@@ -24,9 +26,10 @@ import "math/bits"
 //     slot the sender read that tick); the phase-1 read that finds the
 //     link settled again removes it.  Fabric.inFlight, the sum of every
 //     link's inFlight, supplies the "a link still holds data" work flag.
-//     linkAct is kept as the set of links holding any state (inFlight,
-//     ctrlTrues or stopMask non-zero) for Skip's validation; no phase
-//     iterates it.
+//     linkAct is the set of links holding any state (inFlight, ctrlTrues
+//     or stopMask non-zero): dlink.send sets the link's bit through its
+//     cached aw/abit, a STOP write in publish sets it too, and delivery
+//     clears it once the link is empty.  Only Skip reads it.
 //   - switch (phases 2-4): swAct holds switches with any input port
 //     non-empty, non-idle, with a STOP wish or a settling ring, or any
 //     bound output; inPort.receive and the fault paths re-activate.
@@ -48,7 +51,7 @@ import "math/bits"
 //     into an empty nap (inPort.receive), on any change of its own lane's
 //     bit in its link's stopMask (dlink.deliver, killLink), on a fork
 //     binding a sibling lane of its wire (whose stage-3 resume could
-//     otherwise move the lane grant the napping lane would have computed
+//     otherwise move the lane grant the napped lane would have computed
 //     first), and on the fault paths.  Forks (pmBoundMC) stay polled.
 //   - host transmit (phase 3): hostAct minus hostNap.  hostAct holds hosts
 //     with a current stream or a queued worm (Fabric.Inject re-activates);
@@ -57,7 +60,7 @@ import "math/bits"
 //     link deliveries), so a receiving-only host needs no bit; the fabric
 //     tracks in-progress receptions in the rxBusy counter instead.
 //
-// A napping sender's skipped visits would each have counted a stall tick
+// A napped sender's skipped visits would each have counted a stall tick
 // while STOP held it, so wake (and Metrics, for naps still running) adds
 // the transmit passes since the nap to dlink.stalled: the counter reads
 // what per-tick counting gave.  Nothing that naps or sleeps can pass Skip's
@@ -173,34 +176,6 @@ func (b *bitset) forEachFromAndNot(start int, not *bitset, fn func(i int)) {
 	}
 }
 
-func (f *Fabric) activateLink(l *dlink) {
-	if !l.active {
-		l.active = true
-		f.linkAct.set(l.id)
-	}
-}
-
-func (f *Fabric) deactivateLink(l *dlink) {
-	if l.active {
-		l.active = false
-		f.linkAct.clear(l.id)
-	}
-}
-
-func (f *Fabric) activateSwitch(s *swState) {
-	if !s.active {
-		s.active = true
-		f.swAct.set(int(s.node))
-	}
-}
-
-func (f *Fabric) activateHost(h *hostIf) {
-	if !h.active {
-		h.active = true
-		f.hostAct.set(int(h.node))
-	}
-}
-
 // restKind says why a port is out of its phase's visit set.
 type restKind uint8
 
@@ -279,7 +254,7 @@ func (s *swState) nap(in *inPort, why restKind) {
 	s.f.naps++
 }
 
-// wakeWireSiblings wakes the napping lanes bound to the sibling lanes of
+// wakeWireSiblings wakes the napped lanes bound to the sibling lanes of
 // output o's wire (a fork just bound o; see nap).
 func (s *swState) wakeWireSiblings(o *outPort) {
 	for v := 0; v < s.f.nvc; v++ {
@@ -310,20 +285,18 @@ func (in *inPort) wake() {
 
 // nap takes a STOP-held, unpaced host stream out of the transmit phase.
 func (h *hostIf) nap() {
-	h.napping = true
 	h.napAt = h.f.passes + 1
 	h.f.hostNap.set(int(h.node))
 	h.f.naps++
 }
 
-// wake returns a napping host to the transmit phase, adding the stall
+// wake returns a napped host to the transmit phase, adding the stall
 // ticks it skipped to its link.
 func (h *hostIf) wake() {
-	if !h.napping {
+	if !h.f.hostNap.has(int(h.node)) {
 		return
 	}
 	h.outLink.stalled += h.f.passes - h.napAt
-	h.napping = false
 	h.f.hostNap.clear(int(h.node))
 	h.f.naps--
 }

@@ -265,8 +265,5 @@ func (s *swState) adaptiveDrop(in *inPort) {
 	if in.worm.Epoch != s.f.epoch {
 		s.f.ctr.EpochMismatches++
 	}
-	s.f.dropWorm(in.worm)
-	in.setMode(pmDrop)
-	in.blocked = false
-	s.drainDrop(in)
+	s.dropHead(in)
 }

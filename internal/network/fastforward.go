@@ -72,12 +72,12 @@ package network
 //
 // Resting elements (active.go) decline without the walk.  A sleeping head
 // is a pmWait port, which the switch validation rejects as arbitrating; a
-// STOP-held lane or host fails the GO checks on its link; an empty napping
+// STOP-held lane or host fails the GO checks on its link; an empty napped
 // lane sent nothing this tick, so its outgoing pipe is not full (or, on a
 // multi-lane wire, a sibling lane sent and the wire is shared).  So
 // while Fabric.heads or Fabric.naps is non-zero Skip returns 0 and sets
 // the same skipHold a failed walk would, and the tick stays the exact
-// account of the napping senders' stall ticks (no skip spans a nap).
+// account of the napped senders' stall ticks (no skip spans a nap).
 // Under the wormcheck tag Skip still runs the walk there and panics if it
 // would have passed.
 //
@@ -197,7 +197,7 @@ func (f *Fabric) steadyWindow(now des.Time, max des.Time) (n des.Time, nLinks in
 			// An idle destination lane would start routing on arrival;
 			// only a bound lane of an active switch absorbs a payload
 			// flit steadily.
-			if !s.active || s.dead || !s.boundIns.has(int(l.dstPort)*f.nvc+int(vc)) {
+			if !f.swAct.has(int(l.dstNode)) || s.dead || !s.boundIns.has(int(l.dstPort)*f.nvc+int(vc)) {
 				steady = false
 				return
 			}

@@ -18,8 +18,9 @@ package network
 //   - A dead switch additionally wipes its own port state, counting every
 //     worm copy held in its slack buffers as dropped.
 //
-// Every worm copy lost this way passes through dropWorm exactly once
-// (deduplicated by worm pointer), preserving the conservation law
+// Every worm copy lost this way passes through dropWorm, which counts it
+// exactly once: the worm's RxAborted mark, set by the first call, is the
+// one record that it was dropped.  That preserves the conservation law
 // Injected == Delivered + WormsDropped for unicast traffic.
 
 import (
@@ -27,6 +28,7 @@ import (
 
 	"wormlan/internal/des"
 	"wormlan/internal/flit"
+	"wormlan/internal/route"
 	"wormlan/internal/topology"
 	"wormlan/internal/trace"
 	"wormlan/internal/updown"
@@ -49,10 +51,9 @@ func (f *Fabric) SetRouting(ud *updown.Routing) { f.UD = ud }
 
 // dropWorm records the loss of a worm copy, exactly once per copy.
 func (f *Fabric) dropWorm(w *flit.Worm) {
-	if w == nil || f.dropped[w] {
+	if w == nil || w.RxAborted {
 		return
 	}
-	f.dropped[w] = true
 	w.RxAborted = true
 	f.ctr.WormsDropped++
 	if f.rec != nil {
@@ -222,7 +223,7 @@ func (f *Fabric) killLink(l *dlink) {
 	stop := l.stopMask
 	l.stopMask = 0
 	f.settle.clear(l.id)
-	f.deactivateLink(l)
+	f.linkAct.clear(l.id)
 	f.wakeSenders(l, stop)
 	// Mark the sender's in-progress worm copies as lost right away (not
 	// only when their tails hit the black hole): if the link revives
@@ -269,7 +270,7 @@ func (f *Fabric) reviveLink(l *dlink) {
 	l.ctrlTrues = 0
 	l.inFlight = 0
 	l.stopMask = 0
-	f.deactivateLink(l)
+	f.linkAct.clear(l.id)
 	// The downstream switch resumes publishing on this reverse channel next
 	// tick (its lanes may hold stale STOP wishes to clear), so make sure it
 	// is scheduled.
@@ -286,7 +287,7 @@ func (f *Fabric) reviveLink(l *dlink) {
 			}
 		}
 		if !s.dead {
-			f.activateSwitch(s)
+			f.swAct.set(int(s.node))
 		}
 	}
 }
@@ -375,10 +376,7 @@ func (f *Fabric) wipeSwitch(s *swState) {
 	s.nBoundOuts = 0
 	// Dead and empty: nothing to tick until a restore puts traffic back
 	// through (arrivals re-activate via inPort.receive).
-	if s.active {
-		s.active = false
-		f.swAct.clear(int(s.node))
-	}
+	f.swAct.clear(int(s.node))
 }
 
 // reset returns an input port to idle with an empty slack buffer.
@@ -398,8 +396,7 @@ func (in *inPort) reset() {
 	// EvBlocked/EvResumed trace pair after a restore.
 	in.blocked = false
 	in.mcBuf = in.mcBuf[:0]
-	in.mcSkip = 0
-	in.mcExpectPtr = false
+	in.mcScan = route.Scanner{}
 	in.reqOuts = in.reqOuts[:0]
 	in.reqStamps = in.reqStamps[:0]
 	in.outs = in.outs[:0]

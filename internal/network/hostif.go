@@ -32,13 +32,10 @@ type hostIf struct {
 	// transmission does not allocate.
 	stream flit.Stream
 
-	// active mirrors the host's presence in Fabric.hostAct (see active.go);
-	// it covers the transmit side only.  The receive side is accounted by
-	// Fabric.rxBusy.  napping mirrors Fabric.hostNap; napAt is the transmit
-	// pass the nap began in.
-	active  bool
-	napping bool
-	napAt   int64
+	// napAt is the transmit pass a nap (Fabric.hostNap) began in; the
+	// transmit side's activity is Fabric.hostAct, the receive side's
+	// Fabric.rxBusy.
+	napAt int64
 
 	rx flit.Reassembler
 
@@ -170,9 +167,7 @@ func (h *hostIf) transmit(now des.Time) {
 		h.cur = nil
 		return
 	}
-	h.outLink.send(now, fl)
-	h.f.moved = true
-	h.f.ctr.FlitsCarried++
+	h.outLink.carry(now, fl)
 	if h.cur.Remaining() == 0 {
 		h.cur = nil
 	}
@@ -202,9 +197,7 @@ func (h *hostIf) abortTx(now des.Time) {
 		h.f.dropWorm(h.cur.W)
 		h.cur = nil
 	case !h.outLink.stopped(0):
-		h.outLink.send(now, flit.Flit{W: h.cur.W, Kind: flit.Tail, Bad: true})
-		h.f.moved = true
-		h.f.ctr.FlitsCarried++
+		h.outLink.carry(now, flit.Flit{W: h.cur.W, Kind: flit.Tail, Bad: true})
 		h.f.dropWorm(h.cur.W)
 		h.cur = nil
 	}

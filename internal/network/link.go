@@ -24,8 +24,6 @@ import (
 type dlink struct {
 	f *Fabric
 
-	// active mirrors the link's presence in Fabric.linkAct (see active.go).
-	active bool
 	// dead marks a failed link (explicitly, or because an endpoint switch
 	// crashed).  A dead link black-holes everything sent into it: flits are
 	// counted as dropped rather than delivered, and senders drain their
@@ -47,7 +45,8 @@ type dlink struct {
 
 	// cls is the link's delay class: the pipeline slot for the current tick
 	// and the arrival bitsets that say which of the class's slots hold a
-	// flit.  aw/abit locate this link's bit in a slot's bitset.
+	// flit.  aw/abit locate this link's bit in a slot's bitset, and in every
+	// other link-indexed bitset (Fabric.linkAct).
 	cls   *delayClass
 	aw    int
 	abit  uint64
@@ -80,7 +79,7 @@ type dlink struct {
 
 	// carried counts flits that have crossed this link (utilization);
 	// stalled counts ticks a bound sender was held by STOP backpressure
-	// (a napping sender's ticks are added when it wakes, see swState.nap).
+	// (a napped sender's ticks are added when it wakes, see swState.nap).
 	carried int64
 	stalled int64
 
@@ -154,7 +153,15 @@ func (l *dlink) send(now int64, fl flit.Flit) {
 	l.carried++
 	l.inFlight++
 	l.f.inFlight++
-	l.f.activateLink(l)
+	l.f.linkAct.words[l.aw] |= l.abit
+}
+
+// carry sends a worm flit and counts it moving: the send of every data
+// path (a hello is a control symbol, sent bare).
+func (l *dlink) carry(now int64, fl flit.Flit) {
+	l.send(now, fl)
+	l.f.moved = true
+	l.f.ctr.FlitsCarried++
 }
 
 // deliver runs phase 1 for one link: the sender's delayed STOP view
@@ -195,11 +202,11 @@ func (l *dlink) deliver(now des.Time) {
 	if l.inFlight == 0 && l.ctrlTrues == 0 && l.stopMask == 0 {
 		// Empty pipe, clean reverse channel: nothing for Skip to validate
 		// until the next send or STOP write re-activates.
-		f.deactivateLink(l)
+		f.linkAct.clear(l.id)
 	}
 }
 
-// wakeSenders wakes the napping senders of l whose lanes' STOP bits just
+// wakeSenders wakes the napped senders of l whose lanes' STOP bits just
 // changed: a STOP-held sender may now move, an empty one would now count
 // stall ticks.
 func (f *Fabric) wakeSenders(l *dlink, changed uint8) {
@@ -216,29 +223,4 @@ func (f *Fabric) wakeSenders(l *dlink, changed uint8) {
 			s.in[o.boundIn].wake()
 		}
 	}
-}
-
-// LinkStat reports per-link utilization.
-type LinkStat struct {
-	Src     topology.NodeID
-	SrcPort topology.PortID
-	Dst     topology.NodeID
-	DstPort topology.PortID
-	Carried int64
-}
-
-// LinkStats returns a snapshot of per-directional-link flit counts, in
-// deterministic construction order.
-//
-//wormlint:alloc end-of-run statistics snapshot, not on the tick path
-func (f *Fabric) LinkStats() []LinkStat {
-	out := make([]LinkStat, len(f.links))
-	for i, l := range f.links {
-		out[i] = LinkStat{
-			Src: l.srcNode, SrcPort: l.srcPort,
-			Dst: l.dstNode, DstPort: l.dstPort,
-			Carried: l.carried,
-		}
-	}
-	return out
 }

@@ -222,8 +222,20 @@ func (c *Config) withDefaults() Config {
 }
 
 // Validate reports a configuration no fabric can be built from; New
-// returns the same error.  Zero fields mean "default" and are always valid.
+// returns the same error.  Zero fields mean "default" and are always valid;
+// negative ones never are.
 func (c *Config) Validate() error {
+	for _, v := range [...]struct {
+		name string
+		n    int
+	}{
+		{"StopMark", c.StopMark}, {"GoMark", c.GoMark},
+		{"IdleFlagTicks", c.IdleFlagTicks}, {"ArbIters", c.ArbIters},
+	} {
+		if v.n < 0 {
+			return fmt.Errorf("network: negative %s %d", v.name, v.n)
+		}
+	}
 	d := c.withDefaults()
 	if d.GoMark > d.StopMark {
 		return fmt.Errorf("network: GoMark %d above StopMark %d", d.GoMark, d.StopMark)
@@ -289,20 +301,21 @@ type Fabric struct {
 	// header bytes as the Duato route-anywhere marker (see adaptive.go).
 	adaptive *AdaptiveTable
 
-	// Active-element sets and wake-up state (see active.go).  Phase 1 visits
-	// the links with an arrival this tick (the delay classes' arrival
-	// bitsets) plus settle; linkAct holds every link with state for Skip.
+	// Active-element sets and wake-up state (see active.go).  The bitsets
+	// are the only record of membership.  Phase 1 visits the links with an
+	// arrival this tick (the delay classes' arrival bitsets) plus settle;
+	// linkAct holds every link with state for Skip.
 	linkAct  bitset // links with a flit in flight or a STOP in the ring/view
 	settle   bitset // links whose reverse ring or STOP view is still moving
 	inFlight int    // flits in flight on all links
 	swAct    bitset // switch NodeIDs
 	pubSw    bitset // switches with a dirty or pending STOP/GO port
 	hostAct  bitset // host NodeIDs (transmit side)
-	hostNap  bitset // hosts in hostAct napping behind STOP
+	hostNap  bitset // hosts in hostAct napped behind STOP
 	rxBusy   int    // hosts with a reception in progress
 	heads    int    // sleeping pmWait heads, fabric-wide
-	naps     int    // napping lanes and hosts, fabric-wide
-	// passes counts completed transmit phases; a napping sender records the
+	naps     int    // napped lanes and hosts, fabric-wide
+	// passes counts completed transmit phases; a napped sender records the
 	// pass it napped in, so the stall ticks it skipped are passes-napAt.
 	passes int64
 
@@ -319,9 +332,8 @@ type Fabric struct {
 	ctr                 Counters
 
 	// Failure state (see fault.go).
-	epoch   int64               // topology epoch, bumped on every fail/restore
-	fail    *updown.Failures    // current dead links and switches
-	dropped map[*flit.Worm]bool // worm copies already counted in WormsDropped
+	epoch int64            // topology epoch, bumped on every fail/restore
+	fail  *updown.Failures // current dead links and switches
 
 	// Hello engine state (see hello.go); nil when the protocol is off.
 	hello    *HelloConfig
@@ -344,8 +356,7 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f := &Fabric{K: k, G: g, Cfg: cfg.withDefaults(), UD: ud,
-		fail: updown.NewFailures(), dropped: make(map[*flit.Worm]bool)}
+	f := &Fabric{K: k, G: g, Cfg: cfg.withDefaults(), UD: ud, fail: updown.NewFailures()}
 	f.rec = f.Cfg.Recorder
 	if f.Cfg.Metrics {
 		f.swBound = make([]int64, len(g.Nodes))
@@ -385,8 +396,7 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 			}
 			if cfg.Arb == ArbISLIP {
 				s.arb = arb.New(lanes, lanes, f.Cfg.ArbIters, uint64(n.ID))
-				s.arbLanes = make([]int, 0, lanes)
-				s.arbMark = make([]bool, lanes)
+				s.arbIns = newBitset(lanes)
 			}
 			f.sw[ni] = s
 		case topology.Host:
@@ -508,20 +518,9 @@ func (f *Fabric) Inject(host topology.NodeID, w *flit.Worm) error {
 	w.Epoch = f.epoch
 	h.queue = append(h.queue, w)
 	f.ctr.Injected++
-	f.activateHost(h)
+	f.hostAct.set(int(host))
 	f.activate()
 	return nil
-}
-
-// QueueLen returns the number of worms waiting (or in transmission) at the
-// host interface.
-func (f *Fabric) QueueLen(host topology.NodeID) int {
-	h := f.hosts[host]
-	n := h.qlen()
-	if h.cur != nil {
-		n++
-	}
-	return n
 }
 
 // Busy reports whether the host interface is currently transmitting.
@@ -590,13 +589,12 @@ func (f *Fabric) Tick(now des.Time) bool {
 			f.work = true
 		} else {
 			// Nothing queued: transmit stays a no-op until the next Inject.
-			h.active = false
 			f.hostAct.clear(ni)
 		}
 	})
 	f.passes++
 	if f.naps > 0 {
-		// A napping host still has its stream to send.
+		// A napped host still has its stream to send.
 		f.work = true
 	}
 
@@ -607,7 +605,7 @@ func (f *Fabric) Tick(now des.Time) bool {
 	// Phase 4: input ports publish STOP/GO onto the reverse channels, at the
 	// active switches with a dirty or pending port (see swState.publish).
 	f.pubSw.forEach(func(ni int) {
-		if s := f.sw[ni]; s.active && !s.dead {
+		if s := f.sw[ni]; f.swAct.has(ni) && !s.dead {
 			s.publish(now)
 			s.settleLiveness()
 		}

@@ -229,8 +229,8 @@ func TestPipelinedWormsBackToBack(t *testing.T) {
 		worms = append(worms, w)
 		r.f.Inject(hosts[0], w)
 	}
-	if got := r.f.QueueLen(hosts[0]); got != 4 {
-		t.Fatalf("QueueLen = %d", got)
+	if h := r.f.hosts[hosts[0]]; h.qlen() != 4 || h.cur != nil {
+		t.Fatalf("host queue holds %d worms (sending: %v), want 4 queued", h.qlen(), h.cur != nil)
 	}
 	if !r.f.Busy(hosts[0]) {
 		t.Fatal("interface not busy")
@@ -481,6 +481,10 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{Config{NumVCs: 9}, "network: NumVCs 9 outside [1,4]"},
 		{Config{NumVCs: -1}, "network: NumVCs -1 outside [1,4]"},
 		{Config{GoMark: 60}, "network: GoMark 60 above StopMark 56"},
+		{Config{StopMark: -5, GoMark: -10}, "network: negative StopMark -5"},
+		{Config{GoMark: -1}, "network: negative GoMark -1"},
+		{Config{IdleFlagTicks: -64}, "network: negative IdleFlagTicks -64"},
+		{Config{ArbIters: -3}, "network: negative ArbIters -3"},
 	} {
 		_, err := New(des.NewKernel(), topology.Star(2), nil, tc.cfg)
 		if err == nil || err.Error() != tc.want {
@@ -554,8 +558,8 @@ func TestLinkStatsCountFlits(t *testing.T) {
 	r.f.Inject(hosts[0], r.unicast(t, hosts[0], hosts[1], 10))
 	r.run(t, 0)
 	total := int64(0)
-	for _, ls := range r.f.LinkStats() {
-		total += ls.Carried
+	for _, c := range r.f.Metrics().Channels {
+		total += c.Busy
 	}
 	// 12 flits from host (1 hdr + 10 + tail), 11 to destination.
 	if total != 23 {

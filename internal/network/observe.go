@@ -40,13 +40,12 @@ func (f *Fabric) Metrics() *trace.Metrics {
 			Busy: l.carried, Stalled: l.stalled,
 		}
 	}
-	// STOP-held senders still napping have not yet added the stall ticks
-	// their skipped visits would have counted (see active.go).
-	for _, h := range f.hosts {
-		if h != nil && h.napping {
-			m.Channels[h.outLink.id].Stalled += f.passes - h.napAt
-		}
-	}
+	// STOP-held senders whose nap is still open have not yet added the
+	// stall ticks their skipped visits would have counted (see active.go).
+	f.hostNap.forEach(func(ni int) {
+		h := f.hosts[ni]
+		m.Channels[h.outLink.id].Stalled += f.passes - h.napAt
+	})
 	for _, s := range f.sw {
 		if s == nil {
 			continue

@@ -27,7 +27,7 @@ const (
 	// pmBoundMC: streaming a replicated worm to several outputs.
 	pmBoundMC
 	// pmFlush: discarding the remainder of a flushed worm (Backward Reset
-	// under SchemeFlushUnicast).
+	// under SchemeFlushUnicast; see swState.drain).
 	pmFlush
 	// pmDrop: draining a worm lost to a failure (stale route into a dead
 	// link); drained flits are counted as dropped.
@@ -87,11 +87,10 @@ type inPort struct {
 	// (adaptiveSelect) instead of being fixed at decode time.  Only
 	// meaningful in pmWait; setMode clears it on every other transition.
 	adaptive bool
-	// mcExpectPtr, mcBuf and mcSkip are the multicast header collection
-	// parser state.
-	mcExpectPtr bool
-	mcBuf       []byte
-	mcSkip      int
+	// mcScan finds the end of the multicast header collected so far in
+	// mcBuf (route.Scanner); route.SplitHeader then decodes mcBuf.
+	mcScan route.Scanner
+	mcBuf  []byte
 
 	// Requested/bound outputs and the header to stamp on each branch
 	// (nil for host delivery).
@@ -105,7 +104,7 @@ type inPort struct {
 	//wormlint:keep only read in pmBoundUni, where bind just wrote it
 	ou *outPort
 
-	// napAt is the transmit pass a napping lane stopped being visited in.
+	// napAt is the transmit pass a napped lane stopped being visited in.
 	//wormlint:keep only read while rest is a nap, and every nap writes it
 	napAt int64
 	// prunedAt is the topology epoch + 1 at which pruneStale last found
@@ -118,7 +117,7 @@ func (in *inPort) receive(fl flit.Flit) {
 	// an arrival at a non-empty or non-idle port never needs the wakeup —
 	// skipping it avoids a load of the (cold) swState header per flit.
 	if in.fill == 0 && in.mode == pmIdle {
-		in.f.activateSwitch(in.sw)
+		in.f.swAct.set(int(in.sw.node))
 	}
 	if in.rest == napEmpty {
 		in.wake() // something to relay again
@@ -204,10 +203,11 @@ type outPort struct {
 	vc   uint8
 	base int
 
-	phase     outPhase
-	prefix    []byte // branch header still to stamp
+	phase outPhase
+	// stamp is the branch header; in opPrefix, stamp[prefixPos:] is still
+	// to send (again after a SchemeInterrupt resume).
+	stamp     []byte
 	prefixPos int
-	stamp     []byte // full branch header, kept for SchemeInterrupt resume
 
 	// idleTicks counts consecutive ticks this output was held by a
 	// multicast worm but transmitted IDLE fill; SchemeFlushUnicast flags
@@ -218,7 +218,6 @@ type outPort struct {
 func (o *outPort) bind(inIdx int, stamp []byte) {
 	o.boundIn = inIdx
 	o.stamp = stamp
-	o.prefix = stamp
 	o.prefixPos = 0
 	o.idleTicks = 0
 	if len(stamp) == 0 {
@@ -231,7 +230,6 @@ func (o *outPort) bind(inIdx int, stamp []byte) {
 func (o *outPort) unbind() {
 	o.boundIn = -1
 	o.phase = opFree
-	o.prefix = nil
 	o.stamp = nil
 	o.prefixPos = 0
 	o.idleTicks = 0
@@ -243,9 +241,6 @@ type swState struct {
 	f    *Fabric
 	in   []inPort
 	out  []outPort
-
-	// active mirrors the switch's presence in Fabric.swAct (see active.go).
-	active bool
 
 	// dead marks a crashed switch: it routes nothing, transmits nothing,
 	// and all its port state was wiped when it went down.
@@ -259,7 +254,7 @@ type swState struct {
 	routeIns bitset
 	boundIns bitset
 	// restIns holds the resting ports (see active.go): sleeping pmWait
-	// heads, which route skips, and napping pmBoundUni lanes, which
+	// heads, which route skips, and napped pmBoundUni lanes, which
 	// transmit skips, until a wake-up.
 	restIns bitset
 	// dirtyIns marks ports whose STOP wish may need to flip at the next
@@ -280,13 +275,12 @@ type swState struct {
 	nBoundOuts int
 
 	// arb is the iSLIP arbiter under Config.Arb == ArbISLIP (nil under the
-	// scan policy).  arbLanes collects the input lanes whose single-output
-	// grants were deferred to the post-scan scheduling cell this tick;
-	// arbMark mirrors membership so results apply in ascending lane order
-	// regardless of the rotated collection order.
-	arb      *arb.ISLIP
-	arbLanes []int
-	arbMark  []bool
+	// scan policy).  arbIns holds the input lanes whose single-output grants
+	// were deferred to the post-scan scheduling cell this tick; the cell
+	// applies its results in ascending lane order, whatever the rotated
+	// order the scan deferred them in.
+	arb    *arb.ISLIP
+	arbIns bitset
 }
 
 // route advances the head-of-worm state machines of every input port:
@@ -303,15 +297,12 @@ func (s *swState) route(now des.Time) {
 	if !s.routeIns.anyAndNot(&s.restIns) {
 		return
 	}
-	if s.arb != nil {
-		s.arbLanes = s.arbLanes[:0]
-	}
 	nvc := s.f.nvc
 	start := int(now%int64(len(s.in)/nvc)) * nvc
 	s.routeIns.forEachFromAndNot(start, &s.restIns, func(pi int) {
 		s.routeInput(&s.in[pi], now)
 	})
-	if s.arb != nil && len(s.arbLanes) > 0 {
+	if s.arb != nil && !s.arbIns.empty() {
 		s.islipArbitrate(now)
 	}
 }
@@ -386,8 +377,7 @@ func (s *swState) routeInput(in *inPort, now des.Time) {
 		case flit.MulticastTree:
 			in.setMode(pmCollect)
 			in.mcBuf = in.mcBuf[:0]
-			in.mcSkip = 0
-			in.mcExpectPtr = false
+			in.mcScan = route.Scanner{}
 			s.collect(in) // consume the first byte this tick
 			return
 		}
@@ -401,38 +391,40 @@ func (s *swState) routeInput(in *inPort, now des.Time) {
 		}
 	case pmWait:
 		s.grantOrDefer(in, now)
-	case pmFlush:
-		// Drain everything available; a Backward Reset clears the path
-		// without per-byte pacing.
-		for in.fill > 0 {
-			fl := in.pop()
-			if fl.Kind == flit.Tail {
-				in.setMode(pmIdle)
-				in.worm = nil
-				break
-			}
-		}
-	case pmDrop:
-		s.drainDrop(in)
+	case pmFlush, pmDrop:
+		s.drain(in)
 	}
 }
 
-// drainDrop drains a worm lost to a failure, counting every flit dropped,
-// until its (possibly synthetic) tail arrives.
-func (s *swState) drainDrop(in *inPort) {
+// drain discards everything available of the worm heading a pmFlush or
+// pmDrop port, up to its (possibly synthetic) tail, which re-idles the
+// port.  A Backward Reset clears the path without per-byte pacing; a worm
+// lost to a failure (pmDrop) also counts every drained flit dropped.
+func (s *swState) drain(in *inPort) {
 	for in.fill > 0 {
 		fl := in.pop()
-		s.f.ctr.FlitsDropped++
+		if in.mode == pmDrop {
+			s.f.ctr.FlitsDropped++
+		}
 		if fl.Kind == flit.Tail {
 			in.setMode(pmIdle)
 			in.worm = nil
-			break
+			return
 		}
 	}
 }
 
+// dropHead drains a routing head left with no way forward (every requested
+// output dead, or no adaptive route), counting its worm dropped.
+func (s *swState) dropHead(in *inPort) {
+	s.f.dropWorm(in.worm)
+	in.setMode(pmDrop)
+	in.blocked = false
+	s.drain(in)
+}
+
 // collect consumes one multicast header byte per tick and decodes the
-// branch list when the header is complete.
+// branch list when route.Scanner reports the header complete.
 func (s *swState) collect(in *inPort) {
 	if in.fill == 0 {
 		return
@@ -454,29 +446,17 @@ func (s *swState) collect(in *inPort) {
 			s.node, in.idx, fl.Kind, fl.W.ID))
 	}
 	in.pop()
-	b := fl.B
-	in.mcBuf = append(in.mcBuf, b)
-	complete := false
-	switch {
-	case in.mcSkip > 0:
-		in.mcSkip--
-	case in.mcExpectPtr:
-		if b == 0 {
-			panic(fmt.Sprintf("network: zero pointer in multicast header of worm %d", fl.W.ID))
-		}
-		in.mcExpectPtr = false
-		in.mcSkip = int(b) - 1
-	case b == route.End:
-		complete = true
-	default:
-		in.mcExpectPtr = true
+	in.mcBuf = append(in.mcBuf, fl.B)
+	done, err := in.mcScan.Next(fl.B)
+	var splits []route.Split
+	if done {
+		splits, err = route.SplitHeader(in.mcBuf)
 	}
-	if !complete {
-		return
-	}
-	splits, err := route.SplitHeader(in.mcBuf)
 	if err != nil {
 		panic(fmt.Sprintf("network: corrupt multicast header of worm %d: %v", fl.W.ID, err))
+	}
+	if !done {
+		return
 	}
 	in.reqOuts = in.reqOuts[:0]
 	in.reqStamps = in.reqStamps[:0]
@@ -555,10 +535,7 @@ func (s *swState) pruneStale(in *inPort) bool {
 			s.f.ctr.EpochMismatches++
 		}
 		if len(in.reqOuts) == 0 {
-			s.f.dropWorm(in.worm)
-			in.setMode(pmDrop)
-			in.blocked = false
-			s.drainDrop(in)
+			s.dropHead(in)
 			return false
 		}
 	}
@@ -628,8 +605,7 @@ func (s *swState) grantOrDefer(in *inPort, now des.Time) {
 			}
 			return
 		}
-		s.arbLanes = append(s.arbLanes, in.idx)
-		s.arbMark[in.idx] = true
+		s.arbIns.set(in.idx)
 		return
 	}
 	s.tryGrant(in, now)
@@ -653,25 +629,32 @@ func (s *swState) tryGrant(in *inPort, now des.Time) {
 		if s.flushIfMCIdle(in, now) {
 			return
 		}
-		if !in.blocked {
-			in.blocked = true
-			if s.f.rec != nil {
-				s.f.emit(now, trace.EvBlocked, s.node, in.idx, in.worm.ID, int64(len(in.reqOuts)))
-			}
-		}
+		s.noteBlocked(in, true, now)
 		if !in.adaptive && (s.arb == nil || len(in.reqOuts) != 1) {
 			// The next retry is this one again until an output frees.
 			s.sleep(in)
 		}
 		return
 	}
-	if in.blocked {
-		in.blocked = false
-		if s.f.rec != nil {
-			s.f.emit(now, trace.EvResumed, s.node, in.idx, in.worm.ID, int64(len(in.reqOuts)))
-		}
-	}
+	s.noteBlocked(in, false, now)
 	s.bindRequested(in)
+}
+
+// noteBlocked records whether a pmWait head's latest grant attempt failed.
+// A blocking episode traces as one EvBlocked at its first failure and one
+// EvResumed at the grant that ends it, not one event per retried tick.
+func (s *swState) noteBlocked(in *inPort, blocked bool, now des.Time) {
+	if in.blocked == blocked {
+		return
+	}
+	in.blocked = blocked
+	if s.f.rec != nil {
+		k := trace.EvResumed
+		if blocked {
+			k = trace.EvBlocked
+		}
+		s.f.emit(now, k, s.node, in.idx, in.worm.ID, int64(len(in.reqOuts)))
+	}
 }
 
 // islipArbitrate runs one iSLIP scheduling cell over the input lanes whose
@@ -681,41 +664,21 @@ func (s *swState) tryGrant(in *inPort, now des.Time) {
 func (s *swState) islipArbitrate(now des.Time) {
 	a := s.arb
 	a.Begin()
-	for _, li := range s.arbLanes {
-		a.Request(li, s.in[li].reqOuts)
-	}
+	s.arbIns.forEach(func(li int) { a.Request(li, s.in[li].reqOuts) })
 	m := a.Match(func(o int) bool {
 		op := &s.out[o]
 		return op.boundIn < 0 && !op.link.dead
 	})
-	n := len(s.arbLanes)
-	for li := 0; n > 0 && li < len(s.in); li++ {
-		if !s.arbMark[li] {
-			continue
-		}
-		s.arbMark[li] = false
-		n--
+	s.arbIns.forEach(func(li int) {
+		s.arbIns.clear(li)
 		in := &s.in[li]
-		if m[li] < 0 {
-			if s.flushIfMCIdle(in, now) {
-				continue
-			}
-			if !in.blocked {
-				in.blocked = true
-				if s.f.rec != nil {
-					s.f.emit(now, trace.EvBlocked, s.node, in.idx, in.worm.ID, 1)
-				}
-			}
-			continue
+		if m[li] >= 0 {
+			s.noteBlocked(in, false, now)
+			s.bindRequested(in)
+		} else if !s.flushIfMCIdle(in, now) {
+			s.noteBlocked(in, true, now)
 		}
-		if in.blocked {
-			in.blocked = false
-			if s.f.rec != nil {
-				s.f.emit(now, trace.EvResumed, s.node, in.idx, in.worm.ID, 1)
-			}
-		}
-		s.bindRequested(in)
-	}
+	})
 }
 
 // flush discards the worm currently heading the input port and notifies
@@ -733,15 +696,7 @@ func (s *swState) flush(in *inPort, now des.Time) {
 	if s.f.Cfg.OnFlush != nil {
 		s.f.Cfg.OnFlush(w, now)
 	}
-	// Drain whatever has already arrived.
-	for in.fill > 0 {
-		fl := in.pop()
-		if fl.Kind == flit.Tail {
-			in.setMode(pmIdle)
-			in.worm = nil
-			break
-		}
-	}
+	s.drain(in) // whatever has already arrived
 }
 
 // transmit moves one flit per bound output: branch prefixes first, then
@@ -758,7 +713,7 @@ func (s *swState) transmit(now des.Time) {
 		switch in.mode {
 		case pmBoundUni:
 			o := in.ou
-			if f.nvc > 1 && s.laneGrant(o.link, o.base, now) != int8(o.vc) {
+			if s.wireHeld(o, now) {
 				// A sibling lane owns the wire this tick (or none is
 				// ready); a stopped lane's wait still counts as a stall.
 				if o.link.stopped(o.vc) {
@@ -776,15 +731,8 @@ func (s *swState) transmit(now des.Time) {
 			}
 			if o.phase == opPrefix {
 				// Stamping a header onto the exiting copy (adaptive marker
-				// or escape-route bytes); payload follows once it is out.
-				b := o.prefix[o.prefixPos]
-				o.prefixPos++
-				o.link.send(now, flit.Flit{W: in.worm, Kind: flit.Header, B: b, VC: o.vc})
-				f.moved = true
-				f.ctr.FlitsCarried++
-				if o.prefixPos == len(o.prefix) {
-					o.phase = opPayload
-				}
+				// or escape-route bytes).
+				s.sendPrefix(o, in.worm, now)
 				return
 			}
 			if in.fill == 0 {
@@ -795,9 +743,7 @@ func (s *swState) transmit(now des.Time) {
 			// Re-tag with the outgoing lane: a VC-switching route (e.g.
 			// dateline crossing) may move the worm between lanes.
 			fl.VC = o.vc
-			o.link.send(now, fl)
-			f.moved = true
-			f.ctr.FlitsCarried++
+			o.link.carry(now, fl)
 			if fl.Kind == flit.Tail {
 				if f.rec != nil {
 					f.emit(now, trace.EvTailDrained, s.node, in.idx, fl.W.ID, 1)
@@ -861,7 +807,7 @@ func (s *swState) publish(now des.Time) {
 					l.ctrl[slot] |= bit
 					l.ctrlOnes[in.vc]++
 					l.ctrlTrues++
-					f.activateLink(l)
+					f.linkAct.set(l.id)
 				} else {
 					l.ctrl[slot] &^= bit
 					l.ctrlOnes[in.vc]--
@@ -887,7 +833,7 @@ func (s *swState) publish(now des.Time) {
 // flag and drops the switch from swAct when every phase would be a no-op.
 // Equivalences with the full scan: routeIns|boundIns is exactly "fill > 0
 // or mode not idle" (a flush/drop port stays in routeIns until it
-// re-idles; sleeping and napping ports stay members); wishPorts covers
+// re-idles; sleeping and napped ports stay members); wishPorts covers
 // both standing STOP wishes and rings pinned uniformly-STOP (old criterion
 // ctrlTrues > 0 with a true wish); pendIns covers settling rings
 // (ctrlTrues > 0 with a false wish).
@@ -908,7 +854,6 @@ func (s *swState) settleLiveness() {
 		}
 	}
 	if !busy {
-		s.active = false
 		f.swAct.clear(int(s.node))
 	}
 }
@@ -955,6 +900,16 @@ func (s *swState) wireHeld(o *outPort, now des.Time) bool {
 	return s.f.nvc > 1 && s.laneGrant(o.link, o.base, now) != int8(o.vc)
 }
 
+// sendPrefix sends the next byte of output o's branch header on the copy of
+// worm w leaving through o; payload follows once the whole header is out.
+func (s *swState) sendPrefix(o *outPort, w *flit.Worm, now des.Time) {
+	o.link.carry(now, flit.Flit{W: w, Kind: flit.Header, B: o.stamp[o.prefixPos], VC: o.vc})
+	o.prefixPos++
+	if o.prefixPos == len(o.stamp) {
+		o.phase = opPayload
+	}
+}
+
 func (s *swState) transmitMC(in *inPort, now des.Time) {
 	// Stage 1: branches still stamping their headers send prefix bytes
 	// independently.  Shared payload cannot advance until every branch has
@@ -971,14 +926,7 @@ func (s *swState) transmitMC(in *inPort, now des.Time) {
 		if o.link.stopped(o.vc) {
 			o.link.stalled++
 		} else if !s.wireHeld(o, now) {
-			b := o.prefix[o.prefixPos]
-			o.prefixPos++
-			o.link.send(now, flit.Flit{W: in.worm, Kind: flit.Header, B: b, VC: o.vc})
-			s.f.moved = true
-			s.f.ctr.FlitsCarried++
-			if o.prefixPos == len(o.prefix) {
-				o.phase = opPayload
-			}
+			s.sendPrefix(o, in.worm, now)
 		}
 	}
 	if anyPrefix {
@@ -1012,9 +960,7 @@ func (s *swState) transmitMC(in *inPort, now des.Time) {
 			for _, oi := range in.outs {
 				o := &s.out[oi]
 				if o.phase == opPayload && !o.link.stopped(o.vc) && !s.wireHeld(o, now) {
-					o.link.send(now, flit.Flit{W: in.worm, Kind: flit.Tail, VC: o.vc})
-					s.f.moved = true
-					s.f.ctr.FlitsCarried++
+					o.link.carry(now, flit.Flit{W: in.worm, Kind: flit.Tail, VC: o.vc})
 					s.f.ctr.Fragments++
 					o.phase = opInterrupted
 					if s.f.rec != nil {
@@ -1051,7 +997,6 @@ func (s *swState) transmitMC(in *inPort, now des.Time) {
 	for _, oi := range in.outs {
 		o := &s.out[oi]
 		if o.phase == opInterrupted {
-			o.prefix = o.stamp
 			o.prefixPos = 0
 			if len(o.stamp) == 0 {
 				// Host-delivery branch: nothing to re-stamp.
@@ -1078,11 +1023,9 @@ func (s *swState) transmitMC(in *inPort, now des.Time) {
 		// Re-tag with the branch's outgoing lane, as the unicast relay does.
 		bf := fl
 		bf.VC = o.vc
-		o.link.send(now, bf)
+		o.link.carry(now, bf)
 		o.idleTicks = 0
-		s.f.ctr.FlitsCarried++
 	}
-	s.f.moved = true
 	if fl.Kind == flit.Tail {
 		if s.f.rec != nil {
 			s.f.emit(now, trace.EvTailDrained, s.node, in.idx, fl.W.ID, int64(len(in.outs)))

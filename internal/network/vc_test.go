@@ -163,6 +163,8 @@ func TestVCInterleavedWormsBothDeliver(t *testing.T) {
 // TestKillLinkDropsWormOnUpperLane is the regression test for in-flight
 // attribution under VCs: a worm streaming on lane 1 when its link dies
 // must be dropped and counted, exactly once, even though lane 0 is idle.
+// The kill finds the worm both in the trunk's pipeline and bound at s0's
+// sending lane; its RxAborted mark is what counts the two paths once.
 func TestKillLinkDropsWormOnUpperLane(t *testing.T) {
 	g, s0, _, hosts := vcGraph()
 	r := newRig(t, g, Config{NumVCs: 2, VCHeaders: true})
@@ -171,8 +173,16 @@ func TestKillLinkDropsWormOnUpperLane(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.k.At(20, func() {
+		s := r.f.sw[s0]
+		o := &s.out[1] // trunk (port 0), lane 1
+		if !o.link.occupied(0) || o.link.pipe[0].W != w || o.boundIn < 0 || s.in[o.boundIn].worm != w {
+			t.Fatal("worm is not both in the trunk's pipeline and bound at s0's lane 1")
+		}
 		if err := r.f.FailLink(s0, 0); err != nil {
 			t.Fatal(err)
+		}
+		if c := r.f.Counters(); c.WormsDropped != 1 || !w.RxAborted {
+			t.Fatalf("right after the kill: WormsDropped = %d, RxAborted = %v; want 1, true", c.WormsDropped, w.RxAborted)
 		}
 	})
 	r.run(t, 0)
@@ -220,6 +230,68 @@ func TestKillLinkDropsBothLanes(t *testing.T) {
 	}
 	if held := r.f.HeldChannels(); len(held) != 0 {
 		t.Fatalf("%d held channels after kill", len(held))
+	}
+}
+
+// TestVCForkBindWakesSiblingLane: a multicast fork binding one lane of a
+// wire wakes the unicast lane resting on a sibling lane of that wire (see
+// swState.nap).  Worm c->d holds s1's port to d, so worm b->d, streaming
+// on trunk lane 0, blocks at s1 until STOP holds its s0 lane, which naps.
+// A multicast from e then forks onto trunk lane 1.
+func TestVCForkBindWakesSiblingLane(t *testing.T) {
+	g, s0, _, hosts := vcGraph()
+	r := newRig(t, g, Config{NumVCs: 2, VCHeaders: true, StopMark: 8, GoMark: 4})
+	blocker := vcWorm(t, hosts["c"], hosts["d"], 3000, [2]int{2, 0})
+	held := vcWorm(t, hosts["b"], hosts["d"], 300, [2]int{0, 0}, [2]int{2, 0})
+	for _, w := range []*flit.Worm{blocker, held} {
+		if err := r.f.Inject(w.Src, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.run(t, 200)
+	s := r.f.sw[s0]
+	var lane *inPort
+	for pi := range s.in {
+		if s.in[pi].worm == held {
+			lane = &s.in[pi]
+		}
+	}
+	if lane == nil || lane.mode != pmBoundUni || lane.ou != &s.out[0] || lane.rest != napStopped {
+		t.Fatal("worm b->d is not resting STOP-held on trunk lane 0 at s0")
+	}
+
+	trunkL1, err := route.EncodeVCPort(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := route.Encode(&route.Tree{Branches: []route.Branch{
+		{Port: topology.PortID(trunkL1), Sub: &route.Tree{Branches: []route.Branch{{Port: 1}}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wormIDs++
+	mc := &flit.Worm{ID: wormIDs, Src: hosts["e"], Dst: topology.None, Group: 0,
+		Mode: flit.MulticastTree, Header: h, PayloadLen: 50}
+	if err := r.f.Inject(hosts["e"], mc); err != nil {
+		t.Fatal(err)
+	}
+	fork := &s.out[1] // trunk lane 1
+	for i := 0; fork.boundIn < 0; i++ {
+		if i == 100 {
+			t.Fatal("the fork never bound trunk lane 1")
+		}
+		r.run(t, r.k.Now()+1)
+	}
+	if s.in[fork.boundIn].mode != pmBoundMC {
+		t.Fatalf("trunk lane 1 bound in mode %v, want a fork", s.in[fork.boundIn].mode)
+	}
+	if lane.rest != awake {
+		t.Fatalf("sibling lane still resting (rest=%d) after the fork bound its wire", lane.rest)
+	}
+	r.run(t, 0)
+	if c := r.f.Counters(); c.Delivered != 3 || c.WormsDropped != 0 {
+		t.Fatalf("counters %+v, want 3 deliveries", c)
 	}
 }
 

@@ -102,10 +102,6 @@ func (f *Fabric) checkLinks(now des.Time) {
 			f.wormfail(now, "link %d.%d->%d.%d holds state (inFlight=%d ctrlTrues=%d stopMask=%#x) but is not active: lost wakeup",
 				l.srcNode, l.srcPort, l.dstNode, l.dstPort, l.inFlight, l.ctrlTrues, l.stopMask)
 		}
-		if l.active != f.linkAct.has(l.id) {
-			f.wormfail(now, "link %d.%d->%d.%d active flag %v disagrees with bitmap",
-				l.srcNode, l.srcPort, l.dstNode, l.dstPort, l.active)
-		}
 	}
 	if total != f.inFlight {
 		f.wormfail(now, "fabric inFlight=%d but %d arrival bits set in total", f.inFlight, total)
@@ -176,24 +172,17 @@ func (f *Fabric) checkSwitches(now des.Time) {
 				f.wormfail(now, "switch %d has pending work but is not active: lost wakeup", s.node)
 			}
 		}
-		if s.active != f.swAct.has(int(s.node)) {
-			f.wormfail(now, "switch %d active flag %v disagrees with bitmap", s.node, s.active)
-		}
 	}
-	for _, h := range f.hosts {
-		if h != nil && h.napping {
-			naps++
-		}
-	}
+	f.hostNap.forEach(func(int) { naps++ })
 	if heads != f.heads || naps != f.naps {
-		f.wormfail(now, "heads=%d naps=%d but %d sleeping heads and %d napping senders", f.heads, f.naps, heads, naps)
+		f.wormfail(now, "heads=%d naps=%d but %d sleeping heads and %d napped senders", f.heads, f.naps, heads, naps)
 	}
 }
 
 // checkRest: a resting port is exactly one whose skipped visits are
 // no-ops.  A sleeping head has no grantable request (some requested
 // output bound, no flush flag up, pruned at this epoch) and is not one the
-// iSLIP cell or adaptive selection polls; a napping lane is a unicast
+// iSLIP cell or adaptive selection polls; a napped lane is a unicast
 // relay held by STOP, or empty and free to send, on a wire no fork shares.
 func (f *Fabric) checkRest(now des.Time, s *swState, in *inPort) {
 	if s.restIns.has(in.idx) != (in.rest != awake) {
@@ -226,20 +215,20 @@ func (f *Fabric) checkRest(now des.Time, s *swState, in *inPort) {
 		}
 	case napEmpty, napStopped:
 		if in.mode != pmBoundUni {
-			f.wormfail(now, "switch %d lane %d napping lane in mode %d", s.node, in.idx, in.mode)
+			f.wormfail(now, "switch %d lane %d napped lane in mode %d", s.node, in.idx, in.mode)
 		}
 		o := in.ou
 		stopped := o.link.stopped(o.vc)
 		if in.rest == napStopped && !stopped {
-			f.wormfail(now, "switch %d lane %d napping lane is not STOP-held", s.node, in.idx)
+			f.wormfail(now, "switch %d lane %d napped lane is not STOP-held", s.node, in.idx)
 		}
 		if in.rest == napEmpty && (stopped || in.fill != 0 || o.phase != opPayload) {
-			f.wormfail(now, "switch %d lane %d napping lane has something to relay (fill=%d phase=%d stopped=%v)",
+			f.wormfail(now, "switch %d lane %d napped lane has something to relay (fill=%d phase=%d stopped=%v)",
 				s.node, in.idx, in.fill, o.phase, stopped)
 		}
 		for v := 0; f.nvc > 1 && v < f.nvc; v++ {
 			if b := s.out[o.base+v].boundIn; b >= 0 && s.in[b].mode == pmBoundMC {
-				f.wormfail(now, "switch %d lane %d napping lane shares its wire with a fork", s.node, in.idx)
+				f.wormfail(now, "switch %d lane %d napped lane shares its wire with a fork", s.node, in.idx)
 			}
 		}
 	}
@@ -345,7 +334,8 @@ func (f *Fabric) checkCrossbar(now des.Time, s *swState) {
 	})
 }
 
-// checkHosts: the rxBusy reception count and transmit-side active set.
+// checkHosts: the rxBusy reception count and the transmit-side active and
+// napped sets.
 func (f *Fabric) checkHosts(now des.Time) {
 	rx := 0
 	for _, h := range f.hosts {
@@ -358,15 +348,9 @@ func (f *Fabric) checkHosts(now des.Time) {
 		if (h.cur != nil || h.qlen() > 0) && !f.hostAct.has(int(h.node)) {
 			f.wormfail(now, "host %d has queued transmission but is not active: lost wakeup", h.node)
 		}
-		if h.active != f.hostAct.has(int(h.node)) {
-			f.wormfail(now, "host %d active flag %v disagrees with bitmap", h.node, h.active)
-		}
-		if h.napping != f.hostNap.has(int(h.node)) {
-			f.wormfail(now, "host %d napping flag %v disagrees with bitmap", h.node, h.napping)
-		}
-		if h.napping && (!h.active || h.cur == nil || h.cur.W.PaceFrom != nil ||
+		if f.hostNap.has(int(h.node)) && (!f.hostAct.has(int(h.node)) || h.cur == nil || h.cur.W.PaceFrom != nil ||
 			!h.outLink.stopped(0) || now < h.stalledUntil) {
-			f.wormfail(now, "host %d napping host is not an unpaced, unstalled stream held by STOP", h.node)
+			f.wormfail(now, "host %d napped host is not an unpaced, unstalled stream held by STOP", h.node)
 		}
 	}
 	if rx != f.rxBusy {

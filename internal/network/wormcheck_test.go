@@ -75,7 +75,7 @@ func TestWormcheckDetectsCorruption(t *testing.T) {
 		mustWormfail(t, r, "outside the settle set", func() {
 			l := r.f.links[0]
 			l.stopMask = 1
-			r.f.activateLink(l)
+			r.f.linkAct.set(l.id)
 		})
 	})
 	t.Run("sleeping-head", func(t *testing.T) {
@@ -91,14 +91,14 @@ func TestWormcheckDetectsCorruption(t *testing.T) {
 			t.Fatal("no idle lane")
 		})
 	})
-	t.Run("napping-lane", func(t *testing.T) {
+	t.Run("napped-lane", func(t *testing.T) {
 		r := build()
 		s, in := streaming(t, r)
-		mustWormfail(t, r, "napping lane is not STOP-held", func() { s.nap(in, napStopped) })
+		mustWormfail(t, r, "napped lane is not STOP-held", func() { s.nap(in, napStopped) })
 	})
-	t.Run("napping-host", func(t *testing.T) {
+	t.Run("napped-host", func(t *testing.T) {
 		r := build()
-		mustWormfail(t, r, "napping host", func() { r.f.hosts[r.g.Hosts()[0]].nap() })
+		mustWormfail(t, r, "napped host", func() { r.f.hosts[r.g.Hosts()[0]].nap() })
 	})
 	t.Run("rest-count", func(t *testing.T) {
 		r := build()

@@ -213,6 +213,37 @@ func SplitHeader(h []byte) ([]Split, error) {
 	}
 }
 
+// Scanner finds the end of a multicast header as its bytes arrive one at a
+// time, the way a switch consumes it: each top-level PORT byte is followed
+// by its PTR, whose PTR-1 sub-header bytes are skipped whole, until the
+// top-level END.  It does not split the header; SplitHeader does that once
+// Next reports the END.  The zero value is ready, and a scanner that has
+// reported done is zero again.
+type Scanner struct {
+	skip      uint8 // sub-header bytes still to skip (a PTR is one byte)
+	expectPtr bool  // the previous byte was a top-level PORT
+}
+
+// Next consumes one header byte and reports whether it was the top-level
+// END that completes the header.  A zero pointer is an error.
+func (s *Scanner) Next(b byte) (done bool, err error) {
+	switch {
+	case s.skip > 0:
+		s.skip--
+	case s.expectPtr:
+		if b == 0 {
+			return false, errors.New("route: zero pointer")
+		}
+		s.expectPtr = false
+		s.skip = b - 1
+	case b == End:
+		return true, nil
+	default:
+		s.expectPtr = true
+	}
+	return false, nil
+}
+
 // Decode parses a multicast header back into a Tree.  A bare END header
 // decodes to nil (local delivery).
 func Decode(h []byte) (*Tree, error) {
