@@ -33,6 +33,8 @@ func TestRunSmoke(t *testing.T) {
 func TestRunUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-topology", "nosuch"},
+		{"-topology", "ring:2"},
+		{"-topology", "torus4x4", "-delay", "-3"},
 		{"-scheme", "nosuch"},
 		{"-badflag"},
 		{"-route", "left-hand"},

@@ -110,9 +110,6 @@ func (inj *Injector) setupHello() error {
 		return err
 	}
 	cfg.Hello = cfg.Hello.WithDefaults()
-	if cfg.ConvergeDelay <= 0 {
-		cfg.ConvergeDelay = DefaultConvergeDelay
-	}
 	if cfg.HelloUntil <= 0 {
 		return fmt.Errorf("fault: hello detection needs a positive HelloUntil horizon")
 	}
@@ -210,7 +207,7 @@ func (inj *Injector) onVerdict(v liveness.Verdict) {
 		}
 	}
 	d.pending = append(d.pending, v.At)
-	inj.coalesce(&d.remapPending, inj.Cfg.ConvergeDelay, inj.remapDetected)
+	inj.coalesce(&d.remapPending, DefaultConvergeDelay, inj.remapDetected)
 }
 
 // remapDetected runs the recovery pipeline over the *detected* failure set.

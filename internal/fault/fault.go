@@ -229,7 +229,7 @@ const DefaultRemapDelay des.Time = 512
 type InjectorConfig struct {
 	// RemapDelay is the oracle mode's detection-plus-convergence latency
 	// (default DefaultRemapDelay).  Unused in hello mode, where detection
-	// latency is a protocol outcome and only ConvergeDelay is modelled.
+	// latency is a protocol outcome and only DefaultConvergeDelay is modelled.
 	RemapDelay des.Time
 	// OnRemap receives each recomputed routing and route table; the
 	// adapter layer installs them (see adapter.System.Reroute).
@@ -247,10 +247,6 @@ type InjectorConfig struct {
 	// mode): hellos stop after this time so the fabric can drain for the
 	// quiescence invariants.
 	HelloUntil des.Time
-	// ConvergeDelay is the verdict-to-reroute latency in hello mode: once
-	// the detector speaks, the modelled mapper convergence and table
-	// distribution still take time (default DefaultConvergeDelay).
-	ConvergeDelay des.Time
 	// Recorder, when non-nil, receives the liveness event stream
 	// (hello-missed, peer-down, peer-up, flap-suppressed).
 	Recorder trace.Recorder

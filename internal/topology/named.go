@@ -18,15 +18,22 @@ type Net struct {
 // paper's Figure 11 instance), shufflenet64, clos8x4, fullmesh8x4,
 // fullmesh8x8, myrinet4, star:N, line:N, ring:N.  delay is the inter-switch
 // link delay in byte-times; 0 takes the topology's own default — 1000 for
-// shufflenet24 (the paper's long-haul pipes), 1 everywhere else.
+// shufflenet24 (the paper's long-haul pipes), 1 everywhere else.  A
+// negative delay or a size below its builder's floor is an error, not the
+// builder's panic.
 func Named(name string, delay int64) (Net, error) {
 	var n Net
+	if delay < 0 {
+		return n, fmt.Errorf("topology: negative link delay %d", delay)
+	}
 	var size int
 	sized := func(format string) bool {
 		_, err := fmt.Sscanf(name, format, &size)
 		return err == nil
 	}
 	switch {
+	case sized("line:%d") && size < 1, sized("ring:%d") && size < 3:
+		return n, fmt.Errorf("topology: %q is too small (line:N needs N >= 1, ring:N needs N >= 3)", name)
 	case name == "torus8x8":
 		n.Graph, n.Torus = TorusWithGeom(8, 8, 1, delay)
 	case name == "torus4x4":

@@ -41,9 +41,14 @@ func TestNamed(t *testing.T) {
 			t.Errorf("Named(%q, %d) differs from the direct builder call", c.name, c.delay)
 		}
 	}
-	for _, bad := range []string{"", "torus", "line:x", "mesh:4"} {
+	for _, bad := range []string{"", "torus", "line:x", "mesh:4", "line:0", "line:-2", "ring:0", "ring:2"} {
 		if _, err := Named(bad, 0); err == nil {
 			t.Errorf("Named(%q) accepted", bad)
+		}
+	}
+	for _, name := range []string{"torus4x4", "ring:3"} {
+		if _, err := Named(name, -3); err == nil {
+			t.Errorf("Named(%q, -3) accepted a negative delay", name)
 		}
 	}
 }

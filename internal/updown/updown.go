@@ -286,45 +286,81 @@ func (t *Table) MeanHops() float64 {
 	return float64(total) / float64(n)
 }
 
-// VerifyRoute checks that a route is a legal up*/down* walk through the
-// topology ending at the destination host.  Used by tests and by the
-// deadlock-freedom property checks.
-func (r *Routing) VerifyRoute(rt Route) error {
-	g := r.G
+// Hop is one switch traversal of a route as Route.Walk hands it out: hop
+// number Index leaves Switch by Port on lane Lane and lands on Peer.
+type Hop struct {
+	Index  int
+	Switch topology.NodeID
+	Port   topology.PortID
+	Lane   int
+	Peer   topology.NodeID
+}
+
+// Walk follows rt through g from its source's attach switch and is the one
+// walker every route check shares.  It checks that the route names each
+// switch the walk reaches, that every port is in range and wired, that the
+// route stays in the switch fabric until its last hop, and that the last
+// hop lands on Dst; an empty route reaches no host and is an error too.
+// decode splits a route byte into port and lane; nil reads plain port
+// bytes on lane 0.  visit, when not nil, sees each hop once the walk has
+// checked it, and its first error ends the walk.
+func (rt Route) Walk(g *topology.Graph, decode func(topology.PortID) (topology.PortID, int), visit func(Hop) error) error {
+	if len(rt.Ports) == 0 || len(rt.Ports) != len(rt.Switches) {
+		return fmt.Errorf("%d ports for %d switches", len(rt.Ports), len(rt.Switches))
+	}
 	sw, _ := g.HostAttachment(rt.Src)
-	goneDown := false
-	for i, port := range rt.Ports {
+	for i, b := range rt.Ports {
 		if rt.Switches[i] != sw {
 			return fmt.Errorf("hop %d: route says switch %d, walk is at %d", i, rt.Switches[i], sw)
 		}
-		if int(port) >= len(g.Node(sw).Ports) {
-			return fmt.Errorf("hop %d: port %d out of range at switch %d", i, port, sw)
+		h := Hop{Index: i, Switch: sw, Port: b}
+		if decode != nil {
+			h.Port, h.Lane = decode(b)
 		}
-		p := g.Node(sw).Ports[port]
+		ports := g.Node(sw).Ports
+		if int(h.Port) >= len(ports) {
+			return fmt.Errorf("hop %d: port %d out of range at switch %d", i, h.Port, sw)
+		}
+		p := ports[h.Port]
 		if !p.Wired() {
-			return fmt.Errorf("hop %d: port %d of switch %d unwired", i, port, sw)
+			return fmt.Errorf("hop %d: port %d of switch %d unwired", i, h.Port, sw)
 		}
-		if r.fail.LinkDead(g, sw, port) {
-			return fmt.Errorf("hop %d: port %d of switch %d crosses a failed link", i, port, sw)
+		h.Peer = p.Peer
+		last := i == len(rt.Ports)-1
+		if !last && g.Node(p.Peer).Kind != topology.Switch {
+			return fmt.Errorf("hop %d: reached host %d before end of route", i, p.Peer)
 		}
-		if g.Node(p.Peer).Kind == topology.Switch {
-			up := r.IsUp(sw, port)
-			if goneDown && up {
-				return fmt.Errorf("hop %d: illegal down->up transition at switch %d", i, sw)
+		if last && p.Peer != rt.Dst {
+			return fmt.Errorf("route delivers to node %d, want %d", p.Peer, rt.Dst)
+		}
+		if visit != nil {
+			if err := visit(h); err != nil {
+				return err
 			}
-			if !up {
-				goneDown = true
-			}
-			sw = p.Peer
-		} else {
-			if i != len(rt.Ports)-1 {
-				return fmt.Errorf("hop %d: reached host %d before end of route", i, p.Peer)
-			}
-			if p.Peer != rt.Dst {
-				return fmt.Errorf("route delivers to host %d, want %d", p.Peer, rt.Dst)
-			}
+		}
+		sw = p.Peer
+	}
+	return nil
+}
+
+// VerifyRoute checks that a route is a legal up*/down* walk through the
+// topology ending at the destination host: a Walk that crosses no failed
+// link and never turns from down to up.  Used by tests and by the
+// deadlock-freedom property checks.
+func (r *Routing) VerifyRoute(rt Route) error {
+	goneDown := false
+	return rt.Walk(r.G, nil, func(h Hop) error {
+		if r.fail.LinkDead(r.G, h.Switch, h.Port) {
+			return fmt.Errorf("hop %d: port %d of switch %d crosses a failed link", h.Index, h.Port, h.Switch)
+		}
+		if r.G.Node(h.Peer).Kind != topology.Switch {
 			return nil
 		}
-	}
-	return fmt.Errorf("route ends at switch %d without reaching host %d", sw, rt.Dst)
+		up := r.IsUp(h.Switch, h.Port)
+		if goneDown && up {
+			return fmt.Errorf("hop %d: illegal down->up transition at switch %d", h.Index, h.Switch)
+		}
+		goneDown = goneDown || !up
+		return nil
+	})
 }

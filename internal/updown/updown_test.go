@@ -1,6 +1,7 @@
 package updown
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -377,5 +378,51 @@ func TestExplicitRoot(t *testing.T) {
 	}
 	if r.Root != root || r.Level[root] != 0 {
 		t.Fatal("explicit root not honoured")
+	}
+}
+
+// TestVerifyRouteRejectsIllegalWalks: a route that Walk accepts as wired
+// and well formed still fails VerifyRoute when it turns from down to up or
+// crosses a failed cable — the two rules VerifyRoute adds to the walk.
+func TestVerifyRouteRejectsIllegalWalks(t *testing.T) {
+	g := topology.Ring(5, 1)
+	r := mustRouting(t, g)
+	hosts := g.Hosts()
+	portTo := func(a, b topology.NodeID) topology.PortID {
+		for pi, p := range g.Node(a).Ports {
+			if p.Peer == b {
+				return topology.PortID(pi)
+			}
+		}
+		t.Fatalf("node %d has no port to %d", a, b)
+		return topology.NoPort
+	}
+	var sw [5]topology.NodeID
+	for i := range sw {
+		sw[i], _ = g.HostAttachment(hosts[i])
+	}
+	// Clockwise h2 -> h4 goes down (s2 -> s3, same level, higher ID) and
+	// then up (s3 -> s4, toward the root).
+	clockwise := Route{Src: hosts[2], Dst: hosts[4],
+		Ports:    []topology.PortID{portTo(sw[2], sw[3]), portTo(sw[3], sw[4]), portTo(sw[4], hosts[4])},
+		Switches: []topology.NodeID{sw[2], sw[3], sw[4]}}
+	if err := clockwise.Walk(g, nil, func(Hop) error { return nil }); err != nil {
+		t.Fatalf("walk rejects a wired route: %v", err)
+	}
+	if err := r.VerifyRoute(clockwise); err == nil || !strings.Contains(err.Error(), "down->up") {
+		t.Fatalf("down->up route: %v", err)
+	}
+	legal, err := r.Route(hosts[0], hosts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail := NewFailures()
+	fail.FailLink(g, sw[0], portTo(sw[0], sw[1]))
+	cut, err := WithoutEdges(g, topology.None, fail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cut.VerifyRoute(legal); err == nil || !strings.Contains(err.Error(), "failed link") {
+		t.Fatalf("route over a failed cable: %v", err)
 	}
 }

@@ -1,0 +1,127 @@
+package vcroute
+
+import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"os"
+	"testing"
+
+	"wormlan/internal/topology"
+	"wormlan/internal/updown"
+)
+
+// pinnedNets are the topology.Named fabrics every scheme is tried on; a
+// scheme is pinned on each one its Check and Build accept.
+var pinnedNets = []string{
+	"torus8x8", "torus4x4", "shufflenet24", "shufflenet64", "clos8x4",
+	"fullmesh8x4", "fullmesh8x8", "myrinet4", "star:4", "line:4", "ring:5",
+}
+
+// pinnedFailures is the fixed failure set of the pin: the first
+// switch-to-switch cable of the first switch (its first cable when it has
+// no switch neighbour) and, when there is more than one switch, the last
+// switch.
+func pinnedFailures(g *topology.Graph) *updown.Failures {
+	fail := updown.NewFailures()
+	sws := g.Switches()
+	cable := topology.PortID(0)
+	for pi, p := range g.Node(sws[0]).Ports {
+		if p.Wired() && g.Node(p.Peer).Kind == topology.Switch {
+			cable = topology.PortID(pi)
+			break
+		}
+	}
+	fail.FailLink(g, sws[0], cable)
+	if len(sws) > 1 {
+		fail.FailSwitch(sws[len(sws)-1])
+	}
+	return fail
+}
+
+// tableHash hashes every route byte and switch of tbl, row-major over its
+// hosts, empty routes included.
+func tableHash(tbl *updown.Table) string {
+	h := sha256.New()
+	for _, src := range tbl.Hosts {
+		for _, dst := range tbl.Hosts {
+			rt := tbl.Lookup(src, dst)
+			fmt.Fprintf(h, "%d>%d:%v%v;", src, dst, rt.Ports, rt.Switches)
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestSchemeTablesPinned holds every registered scheme's table to
+// testdata/tables_pinned.json, byte for byte, on each named fabric the
+// scheme accepts — healthy and under pinnedFailures.  Up/down pins the
+// tables its labelling builds itself (NewTable healthy, NewTableSurviving
+// after a failure, as the recovery pipeline does).  A refactor of the
+// table layer must not change the file; on a deliberate routing change,
+// replace it with the JSON this test prints.
+func TestSchemeTablesPinned(t *testing.T) {
+	raw, err := os.ReadFile("testdata/tables_pinned.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, name := range Names() {
+		sch, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, topo := range pinnedNets {
+			net, err := topology.Named(topo, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sch.Check(net) != nil {
+				continue
+			}
+			healthy, err := updown.New(net.Graph, topology.None)
+			if err != nil {
+				t.Fatal(err)
+			}
+			failed, err := updown.WithoutEdges(net.Graph, topology.None, pinnedFailures(net.Graph))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ud := range []*updown.Routing{healthy, failed} {
+				var tbl *updown.Table
+				switch {
+				case sch.Build != nil:
+					tbl, err = sch.Build(net, max(sch.MinLanes, 1), ud)
+				case ud == healthy:
+					tbl, err = ud.NewTable(false)
+				default:
+					tbl, err = ud.NewTableSurviving(false)
+				}
+				if err != nil {
+					if ud == healthy {
+						break // the scheme does not route this fabric
+					}
+					t.Fatalf("%s on %s: healthy table built, failed one did not: %v", name, topo, err)
+				}
+				key := fmt.Sprintf("%s/%s/healthy", name, topo)
+				if ud == failed {
+					key = fmt.Sprintf("%s/%s/failed", name, topo)
+				}
+				got[key] = tableHash(tbl)
+				if got[key] != want[key] {
+					t.Errorf("%s: table hash %s, pinned %s", key, got[key], want[key])
+				}
+			}
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("pinned file has %d tables, the test builds %d", len(want), len(got))
+	}
+	if t.Failed() {
+		js, _ := json.MarshalIndent(got, "", " ")
+		t.Logf("regenerated testdata/tables_pinned.json:\n%s", js)
+	}
+}

@@ -8,8 +8,10 @@ package vcroute
 // the survivors.
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"wormlan/internal/route"
 	"wormlan/internal/topology"
@@ -23,59 +25,39 @@ import (
 // the up/down labelling cannot reach get empty routes, so senders give up
 // at the adapter instead of injecting doomed worms.
 func Adaptive(g *topology.Graph, ud *updown.Routing) (*updown.Table, error) {
-	hosts := g.Hosts()
-	var slab updown.RouteSlab
-	routes := make([][]updown.Route, len(hosts))
-	for i, src := range hosts {
-		routes[i] = make([]updown.Route, len(hosts))
-		srcOK := ud.Reachable(src)
-		sw, _ := g.HostAttachment(src)
-		for j, dst := range hosts {
-			if i == j || !srcOK || !ud.Reachable(dst) {
-				continue
-			}
-			rt := newRoute(&slab, src, dst, 1)
-			rt.Ports = append(rt.Ports, route.AdaptivePort)
-			rt.Switches = append(rt.Switches, sw)
-			routes[i][j] = rt
-		}
+	// The labelling's own Reachable is the cut rule here, so pairTable is
+	// given no failure set to apply a second time.
+	reach := make([]bool, len(g.Nodes))
+	for _, h := range g.Hosts() {
+		reach[h] = ud.Reachable(h)
 	}
-	return updown.NewCustomTable(hosts, routes)
+	return pairTable(g, nil, func(slab *updown.RouteSlab, src, dst topology.NodeID) (updown.Route, error) {
+		if !reach[src] || !reach[dst] {
+			return updown.Route{}, nil
+		}
+		sw, _ := g.HostAttachment(src)
+		rt := newRoute(slab, src, dst, 1)
+		rt.Ports = append(rt.Ports, route.AdaptivePort)
+		rt.Switches = append(rt.Switches, sw)
+		return rt, nil
+	})
 }
 
-// hostCut reports whether h's attachment link or switch is dead.
-func hostCut(g *topology.Graph, fail *updown.Failures, h topology.NodeID) bool {
-	if fail == nil {
-		return false
-	}
-	sw, _ := g.HostAttachment(h)
-	p := g.Node(h).Ports[0]
-	return fail.SwitchDead(sw) || fail.LinkDead(g, h, topology.PortID(0)) ||
-		fail.LinkDead(g, sw, p.PeerPort)
-}
+// errDead stops a routeDead walk at the first dead hop.
+var errDead = errors.New("dead hop")
 
 // routeDead reports whether rt crosses a failed switch or link.  vcEncoded
-// selects whether the route bytes carry lane ids (route.DecodeVCPort) or
-// are raw port numbers.
+// selects whether the route bytes carry lane ids or are raw port numbers.
 func routeDead(g *topology.Graph, fail *updown.Failures, rt updown.Route, vcEncoded bool) bool {
 	if fail == nil {
 		return false
 	}
-	for i, pb := range rt.Ports {
-		sw := rt.Switches[i]
-		if fail.SwitchDead(sw) {
-			return true
+	return rt.Walk(g, decoder(vcEncoded), func(h updown.Hop) error {
+		if fail.SwitchDead(h.Switch) || fail.LinkDead(g, h.Switch, h.Port) {
+			return errDead
 		}
-		port := topology.PortID(pb)
-		if vcEncoded {
-			p, _ := route.DecodeVCPort(byte(pb))
-			port = topology.PortID(p)
-		}
-		if fail.LinkDead(g, sw, port) {
-			return true
-		}
-	}
-	return false
+		return nil
+	}) != nil
 }
 
 // TorusMinimalSurviving is TorusMinimal restricted to the surviving
@@ -90,41 +72,25 @@ func TorusMinimalSurviving(g *topology.Graph, geo *topology.TorusGeom, nvc int, 
 	if nvc < 2 {
 		return nil, fmt.Errorf("vcroute: dateline routing needs >= 2 virtual channels, have %d", nvc)
 	}
-	hosts := g.Hosts()
-	type coord struct{ r, c, h int }
-	at := make(map[topology.NodeID]coord, len(hosts))
+	at := make([]placed[torusCoord], len(g.Nodes))
 	for r := range geo.Hosts {
 		for c := range geo.Hosts[r] {
 			for h, id := range geo.Hosts[r][c] {
-				at[id] = coord{r, c, h}
+				at[id] = placed[torusCoord]{torusCoord{r, c, h}, true}
 			}
 		}
 	}
-	var slab updown.RouteSlab
-	routes := make([][]updown.Route, len(hosts))
-	for i, src := range hosts {
-		routes[i] = make([]updown.Route, len(hosts))
-		sc, ok := at[src]
-		if !ok {
-			return nil, fmt.Errorf("vcroute: host %d not in torus geometry", src)
+	return pairTable(g, fail, func(slab *updown.RouteSlab, src, dst topology.NodeID) (updown.Route, error) {
+		sc, dc, err := locate(at, src, dst, "torus")
+		if err != nil {
+			return updown.Route{}, err
 		}
-		srcCut := hostCut(g, fail, src)
-		for j, dst := range hosts {
-			if i == j || srcCut || hostCut(g, fail, dst) {
-				continue
-			}
-			dc := at[dst]
-			rt, err := torusRoute(&slab, geo, src, dst, sc.r, sc.c, dc.r, dc.c, dc.h)
-			if err != nil {
-				return nil, err
-			}
-			if routeDead(g, fail, rt, true) {
-				continue
-			}
-			routes[i][j] = rt
+		rt, err := torusRoute(slab, geo, src, dst, sc, dc)
+		if err != nil || routeDead(g, fail, rt, true) {
+			return updown.Route{}, err
 		}
-	}
-	return updown.NewCustomTable(hosts, routes)
+		return rt, nil
+	})
 }
 
 // FullMeshSurviving is FullMesh restricted to the surviving topology:
@@ -132,48 +98,33 @@ func TorusMinimalSurviving(g *topology.Graph, geo *topology.TorusGeom, nvc int, 
 // empty routes.  The scheme has no multi-hop detours by construction, so
 // recovery is pruning.
 func FullMeshSurviving(g *topology.Graph, fail *updown.Failures) (*updown.Table, error) {
-	hosts := g.Hosts()
-	var slab updown.RouteSlab
-	routes := make([][]updown.Route, len(hosts))
-	for i, src := range hosts {
-		routes[i] = make([]updown.Route, len(hosts))
-		sa, _ := hostAttach(g, src)
-		srcCut := hostCut(g, fail, src)
-		for j, dst := range hosts {
-			if i == j || srcCut || hostCut(g, fail, dst) {
-				continue
-			}
-			da, dp := hostAttach(g, dst)
-			rt := newRoute(&slab, src, dst, 2) // at most: peer switch, host
-			if sa != da {
-				// First live port on the source attach switch wired to the
-				// destination attach switch, in ascending port order.
-				found := topology.PortID(-1)
-				for pi, p := range g.Node(sa).Ports {
-					if !p.Wired() || p.Peer != da {
-						continue
-					}
-					if fail != nil && fail.LinkDead(g, sa, topology.PortID(pi)) {
-						continue
-					}
+	return pairTable(g, fail, func(slab *updown.RouteSlab, src, dst topology.NodeID) (updown.Route, error) {
+		sa, _ := g.HostAttachment(src)
+		da, dp := g.HostAttachment(dst)
+		rt := newRoute(slab, src, dst, 2) // at most: peer switch, host
+		if sa != da {
+			// First live port on the source attach switch wired to the
+			// destination attach switch, in ascending port order.
+			found := topology.PortID(-1)
+			for pi, p := range g.Node(sa).Ports {
+				if p.Wired() && p.Peer == da && !fail.LinkDead(g, sa, topology.PortID(pi)) {
 					found = topology.PortID(pi)
 					break
 				}
-				if found < 0 {
-					if fail != nil {
-						continue // direct cable dead: pair unroutable
-					}
-					return nil, fmt.Errorf("vcroute: switches %d and %d not adjacent (full mesh required)", sa, da)
-				}
-				rt.Ports = append(rt.Ports, found)
-				rt.Switches = append(rt.Switches, sa)
 			}
-			rt.Ports = append(rt.Ports, dp)
-			rt.Switches = append(rt.Switches, da)
-			routes[i][j] = rt
+			if found < 0 {
+				if fail != nil {
+					return updown.Route{}, nil // direct cable dead: pair unroutable
+				}
+				return updown.Route{}, fmt.Errorf("vcroute: switches %d and %d not adjacent (full mesh required)", sa, da)
+			}
+			rt.Ports = append(rt.Ports, found)
+			rt.Switches = append(rt.Switches, sa)
 		}
-	}
-	return updown.NewCustomTable(hosts, routes)
+		rt.Ports = append(rt.Ports, dp)
+		rt.Switches = append(rt.Switches, da)
+		return rt, nil
+	})
 }
 
 // Clos builds the spine-deterministic direct routing table for a
@@ -192,58 +143,43 @@ func Clos(g *topology.Graph, geo *topology.ClosGeom, fail *updown.Failures) (*up
 	if geo == nil {
 		return nil, fmt.Errorf("vcroute: clos geometry required (build with topology.ClosWithGeom)")
 	}
-	hosts := g.Hosts()
 	type loc struct{ l, h int }
-	at := make(map[topology.NodeID]loc, len(hosts))
+	at := make([]placed[loc], len(g.Nodes))
 	for l := range geo.Hosts {
 		for h, id := range geo.Hosts[l] {
-			at[id] = loc{l, h}
+			at[id] = placed[loc]{loc{l, h}, true}
 		}
 	}
 	spineLive := func(li, s, lj int) bool {
-		if fail == nil {
-			return true
-		}
 		return !fail.SwitchDead(geo.Spine[s]) &&
 			!fail.LinkDead(g, geo.Leaf[li], geo.Up[li][s]) &&
 			!fail.LinkDead(g, geo.Leaf[lj], geo.Up[lj][s])
 	}
-	var slab updown.RouteSlab
-	routes := make([][]updown.Route, len(hosts))
-	for i, src := range hosts {
-		routes[i] = make([]updown.Route, len(hosts))
-		sl, ok := at[src]
-		if !ok {
-			return nil, fmt.Errorf("vcroute: host %d not in clos geometry", src)
+	return pairTable(g, fail, func(slab *updown.RouteSlab, src, dst topology.NodeID) (updown.Route, error) {
+		sl, dl, err := locate(at, src, dst, "clos")
+		if err != nil {
+			return updown.Route{}, err
 		}
-		srcCut := hostCut(g, fail, src)
-		for j, dst := range hosts {
-			if i == j || srcCut || hostCut(g, fail, dst) {
-				continue
-			}
-			dl := at[dst]
-			rt := newRoute(&slab, src, dst, 3) // at most: leaf, spine, leaf
-			if sl.l != dl.l {
-				spine := -1
-				for t := 0; t < geo.NSpine; t++ {
-					s := (sl.l + dl.l + t) % geo.NSpine
-					if spineLive(sl.l, s, dl.l) {
-						spine = s
-						break
-					}
+		rt := newRoute(slab, src, dst, 3) // at most: leaf, spine, leaf
+		if sl.l != dl.l {
+			spine := -1
+			for t := 0; t < geo.NSpine; t++ {
+				s := (sl.l + dl.l + t) % geo.NSpine
+				if spineLive(sl.l, s, dl.l) {
+					spine = s
+					break
 				}
-				if spine < 0 {
-					continue // no surviving spine: pair unroutable
-				}
-				rt.Ports = append(rt.Ports, geo.Up[sl.l][spine], geo.Down[spine][dl.l])
-				rt.Switches = append(rt.Switches, geo.Leaf[sl.l], geo.Spine[spine])
 			}
-			rt.Ports = append(rt.Ports, geo.HostPort[dl.l][dl.h])
-			rt.Switches = append(rt.Switches, geo.Leaf[dl.l])
-			routes[i][j] = rt
+			if spine < 0 {
+				return updown.Route{}, nil // no surviving spine: pair unroutable
+			}
+			rt.Ports = append(rt.Ports, geo.Up[sl.l][spine], geo.Down[spine][dl.l])
+			rt.Switches = append(rt.Switches, geo.Leaf[sl.l], geo.Spine[spine])
 		}
-	}
-	return updown.NewCustomTable(hosts, routes)
+		rt.Ports = append(rt.Ports, geo.HostPort[dl.l][dl.h])
+		rt.Switches = append(rt.Switches, geo.Leaf[dl.l])
+		return rt, nil
+	})
 }
 
 // Shufflenet builds the forward-column routing table for a bidirectional
@@ -272,12 +208,11 @@ func Shufflenet(g *topology.Graph, geo *topology.ShuffleGeom, nvc int, fail *upd
 	if nvc < 3 {
 		return nil, fmt.Errorf("vcroute: forward-column shufflenet routing needs >= 3 virtual channels (wrap count reaches 2), have %d", nvc)
 	}
-	hosts := g.Hosts()
 	type loc struct{ c, r int }
-	at := make(map[topology.NodeID]loc, len(hosts))
+	at := make([]placed[loc], len(g.Nodes))
 	for c := range geo.Hosts {
 		for r, id := range geo.Hosts[c] {
-			at[id] = loc{c, r}
+			at[id] = placed[loc]{loc{c, r}, true}
 		}
 	}
 	pow := make([]int, 2*geo.K)
@@ -285,28 +220,13 @@ func Shufflenet(g *topology.Graph, geo *topology.ShuffleGeom, nvc int, fail *upd
 	for i := 1; i < len(pow); i++ {
 		pow[i] = pow[i-1] * geo.P
 	}
-	var slab updown.RouteSlab
-	routes := make([][]updown.Route, len(hosts))
-	for i, src := range hosts {
-		routes[i] = make([]updown.Route, len(hosts))
-		sl, ok := at[src]
-		if !ok {
-			return nil, fmt.Errorf("vcroute: host %d not in shufflenet geometry", src)
+	return pairTable(g, fail, func(slab *updown.RouteSlab, src, dst topology.NodeID) (updown.Route, error) {
+		sl, dl, err := locate(at, src, dst, "shufflenet")
+		if err != nil {
+			return updown.Route{}, err
 		}
-		srcCut := hostCut(g, fail, src)
-		for j, dst := range hosts {
-			if i == j || srcCut || hostCut(g, fail, dst) {
-				continue
-			}
-			dl := at[dst]
-			rt, err := shuffleRoute(&slab, g, geo, fail, pow, src, dst, sl.c, sl.r, dl.c, dl.r)
-			if err != nil {
-				return nil, err
-			}
-			routes[i][j] = rt
-		}
-	}
-	return updown.NewCustomTable(hosts, routes)
+		return shuffleRoute(slab, g, geo, fail, pow, src, dst, sl.c, sl.r, dl.c, dl.r)
+	})
 }
 
 // shuffleRoute computes one forward-column route, scanning candidate paths
@@ -314,16 +234,11 @@ func Shufflenet(g *topology.Graph, geo *topology.ShuffleGeom, nvc int, fail *upd
 // survives fail.  An all-dead candidate set yields an empty route.
 func shuffleRoute(slab *updown.RouteSlab, g *topology.Graph, geo *topology.ShuffleGeom, fail *updown.Failures, pow []int,
 	src, dst topology.NodeID, c1, r1, c2, r2 int) (updown.Route, error) {
+	// Column distance d, then d + k.  At d = 0 the m = 0 candidate is the
+	// host hop alone; the digit check skips it unless both hosts share a
+	// switch.
 	d := (c2 - c1 + geo.K) % geo.K
-	var ms []int
-	switch {
-	case d == 0 && r1 == r2:
-		// Same switch: host hop only.
-	case d == 0:
-		ms = []int{geo.K}
-	default:
-		ms = []int{d, d + geo.K}
-	}
+	ms := [2]int{d, d + geo.K}
 	tryPath := func(m, x int) (updown.Route, bool, error) {
 		rt := newRoute(slab, src, dst, m+1)
 		cc, rr, lane := c1, r1, 0
@@ -362,9 +277,6 @@ func shuffleRoute(slab *updown.RouteSlab, g *topology.Graph, geo *topology.Shuff
 		rt.Switches = append(rt.Switches, geo.Sw[c2][r2])
 		return rt, true, nil
 	}
-	if len(ms) == 0 {
-		return tryFinal(tryPath(0, 0))
-	}
 	for _, m := range ms {
 		// The digit string X must satisfy X = r2 - r1*p^m (mod p^k); the
 		// quotient digits above p^k are free — each choice is a distinct
@@ -389,16 +301,16 @@ func shuffleRoute(slab *updown.RouteSlab, g *topology.Graph, geo *topology.Shuff
 	return updown.Route{Src: src, Dst: dst}, nil // no surviving path: pruned
 }
 
-// tryFinal adapts tryPath's 3-tuple to Shufflenet's (Route, error) shape
-// for the same-switch case, where the single candidate must succeed.
-func tryFinal(rt updown.Route, ok bool, err error) (updown.Route, error) {
-	if err != nil {
-		return rt, err
+// decoder returns the Route.Walk decoder for a table's route bytes: lane
+// ids packed by route.EncodeVCPort when vcEncoded, plain ports otherwise.
+func decoder(vcEncoded bool) func(topology.PortID) (topology.PortID, int) {
+	if !vcEncoded {
+		return nil
 	}
-	if !ok {
-		return updown.Route{Src: rt.Src, Dst: rt.Dst}, nil
+	return func(b topology.PortID) (topology.PortID, int) {
+		p, vc := route.DecodeVCPort(byte(b))
+		return topology.PortID(p), vc
 	}
-	return rt, nil
 }
 
 // ValidateTable walks every route in tbl through the topology and reports
@@ -421,8 +333,8 @@ func ValidateTable(g *topology.Graph, tbl *updown.Table, vcEncoded, requireCompl
 				}
 				continue
 			}
-			if msg := checkRoute(g, tbl.Lookup(src, dst), vcEncoded); msg != "" {
-				bad = append(bad, fmt.Sprintf("%d->%d: %s", src, dst, msg))
+			if err := checkRoute(g, tbl.Lookup(src, dst), vcEncoded); err != nil {
+				bad = append(bad, fmt.Sprintf("%d->%d: %v", src, dst, err))
 			}
 		}
 	}
@@ -430,55 +342,25 @@ func ValidateTable(g *topology.Graph, tbl *updown.Table, vcEncoded, requireCompl
 		return nil
 	}
 	sort.Strings(bad)
-	return fmt.Errorf("vcroute: %d invalid route(s):\n  %s", len(bad), joinLines(bad))
+	return fmt.Errorf("vcroute: %d invalid route(s):\n  %s", len(bad), strings.Join(bad, "\n  "))
 }
 
-func joinLines(ss []string) string {
-	out := ss[0]
-	for _, s := range ss[1:] {
-		out += "\n  " + s
-	}
-	return out
-}
-
-// checkRoute walks one route and returns a description of the first
-// inconsistency ("" when the route is sound).  The adaptive marker route
-// is accepted as-is: its hops are decided at the switches.
-func checkRoute(g *topology.Graph, rt updown.Route, vcEncoded bool) string {
+// checkRoute walks one route and returns its first inconsistency (nil when
+// the route is sound): a Walk whose host delivery rides lane 0.  The
+// adaptive marker route is accepted as-is: its hops are decided at the
+// switches.
+func checkRoute(g *topology.Graph, rt updown.Route, vcEncoded bool) error {
 	if len(rt.Ports) == 1 && rt.Ports[0] == route.AdaptivePort {
-		return ""
+		return nil
 	}
-	if len(rt.Ports) != len(rt.Switches) {
-		return fmt.Sprintf("%d ports for %d switches", len(rt.Ports), len(rt.Switches))
-	}
-	sw, _ := g.HostAttachment(rt.Src)
-	for i, pb := range rt.Ports {
-		if rt.Switches[i] != sw {
-			return fmt.Sprintf("hop %d: route says switch %d, walk is at %d", i, rt.Switches[i], sw)
-		}
-		port := topology.PortID(pb)
-		if vcEncoded {
-			p, vc := route.DecodeVCPort(byte(pb))
-			if vc > 0 && i == len(rt.Ports)-1 {
-				return fmt.Sprintf("hop %d: host delivery on lane %d (hosts speak lane 0)", i, vc)
+	var hostLane func(updown.Hop) error // plain route bytes carry no lane
+	if vcEncoded {
+		hostLane = func(h updown.Hop) error {
+			if h.Lane > 0 && g.Node(h.Peer).Kind == topology.Host {
+				return fmt.Errorf("hop %d: host delivery on lane %d (hosts speak lane 0)", h.Index, h.Lane)
 			}
-			port = topology.PortID(p)
-		}
-		if int(port) >= len(g.Node(sw).Ports) {
-			return fmt.Sprintf("hop %d: port %d out of range at switch %d", i, port, sw)
-		}
-		p := g.Node(sw).Ports[port]
-		if !p.Wired() {
-			return fmt.Sprintf("hop %d: port %d of switch %d unwired", i, port, sw)
-		}
-		if i < len(rt.Ports)-1 {
-			if g.Node(p.Peer).Kind != topology.Switch {
-				return fmt.Sprintf("hop %d: left the switch fabric early (port %d of switch %d)", i, port, sw)
-			}
-			sw = p.Peer
-		} else if p.Peer != rt.Dst {
-			return fmt.Sprintf("final hop lands on node %d, not destination %d", p.Peer, rt.Dst)
+			return nil
 		}
 	}
-	return ""
+	return rt.Walk(g, decoder(vcEncoded), hostLane)
 }

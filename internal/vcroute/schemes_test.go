@@ -280,3 +280,40 @@ func TestRingStepsTieBreak(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateTableHostLane: a VC-encoded route whose final hop delivers to
+// the host on a lane above 0 is reported; the same route on lane 0 is sound.
+func TestValidateTableHostLane(t *testing.T) {
+	g := topology.Line(2, 1)
+	hosts := g.Hosts()
+	s0, _ := g.HostAttachment(hosts[0])
+	s1, hostPort := g.HostAttachment(hosts[1])
+	trunk := topology.NoPort
+	for pi, p := range g.Node(s0).Ports {
+		if p.Peer == s1 {
+			trunk = topology.PortID(pi)
+		}
+	}
+	for _, lane := range []int{0, 1} {
+		b0, err := route.EncodeVCPort(trunk, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b1, err := route.EncodeVCPort(hostPort, lane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routes := [][]updown.Route{make([]updown.Route, 2), make([]updown.Route, 2)}
+		routes[0][1] = updown.Route{Src: hosts[0], Dst: hosts[1],
+			Ports:    []topology.PortID{topology.PortID(b0), topology.PortID(b1)},
+			Switches: []topology.NodeID{s0, s1}}
+		tbl, err := updown.NewCustomTable(hosts, routes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = ValidateTable(g, tbl, true, false)
+		if got := err != nil && strings.Contains(err.Error(), "hosts speak lane 0"); got != (lane > 0) {
+			t.Fatalf("host delivery on lane %d: %v", lane, err)
+		}
+	}
+}

@@ -1,8 +1,9 @@
 // Package vcroute owns routing-scheme identity: the registry of Scheme
 // values (scheme.go) that sim, faulttest, core and the CLIs look up, and
 // the table builders for every scheme other than up/down.  This file has
-// the two original ones — VC-partitioned minimal (dimension-order) routing
-// on a torus, and direct routing on a full mesh; schemes.go has the rest.
+// the all-pairs loop they share and the two original ones — VC-partitioned
+// minimal (dimension-order) routing on a torus, and direct routing on a
+// full mesh; schemes.go has the rest.
 //
 // Up/down routing buys deadlock freedom by detouring through the spanning
 // tree root.  Minimal torus routing keeps every path shortest but its ring
@@ -38,19 +39,56 @@ import (
 	"wormlan/internal/updown"
 )
 
-// hostAttach resolves a host's attach switch and the switch-side port
-// leading back to the host.
-func hostAttach(g *topology.Graph, h topology.NodeID) (sw topology.NodeID, port topology.PortID) {
-	p := g.Node(h).Ports[0]
-	return p.Peer, p.PeerPort
-}
-
 // newRoute starts a route of at most hops switch traversals: Ports and
 // Switches are cut from slab, empty, with room for hops appends — so the
 // builders append hop by hop without growing a slice per pair.
 func newRoute(slab *updown.RouteSlab, src, dst topology.NodeID, hops int) updown.Route {
 	ports, sws := slab.Take(hops)
 	return updown.Route{Src: src, Dst: dst, Ports: ports[:0], Switches: sws[:0]}
+}
+
+// pairTable is the all-pairs loop under every builder: build routes each
+// ordered pair of distinct hosts whose attachment cables survive fail,
+// cutting its hops from slab.  Every other pair, and every pair build
+// returns empty, stays unroutable.
+func pairTable(g *topology.Graph, fail *updown.Failures,
+	build func(slab *updown.RouteSlab, src, dst topology.NodeID) (updown.Route, error)) (*updown.Table, error) {
+	hosts := g.Hosts()
+	var slab updown.RouteSlab
+	routes := make([][]updown.Route, len(hosts))
+	for i, src := range hosts {
+		routes[i] = make([]updown.Route, len(hosts))
+		if fail.LinkDead(g, src, 0) {
+			continue
+		}
+		for j, dst := range hosts {
+			if i == j || fail.LinkDead(g, dst, 0) {
+				continue
+			}
+			rt, err := build(&slab, src, dst)
+			if err != nil {
+				return nil, err
+			}
+			routes[i][j] = rt
+		}
+	}
+	return updown.NewCustomTable(hosts, routes)
+}
+
+// placed is a host's place in a builder's geometry, indexed by NodeID so
+// the two lookups per pair are slice loads; ok is false off the geometry.
+type placed[T any] struct {
+	at T
+	ok bool
+}
+
+// locate looks both endpoints of a pair up in a builder's geometry index.
+func locate[T any](index []placed[T], src, dst topology.NodeID, geom string) (s, d T, err error) {
+	ps, pd := index[src], index[dst]
+	if !ps.ok || !pd.ok {
+		err = fmt.Errorf("vcroute: host pair %d->%d not in %s geometry", src, dst, geom)
+	}
+	return ps.at, pd.at, err
 }
 
 // TorusMinimal builds the VC-partitioned minimal routing table for a torus
@@ -75,11 +113,22 @@ func ringSteps(a, b, n int) (steps, dir int) {
 	return minus, -1
 }
 
+// torusCoord places a host on the torus: row, column and host index.
+type torusCoord struct{ r, c, h int }
+
 // torusRoute computes one VC-encoded dimension-order route.
-func torusRoute(slab *updown.RouteSlab, geo *topology.TorusGeom, src, dst topology.NodeID, r1, c1, r2, c2, hostIdx int) (updown.Route, error) {
-	xSteps, _ := ringSteps(c1, c2, geo.Cols)
-	ySteps, _ := ringSteps(r1, r2, geo.Rows)
-	rt := newRoute(slab, src, dst, xSteps+ySteps+1)
+func torusRoute(slab *updown.RouteSlab, geo *topology.TorusGeom, src, dst topology.NodeID, from, to torusCoord) (updown.Route, error) {
+	// pos and goal are (column, row): X is walked first, then Y.
+	pos, goal := [2]int{from.c, from.r}, [2]int{to.c, to.r}
+	dims := [2]struct {
+		n           int
+		plus, minus [][]topology.PortID
+	}{{geo.Cols, geo.XPlus, geo.XMinus}, {geo.Rows, geo.YPlus, geo.YMinus}}
+	var steps, dir [2]int
+	for d := range dims {
+		steps[d], dir[d] = ringSteps(pos[d], goal[d], dims[d].n)
+	}
+	rt := newRoute(slab, src, dst, steps[0]+steps[1]+1)
 	appendHop := func(sw topology.NodeID, p topology.PortID, vc int) error {
 		b, err := route.EncodeVCPort(p, vc)
 		if err != nil {
@@ -89,54 +138,29 @@ func torusRoute(slab *updown.RouteSlab, geo *topology.TorusGeom, src, dst topolo
 		rt.Switches = append(rt.Switches, sw)
 		return nil
 	}
-	r, c := r1, c1
-	// X dimension: walk the column ring of row r.
-	steps, dir := ringSteps(c, c2, geo.Cols)
-	vc := 0
-	for k := 0; k < steps; k++ {
-		var p topology.PortID
-		var next int
-		if dir > 0 {
-			p = geo.XPlus[r][c]
-			next = (c + 1) % geo.Cols
-		} else {
-			p = geo.XMinus[r][c]
-			next = (c - 1 + geo.Cols) % geo.Cols
+	for d, dim := range dims {
+		// Lanes restart at 0 per dimension: y channels are disjoint from x
+		// channels, and dimension order keeps all x-holds before y-waits.
+		vc := 0
+		for k := 0; k < steps[d]; k++ {
+			c, r := pos[0], pos[1]
+			p := dim.plus[r][c]
+			if dir[d] < 0 {
+				p = dim.minus[r][c]
+			}
+			if err := appendHop(geo.Sw[r][c], p, vc); err != nil {
+				return rt, err
+			}
+			// Dateline: crossing the ring's wrap edge moves later hops of
+			// this dimension to lane 1.
+			if (dir[d] > 0 && pos[d] == dim.n-1) || (dir[d] < 0 && pos[d] == 0) {
+				vc = 1
+			}
+			pos[d] = (pos[d] + dir[d] + dim.n) % dim.n
 		}
-		if err := appendHop(geo.Sw[r][c], p, vc); err != nil {
-			return rt, err
-		}
-		// Dateline: crossing the ring's wrap edge moves later hops of this
-		// dimension to lane 1.
-		if (dir > 0 && c == geo.Cols-1) || (dir < 0 && c == 0) {
-			vc = 1
-		}
-		c = next
-	}
-	// Y dimension: lanes restart at 0 — y channels are disjoint from x
-	// channels, and dimension order keeps all x-holds before y-waits.
-	steps, dir = ringSteps(r, r2, geo.Rows)
-	vc = 0
-	for k := 0; k < steps; k++ {
-		var p topology.PortID
-		var next int
-		if dir > 0 {
-			p = geo.YPlus[r][c]
-			next = (r + 1) % geo.Rows
-		} else {
-			p = geo.YMinus[r][c]
-			next = (r - 1 + geo.Rows) % geo.Rows
-		}
-		if err := appendHop(geo.Sw[r][c], p, vc); err != nil {
-			return rt, err
-		}
-		if (dir > 0 && r == geo.Rows-1) || (dir < 0 && r == 0) {
-			vc = 1
-		}
-		r = next
 	}
 	// Final hop into the destination host, on lane 0 (hosts speak lane 0).
-	if err := appendHop(geo.Sw[r][c], geo.HostPort[r][c][hostIdx], 0); err != nil {
+	if err := appendHop(geo.Sw[to.r][to.c], geo.HostPort[to.r][to.c][to.h], 0); err != nil {
 		return rt, err
 	}
 	return rt, nil
