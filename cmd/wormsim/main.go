@@ -46,12 +46,12 @@ func loadConfigFile(path string) (*topology.Graph, map[int][]topology.NodeID, er
 
 func pickScheme(name string) (sim.Scheme, error) {
 	for _, s := range []sim.Scheme{sim.HamiltonianSF, sim.HamiltonianCT,
-		sim.TreeSF, sim.TreeCT, sim.TreeFlood} {
+		sim.TreeSF, sim.TreeCT, sim.TreeFlood, sim.SwitchFabric} {
 		if s.Name == name {
 			return s, nil
 		}
 	}
-	return sim.Scheme{}, fmt.Errorf("unknown scheme %q (try hamiltonian, hamiltonian-cut-thru, tree, tree-cut-thru, tree-flood)", name)
+	return sim.Scheme{}, fmt.Errorf("unknown scheme %q (try hamiltonian, hamiltonian-cut-thru, tree, tree-cut-thru, tree-flood, switch-fabric)", name)
 }
 
 // traceRingCap bounds in-memory trace recording: the newest ~4M events are

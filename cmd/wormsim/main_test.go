@@ -18,14 +18,18 @@ func smallArgs(extra ...string) []string {
 	}, extra...)
 }
 
+// TestRunSmoke runs an adapter scheme and the switch-level scheme; a
+// switch-level stall would exit 1.
 func TestRunSmoke(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run(smallArgs(), &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-	for _, want := range []string{"multicast latency", "generated worms", "fabric counters"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q:\n%s", want, out.String())
+	for _, args := range [][]string{smallArgs(), smallArgs("-scheme", "switch-fabric")} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("args %v: exit %d, stderr: %s\n%s", args, code, errb.String(), out.String())
+		}
+		for _, want := range []string{"multicast latency", "generated worms", "fabric counters"} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("args %v: output missing %q:\n%s", args, want, out.String())
+			}
 		}
 	}
 }

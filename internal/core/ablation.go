@@ -285,6 +285,10 @@ func FabricVsAdapterGrid(seed uint64) sweep.Grid[FabricVsAdapterResult] {
 				if err != nil {
 					return FabricVsAdapterResult{}, err
 				}
+				if r.Stalled {
+					return FabricVsAdapterResult{}, fmt.Errorf("fabric-vs-adapter %s: run stalled after %d multicast samples",
+						scheme.Name, r.MCLatency.N())
+				}
 				return FabricVsAdapterResult{
 					Scheme:    scheme.Name,
 					MCLatency: r.MCLatency.Mean(),

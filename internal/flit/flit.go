@@ -333,15 +333,12 @@ func (p *WormPool) Get() *Worm {
 func (p *WormPool) Put(w *Worm) { p.free = append(p.free, w) }
 
 // Reassembler collects the flits of one incoming worm at a host interface
-// and reports completion.  It tolerates fragments (the interrupted-
-// transmission multicast scheme of Section 3 resumes with a fresh header),
-// counting payload bytes across fragments of the same worm.
+// and reports completion.  Worms never interleave at a host: a flit of a
+// second worm before the first's tail is an error.
 type Reassembler struct {
 	w        *Worm
 	payload  int
 	headerIn int
-	// Fragments counts tail-terminated segments seen for this worm.
-	Fragments int
 	// Corrupt is set when any fed flit carried the Bad mark; the worm must
 	// be discarded on completion (checksum failure at the receiver).
 	Corrupt bool
@@ -364,7 +361,6 @@ func (r *Reassembler) Feed(f Flit) (done bool, err error) {
 	case Payload:
 		r.payload++
 	case Tail:
-		r.Fragments++
 		return true, nil
 	}
 	return false, nil

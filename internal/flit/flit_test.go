@@ -137,42 +137,8 @@ func TestReassembler(t *testing.T) {
 	if !r.Complete() {
 		t.Fatalf("incomplete: %d of %d payload bytes", r.PayloadBytes(), w.PayloadLen)
 	}
-	if r.Fragments != 1 {
-		t.Fatalf("fragments = %d", r.Fragments)
-	}
 	if r.Worm() != w {
 		t.Fatal("wrong worm")
-	}
-}
-
-func TestReassemblerFragments(t *testing.T) {
-	// Two fragments of the same worm: 3 payload bytes then tail, then a
-	// fresh header, 2 more payload bytes, tail.
-	w := &Worm{ID: 5, Header: []byte{1}, PayloadLen: 5}
-	var r Reassembler
-	feed := func(k Kind) bool {
-		done, err := r.Feed(Flit{W: w, Kind: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return done
-	}
-	feed(Header)
-	feed(Payload)
-	feed(Payload)
-	feed(Payload)
-	if !feed(Tail) {
-		t.Fatal("first fragment tail not reported")
-	}
-	if r.Complete() {
-		t.Fatal("complete after 3 of 5 bytes")
-	}
-	feed(Header)
-	feed(Payload)
-	feed(Payload)
-	feed(Tail)
-	if !r.Complete() || r.Fragments != 2 {
-		t.Fatalf("fragments=%d complete=%v", r.Fragments, r.Complete())
 	}
 }
 

@@ -39,10 +39,9 @@ import "math/bits"
 //   - routing head (phase 2): routeIns minus restIns.  A scan-arbitrated,
 //     non-adaptive pmWait head whose grant failed sleeps: its retry would
 //     re-prune an unchanged request (pruneStale is memoized per epoch) and
-//     fail again while any requested output stays bound, unless a flush
-//     flag rises.  It wakes when an output it requests unbinds (transmit,
-//     transmitMC), when such an output's idle-fill count reaches
-//     IdleFlagTicks, and on every topology epoch move (the fault paths).
+//     fail again while any requested output stays bound.  It wakes when an
+//     output it requests unbinds (transmit, transmitMC) and on every
+//     topology epoch move (the fault paths).
 //     iSLIP-deferred and adaptive heads stay polled: their outcome depends
 //     on more than output bindings.
 //   - streaming lane (phase 3): boundIns minus restIns.  A pmBoundUni lane

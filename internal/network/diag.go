@@ -41,8 +41,8 @@ func (f *Fabric) StallReport() string {
 			if o.boundIn < 0 {
 				continue
 			}
-			fmt.Fprintf(&b, "  switch %d out[%d]: bound to in[%d] phase=%d stopped=%v idle=%d\n",
-				s.node, oi, o.boundIn, o.phase, o.link.stopped(o.vc), o.idleTicks)
+			fmt.Fprintf(&b, "  switch %d out[%d]: bound to in[%d] phase=%d stopped=%v\n",
+				s.node, oi, o.boundIn, o.phase, o.link.stopped(o.vc))
 		}
 	}
 	for _, h := range f.hosts {

@@ -28,8 +28,7 @@ package network
 //     worm back into the same slot, so the pipe, its arrival bits, and
 //     inFlight are unchanged; carried += 1 per tick.
 //   - switch port (validated: pmBound*, pure-payload slack, feeding link
-//     full, every branch opPayload with idleTicks == 0 on a full live
-//     link): receives one payload and pops one, so fill, the head-relative
+//     full, every branch opPayload on a full live link): receives one payload and pops one, so fill, the head-relative
 //     window contents, and the STOP wish (a pure function of fill) are
 //     unchanged — including the common fill == 0 standing state, where
 //     the lane is a pure relay of the flit arriving that same tick; the
@@ -260,8 +259,7 @@ func (f *Fabric) steadyWindow(now des.Time, max des.Time) (n des.Time, nLinks in
 			}
 			for _, oi := range in.outs {
 				o := &s.out[oi]
-				if o.phase != opPayload || o.idleTicks != 0 ||
-					o.link.dead || o.link.inFlight != o.link.delay {
+				if o.phase != opPayload || o.link.dead || o.link.inFlight != o.link.delay {
 					steady = false
 					return
 				}

@@ -13,8 +13,9 @@
 //   - Source routing: unicast worms carry a list of output-port bytes, one
 //     stripped per switch.
 //
-// Switch-level multicasting (Section 3) is implemented in three flavours
-// selected by Config.Scheme; see the MulticastScheme constants.
+// Switch-level multicasting (Section 3) replicates a worm in the crossbar
+// under IDLE fill: a fork binds all its outputs at once, and while any
+// branch is blocked the others hold their ports and send IDLE.
 //
 // Config.NumVCs splits every link into that many virtual-channel lanes:
 // each lane has its own slack buffer and STOP/GO state, and the physical
@@ -42,42 +43,6 @@ import (
 	"wormlan/internal/trace"
 	"wormlan/internal/updown"
 )
-
-// MulticastScheme selects how switches treat replicated worms (Section 3).
-type MulticastScheme uint8
-
-const (
-	// SchemeIdleFill: when any branch of a multicast is blocked, the other
-	// branches transmit IDLE fill (modelled as silence while the bindings
-	// stay held).  Deadlock-free only when all worms are restricted to the
-	// up/down spanning tree.
-	SchemeIdleFill MulticastScheme = iota
-	// SchemeInterrupt: blocked multicasts interrupt transmission on their
-	// non-blocked branches (sending a fragment tail and releasing the
-	// downstream path); on resume each interrupted branch prepends its
-	// stored header.  Destinations reassemble the fragments.
-	SchemeInterrupt
-	// SchemeFlushUnicast: like SchemeIdleFill, but an output that has been
-	// idle-filling for IdleFlagTicks is flagged 'multicast-IDLE', and a
-	// unicast worm blocked by such an output is flushed from the network
-	// (modelling a Backward Reset); its source is notified and must
-	// retransmit after a timeout.
-	SchemeFlushUnicast
-)
-
-// String names the scheme.
-func (s MulticastScheme) String() string {
-	switch s {
-	case SchemeIdleFill:
-		return "idle-fill"
-	case SchemeInterrupt:
-		return "interrupt-resume"
-	case SchemeFlushUnicast:
-		return "flush-unicast"
-	default:
-		return fmt.Sprintf("scheme(%d)", uint8(s))
-	}
-}
 
 // ArbPolicy selects the crossbar output-arbitration discipline.
 type ArbPolicy uint8
@@ -118,13 +83,11 @@ func ParseArb(name string) (ArbPolicy, error) {
 	}
 }
 
-// Delivery describes one worm (or worm fragment set) fully received by a
-// host interface.
+// Delivery describes one worm fully received by a host interface.
 type Delivery struct {
-	Worm      *flit.Worm
-	Host      topology.NodeID
-	At        des.Time
-	Fragments int // 1 unless SchemeInterrupt split the worm
+	Worm *flit.Worm
+	Host topology.NodeID
+	At   des.Time
 }
 
 // Config parameterizes the fabric.
@@ -134,9 +97,6 @@ type Config struct {
 	// automatically Ks + 2*linkDelay per port, the minimum that guarantees
 	// no overflow.  Defaults: Ks=56, Kg=24 (Myrinet-like, see DESIGN.md).
 	StopMark, GoMark int
-
-	// Scheme selects the switch-level multicast flavour.
-	Scheme MulticastScheme
 
 	// NumVCs is the number of virtual-channel lanes per link (1..4,
 	// default 1).  Each lane gets an independent slack buffer and STOP/GO
@@ -165,10 +125,6 @@ type Config struct {
 	// of one scenario; simulations never need it.
 	DisableFastForward bool
 
-	// IdleFlagTicks is the idle-fill duration after which an output port is
-	// flagged multicast-IDLE under SchemeFlushUnicast.  Default 64.
-	IdleFlagTicks int
-
 	// OnDeliver is invoked when a host interface completes reassembly of a
 	// worm.  It runs inside the simulation tick; callees may inject.
 	OnDeliver func(d Delivery)
@@ -178,11 +134,6 @@ type Config struct {
 	// forwarding (Section 4).  The worm's header carries its size, so the
 	// adapter can make its buffer-reservation decision here.
 	OnHeadArrival func(w *flit.Worm, host topology.NodeID, at des.Time)
-
-	// OnFlush is invoked when a unicast worm is flushed from the network
-	// under SchemeFlushUnicast.  The source should retransmit after a
-	// random timeout.
-	OnFlush func(w *flit.Worm, at des.Time)
 
 	// OnDiscard is invoked when a host interface discards an incoming worm
 	// — truncated by a failure upstream or corrupted on the wire — instead
@@ -209,9 +160,6 @@ func (c *Config) withDefaults() Config {
 	if out.GoMark == 0 {
 		out.GoMark = 24
 	}
-	if out.IdleFlagTicks == 0 {
-		out.IdleFlagTicks = 64
-	}
 	if out.NumVCs == 0 {
 		out.NumVCs = 1
 	}
@@ -229,8 +177,7 @@ func (c *Config) Validate() error {
 		name string
 		n    int
 	}{
-		{"StopMark", c.StopMark}, {"GoMark", c.GoMark},
-		{"IdleFlagTicks", c.IdleFlagTicks}, {"ArbIters", c.ArbIters},
+		{"StopMark", c.StopMark}, {"GoMark", c.GoMark}, {"ArbIters", c.ArbIters},
 	} {
 		if v.n < 0 {
 			return fmt.Errorf("network: negative %s %d", v.name, v.n)
@@ -250,10 +197,10 @@ func (c *Config) Validate() error {
 type Counters struct {
 	Injected       int64 // worms injected by hosts
 	Delivered      int64 // worm deliveries completed (multicast counts each leaf)
-	Flushed        int64 // unicast worms flushed under SchemeFlushUnicast
+	Flushed        int64 // always 0: kept so pinned %+v hashes of Counters hold
 	FlitsDelivered int64 // flits handed to host interfaces
 	FlitsCarried   int64 // flit-hops across all links
-	Fragments      int64 // fragment tails beyond the first per delivery
+	Fragments      int64 // always 0: kept so pinned %+v hashes of Counters hold
 
 	// Failure accounting.  Each worm copy lost to a failure is counted in
 	// WormsDropped exactly once, whichever path noticed the loss first, so

@@ -9,53 +9,6 @@ import (
 	"wormlan/internal/topology"
 )
 
-// TestSchemeInterruptDeepTree forces an interruption at the first switch
-// of a two-level multicast tree: the resumed branch must re-establish its
-// downstream bindings through the second switch, and every destination
-// must still assemble a complete worm.
-func TestSchemeInterruptDeepTree(t *testing.T) {
-	// s0 - s1 - s2 chain; hA,hB on s0; hC on s1; hD,hE on s2.
-	g := topology.New()
-	s0 := g.AddSwitch("s0")
-	s1 := g.AddSwitch("s1")
-	s2 := g.AddSwitch("s2")
-	g.Connect(s0, s1, 1)
-	g.Connect(s1, s2, 1)
-	hA := g.AddHost("hA")
-	hB := g.AddHost("hB")
-	hC := g.AddHost("hC")
-	hD := g.AddHost("hD")
-	hE := g.AddHost("hE")
-	g.Connect(s0, hA, 1)
-	g.Connect(s0, hB, 1)
-	g.Connect(s1, hC, 1)
-	g.Connect(s2, hD, 1)
-	g.Connect(s2, hE, 1)
-	r := newRig(t, g, Config{Scheme: SchemeInterrupt, StopMark: 8, GoMark: 4})
-
-	// Blocker: long unicast hC -> hD occupying s2's port toward hD.
-	blocker := r.unicast(t, hC, hD, 800)
-	r.f.Inject(hC, blocker)
-	// Multicast hA -> {hB, hD, hE}: the hB branch at s0 will be
-	// interrupted when the deep branch backpressures through s1.
-	mc := r.multicast(t, hA, []topology.NodeID{hB, hD, hE}, 400)
-	r.k.At(20, func() { r.f.Inject(hA, mc) })
-	r.run(t, 0)
-
-	got := r.deliveredHosts()
-	if got[hB] != 1 || got[hD] != 2 || got[hE] != 1 {
-		t.Fatalf("deliveries %v", got)
-	}
-	for _, d := range r.deliveries {
-		if d.Worm == mc && d.Host == hB && d.Fragments < 2 {
-			t.Fatalf("hB copy not fragmented: %+v", d)
-		}
-	}
-	if r.f.Counters().Fragments == 0 {
-		t.Fatal("no fragments counted")
-	}
-}
-
 // TestTwoMulticastsSequentialOverSharedPorts checks atomic output granting:
 // two multicasts wanting overlapping output sets at one switch serialize
 // cleanly instead of partially holding each other's ports.

@@ -19,7 +19,6 @@ type rig struct {
 	f  *Fabric
 
 	deliveries []Delivery
-	flushes    []*flit.Worm
 }
 
 func newRig(t *testing.T, g *topology.Graph, cfg Config) *rig {
@@ -32,7 +31,6 @@ func newRig(t *testing.T, g *topology.Graph, cfg Config) *rig {
 	r.ud = ud
 	base := cfg
 	base.OnDeliver = func(d Delivery) { r.deliveries = append(r.deliveries, d) }
-	base.OnFlush = func(w *flit.Worm, at des.Time) { r.flushes = append(r.flushes, w) }
 	f, err := New(r.k, g, ud, base)
 	if err != nil {
 		t.Fatal(err)
@@ -117,9 +115,6 @@ func TestUnicastLatencyPinned(t *testing.T) {
 	}
 	if d.At != 16 {
 		t.Fatalf("delivered at t=%d, want 16", d.At)
-	}
-	if d.Fragments != 1 {
-		t.Fatalf("fragments = %d", d.Fragments)
 	}
 	if w.Injected != 1 {
 		t.Fatalf("injected at %d, want 1", w.Injected)
@@ -268,7 +263,7 @@ func TestMulticastTreeDelivery(t *testing.T) {
 		}
 	}
 	c := r.f.Counters()
-	if c.Delivered != int64(len(dsts)) || c.Fragments != 0 {
+	if c.Delivered != int64(len(dsts)) {
 		t.Fatalf("counters %+v", c)
 	}
 }
@@ -292,8 +287,8 @@ func TestMulticastSameSwitchFanout(t *testing.T) {
 	}
 }
 
-// blockedMulticastRig builds the two-switch scenario used by the scheme
-// tests: hA, hB on s0; hC, hD on s1.  A long unicast hD->hC holds s1's
+// blockedMulticastRig builds the two-switch scenario of
+// TestSchemeIdleFillBlockedMulticast: hA, hB on s0; hC, hD on s1.  A long unicast hD->hC holds s1's
 // output to hC; a multicast hA->{hB, hC} then blocks at s1, backpressures
 // across the s0-s1 link, and stalls its hB branch at s0.
 type blockedMulticastRig struct {
@@ -327,16 +322,11 @@ func newBlockedMulticastRig(t *testing.T, cfg Config) *blockedMulticastRig {
 }
 
 func TestSchemeIdleFillBlockedMulticast(t *testing.T) {
-	b := newBlockedMulticastRig(t, Config{Scheme: SchemeIdleFill})
+	b := newBlockedMulticastRig(t, Config{})
 	b.run(t, 0)
 	got := b.deliveredHosts()
 	if got[b.hB] != 1 || got[b.hC] != 2 { // hC gets blocker + multicast
 		t.Fatalf("deliveries %v", got)
-	}
-	for _, d := range b.deliveries {
-		if d.Fragments != 1 {
-			t.Fatalf("idle-fill produced fragments: %+v", d)
-		}
 	}
 	// The hB copy is gated by the slowest branch: it cannot complete until
 	// after the blocker (600+ bytes) has drained.
@@ -351,68 +341,6 @@ func TestSchemeIdleFillBlockedMulticast(t *testing.T) {
 	}
 	if hBAt < blockerAt {
 		t.Fatalf("hB copy (t=%d) completed before the blocking unicast drained (t=%d)", hBAt, blockerAt)
-	}
-}
-
-func TestSchemeInterruptFragments(t *testing.T) {
-	b := newBlockedMulticastRig(t, Config{Scheme: SchemeInterrupt})
-	b.run(t, 0)
-	got := b.deliveredHosts()
-	if got[b.hB] != 1 || got[b.hC] != 2 {
-		t.Fatalf("deliveries %v", got)
-	}
-	var hBFrags int
-	for _, d := range b.deliveries {
-		if d.Host == b.hB && d.Worm == b.mc {
-			hBFrags = d.Fragments
-		}
-	}
-	if hBFrags < 2 {
-		t.Fatalf("interrupt scheme delivered hB copy in %d fragments, want >= 2", hBFrags)
-	}
-	if b.f.Counters().Fragments == 0 {
-		t.Fatal("no fragment tails counted")
-	}
-}
-
-func TestSchemeFlushUnicast(t *testing.T) {
-	b := newBlockedMulticastRig(t, Config{Scheme: SchemeFlushUnicast, IdleFlagTicks: 16})
-	// A victim unicast that wants s0's port to hB, which the blocked
-	// multicast is holding and idle-filling.
-	victim := b.unicast(t, b.hC, b.hB, 50)
-	b.k.At(120, func() { b.f.Inject(b.hC, victim) })
-	b.run(t, 0)
-	if len(b.flushes) != 1 || b.flushes[0] != victim {
-		t.Fatalf("flushes = %v", b.flushes)
-	}
-	if b.f.Counters().Flushed != 1 {
-		t.Fatalf("Flushed = %d", b.f.Counters().Flushed)
-	}
-	for _, d := range b.deliveries {
-		if d.Worm == victim {
-			t.Fatal("flushed worm was delivered")
-		}
-	}
-	// The multicast still completes everywhere.
-	got := b.deliveredHosts()
-	if got[b.hB] != 1 || got[b.hC] != 2 {
-		t.Fatalf("deliveries %v", got)
-	}
-	// Retransmission (as the source adapter would do on flush notice).
-	k2 := b.k
-	retrans := b.unicast(t, b.hC, b.hB, 50)
-	b.f.Inject(b.hC, retrans)
-	if err := k2.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, d := range b.deliveries {
-		if d.Worm == retrans && d.Host == b.hB {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("retransmission not delivered")
 	}
 }
 
@@ -483,7 +411,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{Config{GoMark: 60}, "network: GoMark 60 above StopMark 56"},
 		{Config{StopMark: -5, GoMark: -10}, "network: negative StopMark -5"},
 		{Config{GoMark: -1}, "network: negative GoMark -1"},
-		{Config{IdleFlagTicks: -64}, "network: negative IdleFlagTicks -64"},
 		{Config{ArbIters: -3}, "network: negative ArbIters -3"},
 	} {
 		_, err := New(des.NewKernel(), topology.Star(2), nil, tc.cfg)
@@ -564,14 +491,6 @@ func TestLinkStatsCountFlits(t *testing.T) {
 	// 12 flits from host (1 hdr + 10 + tail), 11 to destination.
 	if total != 23 {
 		t.Fatalf("total carried = %d, want 23", total)
-	}
-}
-
-func TestSchemeStrings(t *testing.T) {
-	if SchemeIdleFill.String() != "idle-fill" ||
-		SchemeInterrupt.String() != "interrupt-resume" ||
-		SchemeFlushUnicast.String() != "flush-unicast" {
-		t.Fatal("scheme strings")
 	}
 }
 

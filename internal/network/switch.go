@@ -26,8 +26,9 @@ const (
 	pmBoundUni
 	// pmBoundMC: streaming a replicated worm to several outputs.
 	pmBoundMC
-	// pmFlush: discarding the remainder of a flushed worm (Backward Reset
-	// under SchemeFlushUnicast; see swState.drain).
+	// pmFlush: discarding the remainder of a worm with nowhere to go (a
+	// broadcast reaching a leaf switch whose only link is its arrival
+	// port; see swState.drain).
 	pmFlush
 	// pmDrop: draining a worm lost to a failure (stale route into a dead
 	// link); drained flits are counted as dropped.
@@ -43,9 +44,6 @@ const (
 	opPrefix
 	// opPayload: relaying shared payload flits from the input slack.
 	opPayload
-	// opInterrupted: SchemeInterrupt sent a fragment tail on this branch
-	// and released the downstream path; waiting for blocking to cease.
-	opInterrupted
 )
 
 // inPort is a crossbar input lane with its slack buffer and routing state.
@@ -205,21 +203,15 @@ type outPort struct {
 
 	phase outPhase
 	// stamp is the branch header; in opPrefix, stamp[prefixPos:] is still
-	// to send (again after a SchemeInterrupt resume).
+	// to send.
 	stamp     []byte
 	prefixPos int
-
-	// idleTicks counts consecutive ticks this output was held by a
-	// multicast worm but transmitted IDLE fill; SchemeFlushUnicast flags
-	// the port 'multicast-IDLE' past Config.IdleFlagTicks.
-	idleTicks int
 }
 
 func (o *outPort) bind(inIdx int, stamp []byte) {
 	o.boundIn = inIdx
 	o.stamp = stamp
 	o.prefixPos = 0
-	o.idleTicks = 0
 	if len(stamp) == 0 {
 		o.phase = opPayload
 	} else {
@@ -232,7 +224,6 @@ func (o *outPort) unbind() {
 	o.phase = opFree
 	o.stamp = nil
 	o.prefixPos = 0
-	o.idleTicks = 0
 }
 
 // swState is the per-switch simulation state.
@@ -398,8 +389,8 @@ func (s *swState) routeInput(in *inPort, now des.Time) {
 
 // drain discards everything available of the worm heading a pmFlush or
 // pmDrop port, up to its (possibly synthetic) tail, which re-idles the
-// port.  A Backward Reset clears the path without per-byte pacing; a worm
-// lost to a failure (pmDrop) also counts every drained flit dropped.
+// port, without per-byte pacing; a worm lost to a failure (pmDrop) also
+// counts every drained flit dropped.
 func (s *swState) drain(in *inPort) {
 	for in.fill > 0 {
 		fl := in.pop()
@@ -564,26 +555,6 @@ func (s *swState) bindRequested(in *inPort) {
 	}
 }
 
-// flushIfMCIdle applies the SchemeFlushUnicast rule: a unicast worm
-// blocked by an output that has been idle-filling on behalf of a multicast
-// past the flag threshold is flushed (Backward Reset).  Reports whether
-// the worm was flushed.
-func (s *swState) flushIfMCIdle(in *inPort, now des.Time) bool {
-	if s.f.Cfg.Scheme != SchemeFlushUnicast || in.worm.Mode != flit.Unicast {
-		return false
-	}
-	for _, oi := range in.reqOuts {
-		o := &s.out[oi]
-		if o.boundIn >= 0 &&
-			s.in[o.boundIn].mode == pmBoundMC &&
-			o.idleTicks >= s.f.Cfg.IdleFlagTicks {
-			s.flush(in, now)
-			return true
-		}
-	}
-	return false
-}
-
 // grantOrDefer arbitrates a pmWait input.  Under the scan policy (and for
 // every multi-output request, which needs the scan's atomic all-or-nothing
 // grant) it grants immediately in scan order; under ArbISLIP single-output
@@ -626,9 +597,6 @@ func (s *swState) tryGrant(in *inPort, now des.Time) {
 		}
 	}
 	if !free {
-		if s.flushIfMCIdle(in, now) {
-			return
-		}
 		s.noteBlocked(in, true, now)
 		if !in.adaptive && (s.arb == nil || len(in.reqOuts) != 1) {
 			// The next retry is this one again until an output frees.
@@ -675,33 +643,15 @@ func (s *swState) islipArbitrate(now des.Time) {
 		if m[li] >= 0 {
 			s.noteBlocked(in, false, now)
 			s.bindRequested(in)
-		} else if !s.flushIfMCIdle(in, now) {
+		} else {
 			s.noteBlocked(in, true, now)
 		}
 	})
 }
 
-// flush discards the worm currently heading the input port and notifies
-// the fabric (SchemeFlushUnicast).
-func (s *swState) flush(in *inPort, now des.Time) {
-	w := in.worm
-	in.setMode(pmFlush)
-	in.blocked = false
-	in.reqOuts = in.reqOuts[:0]
-	in.reqStamps = in.reqStamps[:0]
-	s.f.ctr.Flushed++
-	if s.f.rec != nil {
-		s.f.emit(now, trace.EvFlushed, s.node, in.idx, w.ID, 0)
-	}
-	if s.f.Cfg.OnFlush != nil {
-		s.f.Cfg.OnFlush(w, now)
-	}
-	s.drain(in) // whatever has already arrived
-}
-
 // transmit moves one flit per bound output: branch prefixes first, then
 // shared payload gated on every branch being ready (the IDLE-fill rule of
-// Section 3), with SchemeInterrupt's fragment/resume logic layered on top.
+// Section 3).
 func (s *swState) transmit(now des.Time) {
 	// boundIns holds exactly the ports in pmBoundUni/pmBoundMC, in index
 	// order — the same ports the full scan would act on — and restIns the
@@ -880,7 +830,7 @@ func (s *swState) laneGrant(l *dlink, base int, now des.Time) int8 {
 			v -= nvc
 		}
 		o := &s.out[base+v]
-		if o.boundIn < 0 || o.phase == opInterrupted || l.stopped(uint8(v)) {
+		if o.boundIn < 0 || l.stopped(uint8(v)) {
 			continue
 		}
 		if o.phase == opPayload && s.in[o.boundIn].fill == 0 {
@@ -932,18 +882,15 @@ func (s *swState) transmitMC(in *inPort, now des.Time) {
 	if anyPrefix {
 		return
 	}
-	// Stage 2: is any streaming branch backpressured?  Every stalled
-	// branch counts toward its link's stall time, so no early break.  A
-	// branch whose wire a sibling lane holds this tick is not blocked in
-	// the scheme sense (that is transient multiplexing, not congestion) but
-	// the shared pop must still wait for it.
+	// Stage 2: is any branch backpressured?  Every stalled branch counts
+	// toward its link's stall time, so no early break.  A branch whose wire
+	// a sibling lane holds this tick is not backpressured (that is
+	// transient multiplexing, not congestion) but the shared pop must
+	// still wait for it.
 	anyStopped := false
 	wireLost := false
 	for _, oi := range in.outs {
 		o := &s.out[oi]
-		if o.phase != opPayload {
-			continue
-		}
 		if o.link.stopped(o.vc) {
 			anyStopped = true
 			o.link.stalled++
@@ -951,69 +898,13 @@ func (s *swState) transmitMC(in *inPort, now des.Time) {
 			wireLost = true
 		}
 	}
-	if anyStopped {
-		switch s.f.Cfg.Scheme {
-		case SchemeInterrupt:
-			// Non-blocked branches interrupt: emit a fragment tail,
-			// releasing the downstream path, and remember the header for
-			// resumption (Section 3, scheme (b)/(c)).
-			for _, oi := range in.outs {
-				o := &s.out[oi]
-				if o.phase == opPayload && !o.link.stopped(o.vc) && !s.wireHeld(o, now) {
-					o.link.carry(now, flit.Flit{W: in.worm, Kind: flit.Tail, VC: o.vc})
-					s.f.ctr.Fragments++
-					o.phase = opInterrupted
-					if s.f.rec != nil {
-						s.f.emit(now, trace.EvInterrupt, s.node, oi, in.worm.ID, 0)
-					}
-				}
-			}
-		default:
-			// IDLE fill: the ready branches hold their ports and transmit
-			// IDLE symbols (modelled as silence).
-			for _, oi := range in.outs {
-				o := &s.out[oi]
-				if o.phase == opPayload && !o.link.stopped(o.vc) {
-					o.idleTicks++
-					if o.idleTicks == s.f.Cfg.IdleFlagTicks {
-						if s.f.rec != nil {
-							s.f.emit(now, trace.EvMCIdle, s.node, oi, in.worm.ID, int64(o.idleTicks))
-						}
-						// A unicast head blocked on this output may now be
-						// flushed (flushIfMCIdle).
-						s.wakeHeads(oi)
-					}
-				}
-			}
-		}
+	if anyStopped || wireLost {
+		// IDLE fill: the ready branches hold their ports and transmit IDLE
+		// symbols (modelled as silence); a sibling lane owning some
+		// branch's wire holds the shared pop the same way for a tick.
 		return
 	}
-	if wireLost {
-		return // a sibling lane owns some branch's wire; retry next tick
-	}
-	// Stage 3: blocking has ceased; resume interrupted branches by
-	// re-stamping their stored headers, which costs the prefix bytes again.
-	resumed := false
-	for _, oi := range in.outs {
-		o := &s.out[oi]
-		if o.phase == opInterrupted {
-			o.prefixPos = 0
-			if len(o.stamp) == 0 {
-				// Host-delivery branch: nothing to re-stamp.
-				o.phase = opPayload
-			} else {
-				o.phase = opPrefix
-				resumed = true
-			}
-			if s.f.rec != nil {
-				s.f.emit(now, trace.EvResume, s.node, oi, in.worm.ID, 0)
-			}
-		}
-	}
-	if resumed {
-		return // prefixes flow next tick
-	}
-	// Stage 4: every branch streaming and ready — advance the shared worm.
+	// Stage 3: every branch streaming and ready — advance the shared worm.
 	if in.fill == 0 {
 		return
 	}
@@ -1024,7 +915,6 @@ func (s *swState) transmitMC(in *inPort, now des.Time) {
 		bf := fl
 		bf.VC = o.vc
 		o.link.carry(now, bf)
-		o.idleTicks = 0
 	}
 	if fl.Kind == flit.Tail {
 		if s.f.rec != nil {

@@ -181,7 +181,7 @@ func (f *Fabric) checkSwitches(now des.Time) {
 
 // checkRest: a resting port is exactly one whose skipped visits are
 // no-ops.  A sleeping head has no grantable request (some requested
-// output bound, no flush flag up, pruned at this epoch) and is not one the
+// output bound, pruned at this epoch) and is not one the
 // iSLIP cell or adaptive selection polls; a napped lane is a unicast
 // relay held by STOP, or empty and free to send, on a wire no fork shares.
 func (f *Fabric) checkRest(now des.Time, s *swState, in *inPort) {
@@ -199,15 +199,8 @@ func (f *Fabric) checkRest(now des.Time, s *swState, in *inPort) {
 		}
 		bound := false
 		for _, oi := range in.reqOuts {
-			o := &s.out[oi]
-			if o.boundIn < 0 {
-				continue
-			}
-			bound = true
-			if f.Cfg.Scheme == SchemeFlushUnicast && in.worm.Mode == flit.Unicast &&
-				s.in[o.boundIn].mode == pmBoundMC && o.idleTicks >= f.Cfg.IdleFlagTicks {
-				f.wormfail(now, "switch %d lane %d sleeping head blocked by flagged multicast-IDLE output %d",
-					s.node, in.idx, oi)
+			if s.out[oi].boundIn >= 0 {
+				bound = true
 			}
 		}
 		if !bound {

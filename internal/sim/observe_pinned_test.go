@@ -24,8 +24,8 @@ func (l *eventLog) Record(e trace.Event) { *l = append(*l, e) }
 // observables lie outside Counters: saturated single-lane up*/down*, lane
 // multiplexing (3 lanes, iSLIP, adaptive selection), one-hop routing, the
 // fault paths (corruption, host stalls, a cable kill and heal), in-band
-// hello detection on long links, and switch-level replication under the
-// flush-unicast and interrupt-resume schemes.
+// hello detection on long links, and switch-level replication of
+// root-first trees under IDLE fill at two loads.
 func observeConfigs() []namedConfig {
 	torus := func(route string, nvc int) Config {
 		g, geom := topology.TorusWithGeom(8, 8, 1, 1)
@@ -61,18 +61,12 @@ func observeConfigs() []namedConfig {
 		Warmup: 5_000, Measure: 40_000, Seed: 5, Adapter: reliable, Detect: fault.DetectHello}
 	hello.FaultPlan = fault.RandomPlan(hello.Graph, fault.Options{Seed: 2, Corruptions: 6, Window: 40_000})
 
-	// The flush point is past the switch-level stall (ROADMAP item 1c), so
-	// its forks sit blocked while idle-fill ages outputs toward the flag;
-	// the interrupt point stays below it, where fragments flow.
-	flush := smallConfig(SwitchFabric, 0.2)
-	flush.Graph = topology.Torus(4, 4, 1, 1)
-	flush.MulticastProb, flush.NumGroups, flush.GroupSize = 0.5, 3, 6
-	flush.Warmup, flush.Measure = 2_000, 30_000
-	flush.Network.Scheme = network.SchemeFlushUnicast
-	flush.Network.IdleFlagTicks = 4
-	interrupt := flush
-	interrupt.OfferedLoad = 0.1
-	interrupt.Network.Scheme = network.SchemeInterrupt
+	switchHeavy := smallConfig(SwitchFabric, 0.2)
+	switchHeavy.Graph = topology.Torus(4, 4, 1, 1)
+	switchHeavy.MulticastProb, switchHeavy.NumGroups, switchHeavy.GroupSize = 0.5, 3, 6
+	switchHeavy.Warmup, switchHeavy.Measure = 2_000, 30_000
+	switchLight := switchHeavy
+	switchLight.OfferedLoad = 0.1
 
 	return []namedConfig{
 		{"torus8x8-updown-saturated", torus("updown", 1)},
@@ -82,8 +76,8 @@ func observeConfigs() []namedConfig {
 		{"fullmesh8x8", mesh},
 		{"torus4x4-faults", faults},
 		{"shufflenet24-hello", hello},
-		{"torus4x4-switch-flush", flush},
-		{"torus4x4-switch-interrupt", interrupt},
+		{"torus4x4-switch-0.2", switchHeavy},
+		{"torus4x4-switch-0.1", switchLight},
 	}
 }
 
@@ -103,6 +97,9 @@ func observeHashes(t *testing.T, cfg Config) observePin {
 	r, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if r.Stalled {
+		t.Errorf("run stalled after %d multicast and %d unicast deliveries", r.MCDeliveries, r.UniDeliveries)
 	}
 	obs := fmt.Sprintf("%s\nchannels=%+v\nswitches=%+v\nticks=%d events=%d maxq=%d ept=%v\nhists=%+v\n",
 		fingerprint(r), r.Channels, r.Switches, r.FabricTicks,

@@ -100,6 +100,24 @@ func TestSwitchFabricScheme(t *testing.T) {
 	}
 }
 
+// TestSwitchFabricNoStall: on torus8x8 at load 0.02, trees that forked a
+// branch up the spanning tree deadlocked under IDLE fill within the first
+// 35 000 byte-times.  Root-first trees fork only on the way down.
+func TestSwitchFabricNoStall(t *testing.T) {
+	cfg := smallConfig(SwitchFabric, 0.02)
+	cfg.Graph = topology.Torus(8, 8, 1, 1)
+	cfg.NumGroups, cfg.GroupSize = 10, 6
+	cfg.Seed, cfg.Warmup, cfg.Measure = 2, 5_000, 30_000
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Stalled {
+		t.Fatalf("switch-level run stalled after %d multicast and %d unicast deliveries",
+			r.MCDeliveries, r.UniDeliveries)
+	}
+}
+
 func TestAllSchemesComplete(t *testing.T) {
 	for _, s := range []Scheme{HamiltonianSF, HamiltonianCT, TreeSF, TreeCT, TreeFlood, SwitchFabric} {
 		t.Run(s.Name, func(t *testing.T) {

@@ -3,14 +3,20 @@
 // switches, guided by the linearized tree header of Figure 2, instead of
 // being forwarded by host adapters.
 //
+// One design is modelled: root-first trees under IDLE fill.  Every
+// multicast worm climbs the up/down spanning tree from its source to the
+// root as a plain chain and forks only on the way down, and a fork whose
+// branch is blocked holds its other branches with IDLE fill.  The paper's
+// interrupt-resume and flush-unicast remedies are not modelled (DESIGN.md
+// §2): root-first trees under IDLE fill need no deadlock remedy.
+//
 // Deadlock discipline: replicating worms introduce flow-control
 // dependencies between tree branches, so up/down routing alone is not
 // sufficient (Figure 3).  The paper's scheme A restricts *all* worms —
 // unicast too — to the links of the up/down spanning tree; crosslinks go
 // unused.  That is this package's safe default.  Config.UnrestrictedRoutes
-// disables the restriction to reproduce the Figure 3 deadlock in demos and
-// tests; production use should leave it off or select the fabric's
-// interrupt/flush schemes (network.Config.Scheme).
+// lifts the restriction for unicast worms to reproduce the Figure 3
+// deadlock in demos and tests.
 //
 // The package also provides the broadcast special case: a unicast prefix
 // to the up/down root followed by the broadcast pseudo-port, flooded down
@@ -32,10 +38,10 @@ import (
 
 // Config parameterizes the switch-level multicast system.
 type Config struct {
-	// UnrestrictedRoutes lifts the spanning-tree route restriction.
-	// Multicast worms can then deadlock against unicast worms exactly as
-	// in Figure 3 — only enable this to study that failure mode, or in
-	// combination with a fabric-level scheme that handles it.
+	// UnrestrictedRoutes lifts the spanning-tree route restriction from
+	// unicast worms.  Multicast worms can then deadlock against unicast
+	// worms exactly as in Figure 3 — only enable this to study that
+	// failure mode.
 	UnrestrictedRoutes bool
 }
 
@@ -103,19 +109,33 @@ func (s *System) onDeliver(d network.Delivery) {
 
 // AddGroup precomputes, for every member, the multicast tree header that
 // reaches all other members — the source route a sending host stamps on
-// its multicast worms.
+// its multicast worms.  Every tree is rooted at the up/down root: the worm
+// climbs the spanning tree from the source as a single-branch chain and
+// forks only on the way down.  A fork whose branch pointed up the tree
+// would make a worm holding a down branch wait on an up one, the down→up
+// dependency the up*/down* argument forbids; under IDLE fill such trees
+// deadlock.
 func (s *System) AddGroup(g *multicast.Group) error {
 	if _, dup := s.headers[g.ID]; dup {
 		return fmt.Errorf("switchmc: duplicate group %d", g.ID)
 	}
 	perSrc := make(map[topology.NodeID][]byte, len(g.Members))
 	for _, src := range g.Members {
+		prefix, err := s.prefixToRoot(src)
+		if err != nil {
+			return err
+		}
 		var routes []updown.Route
 		for _, dst := range g.Members {
 			if dst == src {
 				continue
 			}
-			routes = append(routes, s.table.Lookup(src, dst))
+			down, err := s.downFromRoot(dst)
+			if err != nil {
+				return err
+			}
+			ports := append(append([]topology.PortID(nil), prefix...), down...)
+			routes = append(routes, updown.Route{Src: src, Dst: dst, Ports: ports})
 		}
 		tree, err := route.BuildTree(routes)
 		if err != nil {
@@ -208,27 +228,48 @@ func (s *System) prefixToRoot(src topology.NodeID) ([]topology.PortID, error) {
 	if cached, ok := s.rootPrefix[src]; ok {
 		return cached, nil
 	}
+	sw, _ := s.F.G.HostAttachment(src)
+	climb, err := s.climb(sw)
+	if err != nil {
+		return nil, err
+	}
+	prefix := make([]topology.PortID, len(climb))
+	for i, c := range climb {
+		prefix[i] = s.UD.ParentPort[c]
+	}
+	s.rootPrefix[src] = prefix
+	return prefix, nil
+}
+
+// downFromRoot returns the output ports from the root down the spanning
+// tree to host dst, ending with the port onto dst's host link.
+func (s *System) downFromRoot(dst topology.NodeID) ([]topology.PortID, error) {
 	g := s.F.G
-	sw, _ := g.HostAttachment(src)
-	var prefix []topology.PortID
+	sw, hostPort := g.HostAttachment(dst)
+	climb, err := s.climb(sw)
+	if err != nil {
+		return nil, err
+	}
+	down := make([]topology.PortID, 0, len(climb)+1)
+	for i := len(climb) - 1; i >= 0; i-- {
+		c := climb[i]
+		down = append(down, g.Node(c).Ports[s.UD.ParentPort[c]].PeerPort)
+	}
+	return append(down, hostPort), nil
+}
+
+// climb returns the switches from sw up the spanning tree to the root,
+// root excluded; each leaves for its parent through UD.ParentPort, the
+// one tree port between a switch and its parent.
+func (s *System) climb(sw topology.NodeID) ([]topology.NodeID, error) {
+	var path []topology.NodeID
 	for sw != s.UD.Root {
 		parent := s.UD.Parent[sw]
 		if parent == topology.None {
 			return nil, fmt.Errorf("switchmc: switch %d has no path to root", sw)
 		}
-		port := topology.NoPort
-		for pi, p := range g.Node(sw).Ports {
-			if p.Wired() && p.Peer == parent && s.UD.InTree(sw, topology.PortID(pi)) {
-				port = topology.PortID(pi)
-				break
-			}
-		}
-		if port == topology.NoPort {
-			return nil, fmt.Errorf("switchmc: no tree port from %d to parent %d", sw, parent)
-		}
-		prefix = append(prefix, port)
+		path = append(path, sw)
 		sw = parent
 	}
-	s.rootPrefix[src] = prefix
-	return prefix, nil
+	return path, nil
 }

@@ -7,6 +7,8 @@ import (
 	"wormlan/internal/flit"
 	"wormlan/internal/multicast"
 	"wormlan/internal/network"
+	"wormlan/internal/rng"
+	"wormlan/internal/route"
 	"wormlan/internal/topology"
 	"wormlan/internal/updown"
 )
@@ -242,5 +244,129 @@ func TestFigure3DeadlockWithUnrestrictedRoutes(t *testing.T) {
 	wantDeliveries := 3 * (3 + 3 + 8) // per round: 3+3 mc copies, 8 unicasts
 	if deliveredRestricted != wantDeliveries {
 		t.Fatalf("restricted run delivered %d, want %d", deliveredRestricted, wantDeliveries)
+	}
+}
+
+// TestTreesForkOnlyOnTheWayDown decodes every header AddGroup builds for
+// random groups: the worm climbs to the up/down root through single-branch
+// switches, and every fork below sends each branch down a tree port to a
+// child switch or out to a host.  A branch up the tree would make a worm
+// holding a down branch wait on an up one, the cycle IDLE fill deadlocks
+// on.
+func TestTreesForkOnlyOnTheWayDown(t *testing.T) {
+	for _, name := range []string{"torus8x8", "shufflenet24", "fattree", "myrinet4"} {
+		t.Run(name, func(t *testing.T) {
+			g := topology.FatTreeish(4, 2, true)
+			if name != "fattree" {
+				n, err := topology.Named(name, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g = n.Graph
+			}
+			b := newBed(t, g, network.Config{}, Config{})
+			ud := b.sys.UD
+			hosts := g.Hosts()
+			src := rng.New(31, 0)
+			for id := 0; id < 100; id++ {
+				size := 2 + src.Intn(min(9, len(hosts)-1))
+				var members []topology.NodeID
+				for _, i := range src.Perm(len(hosts))[:size] {
+					members = append(members, hosts[i])
+				}
+				b.addGroup(t, id, members)
+				grp := b.sys.members[id]
+				for _, s := range grp.Members {
+					reached := map[topology.NodeID]int{}
+					var walk func(sw topology.NodeID, hdr []byte, down bool)
+					walk = func(sw topology.NodeID, hdr []byte, down bool) {
+						down = down || sw == ud.Root
+						splits, err := route.SplitHeader(hdr)
+						if err != nil {
+							t.Fatalf("group %d source %d: %v", id, s, err)
+						}
+						if !down && len(splits) != 1 {
+							t.Fatalf("group %d source %d: switch %d forks %d ways before the root",
+								id, s, sw, len(splits))
+						}
+						for _, sp := range splits {
+							peer := g.Node(sw).Ports[sp.Port].Peer
+							if g.Node(peer).Kind == topology.Host {
+								reached[peer]++
+								continue
+							}
+							if down && (ud.Parent[peer] != sw || !ud.InTree(sw, sp.Port)) {
+								t.Fatalf("group %d source %d: fork at switch %d sends a branch to %d, not a tree child",
+									id, s, sw, peer)
+							}
+							walk(peer, sp.Header, down)
+						}
+					}
+					sw, _ := g.HostAttachment(s)
+					walk(sw, b.sys.headers[id][s], false)
+					for _, m := range grp.Members {
+						if m != s && reached[m] != 1 {
+							t.Fatalf("group %d source %d: member %d reached %d times", id, s, m, reached[m])
+						}
+					}
+					if len(reached) != len(grp.Members)-1 {
+						t.Fatalf("group %d source %d: reached %v, members %v", id, s, reached, grp.Members)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSwitchMulticastTotalOrder: every member of one group multicasts
+// several worms at once, and any two receivers see the worms they both get
+// in the same order.  Every worm passes the root's all-or-nothing grant,
+// then FIFO tree channels, so the root serializes the group.
+func TestSwitchMulticastTotalOrder(t *testing.T) {
+	g := topology.Torus(4, 4, 1, 1)
+	b := newBed(t, g, network.Config{}, Config{})
+	hosts := g.Hosts()
+	members := []topology.NodeID{hosts[1], hosts[4], hosts[6], hosts[9], hosts[11], hosts[14]}
+	b.addGroup(t, 1, members)
+	for round := 0; round < 4; round++ {
+		for i, m := range members {
+			m, payload := m, 100+37*i+11*round
+			b.k.At(des.Time(1+round*50), func() {
+				if err := b.sys.SendMulticast(m, 1, payload); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+	// A bounded run: a deadlocked fabric ticks forever.
+	if err := b.k.Run(200_000); err != nil {
+		t.Fatal(err)
+	}
+	if b.sys.F.Stalled(5_000) {
+		t.Fatal("fabric stalled")
+	}
+	for _, m := range members {
+		if got := len(b.byHost[m]); got != 4*(len(members)-1) {
+			t.Fatalf("member %d received %d worms, want %d", m, got, 4*(len(members)-1))
+		}
+	}
+	for i, a := range members {
+		for _, c := range members[i+1:] {
+			pos := map[int64]int{}
+			for k, d := range b.byHost[a] {
+				pos[d.Worm.ID] = k
+			}
+			last := -1
+			for _, d := range b.byHost[c] {
+				k, ok := pos[d.Worm.ID]
+				if !ok {
+					continue
+				}
+				if k < last {
+					t.Fatalf("hosts %d and %d receive worm %d in different orders", a, c, d.Worm.ID)
+				}
+				last = k
+			}
+		}
 	}
 }

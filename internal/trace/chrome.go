@@ -15,13 +15,13 @@ import (
 //
 //   - Every worm with an EvInject becomes a complete ("X") duration event
 //     on process "worms", one track (tid) per worm ID, spanning injection
-//     to its last lifecycle event (delivery, drop, or flush; multicast
-//     worms close at the last leaf).
+//     to its last lifecycle event (delivery or drop; multicast worms close
+//     at the last leaf).
 //   - Worm-scoped protocol moments (head-at-switch, blocked, resumed,
-//     tail-drained, interrupt/resume, ACK/NACK, retransmit, originate)
-//     become instant ("i") events on the same track.
-//   - Fabric flow-control moments (STOP, GO, multicast-IDLE) become
-//     instant events on process "fabric", one track per switch.
+//     tail-drained, ACK/NACK, retransmit, originate) become instant ("i")
+//     events on the same track.
+//   - Fabric flow-control moments (STOP, GO) become instant events on
+//     process "fabric", one track per switch.
 //
 // Timestamps are emitted in the trace's microsecond unit but carry
 // byte-times verbatim (1 µs shown = 1 byte-time = 12.5 ns of modelled
@@ -92,7 +92,7 @@ func WriteChrome(w io.Writer, evs []Event) error {
 		switch e.Kind {
 		case EvInject:
 			// Covered by the span.
-		case EvStop, EvGo, EvMCIdle:
+		case EvStop, EvGo:
 			emit(`{"ph":"i","s":"t","pid":2,"tid":%d,"ts":%d,"cat":"flow","name":%q,"args":{"port":%d,"worm":%d,"arg":%d}}`,
 				e.Node, e.At, e.Kind.String(), e.Port, e.Worm, e.Arg)
 		default:

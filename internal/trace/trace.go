@@ -53,29 +53,17 @@ const (
 	// were released.
 	EvTailDrained
 	// EvDelivered: a host interface completed reassembly of the worm
-	// (Arg is the fragment count).  Closes the worm span at that leaf.
+	// (Arg is always 1).  Closes the worm span at that leaf.
 	EvDelivered
 	// EvDropped: a worm copy was lost to a failure or corruption.  Closes
 	// the worm span.
 	EvDropped
-	// EvFlushed: a unicast worm was flushed by a Backward Reset under
-	// SchemeFlushUnicast.  Closes the worm span; the source retransmits.
-	EvFlushed
 	// EvStop: a switch input port's slack crossed the STOP mark and raised
 	// STOP on its reverse channel (Arg is the slack fill).
 	EvStop
 	// EvGo: the slack drained to the GO mark and STOP was released
 	// (Arg is the slack fill).
 	EvGo
-	// EvMCIdle: a multicast-held output port has transmitted IDLE fill for
-	// Config.IdleFlagTicks and was flagged 'multicast-IDLE'.
-	EvMCIdle
-	// EvInterrupt: a non-blocked branch of a multicast was interrupted
-	// (fragment tail sent, downstream path released) under SchemeInterrupt.
-	EvInterrupt
-	// EvResume: an interrupted branch resumed by re-stamping its stored
-	// header.
-	EvResume
 	// EvAck: a host adapter accepted a data worm and sent an ACK
 	// (Arg is the transfer ID).
 	EvAck
@@ -118,12 +106,8 @@ var kindNames = [...]string{
 	EvTailDrained:       "tail-drained",
 	EvDelivered:         "delivered",
 	EvDropped:           "dropped",
-	EvFlushed:           "flushed",
 	EvStop:              "stop",
 	EvGo:                "go",
-	EvMCIdle:            "mc-idle",
-	EvInterrupt:         "interrupt",
-	EvResume:            "resume",
 	EvAck:               "ack",
 	EvNack:              "nack",
 	EvRetransmit:        "retransmit",
