@@ -183,7 +183,7 @@ func fail(stderr io.Writer, code int, err error) int {
 }
 
 // simulate runs cfg, prints the results and, when tracePath is set, records
-// and exports the run's trace.  A failed or stalled run exits 1.
+// and exports the run's trace.  A failed or unhealthy run exits 1 unprinted.
 func simulate(cfg sim.Config, tracePath string, stdout, stderr io.Writer) int {
 	var ring *trace.Ring
 	if tracePath != "" {
@@ -194,15 +194,19 @@ func simulate(cfg sim.Config, tracePath string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, 1, err)
 	}
-	printResults(stdout, res, cfg.FaultPlan != nil, cfg.Metrics)
+	verdict := res.Healthy()
+	report := stderr // an unhealthy run still exports its trace, its diagnosis
+	if verdict == nil {
+		printResults(stdout, res, cfg.FaultPlan != nil, cfg.Metrics)
+		report = stdout
+	}
 	if ring != nil {
-		if err := writeTrace(stdout, tracePath, ring); err != nil {
+		if err := writeTrace(report, tracePath, ring); err != nil {
 			return fail(stderr, 1, err)
 		}
 	}
-	if res.Stalled {
-		fmt.Fprintln(stdout, "WARNING: worms remained frozen in the fabric (deadlock symptom)")
-		return 1
+	if verdict != nil {
+		return fail(stderr, 1, fmt.Errorf("%s load %v: %w", cfg.Scheme.Name, cfg.OfferedLoad, verdict))
 	}
 	return 0
 }
@@ -244,8 +248,8 @@ func printResults(stdout io.Writer, res *sim.Results, faults, metrics bool) {
 }
 
 // writeTrace exports the recorded events as Chrome trace-event JSON and
-// prints the trace summary line.
-func writeTrace(stdout io.Writer, path string, ring *trace.Ring) error {
+// prints the trace summary line to w.
+func writeTrace(w io.Writer, path string, ring *trace.Ring) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -257,10 +261,10 @@ func writeTrace(stdout io.Writer, path string, ring *trace.Ring) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "trace:             %d events -> %s", ring.Total(), path)
+	fmt.Fprintf(w, "trace:             %d events -> %s", ring.Total(), path)
 	if d := ring.Dropped(); d > 0 {
-		fmt.Fprintf(stdout, " (oldest %d dropped by the %d-event ring)", d, traceRingCap)
+		fmt.Fprintf(w, " (oldest %d dropped by the %d-event ring)", d, traceRingCap)
 	}
-	fmt.Fprintln(stdout)
+	fmt.Fprintln(w)
 	return nil
 }

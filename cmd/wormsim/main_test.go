@@ -7,6 +7,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"wormlan/internal/fault"
+	"wormlan/internal/sim"
+	"wormlan/internal/topology"
 )
 
 // smallArgs is a fast point: a 4x4 torus with short windows.
@@ -31,6 +35,27 @@ func TestRunSmoke(t *testing.T) {
 				t.Errorf("args %v: output missing %q:\n%s", args, want, out.String())
 			}
 		}
+	}
+}
+
+// TestUnhealthyRunExits1 plants a stall — one host frozen for good while
+// its queue holds worms — and pins the verdict path: exit 1, nothing on
+// stdout, the verdict naming the point on stderr, and the trace exported.
+func TestUnhealthyRunExits1(t *testing.T) {
+	g := topology.Torus(4, 4, 1, 1)
+	cfg := sim.Config{Graph: g, Scheme: sim.HamiltonianSF, OfferedLoad: 0.05, MeanWorm: 400,
+		Warmup: 10_000, Measure: 40_000, Seed: 7,
+		FaultPlan: (&fault.Plan{}).Stall(1_000, g.Hosts()[0], 1<<40)}
+	path := filepath.Join(t.TempDir(), "stall.json")
+	var out, errb bytes.Buffer
+	if code := simulate(cfg, path, &out, &errb); code != 1 || out.Len() != 0 {
+		t.Fatalf("exit %d, want 1 with stdout empty; stdout:\n%s", code, out.String())
+	}
+	if !strings.Contains(errb.String(), "wormsim: hamiltonian load 0.05: run stalled") {
+		t.Errorf("stderr lacks the verdict:\n%s", errb.String())
+	}
+	if data, err := os.ReadFile(path); err != nil || !json.Valid(data) {
+		t.Errorf("stalled run's trace not exported as JSON: %v", err)
 	}
 }
 

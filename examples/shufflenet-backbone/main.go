@@ -31,6 +31,9 @@ func main() {
 					Seed:          7,
 					Adapter:       adapter.Config{PlainForwarding: true},
 				})
+				if err == nil {
+					err = r.Healthy() // no row from a broken run
+				}
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -30,6 +30,9 @@ func main() {
 				Seed:          1996,
 				Adapter:       adapter.Config{PlainForwarding: true},
 			})
+			if err == nil {
+				err = r.Healthy() // no row from a broken run
+			}
 			if err != nil {
 				log.Fatal(err)
 			}

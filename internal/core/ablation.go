@@ -105,7 +105,8 @@ func runBufferClass(single bool, seed uint64) (BufferClassResult, error) {
 			return out, err
 		}
 	}
-	if err := st.K.Run(0); err != nil {
+	err = st.K.Run(0)
+	if err = checked(fmt.Sprintf("buffer-classes single=%v", single), st.Collect(), err); err != nil {
 		return out, err
 	}
 	as := st.Sys.Stats()
@@ -184,7 +185,7 @@ func OrderingGrid(seed uint64) sweep.Grid[OrderingResult] {
 					Seed:          seed,
 					Adapter:       adapter.Config{PlainForwarding: true},
 				})
-				if err != nil {
+				if err = checked("ordering "+variant, r, err); err != nil {
 					return OrderingResult{}, err
 				}
 				return OrderingResult{Ordered: ordered, MCLatency: r.MCLatency.Mean()}, nil
@@ -282,12 +283,8 @@ func FabricVsAdapterGrid(seed uint64) sweep.Grid[FabricVsAdapterResult] {
 					Seed:          seed,
 					Adapter:       adapter.Config{PlainForwarding: true},
 				})
-				if err != nil {
+				if err = checked("fabric-vs-adapter "+scheme.Name, r, err); err != nil {
 					return FabricVsAdapterResult{}, err
-				}
-				if r.Stalled {
-					return FabricVsAdapterResult{}, fmt.Errorf("fabric-vs-adapter %s: run stalled after %d multicast samples",
-						scheme.Name, r.MCLatency.N())
 				}
 				return FabricVsAdapterResult{
 					Scheme:    scheme.Name,

@@ -70,7 +70,8 @@ func bufferStudyPoint(seed uint64, load float64) (BufferStudyRow, error) {
 	if err != nil {
 		return row, err
 	}
-	if err := st.K.Run(800_000); err != nil {
+	err = st.K.Run(800_000)
+	if err = checked(fmt.Sprintf("buffer-occupancy load %v", load), st.Collect(), err); err != nil {
 		return row, err
 	}
 	for _, h := range g.Hosts() {

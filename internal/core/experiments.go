@@ -85,6 +85,17 @@ type figPoint struct {
 	Arb    string `json:"arb,omitempty"`
 }
 
+// checked gives a figure point its run verdict; an error names the point.
+func checked(point string, r *sim.Results, err error) error {
+	if err == nil {
+		err = r.Healthy()
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", point, err)
+	}
+	return nil
+}
+
 // Fig10Grid is Figure 10 as a sweep grid: average multicast latency vs
 // offered load on the 8x8 torus for the Hamiltonian circuit
 // (store-and-forward), the Hamiltonian circuit with cut-through, and the
@@ -120,8 +131,8 @@ func Fig10Grid(s Scale, seed uint64, nvc int) sweep.Grid[Fig10Row] {
 					}
 					cfg.Network.NumVCs = nvc
 					r, err := sim.Run(cfg)
-					if err != nil {
-						return Fig10Row{}, fmt.Errorf("fig10 %s load %v: %w", scheme.Name, load, err)
+					if err = checked(fmt.Sprintf("fig10 %s load %v", scheme.Name, load), r, err); err != nil {
+						return Fig10Row{}, err
 					}
 					return Fig10Row{
 						Scheme:    scheme.Name,
@@ -196,8 +207,8 @@ func Fig11Grid(s Scale, seed uint64) sweep.Grid[Fig11Row] {
 							Seed:          pseed,
 							Adapter:       adapter.Config{PlainForwarding: true},
 						})
-						if err != nil {
-							return Fig11Row{}, fmt.Errorf("fig11 %s prop %v load %v: %w", scheme.Name, prop, load, err)
+						if err = checked(fmt.Sprintf("fig11 %s prop %v load %v", scheme.Name, prop, load), r, err); err != nil {
+							return Fig11Row{}, err
 						}
 						return Fig11Row{
 							Scheme: scheme.Name,

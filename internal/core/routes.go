@@ -135,8 +135,8 @@ func RoutesGrid(s Scale, seed uint64, variants []RoutesVariant) sweep.Grid[Route
 						return RoutesRow{}, err
 					}
 					r, err := sim.Run(cfg)
-					if err != nil {
-						return RoutesRow{}, fmt.Errorf("routes %s load %v: %w", v.Name, load, err)
+					if err = checked(fmt.Sprintf("routes %s load %v", v.Name, load), r, err); err != nil {
+						return RoutesRow{}, err
 					}
 					return RoutesRow{
 						Variant: v.Name,

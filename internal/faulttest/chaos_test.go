@@ -145,8 +145,6 @@ func TestChaosTargeted(t *testing.T) {
 	if ic.LinkDowns != 1 || ic.SwitchDowns != 1 || ic.Remaps < 1 {
 		t.Fatalf("injector counters: %+v", ic)
 	}
-	must(t, b.ConservationErr())
-	must(t, b.HeldChannelsErr())
 	must(t, b.RoutesErr())
 
 	// The dead switch's hosts are unreachable, everyone else routable.

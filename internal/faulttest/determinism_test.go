@@ -1,6 +1,7 @@
 package faulttest
 
 import (
+	"strings"
 	"testing"
 
 	"wormlan/internal/adapter"
@@ -8,45 +9,34 @@ import (
 	"wormlan/internal/topology"
 )
 
-// heldChannelsReport freezes a line network with several worms in flight
-// and returns the held-channels diagnostic.  Before HeldChannelsErr
-// sorted its report by worm ID, the text followed Go's randomized map
-// iteration order, so two identical runs could disagree byte-for-byte.
-func heldChannelsReport(t *testing.T) string {
+// stallVerdict freezes a line network with several worms in flight — each
+// sender's adapter stalls mid-worm, so every worm holds its switch outputs
+// and nothing moves — and returns the run verdict RunErr reports.
+func stallVerdict(t *testing.T) string {
 	t.Helper()
-	b := newBench(t, topology.Line(4, 1), adapter.Config{PlainForwarding: true},
-		&fault.Plan{}, fault.InjectorConfig{})
-	hosts := b.G.Hosts()
-	send := func(src, dst topology.NodeID) {
-		t.Helper()
-		if err := b.Sys.SendUnicast(src, dst, 800); err != nil {
-			t.Fatal(err)
-		}
+	hosts := topology.Line(4, 1).Hosts()
+	plan := (&fault.Plan{}).Stall(30, hosts[0], 50_000).Stall(30, hosts[3], 50_000).Stall(30, hosts[1], 50_000)
+	b := newBench(t, topology.Line(4, 1), adapter.Config{PlainForwarding: true}, plan, fault.InjectorConfig{})
+	for _, p := range [][2]int{{0, 3}, {3, 0}, {1, 2}} {
+		must(t, b.Sys.SendUnicast(hosts[p[0]], hosts[p[1]], 800))
 	}
-	send(hosts[0], hosts[3])
-	send(hosts[3], hosts[0])
-	send(hosts[1], hosts[2])
-	// Stop long before the 800-byte worms can drain, so several of them
-	// are frozen holding switch output channels.
-	b.K.Run(60)
-	if got := len(b.Fabric.HeldChannels()); got < 2 {
-		t.Fatalf("scenario needs >= 2 in-flight worms to exercise report ordering, got %d", got)
-	}
-	err := b.HeldChannelsErr()
-	if err == nil {
-		t.Fatal("expected a held-channels error mid-flight")
+	err := b.RunErr(20_000)
+	if err == nil || !strings.Contains(err.Error(), "run stalled") {
+		t.Fatalf("RunErr = %v, want a stall verdict", err)
 	}
 	return err.Error()
 }
 
 // TestHeldChannelsReportDeterministic replays the frozen scenario and
-// byte-compares the diagnostic across runs: each call re-ranges the
-// held-channels map from scratch, so any dependence on map iteration
-// order shows up as diverging report text.
+// byte-compares the verdict, whose stall report lists every held port:
+// any dependence on map iteration order shows up as diverging text.
 func TestHeldChannelsReportDeterministic(t *testing.T) {
-	first := heldChannelsReport(t)
+	first := stallVerdict(t)
+	if strings.Count(first, "worm=") < 2 {
+		t.Fatalf("scenario needs >= 2 frozen worms to exercise report ordering:\n%s", first)
+	}
 	for i := 1; i < 5; i++ {
-		if got := heldChannelsReport(t); got != first {
+		if got := stallVerdict(t); got != first {
 			t.Fatalf("replay %d diverged:\n first: %s\n   got: %s", i, first, got)
 		}
 	}

@@ -5,19 +5,17 @@
 // route validity after recovery, absence of deadlock, and no leaked held
 // channels.
 //
-// The invariant checks return errors (ConservationErr and friends), so the
-// storm matrix consumed by the sweep engine and mcbench can use them; the
-// package imports no testing.
+// The checks return errors (RunErr, which carries the run verdict, and
+// RoutesErr), so the storm matrix consumed by the sweep engine and mcbench
+// can use them; the package imports no testing.
 package faulttest
 
 import (
 	"fmt"
-	"sort"
 
 	"wormlan/internal/adapter"
 	"wormlan/internal/des"
 	"wormlan/internal/fault"
-	"wormlan/internal/flit"
 	"wormlan/internal/network"
 	"wormlan/internal/sim"
 	"wormlan/internal/topology"
@@ -79,53 +77,22 @@ func NewBenchRouted(net topology.Net, sch vcroute.Scheme, acfg adapter.Config, p
 	return b, nil
 }
 
-// RunErr drives the kernel and reports an error if the simulation does
-// not drain before the deadline: with capped retries every protocol
-// activity is finite, so hitting the deadline means the fabric (or a
-// retry loop) wedged.
+// RunErr drives the kernel to deadline and returns the run verdict
+// (sim.Results.Healthy) plus a stricter rule: with capped retries every
+// protocol activity is finite, so the run must also drain.  A failure
+// quotes the fabric's stall report, which walks ports in index order.
 func (b *Bench) RunErr(deadline des.Time) error {
 	if err := b.K.Run(deadline); err != nil {
 		return fmt.Errorf("kernel error: %w", err)
 	}
-	if n := b.K.Pending(); n != 0 {
-		return fmt.Errorf("simulation did not drain by t=%d: %d events pending (deadlock?)\n%s",
-			deadline, n, b.Fabric.StallReport())
+	err := b.Collect().Healthy()
+	if n := b.K.Pending(); err == nil && n != 0 {
+		err = fmt.Errorf("simulation did not drain by t=%d: %d events pending (deadlock?)", deadline, n)
+	}
+	if err != nil {
+		return fmt.Errorf("%w\n%s", err, b.Fabric.StallReport())
 	}
 	return nil
-}
-
-// ConservationErr checks the fabric-level worm conservation law: every
-// injected worm was either delivered or counted as dropped.  (Valid for
-// adapter-level protocols, where every fabric worm is a unicast.)
-func (b *Bench) ConservationErr() error {
-	ctr := b.Fabric.Counters()
-	if ctr.Injected != ctr.Delivered+ctr.WormsDropped {
-		return fmt.Errorf("conservation violated: injected %d != delivered %d + dropped %d",
-			ctr.Injected, ctr.Delivered, ctr.WormsDropped)
-	}
-	return nil
-}
-
-// HeldChannelsErr checks that no switch output is still bound to a worm —
-// the wormhole equivalent of a leaked lock.  The report lists worms in ID
-// order: the message is asserted byte-for-byte by determinism replays, so
-// its wording must not depend on map iteration order.
-func (b *Bench) HeldChannelsErr() error {
-	held := b.Fabric.HeldChannels()
-	if len(held) == 0 {
-		return nil
-	}
-	worms := make([]*flit.Worm, 0, len(held))
-	for w := range held {
-		worms = append(worms, w)
-	}
-	sort.Slice(worms, func(i, j int) bool { return worms[i].ID < worms[j].ID })
-	msg := ""
-	for _, w := range worms {
-		msg += fmt.Sprintf("worm %d still holds %v; ", w.ID, held[w])
-	}
-	return fmt.Errorf("%d worms hold channels after drain: %s\n%s",
-		len(held), msg, b.Fabric.StallReport())
 }
 
 // RoutesErr verifies the installed table after recovery.  Under up*/down*:

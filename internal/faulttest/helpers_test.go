@@ -21,8 +21,8 @@ func newBench(tb testing.TB, g *topology.Graph, acfg adapter.Config, plan *fault
 	return b
 }
 
-// must Fatals tb when a bench step or invariant check (RunErr,
-// ConservationErr, HeldChannelsErr, RoutesErr) returns an error.
+// must Fatals tb when a bench step or check (RunErr, RoutesErr) returns an
+// error.
 func must(tb testing.TB, err error) {
 	tb.Helper()
 	if err != nil {

@@ -156,12 +156,6 @@ func RunStorm(spec StormSpec) (Outcome, error) {
 	if b.UniDelivered == 0 {
 		return zero, fmt.Errorf("no unicast deliveries survived the storm")
 	}
-	if err := b.ConservationErr(); err != nil {
-		return zero, err
-	}
-	if err := b.HeldChannelsErr(); err != nil {
-		return zero, err
-	}
 	if err := b.RoutesErr(); err != nil {
 		return zero, err
 	}

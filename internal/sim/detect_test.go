@@ -26,10 +26,7 @@ func helloConfig(scheme Scheme, load float64) Config {
 }
 
 func TestRunWithHelloDetection(t *testing.T) {
-	r, err := Run(helloConfig(TreeSF, 0.06))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runHealthy(t, helloConfig(TreeSF, 0.06))
 	if r.Fault.LinkDowns != 1 || r.Fault.SwitchDowns != 1 {
 		t.Fatalf("faults not applied: %+v", r.Fault)
 	}
@@ -43,17 +40,10 @@ func TestRunWithHelloDetection(t *testing.T) {
 	if d.DetectToReroute.Count == 0 || d.FaultToDetect.Count == 0 {
 		t.Fatalf("detection latency histograms empty: %+v", d)
 	}
-	if r.Stalled {
-		t.Fatal("run stalled under hello detection")
-	}
 	if !r.Drained {
 		t.Fatal("run did not drain after hello horizon")
 	}
-	fc := r.Fabric
-	if fc.Injected != fc.Delivered+fc.WormsDropped {
-		t.Fatalf("conservation: %+v", fc)
-	}
-	if fc.HellosSent == 0 || fc.HellosSeen == 0 {
+	if fc := r.Fabric; fc.HellosSent == 0 || fc.HellosSeen == 0 {
 		t.Fatalf("no hello traffic on the wire: %+v", fc)
 	}
 }

@@ -94,13 +94,7 @@ func observeHashes(t *testing.T, cfg Config) observePin {
 	var log eventLog
 	cfg.Tracer = &log
 	cfg.Metrics = true
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Stalled {
-		t.Errorf("run stalled after %d multicast and %d unicast deliveries", r.MCDeliveries, r.UniDeliveries)
-	}
+	r := runHealthy(t, cfg)
 	obs := fmt.Sprintf("%s\nchannels=%+v\nswitches=%+v\nticks=%d events=%d maxq=%d ept=%v\nhists=%+v\n",
 		fingerprint(r), r.Channels, r.Switches, r.FabricTicks,
 		r.EventsDispatched, r.MaxQueueDepth, r.EventsPerTick, *r.Histograms)

@@ -205,13 +205,12 @@ type Results struct {
 	MaxQueueDepth    int
 	EventsPerTick    float64
 
-	// Stalled is set when worms remained frozen in the fabric at the end
+	// Stalled is set when worms were left frozen in the fabric at the end
 	// of the run — the observable symptom of a deadlock.
 	Stalled bool
 	// Drained is set when the event queue emptied before the deadline:
 	// traffic generation stopped, every retry resolved, and nothing is in
-	// flight.  Only on a drained run do the quiescent invariants
-	// (conservation, no held channels) have to hold exactly.
+	// flight.  Healthy holds only a drained run to the quiescent invariants.
 	Drained bool
 	// HeldChannels counts switch outputs still bound to a worm when the
 	// run stopped — the wormhole equivalent of leaked locks.  Zero on any
@@ -590,7 +589,9 @@ func (st *Stack) Wire() error {
 // Collect reads a wired run out of the layers once the kernel has stopped.
 func (st *Stack) Collect() *Results {
 	res, k, fab := st.res, st.K, st.Fabric
-	res.GeneratedWorms, res.GeneratedMC, _ = st.Gen.Generated()
+	if st.Gen != nil { // nil when the caller drives its own traffic
+		res.GeneratedWorms, res.GeneratedMC, _ = st.Gen.Generated()
+	}
 	res.ThroughputPerHost = float64(st.windowBytes) / float64(st.cfg.Measure) / float64(len(st.hosts))
 	if st.Sys != nil {
 		res.Adapter = st.Sys.Stats()
@@ -614,6 +615,25 @@ func (st *Stack) Collect() *Results {
 		res.FabricTicks = m.Ticks
 	}
 	return res
+}
+
+// Healthy is the one verdict on whether a run's numbers may be used: not
+// stalled, and, once drained, quiescent — no switch output held, and every
+// injected worm delivered or dropped, a law skipped where switches replicated
+// multicasts (a delivery per leaf; the per-copy law is an application
+// ledger's).  A run its deadline stopped while still moving is healthy.
+func (r *Results) Healthy() error {
+	switch f := r.Fabric; {
+	case r.Stalled:
+		return fmt.Errorf("run stalled at t=%d: worms frozen in the fabric (%d injected, %d delivered)",
+			r.EndTime, f.Injected, f.Delivered)
+	case r.Drained && !(r.Config.Scheme.SwitchLevel && r.GeneratedMC > 0) && f.Injected != f.Delivered+f.WormsDropped:
+		return fmt.Errorf("drained run broke worm conservation: injected %d != delivered %d + dropped %d",
+			f.Injected, f.Delivered, f.WormsDropped)
+	case r.Drained && r.HeldChannels != 0:
+		return fmt.Errorf("drained run left %d switch outputs held", r.HeldChannels)
+	}
+	return nil
 }
 
 // Metrics reassembles the fabric metrics snapshot (nil unless the run was

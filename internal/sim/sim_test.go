@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wormlan/internal/fault"
+	"wormlan/internal/network"
 	"wormlan/internal/topology"
 )
 
@@ -22,11 +23,50 @@ func smallConfig(scheme Scheme, load float64) Config {
 	}
 }
 
-func TestRunProducesSamples(t *testing.T) {
-	r, err := Run(smallConfig(HamiltonianSF, 0.06))
+// runHealthy runs cfg and fails t unless the run completes and
+// Results.Healthy accepts it.
+func runHealthy(t *testing.T, cfg Config) *Results {
+	t.Helper()
+	r, err := Run(cfg)
+	if err == nil {
+		err = r.Healthy()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+// TestHealthyVerdict pins the run verdict over hand-built results: one row
+// per rule, plus the cases the rule must let through.
+func TestHealthyVerdict(t *testing.T) {
+	fab := func(inj, del, drop int64) network.Counters {
+		return network.Counters{Injected: inj, Delivered: del, WormsDropped: drop}
+	}
+	for _, tc := range []struct {
+		name    string
+		r       Results
+		healthy bool
+	}{
+		{"drained and quiescent", Results{Drained: true, Fabric: fab(10, 9, 1)}, true},
+		{"stalled", Results{Stalled: true, Fabric: fab(10, 4, 0), HeldChannels: 3}, false},
+		{"worm law short by one", Results{Drained: true, Fabric: fab(10, 8, 1)}, false},
+		{"worm law over by one", Results{Drained: true, Fabric: fab(10, 10, 1)}, false},
+		{"drained with held channels", Results{Drained: true, Fabric: fab(10, 10, 0), HeldChannels: 1}, false},
+		{"deadline stop with held channels", Results{Fabric: fab(10, 6, 0), HeldChannels: 4}, true},
+		// Switch-level replication books one delivery per multicast leaf:
+		// the published ablation row's own counters.
+		{"switch-level leaves", Results{Config: Config{Scheme: SwitchFabric}, GeneratedMC: 1, Drained: true, Fabric: fab(756, 1276, 0)}, true},
+		{"switch-level unicast slip", Results{Config: Config{Scheme: SwitchFabric}, Drained: true, Fabric: fab(10, 8, 1)}, false},
+	} {
+		if err := tc.r.Healthy(); (err == nil) != tc.healthy {
+			t.Errorf("%s: Healthy() = %v, want healthy=%v", tc.name, err, tc.healthy)
+		}
+	}
+}
+
+func TestRunProducesSamples(t *testing.T) {
+	r := runHealthy(t, smallConfig(HamiltonianSF, 0.06))
 	if r.MCDeliveries == 0 || r.UniDeliveries == 0 {
 		t.Fatalf("no samples: %+v", r)
 	}
@@ -35,9 +75,6 @@ func TestRunProducesSamples(t *testing.T) {
 	}
 	if r.ThroughputPerHost <= 0 {
 		t.Fatal("no throughput")
-	}
-	if r.Stalled {
-		t.Fatal("run stalled")
 	}
 	if r.Adapter.GiveUps != 0 {
 		t.Fatalf("protocol gave up: %+v", r.Adapter)
@@ -78,15 +115,9 @@ func TestLatencyGrowsWithLoad(t *testing.T) {
 }
 
 func TestSwitchFabricScheme(t *testing.T) {
-	r, err := Run(smallConfig(SwitchFabric, 0.04))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runHealthy(t, smallConfig(SwitchFabric, 0.04))
 	if r.MCDeliveries == 0 || r.UniDeliveries == 0 {
 		t.Fatalf("no deliveries: %v", r)
-	}
-	if r.Stalled {
-		t.Fatal("switch-level run stalled")
 	}
 	// Crossbar replication skips per-hop reassembly entirely: multicast
 	// latency should beat the store-and-forward adapter tree.
@@ -108,28 +139,14 @@ func TestSwitchFabricNoStall(t *testing.T) {
 	cfg.Graph = topology.Torus(8, 8, 1, 1)
 	cfg.NumGroups, cfg.GroupSize = 10, 6
 	cfg.Seed, cfg.Warmup, cfg.Measure = 2, 5_000, 30_000
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Stalled {
-		t.Fatalf("switch-level run stalled after %d multicast and %d unicast deliveries",
-			r.MCDeliveries, r.UniDeliveries)
-	}
+	runHealthy(t, cfg)
 }
 
 func TestAllSchemesComplete(t *testing.T) {
 	for _, s := range []Scheme{HamiltonianSF, HamiltonianCT, TreeSF, TreeCT, TreeFlood, SwitchFabric} {
 		t.Run(s.Name, func(t *testing.T) {
-			r, err := Run(smallConfig(s, 0.05))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.MCDeliveries == 0 {
+			if r := runHealthy(t, smallConfig(s, 0.05)); r.MCDeliveries == 0 {
 				t.Fatal("no multicast deliveries")
-			}
-			if r.Stalled {
-				t.Fatal("stalled")
 			}
 		})
 	}
@@ -167,7 +184,7 @@ group 7 h0 h2 h3
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(Config{
+	r := runHealthy(t, Config{
 		Graph:         g,
 		Scheme:        TreeFlood,
 		OfferedLoad:   0.05,
@@ -177,25 +194,15 @@ group 7 h0 h2 h3
 		Measure:       80_000,
 		Seed:          3,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if r.MCDeliveries == 0 {
 		t.Fatal("explicit group carried no multicast")
-	}
-	if r.Stalled {
-		t.Fatal("stalled")
 	}
 }
 
 func TestTotalOrderingRun(t *testing.T) {
 	cfg := smallConfig(HamiltonianSF, 0.05)
 	cfg.TotalOrdering = true
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.MCDeliveries == 0 || r.Stalled {
+	if r := runHealthy(t, cfg); r.MCDeliveries == 0 {
 		t.Fatalf("ordered run: %v", r)
 	}
 }
@@ -205,22 +212,12 @@ func TestRunWithFaultPlan(t *testing.T) {
 	cfg.FaultPlan = fault.RandomPlan(cfg.Graph, fault.Options{
 		Seed: 3, LinkDowns: 1, SwitchDowns: 1, Window: 60_000,
 	})
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runHealthy(t, cfg)
 	if r.Fault.LinkDowns != 1 || r.Fault.SwitchDowns != 1 {
 		t.Fatalf("faults not applied: %+v", r.Fault)
 	}
 	if r.Fault.Remaps == 0 {
 		t.Fatalf("no remap: %+v", r.Fault)
-	}
-	if r.Stalled {
-		t.Fatal("run stalled under faults")
-	}
-	fc := r.Fabric
-	if fc.Injected != fc.Delivered+fc.WormsDropped {
-		t.Fatalf("conservation: %+v", fc)
 	}
 }
 

@@ -130,16 +130,7 @@ func TestAdaptiveLinkKillRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Drained {
-		t.Fatalf("adaptive link-kill run did not drain (held=%d)", a.HeldChannels)
-	}
-	f := a.Fabric
-	if f.Injected != f.Delivered+f.WormsDropped {
-		t.Fatalf("conservation violated: %+v", f)
-	}
-	if a.UniDeliveries == 0 {
-		t.Fatal("no deliveries")
-	}
+	assertHealthy(t, a, "adaptive link-kill")
 	b, err := Run(mk())
 	if err != nil {
 		t.Fatal(err)
@@ -209,23 +200,13 @@ func TestVCMulticastConservationSweep(t *testing.T) {
 	for _, c := range drawVCMulticastCases(n) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			res, err := Run(c.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runHealthy(t, c.cfg)
 			if !res.Drained {
 				t.Fatalf("run did not drain by t=%d", res.EndTime)
 			}
 			ctr := res.Fabric
 			if ctr.Injected == 0 {
 				t.Fatal("no worms injected — nothing verified")
-			}
-			if ctr.Injected != ctr.Delivered+ctr.WormsDropped {
-				t.Fatalf("conservation violated: injected %d != delivered %d + dropped %d",
-					ctr.Injected, ctr.Delivered, ctr.WormsDropped)
-			}
-			if res.HeldChannels != 0 {
-				t.Fatalf("%d channels still held at drain", res.HeldChannels)
 			}
 			if ctr.WormsDropped != 0 {
 				t.Fatalf("healthy run dropped %d worms", ctr.WormsDropped)
