@@ -95,16 +95,13 @@ func (b *Bench) RunErr(deadline des.Time) error {
 	return nil
 }
 
-// RoutesErr verifies the installed table after recovery.  Under up*/down*:
+// RoutesErr verifies the installed table after recovery under up*/down*:
 // every ordered pair of reachable hosts has a route, valid over the
 // surviving subgraph (crosses no failed link, respects up*/down*).  A
-// scheme-built table must still walk the topology; the rigid schemes prune
-// pairs they cannot detour (empty routes), so completeness is not required.
+// scheme-built table gets no further check here: sim.Build validated the
+// first one, and Stack.Reroute validates and proves every rebuild.
 func (b *Bench) RoutesErr() error {
 	if b.Scheme.Build != nil {
-		if err := vcroute.ValidateTable(b.G, b.Table, b.Scheme.VCEncoded, false); err != nil {
-			return fmt.Errorf("rebuilt %s table invalid after recovery: %w", b.Scheme.Name, err)
-		}
 		return nil
 	}
 	hosts := b.G.Hosts()

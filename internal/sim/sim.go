@@ -449,7 +449,7 @@ func (st *Stack) groups() (ids []int, sets [][]topology.NodeID, groupsOf map[top
 func (st *Stack) Attach() error {
 	cfg := &st.cfg
 	if cfg.Scheme.SwitchLevel {
-		swsys, err := switchmc.New(st.K, st.Fabric, st.UD, switchmc.Config{})
+		swsys, err := switchmc.New(st.K, st.Fabric, st.UD)
 		if err != nil {
 			return err
 		}
@@ -517,23 +517,25 @@ func (st *Stack) Faults(plan *fault.Plan, icfg fault.InjectorConfig) error {
 // Reroute is the remap callback: it re-derives the scheme's table from the
 // recovery pipeline's fresh labelling (whose failure set is the detector's
 // view; up/down keeps the pipeline's own table), reroutes the adapters onto
-// it and keeps UD/Table current.
+// it and keeps UD/Table current.  A table failing vcroute.ValidateTable or
+// Table.Prove, like a rebuild error, halts the run: K.Run returns it.
 func (st *Stack) Reroute(ud *updown.Routing, tbl *updown.Table) {
-	if st.sch.Build != nil {
-		var err error
-		if st.sch.Adaptive {
-			err = st.Fabric.InstallAdaptive(ud)
-		}
-		if err == nil {
-			tbl, err = st.sch.Build(st.cfg.net(), st.nvc, ud)
-		}
-		if err != nil {
-			// Scheme rebuilds only fail on construction-level errors (bad
-			// geometry), which Validate and the initial build should have
-			// excluded: stop on the old routes and let K.Run return it.
-			st.K.Halt(fmt.Errorf("sim: route %q rebuild after remap: %w", st.sch.Name, err))
-			return
-		}
+	var err error
+	if st.sch.Adaptive {
+		err = st.Fabric.InstallAdaptive(ud)
+	}
+	if err == nil && st.sch.Build != nil {
+		tbl, err = st.sch.Build(st.cfg.net(), st.nvc, ud)
+	}
+	if err == nil {
+		err = vcroute.ValidateTable(st.cfg.Graph, tbl, st.sch.VCEncoded, false)
+	}
+	if err == nil {
+		err = tbl.Prove(st.cfg.Graph, vcroute.Decoder(st.sch.VCEncoded))
+	}
+	if err != nil {
+		st.K.Halt(fmt.Errorf("sim: route %q rebuild after remap: %w", st.sch.Name, err))
+		return
 	}
 	st.UD, st.Table = ud, tbl
 	st.Sys.Reroute(tbl, ud.Reachable)

@@ -114,8 +114,9 @@ func stripLanes(t *testing.T, tab *updown.Table) *updown.Table {
 // TestTorusMinimalDeadlockPair is the control experiment for the dateline
 // scheme: identical traffic over identical minimal routes deadlocks on a
 // single-lane torus (cyclic ring dependencies) and drains cleanly under
-// vcmin.  The deadlocking half is wired by hand because sim.Run refuses
-// to build a known-deadlocking table.
+// vcmin.  The deadlocking half is wired by hand: no Config names a
+// lane-stripped table, and Stack.Reroute refuses to install one
+// (TestRerouteRefusesCyclicTable).
 func TestTorusMinimalDeadlockPair(t *testing.T) {
 	// The healthy half: vcmin via the public API.  Moderate load — the
 	// claim under test is freedom from deadlock, not infinite capacity;
@@ -288,5 +289,32 @@ func TestRouteValidation(t *testing.T) {
 	cfg.FaultPlan = (&fault.Plan{}).LinkDown(10_000, cfg.Graph.Hosts()[0], 0)
 	if _, err := Run(cfg); err != nil {
 		t.Fatalf("link-kill plan rejected under vcmin: %v", err)
+	}
+}
+
+// TestRerouteRefusesCyclicTable: a remap handed the lane-stripped minimal
+// torus table fails its deadlock proof, so the run halts on the old routes
+// and K.Run returns the error naming the ring cycle.
+func TestRerouteRefusesCyclicTable(t *testing.T) {
+	g, geo := topology.TorusWithGeom(4, 4, 1, 1)
+	st, err := Build(Config{Graph: g, Scheme: HamiltonianSF, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Attach(); err != nil {
+		t.Fatal(err)
+	}
+	vtab, err := vcroute.TorusMinimal(g, geo, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := st.Table
+	st.K.After(1_000, func() { st.Reroute(st.UD, stripLanes(t, vtab)) })
+	err = st.K.Run(0)
+	if err == nil || !strings.Contains(err.Error(), "channel dependency cycle") {
+		t.Fatalf("K.Run = %v, want the proof's cycle", err)
+	}
+	if st.Table != old {
+		t.Fatal("the refused table was installed")
 	}
 }

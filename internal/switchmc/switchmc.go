@@ -14,9 +14,7 @@
 // dependencies between tree branches, so up/down routing alone is not
 // sufficient (Figure 3).  The paper's scheme A restricts *all* worms —
 // unicast too — to the links of the up/down spanning tree; crosslinks go
-// unused.  That is this package's safe default.  Config.UnrestrictedRoutes
-// lifts the restriction for unicast worms to reproduce the Figure 3
-// deadlock in demos and tests.
+// unused.  That is the one discipline this package routes by.
 //
 // The package also provides the broadcast special case: a unicast prefix
 // to the up/down root followed by the broadcast pseudo-port, flooded down
@@ -36,15 +34,6 @@ import (
 	"wormlan/internal/updown"
 )
 
-// Config parameterizes the switch-level multicast system.
-type Config struct {
-	// UnrestrictedRoutes lifts the spanning-tree route restriction from
-	// unicast worms.  Multicast worms can then deadlock against unicast
-	// worms exactly as in Figure 3 — only enable this to study that
-	// failure mode.
-	UnrestrictedRoutes bool
-}
-
 // Delivery reports one completed worm at a host.
 type Delivery struct {
 	Worm      *flit.Worm
@@ -56,10 +45,9 @@ type Delivery struct {
 // System injects unicast and switch-replicated multicast worms.  It
 // implements the traffic generator's sink interface.
 type System struct {
-	K   *des.Kernel
-	F   *network.Fabric
-	UD  *updown.Routing
-	Cfg Config
+	K  *des.Kernel
+	F  *network.Fabric
+	UD *updown.Routing
 
 	// OnDeliver is invoked per completed worm per destination host.
 	OnDeliver func(d Delivery)
@@ -81,13 +69,13 @@ func (s *System) SetRecorder(r trace.Recorder) { s.rec = r }
 
 // New builds the system over an existing fabric.  It takes ownership of
 // the fabric's OnDeliver callback.
-func New(k *des.Kernel, f *network.Fabric, ud *updown.Routing, cfg Config) (*System, error) {
-	table, err := ud.NewTable(!cfg.UnrestrictedRoutes)
+func New(k *des.Kernel, f *network.Fabric, ud *updown.Routing) (*System, error) {
+	table, err := ud.NewTable(true)
 	if err != nil {
 		return nil, err
 	}
 	s := &System{
-		K: k, F: f, UD: ud, Cfg: cfg,
+		K: k, F: f, UD: ud,
 		table:      table,
 		headers:    make(map[int]map[topology.NodeID][]byte),
 		members:    make(map[int]*multicast.Group),

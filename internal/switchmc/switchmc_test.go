@@ -21,7 +21,7 @@ type bed struct {
 	byHost map[topology.NodeID][]Delivery
 }
 
-func newBed(t *testing.T, g *topology.Graph, netCfg network.Config, cfg Config) *bed {
+func newBed(t *testing.T, g *topology.Graph, netCfg network.Config) *bed {
 	t.Helper()
 	b := &bed{k: des.NewKernel(), g: g, byHost: map[topology.NodeID][]Delivery{}}
 	ud, err := updown.New(g, topology.None)
@@ -32,7 +32,7 @@ func newBed(t *testing.T, g *topology.Graph, netCfg network.Config, cfg Config) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(b.k, f, ud, cfg)
+	sys, err := New(b.k, f, ud)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSwitchMulticastReachesAllMembers(t *testing.T) {
 		"myrinet": topology.Myrinet4(),
 	} {
 		t.Run(name, func(t *testing.T) {
-			b := newBed(t, g, network.Config{}, Config{})
+			b := newBed(t, g, network.Config{})
 			hosts := g.Hosts()
 			members := []topology.NodeID{hosts[0], hosts[2], hosts[3], hosts[5]}
 			b.addGroup(t, 1, members)
@@ -94,7 +94,7 @@ func TestSwitchMulticastLowerLatencyThanSequential(t *testing.T) {
 	// fabric's copies land within a propagation spread, not a worm-time
 	// spread.
 	g := topology.Star(6)
-	b := newBed(t, g, network.Config{}, Config{})
+	b := newBed(t, g, network.Config{})
 	hosts := g.Hosts()
 	b.addGroup(t, 1, hosts)
 	if err := b.sys.SendMulticast(hosts[0], 1, 1000); err != nil {
@@ -124,7 +124,7 @@ func TestUnicastRestrictedToTree(t *testing.T) {
 	// the fat tree with crosslinks, all routes go through the root, so
 	// both unicast and multicast complete and stay deadlock-free.
 	g := topology.FatTreeish(4, 2, true)
-	b := newBed(t, g, network.Config{StopMark: 8, GoMark: 4}, Config{})
+	b := newBed(t, g, network.Config{StopMark: 8, GoMark: 4})
 	hosts := g.Hosts()
 	b.addGroup(t, 1, hosts[:5])
 	for i := 0; i < 4; i++ {
@@ -149,7 +149,7 @@ func TestUnicastRestrictedToTree(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	g := topology.Star(4)
-	b := newBed(t, g, network.Config{}, Config{})
+	b := newBed(t, g, network.Config{})
 	hosts := g.Hosts()
 	b.addGroup(t, 1, hosts[:3])
 	if err := b.sys.SendMulticast(hosts[0], 9, 100); err == nil {
@@ -171,7 +171,7 @@ func TestBroadcastFromEveryHost(t *testing.T) {
 	g := topology.FatTreeish(3, 2, false)
 	hosts := g.Hosts()
 	for _, src := range hosts {
-		b := newBed(t, g, network.Config{}, Config{})
+		b := newBed(t, g, network.Config{})
 		if err := b.sys.SendBroadcast(src, 123); err != nil {
 			t.Fatal(err)
 		}
@@ -189,61 +189,33 @@ func TestBroadcastFromEveryHost(t *testing.T) {
 	}
 }
 
-func TestUnrestrictedRoutesUseShorterPaths(t *testing.T) {
-	// Lifting the tree restriction restores crosslink shortcuts: unicast
-	// latency on the crosslinked fat tree drops.
-	lat := func(unrestricted bool) des.Time {
-		g := topology.FatTreeish(2, 1, true) // root, 2 spines + crosslink
-		b := newBed(t, g, network.Config{}, Config{UnrestrictedRoutes: unrestricted})
-		hosts := g.Hosts()
-		if err := b.sys.SendUnicast(hosts[0], hosts[1], 100); err != nil {
-			t.Fatal(err)
+// TestSchemeADrainsCrossingTraffic: under scheme A every worm, unicast too,
+// is restricted to the up/down spanning tree, so multicasts holding
+// IDLE-filled branches and unicasts crossing them on a crosslinked fat tree
+// all drain: no stall, and every copy delivered.
+func TestSchemeADrainsCrossingTraffic(t *testing.T) {
+	g := topology.FatTreeish(4, 2, true)
+	b := newBed(t, g, network.Config{StopMark: 8, GoMark: 4})
+	hosts := g.Hosts()
+	b.addGroup(t, 1, []topology.NodeID{hosts[0], hosts[3], hosts[5], hosts[6]})
+	b.addGroup(t, 2, []topology.NodeID{hosts[1], hosts[2], hosts[4], hosts[7]})
+	for i := 0; i < 3; i++ {
+		b.sys.SendMulticast(hosts[0], 1, 600)
+		b.sys.SendMulticast(hosts[1], 2, 600)
+		for j := 0; j < len(hosts); j++ {
+			b.sys.SendUnicast(hosts[j], hosts[(j+3)%len(hosts)], 400)
 		}
-		b.k.Run(0)
-		return b.byHost[hosts[1]][0].At
 	}
-	free := lat(true)
-	restricted := lat(false)
-	if free >= restricted {
-		t.Fatalf("crosslink shortcut did not help: free=%d restricted=%d", free, restricted)
-	}
-}
-
-func TestFigure3DeadlockWithUnrestrictedRoutes(t *testing.T) {
-	// The negative control behind scheme A's route restriction: with
-	// unrestricted routes, a blocked multicast holding an IDLE-filled
-	// branch and a unicast crossing it can deadlock (Figure 3).  We build
-	// heavy crossing traffic on a crosslinked topology and require only
-	// that the restricted variant never stalls; the unrestricted one is
-	// allowed to (and typically does under this pattern).
-	run := func(unrestricted bool) (stalled bool, delivered int) {
-		g := topology.FatTreeish(4, 2, true)
-		b := newBed(t, g, network.Config{StopMark: 8, GoMark: 4},
-			Config{UnrestrictedRoutes: unrestricted})
-		hosts := g.Hosts()
-		b.addGroup(t, 1, []topology.NodeID{hosts[0], hosts[3], hosts[5], hosts[6]})
-		b.addGroup(t, 2, []topology.NodeID{hosts[1], hosts[2], hosts[4], hosts[7]})
-		for i := 0; i < 3; i++ {
-			b.sys.SendMulticast(hosts[0], 1, 600)
-			b.sys.SendMulticast(hosts[1], 2, 600)
-			for j := 0; j < len(hosts); j++ {
-				b.sys.SendUnicast(hosts[j], hosts[(j+3)%len(hosts)], 400)
-			}
-		}
-		b.k.Run(400_000)
-		total := 0
-		for _, ds := range b.byHost {
-			total += len(ds)
-		}
-		return b.sys.F.Stalled(5_000), total
-	}
-	stalledRestricted, deliveredRestricted := run(false)
-	if stalledRestricted {
+	b.k.Run(400_000)
+	if b.sys.F.Stalled(5_000) {
 		t.Fatal("tree-restricted scheme A stalled")
 	}
-	wantDeliveries := 3 * (3 + 3 + 8) // per round: 3+3 mc copies, 8 unicasts
-	if deliveredRestricted != wantDeliveries {
-		t.Fatalf("restricted run delivered %d, want %d", deliveredRestricted, wantDeliveries)
+	delivered := 0
+	for _, ds := range b.byHost {
+		delivered += len(ds)
+	}
+	if want := 3 * (3 + 3 + 8); delivered != want { // per round: 3+3 mc copies, 8 unicasts
+		t.Fatalf("delivered %d, want %d", delivered, want)
 	}
 }
 
@@ -264,7 +236,7 @@ func TestTreesForkOnlyOnTheWayDown(t *testing.T) {
 				}
 				g = n.Graph
 			}
-			b := newBed(t, g, network.Config{}, Config{})
+			b := newBed(t, g, network.Config{})
 			ud := b.sys.UD
 			hosts := g.Hosts()
 			src := rng.New(31, 0)
@@ -324,7 +296,7 @@ func TestTreesForkOnlyOnTheWayDown(t *testing.T) {
 // then FIFO tree channels, so the root serializes the group.
 func TestSwitchMulticastTotalOrder(t *testing.T) {
 	g := topology.Torus(4, 4, 1, 1)
-	b := newBed(t, g, network.Config{}, Config{})
+	b := newBed(t, g, network.Config{})
 	hosts := g.Hosts()
 	members := []topology.NodeID{hosts[1], hosts[4], hosts[6], hosts[9], hosts[11], hosts[14]}
 	b.addGroup(t, 1, members)

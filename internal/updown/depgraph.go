@@ -2,120 +2,131 @@ package updown
 
 import (
 	"fmt"
+	"math/bits"
+	"strings"
 
 	"wormlan/internal/topology"
 )
 
-// Channel identifies a directed link: the output side of port Port on node
-// Node.  Wormhole deadlock analysis [DS87] works on channels: a set of
-// routes is deadlock-free if the "waits-for" relation between consecutive
-// channels on the routes is acyclic.
-type Channel struct {
-	Node topology.NodeID
-	Port topology.PortID
-}
-
-// DependencyGraph builds the channel dependency graph induced by a set of
-// routes: there is an edge c1 -> c2 whenever some route acquires channel c2
-// immediately after c1 (so a worm holding c1 may wait for c2).
-func DependencyGraph(g *topology.Graph, routes []Route) map[Channel][]Channel {
-	dep := make(map[Channel][]Channel)
-	seen := make(map[[2]Channel]bool)
-	add := func(a, b Channel) {
-		k := [2]Channel{a, b}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		dep[a] = append(dep[a], b)
-	}
-	for _, rt := range routes {
-		// First channel: host adapter -> first switch.
-		prev := Channel{Node: rt.Src, Port: 0}
-		for i, port := range rt.Ports {
-			cur := Channel{Node: rt.Switches[i], Port: port}
-			add(prev, cur)
-			prev = cur
-		}
-	}
-	return dep
-}
-
-// FindCycle returns a cycle in the dependency graph, or nil if it is
-// acyclic.  The cycle is returned as the sequence of channels involved.
-func FindCycle(dep map[Channel][]Channel) []Channel {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make(map[Channel]int, len(dep))
-	parent := make(map[Channel]Channel)
-	// Deterministic iteration: collect and sort keys.
-	keys := make([]Channel, 0, len(dep))
-	for k := range dep {
-		keys = append(keys, k)
-	}
-	sortChannels(keys)
-
-	var cycleStart, cycleEnd Channel
-	var dfs func(u Channel) bool
-	dfs = func(u Channel) bool {
-		color[u] = grey
-		for _, v := range dep[u] {
-			switch color[v] {
-			case white:
-				parent[v] = u
-				if dfs(v) {
-					return true
+// Prove is the one deadlock proof [DS87]: an error unless the channel
+// dependency graph of t's routes is acyclic.  A channel is one lane of one
+// switch output, (Switch, Port, Lane); a worm holding one hop's channel may
+// wait on its next hop's.  Each route is followed by one Route.Walk, decode
+// splitting its bytes into port and lane (nil: plain ports, lane 0).  Host
+// injection channels, which no worm waits on, are left out, and so are
+// one-hop routes, which hold nothing while they wait — among them the
+// adaptive marker, whose hops the switches decide, so the proof is vacuous
+// on an all-marker table.  A cycle's error names each of its channels.
+func (t *Table) Prove(g *topology.Graph, decode func(topology.PortID) (topology.PortID, int)) error {
+	lanes := 1
+	for _, row := range t.routes {
+		for _, rt := range row {
+			for _, b := range rt.Ports {
+				if decode != nil && len(rt.Ports) > 1 {
+					_, l := decode(b)
+					lanes = max(lanes, l+1)
 				}
-			case grey:
-				cycleStart, cycleEnd = v, u
-				return true
 			}
 		}
-		color[u] = black
-		return false
 	}
-	for _, k := range keys {
-		if color[k] == white && dfs(k) {
-			cycle := []Channel{cycleStart}
-			for v := cycleEnd; v != cycleStart; v = parent[v] {
-				cycle = append(cycle, v)
+	// Switch n owns channels base[n] + port*lanes + lane.  Every successor
+	// of a channel sits on its peer switch, so each channel's successors are
+	// a bitset over its peer's channels, found from peer[c] = base[peer].
+	base := make([]int32, len(g.Nodes))
+	nch, deg := 0, 0
+	for n, node := range g.Nodes {
+		base[n] = int32(nch)
+		if node.Kind == topology.Switch {
+			nch += len(node.Ports) * lanes
+			deg = max(deg, len(node.Ports))
+		}
+	}
+	words := (deg*lanes + 63) / 64
+	succ := make([]uint64, nch*words)
+	peer := make([]int32, nch)
+	prev := int32(-1)
+	visit := func(h Hop) error {
+		k := int32(int(h.Port)*lanes + h.Lane)
+		if prev >= 0 {
+			succ[int(prev)*words+int(k/64)] |= 1 << (k % 64)
+			peer[prev] = base[h.Switch]
+		}
+		prev = base[h.Switch] + k
+		return nil
+	}
+	for i, row := range t.routes {
+		for j, rt := range row {
+			if len(rt.Ports) < 2 {
+				continue
 			}
-			// Reverse for forward order.
-			for i, j := 0, len(cycle)-1; i < j; i, j = i+1, j-1 {
-				cycle[i], cycle[j] = cycle[j], cycle[i]
+			prev = -1
+			if err := rt.Walk(g, decode, visit); err != nil {
+				return fmt.Errorf("updown: route %d->%d: %w", t.Hosts[i], t.Hosts[j], err)
 			}
-			return cycle
+		}
+	}
+
+	// Iterative depth-first search in channel order: state 0 is unvisited,
+	// 1 on the stack, 2 done; a successor still on the stack closes a cycle.
+	state := make([]uint8, nch)
+	stack := make([]frame, 0, nch)
+	for root := range int32(nch) {
+		if state[root] == 0 {
+			state[root] = 1
+			stack = append(stack, frame{c: root})
+		}
+		for len(stack) > 0 {
+			top := &stack[len(stack)-1]
+			k := nextBit(succ[int(top.c)*words:int(top.c+1)*words], int(top.next))
+			if k < 0 {
+				state[top.c] = 2
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			top.next = int32(k + 1)
+			v := peer[top.c] + int32(k)
+			if state[v] == 1 {
+				return cycleErr(g, base, lanes, stack, v)
+			}
+			if state[v] == 0 {
+				state[v] = 1
+				stack = append(stack, frame{c: v})
+			}
 		}
 	}
 	return nil
 }
 
-func sortChannels(cs []Channel) {
-	// Insertion sort is fine for the sizes involved; avoids importing sort
-	// with a custom Less closure allocation in a hot test path.
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && channelLess(cs[j], cs[j-1]); j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
+// frame is one channel on the search stack and the successor bit to try next.
+type frame struct{ c, next int32 }
+
+// nextBit returns the index of the first set bit of row at or after from,
+// or -1 when there is none.
+func nextBit(row []uint64, from int) int {
+	for w := from / 64; w < len(row); w, from = w+1, 0 {
+		if m := row[w] &^ (1<<(from%64) - 1); m != 0 {
+			return w*64 + bits.TrailingZeros64(m)
 		}
 	}
+	return -1
 }
 
-func channelLess(a, b Channel) bool {
-	if a.Node != b.Node {
-		return a.Node < b.Node
+// cycleErr names the cycle that the edge from the top of stack back to v
+// closes, each channel as switch/port/lane.
+func cycleErr(g *topology.Graph, base []int32, lanes int, stack []frame, v int32) error {
+	at := len(stack) - 1
+	for stack[at].c != v {
+		at--
 	}
-	return a.Port < b.Port
-}
-
-// VerifyDeadlockFree checks that the channel dependency graph induced by
-// the given routes is acyclic, and returns a descriptive error naming the
-// offending channel cycle otherwise.
-func VerifyDeadlockFree(g *topology.Graph, routes []Route) error {
-	if cycle := FindCycle(DependencyGraph(g, routes)); cycle != nil {
-		return fmt.Errorf("updown: channel dependency cycle of length %d: %v", len(cycle), cycle)
+	hops := make([]string, 0, len(stack)-at+1)
+	for _, f := range append(stack[at:], frame{c: v}) {
+		n := len(g.Nodes) - 1 // the last switch whose channels start at or before f.c
+		for g.Nodes[n].Kind != topology.Switch || base[n] > f.c {
+			n--
+		}
+		off := int(f.c - base[n])
+		hops = append(hops, fmt.Sprintf("%d/%d/%d", n, off/lanes, off%lanes))
 	}
-	return nil
+	return fmt.Errorf("updown: channel dependency cycle of %d channels (switch/port/lane): %s",
+		len(stack)-at, strings.Join(hops, " -> "))
 }

@@ -3,7 +3,6 @@ package updown
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"wormlan/internal/topology"
 )
@@ -122,8 +121,12 @@ func TestAllPairsLegalOnAllTopologies(t *testing.T) {
 	for name, g := range cases {
 		t.Run(name, func(t *testing.T) {
 			r := mustRouting(t, g)
-			routes := allPairRoutes(t, r, false)
-			if err := VerifyDeadlockFree(g, routes); err != nil {
+			allPairRoutes(t, r, false)
+			tbl, err := r.NewTable(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.Prove(g, nil); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		})
@@ -142,7 +145,11 @@ func TestTreeOnlyRoutesAvoidCrosslinks(t *testing.T) {
 			}
 		}
 	}
-	if err := VerifyDeadlockFree(g, routes); err != nil {
+	tbl, err := r.NewTable(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Prove(g, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -275,90 +282,6 @@ func TestVerifyRouteCatchesCorruption(t *testing.T) {
 	bad2.Dst = hosts[1]
 	if err := r.VerifyRoute(bad2); err == nil {
 		t.Fatal("route with wrong destination verified")
-	}
-}
-
-func TestFindCycleDetectsCycle(t *testing.T) {
-	a := Channel{1, 0}
-	b := Channel{2, 0}
-	c := Channel{3, 0}
-	dep := map[Channel][]Channel{a: {b}, b: {c}, c: {a}}
-	cycle := FindCycle(dep)
-	if len(cycle) != 3 {
-		t.Fatalf("cycle = %v", cycle)
-	}
-	acyclic := map[Channel][]Channel{a: {b}, b: {c}}
-	if FindCycle(acyclic) != nil {
-		t.Fatal("false positive cycle")
-	}
-}
-
-func TestDeadlockFreedomProperty(t *testing.T) {
-	// Property: for any random connected topology, the all-pairs up/down
-	// routes induce an acyclic channel dependency graph.
-	err := quick.Check(func(seed uint64, nRaw, dRaw uint8) bool {
-		n := int(nRaw%14) + 3
-		d := int(dRaw%3) + 2
-		g := topology.Random(n, d, seed)
-		r, err := New(g, topology.None)
-		if err != nil {
-			return false
-		}
-		hosts := g.Hosts()
-		var routes []Route
-		for _, a := range hosts {
-			for _, b := range hosts {
-				if a == b {
-					continue
-				}
-				rt, err := r.Route(a, b)
-				if err != nil || r.VerifyRoute(rt) != nil {
-					return false
-				}
-				routes = append(routes, rt)
-			}
-		}
-		return VerifyDeadlockFree(g, routes) == nil
-	}, &quick.Config{MaxCount: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMinimalRoutesWouldDeadlockOnRing(t *testing.T) {
-	// Negative control: unrestricted shortest-path routing on a ring (all
-	// going clockwise) has a cyclic channel dependency.  This is the
-	// textbook wormhole deadlock that up/down routing exists to avoid.
-	g := topology.New()
-	n := 4
-	sws := make([]topology.NodeID, n)
-	for i := 0; i < n; i++ {
-		sws[i] = g.AddSwitch("")
-	}
-	ports := make([]topology.PortID, n) // clockwise output port of switch i
-	for i := 0; i < n; i++ {
-		pa, _ := g.Connect(sws[i], sws[(i+1)%n], 1)
-		ports[i] = pa
-	}
-	hosts := make([]topology.NodeID, n)
-	hostPorts := make([]topology.PortID, n)
-	for i := 0; i < n; i++ {
-		hosts[i] = g.AddHost("")
-		hp, _ := g.Connect(sws[i], hosts[i], 1)
-		hostPorts[i] = hp
-	}
-	// Hand-build clockwise 2-hop routes i -> i+2.
-	var routes []Route
-	for i := 0; i < n; i++ {
-		j := (i + 2) % n
-		routes = append(routes, Route{
-			Src: hosts[i], Dst: hosts[j],
-			Switches: []topology.NodeID{sws[i], sws[(i+1)%n], sws[j]},
-			Ports:    []topology.PortID{ports[i], ports[(i+1)%n], hostPorts[j]},
-		})
-	}
-	if err := VerifyDeadlockFree(g, routes); err == nil {
-		t.Fatal("clockwise ring routing reported deadlock-free")
 	}
 }
 

@@ -212,6 +212,14 @@ func FuzzWalkVsPairBFS(f *testing.F) {
 			return // every switch dead: nothing to route
 		}
 		checkWalkAgainstPairBFS(t, r)
+		// The surviving table is the kind a remap installs: it must prove.
+		tbl, err := r.NewTableSurviving(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Prove(g, nil); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 

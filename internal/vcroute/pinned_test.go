@@ -54,7 +54,8 @@ func tableHash(tbl *updown.Table) string {
 
 // TestSchemeTablesPinned holds every registered scheme's table to
 // testdata/tables_pinned.json, byte for byte, on each named fabric the
-// scheme accepts — healthy and under pinnedFailures.  Up/down pins the
+// scheme accepts — healthy and under pinnedFailures — and proves each one
+// deadlock-free at the scheme's lane floor.  Up/down pins the
 // tables its labelling builds itself (NewTable healthy, NewTableSurviving
 // after a failure, as the recovery pipeline does).  A refactor of the
 // table layer must not change the file; on a deliberate routing change,
@@ -111,6 +112,9 @@ func TestSchemeTablesPinned(t *testing.T) {
 					key = fmt.Sprintf("%s/%s/failed", name, topo)
 				}
 				got[key] = tableHash(tbl)
+				if err := tbl.Prove(net.Graph, Decoder(sch.VCEncoded)); err != nil {
+					t.Errorf("%s: %v", key, err)
+				}
 				if got[key] != want[key] {
 					t.Errorf("%s: table hash %s, pinned %s", key, got[key], want[key])
 				}

@@ -52,7 +52,7 @@ func routeDead(g *topology.Graph, fail *updown.Failures, rt updown.Route, vcEnco
 	if fail == nil {
 		return false
 	}
-	return rt.Walk(g, decoder(vcEncoded), func(h updown.Hop) error {
+	return rt.Walk(g, Decoder(vcEncoded), func(h updown.Hop) error {
 		if fail.SwitchDead(h.Switch) || fail.LinkDead(g, h.Switch, h.Port) {
 			return errDead
 		}
@@ -301,9 +301,10 @@ func shuffleRoute(slab *updown.RouteSlab, g *topology.Graph, geo *topology.Shuff
 	return updown.Route{Src: src, Dst: dst}, nil // no surviving path: pruned
 }
 
-// decoder returns the Route.Walk decoder for a table's route bytes: lane
-// ids packed by route.EncodeVCPort when vcEncoded, plain ports otherwise.
-func decoder(vcEncoded bool) func(topology.PortID) (topology.PortID, int) {
+// Decoder returns the Route.Walk (and Table.Prove) decoder for a table's
+// route bytes: lane ids packed by route.EncodeVCPort when vcEncoded, plain
+// ports otherwise.
+func Decoder(vcEncoded bool) func(topology.PortID) (topology.PortID, int) {
 	if !vcEncoded {
 		return nil
 	}
@@ -362,5 +363,5 @@ func checkRoute(g *topology.Graph, rt updown.Route, vcEncoded bool) error {
 			return nil
 		}
 	}
-	return rt.Walk(g, decoder(vcEncoded), hostLane)
+	return rt.Walk(g, Decoder(vcEncoded), hostLane)
 }

@@ -1,6 +1,7 @@
 package vcroute
 
 import (
+	"regexp"
 	"testing"
 
 	"wormlan/internal/route"
@@ -158,6 +159,29 @@ func TestTorusMinimalNeedsTwoLanes(t *testing.T) {
 	}
 	if _, err := TorusMinimal(g, nil, 2); err == nil {
 		t.Fatal("TorusMinimal accepted a nil geometry")
+	}
+}
+
+// TestTorusMinimalProvesOnlyWithLanes: the dateline table is deadlock-free
+// as encoded, and the same routes read with their lane bits stripped close
+// a ring cycle, which the proof names channel by channel on lane 0.
+func TestTorusMinimalProvesOnlyWithLanes(t *testing.T) {
+	g, geo := topology.TorusWithGeom(4, 4, 1, 1)
+	tbl, err := TorusMinimal(g, geo, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Prove(g, Decoder(true)); err != nil {
+		t.Fatalf("dateline table: %v", err)
+	}
+	stripped := func(b topology.PortID) (topology.PortID, int) {
+		p, _ := Decoder(true)(b)
+		return p, 0
+	}
+	err = tbl.Prove(g, stripped)
+	cycle := regexp.MustCompile(`cycle of \d+ channels \(switch/port/lane\): (\d+/\d+/0 -> )+\d+/\d+/0$`)
+	if err == nil || !cycle.MatchString(err.Error()) {
+		t.Fatalf("lane-stripped table: %v, want a named lane-0 cycle", err)
 	}
 }
 
