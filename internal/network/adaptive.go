@@ -10,19 +10,19 @@ package network
 //   - otherwise, if an adaptive lane (vc >= 1) of a minimal productive port
 //     is free, alive, and unstopped right now, take it and re-stamp the
 //     marker on the exiting copy;
-//   - otherwise fall back to the escape path: the precomputed up*/down*
-//     route from this switch to the destination, stamped as plain lane-0
-//     port bytes, which downstream switches consume like any explicit
-//     source route.
+//   - otherwise fall back to the escape path: the up*/down* route from
+//     this switch to the destination (updown.Routing.Escapes), stamped as
+//     plain lane-0 port bytes, which downstream switches consume like any
+//     explicit source route.
 //
 // Deadlock freedom is Duato's argument specialized to this fabric: adaptive
 // lanes are acquired only when immediately free, so no worm ever *waits* on
 // one — a blocked head waits either on the escape output (lane 0) or on a
 // host port.  Lane-0 switch-to-switch channels carry only escape traffic,
-// and every escape route is a legal up*/down* walk, so the waits-for
-// relation among them embeds in the acyclic up-before-down channel order;
-// host ports always drain.  Hence no cycle, with no restriction on how far
-// a worm wandered adaptively before bailing out.
+// and the escape rows pass updown.Prove (sim.Stack.Reroute proves them at
+// every remap, vcroute's pinned-table test on every named fabric); host
+// ports always drain.  Hence no cycle, with no restriction on how far a
+// worm wandered adaptively before bailing out.
 //
 // The decision is re-evaluated every tick while the head waits, so a worm
 // blocked toward its escape route still grabs an adaptive lane the moment
@@ -59,7 +59,7 @@ type AdaptiveTable struct {
 	// hi: wired, live at build time, one hop closer by BFS distance over
 	// the surviving switch graph.  Ascending port order for determinism.
 	cands [][]topology.PortID
-	// escape[sw*nh+hi] is the up*/down* route from sw to host hi as plain
+	// escape[sw*nh+hi] is the Escapes route from sw to host hi as plain
 	// port bytes (ending with the host port); nil when unreachable.
 	escape [][]byte
 }
@@ -139,34 +139,22 @@ func NewAdaptiveTable(g *topology.Graph, ud *updown.Routing) (*AdaptiveTable, er
 			t.cands[int(sw)*t.nh+hi] = cs
 		}
 	}
-	// Per switch of the routed component: one up*/down* walk, from which the
-	// escape route to every reachable host is read off.
-	for _, sw := range g.Switches() {
-		w, err := ud.From(sw)
-		if err != nil {
-			continue // cut off from the root: no escapes, worms here drop
-		}
-		for hi, h := range hosts {
-			if sw == t.attach[hi] {
-				continue // the attach switch delivers
-			}
-			rt, ok := w.To(h)
-			if !ok {
-				continue // unreachable by up/down: escape stays nil
-			}
+	// Escapes: the labelling's own escape rows, the routes its proof reads.
+	for _, row := range ud.Escapes() {
+		for _, rt := range row {
 			for _, p := range rt.Ports {
 				if int(p) > route.MaxVCPort {
 					// Escape bytes ride a VC-headered fabric as plain lane-0
 					// bytes, so they must stay below the vc<<6 encoding space.
 					return nil, fmt.Errorf("network: escape route %d->%d uses port %d > %d",
-						sw, h, p, route.MaxVCPort)
+						rt.Src, rt.Dst, p, route.MaxVCPort)
 				}
 			}
 			esc, err := route.EncodeUnicast(rt.Ports)
 			if err != nil {
-				return nil, fmt.Errorf("network: escape route %d->%d: %w", sw, h, err)
+				return nil, fmt.Errorf("network: escape route %d->%d: %w", rt.Src, rt.Dst, err)
 			}
-			t.escape[int(sw)*t.nh+hi] = esc
+			t.escape[int(rt.Src)*t.nh+int(t.hostIdx[rt.Dst])] = esc
 		}
 	}
 	return t, nil

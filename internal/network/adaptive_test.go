@@ -156,12 +156,15 @@ func TestAdaptiveUnreachableDropCounted(t *testing.T) {
 	}
 }
 
-// TestAdaptiveEscapesMatchPerPairRoutes: the escape table, read off one
-// up*/down* walk per switch, holds exactly the route RouteFromSwitch finds
-// for each (switch, host) — healthy, with dead links, with a dead switch,
-// and with a switch partitioned away — and has an escape only where the
-// switch also has productive candidates (it is connected and not the
-// destination's own attach switch).
+// TestAdaptiveEscapesMatchPerPairRoutes: the escape table, read off
+// updown's Escapes rows, holds exactly the route a host on each switch
+// gets from the surviving up*/down* table — healthy, with dead links, with
+// a dead switch, and with a switch partitioned away — and has an escape
+// only where the switch also has productive candidates (it is connected
+// and not the destination's own attach switch).  Duato's condition holds
+// on every candidate: its peer is the destination's attach switch or
+// holds an escape to the destination, so a worm that took an adaptive lane
+// can always fall back onto the escape lane.
 func TestAdaptiveEscapesMatchPerPairRoutes(t *testing.T) {
 	g := topology.Torus(4, 4, 2, 1)
 	sws := g.Switches()
@@ -176,6 +179,12 @@ func TestAdaptiveEscapesMatchPerPairRoutes(t *testing.T) {
 			cut.FailLink(g, sws[15], topology.PortID(pi))
 		}
 	}
+	hostOn := map[topology.NodeID]topology.NodeID{} // a host of each switch
+	for _, h := range g.Hosts() {
+		if sw, _ := g.HostAttachment(h); hostOn[sw] == 0 {
+			hostOn[sw] = h
+		}
+	}
 	for name, fail := range map[string]*updown.Failures{"healthy": nil, "links": links, "dead-switch": dead, "partition": cut} {
 		ud, err := updown.WithoutEdges(g, topology.None, fail)
 		if err != nil {
@@ -185,11 +194,15 @@ func TestAdaptiveEscapesMatchPerPairRoutes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tbl, err := ud.NewTableSurviving(false)
+		if err != nil {
+			t.Fatal(err)
+		}
 		escapes := 0
 		for _, sw := range sws {
 			for hi, h := range g.Hosts() {
 				var want []byte
-				if rt, err := ud.RouteFromSwitch(sw, h); err == nil && sw != at.attach[hi] {
+				if rt := tbl.Lookup(hostOn[sw], h); len(rt.Ports) > 0 && sw != at.attach[hi] {
 					if want, err = route.EncodeUnicast(rt.Ports); err != nil {
 						t.Fatal(err)
 					}
@@ -200,6 +213,13 @@ func TestAdaptiveEscapesMatchPerPairRoutes(t *testing.T) {
 				}
 				if (want != nil) != (len(at.cands[slot]) > 0) {
 					t.Fatalf("%s: %d->%d has escape %v but candidates %v", name, sw, h, want, at.cands[slot])
+				}
+				for _, p := range at.cands[slot] {
+					peer := g.Node(sw).Ports[p].Peer
+					if peer != at.attach[hi] && at.escape[int(peer)*at.nh+hi] == nil {
+						t.Fatalf("%s: candidate port %d of %d toward %d leads to %d, which has no escape",
+							name, p, sw, h, peer)
+					}
 				}
 				if want != nil {
 					escapes++

@@ -267,7 +267,11 @@ func (cfg *Config) scheme() (vcroute.Scheme, error) {
 type Stack struct {
 	K *des.Kernel
 	// UD and Table are the routing currently installed: the build's, then
-	// whatever the latest remap put in (see Reroute).
+	// whatever the latest remap put in (see Reroute).  Table is the run's
+	// one host-to-host table: the adapters' under every adapter-level
+	// scheme, and the tree-only table switch-level unicast rides
+	// (switchmc.New is handed it).  An adaptive fabric's escape lane
+	// routes by UD.Escapes instead.
 	UD     *updown.Routing
 	Table  *updown.Table
 	Fabric *network.Fabric
@@ -311,8 +315,9 @@ func Run(cfg Config) (*Results, error) {
 }
 
 // Build checks the configuration and constructs the routed fabric: kernel,
-// up/down labelling, the scheme's table, the fabric, and — for adaptive
-// routing — the fabric-side table.  Every later stage keeps this order:
+// up/down labelling, the scheme's table (up/down's tree-only one under
+// switch-level replication), the fabric, and — for adaptive routing — the
+// fabric-side table.  Every later stage keeps this order:
 // event sequence numbers and RNG draws depend on it.  A harness that
 // injects its own traffic needs no measurement window; Wire does.
 func Build(cfg Config) (*Stack, error) {
@@ -360,7 +365,7 @@ func Build(cfg Config) (*Stack, error) {
 	ncfg.VCHeaders = ncfg.VCHeaders || sch.VCEncoded
 	st.nvc = ncfg.NumVCs
 	if sch.Build == nil {
-		st.Table, err = st.UD.NewTable(false)
+		st.Table, err = st.UD.NewTable(cfg.Scheme.SwitchLevel)
 	} else if st.Table, err = sch.Build(cfg.net(), st.nvc, st.UD); err == nil {
 		// One pass over the fresh table reports every broken pair at once —
 		// a miswired builder or geometry is diagnosable in a single run.
@@ -449,10 +454,7 @@ func (st *Stack) groups() (ids []int, sets [][]topology.NodeID, groupsOf map[top
 func (st *Stack) Attach() error {
 	cfg := &st.cfg
 	if cfg.Scheme.SwitchLevel {
-		swsys, err := switchmc.New(st.K, st.Fabric, st.UD)
-		if err != nil {
-			return err
-		}
+		swsys := switchmc.New(st.K, st.Fabric, st.UD, st.Table)
 		swsys.SetRecorder(st.tracer)
 		swsys.OnDeliver = func(d switchmc.Delivery) {
 			st.record(d.Multicast, d.Worm.Created, d.At, d.Worm.PayloadLen)
@@ -518,11 +520,16 @@ func (st *Stack) Faults(plan *fault.Plan, icfg fault.InjectorConfig) error {
 // recovery pipeline's fresh labelling (whose failure set is the detector's
 // view; up/down keeps the pipeline's own table), reroutes the adapters onto
 // it and keeps UD/Table current.  A table failing vcroute.ValidateTable or
-// Table.Prove, like a rebuild error, halts the run: K.Run returns it.
+// the deadlock proof, like a rebuild error, halts the run: K.Run returns
+// it.  An adaptive fabric routes by the labelling's escape rows, not by
+// its all-marker table, so those rows are what an adaptive remap proves.
 func (st *Stack) Reroute(ud *updown.Routing, tbl *updown.Table) {
 	var err error
 	if st.sch.Adaptive {
-		err = st.Fabric.InstallAdaptive(ud)
+		err = updown.Prove(st.cfg.Graph, nil, ud.Escapes()...)
+		if err == nil {
+			err = st.Fabric.InstallAdaptive(ud)
+		}
 	}
 	if err == nil && st.sch.Build != nil {
 		tbl, err = st.sch.Build(st.cfg.net(), st.nvc, ud)
@@ -530,7 +537,7 @@ func (st *Stack) Reroute(ud *updown.Routing, tbl *updown.Table) {
 	if err == nil {
 		err = vcroute.ValidateTable(st.cfg.Graph, tbl, st.sch.VCEncoded, false)
 	}
-	if err == nil {
+	if err == nil && !st.sch.Adaptive {
 		err = tbl.Prove(st.cfg.Graph, vcroute.Decoder(st.sch.VCEncoded))
 	}
 	if err != nil {

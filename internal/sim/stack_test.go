@@ -5,12 +5,14 @@ package sim
 // ablations, the examples) must get the same stack Run gets.
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"wormlan/internal/fault"
 	"wormlan/internal/topology"
+	"wormlan/internal/updown"
 	"wormlan/internal/vcroute"
 )
 
@@ -151,6 +153,53 @@ func TestBuildNeedsNoWindow(t *testing.T) {
 	}
 	if _, err := Run(cfg); err == nil || err.Error() != want {
 		t.Fatalf("Run = %v, want %q", err, want)
+	}
+}
+
+// TestSwitchLevelTableIsTreeOnly: a switch-level run's one table is
+// Stack.Table, and it is scheme A's: every route a legal up*/down* walk on
+// spanning-tree links only, and the table proves deadlock-free.
+func TestSwitchLevelTableIsTreeOnly(t *testing.T) {
+	torus, err := topology.Named("torus8x8", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *topology.Graph
+	}{
+		{"torus8x8", torus.Graph},
+		{"fattree-crosslinks", topology.FatTreeish(4, 2, true)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st, err := Build(Config{Graph: c.g, Scheme: SwitchFabric, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			offTree := func(h updown.Hop) error {
+				if !st.UD.InTree(h.Switch, h.Port) {
+					return fmt.Errorf("hop %d leaves the tree at port %d of switch %d", h.Index, h.Port, h.Switch)
+				}
+				return nil
+			}
+			for _, src := range st.Table.Hosts {
+				for _, dst := range st.Table.Hosts {
+					if src == dst {
+						continue
+					}
+					rt := st.Table.Lookup(src, dst)
+					if err := st.UD.VerifyRoute(rt); err != nil {
+						t.Fatalf("%d->%d: %v", src, dst, err)
+					}
+					if err := rt.Walk(c.g, nil, offTree); err != nil {
+						t.Fatalf("%d->%d: %v", src, dst, err)
+					}
+				}
+			}
+			if err := st.Table.Prove(c.g, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -14,7 +14,9 @@
 // dependencies between tree branches, so up/down routing alone is not
 // sufficient (Figure 3).  The paper's scheme A restricts *all* worms —
 // unicast too — to the links of the up/down spanning tree; crosslinks go
-// unused.  That is the one discipline this package routes by.
+// unused.  That is the one discipline this package routes by: trees are
+// built on the spanning tree here, and unicast rides the tree-only table
+// New is handed, the run's one table (sim.Build makes it, as Stack.Table).
 //
 // The package also provides the broadcast special case: a unicast prefix
 // to the up/down root followed by the broadcast pseudo-port, flooded down
@@ -52,11 +54,9 @@ type System struct {
 	// OnDeliver is invoked per completed worm per destination host.
 	OnDeliver func(d Delivery)
 
-	table *updown.Table
+	table *updown.Table // unicast routes: the tree-only table
 	// headers caches the encoded multicast header per (group, source).
 	headers map[int]map[topology.NodeID][]byte
-	// members caches group membership for delivery accounting.
-	members map[int]*multicast.Group
 	// rootPrefix caches each host's unicast route to the up/down root.
 	rootPrefix map[topology.NodeID][]topology.PortID
 	nextID     int64
@@ -67,22 +67,18 @@ type System struct {
 // disables them.
 func (s *System) SetRecorder(r trace.Recorder) { s.rec = r }
 
-// New builds the system over an existing fabric.  It takes ownership of
-// the fabric's OnDeliver callback.
-func New(k *des.Kernel, f *network.Fabric, ud *updown.Routing) (*System, error) {
-	table, err := ud.NewTable(true)
-	if err != nil {
-		return nil, err
-	}
+// New builds the system over an existing fabric, routing unicast by table,
+// which must be ud's tree-only table.  It takes ownership of the fabric's
+// OnDeliver callback.
+func New(k *des.Kernel, f *network.Fabric, ud *updown.Routing, table *updown.Table) *System {
 	s := &System{
 		K: k, F: f, UD: ud,
 		table:      table,
 		headers:    make(map[int]map[topology.NodeID][]byte),
-		members:    make(map[int]*multicast.Group),
 		rootPrefix: make(map[topology.NodeID][]topology.PortID),
 	}
 	f.Cfg.OnDeliver = s.onDeliver
-	return s, nil
+	return s
 }
 
 func (s *System) onDeliver(d network.Delivery) {
@@ -136,7 +132,6 @@ func (s *System) AddGroup(g *multicast.Group) error {
 		perSrc[src] = hdr
 	}
 	s.headers[g.ID] = perSrc
-	s.members[g.ID] = g
 	return nil
 }
 
@@ -174,16 +169,6 @@ func (s *System) SendMulticast(src topology.NodeID, group, payload int) error {
 		ID: s.nextID, Src: src, Dst: topology.None, Mode: flit.MulticastTree,
 		Group: group, Header: hdr, PayloadLen: payload,
 	})
-}
-
-// GroupSize returns the number of members of a group (0 if unknown), for
-// delivery accounting.
-func (s *System) GroupSize(group int) int {
-	g := s.members[group]
-	if g == nil {
-		return 0
-	}
-	return len(g.Members)
 }
 
 // SendBroadcast injects a broadcast worm: a unicast prefix from the

@@ -1,6 +1,7 @@
 package switchmc
 
 import (
+	"bytes"
 	"testing"
 
 	"wormlan/internal/des"
@@ -16,6 +17,8 @@ import (
 type bed struct {
 	k   *des.Kernel
 	g   *topology.Graph
+	ud  *updown.Routing
+	tbl *updown.Table // the tree-only table the system routes unicast by
 	sys *System
 
 	byHost map[topology.NodeID][]Delivery
@@ -32,16 +35,17 @@ func newBed(t *testing.T, g *topology.Graph, netCfg network.Config) *bed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(b.k, f, ud)
-	if err != nil {
+	b.ud = ud
+	if b.tbl, err = ud.NewTable(true); err != nil {
 		t.Fatal(err)
 	}
+	sys := New(b.k, f, ud, b.tbl)
 	sys.OnDeliver = func(d Delivery) { b.byHost[d.Host] = append(b.byHost[d.Host], d) }
 	b.sys = sys
 	return b
 }
 
-func (b *bed) addGroup(t *testing.T, id int, members []topology.NodeID) {
+func (b *bed) addGroup(t *testing.T, id int, members []topology.NodeID) *multicast.Group {
 	t.Helper()
 	grp, err := multicast.NewGroup(id, members)
 	if err != nil {
@@ -50,6 +54,7 @@ func (b *bed) addGroup(t *testing.T, id int, members []topology.NodeID) {
 	if err := b.sys.AddGroup(grp); err != nil {
 		t.Fatal(err)
 	}
+	return grp
 }
 
 func TestSwitchMulticastReachesAllMembers(t *testing.T) {
@@ -79,9 +84,6 @@ func TestSwitchMulticastReachesAllMembers(t *testing.T) {
 				if len(b.byHost[m]) != 1 || !b.byHost[m][0].Multicast {
 					t.Fatalf("member %d deliveries %v", m, b.byHost[m])
 				}
-			}
-			if b.sys.GroupSize(1) != 4 {
-				t.Fatalf("group size %d", b.sys.GroupSize(1))
 			}
 		})
 	}
@@ -121,16 +123,31 @@ func TestSwitchMulticastLowerLatencyThanSequential(t *testing.T) {
 
 func TestUnicastRestrictedToTree(t *testing.T) {
 	// With the scheme A discipline, unicast traffic avoids crosslinks: on
-	// the fat tree with crosslinks, all routes go through the root, so
-	// both unicast and multicast complete and stay deadlock-free.
+	// the fat tree with crosslinks every unicast header is the tree-only
+	// table's route, which crosses no crosslink even where the full
+	// up*/down* route would, and unicast and multicast both complete.
 	g := topology.FatTreeish(4, 2, true)
 	b := newBed(t, g, network.Config{StopMark: 8, GoMark: 4})
+	full, err := b.ud.NewTable(false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	hosts := g.Hosts()
 	b.addGroup(t, 1, hosts[:5])
+	// Two pairs across crosslinked spines, two across the root; detours
+	// counts the sent pairs whose full up*/down* route takes a crosslink.
+	detours := 0
 	for i := 0; i < 4; i++ {
-		if err := b.sys.SendUnicast(hosts[i], hosts[7-i], 200); err != nil {
+		src, dst := hosts[i], hosts[i+2]
+		if err := b.sys.SendUnicast(src, dst, 200); err != nil {
 			t.Fatal(err)
 		}
+		if crossings(t, b.ud, full.Lookup(src, dst)) > 0 {
+			detours++
+		}
+	}
+	if detours == 0 {
+		t.Fatal("no sent pair would take a crosslink unrestricted: the test proves nothing")
 	}
 	if err := b.sys.SendMulticast(hosts[0], 1, 400); err != nil {
 		t.Fatal(err)
@@ -138,13 +155,45 @@ func TestUnicastRestrictedToTree(t *testing.T) {
 	if err := b.k.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	total := 0
+	total, unicasts := 0, 0
 	for _, ds := range b.byHost {
 		total += len(ds)
+		for _, d := range ds {
+			if d.Multicast {
+				continue
+			}
+			unicasts++
+			rt := b.tbl.Lookup(d.Worm.Src, d.Worm.Dst)
+			want, err := route.EncodeUnicast(rt.Ports)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(d.Worm.Header, want) {
+				t.Fatalf("unicast %d->%d header %v, tree-only route %v", d.Worm.Src, d.Worm.Dst, d.Worm.Header, want)
+			}
+			if n := crossings(t, b.ud, rt); n > 0 {
+				t.Fatalf("unicast %d->%d crosses %d crosslinks", d.Worm.Src, d.Worm.Dst, n)
+			}
+		}
 	}
-	if total != 4+4 { // 4 unicasts + 4 multicast copies
-		t.Fatalf("deliveries %d", total)
+	if total != 4+4 || unicasts != 4 { // 4 unicasts + 4 multicast copies
+		t.Fatalf("deliveries %d (%d unicast)", total, unicasts)
 	}
+}
+
+// crossings counts the hops of rt that leave the up/down spanning tree.
+func crossings(t *testing.T, ud *updown.Routing, rt updown.Route) int {
+	t.Helper()
+	n := 0
+	if err := rt.Walk(ud.G, nil, func(h updown.Hop) error {
+		if !ud.InTree(h.Switch, h.Port) {
+			n++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func TestErrors(t *testing.T) {
@@ -161,9 +210,6 @@ func TestErrors(t *testing.T) {
 	grp, _ := multicast.NewGroup(1, hosts)
 	if err := b.sys.AddGroup(grp); err == nil {
 		t.Fatal("duplicate group accepted")
-	}
-	if b.sys.GroupSize(42) != 0 {
-		t.Fatal("unknown group size")
 	}
 }
 
@@ -246,8 +292,7 @@ func TestTreesForkOnlyOnTheWayDown(t *testing.T) {
 				for _, i := range src.Perm(len(hosts))[:size] {
 					members = append(members, hosts[i])
 				}
-				b.addGroup(t, id, members)
-				grp := b.sys.members[id]
+				grp := b.addGroup(t, id, members)
 				for _, s := range grp.Members {
 					reached := map[topology.NodeID]int{}
 					var walk func(sw topology.NodeID, hdr []byte, down bool)

@@ -9,17 +9,20 @@ import (
 )
 
 // Prove is the one deadlock proof [DS87]: an error unless the channel
-// dependency graph of t's routes is acyclic.  A channel is one lane of one
-// switch output, (Switch, Port, Lane); a worm holding one hop's channel may
-// wait on its next hop's.  Each route is followed by one Route.Walk, decode
-// splitting its bytes into port and lane (nil: plain ports, lane 0).  Host
-// injection channels, which no worm waits on, are left out, and so are
+// dependency graph of the routes in rows is acyclic.  The rows are a
+// table's (Table.Prove) or adaptive routing's escape routes
+// (Routing.Escapes): whatever a fabric routes by.  A channel is one lane of
+// one switch output, (Switch, Port, Lane); a worm holding one hop's channel
+// may wait on its next hop's.  Each route is followed by one Route.Walk,
+// decode splitting its bytes into port and lane (nil: plain ports, lane 0).
+// Host injection channels, which no worm waits on, are left out, and so are
 // one-hop routes, which hold nothing while they wait — among them the
 // adaptive marker, whose hops the switches decide, so the proof is vacuous
-// on an all-marker table.  A cycle's error names each of its channels.
-func (t *Table) Prove(g *topology.Graph, decode func(topology.PortID) (topology.PortID, int)) error {
+// on an all-marker table and adaptive routing proves its escapes instead.
+// A cycle's error names each of its channels.
+func Prove(g *topology.Graph, decode func(topology.PortID) (topology.PortID, int), rows ...[]Route) error {
 	lanes := 1
-	for _, row := range t.routes {
+	for _, row := range rows {
 		for _, rt := range row {
 			for _, b := range rt.Ports {
 				if decode != nil && len(rt.Ports) > 1 {
@@ -54,14 +57,14 @@ func (t *Table) Prove(g *topology.Graph, decode func(topology.PortID) (topology.
 		prev = base[h.Switch] + k
 		return nil
 	}
-	for i, row := range t.routes {
-		for j, rt := range row {
+	for _, row := range rows {
+		for _, rt := range row {
 			if len(rt.Ports) < 2 {
 				continue
 			}
 			prev = -1
 			if err := rt.Walk(g, decode, visit); err != nil {
-				return fmt.Errorf("updown: route %d->%d: %w", t.Hosts[i], t.Hosts[j], err)
+				return fmt.Errorf("updown: route %d->%d: %w", rt.Src, rt.Dst, err)
 			}
 		}
 	}
@@ -95,6 +98,11 @@ func (t *Table) Prove(g *topology.Graph, decode func(topology.PortID) (topology.
 		}
 	}
 	return nil
+}
+
+// Prove proves the table's own routes (see Prove).
+func (t *Table) Prove(g *topology.Graph, decode func(topology.PortID) (topology.PortID, int)) error {
+	return Prove(g, decode, t.routes...)
 }
 
 // frame is one channel on the search stack and the successor bit to try next.

@@ -108,6 +108,46 @@ func TestMinimalRoutesWouldDeadlockOnRing(t *testing.T) {
 	}
 }
 
+// TestProveRowsRejectsClockwiseEscapes is the negative control for the
+// rows entry point, the one escape routes take: switch-sourced routes, each
+// running clockwise two switches round ring:5 to a host, close the ring,
+// and Prove names it channel by channel.
+func TestProveRowsRejectsClockwiseEscapes(t *testing.T) {
+	net, err := topology.Named("ring:5", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := net.Graph
+	sws := g.Switches()
+	n := len(sws)
+	cw := make([]topology.PortID, n) // each switch's port to the next round
+	hostOn := make([]Hop, n)         // each switch's host and its port
+	for i, sw := range sws {
+		for pi, p := range g.Node(sw).Ports {
+			switch {
+			case p.Peer == sws[(i+1)%n]:
+				cw[i] = topology.PortID(pi)
+			case g.Node(p.Peer).Kind == topology.Host:
+				hostOn[i] = Hop{Port: topology.PortID(pi), Peer: p.Peer}
+			}
+		}
+	}
+	rows := make([][]Route, n)
+	var want []string
+	for i, sw := range sws {
+		next, j := (i+1)%n, (i+2)%n
+		rows[i] = []Route{{Src: sw, Dst: hostOn[j].Peer,
+			Switches: []topology.NodeID{sw, sws[next], sws[j]},
+			Ports:    []topology.PortID{cw[i], cw[next], hostOn[j].Port}}}
+		want = append(want, fmt.Sprintf("%d/%d/0", sw, cw[i]))
+	}
+	want = append(want, want[0])
+	err = Prove(g, nil, rows...)
+	if err == nil || !strings.HasSuffix(err.Error(), strings.Join(want, " -> ")) {
+		t.Fatalf("Prove = %v, want the clockwise ring %s", err, strings.Join(want, " -> "))
+	}
+}
+
 // TestProveAllocBudget pins the proof to a constant handful of allocations
 // (channel index, successor bitsets, search state), not a number that grows
 // with host pairs.

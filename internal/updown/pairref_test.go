@@ -43,11 +43,11 @@ func (r *Routing) pairRoute(src, dst topology.NodeID, treeOnly bool) (Route, err
 	return rt, nil
 }
 
-// pairRouteFromSwitch is the reference switch-to-host escape route.
-func (r *Routing) pairRouteFromSwitch(sw, dst topology.NodeID) (Route, error) {
+// pairEscape is the reference switch-to-host escape route.
+func (r *Routing) pairEscape(sw, dst topology.NodeID) (Route, error) {
 	g := r.G
 	if g.Node(sw).Kind != topology.Switch || g.Node(dst).Kind != topology.Host {
-		return Route{}, fmt.Errorf("updown: RouteFromSwitch wants (switch, host), got (%s, %s)",
+		return Route{}, fmt.Errorf("updown: escape route wants (switch, host), got (%s, %s)",
 			g.Node(sw).Kind, g.Node(dst).Kind)
 	}
 	if r.Level[sw] < 0 {

@@ -122,28 +122,9 @@ func (r *Routing) routeErr(src, dst topology.NodeID, treeOnly bool) error {
 		src, dst, treeOnly)
 }
 
-// RouteFromSwitch computes a shortest legal up*/down* route from a switch to
-// a host as a one-shot walk: From(sw).To(dst).
-func (r *Routing) RouteFromSwitch(sw, dst topology.NodeID) (Route, error) {
-	w, err := r.From(sw)
-	if err != nil {
-		return Route{}, err
-	}
-	rt, ok := w.To(dst)
-	if !ok {
-		return Route{}, fmt.Errorf("updown: no legal route from switch %d to host %d", sw, dst)
-	}
-	return rt, nil
-}
-
 // Route computes a shortest legal up*/down* route between two hosts.
 func (r *Routing) Route(src, dst topology.NodeID) (Route, error) {
 	return r.route(src, dst, false)
-}
-
-// RouteTreeOnly computes a shortest route restricted to spanning-tree links.
-func (r *Routing) RouteTreeOnly(src, dst topology.NodeID) (Route, error) {
-	return r.route(src, dst, true)
 }
 
 // Table precomputes routes between every ordered pair of hosts.  Route
@@ -296,8 +277,9 @@ type Hop struct {
 	Peer   topology.NodeID
 }
 
-// Walk follows rt through g from its source's attach switch and is the one
-// walker every route check shares.  It checks that the route names each
+// Walk follows rt through g from its source — a switch (an escape route,
+// see Escapes) or a host's attach switch — and is the one walker every
+// route check shares.  It checks that the route names each
 // switch the walk reaches, that every port is in range and wired, that the
 // route stays in the switch fabric until its last hop, and that the last
 // hop lands on Dst; an empty route reaches no host and is an error too.
@@ -308,7 +290,10 @@ func (rt Route) Walk(g *topology.Graph, decode func(topology.PortID) (topology.P
 	if len(rt.Ports) == 0 || len(rt.Ports) != len(rt.Switches) {
 		return fmt.Errorf("%d ports for %d switches", len(rt.Ports), len(rt.Switches))
 	}
-	sw, _ := g.HostAttachment(rt.Src)
+	sw := rt.Src
+	if g.Node(sw).Kind != topology.Switch {
+		sw, _ = g.HostAttachment(sw)
+	}
 	for i, b := range rt.Ports {
 		if rt.Switches[i] != sw {
 			return fmt.Errorf("hop %d: route says switch %d, walk is at %d", i, rt.Switches[i], sw)

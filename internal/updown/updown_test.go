@@ -18,23 +18,17 @@ func mustRouting(t *testing.T, g *topology.Graph) *Routing {
 
 func allPairRoutes(t *testing.T, r *Routing, treeOnly bool) []Route {
 	t.Helper()
-	hosts := r.G.Hosts()
+	tbl, err := r.NewTable(treeOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var routes []Route
-	for _, a := range hosts {
-		for _, b := range hosts {
+	for _, a := range tbl.Hosts {
+		for _, b := range tbl.Hosts {
 			if a == b {
 				continue
 			}
-			var rt Route
-			var err error
-			if treeOnly {
-				rt, err = r.RouteTreeOnly(a, b)
-			} else {
-				rt, err = r.Route(a, b)
-			}
-			if err != nil {
-				t.Fatalf("route %d->%d: %v", a, b, err)
-			}
+			rt := tbl.Lookup(a, b)
 			if err := r.VerifyRoute(rt); err != nil {
 				t.Fatalf("route %d->%d invalid: %v", a, b, err)
 			}
@@ -158,6 +152,10 @@ func TestTreeOnlyNoLongerThanNecessary(t *testing.T) {
 	// On a tree topology, tree-only and unrestricted routes coincide.
 	g := topology.FatTreeish(3, 2, false)
 	r := mustRouting(t, g)
+	trees, err := r.NewTable(true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	hosts := g.Hosts()
 	for _, a := range hosts {
 		for _, b := range hosts {
@@ -165,7 +163,7 @@ func TestTreeOnlyNoLongerThanNecessary(t *testing.T) {
 				continue
 			}
 			free, _ := r.Route(a, b)
-			tree, _ := r.RouteTreeOnly(a, b)
+			tree := trees.Lookup(a, b)
 			if free.Hops() != tree.Hops() {
 				t.Fatalf("route %d->%d: free %d hops, tree %d hops", a, b, free.Hops(), tree.Hops())
 			}

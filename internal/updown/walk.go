@@ -1,10 +1,6 @@
 package updown
 
-import (
-	"fmt"
-
-	"wormlan/internal/topology"
-)
+import "wormlan/internal/topology"
 
 // Walk is the one breadth-first search behind every up*/down* route: a
 // single pass over (switch, phase) states from one start switch, run to
@@ -49,28 +45,42 @@ func (r *Routing) newWalk() *Walk {
 	}
 }
 
-// From walks from switch sw in the up phase, as a freshly injected worm
-// would.  Adaptive routing reads its escape routes off the result: a worm
-// that wandered off the up/down order on the adaptive lanes re-enters it at
-// sw, and since every escape-resident worm then holds and waits only on
-// lane-0 channels of one legal walk, the union of waits stays acyclic.
-func (r *Routing) From(sw topology.NodeID) (*Walk, error) {
-	if r.Level[sw] < 0 { // hosts and cut-off switches alike
-		return nil, fmt.Errorf("updown: switch %d is not in the routed component", sw)
+// Escapes returns the escape routes of adaptive routing, one row per switch
+// in g.Switches() order: the up*/down* route from that switch to every
+// reachable host attached elsewhere, Src being the switch.  A worm that
+// wandered off the up/down order on the adaptive lanes re-enters it where
+// it bails out, in the up phase as a freshly injected worm would; since
+// every escape-resident worm then holds and waits only on lane-0 channels
+// of one legal walk, the union of waits stays acyclic, which Prove over
+// these rows checks.  A switch outside the routed component has an empty
+// row.  One Walk serves every switch, so the routes alias its slab.
+func (r *Routing) Escapes() [][]Route {
+	g := r.G
+	sws, hosts := g.Switches(), g.Hosts()
+	reach := make([]bool, len(hosts))
+	for i, h := range hosts {
+		reach[i] = r.Reachable(h)
 	}
+	rows := make([][]Route, len(sws))
+	flat := make([]Route, 0, len(sws)*len(hosts))
 	w := r.newWalk()
-	w.run(sw, false)
-	return w, nil
-}
-
-// To returns the route from the start switch to host dst, or false when dst
-// is unreachable or no legal walk gets there.  Src is the start switch, so
-// the Route must not be fed to VerifyRoute (which expects host endpoints).
-func (w *Walk) To(dst topology.NodeID) (Route, bool) {
-	if !w.r.Reachable(dst) {
-		return Route{}, false
+	for i, sw := range sws {
+		if r.Level[sw] < 0 {
+			continue // cut off from the root: worms here drop
+		}
+		w.run(sw, false)
+		from := len(flat)
+		for j, h := range hosts {
+			if at, _ := g.HostAttachment(h); !reach[j] || at == sw {
+				continue // the attach switch delivers
+			}
+			if rt, ok := w.to(h); ok {
+				flat = append(flat, rt)
+			}
+		}
+		rows[i] = flat[from:len(flat):len(flat)]
 	}
-	return w.to(dst)
+	return rows
 }
 
 // run searches from start, replacing whatever the walk held before.

@@ -59,7 +59,7 @@ func errText(err error) string {
 
 // checkWalkAgainstPairBFS compares everything the walk builds under r with
 // the per-pair reference: both table flavours, both treeOnly settings, the
-// single-pair entry points, and the switch-sourced escape routes.
+// single-pair entry point, and the switch-sourced escape rows.
 func checkWalkAgainstPairBFS(t *testing.T, r *Routing) {
 	t.Helper()
 	g := r.G
@@ -99,20 +99,39 @@ func checkWalkAgainstPairBFS(t *testing.T, r *Routing) {
 			t.Fatalf("treeOnly=%v: strict table differs from reference", treeOnly)
 		}
 	}
-	for _, sw := range g.Switches() {
-		w, fromErr := r.From(sw)
-		for _, h := range hosts {
-			ref, refErr := r.pairRouteFromSwitch(sw, h)
-			got, err := r.RouteFromSwitch(sw, h)
-			if !reflect.DeepEqual(got, ref) || (err == nil) != (refErr == nil) {
-				t.Fatalf("escape %d->%d: walk (%+v, %v), pair BFS (%+v, %v)", sw, h, got, err, ref, refErr)
+	// Escapes: a row per switch holding, for every host attached elsewhere,
+	// exactly the reference switch-sourced route, each one a legal walk.
+	rows, sws := r.Escapes(), g.Switches()
+	if len(rows) != len(sws) {
+		t.Fatalf("Escapes: %d rows for %d switches", len(rows), len(sws))
+	}
+	for i, sw := range sws {
+		got := make(map[topology.NodeID]Route, len(rows[i]))
+		for _, rt := range rows[i] {
+			if rt.Src != sw {
+				t.Fatalf("escape row of switch %d holds a route from %d", sw, rt.Src)
 			}
-			if fromErr != nil {
+			got[rt.Dst] = rt
+		}
+		if len(got) != len(rows[i]) {
+			t.Fatalf("escape row of switch %d repeats a destination", sw)
+		}
+		for _, h := range hosts {
+			rt, ok := got[h]
+			if at, _ := g.HostAttachment(h); at == sw {
+				if ok {
+					t.Fatalf("escape %d->%d: the attach switch delivers, got %+v", sw, h, rt)
+				}
 				continue
 			}
-			batch, ok := w.To(h)
-			if ok != (refErr == nil) || !reflect.DeepEqual(batch, ref) {
-				t.Fatalf("escape %d->%d: From/To (%+v, %v), pair BFS (%+v, %v)", sw, h, batch, ok, ref, refErr)
+			ref, refErr := r.pairEscape(sw, h)
+			if ok != (refErr == nil) || (ok && !reflect.DeepEqual(rt, ref)) {
+				t.Fatalf("escape %d->%d: Escapes (%+v, %v), pair BFS (%+v, %v)", sw, h, rt, ok, ref, refErr)
+			}
+			if ok {
+				if err := r.VerifyRoute(rt); err != nil {
+					t.Fatalf("escape %d->%d: %v", sw, h, err)
+				}
 			}
 		}
 	}

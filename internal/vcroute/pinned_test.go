@@ -55,7 +55,8 @@ func tableHash(tbl *updown.Table) string {
 // TestSchemeTablesPinned holds every registered scheme's table to
 // testdata/tables_pinned.json, byte for byte, on each named fabric the
 // scheme accepts — healthy and under pinnedFailures — and proves each one
-// deadlock-free at the scheme's lane floor.  Up/down pins the
+// deadlock-free at the scheme's lane floor, together with the escape rows
+// of every labelling an adaptive table is pinned on.  Up/down pins the
 // tables its labelling builds itself (NewTable healthy, NewTableSurviving
 // after a failure, as the recovery pipeline does).  A refactor of the
 // table layer must not change the file; on a deliberate routing change,
@@ -114,6 +115,11 @@ func TestSchemeTablesPinned(t *testing.T) {
 				got[key] = tableHash(tbl)
 				if err := tbl.Prove(net.Graph, Decoder(sch.VCEncoded)); err != nil {
 					t.Errorf("%s: %v", key, err)
+				}
+				if sch.Adaptive { // the fabric routes by the escapes, not the markers
+					if err := updown.Prove(net.Graph, nil, ud.Escapes()...); err != nil {
+						t.Errorf("%s escapes: %v", key, err)
+					}
 				}
 				if got[key] != want[key] {
 					t.Errorf("%s: table hash %s, pinned %s", key, got[key], want[key])

@@ -23,17 +23,21 @@ type Scheme struct {
 	// fabric must run with VCHeaders.
 	VCEncoded bool
 	// SwitchMC: tree-restricted switch-level replication works.  It needs
-	// the routes to BE the up/down spanning tree, so only up/down has it.
+	// the routes to BE the up/down spanning tree, so only up/down has it:
+	// a switch-level run's table is ud.NewTable(true), and switch-level
+	// unicast rides it.
 	SwitchMC bool
 	// Adaptive: switches re-decide each hop, so the fabric needs a
 	// network.AdaptiveTable built from the same labelling as the table,
-	// installed at start and again after every remap.
+	// installed at start and again after every remap.  Its escape lane
+	// routes by ud.Escapes, the rows a remap proves; the scheme's own
+	// table is one-byte markers, on which the proof is vacuous.
 	Adaptive bool
 	// Build makes the scheme's table over the survivors of ud's failure
 	// set — nil on a healthy labelling, so one function serves the first
 	// build and every post-remap rebuild.  nil for up/down itself: its
-	// table is ud.NewTable(false) at start and, on a remap, the table the
-	// recovery pipeline already built.
+	// table is ud.NewTable at start — tree-only for a switch-level run —
+	// and, on a remap, the table the recovery pipeline already built.
 	Build func(net topology.Net, nvc int, ud *updown.Routing) (*updown.Table, error)
 
 	// geom reports whether net carries the geometry Build reads (nil: any
