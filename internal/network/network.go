@@ -119,8 +119,8 @@ type Config struct {
 	Arb      ArbPolicy
 	ArbIters int
 
-	// DisableFastForward turns off the quiescent-steady-state Skip
-	// optimization (see fastforward.go), forcing tick-by-tick execution.
+	// DisableFastForward turns off the payload-shift Skip optimization
+	// (see fastforward.go), forcing tick-by-tick execution.
 	// The fast-forward exactness tests use it to compare both executions
 	// of one scenario; simulations never need it.
 	DisableFastForward bool
@@ -273,6 +273,11 @@ type Fabric struct {
 	work     bool     // any activity (movement or held state) this tick
 	moved    bool     // any flit actually moved this tick
 	skipHold des.Time // fast-forward backoff: no Skip attempt before this tick
+	// fed marks the links a validated fast-forward window refills every
+	// tick, and feed[l.id] the flit it refills them with (fastforward.go);
+	// scratch of one Skip call.
+	fed  bitset
+	feed []flit.Flit
 	// Fast-forward diagnostics, deliberately outside Counters: a skipping
 	// and a non-skipping run must compare equal on every Counters field.
 	skips, skippedTicks int64
@@ -436,6 +441,8 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 		l.cls = &f.classes[classOf[i]]
 	}
 	f.linkAct = newBitset(len(f.links))
+	f.fed = newBitset(len(f.links))
+	f.feed = make([]flit.Flit, len(f.links))
 	f.settle = newBitset(len(f.links))
 	f.swAct = newBitset(len(g.Nodes))
 	f.pubSw = newBitset(len(g.Nodes))

@@ -147,10 +147,14 @@ func (in *inPort) pop() flit.Flit {
 	fl := in.slack[in.head]
 	in.slack[in.head] = flit.Flit{}
 	in.head++
-	if in.head == in.cap {
+	in.fill--
+	if in.head == in.cap || in.fill == 0 {
+		// Wrap, or rewind an empty ring: a standing relay (receive and pop
+		// in one tick) then reuses one cell instead of walking the whole
+		// ring.  Every read is head-relative, so the rotation is
+		// unobservable.
 		in.head = 0
 	}
-	in.fill--
 	// Mirror of receive: only a drain to the GO mark with a standing STOP
 	// wish can flip the wish at the next publish.
 	if in.fill <= in.goMark && in.stopWish {

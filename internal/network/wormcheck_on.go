@@ -2,7 +2,7 @@
 
 // Runtime invariant checker: `go test -tags wormcheck` re-runs the whole
 // suite with wormcheckTick auditing the fabric's redundant state at the
-// end of every tick.  The static analyzers (internal/lint) prove shape
+// end of every tick and right after every fast-forward window.  The static analyzers (internal/lint) prove shape
 // properties of the code; this checker proves the incremental indexes the
 // hot path trusts — active sets, STOP/GO wish counts, crossbar binding
 // counts, ring-buffer occupancy counters — actually agree with the ground
@@ -23,7 +23,9 @@ const wormcheckEnabled = true
 
 // wormcheckTick validates the fabric's derived state against first
 // principles.  It runs after phase 4, when every per-tick settling rule
-// has had its chance; all checks therefore hold unconditionally here.
+// has had its chance, and after Skip applies a window, whose state is
+// the one its last tick would leave; all checks therefore hold
+// unconditionally here.
 func (f *Fabric) wormcheckTick(now des.Time) {
 	f.checkLinks(now)
 	f.checkSwitches(now)
@@ -33,7 +35,7 @@ func (f *Fabric) wormcheckTick(now des.Time) {
 // wormcheckRestDeclines proves Skip's shortcut: with anything resting, the
 // validation walk it stands in for must decline too.
 func (f *Fabric) wormcheckRestDeclines(now, max des.Time) {
-	if n, _ := f.steadyWindow(now, max); n != 0 {
+	if n := f.dueWindow(now, max); n != 0 {
 		f.wormfail(now, "fast-forward validation passes with %d sleeping heads and %d naps", f.heads, f.naps)
 	}
 }
