@@ -27,23 +27,25 @@ func buildWormlint(t *testing.T) string {
 }
 
 // TestRepoComesUpClean is the contract's local enforcement: the whole
-// repository must produce zero wormlint diagnostics, the same gate CI
-// applies to every PR.
+// repository must produce zero wormlint diagnostics and, under -audit,
+// no stale or unknown marker — the two gates CI applies to every change.
 func TestRepoComesUpClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping whole-repo vet")
 	}
 	exe := buildWormlint(t)
-	cmd := exec.Command(exe, "wormlan/...")
-	cmd.Dir = ".." + string(os.PathSeparator) + ".." // repo root
-	var out bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &out
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("wormlint found violations (or failed): %v\n%s", err, out.String())
-	}
-	if s := strings.TrimSpace(out.String()); s != "" {
-		t.Fatalf("expected silent clean run, got:\n%s", s)
+	for _, args := range [][]string{{"wormlan/..."}, {"-audit", "wormlan/..."}} {
+		cmd := exec.Command(exe, args...)
+		cmd.Dir = ".." + string(os.PathSeparator) + ".." // repo root
+		var out bytes.Buffer
+		cmd.Stdout = &out
+		cmd.Stderr = &out
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("wormlint %v found violations (or failed): %v\n%s", args, err, out.String())
+		}
+		if s := strings.TrimSpace(out.String()); s != "" {
+			t.Fatalf("wormlint %v: expected silent clean run, got:\n%s", args, s)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 package wormlan
 
-// Whole-stack integration tests: distributed mapping -> up/down routing ->
-// byte-level fabric -> host-adapter protocol -> traffic, with conservation
-// invariants (every worm generated is delivered exactly the right number
-// of times) and protocol-quiescence checks.
+// Whole-stack integration tests: up/down routing -> byte-level fabric ->
+// host-adapter protocol -> traffic, with conservation invariants (every
+// worm generated is delivered exactly the right number of times) and
+// protocol-quiescence checks.
 
 import (
 	"testing"
@@ -11,7 +11,6 @@ import (
 
 	"wormlan/internal/adapter"
 	"wormlan/internal/des"
-	"wormlan/internal/mapper"
 	"wormlan/internal/multicast"
 	"wormlan/internal/network"
 	"wormlan/internal/rng"
@@ -21,9 +20,9 @@ import (
 	"wormlan/internal/updown"
 )
 
-// stack is a fully wired LAN whose up/down root comes from the distributed
-// mapper.  The mapper runs on no simulation path (sim and fault label with
-// updown alone); here it is the independent oracle for updown's root rule.
+// stack is a fully wired LAN labelled from updown's default root, the
+// lowest-numbered switch.  internal/mapper's TestRootMatchesUpdownDefault
+// pins that root to be the one the distributed mapper elects.
 type stack struct {
 	t   *testing.T
 	k   *des.Kernel
@@ -38,15 +37,7 @@ func newStack(t *testing.T, g *topology.Graph, acfg adapter.Config) *stack {
 	t.Helper()
 	s := &stack{t: t, k: des.NewKernel(), g: g, mcDelivered: map[int64]int{}}
 
-	// Control plane: distributed map election, then routing from its root.
-	m, err := mapper.Run(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Verify(g, nil); err != nil {
-		t.Fatal(err)
-	}
-	ud, err := updown.New(g, m.Root)
+	ud, err := updown.New(g, topology.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,38 +254,5 @@ func TestMulticastHeaderDecoderNeverPanics(t *testing.T) {
 	}, &quick.Config{MaxCount: 500})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMapperFeedsRoutingOnEveryTopology(t *testing.T) {
-	for name, g := range map[string]*topology.Graph{
-		"torus8x8":   topology.Torus(8, 8, 1, 1),
-		"shufflenet": topology.BidirShufflenet(2, 3, 1000),
-		"myrinet4":   topology.Myrinet4(),
-	} {
-		t.Run(name, func(t *testing.T) {
-			m, err := mapper.Run(g, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ud, err := updown.New(g, m.Root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tbl, err := ud.NewTable(false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hosts := g.Hosts()
-			for i := 0; i < len(hosts); i++ {
-				rt := tbl.Lookup(hosts[i], hosts[(i+1)%len(hosts)])
-				if err := ud.VerifyRoute(rt); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := tbl.Prove(g, nil); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }

@@ -706,18 +706,6 @@ func (a *Adapter) originate(t *Transfer) {
 	}
 }
 
-// ordered reports whether the configured mode delivers in total order.
-func (a *Adapter) ordered(st *Structure) bool {
-	switch a.sys.Cfg.Mode {
-	case ModeCircuit:
-		return a.sys.Cfg.TotalOrdering
-	case ModeTreeRooted:
-		return true
-	default:
-		return false
-	}
-}
-
 // successorsForOrigin returns where the originator sends first, and
 // whether that is an ordering pre-hop to the structure's starter.
 func (a *Adapter) successorsForOrigin(st *Structure) ([]topology.NodeID, bool) {
@@ -818,12 +806,6 @@ func (a *Adapter) onTimeout(key hopKey) {
 	}
 	a.sys.sendWorm(a.Host, o.dst, o.info.Transfer.Payload, o.info, nil)
 	a.armTimer(key, o)
-}
-
-// onAck clears the hop and unpins the held buffer when it was the last
-// outstanding forward of the transfer at this adapter.
-func (a *Adapter) onAck(t *Transfer) {
-	a.hopFinished(t)
 }
 
 func (a *Adapter) onNack(t *Transfer, from topology.NodeID) {

@@ -7,32 +7,6 @@ import (
 	"strings"
 )
 
-// allocScope lists the package path suffixes covered by the zero-alloc
-// pin (network.TestDeliveredWormZeroAlloc pins zero heap allocations per
-// delivered worm): the DES kernel, the event queue, the flit layer, and
-// the fabric itself.  Everything a worm touches between injection and
-// delivery lives here.
-var allocScope = []string{
-	"internal/des",
-	"internal/eventq",
-	"internal/flit",
-	"internal/network",
-}
-
-// inAllocScope reports whether the package at path is governed by the
-// zero-alloc discipline.
-func inAllocScope(path string) bool {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	for _, s := range allocScope {
-		if path == s || strings.HasSuffix(path, "/"+s) {
-			return true
-		}
-	}
-	return false
-}
-
 // HotAlloc guards the zero-alloc discipline in the hot-path packages.  The
 // AllocsPerRun pin proves the steady state allocates nothing, but it cannot
 // point at the line that breaks it; this analyzer keeps each allocation
@@ -60,45 +34,40 @@ func inAllocScope(path string) bool {
 //     above) the allocating line exempts that site; placed on the line
 //     above a func declaration it exempts the whole function (snapshots,
 //     diagnostics, fault paths).  The justification is mandatory: a bare
-//     marker is itself flagged.
+//     line marker is reported in place of its finding, and a bare
+//     function marker is reported and exempts nothing.
 var HotAlloc = &Analyzer{
-	Name: "hotalloc",
-	Doc:  "flags per-call heap allocations in the zero-alloc packages",
-	Run:  runHotAlloc,
+	Name:  "hotalloc",
+	Doc:   "flags per-call heap allocations in the zero-alloc packages",
+	Scope: allocScope,
+	Run:   runHotAlloc,
 }
 
 func runHotAlloc(p *Pass) error {
-	if !inAllocScope(p.Pkg.Path()) {
-		return nil
+	type site struct {
+		pos  token.Pos
+		what string
 	}
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	for _, fd := range p.funcs() {
+		if isConstructorName(fd.Name.Name) {
+			continue
+		}
+		var open []site
+		allocSites(p, fd, func(pos token.Pos, what string) {
+			if found, _ := p.excused(markerAlloc, pos, "a justification for the allocation is required"); !found {
+				open = append(open, site{pos, what})
 			}
-			if isConstructorName(fd.Name.Name) {
-				continue
-			}
-			m := p.markerAt(markerAlloc, fd.Pos())
-			if m != nil && !m.justified() {
-				p.reportBare(m, fd.Pos(), "a justification explaining why this function may allocate is required")
-			} else if m != nil {
-				// Function-level exemption: scan the body anyway with
-				// reporting swallowed so -audit learns whether the marker
-				// still excuses a real allocation (line-level markers
-				// inside keep their own use bits).
-				found := 0
-				saved := p.Report
-				p.Report = func(Diagnostic) { found++ }
-				checkAllocBody(p, fd)
-				p.Report = saved
-				if found > 0 {
-					m.use()
-				}
-				continue
-			}
-			checkAllocBody(p, fd)
+		})
+		if len(open) == 0 {
+			continue
+		}
+		// A marker above the func excuses every site left, but only when
+		// justified: a bare one is reported and excuses nothing.
+		if _, ok := p.excused(markerAlloc, fd.Pos(), "a justification explaining why this function may allocate is required"); ok {
+			continue
+		}
+		for _, s := range open {
+			p.Reportf(s.pos, "%s in a zero-alloc package: reuse a field, pooled buffer, or preallocated slab, or annotate with //wormlint:alloc <why>", s.what)
 		}
 	}
 	return nil
@@ -111,14 +80,15 @@ func isConstructorName(name string) bool {
 	return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new")
 }
 
-func checkAllocBody(p *Pass, fd *ast.FuncDecl) {
+// allocSites calls site for every per-call heap allocation in fd's body.
+func allocSites(p *Pass, fd *ast.FuncDecl, site func(pos token.Pos, what string)) {
 	born := emptyBornSlices(p, fd)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.UnaryExpr:
 			if e.Op == token.AND {
 				if _, ok := e.X.(*ast.CompositeLit); ok {
-					p.allocReport(e.Pos(), "composite literal escapes to the heap per call")
+					site(e.Pos(), "composite literal escapes to the heap per call")
 				}
 			}
 		case *ast.CompositeLit:
@@ -128,43 +98,28 @@ func checkAllocBody(p *Pass, fd *ast.FuncDecl) {
 			}
 			switch t.Underlying().(type) {
 			case *types.Slice:
-				p.allocReport(e.Pos(), "slice literal allocates per call")
+				site(e.Pos(), "slice literal allocates per call")
 			case *types.Map:
-				p.allocReport(e.Pos(), "map literal allocates per call")
+				site(e.Pos(), "map literal allocates per call")
 			}
 		case *ast.CallExpr:
 			switch {
 			case isBuiltin(p, e.Fun, "make"):
-				p.allocReport(e.Pos(), "make allocates per call")
+				site(e.Pos(), "make allocates per call")
 			case isBuiltin(p, e.Fun, "new"):
-				p.allocReport(e.Pos(), "new allocates per call")
+				site(e.Pos(), "new allocates per call")
 			case isBuiltin(p, e.Fun, "append") && len(e.Args) >= 2:
 				id, ok := e.Args[0].(*ast.Ident)
 				if !ok {
 					return true
 				}
 				if v, ok := p.TypesInfo.Uses[id].(*types.Var); ok && born[v] {
-					p.allocReport(e.Pos(), "append to a slice born empty in this function re-grows the heap per call")
+					site(e.Pos(), "append to a slice born empty in this function re-grows the heap per call")
 				}
 			}
 		}
 		return true
 	})
-}
-
-// allocReport reports an allocation finding at pos unless a justified
-// `//wormlint:alloc` marker covers the line.
-func (p *Pass) allocReport(pos token.Pos, what string) {
-	m := p.markerAt(markerAlloc, pos)
-	if m != nil && !m.justified() {
-		p.reportBare(m, pos, "a justification for the allocation is required")
-		return
-	}
-	if m != nil {
-		m.use()
-		return
-	}
-	p.Reportf(pos, "%s in a zero-alloc package: reuse a field, pooled buffer, or preallocated slab, or annotate with //wormlint:alloc <why>", what)
 }
 
 // emptyBornSlices collects the slice variables that start life empty

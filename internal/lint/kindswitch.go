@@ -22,13 +22,15 @@ import (
 //   - carry a `//wormlint:partial <justification>` comment on (or above)
 //     the switch, asserting the unlisted kinds cannot reach this point.
 //
-// The justification is mandatory: a bare marker is itself flagged.
+// The justification is mandatory: a bare marker is reported in place of
+// the finding.
 // Constants are compared by value, so aliased constants count as
 // covering each other.
 var KindSwitch = &Analyzer{
-	Name: "kindswitch",
-	Doc:  "flags non-exhaustive switches over flit/trace/fault enum types",
-	Run:  runKindSwitch,
+	Name:  "kindswitch",
+	Doc:   "flags non-exhaustive switches over flit/trace/fault enum types",
+	Scope: deterministicScope,
+	Run:   runKindSwitch,
 }
 
 // kindEnums registers the enum types whose switches must be exhaustive,
@@ -41,9 +43,6 @@ var kindEnums = [][2]string{
 }
 
 func runKindSwitch(p *Pass) error {
-	if !InScope(p.Pkg.Path()) {
-		return nil
-	}
 	p.walk(func(n ast.Node) bool {
 		sw, ok := n.(*ast.SwitchStmt)
 		if !ok || sw.Tag == nil {
@@ -74,18 +73,10 @@ func runKindSwitch(p *Pass) error {
 			return true
 		}
 		missing := missingConstants(named, covered)
-		m := p.markerAt(markerPartial, sw.Pos())
-		if m != nil && !m.justified() {
-			p.reportBare(m, sw.Pos(), "a justification explaining why the unhandled kinds cannot reach this switch is required")
-			return true
-		}
 		if len(missing) == 0 {
-			// Exhaustive: a justified partial marker here is stale and
-			// stays unused for -audit.
 			return true
 		}
-		if m != nil {
-			m.use()
+		if found, _ := p.excused(markerPartial, sw.Pos(), "a justification explaining why the unhandled kinds cannot reach this switch is required"); found {
 			return true
 		}
 		p.Reportf(sw.Pos(), "switch over %s.%s is not exhaustive: missing %s; add the cases, a default clause, or //wormlint:partial <why>",
@@ -105,12 +96,8 @@ func registeredEnum(t types.Type) *types.Named {
 	if obj.Pkg() == nil {
 		return nil
 	}
-	path := obj.Pkg().Path()
 	for _, e := range kindEnums {
-		if obj.Name() != e[1] {
-			continue
-		}
-		if path == e[0] || strings.HasSuffix(path, "/"+e[0]) {
+		if obj.Name() == e[1] && under(obj.Pkg().Path(), e[0]) {
 			return named
 		}
 	}

@@ -10,10 +10,10 @@
 // after-the-fact equivalence testing can prove its absence.  wormlint
 // makes the contract machine-checked.
 //
-// Nine analyzers run; the first four guard determinism over the
-// deterministic packages (see Scope), hotalloc and poolreset guard the
-// zero-alloc pooling discipline, and the remaining three enforce
-// repo-specific API contracts:
+// Nine analyzers run, each over the packages its Scope names; the first
+// four guard determinism over the deterministic packages, hotalloc and
+// poolreset guard the zero-alloc pooling discipline, and the remaining
+// three enforce repo-specific API contracts:
 //
 //   - maporder: flags `for range` over map types unless the loop is a
 //     pure key-collect (append keys to a slice, to be sorted) or carries
@@ -69,11 +69,15 @@ import (
 
 // An Analyzer describes one static check.  The shape deliberately mirrors
 // golang.org/x/tools/go/analysis.Analyzer so the suite could be rebased
-// onto x/tools without touching the checks themselves.
+// onto x/tools without touching the checks themselves.  Scope and Exempt
+// are wormlint's own: runSuite runs an analyzer only over the packages
+// under one of its Scope suffixes and not under Exempt.
 type Analyzer struct {
-	Name string
-	Doc  string
-	Run  func(*Pass) error
+	Name   string
+	Doc    string
+	Scope  []string
+	Exempt string
+	Run    func(*Pass) error
 }
 
 // A Pass provides one analyzer with one type-checked package and a sink
@@ -92,7 +96,7 @@ type Pass struct {
 	// markers indexes the package's //wormlint:* annotations, shared by
 	// every pass over the package so use-tracking (for -audit)
 	// accumulates across the whole suite.
-	markers *markerSet
+	markers markerSet
 }
 
 // A Diagnostic is one finding, positioned for file:line:col display.
@@ -129,39 +133,33 @@ func Lookup(name string) *Analyzer {
 // returns the diagnostics sorted by position.  files must belong to fset;
 // test files (name ending in _test.go) are filtered out here.
 func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
-	nonTest := dropTestFiles(fset, files)
-	markers := collectMarkers(fset, nonTest)
 	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     nonTest,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Report:    func(d Diagnostic) { diags = append(diags, d) },
-			markers:   markers,
-		}
-		if err := a.Run(pass); err != nil {
-			return diags, fmt.Errorf("%s: %w", a.Name, err)
-		}
-	}
+	_, err := runSuite(fset, files, pkg, info, analyzers, func(d Diagnostic) { diags = append(diags, d) })
 	sortDiagnostics(fset, diags)
-	return diags, nil
+	return diags, err
 }
 
-// dropTestFiles filters out _test.go files: the contract governs the
-// simulator, not its test harnesses.
-func dropTestFiles(fset *token.FileSet, files []*ast.File) []*ast.File {
+// runSuite is the one pass loop: it runs each analyzer whose scope covers
+// pkg over its non-test files and returns the package's markers, their use
+// bits set by the run.
+func runSuite(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, report func(Diagnostic)) (markerSet, error) {
 	var nonTest []*ast.File
 	for _, f := range files {
-		name := fset.Position(f.Package).Filename
-		if strings.HasSuffix(name, "_test.go") {
+		if !strings.HasSuffix(fset.Position(f.Package).Filename, "_test.go") {
+			nonTest = append(nonTest, f)
+		}
+	}
+	markers := collectMarkers(fset, nonTest)
+	for _, a := range analyzers {
+		if !under(pkg.Path(), a.Scope...) || (a.Exempt != "" && under(pkg.Path(), a.Exempt)) {
 			continue
 		}
-		nonTest = append(nonTest, f)
+		pass := &Pass{Analyzer: a, Fset: fset, Files: nonTest, Pkg: pkg, TypesInfo: info, Report: report, markers: markers}
+		if err := a.Run(pass); err != nil {
+			return markers, fmt.Errorf("%s: %w", a.Name, err)
+		}
 	}
-	return nonTest
+	return markers, nil
 }
 
 func sortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
@@ -191,12 +189,25 @@ func (p *Pass) walk(fn func(ast.Node) bool) {
 	}
 }
 
-// fileOf returns the *ast.File containing pos.
-func (p *Pass) fileOf(pos token.Pos) *ast.File {
+// funcs returns the pass's function declarations that have a body.
+func (p *Pass) funcs() []*ast.FuncDecl {
+	var fds []*ast.FuncDecl
 	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				fds = append(fds, fd)
+			}
 		}
 	}
-	return nil
+	return fds
+}
+
+// recvVar returns fd's named receiver, or nil for plain functions and
+// anonymous receivers.
+func (p *Pass) recvVar(fd *ast.FuncDecl) *types.Var {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
+		return nil
+	}
+	v, _ := p.TypesInfo.Defs[fd.Recv.List[0].Names[0]].(*types.Var)
+	return v
 }

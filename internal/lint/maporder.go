@@ -22,19 +22,17 @@ import (
 //   - A `//wormlint:ordered <justification>` comment on (or immediately
 //     above) the range statement asserts the body is provably
 //     order-insensitive — e.g. copying a map into a map, or summing
-//     integers.  The justification is mandatory: a bare marker is itself
-//     flagged.  Floating-point accumulation is NOT order-insensitive and
-//     never qualifies.
+//     integers.  The justification is mandatory: a bare marker is
+//     reported in place of the finding.  Floating-point accumulation is
+//     NOT order-insensitive and never qualifies.
 var MapOrder = &Analyzer{
-	Name: "maporder",
-	Doc:  "flags nondeterministic iteration over maps in deterministic packages",
-	Run:  runMapOrder,
+	Name:  "maporder",
+	Doc:   "flags nondeterministic iteration over maps in deterministic packages",
+	Scope: deterministicScope,
+	Run:   runMapOrder,
 }
 
 func runMapOrder(p *Pass) error {
-	if !InScope(p.Pkg.Path()) {
-		return nil
-	}
 	p.walk(func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)
 		if !ok {
@@ -44,41 +42,26 @@ func runMapOrder(p *Pass) error {
 		if t == nil {
 			return true
 		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
+		// A key-collect loop is order-insensitive by construction: no finding.
+		if _, isMap := t.Underlying().(*types.Map); !isMap || keyCollectBlock(p, rs, rs.Body) {
 			return true
 		}
-		m := p.markerAt(markerOrdered, rs.Pos())
-		if m != nil && !m.justified() {
-			p.reportBare(m, rs.Pos(), "a justification explaining why the loop body is order-insensitive is required")
-			return true
+		if found, _ := p.excused(markerOrdered, rs.Pos(), "a justification explaining why the loop body is order-insensitive is required"); !found {
+			p.Reportf(rs.Pos(), "range over map is nondeterministic: iterate sorted keys, use the key-collect idiom, or annotate an order-insensitive body with //wormlint:ordered <why>")
 		}
-		// The key-collect idiom needs no annotation; a justified marker on
-		// such a loop suppresses nothing and stays unused for -audit.
-		if keyCollectLoop(p, rs) {
-			return true
-		}
-		if m != nil {
-			m.use()
-			return true
-		}
-		p.Reportf(rs.Pos(), "range over map is nondeterministic: iterate sorted keys, use the key-collect idiom, or annotate an order-insensitive body with //wormlint:ordered <why>")
 		return true
 	})
 	return nil
 }
 
-// keyCollectLoop reports whether rs is the sanctioned key-collect idiom:
-// every statement in the body is an append of loop-derived values into a
+// keyCollectBlock reports whether body, the body of rs or of an if within
+// it, is the sanctioned key-collect idiom: every statement in it is an append of loop-derived values into a
 // slice variable (possibly guarded by if/continue filtering), or a delete
 // of the key from the ranged map.  Such a body's observable effect is a
 // set, independent of visit order, provided the collected slice is sorted
 // before any order-sensitive use.
-func keyCollectLoop(p *Pass, rs *ast.RangeStmt) bool {
-	return keyCollectBlock(p, rs, rs.Body.List)
-}
-
-func keyCollectBlock(p *Pass, rs *ast.RangeStmt, stmts []ast.Stmt) bool {
-	for _, st := range stmts {
+func keyCollectBlock(p *Pass, rs *ast.RangeStmt, body *ast.BlockStmt) bool {
+	for _, st := range body.List {
 		if !keyCollectStmt(p, rs, st) {
 			return false
 		}
@@ -117,7 +100,7 @@ func keyCollectStmt(p *Pass, rs *ast.RangeStmt, st ast.Stmt) bool {
 		if s.Init != nil || s.Else != nil {
 			return false
 		}
-		return keyCollectBlock(p, rs, s.Body.List)
+		return keyCollectBlock(p, rs, s.Body)
 	case *ast.BranchStmt:
 		return s.Tok.String() == "continue" && s.Label == nil
 	default:

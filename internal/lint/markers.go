@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -11,9 +10,10 @@ import (
 
 // wormlint's escape hatches are `//wormlint:<name> <justification>`
 // comments on (or immediately above) the construct they exempt.  The
-// justification is mandatory everywhere: a bare marker is itself a
-// diagnostic.  Every marker is tracked for use so `wormlint -audit` can
-// flag annotations that no longer suppress anything.
+// justification is mandatory everywhere: a bare marker is reported in
+// place of the finding it would excuse.  Every marker is tracked for use
+// so `wormlint -audit` can flag annotations that no longer excuse
+// anything.
 const (
 	// markerOrdered exempts a provably order-insensitive map iteration
 	// from maporder.
@@ -47,111 +47,87 @@ var markerAnalyzer = map[string]string{
 const markerPrefix = "wormlint:"
 
 // A marker is one parsed `//wormlint:<name> <justification>` comment,
-// with a use bit the analyzers set when the marker actually suppresses a
-// would-be diagnostic (or is itself reported as bare).  AuditPackage
-// flags markers whose bit never sets.
+// with a use bit excused sets when the marker answers a finding.
+// AuditPackage flags markers whose bit never sets.
 type marker struct {
 	name          string
 	justification string
 	pos           token.Pos
-	line          int
 	used          bool
 }
 
-func (m *marker) justified() bool { return m.justification != "" }
-
-// use records that the marker earned its keep this run.
-func (m *marker) use() { m.used = true }
-
 // A markerSet indexes every wormlint marker of one package's non-test
-// files.  It is built once per package and shared by all analyzer passes
-// so use-tracking accumulates across the whole suite.
+// files by (file, line).  It is built once per package and shared by all
+// analyzer passes so use-tracking accumulates across the whole suite.
 type markerSet struct {
-	byFile map[*ast.File]map[int][]*marker
-	all    []*marker
+	at  map[markerLine][]*marker
+	all []*marker
+}
+
+type markerLine struct {
+	file string
+	line int
 }
 
 // collectMarkers parses the wormlint annotations out of files' comments.
 // Unknown marker names are collected too (never usable, so audit flags
 // them).
-func collectMarkers(fset *token.FileSet, files []*ast.File) *markerSet {
-	ms := &markerSet{byFile: make(map[*ast.File]map[int][]*marker)}
+func collectMarkers(fset *token.FileSet, files []*ast.File) markerSet {
+	ms := markerSet{at: make(map[markerLine][]*marker)}
 	for _, f := range files {
-		idx := make(map[int][]*marker)
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if !strings.HasPrefix(text, markerPrefix) {
+				rest, ok := strings.CutPrefix(text, markerPrefix)
+				if !ok {
 					continue
 				}
-				rest := strings.TrimPrefix(text, markerPrefix)
 				name, just, _ := strings.Cut(rest, " ")
-				m := &marker{
-					name:          name,
-					justification: strings.TrimSpace(just),
-					pos:           c.Pos(),
-					line:          fset.Position(c.Pos()).Line,
-				}
-				idx[m.line] = append(idx[m.line], m)
+				m := &marker{name: name, justification: strings.TrimSpace(just), pos: c.Pos()}
+				pos := fset.Position(c.Pos())
+				k := markerLine{pos.Filename, pos.Line}
+				ms.at[k] = append(ms.at[k], m)
 				ms.all = append(ms.all, m)
 			}
 		}
-		ms.byFile[f] = idx
 	}
 	return ms
 }
 
-// markerAt returns the marker with the given name annotating the node at
-// pos — on the same line or the line immediately above — or nil.  The
-// caller decides whether a hit counts as use: call m.use() only when the
-// marker suppresses (or replaces, for bare markers) a diagnostic.
-func (p *Pass) markerAt(name string, pos token.Pos) *marker {
-	f := p.fileOf(pos)
-	if f == nil {
-		return nil
-	}
-	idx := p.markers.byFile[f]
-	line := p.Fset.Position(pos).Line
-	for _, l := range [2]int{line, line - 1} {
-		for _, m := range idx[l] {
-			if m.name == name {
-				return m
+// excused is the one marker rule, consulted by an analyzer only where it
+// has a finding at pos.  It looks for a //wormlint:<name> marker on pos's
+// line or the line above; found reports whether there is one, and if so
+// its use bit is set.  A justified marker excuses the finding.  A bare one
+// is reported at pos in the finding's place, why naming the justification
+// it lacks; either way the caller reports nothing when found.  justified
+// tells the two apart for hotalloc's function-level marker, which only a
+// justification lets excuse sites it does not sit on.
+func (p *Pass) excused(name string, pos token.Pos, why string) (found, justified bool) {
+	at := p.Fset.Position(pos)
+	for _, line := range [2]int{at.Line, at.Line - 1} {
+		for _, m := range p.markers.at[markerLine{at.Filename, line}] {
+			if m.name != name {
+				continue
 			}
+			m.used = true
+			if m.justification == "" {
+				p.Reportf(pos, "bare //wormlint:%s marker: %s", name, why)
+			}
+			return true, m.justification != ""
 		}
 	}
-	return nil
-}
-
-// reportBare emits the mandatory-justification diagnostic for a bare
-// marker at the annotated construct's position and counts the marker as
-// used (it is already surfacing a finding; audit must not flag it a
-// second time).
-func (p *Pass) reportBare(m *marker, pos token.Pos, what string) {
-	m.use()
-	p.Reportf(pos, "bare //wormlint:%s marker: %s", m.name, what)
+	return false, false
 }
 
 // AuditPackage runs the analyzers over one package with reporting
 // swallowed, purely for their marker-use side effects, then reports every
-// marker that suppressed nothing: stale escape hatches that outlived the
+// marker that excused nothing: stale escape hatches that outlived the
 // code they excused, and markers with unknown names.  The returned
 // diagnostics carry the pseudo-analyzer name "audit".
 func AuditPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
-	nonTest := dropTestFiles(fset, files)
-	markers := collectMarkers(fset, nonTest)
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     nonTest,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Report:    func(Diagnostic) {},
-			markers:   markers,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
+	markers, err := runSuite(fset, files, pkg, info, analyzers, func(Diagnostic) {})
+	if err != nil {
+		return nil, err
 	}
 	var diags []Diagnostic
 	for _, m := range markers.all {

@@ -14,15 +14,13 @@ import (
 // up, in internal/sweep, which runs independent simulations on worker
 // goroutines and is out of scope by construction.
 var NoGoroutine = &Analyzer{
-	Name: "nogoroutine",
-	Doc:  "forbids go statements and channel operations in the deterministic kernel",
-	Run:  runNoGoroutine,
+	Name:  "nogoroutine",
+	Doc:   "forbids go statements and channel operations in the deterministic kernel",
+	Scope: deterministicScope,
+	Run:   runNoGoroutine,
 }
 
 func runNoGoroutine(p *Pass) error {
-	if !InScope(p.Pkg.Path()) {
-		return nil
-	}
 	p.walk(func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.GoStmt:

@@ -34,9 +34,10 @@ import (
 // declaration exempts state that deliberately survives recycling; the
 // justification is mandatory.
 var PoolReset = &Analyzer{
-	Name: "poolreset",
-	Doc:  "verifies pool reset/recycle functions assign every mutated field",
-	Run:  runPoolReset,
+	Name:  "poolreset",
+	Doc:   "verifies pool reset/recycle functions assign every mutated field",
+	Scope: allocScope,
+	Run:   runPoolReset,
 }
 
 // resetNames are the exact function names the pooling contract reserves
@@ -48,9 +49,6 @@ var resetNames = map[string]bool{
 }
 
 func runPoolReset(p *Pass) error {
-	if !inAllocScope(p.Pkg.Path()) {
-		return nil
-	}
 	pr := newPoolReset(p)
 
 	// Identify every candidate: (reset function, target variable, type).
@@ -92,17 +90,9 @@ func runPoolReset(p *Pass) error {
 		sort.Strings(missing)
 		var unexcused []string
 		for _, f := range missing {
-			pos := pr.fieldPos(c.typ, f)
-			m := p.markerAt(markerKeep, pos)
-			if m != nil && !m.justified() {
-				p.reportBare(m, pos, "a justification explaining why the field may survive pool recycling is required")
-				continue
+			if found, _ := p.excused(markerKeep, fieldPos(c.typ, f), "a justification explaining why the field may survive pool recycling is required"); !found {
+				unexcused = append(unexcused, f)
 			}
-			if m != nil {
-				m.use()
-				continue
-			}
-			unexcused = append(unexcused, f)
 		}
 		if len(unexcused) > 0 {
 			p.Reportf(c.fd.Pos(), "reset function %s leaves %s of %s unassigned: stale state survives pool recycling — assign the field(s) or annotate the declaration(s) with //wormlint:keep <why>",
@@ -132,17 +122,10 @@ type poolReset struct {
 }
 
 func newPoolReset(p *Pass) *poolReset {
-	pr := &poolReset{p: p, decl: make(map[*types.Func]*ast.FuncDecl)}
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			pr.funcs = append(pr.funcs, fd)
-			if fn, ok := p.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				pr.decl[fn] = fd
-			}
+	pr := &poolReset{p: p, funcs: p.funcs(), decl: make(map[*types.Func]*ast.FuncDecl)}
+	for _, fd := range pr.funcs {
+		if fn, ok := p.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+			pr.decl[fn] = fd
 		}
 	}
 	return pr
@@ -154,35 +137,22 @@ func newPoolReset(p *Pass) *poolReset {
 func (pr *poolReset) resetTarget(fd *ast.FuncDecl) *types.Var {
 	p := pr.p
 	writes := make(map[*types.Var]int)
-	countLHS := func(e ast.Expr) {
-		if v, _, ok := pr.fieldWrite(e); ok {
-			writes[v]++
-		}
-	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range s.Lhs {
-				countLHS(lhs)
-				// `*x = T{...}`: a whole-struct reset counts as writing
-				// every field.
-				if star, ok := ast.Unparen(lhs).(*ast.StarExpr); ok {
-					if v := pr.identVar(star.X); v != nil {
-						if named := localStructType(p, v.Type()); named != nil {
-							writes[v] += named.Underlying().(*types.Struct).NumFields()
-						}
-					}
+		for _, lhs := range assigned(n) {
+			if v, _, ok := pr.fieldWrite(lhs); ok {
+				writes[v]++
+			}
+			// `*x = T{...}`: a whole-struct reset counts as writing
+			// every field.
+			if v := pr.starVar(lhs); v != nil {
+				if named := localStructType(p, v.Type()); named != nil {
+					writes[v] += named.Underlying().(*types.Struct).NumFields()
 				}
 			}
-		case *ast.IncDecStmt:
-			countLHS(s.X)
 		}
 		return true
 	})
-	var recv *types.Var
-	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
-		recv, _ = p.TypesInfo.Defs[fd.Recv.List[0].Names[0]].(*types.Var)
-	}
+	recv := p.recvVar(fd)
 	// Deterministic selection: highest write count wins, the receiver
 	// breaks ties, then the lexicographically smallest name.
 	var best *types.Var
@@ -206,15 +176,36 @@ func (pr *poolReset) resetTarget(fd *ast.FuncDecl) *types.Var {
 	return best
 }
 
-// fieldWrite decomposes an assignable expression of the form id.f or
-// id.f[i] into (root variable, field name).
-func (pr *poolReset) fieldWrite(e ast.Expr) (*types.Var, string, bool) {
+// assigned returns the expressions n assigns to: the left-hand sides of a
+// plain assignment, or the operand of an inc/dec statement.
+func assigned(n ast.Node) []ast.Expr {
+	switch s := n.(type) {
+	case *ast.AssignStmt:
+		if s.Tok != token.DEFINE {
+			return s.Lhs
+		}
+	case *ast.IncDecStmt:
+		return []ast.Expr{s.X}
+	}
+	return nil
+}
+
+// fieldSel returns e as the selector id.f of an assignment to id.f or
+// id.f[i], else nil.
+func fieldSel(e ast.Expr) *ast.SelectorExpr {
 	e = ast.Unparen(e)
 	if ix, ok := e.(*ast.IndexExpr); ok {
 		e = ast.Unparen(ix.X)
 	}
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
+	sel, _ := e.(*ast.SelectorExpr)
+	return sel
+}
+
+// fieldWrite decomposes an assignable expression of the form id.f or
+// id.f[i] into (root variable, field name).
+func (pr *poolReset) fieldWrite(e ast.Expr) (*types.Var, string, bool) {
+	sel := fieldSel(e)
+	if sel == nil {
 		return nil, "", false
 	}
 	v := pr.identVar(sel.X)
@@ -222,6 +213,14 @@ func (pr *poolReset) fieldWrite(e ast.Expr) (*types.Var, string, bool) {
 		return nil, "", false
 	}
 	return v, sel.Sel.Name, true
+}
+
+// starVar returns x when e is `*x`, else nil.
+func (pr *poolReset) starVar(e ast.Expr) *types.Var {
+	if star, ok := ast.Unparen(e).(*ast.StarExpr); ok {
+		return pr.identVar(star.X)
+	}
+	return nil
 }
 
 func (pr *poolReset) identVar(e ast.Expr) *types.Var {
@@ -256,37 +255,16 @@ func localStructType(p *Pass, t types.Type) *types.Named {
 // package outside constructors and outside typ's own reset functions:
 // the state a reset must restore.
 func (pr *poolReset) mutatedFields(typ *types.Named, exclude map[*ast.FuncDecl]bool) map[string]bool {
-	p := pr.p
 	mutated := make(map[string]bool)
-	note := func(e ast.Expr) {
-		e = ast.Unparen(e)
-		if ix, ok := e.(*ast.IndexExpr); ok {
-			e = ast.Unparen(ix.X)
-		}
-		sel, ok := e.(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		if localStructType(p, p.TypesInfo.TypeOf(sel.X)) != typ {
-			return
-		}
-		mutated[sel.Sel.Name] = true
-	}
 	for _, fd := range pr.funcs {
 		if exclude[fd] || isConstructorName(fd.Name.Name) {
 			continue
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				if s.Tok == token.DEFINE {
-					return true
+			for _, lhs := range assigned(n) {
+				if sel := fieldSel(lhs); sel != nil && localStructType(pr.p, pr.p.TypesInfo.TypeOf(sel.X)) == typ {
+					mutated[sel.Sel.Name] = true
 				}
-				for _, lhs := range s.Lhs {
-					note(lhs)
-				}
-			case *ast.IncDecStmt:
-				note(s.X)
 			}
 			return true
 		})
@@ -310,123 +288,73 @@ func (pr *poolReset) assignedFields(fd *ast.FuncDecl, v *types.Var, seen map[*as
 		if all {
 			return false
 		}
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range s.Lhs {
-				if fv, name, ok := pr.fieldWrite(lhs); ok && fv == v {
-					fields[name] = true
-				}
-				if star, ok := ast.Unparen(lhs).(*ast.StarExpr); ok {
-					if pr.identVar(star.X) == v {
-						all = true
-					}
-				}
-			}
-		case *ast.IncDecStmt:
-			if fv, name, ok := pr.fieldWrite(s.X); ok && fv == v {
+		for _, lhs := range assigned(n) {
+			if fv, name, ok := pr.fieldWrite(lhs); ok && fv == v {
 				fields[name] = true
 			}
-		case *ast.CallExpr:
-			callee, argIdx := pr.resolveCall(s, v)
-			if callee == nil {
-				return true
-			}
-			inner := pr.calleeVar(callee, argIdx)
-			if inner == nil {
-				return true
-			}
-			sub, subAll := pr.assignedFields(callee, inner, seen)
-			if subAll {
+			if pr.starVar(lhs) == v {
 				all = true
-				return false
 			}
-			for f := range sub {
-				fields[f] = true
-			}
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		callee, inner := pr.callee(call, v)
+		if callee == nil {
+			return true
+		}
+		sub, subAll := pr.assignedFields(callee, inner, seen)
+		if subAll {
+			all = true
+			return false
+		}
+		for f := range sub {
+			fields[f] = true
 		}
 		return true
 	})
 	return fields, all
 }
 
-// resolveCall matches a call that hands v to a same-package function:
-// v.m(...) (argIdx -1 for the receiver) or f(..., v, ...).
-func (pr *poolReset) resolveCall(call *ast.CallExpr, v *types.Var) (*ast.FuncDecl, int) {
-	p := pr.p
+// callee matches a call that hands v to a same-package function — v.m(...)
+// or f(..., v, ...) — and returns the function's declaration and its
+// variable (receiver or parameter) bound to v.
+func (pr *poolReset) callee(call *ast.CallExpr, v *types.Var) (*ast.FuncDecl, *types.Var) {
+	var fn *types.Func
+	var inner *types.Var
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
-		if pr.identVar(fun.X) != v {
-			return nil, 0
+		if fn, _ = pr.p.TypesInfo.Uses[fun.Sel].(*types.Func); fn != nil && pr.identVar(fun.X) == v {
+			inner = fn.Type().(*types.Signature).Recv()
 		}
-		fn, _ := p.TypesInfo.Uses[fun.Sel].(*types.Func)
-		if fn == nil {
-			return nil, 0
-		}
-		return pr.decl[fn], -1
 	case *ast.Ident:
-		fn, _ := p.TypesInfo.Uses[fun].(*types.Func)
-		if fn == nil {
-			return nil, 0
+		if fn, _ = pr.p.TypesInfo.Uses[fun].(*types.Func); fn == nil {
+			break
 		}
+		params := fn.Type().(*types.Signature).Params()
 		for i, arg := range call.Args {
 			if pr.identVar(arg) == v {
-				return pr.decl[fn], i
+				if i < params.Len() {
+					inner = params.At(i)
+				}
+				break
 			}
 		}
 	}
-	return nil, 0
+	if fd := pr.decl[fn]; fd != nil && inner != nil {
+		return fd, inner
+	}
+	return nil, nil
 }
 
-// calleeVar maps a call's target slot (receiver or i'th parameter) to the
-// callee's corresponding variable.
-func (pr *poolReset) calleeVar(fd *ast.FuncDecl, argIdx int) *types.Var {
-	if argIdx < 0 {
-		if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-			return nil
-		}
-		v, _ := pr.p.TypesInfo.Defs[fd.Recv.List[0].Names[0]].(*types.Var)
-		return v
-	}
-	i := 0
-	for _, fld := range fd.Type.Params.List {
-		for _, name := range fld.Names {
-			if i == argIdx {
-				v, _ := pr.p.TypesInfo.Defs[name].(*types.Var)
-				return v
-			}
-			i++
-		}
-	}
-	return nil
-}
-
-// fieldPos locates the declaration position of typ's field, for keep
-// markers; falls back to the type's position.
-func (pr *poolReset) fieldPos(typ *types.Named, field string) token.Pos {
-	p := pr.p
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok || ts.Name.Name != typ.Obj().Name() {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				for _, fld := range st.Fields.List {
-					for _, name := range fld.Names {
-						if name.Name == field {
-							return name.Pos()
-						}
-					}
-				}
-			}
+// fieldPos locates the declaration of typ's field, for keep markers;
+// falls back to the type's position.
+func fieldPos(typ *types.Named, field string) token.Pos {
+	st := typ.Underlying().(*types.Struct)
+	for i := 0; i < st.NumFields(); i++ {
+		if st.Field(i).Name() == field {
+			return st.Field(i).Pos()
 		}
 	}
 	return typ.Obj().Pos()

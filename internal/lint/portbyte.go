@@ -5,7 +5,6 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // PortByte makes route.EncodeVCPort/DecodeVCPort the single authority for
@@ -28,16 +27,14 @@ import (
 // math (64-entry words) is everywhere in the kernel and is not a route
 // byte.  There is deliberately no escape annotation — call the codec.
 var PortByte = &Analyzer{
-	Name: "portbyte",
-	Doc:  "flags hand-rolled vc<<6|port route-byte packing outside internal/route",
-	Run:  runPortByte,
+	Name:   "portbyte",
+	Doc:    "flags hand-rolled vc<<6|port route-byte packing outside internal/route",
+	Scope:  deterministicScope,
+	Exempt: "internal/route",
+	Run:    runPortByte,
 }
 
 func runPortByte(p *Pass) error {
-	path := p.Pkg.Path()
-	if !InScope(path) || isRoutePkg(path) {
-		return nil
-	}
 	p.walk(func(n ast.Node) bool {
 		be, ok := n.(*ast.BinaryExpr)
 		if !ok {
@@ -70,14 +67,6 @@ func runPortByte(p *Pass) error {
 		return true
 	})
 	return nil
-}
-
-// isRoutePkg reports whether path is the sanctioned encoding package.
-func isRoutePkg(path string) bool {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	return path == "internal/route" || strings.HasSuffix(path, "/internal/route")
 }
 
 // isByteExpr reports whether e's static type is byte-sized unsigned

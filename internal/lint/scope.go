@@ -12,8 +12,8 @@ import (
 // internal/sweep and the cmd/ binaries are deliberately absent: the sweep
 // engine owns all concurrency and progress timing (it parallelizes whole
 // simulations, each of which is deterministic), and the CLIs may report
-// wall-clock elapsed time.  internal/rng is absent from seed checks
-// because it is the sanctioned randomness implementation.
+// wall-clock elapsed time.  internal/rng is absent because it is the
+// sanctioned randomness implementation, where seeds terminate.
 var deterministicScope = []string{
 	"internal/des",
 	"internal/eventq",
@@ -32,12 +32,11 @@ var deterministicScope = []string{
 	"internal/emu",
 	// Beyond the contract's original kernel list: these feed the kernel
 	// deterministically (topology/route construction, traffic draws,
-	// statistics, the distributed mapper) or assert over its state
-	// (faulttest), so their output is equally golden.
+	// statistics) or assert over its state (faulttest), so their output is
+	// equally golden.
 	"internal/flit",
 	"internal/topology",
 	"internal/traffic",
-	"internal/mapper",
 	"internal/stats",
 	"internal/ipmap",
 	"internal/faulttest",
@@ -46,26 +45,28 @@ var deterministicScope = []string{
 	"internal/trace",
 }
 
-// InScope reports whether the package at path is governed by the
-// determinism contract.
-func InScope(path string) bool {
-	// Strip the " [pkg.test]" suffix go vet appends to test variants of a
-	// package: the non-test files of a test unit are still in scope.
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	for _, s := range deterministicScope {
+// allocScope lists the package path suffixes covered by the zero-alloc
+// pin (network.TestDeliveredWormZeroAlloc pins zero heap allocations per
+// delivered worm): the DES kernel, the event queue, the flit layer, and
+// the fabric itself.  Everything a worm touches between injection and
+// delivery lives here.
+var allocScope = []string{
+	"internal/des",
+	"internal/eventq",
+	"internal/flit",
+	"internal/network",
+}
+
+// under reports whether the package at path ends in one of the given
+// path suffixes, whole elements only.  The " [pkg.test]" suffix go vet
+// appends to test variants of a package is ignored: the non-test files
+// of a test unit are still in scope.
+func under(path string, suffixes ...string) bool {
+	path, _, _ = strings.Cut(path, " ")
+	for _, s := range suffixes {
 		if path == s || strings.HasSuffix(path, "/"+s) {
 			return true
 		}
 	}
 	return false
 }
-
-// rngScope reports whether path is the sanctioned randomness package.
-func rngScope(path string) bool {
-	return path == "internal/rng" || strings.HasSuffix(path, "/internal/rng")
-}
-
-// The //wormlint:* marker machinery lives in markers.go; escape hatches
-// are tracked for use there so `wormlint -audit` can flag stale ones.

@@ -27,15 +27,13 @@ var seedForbiddenImports = map[string]string{
 // stream selectors — the second rng.New argument — are fine and
 // idiomatic: streams deliberately partition one seed's sequence space.)
 var SeedDiscipline = &Analyzer{
-	Name: "seeddiscipline",
-	Doc:  "randomness must flow through internal/rng, seeded from config/sweep identity",
-	Run:  runSeedDiscipline,
+	Name:  "seeddiscipline",
+	Doc:   "randomness must flow through internal/rng, seeded from config/sweep identity",
+	Scope: deterministicScope,
+	Run:   runSeedDiscipline,
 }
 
 func runSeedDiscipline(p *Pass) error {
-	if !InScope(p.Pkg.Path()) || rngScope(p.Pkg.Path()) {
-		return nil
-	}
 	for _, f := range p.Files {
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
@@ -57,7 +55,7 @@ func runSeedDiscipline(p *Pass) error {
 			return true
 		}
 		fn, ok := p.TypesInfo.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil || !rngScope(fn.Pkg().Path()) {
+		if !ok || fn.Pkg() == nil || !under(fn.Pkg().Path(), "internal/rng") {
 			return true
 		}
 		// Constructors take the seed as their first argument; methods on an

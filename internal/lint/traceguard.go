@@ -33,304 +33,159 @@ import (
 // call line exempts a site where the recorder is provably non-nil; the
 // justification is mandatory.
 var TraceGuard = &Analyzer{
-	Name: "traceguard",
-	Doc:  "requires rec != nil guards dominating every trace.Recorder emission",
-	Run:  runTraceGuard,
+	Name:   "traceguard",
+	Doc:    "requires rec != nil guards dominating every trace.Recorder emission",
+	Scope:  deterministicScope,
+	Exempt: "internal/trace",
+	Run:    runTraceGuard,
 }
 
 func runTraceGuard(p *Pass) error {
-	path := p.Pkg.Path()
-	if !InScope(path) || isTracePkg(path) {
-		return nil
-	}
-	tg := &traceguard{p: p, helpers: make(map[*types.Func]string)}
-
 	// Phase 1: find the emit helpers — methods with an unguarded Record
 	// on a recorder path rooted at their own receiver.  Their suffix
 	// (".rec" for a Record on f.rec with receiver f) is what callers must
 	// guard, prefixed with the callee expression.
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			recv := receiverObj(p, fd)
-			if recv == nil {
-				continue
-			}
-			fn, _ := p.TypesInfo.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			tg.collect = func(call *ast.CallExpr, root types.Object, suffix string) {
-				if root == recv && tg.helpers[fn] == "" {
-					tg.helpers[fn] = suffix
-				}
-			}
-			tg.walkBody(fd, nil)
+	helpers := make(map[*types.Func]string)
+	for _, fd := range p.funcs() {
+		fn, _ := p.TypesInfo.Defs[fd.Name].(*types.Func)
+		recv := p.recvVar(fd)
+		if fn == nil || recv == nil {
+			continue
 		}
+		calls(fd, func(call *ast.CallExpr, stack []ast.Node) {
+			x := recordTarget(p, call)
+			if x == nil {
+				return
+			}
+			if key, root, fields, ok := pathOf(p, x); ok && root == recv && !guarded(p, stack, key) && helpers[fn] == "" {
+				helpers[fn] = "." + strings.Join(fields, ".")
+			}
+		})
 	}
 
-	// Phase 2: re-walk every function, flagging unguarded Record calls
-	// (except a helper's own excused site) and unguarded helper calls.
-	tg.collect = nil
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	// Phase 2: flag unguarded Record calls (except a helper's own excused
+	// site) and unguarded helper calls.
+	for _, fd := range p.funcs() {
+		recv := p.recvVar(fd)
+		calls(fd, func(call *ast.CallExpr, stack []ast.Node) {
+			if x := recordTarget(p, call); x != nil {
+				key, root, fields, ok := pathOf(p, x)
+				if ok && (guarded(p, stack, key) || root == recv && len(fields) > 0) {
+					// Guarded, or the helper's own site: callers guard.
+					return
+				}
+				traceFinding(p, call, "trace.Recorder emission")
+				return
 			}
-			tg.walkBody(fd, receiverObj(p, fd))
-		}
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
+			fn, _ := p.TypesInfo.Uses[sel.Sel].(*types.Func)
+			suffix, isHelper := helpers[fn]
+			if !isHelper {
+				return
+			}
+			if key, _, _, ok := pathOf(p, sel.X); !ok || !guarded(p, stack, key+suffix) {
+				traceFinding(p, call, fmt.Sprintf("call to emit helper %s", fn.Name()))
+			}
+		})
 	}
 	return nil
 }
 
-// isTracePkg reports whether path is the tracing package itself, which
-// owns the Recorder implementations and is exempt.
-func isTracePkg(path string) bool {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
+// recordTarget returns x when call is x.Record(...) on a trace.Recorder,
+// else nil.
+func recordTarget(p *Pass, call *ast.CallExpr) ast.Expr {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Record" || !isRecorderType(p.TypesInfo.TypeOf(sel.X)) {
+		return nil
 	}
-	return path == "internal/trace" || strings.HasSuffix(path, "/internal/trace")
+	return sel.X
 }
 
-type traceguard struct {
-	p       *Pass
-	helpers map[*types.Func]string // emit helper -> receiver-relative recorder suffix
-	// collect, when set (phase 1), receives each unguarded Record call
-	// instead of reporting it.
-	collect func(call *ast.CallExpr, root types.Object, suffix string)
-	// recv is the receiver of the function being walked (phase 2), whose
-	// own unguarded receiver-rooted Record sites are the callers' duty.
-	recv types.Object
-}
-
-// guardSet holds the path keys proven non-nil at the current point.
-type guardSet map[string]bool
-
-func (g guardSet) with(keys []string) guardSet {
-	if len(keys) == 0 {
-		return g
-	}
-	ng := make(guardSet, len(g)+len(keys))
-	for k := range g {
-		ng[k] = true
-	}
-	for _, k := range keys {
-		ng[k] = true
-	}
-	return ng
-}
-
-func (tg *traceguard) walkBody(fd *ast.FuncDecl, recv types.Object) {
-	tg.recv = recv
-	tg.block(fd.Body.List, guardSet{})
-}
-
-func (tg *traceguard) block(stmts []ast.Stmt, g guardSet) {
-	for _, s := range stmts {
-		// `if x == nil { return }` guards the remainder of this block.
-		if is, ok := s.(*ast.IfStmt); ok {
-			if key, ok := tg.nilEqualCheck(is.Cond); ok && terminates(is.Body) {
-				tg.stmt(s, g)
-				g = g.with([]string{key})
-				continue
-			}
-		}
-		tg.stmt(s, g)
+func traceFinding(p *Pass, call *ast.CallExpr, what string) {
+	if found, _ := p.excused(markerUnguarded, call.Pos(), "a justification explaining why the recorder is provably non-nil here is required"); !found {
+		p.Reportf(call.Pos(), "%s is not dominated by a rec != nil guard: wrap it in `if <rec> != nil { ... }` or annotate with //wormlint:unguarded <why>", what)
 	}
 }
 
-func (tg *traceguard) stmt(s ast.Stmt, g guardSet) {
-	switch st := s.(type) {
-	case *ast.BlockStmt:
-		tg.block(st.List, g)
-	case *ast.IfStmt:
-		if st.Init != nil {
-			tg.stmt(st.Init, g)
+// calls walks fd's body and hands fn every call together with its
+// ancestors, the call last.
+func calls(fd *ast.FuncDecl, fn func(call *ast.CallExpr, stack []ast.Node)) {
+	var stack []ast.Node
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
 		}
-		tg.exprs(st.Cond, g)
-		tg.block(st.Body.List, g.with(tg.nilNeqConjuncts(st.Cond)))
-		if st.Else != nil {
-			if key, ok := tg.nilEqualCheck(st.Cond); ok {
-				// else of `x == nil` means x is non-nil.
-				tg.stmt(st.Else, g.with([]string{key}))
-			} else {
-				tg.stmt(st.Else, g)
-			}
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			tg.stmt(st.Init, g)
-		}
-		if st.Cond != nil {
-			tg.exprs(st.Cond, g)
-		}
-		if st.Post != nil {
-			tg.stmt(st.Post, g)
-		}
-		tg.block(st.Body.List, g)
-	case *ast.RangeStmt:
-		tg.exprs(st.X, g)
-		tg.block(st.Body.List, g)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			tg.stmt(st.Init, g)
-		}
-		if st.Tag != nil {
-			tg.exprs(st.Tag, g)
-		}
-		for _, cc := range st.Body.List {
-			if c, ok := cc.(*ast.CaseClause); ok {
-				for _, e := range c.List {
-					tg.exprs(e, g)
-				}
-				tg.block(c.Body, g)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if st.Init != nil {
-			tg.stmt(st.Init, g)
-		}
-		tg.stmt(st.Assign, g)
-		for _, cc := range st.Body.List {
-			if c, ok := cc.(*ast.CaseClause); ok {
-				tg.block(c.Body, g)
-			}
-		}
-	case *ast.LabeledStmt:
-		tg.stmt(st.Stmt, g)
-	default:
-		tg.exprs(s, g)
-	}
-}
-
-// exprs inspects a leaf statement or expression for calls, checking each
-// against the current guard set.  Function literal bodies start from an
-// empty set: the literal may run after the guard's scope.
-func (tg *traceguard) exprs(n ast.Node, g guardSet) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(x ast.Node) bool {
-		switch e := x.(type) {
-		case *ast.FuncLit:
-			saved := tg.recv
-			tg.block(e.Body.List, guardSet{})
-			tg.recv = saved
-			return false
-		case *ast.CallExpr:
-			tg.checkCall(e, g)
+		stack = append(stack, n)
+		if call, ok := n.(*ast.CallExpr); ok {
+			fn(call, stack)
 		}
 		return true
 	})
 }
 
-func (tg *traceguard) checkCall(call *ast.CallExpr, g guardSet) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	p := tg.p
-	// Direct Record on a trace.Recorder value.
-	if sel.Sel.Name == "Record" && isRecorderType(p.TypesInfo.TypeOf(sel.X)) {
-		key, root, fields, ok := pathOf(p, sel.X)
-		if !ok {
-			tg.flag(call, "trace.Recorder emission")
-			return
-		}
-		if g[key] {
-			return
-		}
-		suffix := "." + strings.Join(fields, ".")
-		if tg.collect != nil {
-			tg.collect(call, root, suffix)
-			return
-		}
-		if root != nil && root == tg.recv && len(fields) > 0 {
-			// The helper's own excused site; callers must guard.
-			return
-		}
-		tg.flag(call, "trace.Recorder emission")
-		return
-	}
-	// Call to a known emit helper.
-	fn, _ := p.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if fn == nil {
-		return
-	}
-	suffix, isHelper := tg.helpers[fn]
-	if !isHelper || tg.collect != nil {
-		return
-	}
-	key, _, _, ok := pathOf(p, sel.X)
-	if !ok || !g[key+suffix] {
-		tg.flag(call, fmt.Sprintf("call to emit helper %s", fn.Name()))
-	}
-}
-
-func (tg *traceguard) flag(call *ast.CallExpr, what string) {
-	p := tg.p
-	m := p.markerAt(markerUnguarded, call.Pos())
-	if m != nil && !m.justified() {
-		p.reportBare(m, call.Pos(), "a justification explaining why the recorder is provably non-nil here is required")
-		return
-	}
-	if m != nil {
-		m.use()
-		return
-	}
-	p.Reportf(call.Pos(), "%s is not dominated by a rec != nil guard: wrap it in `if <rec> != nil { ... }` or annotate with //wormlint:unguarded <why>", what)
-}
-
-// nilNeqConjuncts returns the path keys of every `x != nil` conjunct of
-// cond (split across &&).
-func (tg *traceguard) nilNeqConjuncts(cond ast.Expr) []string {
-	var keys []string
-	var split func(e ast.Expr)
-	split = func(e ast.Expr) {
-		switch b := ast.Unparen(e).(type) {
-		case *ast.BinaryExpr:
-			if b.Op == token.LAND {
-				split(b.X)
-				split(b.Y)
-				return
+// guarded reports whether the last node of stack runs only while the
+// recorder path key is non-nil: it sits in the body of an enclosing
+// `if key != nil` (or of an if with such a conjunct), in the else branch
+// of an enclosing `if key == nil`, or after an `if key == nil { return }`
+// earlier in an enclosing block.  The check stops at a function literal:
+// the closure may run after the guard's scope.
+func guarded(p *Pass, stack []ast.Node, key string) bool {
+	for i := len(stack) - 1; i > 0; i-- {
+		child := stack[i]
+		var before []ast.Stmt
+		switch parent := stack[i-1].(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.IfStmt:
+			if child == parent.Body && nilTest(p, parent.Cond, key, true) ||
+				child == parent.Else && nilTest(p, parent.Cond, key, false) {
+				return true
 			}
-			if key, neq, ok := tg.nilCheck(b); ok && neq {
-				keys = append(keys, key)
+		case *ast.BlockStmt:
+			before = parent.List
+		case *ast.CaseClause:
+			before = parent.Body
+		}
+		for _, s := range before {
+			if s == child {
+				break
+			}
+			if is, ok := s.(*ast.IfStmt); ok && terminates(is.Body) && nilTest(p, is.Cond, key, false) {
+				return true
 			}
 		}
 	}
-	split(cond)
-	return keys
+	return false
 }
 
-// nilEqualCheck reports cond being exactly `x == nil` and returns x's key.
-func (tg *traceguard) nilEqualCheck(cond ast.Expr) (string, bool) {
+// nilTest reports whether cond tests the path key against nil: with neq,
+// whether a conjunct of cond (split across &&) is `key != nil`; without,
+// whether cond is exactly `key == nil`.
+func nilTest(p *Pass, cond ast.Expr, key string, neq bool) bool {
 	b, ok := ast.Unparen(cond).(*ast.BinaryExpr)
 	if !ok {
-		return "", false
+		return false
 	}
-	key, neq, ok := tg.nilCheck(b)
-	return key, ok && !neq
-}
-
-// nilCheck decomposes `x != nil` / `x == nil` into x's path key.
-func (tg *traceguard) nilCheck(b *ast.BinaryExpr) (key string, neq, ok bool) {
-	if b.Op != token.NEQ && b.Op != token.EQL {
-		return "", false, false
+	if neq && b.Op == token.LAND {
+		return nilTest(p, b.X, key, true) || nilTest(p, b.Y, key, true)
+	}
+	op := token.EQL
+	if neq {
+		op = token.NEQ
+	}
+	if b.Op != op {
+		return false
 	}
 	x, y := ast.Unparen(b.X), ast.Unparen(b.Y)
-	if isNilIdent(tg.p, x) {
+	if isNilIdent(p, x) {
 		x, y = y, x
 	}
-	if !isNilIdent(tg.p, y) {
-		return "", false, false
-	}
-	key, _, _, pok := pathOf(tg.p, x)
-	return key, b.Op == token.NEQ, pok
+	k, _, _, ok := pathOf(p, x)
+	return ok && isNilIdent(p, y) && k == key
 }
 
 func isNilIdent(p *Pass, e ast.Expr) bool {
@@ -367,15 +222,6 @@ func pathOf(p *Pass, e ast.Expr) (key string, root types.Object, fields []string
 	return "", nil, nil, false
 }
 
-// receiverObj returns the object of fd's receiver identifier, or nil for
-// plain functions and anonymous receivers.
-func receiverObj(p *Pass, fd *ast.FuncDecl) types.Object {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return nil
-	}
-	return p.TypesInfo.Defs[fd.Recv.List[0].Names[0]]
-}
-
 // isRecorderType reports whether t is the trace.Recorder interface.
 func isRecorderType(t types.Type) bool {
 	named, ok := t.(*types.Named)
@@ -385,7 +231,7 @@ func isRecorderType(t types.Type) bool {
 	if _, isIface := named.Underlying().(*types.Interface); !isIface {
 		return false
 	}
-	return isTracePkg(named.Obj().Pkg().Path())
+	return under(named.Obj().Pkg().Path(), "internal/trace")
 }
 
 // terminates reports whether a block's last statement unconditionally

@@ -27,15 +27,13 @@ var wallclockForbidden = map[string]bool{
 // host speed and scheduling.  The sweep engine and the benchmark CLIs are
 // out of scope by construction and keep their progress/elapsed timing.
 var WallClock = &Analyzer{
-	Name: "wallclock",
-	Doc:  "forbids time.Now/Since/Sleep and timers in deterministic packages",
-	Run:  runWallClock,
+	Name:  "wallclock",
+	Doc:   "forbids time.Now/Since/Sleep and timers in deterministic packages",
+	Scope: deterministicScope,
+	Run:   runWallClock,
 }
 
 func runWallClock(p *Pass) error {
-	if !InScope(p.Pkg.Path()) {
-		return nil
-	}
 	p.walk(func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {

@@ -72,6 +72,42 @@ func TestRootMatchesUpdownDefault(t *testing.T) {
 	}
 }
 
+// TestMapperFeedsRoutingOnEveryTopology labels up/down from the root the
+// mapper elects and checks the table it yields: every host-to-next-host
+// route is a legal up*/down* path and the table is deadlock-free.
+func TestMapperFeedsRoutingOnEveryTopology(t *testing.T) {
+	for name, g := range map[string]*topology.Graph{
+		"torus8x8":   topology.Torus(8, 8, 1, 1),
+		"shufflenet": topology.BidirShufflenet(2, 3, 1000),
+		"myrinet4":   topology.Myrinet4(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, err := Run(g, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ud, err := updown.New(g, m.Root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := ud.NewTable(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hosts := g.Hosts()
+			for i := 0; i < len(hosts); i++ {
+				rt := tbl.Lookup(hosts[i], hosts[(i+1)%len(hosts)])
+				if err := ud.VerifyRoute(rt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tbl.Prove(g, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestConvergenceTimeScalesWithDelay(t *testing.T) {
 	fast, err := Run(topology.Ring(6, 1), nil)
 	if err != nil {

