@@ -70,7 +70,7 @@ func TestAuditPackage(t *testing.T) {
 	}{
 		{18, "stale //wormlint:ordered marker"},
 		{25, "unknown //wormlint:bogus marker"},
-		{31, "stale //wormlint:ordered marker"},
+		{31, "bare //wormlint:ordered marker excuses no maporder diagnostic"},
 	}
 	if len(diags) != len(want) {
 		t.Fatalf("got %d audit diagnostics, want %d: %v", len(diags), len(want), diags)

@@ -122,7 +122,8 @@ func (p *Pass) excused(name string, pos token.Pos, why string) (found, justified
 // AuditPackage runs the analyzers over one package with reporting
 // swallowed, purely for their marker-use side effects, then reports every
 // marker that excused nothing: stale escape hatches that outlived the
-// code they excused, and markers with unknown names.  The returned
+// code they excused, bare markers (no justification) that never excused
+// anything, and markers with unknown names.  The returned
 // diagnostics carry the pseudo-analyzer name "audit".
 func AuditPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
 	markers, err := runSuite(fset, files, pkg, info, analyzers, func(Diagnostic) {})
@@ -136,9 +137,12 @@ func AuditPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 		}
 		an, known := markerAnalyzer[m.name]
 		var msg string
-		if !known {
+		switch {
+		case !known:
 			msg = "unknown //wormlint:" + m.name + " marker (known: " + knownMarkerList() + ")"
-		} else {
+		case m.justification == "":
+			msg = "bare //wormlint:" + m.name + " marker excuses no " + an + " diagnostic — remove it"
+		default:
 			msg = "stale //wormlint:" + m.name + " marker: it no longer suppresses any " + an + " diagnostic — remove it"
 		}
 		diags = append(diags, Diagnostic{Analyzer: "audit", Pos: m.pos, Message: msg})

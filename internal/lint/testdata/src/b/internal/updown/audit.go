@@ -25,7 +25,7 @@ func StaleMarker(m map[int]int) []int {
 //wormlint:bogus not a marker the tool knows
 func Unknown() {}
 
-// A bare marker on a loop with no finding excuses nothing, so it is stale.
+// A bare marker on a loop with no finding never excused anything.
 func BareOnKeyCollect(m map[int]int) []int {
 	ks := make([]int, 0, len(m))
 	//wormlint:ordered

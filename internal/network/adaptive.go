@@ -91,7 +91,30 @@ func NewAdaptiveTable(g *topology.Graph, ud *updown.Routing) (*AdaptiveTable, er
 		t.hostPort[hi] = swPort
 	}
 	// Per destination host: BFS switch distances over surviving links, then
-	// candidates (strictly distance-decreasing ports).
+	// candidates (strictly distance-decreasing ports), carved from one
+	// slab.  A cable is distance-decreasing in at most one direction, so
+	// a host has at most one candidate per live switch-to-switch cable:
+	// sized so, the slab never moves (on a bipartite fabric such as an
+	// even torus it is exact).
+	sws := g.Switches()
+	reachable, wires := 0, 0
+	for _, h := range hosts {
+		if ud.Reachable(h) {
+			reachable++
+		}
+	}
+	for _, sw := range sws {
+		if fail.SwitchDead(sw) {
+			continue
+		}
+		for pi, p := range g.Node(sw).Ports {
+			if p.Wired() && g.Node(p.Peer).Kind == topology.Switch && !fail.SwitchDead(p.Peer) &&
+				!fail.LinkDead(g, sw, topology.PortID(pi)) {
+				wires++ // each cable twice, once from each end
+			}
+		}
+	}
+	candSlab := make([]topology.PortID, 0, reachable*(wires+1)/2)
 	dist := make([]int, len(g.Nodes))
 	queue := make([]topology.NodeID, 0, len(g.Nodes))
 	for hi, h := range hosts {
@@ -120,11 +143,11 @@ func NewAdaptiveTable(g *topology.Graph, ud *updown.Routing) (*AdaptiveTable, er
 				}
 			}
 		}
-		for _, sw := range g.Switches() {
+		for _, sw := range sws {
 			if dist[sw] <= 0 || fail.SwitchDead(sw) {
 				continue // the attach switch delivers; cut-off switches drop
 			}
-			var cs []topology.PortID
+			start := len(candSlab)
 			for pi, p := range g.Node(sw).Ports {
 				if !p.Wired() || g.Node(p.Peer).Kind != topology.Switch {
 					continue
@@ -133,14 +156,25 @@ func NewAdaptiveTable(g *topology.Graph, ud *updown.Routing) (*AdaptiveTable, er
 					continue
 				}
 				if dist[p.Peer] >= 0 && dist[p.Peer] == dist[sw]-1 {
-					cs = append(cs, topology.PortID(pi))
+					candSlab = append(candSlab, topology.PortID(pi))
 				}
 			}
-			t.cands[int(sw)*t.nh+hi] = cs
+			if len(candSlab) > start {
+				t.cands[int(sw)*t.nh+hi] = candSlab[start:len(candSlab):len(candSlab)]
+			}
 		}
 	}
-	// Escapes: the labelling's own escape rows, the routes its proof reads.
-	for _, row := range ud.Escapes() {
+	// Escapes: the labelling's own escape rows, the routes its proof reads,
+	// encoded into one exactly sized slab.
+	rows := ud.Escapes()
+	escBytes := 0
+	for _, row := range rows {
+		for _, rt := range row {
+			escBytes += len(rt.Ports)
+		}
+	}
+	escSlab := make([]byte, 0, escBytes)
+	for _, row := range rows {
 		for _, rt := range row {
 			for _, p := range rt.Ports {
 				if int(p) > route.MaxVCPort {
@@ -150,11 +184,12 @@ func NewAdaptiveTable(g *topology.Graph, ud *updown.Routing) (*AdaptiveTable, er
 						rt.Src, rt.Dst, p, route.MaxVCPort)
 				}
 			}
-			esc, err := route.EncodeUnicast(rt.Ports)
-			if err != nil {
+			start := len(escSlab)
+			var err error
+			if escSlab, err = route.AppendUnicast(escSlab, rt.Ports); err != nil {
 				return nil, fmt.Errorf("network: escape route %d->%d: %w", rt.Src, rt.Dst, err)
 			}
-			t.escape[int(rt.Src)*t.nh+int(t.hostIdx[rt.Dst])] = esc
+			t.escape[int(rt.Src)*t.nh+int(t.hostIdx[rt.Dst])] = escSlab[start:len(escSlab):len(escSlab)]
 		}
 	}
 	return t, nil

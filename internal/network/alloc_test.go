@@ -26,17 +26,17 @@ import (
 const allocPayload = 256
 
 // newAllocRig builds a two-switch line fabric with nvc lanes per link and
-// returns a step function that injects one pooled worm from the first host
-// to the second and runs the kernel until it is delivered (and its pooled
-// storage reclaimed).  Plain port-byte routes ride lane 0, so the same pin
+// a trunk cable delay byte-times long, and returns it with a step function
+// that injects one pooled worm from the first host to the second and runs
+// the kernel until it is delivered (and its pooled storage reclaimed).  Plain port-byte routes ride lane 0, so the same pin
 // holds at every lane count: extra lanes must cost state, not allocations.
 // With adaptive set, the worm instead carries the route-anywhere marker
 // byte and every hop runs the per-tick adaptive output selection — the
 // pin extends to the Duato escape-lane path.
-func newAllocRig(tb testing.TB, nvc int, adaptive bool) func() {
+func newAllocRig(tb testing.TB, nvc int, delay int64, adaptive bool) (*Fabric, func()) {
 	tb.Helper()
 	k := des.NewKernel()
-	g := topology.Line(2, 1)
+	g := topology.Line(2, delay)
 	ud, err := updown.New(g, topology.None)
 	if err != nil {
 		tb.Fatal(err)
@@ -72,7 +72,7 @@ func newAllocRig(tb testing.TB, nvc int, adaptive bool) func() {
 		}
 	}
 	var id int64
-	return func() {
+	return f, func() {
 		id++
 		w := pool.Get()
 		w.ID = id
@@ -94,7 +94,7 @@ func newAllocRig(tb testing.TB, nvc int, adaptive bool) func() {
 func TestDeliveredWormZeroAlloc(t *testing.T) {
 	for _, nvc := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("vcs=%d", nvc), func(t *testing.T) {
-			step := newAllocRig(t, nvc, false)
+			_, step := newAllocRig(t, nvc, 1, false)
 			// Warm the one-time capacities (host queue, port request
 			// slices, event heap) that legitimately allocate on first use.
 			for i := 0; i < 8; i++ {
@@ -105,10 +105,29 @@ func TestDeliveredWormZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+	// A long cable: the trunk's run ring grows while the first worms mix
+	// header, payload, tail and gaps on the wire, and never after, so the
+	// warmed-up steady state allocates nothing either.
+	t.Run("line300", func(t *testing.T) {
+		f, step := newAllocRig(t, 1, 300, false)
+		for i := 0; i < 8; i++ {
+			step()
+		}
+		grown := false
+		for _, l := range f.links {
+			grown = grown || len(l.runs) > 1
+		}
+		if !grown {
+			t.Fatal("no run ring grew during warm-up: the pin would not cover ring growth")
+		}
+		if avg := testing.AllocsPerRun(100, step); avg != 0 {
+			t.Fatalf("delivering a worm over a 300-byte-time cable allocated %v times, want 0", avg)
+		}
+	})
 	// The escape-lane path: marker-byte routing through adaptiveSelect at
 	// every hop must stay allocation-free too.
 	t.Run("adaptive", func(t *testing.T) {
-		step := newAllocRig(t, 2, true)
+		_, step := newAllocRig(t, 2, 1, true)
 		for i := 0; i < 8; i++ {
 			step()
 		}
@@ -121,7 +140,7 @@ func TestDeliveredWormZeroAlloc(t *testing.T) {
 func BenchmarkDeliveredWormAllocs(b *testing.B) {
 	for _, nvc := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("vcs=%d", nvc), func(b *testing.B) {
-			step := newAllocRig(b, nvc, false)
+			_, step := newAllocRig(b, nvc, 1, false)
 			for i := 0; i < 8; i++ {
 				step()
 			}
@@ -135,7 +154,7 @@ func BenchmarkDeliveredWormAllocs(b *testing.B) {
 	// Named "adaptive" (not "vcs=N"): the vcs=N entries are the
 	// deterministic-route lane sweep; this one adds the per-hop choice.
 	b.Run("adaptive", func(b *testing.B) {
-		step := newAllocRig(b, 2, true)
+		_, step := newAllocRig(b, 2, 1, true)
 		for i := 0; i < 8; i++ {
 			step()
 		}

@@ -8,7 +8,7 @@ package network
 // every transmitting host emits one, every receiving host absorbs one.
 // Payload flits carry no modelled content (Flit{W, Payload, VC}), so such
 // a tick moves no discrete state — no route, arbitration, STOP/GO change,
-// nap, tail or header — only pipeline slots and a handful of monotone
+// nap, tail or header — only pipeline contents and a handful of monotone
 // counters.  A run of such ticks can therefore be applied in one step
 // instead of being simulated byte by byte.
 //
@@ -43,20 +43,24 @@ package network
 //     window.
 //   - link (validated: live, ctrlTrues == 0, stopMask == 0): the reverse
 //     ring is uniformly GO and stays so (no receiver's fill moves), so the
-//     sender's view never changes.  The due slots of ticks now …
-//     now+min(n, delay)−1 are the pipe's current contents; the window
-//     ends at the first due flit the receiver does not absorb — a
-//     non-payload or Bad flit, or a flit for a lane or worm the receiver
-//     is not bound to or reassembling — and, when the receiving port has
-//     a bound lane, at the first empty due slot: that bubble would nap
-//     the relay (or shrink its fill).  A port with two bound lanes starves
-//     one of them, so it declines outright.  Past one delay, a fed link
-//     delivers its own window sends, which the receiver must absorb as
-//     well; an unfed link has drained, which caps the window at delay
-//     when it feeds a bound lane.  Apply clears each delivered slot,
-//     writes the fed flit into each slot a send refills, and keeps the
-//     arrival bits, inFlight, linkAct and settle in step with what the
-//     per-tick deliver and send would leave.
+//     sender's view never changes.  Ticks now … now+min(n, delay)−1
+//     deliver the flits sent delay ticks earlier, which are the pipe's
+//     current runs (link.go): the run starting at send tick t arrives at
+//     window offset t−(now−delay), and a gap between runs is that many
+//     bubbles, empty due slots.  The window ends at the first run the
+//     receiver does not absorb — a non-payload or Bad flit, or a flit for
+//     a lane or worm the receiver is not bound to or reassembling — and,
+//     when the receiving port has a bound lane, at the first bubble: it
+//     would nap the relay (or shrink its fill).  A port with two bound
+//     lanes starves one of them, so it declines outright.  Past one delay,
+//     a fed link delivers its own window sends, which the receiver must
+//     absorb as well; an unfed link has drained, which caps the window at
+//     delay when it feeds a bound lane.  Apply consumes the due runs
+//     (clearing their arrival bits unless a send refills the slot), fills
+//     the bubbles' bits on a fed link and appends the fed flit as one run
+//     of the last min(n, delay) sends, and keeps inFlight, linkAct and
+//     settle in step with what the per-tick deliver and send would leave.
+//     Validation and apply cost one step per run, not per byte-time.
 //   - receiving host (validated by its link: mid-reassembly of exactly the
 //     worm whose payload arrives): Reassembler.AdvancePayload replaces the
 //     Feed calls, RxProgress and FlitsDelivered advance as in
@@ -223,7 +227,7 @@ func (f *Fabric) dueWindow(now des.Time, max des.Time) des.Time {
 	for wi := range f.linkAct.words {
 		for w := f.linkAct.words[wi] | f.fed.words[wi]; w != 0; w &= w - 1 {
 			li := wi<<6 + bits.TrailingZeros64(w)
-			if n = f.links[li].dueCap(n, f.fed.has(li)); n == 0 {
+			if n = f.links[li].dueCap(now, n, f.fed.has(li)); n == 0 {
 				return 0
 			}
 		}
@@ -231,11 +235,10 @@ func (f *Fabric) dueWindow(now des.Time, max des.Time) des.Time {
 	return n
 }
 
-// dueCap caps n at the first tick of the window whose delivery on l the
-// receiver would not absorb as a pure shift (see the header); fed says a
-// sender refills l with f.feed[l.id] every tick of the window.  The
-// delay classes' slots must hold now's.
-func (l *dlink) dueCap(n des.Time, fed bool) des.Time {
+// dueCap caps n at the first tick of the window from now whose delivery
+// on l the receiver would not absorb as a pure shift (see the header);
+// fed says a sender refills l with f.feed[l.id] every tick of the window.
+func (l *dlink) dueCap(now, n des.Time, fed bool) des.Time {
 	f := l.f
 	if l.dead || l.ctrlTrues != 0 || l.stopMask != 0 {
 		return 0
@@ -272,19 +275,28 @@ func (l *dlink) dueCap(n des.Time, fed bool) des.Time {
 		return want.W != nil && fl == want
 	}
 
-	c := l.cls
+	// Walk the runs due inside the first delay ticks: the flit sent at
+	// tick base+k arrives at window offset k, and a gap before a run is
+	// that many empty due slots.
 	m := min(n, des.Time(l.delay))
-	for k, s := des.Time(0), c.slot; k < m; k++ {
-		if c.arr[s*c.lw+l.aw]&l.abit == 0 {
-			if !bubbles {
-				return k
-			}
-		} else if !absorbs(l.pipe[s]) {
+	base := now - des.Time(l.delay)
+	k := des.Time(0) // offsets before k are absorbed
+	for i := 0; i < int(l.nruns); i++ {
+		r := l.at(i)
+		off := r.t - base
+		if off >= m {
+			break
+		}
+		if off > k && !bubbles {
 			return k
 		}
-		if s++; s == l.delay {
-			s = 0
+		if !absorbs(r.fl) {
+			return off
 		}
+		k = off + r.n
+	}
+	if k < m && !bubbles {
+		return k
 	}
 	if n > m && (fed && !absorbs(f.feed[l.id]) || !fed && !bubbles) {
 		// Past one delay the arrivals are the window's own sends (or, on
@@ -307,7 +319,7 @@ func (f *Fabric) applyWindow(now, n des.Time) {
 			li := wi<<6 + bits.TrailingZeros64(w)
 			l := f.links[li]
 			fed := f.fed.has(li)
-			got, at := l.shift(n, fed)
+			got, at := l.shift(now, n, fed)
 			if fed {
 				fedLinks++
 			}
@@ -340,38 +352,45 @@ func (f *Fabric) applyWindow(now, n des.Time) {
 	}
 }
 
-// shift applies n window ticks to l's pipeline: the due slots are
-// delivered (cleared, or refilled with f.feed[l.id] when fed), and past
-// one delay a fed link delivers its own sends.  It returns the number of
-// flits delivered and the window offset of the last tick that moved a flit
-// on l (-1: none).
-func (l *dlink) shift(n des.Time, fed bool) (got int, at des.Time) {
+// shift applies the n window ticks from now to l's pipeline: the runs due
+// are delivered, and a fed link's sends refill the slots they vacate (and
+// every bubble) with f.feed[l.id]; past one delay a fed link delivers its
+// own sends.  It returns the number of flits delivered and the window
+// offset of the last tick that moved a flit on l (-1: none).
+func (l *dlink) shift(now, n des.Time, fed bool) (got int, at des.Time) {
 	f := l.f
-	c := l.cls
 	m := min(n, des.Time(l.delay))
+	base := now - des.Time(l.delay) // send tick of the flit due now
+	end := base + m                 // first send tick not due in the window
 	at = -1
-	feed := f.feed[l.id]
-	for k, s := des.Time(0), c.slot; k < m; k++ {
-		word := &c.arr[s*c.lw+l.aw]
-		if *word&l.abit != 0 {
-			got++
-			at = k
-			if !fed {
-				*word &^= l.abit
-				l.pipe[s] = flit.Flit{}
-			}
+	e := base // send ticks before e are accounted for
+	for l.nruns > 0 {
+		r := &l.runs[l.head]
+		if r.t >= end {
+			break
 		}
+		c := min(r.t+r.n, end) - r.t
 		if fed {
-			*word |= l.abit
-			l.pipe[s] = feed
+			l.mark(e, r.t-e, true) // the bubbles before r are refilled
+		} else {
+			l.mark(r.t, c, false)
 		}
-		if s++; s == l.delay {
-			s = 0
+		got += int(c)
+		at = r.t + c - 1 - base
+		e = r.t + c
+		if c < r.n {
+			r.t, r.n = e, r.n-c
+			break
 		}
+		*r = run{}
+		l.head = (l.head + 1) & int32(len(l.runs)-1)
+		l.nruns--
 	}
 	if fed {
 		// Every window slot now holds a flit; the m - got refills of empty
-		// slots are new.
+		// slots are new.  The pipe keeps the last min(n, delay) sends.
+		l.mark(e, end-e, true)
+		l.extend(f.feed[l.id], now+n-m, m)
 		l.inFlight += int(m) - got
 		f.inFlight += int(m) - got
 		l.carried += n

@@ -172,14 +172,51 @@ func (f *Fabric) CorruptOnLink(hint int) bool {
 		if l.dead || l.inFlight == 0 {
 			continue
 		}
-		for s := 0; s < l.delay; s++ {
-			if l.occupied(s) && l.pipe[s].Kind == flit.Payload && !l.pipe[s].Bad {
-				l.pipe[s].Bad = true
-				return true
-			}
+		if l.corrupt() {
+			return true
 		}
 	}
 	return false
+}
+
+// corrupt marks Bad the clean payload flit in l's lowest-numbered occupied
+// slot (send tick mod delay), splitting its run; false when l carries no
+// clean payload flit.  The lowest slot is not always the oldest flit: a
+// run's lowest slot is its first tick's, unless the run wraps past slot 0.
+func (l *dlink) corrupt() bool {
+	d := int64(l.delay)
+	best, bestT, bestS := -1, int64(0), d
+	for i := 0; i < int(l.nruns); i++ {
+		r := l.at(i)
+		if r.fl.Kind != flit.Payload || r.fl.Bad {
+			continue
+		}
+		t := r.t
+		if s := t % d; s+r.n > d {
+			t += d - s
+		}
+		if s := t % d; s < bestS {
+			best, bestT, bestS = i, t, s
+		}
+	}
+	if best < 0 {
+		return false
+	}
+	// Run best becomes up to three: before bestT, the damaged flit, after.
+	r := l.at(best)
+	bad, after := *r, run{r.fl, bestT + 1, r.t + r.n - bestT - 1}
+	bad.fl.Bad, bad.t, bad.n = true, bestT, 1
+	if bestT > r.t {
+		r.n = bestT - r.t
+		best++
+		l.insert(best, bad)
+	} else {
+		*r = bad
+	}
+	if after.n > 0 {
+		l.insert(best+1, after)
+	}
+	return true
 }
 
 // applyLiveness reconciles every directional link's dead flag with the
@@ -201,21 +238,39 @@ func (f *Fabric) applyLiveness() {
 // truncated worm stub at the downstream end with a forward reset.
 func (f *Fabric) killLink(l *dlink) {
 	l.dead = true
-	c := l.cls
-	for s := 0; s < l.delay; s++ {
-		if w := &c.arr[s*c.lw+l.aw]; *w&l.abit != 0 {
-			f.ctr.FlitsDropped++
-			// A worm with any flit still in flight here has lost its tail:
-			// the downstream copy can never complete.  On long links a whole
-			// worm can sit in the pipeline with the sender already done and
-			// the receiver still unaware, so neither endpoint path would
-			// attribute the loss.
-			f.dropWorm(l.pipe[s].W)
-			*w &^= l.abit
-			l.pipe[s] = flit.Flit{}
+	// A worm with any flit still in flight here has lost its tail: the
+	// downstream copy can never complete.  On long links a whole worm can
+	// sit in the pipeline with the sender already done and the receiver
+	// still unaware, so neither endpoint path would attribute the loss.
+	// The flits are dropped in slot order (send tick mod delay): the
+	// in-flight ticks span less than one delay, so the ticks from the
+	// first multiple of delay past the oldest one hold the low slots.
+	if l.nruns > 0 {
+		d := int64(l.delay)
+		wrap := (l.at(0).t/d + 1) * d
+		for _, low := range [2]bool{true, false} {
+			for i := 0; i < int(l.nruns); i++ {
+				r := l.at(i)
+				lo, hi := r.t, r.t+r.n
+				if low {
+					lo = max(lo, wrap)
+				} else {
+					hi = min(hi, wrap)
+				}
+				if lo < hi {
+					f.ctr.FlitsDropped += hi - lo
+					f.dropWorm(r.fl.W)
+				}
+			}
 		}
-		l.ctrl[s] = 0
+		for i := 0; i < int(l.nruns); i++ {
+			r := l.at(i)
+			l.mark(r.t, r.n, false)
+			*r = run{}
+		}
+		l.nruns = 0
 	}
+	clear(l.ctrl)
 	l.ctrlOnes = [4]int32{}
 	l.ctrlTrues = 0
 	f.inFlight -= l.inFlight
@@ -262,10 +317,7 @@ func (f *Fabric) killLink(l *dlink) {
 // reviveLink returns a direction to service with an empty pipeline.
 func (f *Fabric) reviveLink(l *dlink) {
 	l.dead = false
-	for s := 0; s < l.delay; s++ {
-		l.pipe[s] = flit.Flit{}
-		l.ctrl[s] = 0
-	}
+	clear(l.ctrl) // killLink emptied the runs, and a dead link takes no flit
 	l.ctrlOnes = [4]int32{}
 	l.ctrlTrues = 0
 	l.inFlight = 0

@@ -10,17 +10,29 @@ import (
 )
 
 // dlink is one direction of a full-duplex cable.  The forward channel is a
-// pipeline of delay byte-slots; the reverse channel carries the STOP/GO
+// pipeline delay byte-times long; the reverse channel carries the STOP/GO
 // state of the downstream slack buffer with the same propagation delay
 // (Myrinet sends STOP and GO control symbols on the paired return line).
 // With virtual channels (Config.NumVCs > 1) the same physical wire is
-// time-multiplexed between lanes: each forward slot carries one flit tagged
-// with its lane, and each reverse slot carries a per-lane STOP bitmask.
+// time-multiplexed between lanes: each forward byte-time carries one flit
+// tagged with its lane, and each reverse slot carries a per-lane STOP
+// bitmask.
+//
+// The forward pipeline is stored run-length: a cable of delay d holds the
+// flits sent on the last d ticks, and a streaming worm's payload bytes are
+// all one flit value, so a run {flit, first send tick, count} stands for
+// count consecutive sends of that value.  Runs sit in a power-of-two ring
+// in send order; a gap between one run's last send tick and the next
+// run's first is a bubble (empty byte-times on the wire).  The flit sent
+// at tick t still has a slot, t % d, which names its arrival bit and
+// orders the fault paths' walks; only its storage is shared.  A 1000-byte
+// cable streaming one worm therefore holds a handful of runs, not a
+// thousand copies of one payload flit.
+//
 // The field order groups everything the per-tick hot paths touch — flags,
-// the pipeline slices, the slot class, and the flit counters — at the
-// front, so delivery and send stay within the first cachelines; the
-// identity fields used only for construction, stats snapshots, and traces
-// sit at the end.
+// the run ring, the slot class, and the flit counters — at the front, so
+// delivery and send stay within the first cachelines; the identity fields
+// used only for construction, stats snapshots, and traces sit at the end.
 type dlink struct {
 	f *Fabric
 
@@ -40,8 +52,8 @@ type dlink struct {
 	// per tick, so the granted lane is computed once and shared by every
 	// lane's transmit visit.  The grant is a pure function of the current
 	// tick and port state, so it needs no repair on fast-forward or replay.
-	grantTick int64
 	grantVC   int8
+	grantTick int64
 
 	// cls is the link's delay class: the pipeline slot for the current tick
 	// and the arrival bitsets that say which of the class's slots hold a
@@ -52,11 +64,20 @@ type dlink struct {
 	abit  uint64
 	delay int
 
-	// pipe[s] holds the flit written at a tick with now%delay == s; it is
-	// delivered exactly delay ticks later when the slot index comes around
-	// again.  Whether slot s is occupied is this link's bit in the class's
-	// arrival bitset for s (see occupied) — the one record of occupancy.
-	pipe []flit.Flit
+	// runs[head], …, runs[head+nruns-1] (indices mod len(runs), a power
+	// of two) are the flits in flight, oldest first: the head run's first
+	// flit is the next one delivered, exactly delay ticks after it was
+	// sent.  Cells outside that window are zero.  Which slots are occupied
+	// is this link's bit in the class's arrival bitsets (see occupied) —
+	// the one record of occupancy; the runs say what those slots hold.
+	runs  []run
+	head  int32
+	nruns int32
+	// cell is the ring's first storage: runs starts as cell[:], so a link
+	// whose pipe never holds two runs (every delay-1 link) keeps its flit
+	// in the cachelines send and deliver already touch.  grow moves a
+	// longer cable's ring to the heap.
+	cell [1]run
 	// ctrl[s] carries the downstream per-lane STOP wishes written at slot
 	// s (bit v = lane v), read by the sender delay ticks later.
 	ctrl []uint8
@@ -66,8 +87,9 @@ type dlink struct {
 	// with the ring, the link sits in Fabric.settle and is read every tick.
 	ctrlOnes  [4]int32
 	ctrlTrues int
-	// inFlight counts occupied pipeline slots, so the fabric knows the
-	// link still holds data even when no slot is due for delivery.
+	// inFlight counts the flits in flight (the runs' counts summed), so
+	// the fabric knows the link still holds data even when no slot is due
+	// for delivery.
 	inFlight int
 
 	// Exactly one of dstIns/dstHost is non-nil: the resolved delivery
@@ -105,8 +127,82 @@ type delayClass struct {
 	arr   []uint64
 }
 
+// run is n copies of one flit value, sent on the consecutive ticks t,
+// t+1, …, t+n-1.
+type run struct {
+	fl flit.Flit
+	t  int64
+	n  int64
+}
+
 // occupied reports whether pipeline slot s holds a flit.
 func (l *dlink) occupied(s int) bool { return l.cls.arr[s*l.cls.lw+l.aw]&l.abit != 0 }
+
+// at returns the i-th run in flight, oldest first.
+func (l *dlink) at(i int) *run { return &l.runs[(int(l.head)+i)&(len(l.runs)-1)] }
+
+// mark sets (on) or clears this link's arrival bits in the slots of the n
+// send ticks from t on.  A window's first due slot may belong to a tick
+// before 0, whose slot is that of the tick delay later.
+func (l *dlink) mark(t, n int64, on bool) {
+	c := l.cls
+	var set uint64
+	if on {
+		set = l.abit
+	}
+	s := int(t % c.delay)
+	if s < 0 {
+		s += l.delay
+	}
+	for ; n > 0; n-- {
+		w := &c.arr[s*c.lw+l.aw]
+		*w = *w&^l.abit | set
+		if s++; s == l.delay {
+			s = 0
+		}
+	}
+}
+
+// extend appends n copies of fl sent from tick t on, lengthening the tail
+// run when fl continues it.
+func (l *dlink) extend(fl flit.Flit, t, n int64) {
+	if l.nruns > 0 {
+		if r := l.at(int(l.nruns) - 1); r.fl == fl && r.t+r.n == t {
+			r.n += n
+			return
+		}
+	}
+	l.insert(int(l.nruns), run{fl, t, n})
+}
+
+// insert places r at position i of the runs in flight, moving the later
+// ones back by one.
+func (l *dlink) insert(i int, r run) {
+	if int(l.nruns) == len(l.runs) {
+		l.grow()
+	}
+	for j := int(l.nruns); j > i; j-- {
+		*l.at(j) = *l.at(j - 1)
+	}
+	*l.at(i) = r
+	l.nruns++
+}
+
+// grow doubles the run ring, oldest run first.  A ring holds at most one
+// run per byte-time of cable, and grows only when a new mix of headers,
+// tails, payload and gaps first shares the wire, so it stops growing
+// during warm-up and the steady state allocates nothing (the long-cable
+// case of TestDeliveredWormZeroAlloc pins that).
+//
+//wormlint:alloc ring growth, bounded by the cable's delay and over once a link has carried its busiest mix
+func (l *dlink) grow() {
+	runs := make([]run, 2*len(l.runs))
+	for i := 0; i < int(l.nruns); i++ {
+		runs[i] = *l.at(i)
+	}
+	clear(l.runs) // no stale worm pointers left behind, in cell or heap
+	l.runs, l.head = runs, 0
+}
 
 // stopped reports whether lane vc is STOP-backpressured as seen from the
 // sending end.
@@ -148,8 +244,18 @@ func (l *dlink) send(now int64, fl flit.Flit) {
 		panic(fmt.Sprintf("network: double send on link %d.%d->%d.%d at t=%d",
 			l.srcNode, l.srcPort, l.dstNode, l.dstPort, now))
 	}
-	l.pipe[c.slot] = fl
 	*w |= l.abit
+	if l.nruns == 0 {
+		// Empty pipe (a delay-1 link on every send): start the run in
+		// place.
+		r := &l.runs[l.head]
+		r.fl, r.t, r.n = fl, now, 1
+		l.nruns = 1
+	} else if r := l.at(int(l.nruns) - 1); r.fl == fl && r.t+r.n == now {
+		r.n++
+	} else {
+		l.insert(int(l.nruns), run{fl, now, 1})
+	}
 	l.carried++
 	l.inFlight++
 	l.f.inFlight++
@@ -181,10 +287,18 @@ func (l *dlink) deliver(now des.Time) {
 	if w := &c.arr[slot*c.lw+l.aw]; *w&l.abit != 0 {
 		*w &^= l.abit
 		f.moved = true
-		fl := l.pipe[slot]
+		// The due flit is the head run's first, sent delay ticks ago.
+		r := &l.runs[l.head]
+		fl := r.fl
+		if r.n--; r.n == 0 {
+			r.fl, r.t = flit.Flit{}, 0
+			l.head = (l.head + 1) & int32(len(l.runs)-1)
+			l.nruns--
+		} else {
+			r.t++
+		}
 		l.inFlight--
 		f.inFlight--
-		l.pipe[slot] = flit.Flit{}
 		switch {
 		case fl.Kind == flit.Hello:
 			// Control symbol: consumed here, never enters slack buffers or

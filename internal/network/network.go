@@ -355,24 +355,27 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 			f.hosts[ni] = &hostIf{node: n.ID, f: f}
 		}
 	}
-	// The per-link pipeline rings and per-lane slack rings are carved from
-	// shared slabs: one allocation each instead of several per link, and
-	// the rings end up cache-adjacent in construction order.
-	var nLinks, pipeFlits, ctrlSlots, slackFlits int
+	// The links, their reverse-channel rings and the per-lane slack rings
+	// are carved from shared slabs: one allocation each instead of several
+	// per link, and the rings end up cache-adjacent in construction order.
+	// A link's run ring starts as its one inline cell (all a delay-1 link
+	// ever needs) and grows on its own when a longer cable first holds
+	// more than one run.
+	var nLinks, ctrlSlots, slackFlits int
 	for ni := range g.Nodes {
 		for _, p := range g.Nodes[ni].Ports {
 			if !p.Wired() {
 				continue
 			}
 			nLinks++
-			pipeFlits += int(p.Delay)
 			ctrlSlots += int(p.Delay)
 			if f.sw[p.Peer] != nil {
 				slackFlits += nvc * (f.Cfg.StopMark + 2*int(p.Delay))
 			}
 		}
 	}
-	pipeSlab := make([]flit.Flit, pipeFlits)
+	linkSlab := make([]dlink, nLinks)
+	f.links = make([]*dlink, 0, nLinks)
 	ctrlSlab := make([]uint8, ctrlSlots)
 	slackSlab := make([]flit.Flit, slackFlits)
 	lw := (nLinks + 63) / 64
@@ -383,7 +386,8 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 			if !p.Wired() {
 				continue
 			}
-			l := &dlink{
+			l := &linkSlab[len(f.links)]
+			*l = dlink{
 				f:       f,
 				id:      len(f.links),
 				delay:   int(p.Delay),
@@ -392,7 +396,7 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 			}
 			l.grantTick = -1
 			l.aw, l.abit = l.id>>6, 1<<uint(l.id&63)
-			l.pipe, pipeSlab = pipeSlab[:l.delay:l.delay], pipeSlab[l.delay:]
+			l.runs = l.cell[:]
 			l.ctrl, ctrlSlab = ctrlSlab[:l.delay:l.delay], ctrlSlab[l.delay:]
 			f.links = append(f.links, l)
 			if s := f.sw[ni]; s != nil {
@@ -421,24 +425,24 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 		}
 	}
 	// One delay class per distinct delay, in first-seen link order, each
-	// with its slab of delay slot-major arrival bitsets.
-	classOf := make([]int, len(f.links))
-	for i, l := range f.links {
-		classOf[i] = -1
+	// with its slab of delay slot-major arrival bitsets.  Links point at
+	// their class once f.classes has stopped growing.
+	classOf := func(l *dlink) int {
 		for c := range f.classes {
 			if f.classes[c].delay == int64(l.delay) {
-				classOf[i] = c
-				break
+				return c
 			}
 		}
-		if classOf[i] < 0 {
-			classOf[i] = len(f.classes)
+		return -1
+	}
+	for _, l := range f.links {
+		if classOf(l) < 0 {
 			f.classes = append(f.classes, delayClass{delay: int64(l.delay), lw: lw,
 				arr: make([]uint64, l.delay*lw)})
 		}
 	}
-	for i, l := range f.links {
-		l.cls = &f.classes[classOf[i]]
+	for _, l := range f.links {
+		l.cls = &f.classes[classOf(l)]
 	}
 	f.linkAct = newBitset(len(f.links))
 	f.fed = newBitset(len(f.links))

@@ -175,7 +175,7 @@ func TestKillLinkDropsWormOnUpperLane(t *testing.T) {
 	r.k.At(20, func() {
 		s := r.f.sw[s0]
 		o := &s.out[1] // trunk (port 0), lane 1
-		if !o.link.occupied(0) || o.link.pipe[0].W != w || o.boundIn < 0 || s.in[o.boundIn].worm != w {
+		if !o.link.occupied(0) || o.link.at(0).fl.W != w || o.boundIn < 0 || s.in[o.boundIn].worm != w {
 			t.Fatal("worm is not both in the trunk's pipeline and bound at s0's lane 1")
 		}
 		if err := r.f.FailLink(s0, 0); err != nil {

@@ -14,6 +14,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wormlan/internal/des"
 	"wormlan/internal/flit"
@@ -44,24 +45,24 @@ func (f *Fabric) wormfail(now des.Time, format string, args ...any) {
 	panic(fmt.Sprintf("network: wormcheck t=%d: %s", now, fmt.Sprintf(format, args...)))
 }
 
-// checkLinks: pipeline occupancy counters and reverse-channel STOP counts
-// must equal direct recounts of the rings (occupancy being the arrival
-// bits), empty slots must be zeroed, a link outside the settle set must
-// read a uniform ring, and a link still holding state must be in the
-// active set.
+// checkLinks: the run rings must be well formed and agree with the
+// arrival bits and the occupancy counters, reverse-channel STOP counts
+// must equal a direct recount of the ring, a link outside the settle set
+// must read a uniform ring, and a link still holding state must be in the
+// active set.  The runs are recounted, not the slots: each run must be
+// non-empty and begin after the previous one ends, all of them inside the
+// last delay ticks; their counts must sum to inFlight; every tick they
+// cover must have its slot's arrival bit set, and the bits set across all
+// classes must number exactly the fabric's inFlight, so no bit is set
+// outside a run; and the ring cells outside the runs must be zero.
 func (f *Fabric) checkLinks(now des.Time) {
 	total := 0
 	for _, l := range f.links {
-		occ := 0
-		for s := 0; s < l.delay; s++ {
-			if l.occupied(s) {
-				occ++
-			}
-		}
-		total += occ
-		if occ != l.inFlight {
-			f.wormfail(now, "link %d.%d->%d.%d inFlight=%d but %d arrival bits set",
-				l.srcNode, l.srcPort, l.dstNode, l.dstPort, l.inFlight, occ)
+		flits := l.checkRuns(now)
+		total += l.inFlight
+		if flits != l.inFlight {
+			f.wormfail(now, "link %d.%d->%d.%d inFlight=%d but its runs hold %d flits",
+				l.srcNode, l.srcPort, l.dstNode, l.dstPort, l.inFlight, flits)
 		}
 		if !f.settle.has(l.id) && !l.settled() {
 			f.wormfail(now, "link %d.%d->%d.%d outside the settle set with ctrlOnes=%v stopMask=%#x: its ring would not be read",
@@ -77,16 +78,11 @@ func (f *Fabric) checkLinks(now des.Time) {
 			continue
 		}
 		var ones [4]int32
-		for s := 0; s < l.delay; s++ {
-			if !l.occupied(s) && l.pipe[s] != (flit.Flit{}) {
-				f.wormfail(now, "link %d.%d->%d.%d slot %d unoccupied but not zeroed",
-					l.srcNode, l.srcPort, l.dstNode, l.dstPort, s)
-			}
-			for v := uint8(0); v < 4; v++ {
-				if l.ctrl[s]>>v&1 != 0 {
-					ones[v]++
-				}
-			}
+		for _, b := range l.ctrl {
+			ones[0] += int32(b & 1)
+			ones[1] += int32(b >> 1 & 1)
+			ones[2] += int32(b >> 2 & 1)
+			ones[3] += int32(b >> 3 & 1)
 		}
 		trues := 0
 		for v := 0; v < 4; v++ {
@@ -106,8 +102,51 @@ func (f *Fabric) checkLinks(now des.Time) {
 		}
 	}
 	if total != f.inFlight {
-		f.wormfail(now, "fabric inFlight=%d but %d arrival bits set in total", f.inFlight, total)
+		f.wormfail(now, "fabric inFlight=%d but its links hold %d flits in total", f.inFlight, total)
 	}
+	bitsSet := 0
+	for i := range f.classes {
+		for _, w := range f.classes[i].arr {
+			bitsSet += bits.OnesCount64(w)
+		}
+	}
+	if bitsSet != f.inFlight {
+		f.wormfail(now, "fabric inFlight=%d but %d arrival bits set in total", f.inFlight, bitsSet)
+	}
+}
+
+// checkRuns validates l's run ring at the end of tick now and returns the
+// number of flits its runs hold.
+func (l *dlink) checkRuns(now des.Time) int {
+	f := l.f
+	if len(l.runs) == 0 || len(l.runs)&(len(l.runs)-1) != 0 || int(l.nruns) > len(l.runs) || int(l.head) >= len(l.runs) {
+		f.wormfail(now, "link %d.%d->%d.%d run ring has %d cells (head %d) holding %d runs: not a power-of-two ring",
+			l.srcNode, l.srcPort, l.dstNode, l.dstPort, len(l.runs), l.head, l.nruns)
+	}
+	flits := 0
+	next := now - des.Time(l.delay) + 1 // the oldest send tick still in flight
+	for i := 0; i < int(l.nruns); i++ {
+		r := l.at(i)
+		if r.n < 1 || r.t < next || r.t+r.n > now+1 {
+			f.wormfail(now, "link %d.%d->%d.%d run %d covers ticks %d..%d, want a non-empty run after %d and by %d: runs out of send order or past the cable",
+				l.srcNode, l.srcPort, l.dstNode, l.dstPort, i, r.t, r.t+r.n-1, next-1, now)
+		}
+		for t := r.t; t < r.t+r.n; t++ {
+			if s := int(t % int64(l.delay)); !l.occupied(s) {
+				f.wormfail(now, "link %d.%d->%d.%d run %d holds the flit sent at %d but slot %d has no arrival bit",
+					l.srcNode, l.srcPort, l.dstNode, l.dstPort, i, t, s)
+			}
+		}
+		flits += int(r.n)
+		next = r.t + r.n
+	}
+	for i := int(l.nruns); i < len(l.runs); i++ {
+		if *l.at(i) != (run{}) {
+			f.wormfail(now, "link %d.%d->%d.%d ring cell %d outside the runs is not zeroed",
+				l.srcNode, l.srcPort, l.dstNode, l.dstPort, (int(l.head)+i)&(len(l.runs)-1))
+		}
+	}
+	return flits
 }
 
 // checkSwitches: slack occupancy windows, post-publish STOP/GO wish

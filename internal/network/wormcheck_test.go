@@ -64,7 +64,54 @@ func TestWormcheckDetectsCorruption(t *testing.T) {
 	})
 	t.Run("link-inflight", func(t *testing.T) {
 		r := build()
-		mustWormfail(t, r, "arrival bits set", func() { r.f.links[0].inFlight++ })
+		mustWormfail(t, r, "runs hold", func() { r.f.links[0].inFlight++ })
+	})
+	// The run ring: out of send order, a run whose slot lost its arrival
+	// bit, a bit set outside every run, a stale cell, a ring that is not a
+	// power of two.
+	inFlightLink := func(r *rig) *dlink {
+		for _, l := range r.f.links {
+			if l.nruns > 0 {
+				return l
+			}
+		}
+		t.Fatal("no link in flight")
+		return nil
+	}
+	t.Run("run-order", func(t *testing.T) {
+		r := build()
+		mustWormfail(t, r, "out of send order", func() { inFlightLink(r).at(0).t-- })
+	})
+	t.Run("run-bit", func(t *testing.T) {
+		r := build()
+		mustWormfail(t, r, "no arrival bit", func() {
+			l := inFlightLink(r)
+			l.mark(l.at(0).t, 1, false)
+		})
+	})
+	t.Run("stray-bit", func(t *testing.T) {
+		r := build()
+		mustWormfail(t, r, "arrival bits set", func() {
+			c := &r.f.classes[0]
+			c.arr[len(c.arr)-1] |= 1 << 63
+		})
+	})
+	t.Run("run-cell", func(t *testing.T) {
+		r := build()
+		mustWormfail(t, r, "not zeroed", func() {
+			l := inFlightLink(r)
+			l.grow()
+			l.at(int(l.nruns)).n = 1
+		})
+	})
+	t.Run("run-ring", func(t *testing.T) {
+		r := build()
+		mustWormfail(t, r, "power-of-two", func() {
+			l := inFlightLink(r)
+			l.grow()
+			l.grow()
+			l.runs = l.runs[:3]
+		})
 	})
 	t.Run("fabric-inflight", func(t *testing.T) {
 		r := build()

@@ -270,14 +270,19 @@ func Decode(h []byte) (*Tree, error) {
 
 // EncodeUnicast renders a unicast route as its port-byte sequence.
 func EncodeUnicast(ports []topology.PortID) ([]byte, error) {
-	out := make([]byte, len(ports))
-	for i, p := range ports {
+	return AppendUnicast(make([]byte, 0, len(ports)), ports)
+}
+
+// AppendUnicast appends a unicast route's port-byte sequence to dst, so a
+// table of routes can share one buffer.
+func AppendUnicast(dst []byte, ports []topology.PortID) ([]byte, error) {
+	for _, p := range ports {
 		if p < 0 || p > MaxPort {
 			return nil, fmt.Errorf("route: port %d not encodable", p)
 		}
-		out[i] = byte(p)
+		dst = append(dst, byte(p))
 	}
-	return out, nil
+	return dst, nil
 }
 
 // BuildTree merges unicast routes that share a source into a multicast
