@@ -162,10 +162,26 @@ func (w *Worm) Validate() error {
 	return nil
 }
 
-// Flit is one byte on the wire.
+// Flit is one byte on the wire: the worm it belongs to and its Tag.
+//
+// Flit keeps at most four top-level fields, and TestFlitShape pins that.
+// Go's SSA backend decomposes a struct of at most four fields (each
+// SSA-able itself) into registers; a fifth field makes every Flit copy a
+// memory move through a stack temporary, with a write-barriered bulk copy
+// (runtime.wbMove) into heap cells and a 16-byte reload that misses
+// store-to-load forwarding.  The relay path copies every flit from link
+// to slack to link, and with five fields that reload was the hottest
+// instruction of a contended-torus profile.  New one-byte fields go into
+// Tag.
 type Flit struct {
 	// W is the worm this flit belongs to.
 	W *Worm
+	Tag
+}
+
+// Tag is a flit's one-byte fields, embedded in Flit so fl.Kind, fl.B,
+// fl.VC and fl.Bad read and write as Flit fields.
+type Tag struct {
 	// Kind classifies the flit.
 	Kind Kind
 	// B is the header byte value; meaningful only when Kind == Header.
@@ -228,13 +244,13 @@ func (s *Stream) Next() (f Flit, ok bool) {
 	case s.done:
 		return Flit{}, false
 	case s.hi < len(s.header):
-		f = Flit{W: s.W, Kind: Header, B: s.header[s.hi]}
+		f = Flit{W: s.W, Tag: Tag{Kind: Header, B: s.header[s.hi]}}
 		s.hi++
 	case s.payload > 0:
-		f = Flit{W: s.W, Kind: Payload}
+		f = Flit{W: s.W, Tag: Tag{Kind: Payload}}
 		s.payload--
 	default:
-		f = Flit{W: s.W, Kind: Tail}
+		f = Flit{W: s.W, Tag: Tag{Kind: Tail}}
 		s.done = true
 	}
 	s.sent++
@@ -259,7 +275,7 @@ func (s *Stream) PayloadRun() int {
 
 // Advance emits n payload flits in one step, as if Next had been called n
 // times during a pure-payload run.  The caller must ensure n <=
-// PayloadRun(); every skipped flit is Flit{W: s.W, Kind: Payload}.
+// PayloadRun(); every skipped flit is a clean payload flit of s.W.
 func (s *Stream) Advance(n int) {
 	if n > s.payload {
 		panic(fmt.Sprintf("flit: Advance(%d) beyond payload run %d of worm %d", n, s.payload, s.W.ID))

@@ -146,21 +146,21 @@ func TestReassemblerRejectsInterleaving(t *testing.T) {
 	w1 := &Worm{ID: 1, Header: []byte{1}, PayloadLen: 2}
 	w2 := &Worm{ID: 2, Header: []byte{1}, PayloadLen: 2}
 	var r Reassembler
-	if _, err := r.Feed(Flit{W: w1, Kind: Payload}); err != nil {
+	if _, err := r.Feed(Flit{W: w1, Tag: Tag{Kind: Payload}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Feed(Flit{W: w2, Kind: Payload}); err == nil {
+	if _, err := r.Feed(Flit{W: w2, Tag: Tag{Kind: Payload}}); err == nil {
 		t.Fatal("interleaved worm accepted")
 	}
 	r.Reset()
-	if _, err := r.Feed(Flit{W: w2, Kind: Payload}); err != nil {
+	if _, err := r.Feed(Flit{W: w2, Tag: Tag{Kind: Payload}}); err != nil {
 		t.Fatalf("after reset: %v", err)
 	}
 }
 
 func TestStrings(t *testing.T) {
 	w := &Worm{ID: 3, Header: []byte{7}}
-	if s := (Flit{W: w, Kind: Header, B: 7}).String(); s != "w3:H[7]" {
+	if s := (Flit{W: w, Tag: Tag{Kind: Header, B: 7}}).String(); s != "w3:H[7]" {
 		t.Fatalf("flit string %q", s)
 	}
 	if s := (Flit{}).String(); s != "<empty>" {

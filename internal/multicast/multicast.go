@@ -84,15 +84,17 @@ func NewCircuitByID(g *Group) *Circuit {
 func NewCircuitGreedy(topo *topology.Graph, g *Group) *Circuit {
 	order := []topology.NodeID{g.Lowest()}
 	used := map[topology.NodeID]bool{g.Lowest(): true}
+	var row topology.HopRow
 	for len(order) < len(g.Members) {
 		cur := order[len(order)-1]
+		row.From(topo, cur)
 		best := topology.None
 		bestHops := 0
 		for _, m := range g.Members {
 			if used[m] {
 				continue
 			}
-			h := topo.SwitchHops(cur, m)
+			h := row.To(m)
 			if best == topology.None || h < bestHops || (h == bestHops && m < best) {
 				best, bestHops = m, h
 			}
@@ -130,8 +132,10 @@ func (c *Circuit) Len() int { return len(c.Order) }
 // topology — the metric of Figure 8.
 func (c *Circuit) HopLen(topo *topology.Graph) int {
 	total := 0
+	var row topology.HopRow
 	for i, h := range c.Order {
-		total += topo.SwitchHops(h, c.Order[(i+1)%len(c.Order)])
+		row.From(topo, h)
+		total += row.To(c.Order[(i+1)%len(c.Order)])
 	}
 	return total
 }
@@ -199,14 +203,16 @@ func NewTreeGreedy(topo *topology.Graph, g *Group, arity int) (*Tree, error) {
 		children: make(map[topology.NodeID][]topology.NodeID, len(g.Members))}
 	t.parent[t.Root] = topology.None
 	placed := []topology.NodeID{t.Root}
+	var row topology.HopRow
 	for _, m := range g.Members[1:] {
+		row.From(topo, m) // hops are symmetric: one row serves every candidate parent
 		best := topology.None
 		bestHops := 0
 		for _, p := range placed {
 			if len(t.children[p]) >= arity {
 				continue
 			}
-			h := topo.SwitchHops(p, m)
+			h := row.To(p)
 			if best == topology.None || h < bestHops {
 				best, bestHops = p, h
 			}
@@ -292,6 +298,7 @@ func (t *Tree) Validate() error {
 // average, which is why it achieves higher total throughput (Section 7.1).
 func (t *Tree) WireHops(topo *topology.Graph) int {
 	total := 0
+	var row topology.HopRow
 	// Iterate the (sorted) membership rather than the parent map: the sum
 	// itself is order-insensitive, but member order keeps any future
 	// instrumentation of this walk deterministic for free.
@@ -300,7 +307,8 @@ func (t *Tree) WireHops(topo *topology.Graph) int {
 		if err != nil || p == topology.None {
 			continue
 		}
-		total += topo.SwitchHops(p, c)
+		row.From(topo, p)
+		total += row.To(c)
 	}
 	return total
 }

@@ -28,14 +28,12 @@ package network
 //     opPayload on a live link; on a multi-lane fabric each branch's
 //     wire exclusively its own): it receives a payload flit every tick of
 //     the window (the link rule below) and pops one, so fill, the STOP
-//     wish (a pure function of fill) and the head-relative slack contents
-//     are unchanged, and it sends Flit{W, Payload, o.vc} on every branch.
-//     Its output links are *fed* with that flit.  The lane scheduler has
-//     a single ready candidate on an exclusive wire, so the rotating grant
-//     cannot diverge.  The slack ring's head index is left in place: the
-//     occupied window holds fill copies of one flit value and the vacated
-//     cells are zero on both paths, so the rotation is unobservable —
-//     every read is head-relative.
+//     wish (a pure function of fill) and the slack contents (at most one
+//     run, of that payload flit; an emptied ring rewinds its head, so an
+//     empty one is the same on both paths) are unchanged, and it sends
+//     Flit{W, Payload, o.vc} on every branch.  Its output links are *fed*
+//     with that flit.  The lane scheduler has a single ready candidate on
+//     an exclusive wire, so the rotating grant cannot diverge.
 //   - sender, host (validated: unstalled, not napped, unpaced, inside a
 //     payload run): Stream.Advance replaces n Next() calls that would each
 //     have produced Flit{W, Payload}; its output link is fed with that
@@ -175,14 +173,9 @@ func (f *Fabric) dueWindow(now des.Time, max des.Time) des.Time {
 						// No arrival this tick: the relay would nap.
 						return 0
 					}
-					want := flit.Flit{W: in.worm, Kind: flit.Payload, VC: in.vc}
-					for k, i := 0, in.head; k < in.fill; k++ {
-						if in.slack[i] != want {
-							return 0
-						}
-						if i++; i == in.cap {
-							i = 0
-						}
+					want := flit.Flit{W: in.worm, Tag: flit.Tag{Kind: flit.Payload, VC: in.vc}}
+					if q := &in.slack; q.nruns > 1 || q.nruns == 1 && q.runs[q.head].fl != want {
+						return 0
 					}
 					for _, oi := range in.outs {
 						o := &s.out[oi]
@@ -197,7 +190,7 @@ func (f *Fabric) dueWindow(now des.Time, max des.Time) des.Time {
 							}
 						}
 						f.fed.set(o.link.id)
-						f.feed[o.link.id] = flit.Flit{W: in.worm, Kind: flit.Payload, VC: o.vc}
+						f.feed[o.link.id] = flit.Flit{W: in.worm, Tag: flit.Tag{Kind: flit.Payload, VC: o.vc}}
 					}
 				}
 			}
@@ -219,7 +212,7 @@ func (f *Fabric) dueWindow(now des.Time, max des.Time) des.Time {
 			}
 			n = min(n, run)
 			f.fed.set(h.outLink.id)
-			f.feed[h.outLink.id] = flit.Flit{W: h.cur.W, Kind: flit.Payload}
+			f.feed[h.outLink.id] = flit.Flit{W: h.cur.W, Tag: flit.Tag{Kind: flit.Payload}}
 		}
 	}
 
@@ -250,7 +243,7 @@ func (l *dlink) dueCap(now, n des.Time, fed bool) des.Time {
 	h := l.dstHost
 	bubbles := true
 	if h != nil {
-		want = flit.Flit{W: h.rx.Worm(), Kind: flit.Payload}
+		want = flit.Flit{W: h.rx.Worm(), Tag: flit.Tag{Kind: flit.Payload}}
 	} else {
 		s := f.sw[l.dstNode]
 		if s.dead {
@@ -265,7 +258,7 @@ func (l *dlink) dueCap(now, n des.Time, fed bool) des.Time {
 				return 0
 			}
 			bubbles = false
-			want = flit.Flit{W: in.worm, Kind: flit.Payload, VC: in.vc}
+			want = flit.Flit{W: in.worm, Tag: flit.Tag{Kind: flit.Payload, VC: in.vc}}
 		}
 	}
 	absorbs := func(fl flit.Flit) bool {
@@ -382,9 +375,7 @@ func (l *dlink) shift(now, n des.Time, fed bool) (got int, at des.Time) {
 			r.t, r.n = e, r.n-c
 			break
 		}
-		*r = run{}
-		l.head = (l.head + 1) & int32(len(l.runs)-1)
-		l.nruns--
+		l.dropHead()
 	}
 	if fed {
 		// Every window slot now holds a flit; the m - got refills of empty

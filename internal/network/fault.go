@@ -266,9 +266,8 @@ func (f *Fabric) killLink(l *dlink) {
 		for i := 0; i < int(l.nruns); i++ {
 			r := l.at(i)
 			l.mark(r.t, r.n, false)
-			*r = run{}
 		}
-		l.nruns = 0
+		l.clear()
 	}
 	clear(l.ctrl)
 	l.ctrlOnes = [4]int32{}
@@ -385,10 +384,16 @@ func (f *Fabric) poisonInput(in *inPort) {
 // buffer, overwriting the newest flit when the buffer is full (that flit
 // belonged to the truncated worm anyway).
 func (f *Fabric) appendBadTail(in *inPort, w *flit.Worm) {
-	bad := flit.Flit{W: w, Kind: flit.Tail, Bad: true}
+	bad := flit.Flit{W: w, Tag: flit.Tag{Kind: flit.Tail, Bad: true}}
 	if in.fill >= in.cap {
 		f.ctr.FlitsDropped++
-		in.slack[(in.head+in.fill-1)%in.cap] = bad
+		q := &in.slack
+		r := q.at(int(q.nruns) - 1)
+		if r.n--; r.n == 0 {
+			*r = run{}
+			q.nruns--
+		}
+		q.push(bad)
 		return
 	}
 	in.receive(bad)
@@ -411,10 +416,10 @@ func (f *Fabric) wipeSwitch(s *swState) {
 			continue
 		}
 		f.dropWorm(in.worm)
-		for k := 0; k < in.fill; k++ {
-			fl := in.slack[(in.head+k)%in.cap]
-			f.ctr.FlitsDropped++
-			f.dropWorm(fl.W)
+		for i := 0; i < int(in.slack.nruns); i++ {
+			r := in.slack.at(i)
+			f.ctr.FlitsDropped += r.n
+			f.dropWorm(r.fl.W)
 		}
 		in.reset()
 		if in.stopWish {
@@ -434,10 +439,7 @@ func (f *Fabric) wipeSwitch(s *swState) {
 // reset returns an input port to idle with an empty slack buffer.
 func (in *inPort) reset() {
 	in.wake()
-	for i := range in.slack {
-		in.slack[i] = flit.Flit{}
-	}
-	in.head = 0
+	in.slack.clear()
 	in.fill = 0
 	in.setMode(pmIdle)
 	// The fill changed without going through pop: re-evaluate the STOP
@@ -456,5 +458,5 @@ func (in *inPort) reset() {
 
 // newest returns the most recently received slack flit (fill must be >0).
 func (in *inPort) newest() flit.Flit {
-	return in.slack[(in.head+in.fill-1)%in.cap]
+	return in.slack.at(int(in.slack.nruns) - 1).fl
 }

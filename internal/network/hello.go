@@ -152,7 +152,7 @@ func (f *Fabric) helloPhase(now des.Time) {
 			f.ctr.HellosDeferred++
 			continue
 		}
-		l.send(int64(now), flit.Flit{Kind: flit.Hello})
+		l.send(int64(now), flit.Flit{Tag: flit.Tag{Kind: flit.Hello}})
 		f.ctr.HellosSent++
 		if f.rec != nil {
 			f.emit(now, trace.EvHelloSent, l.srcNode, int(l.srcPort), 0, int64(i))

@@ -196,7 +196,7 @@ func (h *hostIf) abortTx(now des.Time) {
 		h.f.dropWorm(h.cur.W)
 		h.cur = nil
 	case !h.outLink.stopped(0):
-		h.outLink.carry(now, flit.Flit{W: h.cur.W, Kind: flit.Tail, Bad: true})
+		h.outLink.carry(now, flit.Flit{W: h.cur.W, Tag: flit.Tag{Kind: flit.Tail, Bad: true}})
 		h.f.dropWorm(h.cur.W)
 		h.cur = nil
 	}

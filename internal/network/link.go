@@ -21,13 +21,13 @@ import (
 // The forward pipeline is stored run-length: a cable of delay d holds the
 // flits sent on the last d ticks, and a streaming worm's payload bytes are
 // all one flit value, so a run {flit, first send tick, count} stands for
-// count consecutive sends of that value.  Runs sit in a power-of-two ring
-// in send order; a gap between one run's last send tick and the next
-// run's first is a bubble (empty byte-times on the wire).  The flit sent
-// at tick t still has a slot, t % d, which names its arrival bit and
-// orders the fault paths' walks; only its storage is shared.  A 1000-byte
-// cable streaming one worm therefore holds a handful of runs, not a
-// thousand copies of one payload flit.
+// count consecutive sends of that value.  Runs sit in a runRing in send
+// order; a gap between one run's last send tick and the next run's first
+// is a bubble (empty byte-times on the wire).  The flit sent at tick t
+// still has a slot, t % d, which names its arrival bit and orders the
+// fault paths' walks; only its storage is shared.  A 1000-byte cable
+// streaming one worm therefore holds a handful of runs, not a thousand
+// copies of one payload flit.
 //
 // The field order groups everything the per-tick hot paths touch — flags,
 // the run ring, the slot class, and the flit counters — at the front, so
@@ -64,20 +64,14 @@ type dlink struct {
 	abit  uint64
 	delay int
 
-	// runs[head], …, runs[head+nruns-1] (indices mod len(runs), a power
-	// of two) are the flits in flight, oldest first: the head run's first
-	// flit is the next one delivered, exactly delay ticks after it was
-	// sent.  Cells outside that window are zero.  Which slots are occupied
-	// is this link's bit in the class's arrival bitsets (see occupied) —
-	// the one record of occupancy; the runs say what those slots hold.
-	runs  []run
-	head  int32
-	nruns int32
-	// cell is the ring's first storage: runs starts as cell[:], so a link
-	// whose pipe never holds two runs (every delay-1 link) keeps its flit
-	// in the cachelines send and deliver already touch.  grow moves a
-	// longer cable's ring to the heap.
-	cell [1]run
+	// The run ring holds the flits in flight, oldest first: the head run's
+	// first flit is the next one delivered, exactly delay ticks after it
+	// was sent.  Which slots are occupied is this link's bit in the
+	// class's arrival bitsets (see occupied) — the one record of
+	// occupancy; the runs say what those slots hold.  The ring's inline
+	// cell keeps a link whose pipe never holds two runs (every delay-1
+	// link) in the cachelines send and deliver already touch.
+	runRing
 	// ctrl[s] carries the downstream per-lane STOP wishes written at slot
 	// s (bit v = lane v), read by the sender delay ticks later.
 	ctrl []uint8
@@ -127,19 +121,8 @@ type delayClass struct {
 	arr   []uint64
 }
 
-// run is n copies of one flit value, sent on the consecutive ticks t,
-// t+1, …, t+n-1.
-type run struct {
-	fl flit.Flit
-	t  int64
-	n  int64
-}
-
 // occupied reports whether pipeline slot s holds a flit.
 func (l *dlink) occupied(s int) bool { return l.cls.arr[s*l.cls.lw+l.aw]&l.abit != 0 }
-
-// at returns the i-th run in flight, oldest first.
-func (l *dlink) at(i int) *run { return &l.runs[(int(l.head)+i)&(len(l.runs)-1)] }
 
 // mark sets (on) or clears this link's arrival bits in the slots of the n
 // send ticks from t on.  A window's first due slot may belong to a tick
@@ -173,35 +156,6 @@ func (l *dlink) extend(fl flit.Flit, t, n int64) {
 		}
 	}
 	l.insert(int(l.nruns), run{fl, t, n})
-}
-
-// insert places r at position i of the runs in flight, moving the later
-// ones back by one.
-func (l *dlink) insert(i int, r run) {
-	if int(l.nruns) == len(l.runs) {
-		l.grow()
-	}
-	for j := int(l.nruns); j > i; j-- {
-		*l.at(j) = *l.at(j - 1)
-	}
-	*l.at(i) = r
-	l.nruns++
-}
-
-// grow doubles the run ring, oldest run first.  A ring holds at most one
-// run per byte-time of cable, and grows only when a new mix of headers,
-// tails, payload and gaps first shares the wire, so it stops growing
-// during warm-up and the steady state allocates nothing (the long-cable
-// case of TestDeliveredWormZeroAlloc pins that).
-//
-//wormlint:alloc ring growth, bounded by the cable's delay and over once a link has carried its busiest mix
-func (l *dlink) grow() {
-	runs := make([]run, 2*len(l.runs))
-	for i := 0; i < int(l.nruns); i++ {
-		runs[i] = *l.at(i)
-	}
-	clear(l.runs) // no stale worm pointers left behind, in cell or heap
-	l.runs, l.head = runs, 0
 }
 
 // stopped reports whether lane vc is STOP-backpressured as seen from the
@@ -291,9 +245,7 @@ func (l *dlink) deliver(now des.Time) {
 		r := &l.runs[l.head]
 		fl := r.fl
 		if r.n--; r.n == 0 {
-			r.fl, r.t = flit.Flit{}, 0
-			l.head = (l.head + 1) & int32(len(l.runs)-1)
-			l.nruns--
+			l.dropHead()
 		} else {
 			r.t++
 		}

@@ -355,13 +355,13 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 			f.hosts[ni] = &hostIf{node: n.ID, f: f}
 		}
 	}
-	// The links, their reverse-channel rings and the per-lane slack rings
-	// are carved from shared slabs: one allocation each instead of several
-	// per link, and the rings end up cache-adjacent in construction order.
-	// A link's run ring starts as its one inline cell (all a delay-1 link
-	// ever needs) and grows on its own when a longer cable first holds
-	// more than one run.
-	var nLinks, ctrlSlots, slackFlits int
+	// The links and their reverse-channel rings are carved from shared
+	// slabs: one allocation each instead of several per link, and the
+	// rings end up cache-adjacent in construction order.  A link's run
+	// ring, and each lane's slack buffer, starts as its one inline cell
+	// (all a delay-1 link ever needs) and grows on its own when it first
+	// holds more than one run.
+	var nLinks, ctrlSlots int
 	for ni := range g.Nodes {
 		for _, p := range g.Nodes[ni].Ports {
 			if !p.Wired() {
@@ -369,15 +369,11 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 			}
 			nLinks++
 			ctrlSlots += int(p.Delay)
-			if f.sw[p.Peer] != nil {
-				slackFlits += nvc * (f.Cfg.StopMark + 2*int(p.Delay))
-			}
 		}
 	}
 	linkSlab := make([]dlink, nLinks)
 	f.links = make([]*dlink, 0, nLinks)
 	ctrlSlab := make([]uint8, ctrlSlots)
-	slackSlab := make([]flit.Flit, slackFlits)
 	lw := (nLinks + 63) / 64
 
 	for ni := range g.Nodes {
@@ -407,7 +403,7 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 				f.hosts[ni].outLink = l
 			}
 			// Destination side bookkeeping: every lane of the receiving
-			// port gets its own slack ring on the shared arrival link.
+			// port gets its own slack buffer on the shared arrival link.
 			if s := f.sw[p.Peer]; s != nil {
 				base := int(p.PeerPort) * nvc
 				l.dstIns = s.in[base : base+nvc : base+nvc]
@@ -415,7 +411,7 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 					in := &s.in[base+v]
 					in.inLink = l
 					in.cap = f.Cfg.StopMark + 2*l.delay
-					in.slack, slackSlab = slackSlab[:in.cap:in.cap], slackSlab[in.cap:]
+					in.slack.runs = in.slack.cell[:]
 					in.stopMark = f.Cfg.StopMark
 					in.goMark = f.Cfg.GoMark
 				}

@@ -117,7 +117,7 @@ func FuzzPipeVsSlots(f *testing.F) {
 			if b < 4 {
 				return flit.Flit{}, false
 			}
-			fl := flit.Flit{W: worms[b&1], Kind: flit.Payload, VC: b >> 1 & 1}
+			fl := flit.Flit{W: worms[b&1], Tag: flit.Tag{Kind: flit.Payload, VC: b >> 1 & 1}}
 			switch b >> 2 % 8 {
 			case 5, 6:
 				fl.Kind, fl.B = flit.Header, b
@@ -183,7 +183,7 @@ func FuzzPipeVsSlots(f *testing.F) {
 				}
 				n := 1 + int64(x)*8
 				fed := op>>3&1 != 0
-				feed := flit.Flit{W: worms[op>>4&1], Kind: flit.Payload, VC: op >> 5 & 1}
+				feed := flit.Flit{W: worms[op>>4&1], Tag: flit.Tag{Kind: flit.Payload, VC: op >> 5 & 1}}
 				fab.feed[l.id] = feed
 				got, at := l.shift(now, n, fed)
 				wantGot, wantAt := 0, int64(-1)
@@ -226,7 +226,7 @@ func FuzzPipeVsSlots(f *testing.F) {
 				if op&8 != 0 {
 					in := &l.dstIns[op>>4&1]
 					in.worm = worms[op>>5&1]
-					want = flit.Flit{W: in.worm, Kind: flit.Payload, VC: in.vc}
+					want = flit.Flit{W: in.worm, Tag: flit.Tag{Kind: flit.Payload, VC: in.vc}}
 					dst.boundIns.set(in.idx)
 				}
 				got := l.dueCap(now, n, false)

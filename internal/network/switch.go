@@ -54,9 +54,10 @@ type inPort struct {
 	sw  *swState
 	idx int
 
-	// Slack ring buffer (Figure 1).
-	slack []flit.Flit
-	head  int
+	// Slack buffer (Figure 1): fill flits held as runs, oldest first, in
+	// a ring that grows by doubling from its inline cell; cap is the
+	// buffer's size, Ks + 2·delay, which STOP/GO keeps fill within.
+	slack runRing
 	fill  int
 	cap   int
 
@@ -124,11 +125,7 @@ func (in *inPort) receive(fl flit.Flit) {
 		panic(fmt.Sprintf("network: slack overflow at switch %d port %d (cap %d): STOP/GO sizing bug",
 			in.sw.node, in.idx, in.cap))
 	}
-	i := in.head + in.fill
-	if i >= in.cap {
-		i -= in.cap
-	}
-	in.slack[i] = fl
+	in.slack.push(fl)
 	in.fill++
 	// The STOP wish can only flip to set when the fill climbs to the STOP
 	// mark while the wish is clear; any other fill change leaves the publish
@@ -141,20 +138,23 @@ func (in *inPort) receive(fl flit.Flit) {
 	}
 }
 
-func (in *inPort) peek() flit.Flit { return in.slack[in.head] }
+// peek returns the oldest slack flit (fill must be >0).
+func (in *inPort) peek() flit.Flit { return in.slack.runs[in.slack.head].fl }
 
 func (in *inPort) pop() flit.Flit {
-	fl := in.slack[in.head]
-	in.slack[in.head] = flit.Flit{}
-	in.head++
-	in.fill--
-	if in.head == in.cap || in.fill == 0 {
-		// Wrap, or rewind an empty ring: a standing relay (receive and pop
-		// in one tick) then reuses one cell instead of walking the whole
-		// ring.  Every read is head-relative, so the rotation is
-		// unobservable.
-		in.head = 0
+	q := &in.slack
+	r := &q.runs[q.head]
+	fl := r.fl
+	if r.n--; r.n == 0 {
+		q.dropHead()
+		if q.nruns == 0 {
+			// Rewind an empty ring: a standing relay (receive and pop in
+			// one tick) then reuses one cell instead of walking the ring.
+			// Every read is head-relative, so the rotation is unobservable.
+			q.head = 0
+		}
 	}
+	in.fill--
 	// Mirror of receive: only a drain to the GO mark with a standing STOP
 	// wish can flip the wish at the next publish.
 	if in.fill <= in.goMark && in.stopWish {
@@ -857,7 +857,7 @@ func (s *swState) wireHeld(o *outPort, now des.Time) bool {
 // sendPrefix sends the next byte of output o's branch header on the copy of
 // worm w leaving through o; payload follows once the whole header is out.
 func (s *swState) sendPrefix(o *outPort, w *flit.Worm, now des.Time) {
-	o.link.carry(now, flit.Flit{W: w, Kind: flit.Header, B: o.stamp[o.prefixPos], VC: o.vc})
+	o.link.carry(now, flit.Flit{W: w, Tag: flit.Tag{Kind: flit.Header, B: o.stamp[o.prefixPos], VC: o.vc}})
 	o.prefixPos++
 	if o.prefixPos == len(o.stamp) {
 		o.phase = opPayload

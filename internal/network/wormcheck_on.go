@@ -17,7 +17,6 @@ import (
 	"math/bits"
 
 	"wormlan/internal/des"
-	"wormlan/internal/flit"
 )
 
 const wormcheckEnabled = true
@@ -268,26 +267,43 @@ func (f *Fabric) checkRest(now des.Time, s *swState, in *inPort) {
 	}
 }
 
-// checkSlack: fill within bounds and every slot outside the occupied
-// window zeroed, so recycled ring slots can never leak a stale flit.
+// checkSlack: the run ring is a power-of-two ring of non-empty runs, each
+// differing from the one before (receive lengthens the newest run, so the
+// fast-forward scan's "at most one run" means "one flit value"); the
+// counts sum to fill, fill stays within cap, and every cell outside the
+// runs is zeroed, so a recycled cell can never leak a stale flit.
 func (f *Fabric) checkSlack(now des.Time, s *swState, in *inPort) {
+	q := &in.slack
 	if in.cap == 0 {
-		if in.fill != 0 {
-			f.wormfail(now, "switch %d lane %d fill=%d with no slack ring", s.node, in.idx, in.fill)
+		if in.fill != 0 || q.nruns != 0 {
+			f.wormfail(now, "switch %d lane %d fill=%d in %d runs with no slack buffer", s.node, in.idx, in.fill, q.nruns)
 		}
 		return
+	}
+	if len(q.runs) == 0 || len(q.runs)&(len(q.runs)-1) != 0 || q.nruns < 0 || int(q.nruns) > len(q.runs) ||
+		q.head < 0 || int(q.head) >= len(q.runs) {
+		f.wormfail(now, "switch %d lane %d slack ring has %d cells (head %d) holding %d runs: not a power-of-two ring",
+			s.node, in.idx, len(q.runs), q.head, q.nruns)
 	}
 	if in.fill < 0 || in.fill > in.cap {
 		f.wormfail(now, "switch %d lane %d fill=%d outside [0,%d]", s.node, in.idx, in.fill, in.cap)
 	}
-	for k := in.fill; k < in.cap; k++ {
-		i := in.head + k
-		if i >= in.cap {
-			i -= in.cap
+	flits := 0
+	for i := 0; i < int(q.nruns); i++ {
+		r := q.at(i)
+		if r.n < 1 || r.t != 0 || i > 0 && r.fl == q.at(i-1).fl {
+			f.wormfail(now, "switch %d lane %d slack run %d holds %d copies of %v (t=%d): want a non-empty run of its own flit",
+				s.node, in.idx, i, r.n, r.fl, r.t)
 		}
-		if in.slack[i] != (flit.Flit{}) {
-			f.wormfail(now, "switch %d lane %d slack slot %d outside the occupied window is not zeroed (head=%d fill=%d)",
-				s.node, in.idx, i, in.head, in.fill)
+		flits += int(r.n)
+	}
+	if flits != in.fill {
+		f.wormfail(now, "switch %d lane %d fill=%d but its slack runs hold %d flits", s.node, in.idx, in.fill, flits)
+	}
+	for i := int(q.nruns); i < len(q.runs); i++ {
+		if *q.at(i) != (run{}) {
+			f.wormfail(now, "switch %d lane %d slack cell %d outside the runs is not zeroed (head=%d runs=%d)",
+				s.node, in.idx, (int(q.head)+i)&(len(q.runs)-1), q.head, q.nruns)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"wormlan/internal/flit"
 	"wormlan/internal/topology"
 )
 
@@ -188,32 +189,53 @@ func TestWormcheckDetectsCorruption(t *testing.T) {
 		r := build()
 		mustWormfail(t, r, "rxBusy", func() { r.f.rxBusy++ })
 	})
-	t.Run("slack-window", func(t *testing.T) {
-		r := build()
-		var in *inPort
+	// The slack run ring: a stray cell outside the runs, counts that do not
+	// sum to fill, a run split from an equal neighbour, a ring that is not
+	// a power of two.  Each corrupts an idle, awake lane, so no check that
+	// runs before checkSlack trips first.
+	idleLane := func(r *rig) *inPort {
 		for _, c := range r.f.sw {
 			if c == nil {
 				continue
 			}
 			for pi := range c.in {
-				if c.in[pi].cap > 0 {
-					in = &c.in[pi]
-					break
+				if in := &c.in[pi]; in.cap > 0 && in.mode == pmIdle && in.rest == awake {
+					return in
 				}
 			}
-			if in != nil {
-				break
-			}
 		}
-		if in == nil {
-			t.Fatal("no slack-backed lane found")
-		}
+		t.Fatal("no idle slack-backed lane found")
+		return nil
+	}
+	stray := flit.Flit{W: &flit.Worm{ID: 99}, Tag: flit.Tag{Kind: flit.Payload}}
+	t.Run("slack-cell", func(t *testing.T) {
+		r := build()
 		mustWormfail(t, r, "not zeroed", func() {
-			i := in.head + in.fill
-			if i >= in.cap {
-				i -= in.cap
-			}
-			in.slack[i].B = 0xAA
+			q := &idleLane(r).slack
+			q.grow()
+			q.at(int(q.nruns)).fl = stray
+		})
+	})
+	t.Run("slack-count", func(t *testing.T) {
+		r := build()
+		mustWormfail(t, r, "slack runs hold", func() { idleLane(r).slack.push(stray) })
+	})
+	t.Run("slack-split", func(t *testing.T) {
+		r := build()
+		mustWormfail(t, r, "of its own flit", func() {
+			in := idleLane(r)
+			in.slack.insert(0, run{fl: stray, n: 1})
+			in.slack.insert(1, run{fl: stray, n: 1})
+			in.fill += 2
+		})
+	})
+	t.Run("slack-ring", func(t *testing.T) {
+		r := build()
+		mustWormfail(t, r, "power-of-two", func() {
+			q := &idleLane(r).slack
+			q.grow()
+			q.grow()
+			q.runs = q.runs[:3]
 		})
 	})
 }

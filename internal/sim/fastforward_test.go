@@ -17,10 +17,10 @@ import (
 func TestFastForwardExactnessLongLinks(t *testing.T) {
 	if testing.Short() {
 		// Under the wormcheck build (run with -short) the per-tick audit of
-		// every reverse-channel slot and slack cell of every 1000-byte-time
-		// cable costs about a minute per cell even at a 45 k-tick window;
-		// the network package's rig tests and the FuzzSkipVsTick and
-		// FuzzPipeVsSlots seeds cover these shapes there.
+		// every reverse-channel slot of every 1000-byte-time cable costs
+		// about 20 s per cell even at a 45 k-tick window; the network
+		// package's rig tests and the FuzzSkipVsTick, FuzzPipeVsSlots and
+		// FuzzSlackVsCells seeds cover these shapes there.
 		t.Skip("long-link cells are too slow for -short")
 	}
 	for _, scheme := range []Scheme{TreeFlood, HamiltonianSF} {

@@ -14,6 +14,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -250,43 +251,54 @@ func (g *Graph) bfsDistances(src NodeID) []int {
 	return dist
 }
 
-// SwitchHops returns the minimum number of switch-to-switch link traversals
-// between the attachment switches of hosts a and b (0 if they share a
-// switch).  This is the edge metric of the host-connectivity graph used to
-// weigh Hamiltonian circuits (Section 5, Figure 8).
-func (g *Graph) SwitchHops(a, b NodeID) int {
-	sa, _ := g.HostAttachment(a)
-	sb, _ := g.HostAttachment(b)
-	if sa == None || sb == None {
-		return -1
+// HopRow holds the switch-hop distances from one host: the minimum number
+// of switch-to-switch link traversals from its attachment switch to every
+// switch.  This is the edge metric of the host-connectivity graph used to
+// weigh Hamiltonian circuits (Section 5, Figure 8).  Links are full-duplex,
+// so the metric is symmetric.  A HopRow is a reusable buffer: filling it
+// again for the next source allocates nothing once it has room for the
+// graph, where a BFS per host pair would allocate twice per pair.
+type HopRow struct {
+	g     *Graph
+	dist  []int
+	queue []NodeID
+	src   NodeID
+}
+
+// From fills r with the distances from host a's attachment switch, by one
+// BFS over switches only.
+func (r *HopRow) From(g *Graph, a NodeID) {
+	r.g = g
+	r.src, _ = g.HostAttachment(a)
+	r.dist = slices.Grow(r.dist[:0], len(g.Nodes))[:len(g.Nodes)]
+	for i := range r.dist {
+		r.dist[i] = -1
 	}
-	if sa == sb {
-		return 0
+	if r.src == None {
+		return
 	}
-	// BFS over switches only.
-	dist := make([]int, len(g.Nodes))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[sa] = 0
-	queue := []NodeID{sa}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if u == sb {
-			return dist[u]
-		}
+	r.dist[r.src] = 0
+	r.queue = append(r.queue[:0], r.src)
+	for i := 0; i < len(r.queue); i++ {
+		u := r.queue[i]
 		for _, p := range g.Nodes[u].Ports {
-			if !p.Wired() || g.Nodes[p.Peer].Kind != Switch {
+			if !p.Wired() || g.Nodes[p.Peer].Kind != Switch || r.dist[p.Peer] >= 0 {
 				continue
 			}
-			if dist[p.Peer] < 0 {
-				dist[p.Peer] = dist[u] + 1
-				queue = append(queue, p.Peer)
-			}
+			r.dist[p.Peer] = r.dist[u] + 1
+			r.queue = append(r.queue, p.Peer)
 		}
 	}
-	return -1
+}
+
+// To returns the switch hops from the row's host to host b (0 if they
+// share a switch; -1 if either is unwired or b is unreachable).
+func (r *HopRow) To(b NodeID) int {
+	sb, _ := r.g.HostAttachment(b)
+	if r.src == None || sb == None {
+		return -1
+	}
+	return r.dist[sb]
 }
 
 // DOT renders the topology in Graphviz DOT format, for inspection with

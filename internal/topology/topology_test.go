@@ -150,23 +150,39 @@ func TestMyrinet4Shape(t *testing.T) {
 	}
 }
 
+// switchHops is the switch-hop metric of one host pair.
+func switchHops(g *Graph, a, b NodeID) int {
+	var r HopRow
+	r.From(g, a)
+	return r.To(b)
+}
+
+// TestSwitchHops fills one HopRow per source, reusing it across sources
+// (and graphs), and pins that a refill of a row with room allocates
+// nothing.
 func TestSwitchHops(t *testing.T) {
 	g := Line(4, 1)
 	hosts := g.Hosts()
 	tests := []struct{ a, b, want int }{
-		{0, 0, 0}, {0, 1, 1}, {0, 3, 3}, {1, 3, 2},
+		{0, 0, 0}, {0, 1, 1}, {0, 3, 3}, {1, 3, 2}, {3, 1, 2}, {3, 0, 3},
 	}
+	var r HopRow
+	r.From(Line(9, 1), Line(9, 1).Hosts()[8]) // a stale, larger row first
 	for _, tc := range tests {
-		if got := g.SwitchHops(hosts[tc.a], hosts[tc.b]); got != tc.want {
-			t.Errorf("SwitchHops(h%d,h%d) = %d, want %d", tc.a, tc.b, got, tc.want)
+		r.From(g, hosts[tc.a])
+		if got := r.To(hosts[tc.b]); got != tc.want {
+			t.Errorf("hops(h%d,h%d) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
+	}
+	if n := testing.AllocsPerRun(10, func() { r.From(g, hosts[2]) }); n != 0 {
+		t.Fatalf("refilling a HopRow allocated %v times, want 0", n)
 	}
 }
 
 func TestSwitchHopsSameSwitch(t *testing.T) {
 	g := Star(4)
 	hosts := g.Hosts()
-	if got := g.SwitchHops(hosts[0], hosts[3]); got != 0 {
+	if got := switchHops(g, hosts[0], hosts[3]); got != 0 {
 		t.Fatalf("same-switch hops = %d, want 0", got)
 	}
 }
@@ -185,8 +201,8 @@ func TestHostConnectivityMatrix(t *testing.T) {
 			if i == j {
 				continue
 			}
-			hops := g.SwitchHops(a, b)
-			if hops != g.SwitchHops(b, a) {
+			hops := switchHops(g, a, b)
+			if hops != switchHops(g, b, a) {
 				t.Fatalf("asymmetric metric at %d,%d", i, j)
 			}
 			if hops < 0 || hops > 2 {

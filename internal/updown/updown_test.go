@@ -218,7 +218,9 @@ func TestUpDownLongerThanShortest(t *testing.T) {
 	r := mustRouting(t, g)
 	hosts := g.Hosts()
 	longer := 0
+	var row topology.HopRow
 	for _, a := range hosts {
+		row.From(g, a)
 		for _, b := range hosts {
 			if a == b {
 				continue
@@ -227,7 +229,7 @@ func TestUpDownLongerThanShortest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			min := g.SwitchHops(a, b) + 1 // + final host port
+			min := row.To(b) + 1 // + final host port
 			if rt.Hops() < min {
 				t.Fatalf("route %d->%d shorter than shortest path", a, b)
 			}
