@@ -60,58 +60,21 @@ func (g *Group) Lowest() topology.NodeID { return g.Members[0] }
 // Circuit is a Hamiltonian circuit over the group members.
 type Circuit struct {
 	Group *Group
-	// Order is the circuit visiting order starting at the lowest ID.  For
-	// the canonical ID-ordered circuit this equals Group.Members.
+	// Order is the circuit visiting order starting at the lowest ID: the
+	// group's members in ascending ID order.
 	Order []topology.NodeID
 
 	next map[topology.NodeID]topology.NodeID
-	pos  map[topology.NodeID]int
 }
 
 // NewCircuitByID builds the paper's canonical circuit: members in
 // ascending ID order, wrapping from highest back to lowest.  Exactly one
 // ID reversal occurs per lap, so the two-buffer-class rule applies.
 func NewCircuitByID(g *Group) *Circuit {
-	return newCircuit(g, append([]topology.NodeID(nil), g.Members...))
-}
-
-// NewCircuitGreedy builds a shorter circuit with a nearest-neighbour
-// heuristic over the host-connectivity hop metric, starting at the lowest
-// ID.  Such circuits can have more than one ID reversal; Reversals()
-// reports how many buffer classes deadlock-free operation would need
-// (reversals + 1).  The paper uses the ID-ordered circuit; this variant
-// exists to quantify the path-length cost of the ID-ordering rule.
-func NewCircuitGreedy(topo *topology.Graph, g *Group) *Circuit {
-	order := []topology.NodeID{g.Lowest()}
-	used := map[topology.NodeID]bool{g.Lowest(): true}
-	var row topology.HopRow
-	for len(order) < len(g.Members) {
-		cur := order[len(order)-1]
-		row.From(topo, cur)
-		best := topology.None
-		bestHops := 0
-		for _, m := range g.Members {
-			if used[m] {
-				continue
-			}
-			h := row.To(m)
-			if best == topology.None || h < bestHops || (h == bestHops && m < best) {
-				best, bestHops = m, h
-			}
-		}
-		order = append(order, best)
-		used[best] = true
-	}
-	return newCircuit(g, order)
-}
-
-func newCircuit(g *Group, order []topology.NodeID) *Circuit {
-	c := &Circuit{Group: g, Order: order,
-		next: make(map[topology.NodeID]topology.NodeID, len(order)),
-		pos:  make(map[topology.NodeID]int, len(order))}
+	order := append([]topology.NodeID(nil), g.Members...)
+	c := &Circuit{Group: g, Order: order, next: make(map[topology.NodeID]topology.NodeID, len(order))}
 	for i, h := range order {
 		c.next[h] = order[(i+1)%len(order)]
-		c.pos[h] = i
 	}
 	return c
 }
@@ -127,32 +90,6 @@ func (c *Circuit) Successor(h topology.NodeID) (topology.NodeID, error) {
 
 // Len returns the number of members on the circuit.
 func (c *Circuit) Len() int { return len(c.Order) }
-
-// HopLen returns the total switch-hop length of the circuit over the given
-// topology — the metric of Figure 8.
-func (c *Circuit) HopLen(topo *topology.Graph) int {
-	total := 0
-	var row topology.HopRow
-	for i, h := range c.Order {
-		row.From(topo, h)
-		total += row.To(c.Order[(i+1)%len(c.Order)])
-	}
-	return total
-}
-
-// Reversals returns the number of ID-order reversals along one lap of the
-// circuit.  The ID-ordered circuit always has exactly 1 (the wrap); each
-// additional reversal would require one more buffer class to stay
-// deadlock-free.
-func (c *Circuit) Reversals() int {
-	n := 0
-	for i, h := range c.Order {
-		if c.Order[(i+1)%len(c.Order)] < h {
-			n++
-		}
-	}
-	return n
-}
 
 // Tree is a rooted multicast tree over the group members, ID-ordered from
 // the root down (every child has a higher ID than its parent).

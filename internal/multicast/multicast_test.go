@@ -38,6 +38,20 @@ func TestNewGroupSortsAndValidates(t *testing.T) {
 	}
 }
 
+// reversals returns the number of ID-order reversals along one lap of the
+// circuit.  The ID-ordered circuit always has exactly 1 (the wrap); each
+// additional reversal would require one more buffer class to stay
+// deadlock-free.
+func reversals(c *Circuit) int {
+	n := 0
+	for i, h := range c.Order {
+		if c.Order[(i+1)%len(c.Order)] < h {
+			n++
+		}
+	}
+	return n
+}
+
 func TestCircuitByID(t *testing.T) {
 	g, _ := NewGroup(1, ids(5, 2, 8, 3))
 	c := NewCircuitByID(g)
@@ -54,52 +68,11 @@ func TestCircuitByID(t *testing.T) {
 	if _, err := c.Successor(99); err == nil {
 		t.Fatal("non-member successor")
 	}
-	if c.Reversals() != 1 {
-		t.Fatalf("ID circuit reversals = %d, want 1", c.Reversals())
+	if n := reversals(c); n != 1 {
+		t.Fatalf("ID circuit reversals = %d, want 1", n)
 	}
 	if c.Len() != 4 {
 		t.Fatalf("Len = %d", c.Len())
-	}
-}
-
-func TestCircuitGreedyShorterOrEqual(t *testing.T) {
-	topo := topology.Torus(4, 4, 1, 1)
-	hosts := topo.Hosts()
-	r := rng.New(11, 0)
-	for trial := 0; trial < 10; trial++ {
-		perm := r.Perm(len(hosts))
-		var members []topology.NodeID
-		for _, p := range perm[:8] {
-			members = append(members, hosts[p])
-		}
-		g, err := NewGroup(trial, members)
-		if err != nil {
-			t.Fatal(err)
-		}
-		byID := NewCircuitByID(g)
-		greedy := NewCircuitGreedy(topo, g)
-		if greedy.HopLen(topo) > byID.HopLen(topo) {
-			t.Fatalf("trial %d: greedy circuit %d hops > ID circuit %d hops",
-				trial, greedy.HopLen(topo), byID.HopLen(topo))
-		}
-		// Both circuits must visit every member exactly once.
-		for _, c := range []*Circuit{byID, greedy} {
-			seen := map[topology.NodeID]bool{}
-			cur := g.Lowest()
-			for i := 0; i < c.Len(); i++ {
-				if seen[cur] {
-					t.Fatal("circuit revisits a member")
-				}
-				seen[cur] = true
-				cur, _ = c.Successor(cur)
-			}
-			if cur != g.Lowest() {
-				t.Fatal("circuit does not close")
-			}
-		}
-		if greedy.Reversals() < 1 {
-			t.Fatal("closed circuit must have at least one reversal")
-		}
 	}
 }
 
@@ -225,17 +198,5 @@ func TestTreeInvariantProperty(t *testing.T) {
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCircuitHopLenExample(t *testing.T) {
-	// Figure 8's shape: a 4-host group on a line; the ID circuit
-	// 0-1-2-3-0 has hop length 1+1+1+3 = 6.
-	topo := topology.Line(4, 1)
-	hosts := topo.Hosts()
-	g, _ := NewGroup(1, hosts)
-	c := NewCircuitByID(g)
-	if got := c.HopLen(topo); got != 6 {
-		t.Fatalf("HopLen = %d, want 6", got)
 	}
 }

@@ -19,23 +19,21 @@ import "math/bits"
 //
 //   - link (phase 1): its bit in the arrival bitset of its delay class's
 //     current slot (set by dlink.send, cleared on delivery), or its bit in
-//     Fabric.settle: some lane's reverse ring is not uniform, or the
-//     sender's stopMask lags the uniform ring.  Any other link would
-//     deliver nothing and its ctrl read would assign stopMask over itself.
-//     A ctrl write in phase 4 always unsettles the link (it rewrites the
-//     slot the sender read that tick); the phase-1 read that finds the
-//     link settled again removes it.  Fabric.inFlight, the sum of every
-//     link's inFlight, supplies the "a link still holds data" work flag.
-//     linkAct is the set of links holding any state (inFlight, ctrlTrues
-//     or stopMask non-zero): dlink.send sets the link's bit through its
-//     cached aw/abit, a STOP write in publish sets it too, and delivery
-//     clears it once the link is empty.  Only Skip reads it.
+//     Fabric.settle: a reverse-channel symbol is in flight (set by
+//     dlink.signal, cleared by the delivery that applies the last one).
+//     Any other link would deliver nothing and apply nothing.
+//     Fabric.inFlight, the sum of every link's inFlight, supplies the "a
+//     link still holds data" work flag.  linkAct is the set of links
+//     holding any state (a flit or symbol in flight, or stopMask non-zero):
+//     dlink.send and dlink.signal set the link's bit through its cached
+//     aw/abit, and delivery clears it once the link is empty.  Only Skip
+//     reads it.
 //   - switch (phases 2-4): swAct holds switches with any input port
-//     non-empty, non-idle, with a STOP wish or a settling ring, or any
-//     bound output; inPort.receive and the fault paths re-activate.
-//     Liveness is settled right after the switch's transmit unless it is
-//     in pubSw — a dirty or pending STOP/GO port (markDirty, publish,
-//     reviveLink) — in which case phase 4 publishes and then settles it.
+//     non-empty, non-idle or with a STOP wish, or any bound output;
+//     inPort.receive and the fault paths re-activate.  Liveness is settled
+//     right after the switch's transmit unless it is in pubSw — a dirty
+//     STOP/GO port (markDirty) — in which case phase 4 publishes and then
+//     settles it.
 //   - routing head (phase 2): routeIns minus restIns.  A scan-arbitrated,
 //     non-adaptive pmWait head whose grant failed sleeps: its retry would
 //     re-prune an unchanged request (pruneStale is memoized per epoch) and
@@ -64,12 +62,6 @@ import "math/bits"
 // the transmit passes since the nap to dlink.stalled: the counter reads
 // what per-tick counting gave.  Nothing that naps or sleeps can pass Skip's
 // validation, and Skip declines whenever anything rests (fastforward.go).
-//
-// A STOP episode keeps its link and downstream switch active for up to one
-// extra propagation delay after traffic ceases — the cooldown during which
-// the original scan was still overwriting stale STOP values in the ring —
-// which preserves byte-identical behaviour even across fabric idle periods
-// that freeze a ring mid-flight.
 type bitset struct {
 	words []uint64
 }

@@ -22,25 +22,26 @@ package network
 //
 // The shape, element by element:
 //
-//   - sender, bound crossbar lane (validated: switch live with no routing,
-//     pending STOP/GO or resting port; arrival link live and holding
-//     flits; slack holding only payload of the bound worm; every branch
-//     opPayload on a live link; on a multi-lane fabric each branch's
-//     wire exclusively its own): it receives a payload flit every tick of
-//     the window (the link rule below) and pops one, so fill, the STOP
-//     wish (a pure function of fill) and the slack contents (at most one
-//     run, of that payload flit; an emptied ring rewinds its head, so an
-//     empty one is the same on both paths) are unchanged, and it sends
-//     Flit{W, Payload, o.vc} on every branch.  Its output links are *fed*
-//     with that flit.  The lane scheduler has a single ready candidate on
-//     an exclusive wire, so the rotating grant cannot diverge.
+//   - sender, bound crossbar lane (validated: switch live with no routing
+//     or resting port; arrival link live and holding flits; slack holding
+//     only payload of the bound worm; every branch opPayload on a live
+//     link; on a multi-lane fabric each branch's wire exclusively its
+//     own): it receives a payload flit every tick of the window (the
+//     link rule below) and pops one, so fill, the STOP wish (a pure
+//     function of fill) and the slack contents (at most one run, of that
+//     payload flit; an emptied ring rewinds its head, so an empty one is
+//     the same on both paths) are unchanged, and it sends Flit{W,
+//     Payload, o.vc} on every branch.  Its output links are *fed* with
+//     that flit.  The lane scheduler has a single ready candidate on an
+//     exclusive wire, so the rotating grant cannot diverge.
 //   - sender, host (validated: unstalled, not napped, unpaced, inside a
 //     payload run): Stream.Advance replaces n Next() calls that would each
 //     have produced Flit{W, Payload}; its output link is fed with that
 //     flit, and n is capped by the run so the tail never enters the
 //     window.
-//   - link (validated: live, ctrlTrues == 0, stopMask == 0): the reverse
-//     ring is uniformly GO and stays so (no receiver's fill moves), so the
+//   - link (validated: live, no symbol in flight, stopMask == 0): the
+//     downstream lanes have wished GO for at least a delay, and no symbol
+//     is sent inside the window (no receiver's fill moves), so the
 //     sender's view never changes.  Ticks now … now+min(n, delay)−1
 //     deliver the flits sent delay ticks earlier, which are the pipe's
 //     current runs (link.go): the run starting at send tick t arrives at
@@ -56,8 +57,8 @@ package network
 //     delay when it feeds a bound lane.  Apply consumes the due runs
 //     (clearing their arrival bits unless a send refills the slot), fills
 //     the bubbles' bits on a fed link and appends the fed flit as one run
-//     of the last min(n, delay) sends, and keeps inFlight, linkAct and
-//     settle in step with what the per-tick deliver and send would leave.
+//     of the last min(n, delay) sends, and keeps inFlight and linkAct in
+//     step with what the per-tick deliver and send would leave.
 //     Validation and apply cost one step per run, not per byte-time.
 //   - receiving host (validated by its link: mid-reassembly of exactly the
 //     worm whose payload arrives): Reassembler.AdvancePayload replaces the
@@ -163,7 +164,7 @@ func (f *Fabric) dueWindow(now des.Time, max des.Time) des.Time {
 	for wi, w := range f.swAct.words {
 		for ; w != 0; w &= w - 1 {
 			s := f.sw[wi<<6+bits.TrailingZeros64(w)]
-			if s.dead || !s.routeIns.empty() || !s.pendIns.empty() || !s.restIns.empty() {
+			if s.dead || !s.routeIns.empty() || !s.restIns.empty() {
 				return 0
 			}
 			for bw, b := range s.boundIns.words {
@@ -233,7 +234,7 @@ func (f *Fabric) dueWindow(now des.Time, max des.Time) des.Time {
 // fed says a sender refills l with f.feed[l.id] every tick of the window.
 func (l *dlink) dueCap(now, n des.Time, fed bool) des.Time {
 	f := l.f
-	if l.dead || l.ctrlTrues != 0 || l.stopMask != 0 {
+	if l.dead || l.back.nruns != 0 || l.stopMask != 0 {
 		return 0
 	}
 	// want is the one flit value the receiver absorbs; a host ignores the
@@ -322,8 +323,6 @@ func (f *Fabric) applyWindow(now, n des.Time) {
 				h.rx.Worm().RxProgress += got
 				f.ctr.FlitsDelivered += int64(got)
 			}
-			// The first skipped deliver would find the clean ring settled.
-			f.settle.clear(li)
 			if l.inFlight == 0 {
 				f.linkAct.clear(li)
 			}

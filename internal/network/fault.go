@@ -269,9 +269,7 @@ func (f *Fabric) killLink(l *dlink) {
 		}
 		l.clear()
 	}
-	clear(l.ctrl)
-	l.ctrlOnes = [4]int32{}
-	l.ctrlTrues = 0
+	l.back.clear()
 	f.inFlight -= l.inFlight
 	l.inFlight = 0
 	stop := l.stopMask
@@ -298,12 +296,11 @@ func (f *Fabric) killLink(l *dlink) {
 		f.dropWorm(h.cur.W)
 	}
 	if s := f.sw[l.dstNode]; s != nil {
-		// The publish phase skips dead-link ports, so every lane leaves the
-		// settling set and joins the dead index until the link revives.
+		// The publish phase skips dead-link ports, so every lane joins the
+		// dead index until the link revives.
 		base := int(l.dstPort) * nvc
 		for v := 0; v < nvc; v++ {
 			s.deadIns.set(base + v)
-			s.pendIns.clear(base + v)
 			if !s.dead {
 				f.poisonInput(&s.in[base+v])
 			}
@@ -313,28 +310,20 @@ func (f *Fabric) killLink(l *dlink) {
 	}
 }
 
-// reviveLink returns a direction to service with an empty pipeline.
+// reviveLink returns a direction to service.  killLink left it empty in
+// both directions, and a dead link takes no flit and no symbol.
 func (f *Fabric) reviveLink(l *dlink) {
 	l.dead = false
-	clear(l.ctrl) // killLink emptied the runs, and a dead link takes no flit
-	l.ctrlOnes = [4]int32{}
-	l.ctrlTrues = 0
-	l.inFlight = 0
-	l.stopMask = 0
-	f.linkAct.clear(l.id)
 	// The downstream switch resumes publishing on this reverse channel next
-	// tick (its lanes may hold stale STOP wishes to clear), so make sure it
-	// is scheduled.
+	// tick, so make sure it is scheduled.
 	if s := f.sw[l.dstNode]; s != nil {
 		base := int(l.dstPort) * f.nvc
 		for v := 0; v < f.nvc; v++ {
 			s.deadIns.clear(base + v)
-			// The ring was wiped to uniform GO: a lane with a standing STOP
-			// wish must publish until the ring matches it (or the wish
-			// clears).
-			if s.in[base+v].stopWish {
-				s.pendIns.set(base + v)
-				f.pubSw.set(int(s.node))
+			// The channel restarted at GO: a lane still wishing STOP
+			// re-evaluates its wish and resends it.
+			if in := &s.in[base+v]; in.stopWish {
+				in.markDirty()
 			}
 		}
 		if !s.dead {

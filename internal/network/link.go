@@ -11,11 +11,12 @@ import (
 
 // dlink is one direction of a full-duplex cable.  The forward channel is a
 // pipeline delay byte-times long; the reverse channel carries the STOP/GO
-// state of the downstream slack buffer with the same propagation delay
-// (Myrinet sends STOP and GO control symbols on the paired return line).
-// With virtual channels (Config.NumVCs > 1) the same physical wire is
+// control symbols of the downstream slack buffer with the same propagation
+// delay (Myrinet sends a STOP or GO symbol on the paired return line when
+// the buffer's fill crosses a watermark, and nothing otherwise).  With
+// virtual channels (Config.NumVCs > 1) the same physical wire is
 // time-multiplexed between lanes: each forward byte-time carries one flit
-// tagged with its lane, and each reverse slot carries a per-lane STOP
+// tagged with its lane, and each reverse symbol carries a per-lane STOP
 // bitmask.
 //
 // The forward pipeline is stored run-length: a cable of delay d holds the
@@ -72,15 +73,12 @@ type dlink struct {
 	// cell keeps a link whose pipe never holds two runs (every delay-1
 	// link) in the cachelines send and deliver already touch.
 	runRing
-	// ctrl[s] carries the downstream per-lane STOP wishes written at slot
-	// s (bit v = lane v), read by the sender delay ticks later.
-	ctrl []uint8
-	// ctrlOnes[v] counts STOP bits for lane v currently in the ctrl ring;
-	// ctrlTrues is their sum.  A lane's reverse channel has settled when its
-	// count is 0 or delay; until every lane has, and stopMask has caught up
-	// with the ring, the link sits in Fabric.settle and is read every tick.
-	ctrlOnes  [4]int32
-	ctrlTrues int
+	// back holds the reverse channel's symbols in flight, oldest first: a
+	// run of one, sent at tick t with the new STOP mask in fl.B, which
+	// becomes stopMask at tick t+delay.  Each symbol flips at least one
+	// lane, so a quiet channel holds none; while it holds any, the link
+	// sits in Fabric.settle and phase 1 visits it every tick.
+	back runRing
 	// inFlight counts the flits in flight (the runs' counts summed), so
 	// the fabric knows the link still holds data even when no slot is due
 	// for delivery.
@@ -162,21 +160,28 @@ func (l *dlink) extend(fl flit.Flit, t, n int64) {
 // sending end.
 func (l *dlink) stopped(vc uint8) bool { return l.stopMask>>vc&1 != 0 }
 
-// settled reports whether every lane's reverse ring is uniform and the
-// sender's view already equals it: reading the ring is then a no-op on
-// every tick until the next ctrl write.
-func (l *dlink) settled() bool {
-	var ring uint8
-	for v := 0; v < l.f.nvc; v++ {
-		switch l.ctrlOnes[v] {
-		case 0:
-		case int32(l.delay):
-			ring |= 1 << v
-		default:
-			return false
+// wish returns the STOP mask the sender will see once the reverse channel
+// drains: the newest symbol's, or stopMask when none is in flight.
+func (l *dlink) wish() uint8 {
+	if q := &l.back; q.nruns > 0 {
+		return q.at(int(q.nruns) - 1).fl.B
+	}
+	return l.stopMask
+}
+
+// signal sends the reverse-channel symbol carrying STOP mask m at tick
+// now.  Lanes flipping in the same tick share one symbol.
+func (l *dlink) signal(now des.Time, m uint8) {
+	q := &l.back
+	if q.nruns > 0 {
+		if r := q.at(int(q.nruns) - 1); r.t == now {
+			r.fl.B = m
+			return
 		}
 	}
-	return l.stopMask == ring
+	q.insert(int(q.nruns), run{fl: flit.Flit{Tag: flit.Tag{B: m}}, t: now, n: 1})
+	l.f.settle.set(l.id)
+	l.f.linkAct.set(l.id)
 }
 
 // send places a flit on the wire at the given tick.  The caller must send
@@ -224,19 +229,31 @@ func (l *dlink) carry(now int64, fl flit.Flit) {
 	l.f.ctr.FlitsCarried++
 }
 
-// deliver runs phase 1 for one link: the sender's delayed STOP view
-// advances one slot, and the flit written delay ticks ago (if any) reaches
-// the far end.  Tick calls it only for links with an arrival this tick or
-// a reverse channel still settling; for every other link both steps are
-// no-ops.
+// deliver runs phase 1 for one link: the symbols sent delay ticks ago or
+// earlier reach the sender's STOP view, and the flit written delay ticks
+// ago (if any) reaches the far end.  Tick calls it only for links with an
+// arrival this tick or a symbol in flight; for every other link both
+// steps are no-ops.
 func (l *dlink) deliver(now des.Time) {
 	f := l.f
 	c := l.cls
 	slot := c.slot
-	if m := l.ctrl[slot]; m != l.stopMask {
-		changed := m ^ l.stopMask
-		l.stopMask = m
-		f.wakeSenders(l, changed)
+	if q := &l.back; q.nruns > 0 {
+		// One symbol falls due per tick while the fabric ticks; after an
+		// idle gap every symbol sent before it is due at once.
+		m := l.stopMask
+		for q.nruns > 0 && q.runs[q.head].t+int64(l.delay) <= now {
+			m = q.runs[q.head].fl.B
+			q.dropHead()
+		}
+		if m != l.stopMask {
+			changed := m ^ l.stopMask
+			l.stopMask = m
+			f.wakeSenders(l, changed)
+		}
+		if q.nruns == 0 {
+			f.settle.clear(l.id)
+		}
 	}
 	if w := &c.arr[slot*c.lw+l.aw]; *w&l.abit != 0 {
 		*w &^= l.abit
@@ -262,12 +279,9 @@ func (l *dlink) deliver(now des.Time) {
 			l.dstHost.receive(fl, now)
 		}
 	}
-	if f.settle.has(l.id) && l.settled() {
-		f.settle.clear(l.id)
-	}
-	if l.inFlight == 0 && l.ctrlTrues == 0 && l.stopMask == 0 {
-		// Empty pipe, clean reverse channel: nothing for Skip to validate
-		// until the next send or STOP write re-activates.
+	if l.inFlight == 0 && l.back.nruns == 0 && l.stopMask == 0 {
+		// Empty pipe, quiet reverse channel: nothing for Skip to validate
+		// until the next send or symbol re-activates.
 		f.linkAct.clear(l.id)
 	}
 }

@@ -252,11 +252,11 @@ type Fabric struct {
 	// are the only record of membership.  Phase 1 visits the links with an
 	// arrival this tick (the delay classes' arrival bitsets) plus settle;
 	// linkAct holds every link with state for Skip.
-	linkAct  bitset // links with a flit in flight or a STOP in the ring/view
-	settle   bitset // links whose reverse ring or STOP view is still moving
+	linkAct  bitset // links with a flit or symbol in flight, or a STOP in view
+	settle   bitset // links with a reverse-channel symbol in flight
 	inFlight int    // flits in flight on all links
 	swAct    bitset // switch NodeIDs
-	pubSw    bitset // switches with a dirty or pending STOP/GO port
+	pubSw    bitset // switches with a dirty STOP/GO port
 	hostAct  bitset // host NodeIDs (transmit side)
 	hostNap  bitset // hosts in hostAct napped behind STOP
 	rxBusy   int    // hosts with a reception in progress
@@ -335,7 +335,6 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 			s.boundIns = newBitset(lanes)
 			s.restIns = newBitset(lanes)
 			s.dirtyIns = newBitset(lanes)
-			s.pendIns = newBitset(lanes)
 			s.deadIns = newBitset(lanes)
 			for li := range s.in {
 				s.out[li].boundIn = -1
@@ -355,25 +354,20 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 			f.hosts[ni] = &hostIf{node: n.ID, f: f}
 		}
 	}
-	// The links and their reverse-channel rings are carved from shared
-	// slabs: one allocation each instead of several per link, and the
-	// rings end up cache-adjacent in construction order.  A link's run
-	// ring, and each lane's slack buffer, starts as its one inline cell
-	// (all a delay-1 link ever needs) and grows on its own when it first
-	// holds more than one run.
-	var nLinks, ctrlSlots int
+	// The links are carved from one slab, cache-adjacent in construction
+	// order.  A link's run ring and symbol ring, and each lane's slack
+	// buffer, start as their one inline cell (all a delay-1 link ever
+	// needs) and grow on their own when they first hold more than one run.
+	nLinks := 0
 	for ni := range g.Nodes {
 		for _, p := range g.Nodes[ni].Ports {
-			if !p.Wired() {
-				continue
+			if p.Wired() {
+				nLinks++
 			}
-			nLinks++
-			ctrlSlots += int(p.Delay)
 		}
 	}
 	linkSlab := make([]dlink, nLinks)
 	f.links = make([]*dlink, 0, nLinks)
-	ctrlSlab := make([]uint8, ctrlSlots)
 	lw := (nLinks + 63) / 64
 
 	for ni := range g.Nodes {
@@ -393,7 +387,7 @@ func New(k *des.Kernel, g *topology.Graph, ud *updown.Routing, cfg Config) (*Fab
 			l.grantTick = -1
 			l.aw, l.abit = l.id>>6, 1<<uint(l.id&63)
 			l.runs = l.cell[:]
-			l.ctrl, ctrlSlab = ctrlSlab[:l.delay:l.delay], ctrlSlab[l.delay:]
+			l.back.runs = l.back.cell[:]
 			f.links = append(f.links, l)
 			if s := f.sw[ni]; s != nil {
 				for v := 0; v < nvc; v++ {
@@ -502,10 +496,10 @@ func (f *Fabric) Tick(now des.Time) bool {
 		c.slot = int(now % c.delay)
 	}
 
-	// Phase 1: links deliver the flits and control state that have been in
-	// flight for one full propagation delay — the links with an arrival bit
-	// in their class's current slot, plus those whose reverse channel is
-	// still settling, in ascending link order.
+	// Phase 1: links deliver the flits and symbols that have been in flight
+	// for one full propagation delay — the links with an arrival bit in
+	// their class's current slot, plus those with a symbol in flight, in
+	// ascending link order.
 	for wi, w := range f.settle.words {
 		for i := range f.classes {
 			c := &f.classes[i]
@@ -557,7 +551,7 @@ func (f *Fabric) Tick(now des.Time) bool {
 	f.helloPhase(now)
 
 	// Phase 4: input ports publish STOP/GO onto the reverse channels, at the
-	// active switches with a dirty or pending port (see swState.publish).
+	// active switches with a dirty port (see swState.publish).
 	f.pubSw.forEach(func(ni int) {
 		if s := f.sw[ni]; f.swAct.has(ni) && !s.dead {
 			s.publish(now)

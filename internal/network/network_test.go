@@ -153,6 +153,79 @@ func TestUnicastLongDelayLink(t *testing.T) {
 	}
 }
 
+// TestGoCrossesIdleGap: a GO sent just before the fabric goes idle reaches
+// the sender during the gap, so a worm sent after the gap crosses the
+// trunk without a stall, at the contention-free latency.  On Line(3, 100)
+// worm a (h2 to h1) holds s1's output to h1 while worm b (h0 to h1) fills
+// s1's trunk lane past the STOP mark; b then drains to GO and is delivered
+// within a delay of the GO, before the sender sees it.
+func TestGoCrossesIdleGap(t *testing.T) {
+	const delay = 100
+	g := topology.Line(3, delay)
+	hosts := g.Hosts()
+	fresh := func(r *rig) *flit.Worm { return r.unicast(t, hosts[0], hosts[1], 3*delay) }
+	latency := func(r *rig, w *flit.Worm) des.Time {
+		t.Helper()
+		for _, d := range r.deliveries {
+			if d.Worm == w {
+				return d.At - w.Created
+			}
+		}
+		t.Fatalf("worm %d not delivered", w.ID)
+		return 0
+	}
+
+	clean := newRig(t, g, Config{})
+	c := fresh(clean)
+	if err := clean.f.Inject(hosts[0], c); err != nil {
+		t.Fatal(err)
+	}
+	clean.run(t, 0)
+	want := latency(clean, c)
+
+	r := newRig(t, g, Config{})
+	var trunk *dlink
+	s0, s1 := g.Node(hosts[0]).Ports[0].Peer, g.Node(hosts[1]).Ports[0].Peer
+	for _, l := range r.f.links {
+		if l.srcNode == s0 && l.dstNode == s1 {
+			trunk = l
+		}
+	}
+	if err := r.f.Inject(hosts[2], r.unicast(t, hosts[2], hosts[1], 200)); err != nil {
+		t.Fatal(err)
+	}
+	r.k.At(10, func() {
+		if err := r.f.Inject(hosts[0], r.unicast(t, hosts[0], hosts[1], 80)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	r.run(t, 300)
+	if !trunk.stopped(0) {
+		t.Fatal("the STOP episode never reached the trunk's sender")
+	}
+	r.run(t, 0)
+	if len(r.deliveries) != 2 {
+		t.Fatalf("%d deliveries before the gap, want 2", len(r.deliveries))
+	}
+	if !trunk.stopped(0) {
+		t.Fatal("the GO reached the trunk's sender before the fabric went idle")
+	}
+	stalled := trunk.stalled
+	w := fresh(r)
+	r.k.At(r.k.Now()+3*delay, func() {
+		if err := r.f.Inject(hosts[0], w); err != nil {
+			t.Fatal(err)
+		}
+	})
+	r.run(t, 0)
+	if d := trunk.stalled - stalled; d != 0 {
+		t.Errorf("trunk stalled %d ticks after the gap, want 0", d)
+	}
+	if got := latency(r, w); got != want {
+		t.Errorf("worm after the gap took %d byte-times, want the contention-free %d", got, want)
+	}
+}
+
 func TestContentionRoundTrip(t *testing.T) {
 	// Two senders to one destination: both worms must arrive intact, the
 	// second delayed behind the first (no drops in a backpressured LAN).

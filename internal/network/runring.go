@@ -8,7 +8,8 @@ import "wormlan/internal/flit"
 // value: a streaming worm's payload bytes are all Flit{W, Payload, VC}.
 // Both store their flits as runs in a runRing, so a 1000-byte-time cable
 // or the 2 056-flit slack buffer behind it holds a handful of runs, not a
-// copy of the payload flit per byte-time of capacity.
+// copy of the payload flit per byte-time of capacity.  A link's reverse
+// channel keeps its STOP/GO symbols in one too, each a run of one.
 
 // run is n copies of one flit value.  In a link pipeline the copies were
 // sent on the consecutive ticks t, t+1, …, t+n-1; a slack buffer leaves t
@@ -82,9 +83,9 @@ func (q *runRing) clear() {
 
 // grow doubles the ring, oldest run first.  A ring holds at most one run
 // per flit of capacity (a cable's delay, a slack buffer's size), and grows
-// only when a new mix of headers, tails, payload and gaps first shares
-// it, so it stops growing during warm-up and the steady state allocates
-// nothing (TestDeliveredWormZeroAlloc's long-cable and stalled-sink cases
+// only when a new mix of headers, tails, payload and gaps (or more STOP/GO
+// flips per delay) first shares it, so it stops growing during warm-up
+// and the steady state allocates nothing (TestDeliveredWormZeroAlloc's long-cable and stalled-sink cases
 // pin that).
 //
 //wormlint:alloc ring growth, bounded by the owner's capacity and over once it has held its busiest mix

@@ -256,13 +256,10 @@ type swState struct {
 	// publish phase: receive/pop set it only when the fill crosses the
 	// STOP mark (wish clear) or the GO mark (wish set) — any other fill
 	// change provably leaves the wish alone, so streaming ports stay out
-	// of the publish scan entirely.  pendIns marks ports whose reverse-
-	// channel ring is not yet uniformly equal to the current wish and
-	// still needs per-tick writes.  deadIns marks ports whose arrival
+	// of the publish scan entirely.  deadIns marks ports whose arrival
 	// link is dead (excluded from the fabric work OR, as in the full-scan
 	// code).
 	dirtyIns bitset
-	pendIns  bitset
 	deadIns  bitset
 	// wishPorts counts ports with stopWish set; nBoundOuts counts bound
 	// crossbar outputs.  Both replace per-tick port scans in phase 4.
@@ -717,15 +714,15 @@ func (s *swState) transmit(now des.Time) {
 // publish runs phase 4 for the switch: every port whose slack fill crossed
 // a STOP/GO threshold since the last publish (dirtyIns — the wish is a pure
 // function of fill with hysteresis, so any other fill history cannot flip
-// it) re-evaluates its wish, and every port whose reverse ring is still
-// settling toward the wish (pendIns) writes this tick's slot.  Any other
-// port's publish is a no-op, and a switch with neither kind is not in
+// it) re-evaluates its wish, and a wish that differs from its link's
+// dlink.wish goes up the reverse channel as a symbol.  Any other
+// port's publish is a no-op, and a switch with no dirty port is not in
 // Fabric.pubSw at all.
 func (s *swState) publish(now des.Time) {
 	f := s.f
 	stopMark, goMark := f.Cfg.StopMark, f.Cfg.GoMark
 	for wi := range s.dirtyIns.words {
-		w := s.dirtyIns.words[wi] | s.pendIns.words[wi]
+		w := s.dirtyIns.words[wi]
 		s.dirtyIns.words[wi] = 0
 		for w != 0 {
 			pi := wi<<6 + bits.TrailingZeros64(w)
@@ -754,49 +751,27 @@ func (s *swState) publish(now des.Time) {
 					}
 				}
 			}
-			slot := l.cls.slot
-			bit := uint8(1) << in.vc
-			if (l.ctrl[slot]&bit != 0) != in.stopWish {
-				if in.stopWish {
-					l.ctrl[slot] |= bit
-					l.ctrlOnes[in.vc]++
-					l.ctrlTrues++
-					f.linkAct.set(l.id)
-				} else {
-					l.ctrl[slot] &^= bit
-					l.ctrlOnes[in.vc]--
-					l.ctrlTrues--
-				}
-				// The sender read this slot this tick: its view now lags.
-				f.settle.set(l.id)
-			}
-			if (in.stopWish && int(l.ctrlOnes[in.vc]) == l.delay) ||
-				(!in.stopWish && l.ctrlOnes[in.vc] == 0) {
-				s.pendIns.clear(pi)
-			} else {
-				s.pendIns.set(pi)
+			if w, bit := l.wish(), uint8(1)<<in.vc; (w&bit != 0) != in.stopWish {
+				l.signal(now, w^bit)
 			}
 		}
 	}
-	if s.pendIns.empty() {
-		f.pubSw.clear(int(s.node))
-	}
+	f.pubSw.clear(int(s.node))
 }
 
 // settleLiveness folds the switch's end-of-tick state into the fabric work
 // flag and drops the switch from swAct when every phase would be a no-op.
 // Equivalences with the full scan: routeIns|boundIns is exactly "fill > 0
 // or mode not idle" (a flush/drop port stays in routeIns until it
-// re-idles; sleeping and napped ports stay members); wishPorts covers
-// both standing STOP wishes and rings pinned uniformly-STOP (old criterion
-// ctrlTrues > 0 with a true wish); pendIns covers settling rings
-// (ctrlTrues > 0 with a false wish).
+// re-idles; sleeping and napped ports stay members); wishPorts keeps a
+// switch with a standing STOP wish active.  Symbols in flight need no
+// switch: their links sit in Fabric.settle.
 func (s *swState) settleLiveness() {
 	f := s.f
 	if anyAndNot(&s.routeIns, &s.boundIns, &s.deadIns) {
 		f.work = true
 	}
-	busy := s.wishPorts > 0 || !s.pendIns.empty() || anyOr(&s.routeIns, &s.boundIns)
+	busy := s.wishPorts > 0 || anyOr(&s.routeIns, &s.boundIns)
 	if s.nBoundOuts > 0 {
 		f.work = true
 		busy = true

@@ -17,6 +17,7 @@ import (
 	"math/bits"
 
 	"wormlan/internal/des"
+	"wormlan/internal/flit"
 )
 
 const wormcheckEnabled = true
@@ -45,15 +46,15 @@ func (f *Fabric) wormfail(now des.Time, format string, args ...any) {
 }
 
 // checkLinks: the run rings must be well formed and agree with the
-// arrival bits and the occupancy counters, reverse-channel STOP counts
-// must equal a direct recount of the ring, a link outside the settle set
-// must read a uniform ring, and a link still holding state must be in the
-// active set.  The runs are recounted, not the slots: each run must be
-// non-empty and begin after the previous one ends, all of them inside the
-// last delay ticks; their counts must sum to inFlight; every tick they
-// cover must have its slot's arrival bit set, and the bits set across all
-// classes must number exactly the fabric's inFlight, so no bit is set
-// outside a run; and the ring cells outside the runs must be zero.
+// arrival bits and the occupancy counters, the reverse channel's symbols
+// must agree with the downstream wishes (checkSymbols), and a link still
+// holding state must be in the active set.  The runs are recounted, not
+// the slots: each run must be non-empty and begin after the previous one
+// ends, all of them inside the last delay ticks; their counts must sum to
+// inFlight; every tick they cover must have its slot's arrival bit set,
+// and the bits set across all classes must number exactly the fabric's
+// inFlight, so no bit is set outside a run; and the ring cells outside
+// the runs must be zero.
 func (f *Fabric) checkLinks(now des.Time) {
 	total := 0
 	for _, l := range f.links {
@@ -63,41 +64,10 @@ func (f *Fabric) checkLinks(now des.Time) {
 			f.wormfail(now, "link %d.%d->%d.%d inFlight=%d but its runs hold %d flits",
 				l.srcNode, l.srcPort, l.dstNode, l.dstPort, l.inFlight, flits)
 		}
-		if !f.settle.has(l.id) && !l.settled() {
-			f.wormfail(now, "link %d.%d->%d.%d outside the settle set with ctrlOnes=%v stopMask=%#x: its ring would not be read",
-				l.srcNode, l.srcPort, l.dstNode, l.dstPort, l.ctrlOnes, l.stopMask)
-		}
-		if l.dead {
-			// killLink wipes everything; reconfirm so a flit can never ride
-			// a dead wire into a later revive.
-			if l.inFlight != 0 || l.ctrlTrues != 0 || l.stopMask != 0 || f.settle.has(l.id) {
-				f.wormfail(now, "dead link %d.%d->%d.%d holds state: inFlight=%d ctrlTrues=%d stopMask=%#x settle=%v",
-					l.srcNode, l.srcPort, l.dstNode, l.dstPort, l.inFlight, l.ctrlTrues, l.stopMask, f.settle.has(l.id))
-			}
-			continue
-		}
-		var ones [4]int32
-		for _, b := range l.ctrl {
-			ones[0] += int32(b & 1)
-			ones[1] += int32(b >> 1 & 1)
-			ones[2] += int32(b >> 2 & 1)
-			ones[3] += int32(b >> 3 & 1)
-		}
-		trues := 0
-		for v := 0; v < 4; v++ {
-			if ones[v] != l.ctrlOnes[v] {
-				f.wormfail(now, "link %d.%d->%d.%d ctrlOnes[%d]=%d but %d STOP bits in ring",
-					l.srcNode, l.srcPort, l.dstNode, l.dstPort, v, l.ctrlOnes[v], ones[v])
-			}
-			trues += int(ones[v])
-		}
-		if trues != l.ctrlTrues {
-			f.wormfail(now, "link %d.%d->%d.%d ctrlTrues=%d but %d STOP bits in ring",
-				l.srcNode, l.srcPort, l.dstNode, l.dstPort, l.ctrlTrues, trues)
-		}
-		if (l.inFlight > 0 || l.ctrlTrues > 0 || l.stopMask != 0) && !f.linkAct.has(l.id) {
-			f.wormfail(now, "link %d.%d->%d.%d holds state (inFlight=%d ctrlTrues=%d stopMask=%#x) but is not active: lost wakeup",
-				l.srcNode, l.srcPort, l.dstNode, l.dstPort, l.inFlight, l.ctrlTrues, l.stopMask)
+		l.checkSymbols(now)
+		if (l.inFlight > 0 || l.back.nruns > 0 || l.stopMask != 0) && !f.linkAct.has(l.id) {
+			f.wormfail(now, "link %d.%d->%d.%d holds state (inFlight=%d symbols=%d stopMask=%#x) but is not active: lost wakeup",
+				l.srcNode, l.srcPort, l.dstNode, l.dstPort, l.inFlight, l.back.nruns, l.stopMask)
 		}
 	}
 	if total != f.inFlight {
@@ -114,13 +84,28 @@ func (f *Fabric) checkLinks(now des.Time) {
 	}
 }
 
+// ringFault describes what makes q not a well-formed run ring — not a
+// power-of-two ring, or a cell outside the runs not zeroed — or is "".
+func ringFault(q *runRing) string {
+	if len(q.runs) == 0 || len(q.runs)&(len(q.runs)-1) != 0 || q.nruns < 0 || int(q.nruns) > len(q.runs) ||
+		q.head < 0 || int(q.head) >= len(q.runs) {
+		return fmt.Sprintf("ring has %d cells (head %d) holding %d runs: not a power-of-two ring", len(q.runs), q.head, q.nruns)
+	}
+	for i := int(q.nruns); i < len(q.runs); i++ {
+		if *q.at(i) != (run{}) {
+			return fmt.Sprintf("ring cell %d outside the runs is not zeroed (head %d, %d runs)",
+				(int(q.head)+i)&(len(q.runs)-1), q.head, q.nruns)
+		}
+	}
+	return ""
+}
+
 // checkRuns validates l's run ring at the end of tick now and returns the
 // number of flits its runs hold.
 func (l *dlink) checkRuns(now des.Time) int {
 	f := l.f
-	if len(l.runs) == 0 || len(l.runs)&(len(l.runs)-1) != 0 || int(l.nruns) > len(l.runs) || int(l.head) >= len(l.runs) {
-		f.wormfail(now, "link %d.%d->%d.%d run ring has %d cells (head %d) holding %d runs: not a power-of-two ring",
-			l.srcNode, l.srcPort, l.dstNode, l.dstPort, len(l.runs), l.head, l.nruns)
+	if why := ringFault(&l.runRing); why != "" {
+		f.wormfail(now, "link %d.%d->%d.%d run %s", l.srcNode, l.srcPort, l.dstNode, l.dstPort, why)
 	}
 	flits := 0
 	next := now - des.Time(l.delay) + 1 // the oldest send tick still in flight
@@ -139,26 +124,67 @@ func (l *dlink) checkRuns(now des.Time) int {
 		flits += int(r.n)
 		next = r.t + r.n
 	}
-	for i := int(l.nruns); i < len(l.runs); i++ {
-		if *l.at(i) != (run{}) {
-			f.wormfail(now, "link %d.%d->%d.%d ring cell %d outside the runs is not zeroed",
-				l.srcNode, l.srcPort, l.dstNode, l.dstPort, (int(l.head)+i)&(len(l.runs)-1))
-		}
-	}
 	return flits
 }
 
+// checkSymbols validates l's reverse channel at the end of tick now: the
+// symbols are single, in send order, inside the last delay ticks (an
+// older one would have been applied), and each flips the mask before it,
+// the first stopMask; a live link's wish is its downstream lanes' STOP
+// wishes, and a dead link holds no symbol or STOP; settle holds exactly
+// the links with a symbol in flight.  The walk is one step per symbol,
+// not per slot of the cable.
+func (l *dlink) checkSymbols(now des.Time) {
+	f := l.f
+	q := &l.back
+	if why := ringFault(q); why != "" {
+		f.wormfail(now, "link %d.%d->%d.%d symbol %s", l.srcNode, l.srcPort, l.dstNode, l.dstPort, why)
+	}
+	mask, next := l.stopMask, now-des.Time(l.delay)+1
+	for i := 0; i < int(q.nruns); i++ {
+		r := q.at(i)
+		if r.n != 1 || r.t < next || r.t > now || r.fl != (flit.Flit{Tag: flit.Tag{B: r.fl.B}}) || r.fl.B == mask {
+			f.wormfail(now, "link %d.%d->%d.%d symbol %d is %d× mask %#x (flit %v) sent at %d after mask %#x: want one flip per symbol, sent in order after %d and by %d",
+				l.srcNode, l.srcPort, l.dstNode, l.dstPort, i, r.n, r.fl.B, r.fl, r.t, mask, next-1, now)
+		}
+		mask, next = r.fl.B, r.t+1
+	}
+	if l.dead {
+		// killLink wipes everything; reconfirm so a flit can never ride a
+		// dead wire into a later revive.
+		if l.inFlight != 0 || q.nruns != 0 || l.stopMask != 0 {
+			f.wormfail(now, "dead link %d.%d->%d.%d holds state: inFlight=%d symbols=%d stopMask=%#x",
+				l.srcNode, l.srcPort, l.dstNode, l.dstPort, l.inFlight, q.nruns, l.stopMask)
+		}
+	} else {
+		var want uint8
+		for v := range l.dstIns {
+			if l.dstIns[v].stopWish {
+				want |= 1 << v
+			}
+		}
+		if mask != want {
+			f.wormfail(now, "link %d.%d->%d.%d wish=%#x but its downstream lanes wish %#x",
+				l.srcNode, l.srcPort, l.dstNode, l.dstPort, mask, want)
+		}
+	}
+	if f.settle.has(l.id) != (q.nruns > 0) {
+		f.wormfail(now, "link %d.%d->%d.%d settle=%v with %d symbols in flight",
+			l.srcNode, l.srcPort, l.dstNode, l.dstPort, f.settle.has(l.id), q.nruns)
+	}
+}
+
 // checkSwitches: slack occupancy windows, post-publish STOP/GO wish
-// consistency, the wishPorts count, the route/bound/pend/dead port
-// indexes, and crossbar reservation-release balance.
+// consistency, the wishPorts count, the route/bound/dead port indexes, and
+// crossbar reservation-release balance.
 func (f *Fabric) checkSwitches(now des.Time) {
 	heads, naps := 0, 0
 	for _, s := range f.sw {
 		if s == nil {
 			continue
 		}
-		if (!s.dirtyIns.empty() || !s.pendIns.empty()) && !f.pubSw.has(int(s.node)) {
-			f.wormfail(now, "switch %d has a dirty or pending STOP/GO port but is not in pubSw: lost publish", s.node)
+		if !s.dirtyIns.empty() && !f.pubSw.has(int(s.node)) {
+			f.wormfail(now, "switch %d has a dirty STOP/GO port but is not in pubSw: lost publish", s.node)
 		}
 		wishes := 0
 		for pi := range s.in {
@@ -178,9 +204,6 @@ func (f *Fabric) checkSwitches(now des.Time) {
 			if s.deadIns.has(pi) != dead {
 				f.wormfail(now, "switch %d lane %d deadIns=%v but link dead=%v",
 					s.node, pi, s.deadIns.has(pi), dead)
-			}
-			if dead && s.pendIns.has(pi) {
-				f.wormfail(now, "switch %d lane %d pending STOP/GO settle on a dead link", s.node, pi)
 			}
 			if s.dead {
 				continue
@@ -206,8 +229,7 @@ func (f *Fabric) checkSwitches(now des.Time) {
 		}
 		f.checkCrossbar(now, s)
 		if !s.dead {
-			busy := s.wishPorts > 0 || !s.pendIns.empty() ||
-				anyOr(&s.routeIns, &s.boundIns) || s.nBoundOuts > 0
+			busy := s.wishPorts > 0 || anyOr(&s.routeIns, &s.boundIns) || s.nBoundOuts > 0
 			if busy && !f.swAct.has(int(s.node)) {
 				f.wormfail(now, "switch %d has pending work but is not active: lost wakeup", s.node)
 			}
@@ -280,10 +302,8 @@ func (f *Fabric) checkSlack(now des.Time, s *swState, in *inPort) {
 		}
 		return
 	}
-	if len(q.runs) == 0 || len(q.runs)&(len(q.runs)-1) != 0 || q.nruns < 0 || int(q.nruns) > len(q.runs) ||
-		q.head < 0 || int(q.head) >= len(q.runs) {
-		f.wormfail(now, "switch %d lane %d slack ring has %d cells (head %d) holding %d runs: not a power-of-two ring",
-			s.node, in.idx, len(q.runs), q.head, q.nruns)
+	if why := ringFault(q); why != "" {
+		f.wormfail(now, "switch %d lane %d slack %s", s.node, in.idx, why)
 	}
 	if in.fill < 0 || in.fill > in.cap {
 		f.wormfail(now, "switch %d lane %d fill=%d outside [0,%d]", s.node, in.idx, in.fill, in.cap)
@@ -299,12 +319,6 @@ func (f *Fabric) checkSlack(now des.Time, s *swState, in *inPort) {
 	}
 	if flits != in.fill {
 		f.wormfail(now, "switch %d lane %d fill=%d but its slack runs hold %d flits", s.node, in.idx, in.fill, flits)
-	}
-	for i := int(q.nruns); i < len(q.runs); i++ {
-		if *q.at(i) != (run{}) {
-			f.wormfail(now, "switch %d lane %d slack cell %d outside the runs is not zeroed (head=%d runs=%d)",
-				s.node, in.idx, (int(q.head)+i)&(len(q.runs)-1), q.head, q.nruns)
-		}
 	}
 }
 

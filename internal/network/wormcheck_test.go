@@ -118,9 +118,22 @@ func TestWormcheckDetectsCorruption(t *testing.T) {
 		r := build()
 		mustWormfail(t, r, "in total", func() { r.f.inFlight++ })
 	})
+	// The reverse channel: a symbol that flips nothing, a link in settle
+	// with no symbol in flight, a wish the downstream lanes do not hold.
+	t.Run("symbol-repeat", func(t *testing.T) {
+		r := build()
+		mustWormfail(t, r, "one flip per symbol", func() {
+			l := r.f.links[0]
+			l.signal(r.k.Now(), l.wish())
+		})
+	})
 	t.Run("settle", func(t *testing.T) {
 		r := build()
-		mustWormfail(t, r, "outside the settle set", func() {
+		mustWormfail(t, r, "settle=true with 0 symbols", func() { r.f.settle.set(0) })
+	})
+	t.Run("wish", func(t *testing.T) {
+		r := build()
+		mustWormfail(t, r, "downstream lanes wish", func() {
 			l := r.f.links[0]
 			l.stopMask = 1
 			r.f.linkAct.set(l.id)
@@ -159,10 +172,6 @@ func TestWormcheckDetectsCorruption(t *testing.T) {
 			s.dirtyIns.set(in.idx)
 			r.f.pubSw.clear(int(s.node))
 		})
-	})
-	t.Run("ctrl-ones", func(t *testing.T) {
-		r := build()
-		mustWormfail(t, r, "ctrlOnes", func() { r.f.links[0].ctrlOnes[0]++ })
 	})
 	t.Run("wish-count", func(t *testing.T) {
 		r := build()

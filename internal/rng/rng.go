@@ -148,33 +148,6 @@ func (s *Source) Geometric(mean float64) int {
 	return k
 }
 
-// Poisson returns a Poisson-distributed integer with the given mean, using
-// Knuth's method for small means and normal approximation above 500 (where
-// Knuth's method becomes both slow and numerically fragile).
-func (s *Source) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 500 {
-		// Normal approximation with continuity correction.
-		n := int(math.Round(mean + math.Sqrt(mean)*s.Norm()))
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= s.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Norm returns a standard normal draw (Box-Muller, one value per call).
 func (s *Source) Norm() float64 {
 	u1 := s.Float64()

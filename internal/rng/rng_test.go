@@ -201,31 +201,6 @@ func TestGeometricDegenerate(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	s := New(10, 10)
-	for _, mean := range []float64{0.5, 4, 80, 600} {
-		sum := 0.0
-		const n = 50000
-		for i := 0; i < n; i++ {
-			sum += float64(s.Poisson(mean))
-		}
-		got := sum / n
-		if math.Abs(got-mean)/math.Max(mean, 1) > 0.05 {
-			t.Fatalf("Poisson(%v) mean = %v", mean, got)
-		}
-	}
-}
-
-func TestPoissonZeroMean(t *testing.T) {
-	s := New(11, 11)
-	if v := s.Poisson(0); v != 0 {
-		t.Fatalf("Poisson(0) = %d", v)
-	}
-	if v := s.Poisson(-1); v != 0 {
-		t.Fatalf("Poisson(-1) = %d", v)
-	}
-}
-
 func TestNormMoments(t *testing.T) {
 	s := New(12, 12)
 	sum, sumSq := 0.0, 0.0

@@ -15,14 +15,6 @@ import (
 // and bubble — the skipping run's Results, per-channel and per-switch
 // metrics included, equal the tick-by-tick run's.
 func TestFastForwardExactnessLongLinks(t *testing.T) {
-	if testing.Short() {
-		// Under the wormcheck build (run with -short) the per-tick audit of
-		// every reverse-channel slot of every 1000-byte-time cable costs
-		// about 20 s per cell even at a 45 k-tick window; the network
-		// package's rig tests and the FuzzSkipVsTick, FuzzPipeVsSlots and
-		// FuzzSlackVsCells seeds cover these shapes there.
-		t.Skip("long-link cells are too slow for -short")
-	}
 	for _, scheme := range []Scheme{TreeFlood, HamiltonianSF} {
 		for _, load := range []float64{0.01, 0.03} {
 			t.Run(fmt.Sprintf("%s@%.2f", scheme.Name, load), func(t *testing.T) {
