@@ -275,14 +275,6 @@ type Structure struct {
 	orig *multicast.Group
 }
 
-// origGroup returns the membership as registered (before pruning).
-func (st *Structure) origGroup() *multicast.Group {
-	if st.orig != nil {
-		return st.orig
-	}
-	return st.Group
-}
-
 // System wires one Adapter per host onto a fabric and routes protocol
 // events between them.
 type System struct {
@@ -375,26 +367,33 @@ func (s *System) AddGroup(g *multicast.Group) (*Structure, error) {
 			return nil, fmt.Errorf("adapter: group %d member %d is not a host", g.ID, m)
 		}
 	}
-	st := &Structure{Group: g, orig: g}
-	switch s.Cfg.Mode {
-	case ModeCircuit:
-		st.Circuit = multicast.NewCircuitByID(g)
-	case ModeTreeRooted, ModeTreeFlood:
-		// Topology-aware construction over the host-connectivity hop
-		// metric (Figure 8): tree edges are much shorter than random
-		// member pairs, which is why the paper's tree loads the network
-		// less than the ID-ordered circuit (Section 7.1).  The greedy
-		// builder still respects the child-above-parent ID rule.
-		tr, err := multicast.NewTreeGreedy(s.F.G, g, 2)
-		if err != nil {
-			return nil, err
-		}
-		st.Tree = tr
-	default:
-		return nil, fmt.Errorf("adapter: unknown mode %v", s.Cfg.Mode)
+	st := &Structure{orig: g}
+	if err := s.build(st, g); err != nil {
+		return nil, err
 	}
 	s.groups[g.ID] = st
 	return st, nil
+}
+
+// build (re)computes st's structure over membership g under the configured
+// mode.
+func (s *System) build(st *Structure, g *multicast.Group) error {
+	st.Group = g
+	if s.Cfg.Mode == ModeCircuit {
+		st.Circuit = multicast.NewCircuitByID(g)
+		return nil
+	}
+	// Topology-aware construction over the host-connectivity hop metric
+	// (Figure 8): tree edges are much shorter than random member pairs,
+	// which is why the paper's tree loads the network less than the
+	// ID-ordered circuit (Section 7.1).  The greedy builder still respects
+	// the child-above-parent ID rule.
+	tr, err := multicast.NewTreeGreedy(s.F.G, g, 2)
+	if err != nil {
+		return err
+	}
+	st.Tree = tr
+	return nil
 }
 
 // Group returns a registered group structure.
@@ -417,7 +416,7 @@ func (s *System) Reroute(tbl *updown.Table, reachable func(topology.NodeID) bool
 	sort.Ints(ids)
 	for _, id := range ids {
 		st := s.groups[id]
-		orig := st.origGroup()
+		orig := st.orig
 		var live []topology.NodeID
 		for _, m := range orig.Members {
 			if reachable(m) {
@@ -474,21 +473,11 @@ func (s *System) Reroute(tbl *updown.Table, reachable func(topology.NodeID) bool
 }
 
 // rebuildStructure recomputes a group's multicast structure over the given
-// membership.
+// membership; a structure that cannot be built is dead.
 func (s *System) rebuildStructure(st *Structure, g *multicast.Group) {
-	st.Group = g
-	st.Dead = false
-	switch s.Cfg.Mode {
-	case ModeCircuit:
-		st.Circuit = multicast.NewCircuitByID(g)
-	case ModeTreeRooted, ModeTreeFlood:
-		tr, err := multicast.NewTreeGreedy(s.F.G, g, 2)
-		if err != nil {
-			st.Dead = true
-			s.stats.GroupsDead++
-			return
-		}
-		st.Tree = tr
+	st.Dead = s.build(st, g) != nil
+	if st.Dead {
+		s.stats.GroupsDead++
 	}
 }
 
@@ -628,7 +617,7 @@ func (a *Adapter) SendMulticast(groupID, payload int) (*Transfer, error) {
 		return nil, fmt.Errorf("adapter: unknown group %d", groupID)
 	}
 	if st.Dead || !st.Group.Contains(a.Host) {
-		if st.origGroup().Contains(a.Host) {
+		if st.orig.Contains(a.Host) {
 			// The group (or this host's membership) was pruned away by
 			// failures: a counted loss, not a generation error.
 			a.sys.stats.RouteLost++
@@ -789,39 +778,19 @@ func (a *Adapter) armTimer(key hopKey, o *outstanding) {
 
 func (a *Adapter) onTimeout(key hopKey) {
 	o := a.outstanding[key]
-	if o == nil {
+	if o == nil || !a.retry(key, o) {
 		return
 	}
-	o.retries++
-	if o.retries > a.sys.Cfg.MaxRetries {
-		a.sys.stats.GiveUps++
-		delete(a.outstanding, key)
-		a.hopFinished(o.info.Transfer)
-		return
-	}
-	a.sys.stats.Retransmits++
 	a.sys.stats.TimeoutRetransmits++
-	if a.sys.rec != nil {
-		a.sys.emit(trace.EvRetransmit, a.Host, 0, o.info.Transfer.ID)
-	}
-	a.sys.sendWorm(a.Host, o.dst, o.info.Transfer.Payload, o.info, nil)
-	a.armTimer(key, o)
+	a.resend(key, o)
 }
 
 func (a *Adapter) onNack(t *Transfer, from topology.NodeID) {
 	key := hopKey{t.ID, from}
 	o := a.outstanding[key]
-	if o == nil {
-		return // ACK already arrived (stale NACK from a duplicate)
+	if o == nil || !a.retry(key, o) {
+		return // a nil o: ACK already arrived (stale NACK from a duplicate)
 	}
-	o.retries++
-	if o.retries > a.sys.Cfg.MaxRetries {
-		a.sys.stats.GiveUps++
-		delete(a.outstanding, key)
-		a.hopFinished(t)
-		return
-	}
-	a.sys.stats.Retransmits++
 	// Back off before retrying: the successor's buffer needs time to
 	// drain (Figure 5: "resume transmission after a time out").
 	a.sys.K.Cancel(o.timer)
@@ -832,16 +801,33 @@ func (a *Adapter) onNack(t *Transfer, from topology.NodeID) {
 			Node: a.Host, Port: 1, Worm: t.ID, Arg: int64(delay)})
 	}
 	o.timer = a.sys.K.After(delay, func() {
-		o2 := a.outstanding[key]
-		if o2 == nil {
-			return
+		if o := a.outstanding[key]; o != nil {
+			a.resend(key, o)
 		}
-		if a.sys.rec != nil {
-			a.sys.emit(trace.EvRetransmit, a.Host, 0, t.ID)
-		}
-		a.sys.sendWorm(a.Host, o2.dst, t.Payload, o2.info, nil)
-		a.armTimer(key, o2)
 	})
+}
+
+// retry counts one more attempt at an outstanding hop and reports whether
+// it may go on: past MaxRetries the hop is a counted give-up.
+func (a *Adapter) retry(key hopKey, o *outstanding) bool {
+	o.retries++
+	if o.retries > a.sys.Cfg.MaxRetries {
+		a.sys.stats.GiveUps++
+		delete(a.outstanding, key)
+		a.hopFinished(o.info.Transfer)
+		return false
+	}
+	a.sys.stats.Retransmits++
+	return true
+}
+
+// resend retransmits an outstanding hop and re-arms its timer.
+func (a *Adapter) resend(key hopKey, o *outstanding) {
+	if a.sys.rec != nil {
+		a.sys.emit(trace.EvRetransmit, a.Host, 0, o.info.Transfer.ID)
+	}
+	a.sys.sendWorm(a.Host, o.dst, o.info.Transfer.Payload, o.info, nil)
+	a.armTimer(key, o)
 }
 
 // hopFinished decrements the transfer's pinned-forward count and releases

@@ -44,9 +44,6 @@ type Reservation struct {
 	nDMA  int
 }
 
-// Bytes returns the reserved size.
-func (r Reservation) Bytes() int { return r.nCls + r.nDMA }
-
 // Spilled returns how many bytes overflowed to the host DMA extension.
 func (r Reservation) Spilled() int { return r.nDMA }
 

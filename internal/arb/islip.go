@@ -82,12 +82,6 @@ func New(nIn, nOut, iters int, seed uint64) *ISLIP {
 	return a
 }
 
-// GrantPtr returns output o's grant pointer (for tests and diagnostics).
-func (a *ISLIP) GrantPtr(o int) int { return a.gptr[o] }
-
-// AcceptPtr returns input i's accept pointer.
-func (a *ISLIP) AcceptPtr(i int) int { return a.aptr[i] }
-
 // Begin starts a scheduling cell, clearing the previous cell's requests.
 func (a *ISLIP) Begin() {
 	for _, i := range a.reqIns {

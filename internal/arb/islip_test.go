@@ -134,7 +134,7 @@ func TestPointerDeterminism(t *testing.T) {
 		g := make([]int, n)
 		ac := make([]int, n)
 		for i := 0; i < n; i++ {
-			g[i], ac[i] = a.GrantPtr(i), a.AcceptPtr(i)
+			g[i], ac[i] = a.gptr[i], a.aptr[i]
 		}
 		return matches, g, ac
 	}

@@ -9,11 +9,12 @@
 // event queue.  Execution is single-threaded and strictly deterministic:
 // events with equal timestamps fire in scheduling order.
 //
-// Components that advance in lock-step with the wire clock (switch ports
-// shifting one byte per byte-time) register Tickers instead of scheduling
-// per-byte events; the kernel coalesces all tickers into a single event per
-// occupied byte-time, which keeps the event queue small even though the
-// model is byte-accurate.
+// The component that advances in lock-step with the wire clock (the
+// fabric, whose switch ports shift one byte per byte-time) is the kernel's
+// one Ticker instead of scheduling per-byte events; the kernel runs it from
+// a single event per occupied byte-time, and inline while no other event is
+// due, which keeps the event queue small even though the model is
+// byte-accurate.
 package des
 
 import (
@@ -28,7 +29,7 @@ type Time = int64
 // Ticker is a component that needs to run once per byte-time while active.
 // Tick is called with the current simulation time.  It returns false when
 // the ticker has gone idle and wants to be descheduled; it can re-arm itself
-// later via Kernel.Activate.
+// later via Kernel.Activate.  A kernel has at most one ticker.
 type Ticker interface {
 	Tick(now Time) bool
 }
@@ -41,9 +42,9 @@ type Ticker interface {
 // after Skip(now, max) returns n, the component's observable state must be
 // byte-identical to having received Tick(now), Tick(now+1), …, Tick(now+n-1)
 // with no interleaved events.  The kernel only calls Skip when that premise
-// holds: the component is the sole live ticker, no queue event is due before
-// now+n+1, and the run deadline is not crossed.  Skip must not schedule
-// events or activate tickers.
+// holds: no queue event is due before now+n+1 and the run deadline is not
+// crossed (the component is the kernel's one ticker, so no other ticker can
+// interleave).  Skip must not schedule events or activate the ticker.
 type Skipper interface {
 	Ticker
 	Skip(now Time, max Time) Time
@@ -56,19 +57,16 @@ type Kernel struct {
 	halted bool
 	err    error
 
-	// The ticker registry is an append-only slice with parallel active
-	// flags (no map: registration order is iteration order, and the flag
-	// flip is branch-predictable on the hot path).  activeSince records
-	// when each ticker was last armed so a ticker activated in the middle
-	// of a tick pass first runs at the next byte-time, exactly as when
-	// every tick was its own queue event.
-	tickers     []Ticker
-	skippers    []Skipper // tickers[i] as Skipper, nil when not implemented
-	active      []bool
-	activeSince []Time
-	tickSched   bool
-	runTickFn   func() // k.runTick, bound once to avoid per-tick closures
-	deadline    Time   // current Run's deadline; bounds tick batching
+	// The one ticker, and the same value as a Skipper when it is one.  An
+	// idle ticker has no tick event queued, so activating it always arms
+	// it for the next byte-time.
+	ticker  Ticker
+	skipper Skipper
+	active  bool
+
+	tickSched bool
+	runTickFn func() // k.runTick, bound once to avoid per-tick closures
+	deadline  Time   // current Run's deadline; bounds tick batching
 
 	// Observe, if non-nil, runs after every dispatched event with the
 	// current time.  Metrics collectors use it to sample kernel state
@@ -114,30 +112,23 @@ func (k *Kernel) After(d Time, fn func()) eventq.Handle {
 // already-fired handle is a no-op.
 func (k *Kernel) Cancel(h eventq.Handle) { k.queue.Cancel(h) }
 
-// Activate arms a ticker so that its Tick method runs once per byte-time
-// starting at the next byte-time boundary.  Activating an already-active
-// ticker is a no-op.  Tick order among tickers follows first-activation
-// order, which keeps runs reproducible.
+// Activate arms the kernel's ticker so that its Tick method runs once per
+// byte-time starting at the next byte-time boundary.  The first Activate
+// fixes the ticker; activating another one panics, like scheduling in the
+// past: a kernel drives one lock-step component.  Activating an
+// already-active ticker is a no-op.
 func (k *Kernel) Activate(t Ticker) {
-	ix := -1
-	for i, r := range k.tickers {
-		if r == t {
-			ix = i
-			break
+	if k.ticker != t {
+		if k.ticker != nil {
+			panic("des: a second ticker on one kernel")
 		}
+		k.ticker = t
+		k.skipper, _ = t.(Skipper)
 	}
-	if ix < 0 {
-		ix = len(k.tickers)
-		k.tickers = append(k.tickers, t)
-		sk, _ := t.(Skipper)
-		k.skippers = append(k.skippers, sk)
-		k.active = append(k.active, false)
-		k.activeSince = append(k.activeSince, 0)
-	} else if k.active[ix] {
+	if k.active {
 		return
 	}
-	k.active[ix] = true
-	k.activeSince[ix] = k.now
+	k.active = true
 	k.scheduleTick()
 }
 
@@ -149,40 +140,20 @@ func (k *Kernel) scheduleTick() {
 	k.queue.Schedule(k.now+1, k.runTickFn)
 }
 
-// runTick dispatches one tick pass over the active tickers, then keeps
-// ticking inline — advancing the clock directly — for as long as no queue
-// event is due at or before the next byte-time.  Batching is unobservable
-// by construction: a tick consumed from the queue and a tick run inline see
-// identical kernel state, and the loop falls back to the queue the moment
-// an event (including one scheduled by a ticker during the pass) would
-// interleave.  During long uncontended stretches this turns the
-// pop/push-per-byte-time cycle into a plain loop.
+// runTick runs the ticker once, then keeps ticking inline — advancing the
+// clock directly — for as long as no queue event is due at or before the
+// next byte-time.  Batching is unobservable by construction: a tick
+// consumed from the queue and a tick run inline see identical kernel state,
+// and the loop falls back to the queue the moment an event (including one
+// scheduled by the ticker during its tick) would interleave.  During long
+// uncontended stretches this turns the pop/push-per-byte-time cycle into a
+// plain loop.
 func (k *Kernel) runTick() {
 	k.tickSched = false
 	for {
 		k.ticks++
-		nLive, liveIdx := 0, -1
-		pending := false
-		for i, t := range k.tickers {
-			if !k.active[i] {
-				continue
-			}
-			// Tickers armed during this pass start next byte-time, as if
-			// the tick event had been re-queued before their activation.
-			if k.activeSince[i] >= k.now {
-				pending = true
-				continue
-			}
-			if t.Tick(k.now) {
-				nLive++
-				liveIdx = i
-			} else {
-				k.active[i] = false
-			}
-		}
-		if nLive == 0 {
-			// Idle: a ticker armed mid-pass has already scheduled the
-			// next tick event via Activate.
+		if !k.ticker.Tick(k.now) {
+			k.active = false
 			return
 		}
 		if k.halted ||
@@ -198,14 +169,14 @@ func (k *Kernel) runTick() {
 			k.Observe(k.now)
 		}
 		k.now++
-		// Fast-forward: a sole live skipper may apply a run of provably
+		// Fast-forward: a skipper may apply a run of provably
 		// state-identical ticks in one step.  Bounds keep the premise
 		// airtight: no queue event may be due at or before the tick pass
 		// that follows the skipped run, and the deadline is not crossed.
 		// Skipped ticks are accounted (ticks, dispatched, Observe) exactly
 		// as if they had been run, so every derived statistic matches a
 		// non-skipping run byte for byte.
-		if nLive == 1 && !pending && k.skippers[liveIdx] != nil {
+		if k.skipper != nil {
 			max := Time(1) << 40
 			if k.queue.Len() > 0 {
 				max = k.queue.PeekTime() - k.now - 1
@@ -216,7 +187,7 @@ func (k *Kernel) runTick() {
 				}
 			}
 			if max > 0 {
-				if n := k.skippers[liveIdx].Skip(k.now, max); n > 0 {
+				if n := k.skipper.Skip(k.now, max); n > 0 {
 					k.ticks += n
 					k.dispatched += n
 					if k.Observe != nil {
@@ -239,9 +210,6 @@ func (k *Kernel) Halt(err error) {
 		k.err = err
 	}
 }
-
-// Halted reports whether Halt has been called.
-func (k *Kernel) Halted() bool { return k.halted }
 
 // Run dispatches events until the queue drains, Halt is called, or the
 // simulation clock passes deadline (0 means no deadline).  It returns the
@@ -290,7 +258,7 @@ func (k *Kernel) Dispatched() int64 { return k.dispatched }
 // each event fires (so the self-re-queuing tick event is counted).
 func (k *Kernel) MaxQueue() int { return k.maxQueue }
 
-// Ticks returns the number of tick passes run over the active tickers.
+// Ticks returns the number of tick passes run, skipped ones included.
 func (k *Kernel) Ticks() int64 { return k.ticks }
 
 // EventsPerTick returns the ratio of dispatched events to tick passes: ~1.0

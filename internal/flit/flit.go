@@ -385,9 +385,6 @@ func (r *Reassembler) Feed(f Flit) (done bool, err error) {
 // Worm returns the worm being reassembled (nil before the first flit).
 func (r *Reassembler) Worm() *Worm { return r.w }
 
-// PayloadBytes returns how many payload flits have arrived so far.
-func (r *Reassembler) PayloadBytes() int { return r.payload }
-
 // AdvancePayload records n payload arrivals in one step, as if Feed had
 // been called n times with clean payload flits of the current worm.  Used
 // by worm fast-forward; the reassembler must already have a worm.

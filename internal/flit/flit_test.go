@@ -135,7 +135,7 @@ func TestReassembler(t *testing.T) {
 		t.Fatal("reassembler did not complete on tail")
 	}
 	if !r.Complete() {
-		t.Fatalf("incomplete: %d of %d payload bytes", r.PayloadBytes(), w.PayloadLen)
+		t.Fatalf("incomplete: %d of %d payload bytes", r.payload, w.PayloadLen)
 	}
 	if r.Worm() != w {
 		t.Fatal("wrong worm")

@@ -102,14 +102,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// DetectTime returns the worst-case detection latency for an endpoint with
-// the given link delay: the in-flight allowance plus DetectMult missed
-// intervals.
-func (c Config) DetectTime(delay des.Time) des.Time {
-	d := c.WithDefaults()
-	return delay + d.Jitter + d.Interval*des.Time(d.DetectMult)
-}
-
 // Verdict is one local up/down decision about the peer behind an endpoint.
 type Verdict struct {
 	At   des.Time

@@ -36,9 +36,6 @@ func TestDefaults(t *testing.T) {
 	if err := (Config{Interval: -1}).Validate(); err == nil {
 		t.Fatal("negative interval not rejected")
 	}
-	if got := (Config{Interval: 100, Jitter: 10, DetectMult: 3}).DetectTime(5); got != 5+10+300 {
-		t.Fatalf("detect time %d", got)
-	}
 }
 
 func TestDownAfterDetectMultMisses(t *testing.T) {

@@ -90,77 +90,48 @@ func NewAdaptiveTable(g *topology.Graph, ud *updown.Routing) (*AdaptiveTable, er
 		t.attach[hi] = sw
 		t.hostPort[hi] = swPort
 	}
-	// Per destination host: BFS switch distances over surviving links, then
-	// candidates (strictly distance-decreasing ports), carved from one
-	// slab.  A cable is distance-decreasing in at most one direction, so
-	// a host has at most one candidate per live switch-to-switch cable:
-	// sized so, the slab never moves (on a bipartite fabric such as an
-	// even torus it is exact).
-	sws := g.Switches()
+	// Candidates are carved from one slab.  A cable is distance-decreasing
+	// in at most one direction, so a host has at most one candidate per
+	// live switch-to-switch cable: sized so, the slab never moves (on a
+	// bipartite fabric such as an even torus it is exact).
 	reachable, wires := 0, 0
 	for _, h := range hosts {
 		if ud.Reachable(h) {
 			reachable++
 		}
 	}
-	for _, sw := range sws {
-		if fail.SwitchDead(sw) {
+	for i := range g.Nodes {
+		sw := topology.NodeID(i)
+		if g.Nodes[i].Kind != topology.Switch || fail.SwitchDead(sw) {
 			continue
 		}
-		for pi, p := range g.Node(sw).Ports {
-			if p.Wired() && g.Node(p.Peer).Kind == topology.Switch && !fail.SwitchDead(p.Peer) &&
-				!fail.LinkDead(g, sw, topology.PortID(pi)) {
+		for pi, p := range g.Nodes[i].Ports {
+			if p.Wired() && g.Node(p.Peer).Kind == topology.Switch && !fail.LinkDead(g, sw, topology.PortID(pi)) {
 				wires++ // each cable twice, once from each end
 			}
 		}
 	}
 	candSlab := make([]topology.PortID, 0, reachable*(wires+1)/2)
-	dist := make([]int, len(g.Nodes))
-	queue := make([]topology.NodeID, 0, len(g.Nodes))
+	var row topology.HopRow
 	for hi, h := range hosts {
 		if !ud.Reachable(h) {
 			continue // no candidates, no escapes: senders drop or prune
 		}
-		for i := range dist {
-			dist[i] = -1
-		}
-		root := t.attach[hi]
-		dist[root] = 0
-		queue = queue[:0]
-		queue = append(queue, root)
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			for pi, p := range g.Node(u).Ports {
-				if !p.Wired() || g.Node(p.Peer).Kind != topology.Switch {
-					continue
-				}
-				if fail.SwitchDead(p.Peer) || fail.LinkDead(g, u, topology.PortID(pi)) {
-					continue
-				}
-				if dist[p.Peer] < 0 {
-					dist[p.Peer] = dist[u] + 1
-					queue = append(queue, p.Peer)
-				}
-			}
-		}
-		for _, sw := range sws {
-			if dist[sw] <= 0 || fail.SwitchDead(sw) {
-				continue // the attach switch delivers; cut-off switches drop
+		row.Live(g, t.attach[hi], fail)
+		dist := row.Dist
+		for sw := range g.Nodes {
+			if dist[sw] <= 0 {
+				continue // hosts; the attach switch delivers; cut-off switches drop
 			}
 			start := len(candSlab)
-			for pi, p := range g.Node(sw).Ports {
-				if !p.Wired() || g.Node(p.Peer).Kind != topology.Switch {
-					continue
-				}
-				if fail.LinkDead(g, sw, topology.PortID(pi)) {
-					continue
-				}
-				if dist[p.Peer] >= 0 && dist[p.Peer] == dist[sw]-1 {
+			for pi, p := range g.Nodes[sw].Ports {
+				if p.Wired() && dist[p.Peer] == dist[sw]-1 &&
+					!fail.LinkDead(g, topology.NodeID(sw), topology.PortID(pi)) {
 					candSlab = append(candSlab, topology.PortID(pi))
 				}
 			}
 			if len(candSlab) > start {
-				t.cands[int(sw)*t.nh+hi] = candSlab[start:len(candSlab):len(candSlab)]
+				t.cands[sw*t.nh+hi] = candSlab[start:len(candSlab):len(candSlab)]
 			}
 		}
 	}

@@ -2,9 +2,11 @@ package network
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"wormlan/internal/flit"
+	"wormlan/internal/rng"
 	"wormlan/internal/route"
 	"wormlan/internal/topology"
 	"wormlan/internal/updown"
@@ -228,6 +230,94 @@ func TestAdaptiveEscapesMatchPerPairRoutes(t *testing.T) {
 		}
 		if escapes == 0 {
 			t.Fatalf("%s: no escape routes at all", name)
+		}
+	}
+}
+
+// TestAdaptiveCandidatesMatchReference holds every (switch, host)
+// candidate list to the ports one hop closer to the host's attach switch
+// by an all-pairs switch distance (Floyd–Warshall) over the live graph,
+// on three fabrics, healthy and under seeded failure sets (link kills plus
+// one switch kill).
+func TestAdaptiveCandidatesMatchReference(t *testing.T) {
+	const inf = 1 << 30
+	for _, name := range []string{"torus8x8", "shufflenet24", "clos8x4"} {
+		net, err := topology.Named(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := net.Graph
+		sws := g.Switches()
+		var cables []updown.Edge // switch-to-switch cables, one side each
+		for _, sw := range sws {
+			for pi, p := range g.Node(sw).Ports {
+				if p.Wired() && g.Node(p.Peer).Kind == topology.Switch && sw < p.Peer {
+					cables = append(cables, updown.Edge{Node: sw, Port: topology.PortID(pi)})
+				}
+			}
+		}
+		for seed := uint64(0); seed <= 8; seed++ {
+			var fail *updown.Failures
+			if seed > 0 {
+				r := rng.New(seed, 44)
+				fail = updown.NewFailures()
+				for i := 0; i < 1+int(seed)%4; i++ {
+					c := cables[r.Intn(len(cables))]
+					fail.FailLink(g, c.Node, c.Port)
+				}
+				fail.FailSwitch(sws[r.Intn(len(sws))])
+			}
+			ud, err := updown.WithoutEdges(g, topology.None, fail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at, err := NewAdaptiveTable(g, ud)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(g.Nodes)
+			d := make([]int, n*n)
+			for i := range d {
+				d[i] = inf
+			}
+			for _, sw := range sws {
+				if fail.SwitchDead(sw) {
+					continue
+				}
+				d[int(sw)*n+int(sw)] = 0
+				for pi, p := range g.Node(sw).Ports {
+					if p.Wired() && g.Node(p.Peer).Kind == topology.Switch && !fail.LinkDead(g, sw, topology.PortID(pi)) {
+						d[int(sw)*n+int(p.Peer)] = 1
+					}
+				}
+			}
+			for _, k := range sws {
+				for _, i := range sws {
+					for _, j := range sws {
+						if via := d[int(i)*n+int(k)] + d[int(k)*n+int(j)]; via < d[int(i)*n+int(j)] {
+							d[int(i)*n+int(j)] = via
+						}
+					}
+				}
+			}
+			for hi, h := range g.Hosts() {
+				dst, _ := g.HostAttachment(h)
+				for _, sw := range sws {
+					var want []topology.PortID
+					if dsw := d[int(sw)*n+int(dst)]; ud.Reachable(h) && dsw > 0 && dsw < inf {
+						for pi, p := range g.Node(sw).Ports {
+							if p.Wired() && g.Node(p.Peer).Kind == topology.Switch &&
+								!fail.LinkDead(g, sw, topology.PortID(pi)) && d[int(p.Peer)*n+int(dst)] == dsw-1 {
+								want = append(want, topology.PortID(pi))
+							}
+						}
+					}
+					if got := at.cands[int(sw)*at.nh+hi]; !slices.Equal(got, want) {
+						t.Fatalf("%s seed %d: candidates at %d toward host %d = %v, want %v",
+							name, seed, sw, h, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -426,7 +426,7 @@ func TestBroadcastReachesAllHosts(t *testing.T) {
 	sw, _ := g.HostAttachment(src)
 	var prefix []topology.PortID
 	for sw != r.ud.Root {
-		parent := r.ud.Parent[sw]
+		parent := r.ud.Parent(sw)
 		var port topology.PortID = topology.NoPort
 		for pi, p := range g.Node(sw).Ports {
 			if p.Wired() && p.Peer == parent {

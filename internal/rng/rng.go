@@ -147,13 +147,3 @@ func (s *Source) Geometric(mean float64) int {
 	}
 	return k
 }
-
-// Norm returns a standard normal draw (Box-Muller, one value per call).
-func (s *Source) Norm() float64 {
-	u1 := s.Float64()
-	for u1 == 0 {
-		u1 = s.Float64()
-	}
-	u2 := s.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}

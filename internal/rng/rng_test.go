@@ -201,25 +201,6 @@ func TestGeometricDegenerate(t *testing.T) {
 	}
 }
 
-func TestNormMoments(t *testing.T) {
-	s := New(12, 12)
-	sum, sumSq := 0.0, 0.0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := s.Norm()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance = %v", variance)
-	}
-}
-
 func TestShuffleCoversArrangements(t *testing.T) {
 	s := New(13, 13)
 	counts := map[[3]int]int{}

@@ -220,10 +220,6 @@ type Results struct {
 	EndTime des.Time
 }
 
-// Routes returns the legal Config.Route values, sorted ("" is the updown
-// default and is not listed separately).
-func Routes() []string { return vcroute.Names() }
-
 // net pairs the graph with the geometries the caller supplied, the form
 // the scheme registry consumes.
 func (cfg *Config) net() topology.Net {

@@ -34,10 +34,6 @@ func (w *Welford) Add(x float64) {
 // N returns the observation count.
 func (w *Welford) N() int64 { return w.n }
 
-// Valid reports whether any observation has been recorded — i.e. whether
-// Mean/Min/Max are meaningful.  Var and Std additionally need n >= 2.
-func (w *Welford) Valid() bool { return w.n > 0 }
-
 // Mean returns the sample mean, NaN with no samples.  An empty window must
 // not masquerade as a true zero: figure code that averages an empty window
 // now fails loudly (NaN propagates, and refuses to marshal as JSON)

@@ -33,8 +33,8 @@ func TestWelfordKnownValues(t *testing.T) {
 
 func TestWelfordEmpty(t *testing.T) {
 	var w Welford
-	if w.Valid() {
-		t.Fatal("empty collector claims validity")
+	if w.N() != 0 {
+		t.Fatal("empty collector counts observations")
 	}
 	// An empty window is not a true zero: every moment must be NaN so
 	// averaging an empty window fails loudly instead of plotting zero.
@@ -47,8 +47,8 @@ func TestWelfordEmpty(t *testing.T) {
 		}
 	}
 	w.Add(3)
-	if !w.Valid() || w.Mean() != 3 || w.Min() != 3 || w.Max() != 3 {
-		t.Fatalf("single sample: valid=%v mean=%v", w.Valid(), w.Mean())
+	if w.N() != 1 || w.Mean() != 3 || w.Min() != 3 || w.Max() != 3 {
+		t.Fatalf("single sample: n=%d mean=%v", w.N(), w.Mean())
 	}
 	if !math.IsNaN(w.Var()) {
 		t.Fatalf("Var of one sample = %v, want NaN", w.Var())

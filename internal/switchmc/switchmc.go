@@ -237,7 +237,7 @@ func (s *System) downFromRoot(dst topology.NodeID) ([]topology.PortID, error) {
 func (s *System) climb(sw topology.NodeID) ([]topology.NodeID, error) {
 	var path []topology.NodeID
 	for sw != s.UD.Root {
-		parent := s.UD.Parent[sw]
+		parent := s.UD.Parent(sw)
 		if parent == topology.None {
 			return nil, fmt.Errorf("switchmc: switch %d has no path to root", sw)
 		}

@@ -312,7 +312,7 @@ func TestTreesForkOnlyOnTheWayDown(t *testing.T) {
 								reached[peer]++
 								continue
 							}
-							if down && (ud.Parent[peer] != sw || !ud.InTree(sw, sp.Port)) {
+							if down && (ud.Parent(peer) != sw || !ud.InTree(sw, sp.Port)) {
 								t.Fatalf("group %d source %d: fork at switch %d sends a branch to %d, not a tree child",
 									id, s, sw, peer)
 							}

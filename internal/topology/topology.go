@@ -215,90 +215,104 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	if len(g.Nodes) > 0 {
-		reach := g.bfsDistances(NodeID(0))
-		for i, d := range reach {
-			if d < 0 {
-				return fmt.Errorf("graph is disconnected: node %d unreachable from node 0", i)
+	// Hosts are leaves on switches (checked above), so the graph is
+	// connected when its first switch reaches every other one.
+	if first := slices.IndexFunc(g.Nodes, func(n Node) bool { return n.Kind == Switch }); first >= 0 {
+		var row HopRow
+		row.Live(g, NodeID(first), nil)
+		for i, d := range row.Dist {
+			if d < 0 && g.Nodes[i].Kind == Switch {
+				return fmt.Errorf("graph is disconnected: switch %d unreachable from switch %d", i, first)
 			}
 		}
 	}
 	return nil
 }
 
-// bfsDistances returns hop distances from src to every node (-1 if
-// unreachable).  Hops count link traversals, including host links.
-func (g *Graph) bfsDistances(src NodeID) []int {
-	dist := make([]int, len(g.Nodes))
+// Dead is the failure view a live search honours.  *updown.Failures
+// implements it, nil-safe.
+type Dead interface {
+	// SwitchDead reports whether switch n has crashed.
+	SwitchDead(n NodeID) bool
+	// LinkDead reports whether the cable out of port p of node n is
+	// unusable, a cable touching a crashed switch included.
+	LinkDead(g *Graph, n NodeID, p PortID) bool
+}
+
+// HopRow is the one breadth-first search of the switch graph: the minimum
+// number of switch-to-switch link traversals from one source switch to
+// every switch.  It is both the spanning-tree search of the up*/down*
+// labelling (Section 2: the tree is grown breadth-first from the root, and
+// a switch's level is its row distance) and the edge metric of the
+// host-connectivity graph used to weigh Hamiltonian circuits and trees
+// (Section 5, Figure 8).  Links are full-duplex, so the metric is
+// symmetric.  The queue is FIFO and each switch's ports are scanned in
+// ascending order, so labels and tables built on a row are deterministic.
+// A HopRow is a reusable buffer: filling it again for the next source
+// allocates nothing once it has room for the graph.
+type HopRow struct {
+	// Dist[n] is switch n's distance from the source; -1 for hosts and
+	// for switches the search did not reach.
+	Dist []int
+	// Back[n] is the port of switch n on the cable to the switch that
+	// discovered it; NoPort at the source and wherever Dist is -1.
+	Back []PortID
+
+	g     *Graph
+	queue []NodeID
+}
+
+// From fills r with the distances from host a's attachment switch over the
+// whole graph.
+func (r *HopRow) From(g *Graph, a NodeID) {
+	sw, _ := g.HostAttachment(a)
+	r.Live(g, sw, nil)
+}
+
+// Live fills r with the distances from switch src over the switches and
+// cables dead leaves alive (a nil dead is a healthy graph).  A src that is
+// None or dead reaches nothing.
+func (r *HopRow) Live(g *Graph, src NodeID, dead Dead) {
+	n := len(g.Nodes)
+	dist := slices.Grow(r.Dist[:0], n)[:n]
+	back := slices.Grow(r.Back[:0], n)[:n]
 	for i := range dist {
 		dist[i] = -1
+		back[i] = NoPort
 	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, p := range g.Nodes[u].Ports {
-			if !p.Wired() {
-				continue
-			}
-			if dist[p.Peer] < 0 {
-				dist[p.Peer] = dist[u] + 1
-				queue = append(queue, p.Peer)
-			}
-		}
-	}
-	return dist
-}
-
-// HopRow holds the switch-hop distances from one host: the minimum number
-// of switch-to-switch link traversals from its attachment switch to every
-// switch.  This is the edge metric of the host-connectivity graph used to
-// weigh Hamiltonian circuits (Section 5, Figure 8).  Links are full-duplex,
-// so the metric is symmetric.  A HopRow is a reusable buffer: filling it
-// again for the next source allocates nothing once it has room for the
-// graph, where a BFS per host pair would allocate twice per pair.
-type HopRow struct {
-	g     *Graph
-	dist  []int
-	queue []NodeID
-	src   NodeID
-}
-
-// From fills r with the distances from host a's attachment switch, by one
-// BFS over switches only.
-func (r *HopRow) From(g *Graph, a NodeID) {
-	r.g = g
-	r.src, _ = g.HostAttachment(a)
-	r.dist = slices.Grow(r.dist[:0], len(g.Nodes))[:len(g.Nodes)]
-	for i := range r.dist {
-		r.dist[i] = -1
-	}
-	if r.src == None {
+	r.g, r.Dist, r.Back = g, dist, back
+	if src == None || dead != nil && dead.SwitchDead(src) {
 		return
 	}
-	r.dist[r.src] = 0
-	r.queue = append(r.queue[:0], r.src)
-	for i := 0; i < len(r.queue); i++ {
-		u := r.queue[i]
-		for _, p := range g.Nodes[u].Ports {
-			if !p.Wired() || g.Nodes[p.Peer].Kind != Switch || r.dist[p.Peer] >= 0 {
+	dist[src] = 0
+	queue := append(slices.Grow(r.queue[:0], n), src)
+	for i := 0; i < len(queue); i++ {
+		u := queue[i]
+		ports := g.Nodes[u].Ports
+		for pi := range ports {
+			v := ports[pi].Peer
+			if v == None || dist[v] >= 0 || g.Nodes[v].Kind != Switch {
 				continue
 			}
-			r.dist[p.Peer] = r.dist[u] + 1
-			r.queue = append(r.queue, p.Peer)
+			if dead != nil && dead.LinkDead(g, u, PortID(pi)) {
+				continue
+			}
+			dist[v] = dist[u] + 1
+			back[v] = ports[pi].PeerPort
+			queue = append(queue, v)
 		}
 	}
+	r.queue = queue
 }
 
-// To returns the switch hops from the row's host to host b (0 if they
-// share a switch; -1 if either is unwired or b is unreachable).
+// To returns the switch hops from the row's source to host b (0 if b sits
+// on the source switch; -1 if b is unwired or unreachable).
 func (r *HopRow) To(b NodeID) int {
 	sb, _ := r.g.HostAttachment(b)
-	if r.src == None || sb == None {
+	if sb == None {
 		return -1
 	}
-	return r.dist[sb]
+	return r.Dist[sb]
 }
 
 // DOT renders the topology in Graphviz DOT format, for inspection with
@@ -362,11 +376,33 @@ func (g *Graph) Summary() Stats {
 		links += n.Degree()
 	}
 	s.Links = links / 2
+	// Hosts are leaves, so a host adds one hop at its end of a path: the
+	// widest pair of nodes is two switches' row distance plus one hop for
+	// each end with a host on it (two hosts on one switch are 2 apart).
+	onSwitch := make([]int, len(g.Nodes))
 	for i := range g.Nodes {
-		for _, d := range g.bfsDistances(NodeID(i)) {
-			if d > s.Diameter {
-				s.Diameter = d
+		if g.Nodes[i].Kind == Host {
+			if sw, _ := g.HostAttachment(NodeID(i)); sw != None {
+				onSwitch[sw]++
 			}
+		}
+	}
+	var row HopRow
+	for a := range g.Nodes {
+		if g.Nodes[a].Kind != Switch {
+			continue
+		}
+		row.Live(g, NodeID(a), nil)
+		for b, d := range row.Dist {
+			switch {
+			case d < 0:
+				continue
+			case a == b:
+				d = min(onSwitch[a], 2)
+			default:
+				d += min(onSwitch[a], 1) + min(onSwitch[b], 1)
+			}
+			s.Diameter = max(s.Diameter, d)
 		}
 	}
 	return s

@@ -238,8 +238,89 @@ func TestValidateCatchesDisconnected(t *testing.T) {
 	g := New()
 	g.AddSwitch("a")
 	g.AddSwitch("b")
-	if err := g.Validate(); err == nil {
-		t.Fatal("disconnected graph validated")
+	if err := g.Validate(); err == nil || !strings.HasPrefix(err.Error(), "graph is disconnected") {
+		t.Fatalf("disconnected graph: Validate = %v", err)
+	}
+}
+
+// allNodeDistances is the reference search Summary and Validate are held
+// to: hop distances from src to every node, hosts included (-1 if
+// unreachable).
+func allNodeDistances(g *Graph, src NodeID) []int {
+	dist := make([]int, len(g.Nodes))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := []NodeID{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, p := range g.Nodes[u].Ports {
+			if p.Wired() && dist[p.Peer] < 0 {
+				dist[p.Peer] = dist[u] + 1
+				queue = append(queue, p.Peer)
+			}
+		}
+	}
+	return dist
+}
+
+// TestSummaryAndValidateMatchAllNodeBFS holds Summary's diameter and
+// Validate's connectivity verdict, both read off switch-only rows, to a
+// BFS over every node on every named fabric, on hostless and one-host
+// graphs, and on each fabric split in two.
+func TestSummaryAndValidateMatchAllNodeBFS(t *testing.T) {
+	var graphs []*Graph
+	for _, name := range []string{"torus8x8", "torus4x4", "shufflenet24", "shufflenet64",
+		"clos8x4", "fullmesh8x4", "fullmesh8x8", "myrinet4", "star:1", "star:5",
+		"line:1", "line:4", "ring:3", "ring:7"} {
+		n, err := Named(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, n.Graph)
+	}
+	graphs = append(graphs, Torus(4, 4, 0, 1), Line(1, 1), New())
+	for i, g := range graphs {
+		want := 0
+		connected := true
+		for a := range g.Nodes {
+			for _, d := range allNodeDistances(g, NodeID(a)) {
+				want = max(want, d)
+				connected = connected && d >= 0
+			}
+		}
+		if got := g.Summary().Diameter; got != want {
+			t.Errorf("graph %d: diameter %d, all-node BFS %d", i, got, want)
+		}
+		if err := g.Validate(); (err == nil) != connected {
+			t.Errorf("graph %d: Validate = %v, all-node BFS connected = %v", i, err, connected)
+		}
+		// The same fabric twice over, with no cable between the copies.
+		split := New()
+		for c := 0; c < 2; c++ {
+			base := NodeID(len(split.Nodes))
+			for _, n := range g.Nodes {
+				id := split.AddNode(n.Kind, "")
+				for _, p := range n.Ports {
+					if p.Wired() {
+						p.Peer += base
+					}
+					split.Node(id).Ports = append(split.Node(id).Ports, p)
+				}
+			}
+		}
+		if len(split.Nodes) == 0 {
+			continue
+		}
+		err := split.Validate()
+		if err == nil || !strings.HasPrefix(err.Error(), "graph is disconnected") {
+			t.Errorf("graph %d doubled: Validate = %v", i, err)
+		}
+		if got := split.Summary().Diameter; got != want {
+			t.Errorf("graph %d doubled: diameter %d, want %d", i, got, want)
+		}
 	}
 }
 

@@ -86,14 +86,15 @@ func (f *Failures) Clone() *Failures {
 }
 
 // WithoutEdges computes the up/down labelling of the surviving subgraph of
-// g: the BFS spanning tree simply never crosses dead links or enters dead
-// switches, reusing the machinery of New.  If root is topology.None the
-// lowest-numbered live switch is used — the root rule of every remap, and
-// the one the distributed mapper (internal/mapper) converges to.  A live
-// switch the BFS never reaches is cut off from the root: it joins the
-// routing's own failure set, so it keeps Level -1, the hosts behind it are
-// reported unreachable by Reachable, and routing to them fails rather than
-// mis-delivering.  fail itself is never modified or retained.
+// g: its spanning tree is the topology.HopRow search from the root, which
+// never crosses dead links or enters dead switches.  If root is
+// topology.None the lowest-numbered live switch is used — the root rule of
+// every remap, and the one the distributed mapper (internal/mapper)
+// converges to.  A live switch the search never reaches is cut off from
+// the root: it joins the routing's own failure set, so it keeps Level -1,
+// the hosts behind it are reported unreachable by Reachable, and routing to
+// them fails rather than mis-delivering.  fail itself is never modified or
+// retained.
 func WithoutEdges(g *topology.Graph, root topology.NodeID, fail *Failures) (*Routing, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("updown: invalid topology: %w", err)
@@ -116,44 +117,17 @@ func WithoutEdges(g *topology.Graph, root topology.NodeID, fail *Failures) (*Rou
 	if fail.SwitchDead(root) {
 		return nil, fmt.Errorf("updown: root switch %d is dead", root)
 	}
+	var row topology.HopRow
+	row.Live(g, root, fail)
 	r := &Routing{
 		G:          g,
 		Root:       root,
-		Level:      make([]int, len(g.Nodes)),
-		Parent:     make([]topology.NodeID, len(g.Nodes)),
-		ParentPort: make([]topology.PortID, len(g.Nodes)),
+		Level:      row.Dist,
+		ParentPort: row.Back,
 		inTree:     make([][]bool, len(g.Nodes)),
 	}
 	if fail != nil {
 		r.fail = fail.Clone()
-	}
-	for i := range g.Nodes {
-		r.Level[i] = -1
-		r.Parent[i] = topology.None
-		r.ParentPort[i] = topology.NoPort
-		r.inTree[i] = make([]bool, len(g.Nodes[i].Ports))
-	}
-	r.Level[root] = 0
-	queue := []topology.NodeID{root}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for pi, p := range g.Node(u).Ports {
-			if !p.Wired() || g.Node(p.Peer).Kind != topology.Switch {
-				continue
-			}
-			if fail.SwitchDead(p.Peer) || fail.LinkDead(g, u, topology.PortID(pi)) {
-				continue
-			}
-			if r.Level[p.Peer] < 0 {
-				r.Level[p.Peer] = r.Level[u] + 1
-				r.Parent[p.Peer] = u
-				r.ParentPort[p.Peer] = p.PeerPort
-				r.inTree[u][pi] = true
-				r.inTree[p.Peer][p.PeerPort] = true
-				queue = append(queue, p.Peer)
-			}
-		}
 	}
 	// g is connected (Validate), so only a non-nil fail can strand a switch.
 	for _, sw := range live {
@@ -162,13 +136,14 @@ func WithoutEdges(g *topology.Graph, root topology.NodeID, fail *Failures) (*Rou
 		}
 	}
 	for i := range g.Nodes {
+		r.inTree[i] = make([]bool, len(g.Nodes[i].Ports))
 		for pi, p := range g.Nodes[i].Ports {
-			if !p.Wired() {
-				continue
-			}
-			hostSide := g.Nodes[i].Kind == topology.Host || g.Node(p.Peer).Kind == topology.Host
-			if hostSide && !r.fail.LinkDead(g, topology.NodeID(i), topology.PortID(pi)) {
-				r.inTree[i][pi] = true
+			switch {
+			case !p.Wired():
+			case g.Nodes[i].Kind == topology.Host || g.Node(p.Peer).Kind == topology.Host:
+				r.inTree[i][pi] = !r.fail.LinkDead(g, topology.NodeID(i), topology.PortID(pi))
+			default: // the parent cable of either end
+				r.inTree[i][pi] = r.ParentPort[i] == topology.PortID(pi) || r.ParentPort[p.Peer] == p.PeerPort
 			}
 		}
 	}

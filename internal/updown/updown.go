@@ -31,9 +31,8 @@ type Routing struct {
 	// Level is the BFS distance of each switch from the root
 	// (only meaningful for switch nodes; hosts get -1).
 	Level []int
-	// Parent is each switch's spanning-tree parent (root and hosts: None).
-	Parent []topology.NodeID
-	// ParentPort is the output port on the switch leading to its parent.
+	// ParentPort is the output port on the switch leading to its
+	// spanning-tree parent (root, hosts and cut-off switches: NoPort).
 	ParentPort []topology.PortID
 
 	// inTree[n][p] reports whether the directed link out of port p of node
@@ -49,6 +48,15 @@ type Routing struct {
 // If root is topology.None, the lowest-numbered switch is used.
 func New(g *topology.Graph, root topology.NodeID) (*Routing, error) {
 	return WithoutEdges(g, root, nil)
+}
+
+// Parent returns switch n's spanning-tree parent (root, hosts and cut-off
+// switches: None).
+func (r *Routing) Parent(n topology.NodeID) topology.NodeID {
+	if r.ParentPort[n] == topology.NoPort {
+		return topology.None
+	}
+	return r.G.Node(n).Ports[r.ParentPort[n]].Peer
 }
 
 // IsUp reports whether traversing the link out of port p of switch n is an

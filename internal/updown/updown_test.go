@@ -47,12 +47,12 @@ func TestLevelsOnLine(t *testing.T) {
 			t.Fatalf("switch %d level = %d, want %d", s, r.Level[s], i)
 		}
 	}
-	if r.Parent[sw[0]] != topology.None {
+	if r.Parent(sw[0]) != topology.None {
 		t.Fatal("root has a parent")
 	}
 	for i := 1; i < len(sw); i++ {
-		if r.Parent[sw[i]] != sw[i-1] {
-			t.Fatalf("parent of s%d = %d", i, r.Parent[sw[i]])
+		if r.Parent(sw[i]) != sw[i-1] {
+			t.Fatalf("parent of s%d = %d", i, r.Parent(sw[i]))
 		}
 	}
 }
