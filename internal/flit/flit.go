@@ -232,9 +232,11 @@ func NewStream(w *Worm, header []byte) *Stream {
 
 // Reset reinitializes the stream in place for the given worm and header,
 // so a long-lived Stream (e.g. one embedded in a host interface) can be
-// reused across worms without allocating.
+// reused across worms without allocating.  It assigns field by field: a
+// whole-struct store of the six fields would go through runtime.wbMove.
 func (s *Stream) Reset(w *Worm, header []byte) {
-	*s = Stream{W: w, header: header, payload: w.PayloadLen}
+	s.W, s.header = w, header
+	s.hi, s.payload, s.sent, s.done = 0, w.PayloadLen, 0, false
 }
 
 // Next returns the next flit of the stream.  ok is false when the stream is

@@ -46,6 +46,7 @@ func (f *Fabric) Metrics() *trace.Metrics {
 		h := f.hosts[ni]
 		m.Channels[h.outLink.id].Stalled += f.passes - h.napAt
 	})
+	var sws []trace.SwitchStat
 	for _, s := range f.sw {
 		if s == nil {
 			continue
@@ -60,7 +61,8 @@ func (f *Fabric) Metrics() *trace.Metrics {
 			st.BoundTicks = f.swBound[s.node]
 			st.PeakBound = f.swPeak[s.node]
 		}
-		m.Switches = append(m.Switches, st)
+		sws = append(sws, st)
 	}
+	m.Switches = sws
 	return m
 }

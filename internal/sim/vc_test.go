@@ -85,30 +85,17 @@ func TestVCTransparency(t *testing.T) {
 // textbook deadlocking configuration.
 func stripLanes(t *testing.T, tab *updown.Table) *updown.Table {
 	t.Helper()
-	hosts := tab.Hosts
-	routes := make([][]updown.Route, len(hosts))
-	for i, src := range hosts {
-		routes[i] = make([]updown.Route, len(hosts))
-		for j, dst := range hosts {
-			if i == j {
-				continue
-			}
-			rt := tab.Lookup(src, dst)
-			cp := updown.Route{Src: src, Dst: dst,
-				Ports:    make([]topology.PortID, len(rt.Ports)),
-				Switches: append([]topology.NodeID(nil), rt.Switches...)}
-			for k, pb := range rt.Ports {
+	b := updown.NewTableBuilder(tab.Hosts)
+	for _, src := range tab.Hosts {
+		for _, dst := range tab.Hosts {
+			for _, pb := range tab.Lookup(src, dst).Ports {
 				p, _ := route.DecodeVCPort(byte(pb))
-				cp.Ports[k] = topology.PortID(p)
+				b.Row = append(b.Row, topology.PortID(p))
 			}
-			routes[i][j] = cp
+			b.EndRoute()
 		}
 	}
-	out, err := updown.NewCustomTable(hosts, routes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return b.Table()
 }
 
 // TestTorusMinimalDeadlockPair is the control experiment for the dateline

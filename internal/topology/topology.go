@@ -92,6 +92,10 @@ type Graph struct {
 	// DefaultDelay is applied by Connect when the delay argument is zero
 	// and by builders unless they override it per link.
 	DefaultDelay int64
+
+	// hosts and switches list the node IDs of each kind in ascending
+	// order; AddNode, the one place a node is made, appends to them.
+	hosts, switches []NodeID
 }
 
 // New returns an empty graph with a default link delay of 1 byte-time.
@@ -104,6 +108,12 @@ func (g *Graph) AddNode(kind Kind, name string) NodeID {
 		name = fmt.Sprintf("%s%d", kind, int(id))
 	}
 	g.Nodes = append(g.Nodes, Node{ID: id, Kind: kind, Name: name})
+	switch kind {
+	case Host:
+		g.hosts = append(g.hosts, id)
+	case Switch:
+		g.switches = append(g.switches, id)
+	}
 	return id
 }
 
@@ -137,27 +147,14 @@ func (g *Graph) Connect(a, b NodeID, delay int64) (pa, pb PortID) {
 	return pa, pb
 }
 
-// Hosts returns the IDs of all host nodes in ascending order.
-func (g *Graph) Hosts() []NodeID {
-	var out []NodeID
-	for i := range g.Nodes {
-		if g.Nodes[i].Kind == Host {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
+// Hosts returns the IDs of all host nodes in ascending order.  The slice is
+// the graph's own list, capped so an append copies: read it, and clone it
+// before sorting, shuffling or writing through it.
+func (g *Graph) Hosts() []NodeID { return g.hosts[:len(g.hosts):len(g.hosts)] }
 
-// Switches returns the IDs of all switch nodes in ascending order.
-func (g *Graph) Switches() []NodeID {
-	var out []NodeID
-	for i := range g.Nodes {
-		if g.Nodes[i].Kind == Switch {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
+// Switches returns the IDs of all switch nodes in ascending order, on the
+// same terms as Hosts.
+func (g *Graph) Switches() []NodeID { return g.switches[:len(g.switches):len(g.switches)] }
 
 // HostAttachment returns the switch a host is wired to and the switch-side
 // port.  It returns (None, NoPort) for an unwired host and panics if the ID

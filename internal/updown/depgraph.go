@@ -21,15 +21,61 @@ import (
 // on an all-marker table and adaptive routing proves its escapes instead.
 // A cycle's error names each of its channels.
 func Prove(g *topology.Graph, decode func(topology.PortID) (topology.PortID, int), rows ...[]Route) error {
+	return prove(g, decode, routeCursor{rows: rows})
+}
+
+// Prove proves the table's own routes (see Prove), read in place.
+func (t *Table) Prove(g *topology.Graph, decode func(topology.PortID) (topology.PortID, int)) error {
+	return prove(g, decode, routeCursor{t: t})
+}
+
+// routeCursor steps through routes row-major: the rows handed to Prove, or
+// a table's routes read in place.
+type routeCursor struct {
+	rows [][]Route
+	t    *Table
+	i, j int
+}
+
+// next returns the next route (of a table: the next non-empty one); ok is
+// false past the last.
+func (c *routeCursor) next() (Route, bool) {
+	for t := c.t; t != nil && c.i < len(t.Hosts); {
+		i, j := c.i, c.j
+		if c.j++; c.j == len(t.Hosts) {
+			c.i, c.j = c.i+1, 0
+		}
+		if rt, ok := t.route(i, j); ok {
+			return rt, true
+		}
+	}
+	for c.t == nil && c.i < len(c.rows) {
+		i, j := c.i, c.j
+		if c.j++; c.j >= len(c.rows[i]) {
+			c.i, c.j = c.i+1, 0
+		}
+		if j < len(c.rows[i]) {
+			return c.rows[i][j], true
+		}
+	}
+	return Route{}, false
+}
+
+// prove is Prove over the routes of start, which it steps through twice:
+// once to count lanes and once to wire the dependencies.
+func prove(g *topology.Graph, decode func(topology.PortID) (topology.PortID, int), start routeCursor) error {
 	lanes := 1
-	for _, row := range rows {
-		for _, rt := range row {
-			for _, b := range rt.Ports {
-				if decode != nil && len(rt.Ports) > 1 {
-					_, l := decode(b)
-					lanes = max(lanes, l+1)
-				}
-			}
+	for c := start; decode != nil; {
+		rt, ok := c.next()
+		if !ok {
+			break
+		}
+		if len(rt.Ports) < 2 {
+			continue
+		}
+		for _, b := range rt.Ports {
+			_, l := decode(b)
+			lanes = max(lanes, l+1)
 		}
 	}
 	// Switch n owns channels base[n] + port*lanes + lane.  Every successor
@@ -57,15 +103,17 @@ func Prove(g *topology.Graph, decode func(topology.PortID) (topology.PortID, int
 		prev = base[h.Switch] + k
 		return nil
 	}
-	for _, row := range rows {
-		for _, rt := range row {
-			if len(rt.Ports) < 2 {
-				continue
-			}
-			prev = -1
-			if err := rt.Walk(g, decode, visit); err != nil {
-				return fmt.Errorf("updown: route %d->%d: %w", rt.Src, rt.Dst, err)
-			}
+	for c := start; ; {
+		rt, ok := c.next()
+		if !ok {
+			break
+		}
+		if len(rt.Ports) < 2 {
+			continue
+		}
+		prev = -1
+		if err := rt.Walk(g, decode, visit); err != nil {
+			return fmt.Errorf("updown: route %d->%d: %w", rt.Src, rt.Dst, err)
 		}
 	}
 
@@ -98,11 +146,6 @@ func Prove(g *topology.Graph, decode func(topology.PortID) (topology.PortID, int
 		}
 	}
 	return nil
-}
-
-// Prove proves the table's own routes (see Prove).
-func (t *Table) Prove(g *topology.Graph, decode func(topology.PortID) (topology.PortID, int)) error {
-	return Prove(g, decode, t.routes...)
 }
 
 // frame is one channel on the search stack and the successor bit to try next.

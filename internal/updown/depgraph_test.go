@@ -39,14 +39,9 @@ func clockwiseRing(t *testing.T, n int, drop ...int) (*topology.Graph, *Table, [
 		}
 		j := (i + 2) % n
 		routes[i][j] = Route{Src: hosts[i], Dst: hosts[j],
-			Switches: []topology.NodeID{sws[i], sws[(i+1)%n], sws[j]},
-			Ports:    []topology.PortID{cw[i], cw[(i+1)%n], hostPorts[j]}}
+			Ports: []topology.PortID{cw[i], cw[(i+1)%n], hostPorts[j]}}
 	}
-	tbl, err := NewCustomTable(hosts, routes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g, tbl, sws, cw
+	return g, customTable(hosts, routes), sws, cw
 }
 
 // TestFindCycleDetectsCycle: three clockwise routes on a 3-ring close a
@@ -137,8 +132,7 @@ func TestProveRowsRejectsClockwiseEscapes(t *testing.T) {
 	for i, sw := range sws {
 		next, j := (i+1)%n, (i+2)%n
 		rows[i] = []Route{{Src: sw, Dst: hostOn[j].Peer,
-			Switches: []topology.NodeID{sw, sws[next], sws[j]},
-			Ports:    []topology.PortID{cw[i], cw[next], hostOn[j].Port}}}
+			Ports: []topology.PortID{cw[i], cw[next], hostOn[j].Port}}}
 		want = append(want, fmt.Sprintf("%d/%d/0", sw, cw[i]))
 	}
 	want = append(want, want[0])

@@ -13,6 +13,13 @@ import (
 	"wormlan/internal/topology"
 )
 
+// refRoute is a reference route with the switches it visits, which the
+// search records as it goes (parallel to Ports).
+type refRoute struct {
+	Route
+	sws []topology.NodeID
+}
+
 // routeState is a node plus the "have we gone down yet" phase of the
 // up*/down* walk.
 type routeState struct {
@@ -21,22 +28,22 @@ type routeState struct {
 }
 
 // pairRoute is the reference host-to-host route.
-func (r *Routing) pairRoute(src, dst topology.NodeID, treeOnly bool) (Route, error) {
+func (r *Routing) pairRoute(src, dst topology.NodeID, treeOnly bool) (refRoute, error) {
 	g := r.G
 	if g.Node(src).Kind != topology.Host || g.Node(dst).Kind != topology.Host {
-		return Route{}, fmt.Errorf("updown: route endpoints must be hosts (got %s, %s)",
+		return refRoute{}, fmt.Errorf("updown: route endpoints must be hosts (got %s, %s)",
 			g.Node(src).Kind, g.Node(dst).Kind)
 	}
 	sSrc, _ := g.HostAttachment(src)
 	if src == dst {
-		return Route{}, fmt.Errorf("updown: route to self (host %d)", src)
+		return refRoute{}, fmt.Errorf("updown: route to self (host %d)", src)
 	}
 	if r.fail != nil && (!r.Reachable(src) || !r.Reachable(dst)) {
-		return Route{}, fmt.Errorf("updown: no surviving route from host %d to host %d", src, dst)
+		return refRoute{}, fmt.Errorf("updown: no surviving route from host %d to host %d", src, dst)
 	}
 	rt, err := r.routeFrom(sSrc, dst, treeOnly)
 	if err != nil {
-		return Route{}, fmt.Errorf("updown: no legal route from host %d to host %d (treeOnly=%v)",
+		return refRoute{}, fmt.Errorf("updown: no legal route from host %d to host %d (treeOnly=%v)",
 			src, dst, treeOnly)
 	}
 	rt.Src = src
@@ -44,32 +51,31 @@ func (r *Routing) pairRoute(src, dst topology.NodeID, treeOnly bool) (Route, err
 }
 
 // pairEscape is the reference switch-to-host escape route.
-func (r *Routing) pairEscape(sw, dst topology.NodeID) (Route, error) {
+func (r *Routing) pairEscape(sw, dst topology.NodeID) (refRoute, error) {
 	g := r.G
 	if g.Node(sw).Kind != topology.Switch || g.Node(dst).Kind != topology.Host {
-		return Route{}, fmt.Errorf("updown: escape route wants (switch, host), got (%s, %s)",
+		return refRoute{}, fmt.Errorf("updown: escape route wants (switch, host), got (%s, %s)",
 			g.Node(sw).Kind, g.Node(dst).Kind)
 	}
 	if r.Level[sw] < 0 {
-		return Route{}, fmt.Errorf("updown: switch %d is not in the routed component", sw)
+		return refRoute{}, fmt.Errorf("updown: switch %d is not in the routed component", sw)
 	}
 	if r.fail != nil && !r.Reachable(dst) {
-		return Route{}, fmt.Errorf("updown: host %d unreachable", dst)
+		return refRoute{}, fmt.Errorf("updown: host %d unreachable", dst)
 	}
 	return r.routeFrom(sw, dst, false)
 }
 
 // routeFrom is the reference BFS core: a shortest legal up*/down* walk from
 // switch start to host dst.
-func (r *Routing) routeFrom(start, dst topology.NodeID, treeOnly bool) (Route, error) {
+func (r *Routing) routeFrom(start, dst topology.NodeID, treeOnly bool) (refRoute, error) {
 	g := r.G
 	sSrc := start
 	sDst, dstPortOnSwitch := g.HostAttachment(dst)
 	if sSrc == sDst {
 		// Single-switch route: one port, straight to the destination host.
-		return Route{Src: start, Dst: dst,
-			Ports:    []topology.PortID{dstPortOnSwitch},
-			Switches: []topology.NodeID{sSrc}}, nil
+		return refRoute{Route{Src: start, Dst: dst, Ports: []topology.PortID{dstPortOnSwitch}},
+			[]topology.NodeID{sSrc}}, nil
 	}
 	// BFS over (switch, phase).  Phase false = still allowed to go up.
 	type prevHop struct {
@@ -122,7 +128,7 @@ func (r *Routing) routeFrom(start, dst topology.NodeID, treeOnly bool) (Route, e
 		}
 	}
 	if !found {
-		return Route{}, fmt.Errorf("updown: no legal route from switch %d to host %d (treeOnly=%v)",
+		return refRoute{}, fmt.Errorf("updown: no legal route from switch %d to host %d (treeOnly=%v)",
 			start, dst, treeOnly)
 	}
 	// Walk back from goal to start.
@@ -141,17 +147,17 @@ func (r *Routing) routeFrom(start, dst topology.NodeID, treeOnly bool) (Route, e
 	}
 	ports = append(ports, dstPortOnSwitch)
 	sws = append(sws, sDst)
-	return Route{Src: start, Dst: dst, Ports: ports, Switches: sws}, nil
+	return refRoute{Route{Src: start, Dst: dst, Ports: ports}, sws}, nil
 }
 
 // pairTable is the reference all-pairs table: strict fails on the first
 // row-major pair without a route (the old NewTable), otherwise unroutable
 // pairs stay empty (the old NewTableSurviving).
-func (r *Routing) pairTable(treeOnly, strict bool) ([][]Route, error) {
+func (r *Routing) pairTable(treeOnly, strict bool) ([][]refRoute, error) {
 	hosts := r.G.Hosts()
-	routes := make([][]Route, len(hosts))
+	routes := make([][]refRoute, len(hosts))
 	for i, src := range hosts {
-		routes[i] = make([]Route, len(hosts))
+		routes[i] = make([]refRoute, len(hosts))
 		if !strict && !r.Reachable(src) {
 			continue
 		}

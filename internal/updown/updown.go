@@ -18,6 +18,7 @@
 package updown
 
 import (
+	"errors"
 	"fmt"
 
 	"wormlan/internal/topology"
@@ -83,12 +84,11 @@ func (r *Routing) InTree(n topology.NodeID, p topology.PortID) bool {
 
 // Route is a Myrinet-style source route: the output port to take at each
 // switch on the path, in order.  The final port delivers the worm to the
-// destination host adapter.
+// destination host adapter.  A route names no switches: Walk follows the
+// ports from Src to find them.
 type Route struct {
 	Src, Dst topology.NodeID
 	Ports    []topology.PortID
-	// Switches visited, parallel to Ports (Switches[i] takes Ports[i]).
-	Switches []topology.NodeID
 }
 
 // Hops returns the number of switch traversals on the route.
@@ -113,9 +113,8 @@ func (r *Routing) route(src, dst topology.NodeID, treeOnly bool) (Route, error) 
 		sw, _ := g.HostAttachment(src)
 		w := r.newWalk()
 		w.run(sw, treeOnly)
-		if rt, ok := w.to(dst); ok {
-			rt.Src = src
-			return rt, nil
+		if ports, ok := w.to(nil, dst); ok {
+			return Route{Src: src, Dst: dst, Ports: ports}, nil
 		}
 	}
 	return Route{}, r.routeErr(src, dst, treeOnly)
@@ -135,32 +134,85 @@ func (r *Routing) Route(src, dst topology.NodeID) (Route, error) {
 	return r.route(src, dst, false)
 }
 
-// Table precomputes routes between every ordered pair of hosts.  Route
-// slices of a table built here alias one per-table slab: read them, never
-// append to or write through them.
+// Table precomputes routes between every ordered pair of hosts.  Each
+// source host's routes sit back to back in one exactly sized row of ports,
+// and one offset array locates every pair in its row: a table holds the
+// route bytes and four bytes per pair, nothing per hop beyond its port.
+// Build one with NewTable, NewTableSurviving or a TableBuilder.
 type Table struct {
 	Hosts []topology.NodeID
-	// index maps a NodeID to its row/column in routes; -1 for non-hosts.
-	index  []int32
-	routes [][]Route
+	// index maps a NodeID to its row/column; -1 for non-hosts.
+	index []int32
+	// rows[i] holds the routes from Hosts[i], to Hosts[0], Hosts[1], ...
+	// in turn; the route to Hosts[j] is rows[i][off[k]:off[k+1]] with
+	// k = i*(len(Hosts)+1) + j.  An empty span is a pair without a route.
+	rows [][]topology.PortID
+	off  []int32
 }
 
-// newTable indexes hosts and wraps routes (square over hosts).
-func newTable(hosts []topology.NodeID, routes [][]Route) *Table {
+// TableBuilder assembles a Table route by route: sources in host order
+// and, for each source, every destination in host order, the source itself
+// included.  A route builder appends a route's hops to Row and calls
+// EndRoute; an unroutable pair (and the source's own column) appends
+// nothing.  Row may be truncated back to where the current route began, to
+// drop a partial route.
+type TableBuilder struct {
+	// Row is the current source's routes so far.  After a source's last
+	// EndRoute the table keeps Row itself when it is exactly full (a caller
+	// that sized it, see Routing.buildTable) and otherwise an exact copy,
+	// Row then being reused for the next source.
+	Row []topology.PortID
+	t   *Table
+	i   int // current source row
+	j   int // next destination column
+}
+
+// NewTableBuilder starts a table over hosts, its rows and columns in their
+// order.
+func NewTableBuilder(hosts []topology.NodeID) *TableBuilder {
 	size := 0
 	for _, h := range hosts {
-		if int(h) >= size {
-			size = int(h) + 1
-		}
+		size = max(size, int(h)+1)
 	}
-	t := &Table{Hosts: hosts, index: make([]int32, size), routes: routes}
+	n := len(hosts)
+	t := &Table{Hosts: hosts, index: make([]int32, size),
+		rows: make([][]topology.PortID, n), off: make([]int32, n*(n+1))}
 	for i := range t.index {
 		t.index[i] = -1
 	}
 	for i, h := range hosts {
 		t.index[h] = int32(i)
 	}
-	return t
+	return &TableBuilder{t: t}
+}
+
+// EndRoute closes the route from the current source to the current
+// destination: the hops appended to Row since the previous EndRoute.
+// After the source's last destination it files the row and moves to the
+// next source.
+func (b *TableBuilder) EndRoute() {
+	t, n := b.t, len(b.t.Hosts)
+	b.j++
+	t.off[b.i*(n+1)+b.j] = int32(len(b.Row))
+	if b.j < n {
+		return
+	}
+	if len(b.Row) == cap(b.Row) {
+		t.rows[b.i], b.Row = b.Row, nil
+	} else {
+		t.rows[b.i] = append([]topology.PortID(nil), b.Row...)
+		b.Row = b.Row[:0]
+	}
+	b.i, b.j = b.i+1, 0
+}
+
+// Table returns the finished table.  It panics unless every source row has
+// been ended.
+func (b *TableBuilder) Table() *Table {
+	if b.i != len(b.t.Hosts) {
+		panic(fmt.Sprintf("updown: table built to row %d of %d", b.i, len(b.t.Hosts)))
+	}
+	return b.t
 }
 
 // NewTable builds a route table over all hosts of the topology, failing on
@@ -179,58 +231,45 @@ func (r *Routing) NewTableSurviving(treeOnly bool) (*Table, error) {
 
 // buildTable fills the all-pairs table from one walk per source switch: a
 // row re-walks only when its switch differs from the previous row's, and
-// every builder numbers the hosts of a switch consecutively.  Reachable
-// endpoints always route (up to the root works); other pairs come out absent.
+// every builder numbers the hosts of a switch consecutively.  Each row is
+// sized from the walk's depths and then appended to straight from the walk,
+// so the builder keeps it without a copy.  Reachable endpoints always route
+// (up to the root works); other pairs come out absent.
 func (r *Routing) buildTable(treeOnly, strict bool) (*Table, error) {
 	hosts := r.G.Hosts()
-	n := len(hosts)
-	reach := make([]bool, n)
+	reach := make([]bool, len(hosts))
 	for i, h := range hosts {
 		reach[i] = r.Reachable(h)
 	}
-	flat := make([]Route, n*n)
-	routes := make([][]Route, n)
+	b := NewTableBuilder(hosts)
 	w := r.newWalk()
 	for i, src := range hosts {
-		routes[i] = flat[i*n : (i+1)*n : (i+1)*n]
-		if sw, _ := r.G.HostAttachment(src); reach[i] && sw != w.start {
-			w.run(sw, treeOnly)
-		}
-		for j, dst := range hosts {
-			if i == j {
-				continue
+		size := 0
+		if reach[i] {
+			if sw, _ := r.G.HostAttachment(src); sw != w.start {
+				w.run(sw, treeOnly)
 			}
-			if reach[i] && reach[j] {
-				if rt, ok := w.to(dst); ok {
-					rt.Src = src
-					routes[i][j] = rt
-					continue
+			for j, dst := range hosts {
+				if j != i && reach[j] {
+					size += w.hops(dst)
 				}
 			}
-			if strict {
-				return nil, r.routeErr(src, dst, treeOnly)
+		}
+		b.Row = make([]topology.PortID, 0, size)
+		for j, dst := range hosts {
+			if i != j {
+				ok := false
+				if reach[i] && reach[j] {
+					b.Row, ok = w.to(b.Row, dst)
+				}
+				if !ok && strict {
+					return nil, r.routeErr(src, dst, treeOnly)
+				}
 			}
+			b.EndRoute()
 		}
 	}
-	return newTable(hosts, routes), nil
-}
-
-// NewCustomTable wraps externally computed routes (an alternative routing
-// scheme — e.g. VC-partitioned minimal torus routing or full-mesh direct
-// routing, see internal/vcroute) in a Table, so the adapter and simulation
-// layers consume every scheme through one type.  routes must be square
-// over hosts, with routes[i][j] the route from hosts[i] to hosts[j].
-func NewCustomTable(hosts []topology.NodeID, routes [][]Route) (*Table, error) {
-	if len(routes) != len(hosts) {
-		return nil, fmt.Errorf("updown: %d route rows for %d hosts", len(routes), len(hosts))
-	}
-	for i := range hosts {
-		if len(routes[i]) != len(hosts) {
-			return nil, fmt.Errorf("updown: route row %d has %d entries for %d hosts",
-				i, len(routes[i]), len(hosts))
-		}
-	}
-	return newTable(hosts, routes), nil
+	return b.Table(), nil
 }
 
 // at returns n's row/column in the table, or -1 when n is not one of its hosts.
@@ -241,38 +280,52 @@ func (t *Table) at(n topology.NodeID) int {
 	return int(t.index[n])
 }
 
+// route returns the route from Hosts[i] to Hosts[j], capped at its length;
+// ok is false, and the Route zero, when the pair has none.
+func (t *Table) route(i, j int) (_ Route, ok bool) {
+	k := i*(len(t.Hosts)+1) + j
+	a, b := t.off[k], t.off[k+1]
+	if a == b {
+		return Route{}, false
+	}
+	return Route{Src: t.Hosts[i], Dst: t.Hosts[j], Ports: t.rows[i][a:b:b]}, true
+}
+
 // HasRoute reports whether the table holds a route from src to dst.
 func (t *Table) HasRoute(src, dst topology.NodeID) bool {
 	i, j := t.at(src), t.at(dst)
-	return i >= 0 && j >= 0 && len(t.routes[i][j].Ports) > 0
+	if i < 0 || j < 0 {
+		return false
+	}
+	_, ok := t.route(i, j)
+	return ok
 }
 
 // Lookup returns the precomputed route from src to dst: the zero Route when
-// the pair has none or an endpoint is not one of the table's hosts.
+// the pair has none or an endpoint is not one of the table's hosts.  Ports
+// is a view of the table, capped so an append copies: read it, never write
+// through it.
 func (t *Table) Lookup(src, dst topology.NodeID) Route {
-	if i, j := t.at(src), t.at(dst); i >= 0 && j >= 0 {
-		return t.routes[i][j]
+	i, j := t.at(src), t.at(dst)
+	if i < 0 || j < 0 {
+		return Route{}
 	}
-	return Route{}
+	rt, _ := t.route(i, j)
+	return rt
 }
 
 // MeanHops returns the average switch-hop count over all ordered host
 // pairs; the paper notes up/down paths "are generally not shortest paths".
 func (t *Table) MeanHops() float64 {
-	total, n := 0, 0
-	for i := range t.routes {
-		for j := range t.routes[i] {
-			if i == j {
-				continue
-			}
-			total += t.routes[i][j].Hops()
-			n++
-		}
-	}
-	if n == 0 {
+	n := len(t.Hosts)
+	if n < 2 {
 		return 0
 	}
-	return float64(total) / float64(n)
+	total := 0
+	for _, row := range t.rows {
+		total += len(row)
+	}
+	return float64(total) / float64(n*(n-1))
 }
 
 // Hop is one switch traversal of a route as Route.Walk hands it out: hop
@@ -287,25 +340,22 @@ type Hop struct {
 
 // Walk follows rt through g from its source — a switch (an escape route,
 // see Escapes) or a host's attach switch — and is the one walker every
-// route check shares.  It checks that the route names each
-// switch the walk reaches, that every port is in range and wired, that the
-// route stays in the switch fabric until its last hop, and that the last
-// hop lands on Dst; an empty route reaches no host and is an error too.
+// route check shares: each hop's switch is the peer the previous hop landed
+// on.  It checks that every port is in range and wired, that the route
+// stays in the switch fabric until its last hop, and that the last hop
+// lands on Dst; an empty route reaches no host and is an error too.
 // decode splits a route byte into port and lane; nil reads plain port
 // bytes on lane 0.  visit, when not nil, sees each hop once the walk has
 // checked it, and its first error ends the walk.
 func (rt Route) Walk(g *topology.Graph, decode func(topology.PortID) (topology.PortID, int), visit func(Hop) error) error {
-	if len(rt.Ports) == 0 || len(rt.Ports) != len(rt.Switches) {
-		return fmt.Errorf("%d ports for %d switches", len(rt.Ports), len(rt.Switches))
+	if len(rt.Ports) == 0 {
+		return errors.New("empty route")
 	}
 	sw := rt.Src
 	if g.Node(sw).Kind != topology.Switch {
 		sw, _ = g.HostAttachment(sw)
 	}
 	for i, b := range rt.Ports {
-		if rt.Switches[i] != sw {
-			return fmt.Errorf("hop %d: route says switch %d, walk is at %d", i, rt.Switches[i], sw)
-		}
 		h := Hop{Index: i, Switch: sw, Port: b}
 		if decode != nil {
 			h.Port, h.Lane = decode(b)

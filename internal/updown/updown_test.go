@@ -1,6 +1,7 @@
 package updown
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -132,11 +133,13 @@ func TestTreeOnlyRoutesAvoidCrosslinks(t *testing.T) {
 	r := mustRouting(t, g)
 	routes := allPairRoutes(t, r, true)
 	for _, rt := range routes {
-		for i, port := range rt.Ports {
-			if !r.InTree(rt.Switches[i], port) {
-				t.Fatalf("tree-only route %d->%d uses crosslink at switch %d port %d",
-					rt.Src, rt.Dst, rt.Switches[i], port)
+		if err := rt.Walk(g, nil, func(h Hop) error {
+			if !r.InTree(h.Switch, h.Port) {
+				return fmt.Errorf("crosslink at switch %d port %d", h.Switch, h.Port)
 			}
+			return nil
+		}); err != nil {
+			t.Fatalf("tree-only route %d->%d: %v", rt.Src, rt.Dst, err)
 		}
 	}
 	tbl, err := r.NewTable(true)
@@ -251,7 +254,7 @@ func TestRootCongestion(t *testing.T) {
 	routes := allPairRoutes(t, r, false)
 	counts := map[topology.NodeID]int{}
 	for _, rt := range routes {
-		for _, sw := range rt.Switches {
+		for _, sw := range walked(g, rt) {
 			counts[sw]++
 		}
 	}
@@ -327,8 +330,7 @@ func TestVerifyRouteRejectsIllegalWalks(t *testing.T) {
 	// Clockwise h2 -> h4 goes down (s2 -> s3, same level, higher ID) and
 	// then up (s3 -> s4, toward the root).
 	clockwise := Route{Src: hosts[2], Dst: hosts[4],
-		Ports:    []topology.PortID{portTo(sw[2], sw[3]), portTo(sw[3], sw[4]), portTo(sw[4], hosts[4])},
-		Switches: []topology.NodeID{sw[2], sw[3], sw[4]}}
+		Ports: []topology.PortID{portTo(sw[2], sw[3]), portTo(sw[3], sw[4]), portTo(sw[4], hosts[4])}}
 	if err := clockwise.Walk(g, nil, func(Hop) error { return nil }); err != nil {
 		t.Fatalf("walk rejects a wired route: %v", err)
 	}

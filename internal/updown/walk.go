@@ -1,6 +1,10 @@
 package updown
 
-import "wormlan/internal/topology"
+import (
+	"slices"
+
+	"wormlan/internal/topology"
+)
 
 // Walk is the one breadth-first search behind every up*/down* route: a
 // single pass over (switch, phase) states from one start switch, run to
@@ -9,8 +13,7 @@ import "wormlan/internal/topology"
 // scanned in index order and the queue is FIFO, so a search that stops at
 // one destination is a strict prefix of this one: it would return exactly
 // the first-discovered state and chain.  A table costs one walk per source
-// switch, not one search per host pair.  Routes read off a Walk alias its
-// slab: read them, never append to or write through them.
+// switch, not one search per host pair.
 type Walk struct {
 	r     *Routing
 	start topology.NodeID // None until run
@@ -22,7 +25,6 @@ type Walk struct {
 	// first[n] is the state switch n was first discovered in; -1 = never.
 	first []int32
 	queue []int32
-	slab  RouteSlab
 }
 
 // walkHop is one discovery edge: the predecessor state and the port taken
@@ -53,7 +55,8 @@ func (r *Routing) newWalk() *Walk {
 // every escape-resident worm then holds and waits only on lane-0 channels
 // of one legal walk, the union of waits stays acyclic, which Prove over
 // these rows checks.  A switch outside the routed component has an empty
-// row.  One Walk serves every switch, so the routes alias its slab.
+// row.  One Walk serves every switch, and each switch's routes are cut
+// from one port chunk sized from the walk's depths.
 func (r *Routing) Escapes() [][]Route {
 	g := r.G
 	sws, hosts := g.Switches(), g.Hosts()
@@ -69,13 +72,21 @@ func (r *Routing) Escapes() [][]Route {
 			continue // cut off from the root: worms here drop
 		}
 		w.run(sw, false)
-		from := len(flat)
+		size := 0
+		for j, h := range hosts {
+			if at, _ := g.HostAttachment(h); reach[j] && at != sw {
+				size += w.hops(h)
+			}
+		}
+		ports, from := make([]topology.PortID, 0, size), len(flat)
 		for j, h := range hosts {
 			if at, _ := g.HostAttachment(h); !reach[j] || at == sw {
 				continue // the attach switch delivers
 			}
-			if rt, ok := w.to(h); ok {
-				flat = append(flat, rt)
+			a := len(ports)
+			var ok bool
+			if ports, ok = w.to(ports, h); ok {
+				flat = append(flat, Route{Src: sw, Dst: h, Ports: ports[a:len(ports):len(ports)]})
 			}
 		}
 		rows[i] = flat[from:len(flat):len(flat)]
@@ -132,43 +143,32 @@ func (w *Walk) run(start topology.NodeID, treeOnly bool) {
 	}
 }
 
-// to reads off the route to host dst: the chain behind the first-discovered
-// state of dst's switch, then the host hop.
-func (w *Walk) to(dst topology.NodeID) (Route, bool) {
+// hops returns the length of the route to host dst: 0 when the walk never
+// reached dst's switch.
+func (w *Walk) hops(dst topology.NodeID) int {
+	sDst, _ := w.r.G.HostAttachment(dst)
+	if goal := w.first[sDst]; goal >= 0 {
+		return int(w.depth[goal]) + 1
+	}
+	return 0
+}
+
+// to appends the route to host dst to ports: the chain behind the
+// first-discovered state of dst's switch, then the host hop.  ok is false,
+// and ports unchanged, when the walk never reached dst's switch.
+func (w *Walk) to(ports []topology.PortID, dst topology.NodeID) (_ []topology.PortID, ok bool) {
 	sDst, dstPort := w.r.G.HostAttachment(dst)
 	goal := w.first[sDst]
 	if goal < 0 {
-		return Route{}, false
+		return ports, false
 	}
-	n := int(w.depth[goal]) + 1
-	ports, sws := w.slab.Take(n)
-	ports[n-1], sws[n-1] = dstPort, sDst
-	for s, i := goal, n-2; i >= 0; i-- {
+	base, n := len(ports), int(w.depth[goal])+1
+	ports = slices.Grow(ports, n)[:base+n]
+	ports[base+n-1] = dstPort
+	for s, i := goal, base+n-2; i >= base; i-- {
 		h := w.prev[s]
-		ports[i], sws[i] = h.port, topology.NodeID(h.from>>1)
+		ports[i] = h.port
 		s = h.from
 	}
-	return Route{Src: w.start, Dst: dst, Ports: ports, Switches: sws}, true
-}
-
-// RouteSlab carves Route.Ports/Route.Switches pairs out of shared backing
-// arrays, so a table costs a handful of allocations instead of two per
-// pair.  Every slice is capped at its own length, so a stray append copies
-// rather than overwriting the neighbouring route.  The zero value is ready.
-type RouteSlab struct {
-	ports []topology.PortID
-	sws   []topology.NodeID
-}
-
-// Take returns zeroed Ports and Switches slices of n hops each.
-func (s *RouteSlab) Take(n int) ([]topology.PortID, []topology.NodeID) {
-	if len(s.ports)+n > cap(s.ports) {
-		// Earlier chunks stay alive through the routes cut from them.
-		c := max(2*cap(s.ports), n, 1024)
-		s.ports = make([]topology.PortID, 0, c)
-		s.sws = make([]topology.NodeID, 0, c)
-	}
-	a, b := len(s.ports), len(s.ports)+n
-	s.ports, s.sws = s.ports[:b], s.sws[:b]
-	return s.ports[a:b:b], s.sws[a:b:b]
+	return ports, true
 }

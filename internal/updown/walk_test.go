@@ -3,6 +3,8 @@ package updown
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"wormlan/internal/topology"
@@ -57,9 +59,35 @@ func errText(err error) string {
 	return err.Error()
 }
 
+// walked returns the switches Walk leads rt through, hop by hop: nil for a
+// route Walk rejects.
+func walked(g *topology.Graph, rt Route) []topology.NodeID {
+	var sws []topology.NodeID
+	if err := rt.Walk(g, nil, func(h Hop) error {
+		sws = append(sws, h.Switch)
+		return nil
+	}); err != nil {
+		return nil
+	}
+	return sws
+}
+
+// diffRef describes how a route differs from the reference one — in its
+// endpoints and ports, or in the switch chain Walk yields against the one
+// the reference search recorded — or returns "" when they agree.
+func diffRef(g *topology.Graph, got Route, want refRoute) string {
+	if !reflect.DeepEqual(got, want.Route) {
+		return fmt.Sprintf("walk %+v, pair BFS %+v", got, want.Route)
+	}
+	if sws := walked(g, got); !slices.Equal(sws, want.sws) {
+		return fmt.Sprintf("walked switches %v, pair BFS %v", sws, want.sws)
+	}
+	return ""
+}
+
 // checkWalkAgainstPairBFS compares everything the walk builds under r with
-// the per-pair reference: both table flavours, both treeOnly settings, the
-// single-pair entry point, and the switch-sourced escape rows.
+// the per-pair reference, pair by pair: both table flavours, both treeOnly
+// settings, the single-pair entry point, and the switch-sourced escape rows.
 func checkWalkAgainstPairBFS(t *testing.T, r *Routing) {
 	t.Helper()
 	g := r.G
@@ -72,9 +100,8 @@ func checkWalkAgainstPairBFS(t *testing.T, r *Routing) {
 		}
 		for i, src := range hosts {
 			for j, dst := range hosts {
-				got := tbl.Lookup(src, dst)
-				if !reflect.DeepEqual(got, want[i][j]) {
-					t.Fatalf("treeOnly=%v %d->%d: walk %+v, pair BFS %+v", treeOnly, src, dst, got, want[i][j])
+				if d := diffRef(g, tbl.Lookup(src, dst), want[i][j]); d != "" {
+					t.Fatalf("treeOnly=%v %d->%d: %s", treeOnly, src, dst, d)
 				}
 				if has := tbl.HasRoute(src, dst); has != (len(want[i][j].Ports) > 0) {
 					t.Fatalf("treeOnly=%v %d->%d: HasRoute=%v, reference route %+v", treeOnly, src, dst, has, want[i][j])
@@ -84,9 +111,9 @@ func checkWalkAgainstPairBFS(t *testing.T, r *Routing) {
 				}
 				one, oneErr := r.route(src, dst, treeOnly)
 				ref, refErr := r.pairRoute(src, dst, treeOnly)
-				if !reflect.DeepEqual(one, ref) || errText(oneErr) != errText(refErr) {
-					t.Fatalf("treeOnly=%v %d->%d: one-shot (%+v, %v), pair BFS (%+v, %v)",
-						treeOnly, src, dst, one, oneErr, ref, refErr)
+				if d := diffRef(g, one, ref); d != "" || errText(oneErr) != errText(refErr) {
+					t.Fatalf("treeOnly=%v %d->%d: one-shot error %v, pair BFS error %v; %s",
+						treeOnly, src, dst, oneErr, refErr, d)
 				}
 			}
 		}
@@ -95,8 +122,15 @@ func checkWalkAgainstPairBFS(t *testing.T, r *Routing) {
 		if errText(err) != errText(wantErr) {
 			t.Fatalf("treeOnly=%v: NewTable error %q, reference %q", treeOnly, errText(err), errText(wantErr))
 		}
-		if err == nil && !reflect.DeepEqual(strict.routes, wantStrict) {
-			t.Fatalf("treeOnly=%v: strict table differs from reference", treeOnly)
+		if err != nil {
+			continue
+		}
+		for i, src := range hosts {
+			for j, dst := range hosts {
+				if d := diffRef(g, strict.Lookup(src, dst), wantStrict[i][j]); d != "" {
+					t.Fatalf("treeOnly=%v strict %d->%d: %s", treeOnly, src, dst, d)
+				}
+			}
 		}
 	}
 	// Escapes: a row per switch holding, for every host attached elsewhere,
@@ -125,13 +159,17 @@ func checkWalkAgainstPairBFS(t *testing.T, r *Routing) {
 				continue
 			}
 			ref, refErr := r.pairEscape(sw, h)
-			if ok != (refErr == nil) || (ok && !reflect.DeepEqual(rt, ref)) {
+			if ok != (refErr == nil) {
 				t.Fatalf("escape %d->%d: Escapes (%+v, %v), pair BFS (%+v, %v)", sw, h, rt, ok, ref, refErr)
 			}
-			if ok {
-				if err := r.VerifyRoute(rt); err != nil {
-					t.Fatalf("escape %d->%d: %v", sw, h, err)
-				}
+			if !ok {
+				continue
+			}
+			if d := diffRef(g, rt, ref); d != "" {
+				t.Fatalf("escape %d->%d: %s", sw, h, d)
+			}
+			if err := r.VerifyRoute(rt); err != nil {
+				t.Fatalf("escape %d->%d: %v", sw, h, err)
 			}
 		}
 	}
@@ -243,20 +281,67 @@ func FuzzWalkVsPairBFS(f *testing.F) {
 }
 
 // TestNewTableAllocBudget pins table construction to a handful of
-// allocations per table — scratch, slab chunks, the flat route array — not
-// five-plus per ordered host pair.
+// allocations per table — walk scratch, one exactly sized row per source,
+// the offsets — not five-plus per ordered host pair, and its bytes to the
+// route bytes plus offsets: well under a Route header per pair.
 func TestNewTableAllocBudget(t *testing.T) {
 	g := topology.Torus(8, 8, 1, 1)
 	r := mustRouting(t, g)
-	allocs := testing.AllocsPerRun(5, func() {
+	build := func() {
 		if _, err := r.NewTable(false); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	allocs := testing.AllocsPerRun(5, build)
 	if budget := float64(4 * len(g.Hosts())); allocs > budget {
 		t.Fatalf("NewTable on torus8x8: %.0f allocs, budget %.0f", allocs, budget)
 	}
-	t.Logf("NewTable on torus8x8: %.0f allocs", allocs)
+	const runs, budget = 5, 256 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	if bytes > budget {
+		t.Fatalf("NewTable on torus8x8: %d B, budget %d B", bytes, budget)
+	}
+	t.Logf("NewTable on torus8x8: %.0f allocs, %d B", allocs, bytes)
+}
+
+// TestTableLookupZeroAlloc: reading a table — Lookup and HasRoute over
+// every pair, routed or not, and off-table nodes — allocates nothing.
+func TestTableLookupZeroAlloc(t *testing.T) {
+	g := topology.Torus(8, 8, 1, 1)
+	fail := NewFailures()
+	fail.FailSwitch(g.Switches()[5])
+	r, err := WithoutEdges(g, topology.None, fail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := r.NewTableSurviving(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := append(slices.Clone(tbl.Hosts), g.Switches()[0], topology.None)
+	hops := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		hops = 0
+		for _, src := range nodes {
+			for _, dst := range nodes {
+				if tbl.HasRoute(src, dst) {
+					hops += tbl.Lookup(src, dst).Hops()
+				}
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Lookup/HasRoute over all pairs: %.0f allocs, want 0", allocs)
+	}
+	if hops == 0 {
+		t.Fatal("no routes read")
+	}
 }
 
 func TestTableIndexOutOfRange(t *testing.T) {
@@ -266,11 +351,8 @@ func TestTableIndexOutOfRange(t *testing.T) {
 	for i := range routes {
 		routes[i] = make([]Route, len(hosts))
 	}
-	routes[0][1] = Route{Src: hosts[0], Dst: hosts[1], Ports: []topology.PortID{2}, Switches: []topology.NodeID{0}}
-	tbl, err := NewCustomTable(hosts, routes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	routes[0][1] = Route{Src: hosts[0], Dst: hosts[1], Ports: []topology.PortID{2}}
+	tbl := customTable(hosts, routes)
 	if !tbl.HasRoute(hosts[0], hosts[1]) || tbl.HasRoute(hosts[1], hosts[0]) {
 		t.Fatal("HasRoute disagrees with the routes handed in")
 	}
@@ -283,6 +365,19 @@ func TestTableIndexOutOfRange(t *testing.T) {
 			t.Fatalf("Lookup(%d, host) = %+v, want the zero Route", n, rt)
 		}
 	}
+}
+
+// customTable files routes (square over hosts, routes[i][j] from hosts[i]
+// to hosts[j]) through a TableBuilder.
+func customTable(hosts []topology.NodeID, routes [][]Route) *Table {
+	b := NewTableBuilder(hosts)
+	for i := range hosts {
+		for j := range hosts {
+			b.Row = append(b.Row, routes[i][j].Ports...)
+			b.EndRoute()
+		}
+	}
+	return b.Table()
 }
 
 func BenchmarkNewTable(b *testing.B) {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"testing"
 
+	"wormlan/internal/route"
 	"wormlan/internal/topology"
 	"wormlan/internal/updown"
 )
@@ -39,17 +40,36 @@ func pinnedFailures(g *topology.Graph) *updown.Failures {
 	return fail
 }
 
-// tableHash hashes every route byte and switch of tbl, row-major over its
-// hosts, empty routes included.
-func tableHash(tbl *updown.Table) string {
+// tableHash hashes every route byte of tbl and the switches Walk leads the
+// route through (decode reading its bytes), row-major over its hosts,
+// empty routes included.
+func tableHash(g *topology.Graph, tbl *updown.Table, decode func(topology.PortID) (topology.PortID, int)) string {
 	h := sha256.New()
 	for _, src := range tbl.Hosts {
 		for _, dst := range tbl.Hosts {
 			rt := tbl.Lookup(src, dst)
-			fmt.Fprintf(h, "%d>%d:%v%v;", src, dst, rt.Ports, rt.Switches)
+			fmt.Fprintf(h, "%d>%d:%v%v;", src, dst, rt.Ports, walkedSwitches(g, rt, decode))
 		}
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// walkedSwitches returns the switch each hop of rt leaves, as Walk finds
+// them — for the one-byte adaptive marker, whose hops the switches decide,
+// the source's attach switch — and nil for an empty route.
+func walkedSwitches(g *topology.Graph, rt updown.Route, decode func(topology.PortID) (topology.PortID, int)) []topology.NodeID {
+	if len(rt.Ports) == 1 && rt.Ports[0] == route.AdaptivePort {
+		sw, _ := g.HostAttachment(rt.Src)
+		return []topology.NodeID{sw}
+	}
+	var sws []topology.NodeID
+	if err := rt.Walk(g, decode, func(h updown.Hop) error {
+		sws = append(sws, h.Switch)
+		return nil
+	}); err != nil {
+		return nil
+	}
+	return sws
 }
 
 // TestSchemeTablesPinned holds every registered scheme's table to
@@ -112,7 +132,7 @@ func TestSchemeTablesPinned(t *testing.T) {
 				if ud == failed {
 					key = fmt.Sprintf("%s/%s/failed", name, topo)
 				}
-				got[key] = tableHash(tbl)
+				got[key] = tableHash(net.Graph, tbl, Decoder(sch.VCEncoded))
 				if err := tbl.Prove(net.Graph, Decoder(sch.VCEncoded)); err != nil {
 					t.Errorf("%s: %v", key, err)
 				}
@@ -133,5 +153,48 @@ func TestSchemeTablesPinned(t *testing.T) {
 	if t.Failed() {
 		js, _ := json.MarshalIndent(got, "", " ")
 		t.Logf("regenerated testdata/tables_pinned.json:\n%s", js)
+	}
+}
+
+// BenchmarkSchemeTables builds each registered scheme's healthy table on
+// the first fabric of pinnedNets it routes (up/down: NewTable), reporting
+// time and allocation per table.
+func BenchmarkSchemeTables(b *testing.B) {
+	for _, name := range Names() {
+		sch, err := Lookup(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		build := func(net topology.Net, ud *updown.Routing) (*updown.Table, error) {
+			if sch.Build == nil {
+				return ud.NewTable(false)
+			}
+			return sch.Build(net, max(sch.MinLanes, 1), ud)
+		}
+		for _, topo := range pinnedNets {
+			net, err := topology.Named(topo, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if sch.Check(net) != nil {
+				continue
+			}
+			ud, err := updown.New(net.Graph, topology.None)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := build(net, ud); err != nil {
+				continue // the scheme does not route this fabric
+			}
+			b.Run(name+"/"+topo, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := build(net, ud); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			break
+		}
 	}
 }

@@ -31,15 +31,11 @@ func Adaptive(g *topology.Graph, ud *updown.Routing) (*updown.Table, error) {
 	for _, h := range g.Hosts() {
 		reach[h] = ud.Reachable(h)
 	}
-	return pairTable(g, nil, func(slab *updown.RouteSlab, src, dst topology.NodeID) (updown.Route, error) {
+	return pairTable(g, nil, func(row []topology.PortID, src, dst topology.NodeID) ([]topology.PortID, error) {
 		if !reach[src] || !reach[dst] {
-			return updown.Route{}, nil
+			return row, nil
 		}
-		sw, _ := g.HostAttachment(src)
-		rt := newRoute(slab, src, dst, 1)
-		rt.Ports = append(rt.Ports, route.AdaptivePort)
-		rt.Switches = append(rt.Switches, sw)
-		return rt, nil
+		return append(row, route.AdaptivePort), nil
 	})
 }
 
@@ -80,16 +76,17 @@ func TorusMinimalSurviving(g *topology.Graph, geo *topology.TorusGeom, nvc int, 
 			}
 		}
 	}
-	return pairTable(g, fail, func(slab *updown.RouteSlab, src, dst topology.NodeID) (updown.Route, error) {
+	return pairTable(g, fail, func(row []topology.PortID, src, dst topology.NodeID) ([]topology.PortID, error) {
 		sc, dc, err := locate(at, src, dst, "torus")
 		if err != nil {
-			return updown.Route{}, err
+			return row, err
 		}
-		rt, err := torusRoute(slab, geo, src, dst, sc, dc)
-		if err != nil || routeDead(g, fail, rt, true) {
-			return updown.Route{}, err
+		from := len(row)
+		row, err = torusRoute(row, geo, src, dst, sc, dc)
+		if err != nil || routeDead(g, fail, updown.Route{Src: src, Dst: dst, Ports: row[from:]}, true) {
+			return row[:from], err
 		}
-		return rt, nil
+		return row, nil
 	})
 }
 
@@ -98,10 +95,9 @@ func TorusMinimalSurviving(g *topology.Graph, geo *topology.TorusGeom, nvc int, 
 // empty routes.  The scheme has no multi-hop detours by construction, so
 // recovery is pruning.
 func FullMeshSurviving(g *topology.Graph, fail *updown.Failures) (*updown.Table, error) {
-	return pairTable(g, fail, func(slab *updown.RouteSlab, src, dst topology.NodeID) (updown.Route, error) {
+	return pairTable(g, fail, func(row []topology.PortID, src, dst topology.NodeID) ([]topology.PortID, error) {
 		sa, _ := g.HostAttachment(src)
 		da, dp := g.HostAttachment(dst)
-		rt := newRoute(slab, src, dst, 2) // at most: peer switch, host
 		if sa != da {
 			// First live port on the source attach switch wired to the
 			// destination attach switch, in ascending port order.
@@ -114,16 +110,13 @@ func FullMeshSurviving(g *topology.Graph, fail *updown.Failures) (*updown.Table,
 			}
 			if found < 0 {
 				if fail != nil {
-					return updown.Route{}, nil // direct cable dead: pair unroutable
+					return row, nil // direct cable dead: pair unroutable
 				}
-				return updown.Route{}, fmt.Errorf("vcroute: switches %d and %d not adjacent (full mesh required)", sa, da)
+				return row, fmt.Errorf("vcroute: switches %d and %d not adjacent (full mesh required)", sa, da)
 			}
-			rt.Ports = append(rt.Ports, found)
-			rt.Switches = append(rt.Switches, sa)
+			row = append(row, found)
 		}
-		rt.Ports = append(rt.Ports, dp)
-		rt.Switches = append(rt.Switches, da)
-		return rt, nil
+		return append(row, dp), nil
 	})
 }
 
@@ -155,12 +148,11 @@ func Clos(g *topology.Graph, geo *topology.ClosGeom, fail *updown.Failures) (*up
 			!fail.LinkDead(g, geo.Leaf[li], geo.Up[li][s]) &&
 			!fail.LinkDead(g, geo.Leaf[lj], geo.Up[lj][s])
 	}
-	return pairTable(g, fail, func(slab *updown.RouteSlab, src, dst topology.NodeID) (updown.Route, error) {
+	return pairTable(g, fail, func(row []topology.PortID, src, dst topology.NodeID) ([]topology.PortID, error) {
 		sl, dl, err := locate(at, src, dst, "clos")
 		if err != nil {
-			return updown.Route{}, err
+			return row, err
 		}
-		rt := newRoute(slab, src, dst, 3) // at most: leaf, spine, leaf
 		if sl.l != dl.l {
 			spine := -1
 			for t := 0; t < geo.NSpine; t++ {
@@ -171,14 +163,11 @@ func Clos(g *topology.Graph, geo *topology.ClosGeom, fail *updown.Failures) (*up
 				}
 			}
 			if spine < 0 {
-				return updown.Route{}, nil // no surviving spine: pair unroutable
+				return row, nil // no surviving spine: pair unroutable
 			}
-			rt.Ports = append(rt.Ports, geo.Up[sl.l][spine], geo.Down[spine][dl.l])
-			rt.Switches = append(rt.Switches, geo.Leaf[sl.l], geo.Spine[spine])
+			row = append(row, geo.Up[sl.l][spine], geo.Down[spine][dl.l])
 		}
-		rt.Ports = append(rt.Ports, geo.HostPort[dl.l][dl.h])
-		rt.Switches = append(rt.Switches, geo.Leaf[dl.l])
-		return rt, nil
+		return append(row, geo.HostPort[dl.l][dl.h]), nil
 	})
 }
 
@@ -220,44 +209,46 @@ func Shufflenet(g *topology.Graph, geo *topology.ShuffleGeom, nvc int, fail *upd
 	for i := 1; i < len(pow); i++ {
 		pow[i] = pow[i-1] * geo.P
 	}
-	return pairTable(g, fail, func(slab *updown.RouteSlab, src, dst topology.NodeID) (updown.Route, error) {
+	return pairTable(g, fail, func(row []topology.PortID, src, dst topology.NodeID) ([]topology.PortID, error) {
 		sl, dl, err := locate(at, src, dst, "shufflenet")
 		if err != nil {
-			return updown.Route{}, err
+			return row, err
 		}
-		return shuffleRoute(slab, g, geo, fail, pow, src, dst, sl.c, sl.r, dl.c, dl.r)
+		return shuffleRoute(row, g, geo, fail, pow, src, dst, sl.c, sl.r, dl.c, dl.r)
 	})
 }
 
-// shuffleRoute computes one forward-column route, scanning candidate paths
-// (shorter first, then ascending digit strings) for the first that
-// survives fail.  An all-dead candidate set yields an empty route.
-func shuffleRoute(slab *updown.RouteSlab, g *topology.Graph, geo *topology.ShuffleGeom, fail *updown.Failures, pow []int,
-	src, dst topology.NodeID, c1, r1, c2, r2 int) (updown.Route, error) {
+// shuffleRoute appends one forward-column route to row, scanning candidate
+// paths (shorter first, then ascending digit strings) for the first that
+// survives fail.  An all-dead candidate set appends nothing.
+func shuffleRoute(row []topology.PortID, g *topology.Graph, geo *topology.ShuffleGeom, fail *updown.Failures, pow []int,
+	src, dst topology.NodeID, c1, r1, c2, r2 int) ([]topology.PortID, error) {
 	// Column distance d, then d + k.  At d = 0 the m = 0 candidate is the
 	// host hop alone; the digit check skips it unless both hosts share a
 	// switch.
 	d := (c2 - c1 + geo.K) % geo.K
 	ms := [2]int{d, d + geo.K}
-	tryPath := func(m, x int) (updown.Route, bool, error) {
-		rt := newRoute(slab, src, dst, m+1)
+	from := len(row)
+	// tryPath appends candidate (m, x) to row[:from]; ok is false when it
+	// crosses a dead switch or link or misses the destination switch.
+	tryPath := func(m, x int) (ok bool, err error) {
+		row = row[:from]
 		cc, rr, lane := c1, r1, 0
 		for h := 0; h < m; h++ {
 			sw := geo.Sw[cc][rr]
 			if fail.SwitchDead(sw) {
-				return rt, false, nil
+				return false, nil
 			}
 			digit := (x / pow[m-1-h]) % geo.P
 			p := geo.Fwd[cc][rr][digit]
 			if fail.LinkDead(g, sw, p) {
-				return rt, false, nil
+				return false, nil
 			}
 			b, err := route.EncodeVCPort(p, lane)
 			if err != nil {
-				return rt, false, fmt.Errorf("vcroute: %d->%d: %w", src, dst, err)
+				return false, fmt.Errorf("vcroute: %d->%d: %w", src, dst, err)
 			}
-			rt.Ports = append(rt.Ports, topology.PortID(b))
-			rt.Switches = append(rt.Switches, sw)
+			row = append(row, topology.PortID(b))
 			if cc == geo.K-1 {
 				lane++ // wrap crossing: later hops ride the next lane
 			}
@@ -265,17 +256,16 @@ func shuffleRoute(slab *updown.RouteSlab, g *topology.Graph, geo *topology.Shuff
 			rr = (rr*geo.P + digit) % geo.Rows
 		}
 		if cc != c2 || rr != r2 || fail.SwitchDead(geo.Sw[c2][r2]) {
-			return rt, false, nil
+			return false, nil
 		}
 		// Final hop into the host, on lane 0 (hosts speak lane 0; host
 		// channels always drain, so the lane reset is safe).
 		b, err := route.EncodeVCPort(geo.HostPort[c2][r2], 0)
 		if err != nil {
-			return rt, false, fmt.Errorf("vcroute: %d->%d: %w", src, dst, err)
+			return false, fmt.Errorf("vcroute: %d->%d: %w", src, dst, err)
 		}
-		rt.Ports = append(rt.Ports, topology.PortID(b))
-		rt.Switches = append(rt.Switches, geo.Sw[c2][r2])
-		return rt, true, nil
+		row = append(row, topology.PortID(b))
+		return true, nil
 	}
 	for _, m := range ms {
 		// The digit string X must satisfy X = r2 - r1*p^m (mod p^k); the
@@ -286,19 +276,16 @@ func shuffleRoute(slab *updown.RouteSlab, g *topology.Graph, geo *topology.Shuff
 			continue // too few digits to absorb the row delta
 		}
 		for x := base; x < pow[m]; x += geo.Rows {
-			rt, ok, err := tryPath(m, x)
-			if err != nil {
-				return rt, err
-			}
-			if ok {
-				return rt, nil
+			ok, err := tryPath(m, x)
+			if err != nil || ok {
+				return row, err
 			}
 			if fail == nil {
 				break // without failures the first candidate always works
 			}
 		}
 	}
-	return updown.Route{Src: src, Dst: dst}, nil // no surviving path: pruned
+	return row[:from], nil // no surviving path: pruned
 }
 
 // Decoder returns the Route.Walk (and Table.Prove) decoder for a table's

@@ -1,6 +1,7 @@
 package vcroute
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -23,9 +24,9 @@ func TestClosTableSound(t *testing.T) {
 	}
 	// Spot-check spine determinism: leaf 1 -> leaf 6 must ride spine 3.
 	src, dst := geo.Hosts[1][0], geo.Hosts[6][0]
-	rt := tbl.Lookup(src, dst)
-	if len(rt.Switches) != 3 || rt.Switches[1] != geo.Spine[(1+6)%4] {
-		t.Fatalf("route %d->%d rides %v, want spine %d", src, dst, rt.Switches, geo.Spine[3])
+	sws := walkedSwitches(g, tbl.Lookup(src, dst), nil)
+	if len(sws) != 3 || sws[1] != geo.Spine[(1+6)%4] {
+		t.Fatalf("route %d->%d rides %v, want spine %d", src, dst, sws, geo.Spine[3])
 	}
 }
 
@@ -46,9 +47,9 @@ func TestClosSpineFailover(t *testing.T) {
 	}
 	// leaf0 -> leaf2 would deterministically ride spine (0+2)%2 = 0; the
 	// dead uplink forces spine 1.
-	rt := tbl.Lookup(geo.Hosts[0][0], geo.Hosts[2][0])
-	if len(rt.Switches) != 3 || rt.Switches[1] != geo.Spine[1] {
-		t.Fatalf("failover route rides %v, want spine %d", rt.Switches, geo.Spine[1])
+	sws := walkedSwitches(g, tbl.Lookup(geo.Hosts[0][0], geo.Hosts[2][0]), nil)
+	if len(sws) != 3 || sws[1] != geo.Spine[1] {
+		t.Fatalf("failover route rides %v, want spine %d", sws, geo.Spine[1])
 	}
 }
 
@@ -127,14 +128,16 @@ func TestShufflenetFailover(t *testing.T) {
 				pruned++
 				continue
 			}
-			for i, pb := range rt.Ports {
-				port, _ := route.DecodeVCPort(byte(pb))
-				if rt.Switches[i] == sw && topology.PortID(port) == p {
-					t.Fatalf("%d->%d still crosses the dead arc", src, dst)
+			if err := rt.Walk(g, Decoder(true), func(h updown.Hop) error {
+				if h.Switch == sw && h.Port == p {
+					return errors.New("crosses the dead arc")
 				}
+				return nil
+			}); err != nil {
+				t.Fatalf("%d->%d: %v", src, dst, err)
 			}
 			old := full.Lookup(src, dst)
-			if len(old.Ports) > 0 && old.Switches[0] == rt.Switches[0] && len(old.Ports) != len(rt.Ports) {
+			if len(old.Ports) > 0 && len(old.Ports) != len(rt.Ports) {
 				rerouted++
 			}
 		}
@@ -178,21 +181,15 @@ func TestValidateTableReportsAllPairs(t *testing.T) {
 	}
 	// Two deliberately broken routes and one missing pair; the rest stay
 	// missing too, so requireComplete also fires.
-	sw0, _ := g.HostAttachment(hosts[0])
-	routes[0][1] = updown.Route{Src: hosts[0], Dst: hosts[1],
-		Ports: []topology.PortID{99}, Switches: []topology.NodeID{sw0}}
-	routes[1][0] = updown.Route{Src: hosts[1], Dst: hosts[0],
-		Ports: []topology.PortID{0}, Switches: []topology.NodeID{sw0}} // wrong switch
-	tbl, err := updown.NewCustomTable(hosts, routes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = ValidateTable(g, tbl, false, true)
+	routes[0][1] = updown.Route{Src: hosts[0], Dst: hosts[1], Ports: []topology.PortID{99}}
+	// Port 0 of host 1's switch leads to switch 0, not to host 0.
+	routes[1][0] = updown.Route{Src: hosts[1], Dst: hosts[0], Ports: []topology.PortID{0}}
+	err := ValidateTable(g, customTable(hosts, routes), false, true)
 	if err == nil {
 		t.Fatal("broken table validated")
 	}
 	msg := err.Error()
-	for _, want := range []string{"out of range", "walk is at", "no route"} {
+	for _, want := range []string{"out of range", "delivers to node", "no route"} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("error misses %q:\n%s", want, msg)
 		}
@@ -242,9 +239,9 @@ func TestTorusTieBreakDeterministic(t *testing.T) {
 					t.Fatalf("%d->%d: route length diverged across rebuilds", src, dst)
 				}
 				for i := range a.Ports {
-					if a.Ports[i] != b.Ports[i] || a.Switches[i] != b.Switches[i] {
-						t.Fatalf("%d->%d hop %d: %d@%d vs %d@%d across rebuilds",
-							src, dst, i, a.Ports[i], a.Switches[i], b.Ports[i], b.Switches[i])
+					if a.Ports[i] != b.Ports[i] {
+						t.Fatalf("%d->%d hop %d: port %d vs %d across rebuilds",
+							src, dst, i, a.Ports[i], b.Ports[i])
 					}
 				}
 			}
@@ -305,15 +302,23 @@ func TestValidateTableHostLane(t *testing.T) {
 		}
 		routes := [][]updown.Route{make([]updown.Route, 2), make([]updown.Route, 2)}
 		routes[0][1] = updown.Route{Src: hosts[0], Dst: hosts[1],
-			Ports:    []topology.PortID{topology.PortID(b0), topology.PortID(b1)},
-			Switches: []topology.NodeID{s0, s1}}
-		tbl, err := updown.NewCustomTable(hosts, routes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = ValidateTable(g, tbl, true, false)
+			Ports: []topology.PortID{topology.PortID(b0), topology.PortID(b1)}}
+		err = ValidateTable(g, customTable(hosts, routes), true, false)
 		if got := err != nil && strings.Contains(err.Error(), "hosts speak lane 0"); got != (lane > 0) {
 			t.Fatalf("host delivery on lane %d: %v", lane, err)
 		}
 	}
+}
+
+// customTable files routes (square over hosts, routes[i][j] from hosts[i]
+// to hosts[j]) through an updown.TableBuilder.
+func customTable(hosts []topology.NodeID, routes [][]updown.Route) *updown.Table {
+	b := updown.NewTableBuilder(hosts)
+	for i := range hosts {
+		for j := range hosts {
+			b.Row = append(b.Row, routes[i][j].Ports...)
+			b.EndRoute()
+		}
+	}
+	return b.Table()
 }

@@ -39,40 +39,28 @@ import (
 	"wormlan/internal/updown"
 )
 
-// newRoute starts a route of at most hops switch traversals: Ports and
-// Switches are cut from slab, empty, with room for hops appends — so the
-// builders append hop by hop without growing a slice per pair.
-func newRoute(slab *updown.RouteSlab, src, dst topology.NodeID, hops int) updown.Route {
-	ports, sws := slab.Take(hops)
-	return updown.Route{Src: src, Dst: dst, Ports: ports[:0], Switches: sws[:0]}
-}
-
 // pairTable is the all-pairs loop under every builder: build routes each
 // ordered pair of distinct hosts whose attachment cables survive fail,
-// cutting its hops from slab.  Every other pair, and every pair build
-// returns empty, stays unroutable.
+// appending the pair's hops to row and returning it (as it came for an
+// unroutable pair); one scratch row serves every source.  Every other
+// pair, and every pair build appends nothing to, stays unroutable.
 func pairTable(g *topology.Graph, fail *updown.Failures,
-	build func(slab *updown.RouteSlab, src, dst topology.NodeID) (updown.Route, error)) (*updown.Table, error) {
+	build func(row []topology.PortID, src, dst topology.NodeID) ([]topology.PortID, error)) (*updown.Table, error) {
 	hosts := g.Hosts()
-	var slab updown.RouteSlab
-	routes := make([][]updown.Route, len(hosts))
+	b := updown.NewTableBuilder(hosts)
 	for i, src := range hosts {
-		routes[i] = make([]updown.Route, len(hosts))
-		if fail.LinkDead(g, src, 0) {
-			continue
-		}
+		live := !fail.LinkDead(g, src, 0)
 		for j, dst := range hosts {
-			if i == j || fail.LinkDead(g, dst, 0) {
-				continue
+			if live && i != j && !fail.LinkDead(g, dst, 0) {
+				var err error
+				if b.Row, err = build(b.Row, src, dst); err != nil {
+					return nil, err
+				}
 			}
-			rt, err := build(&slab, src, dst)
-			if err != nil {
-				return nil, err
-			}
-			routes[i][j] = rt
+			b.EndRoute()
 		}
 	}
-	return updown.NewCustomTable(hosts, routes)
+	return b.Table(), nil
 }
 
 // placed is a host's place in a builder's geometry, indexed by NodeID so
@@ -116,8 +104,8 @@ func ringSteps(a, b, n int) (steps, dir int) {
 // torusCoord places a host on the torus: row, column and host index.
 type torusCoord struct{ r, c, h int }
 
-// torusRoute computes one VC-encoded dimension-order route.
-func torusRoute(slab *updown.RouteSlab, geo *topology.TorusGeom, src, dst topology.NodeID, from, to torusCoord) (updown.Route, error) {
+// torusRoute appends one VC-encoded dimension-order route to row.
+func torusRoute(row []topology.PortID, geo *topology.TorusGeom, src, dst topology.NodeID, from, to torusCoord) ([]topology.PortID, error) {
 	// pos and goal are (column, row): X is walked first, then Y.
 	pos, goal := [2]int{from.c, from.r}, [2]int{to.c, to.r}
 	dims := [2]struct {
@@ -128,14 +116,12 @@ func torusRoute(slab *updown.RouteSlab, geo *topology.TorusGeom, src, dst topolo
 	for d := range dims {
 		steps[d], dir[d] = ringSteps(pos[d], goal[d], dims[d].n)
 	}
-	rt := newRoute(slab, src, dst, steps[0]+steps[1]+1)
-	appendHop := func(sw topology.NodeID, p topology.PortID, vc int) error {
+	appendHop := func(p topology.PortID, vc int) error {
 		b, err := route.EncodeVCPort(p, vc)
 		if err != nil {
 			return fmt.Errorf("vcroute: %d->%d: %w", src, dst, err)
 		}
-		rt.Ports = append(rt.Ports, topology.PortID(b))
-		rt.Switches = append(rt.Switches, sw)
+		row = append(row, topology.PortID(b))
 		return nil
 	}
 	for d, dim := range dims {
@@ -148,8 +134,8 @@ func torusRoute(slab *updown.RouteSlab, geo *topology.TorusGeom, src, dst topolo
 			if dir[d] < 0 {
 				p = dim.minus[r][c]
 			}
-			if err := appendHop(geo.Sw[r][c], p, vc); err != nil {
-				return rt, err
+			if err := appendHop(p, vc); err != nil {
+				return row, err
 			}
 			// Dateline: crossing the ring's wrap edge moves later hops of
 			// this dimension to lane 1.
@@ -160,10 +146,8 @@ func torusRoute(slab *updown.RouteSlab, geo *topology.TorusGeom, src, dst topolo
 		}
 	}
 	// Final hop into the destination host, on lane 0 (hosts speak lane 0).
-	if err := appendHop(geo.Sw[to.r][to.c], geo.HostPort[to.r][to.c][to.h], 0); err != nil {
-		return rt, err
-	}
-	return rt, nil
+	err := appendHop(geo.HostPort[to.r][to.c][to.h], 0)
+	return row, err
 }
 
 // FullMesh builds the direct routing table for a topology whose attach
