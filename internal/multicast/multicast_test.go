@@ -1,6 +1,7 @@
 package multicast
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -199,4 +200,40 @@ func TestTreeInvariantProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// raceBuild is set in a -race build (race_test.go).
+var raceBuild bool
+
+// TestTreeGreedyAllocBudget pins a greedy tree's bytes: its maps and one
+// reusable hop row, nothing per switch that only the up/down labelling
+// reads (torus8x8, a group of ten).
+func TestTreeGreedyAllocBudget(t *testing.T) {
+	if raceBuild {
+		t.Skip("byte counts under -race include the detector's own")
+	}
+	topo := topology.Torus(8, 8, 1, 1)
+	hosts := topo.Hosts()
+	var members []topology.NodeID
+	for i := 0; i < 10; i++ {
+		members = append(members, hosts[i*6])
+	}
+	g, err := NewGroup(1, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs, budget = 100, 3500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := NewTreeGreedy(topo, g, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	if bytes > budget {
+		t.Fatalf("NewTreeGreedy on torus8x8, 10 members: %d B, budget %d B", bytes, budget)
+	}
+	t.Logf("NewTreeGreedy on torus8x8, 10 members: %d B", bytes)
 }

@@ -13,13 +13,14 @@ package network
 //   - otherwise fall back to the escape path: the up*/down* route from
 //     this switch to the destination (updown.Routing.Escapes), stamped as
 //     plain lane-0 port bytes, which downstream switches consume like any
-//     explicit source route.
+//     explicit source route.  The escape bytes are the labelling's escape
+//     table read in place, one slab for all of them.
 //
 // Deadlock freedom is Duato's argument specialized to this fabric: adaptive
 // lanes are acquired only when immediately free, so no worm ever *waits* on
 // one — a blocked head waits either on the escape output (lane 0) or on a
 // host port.  Lane-0 switch-to-switch channels carry only escape traffic,
-// and the escape rows pass updown.Prove (sim.Stack.Reroute proves them at
+// and the escape table passes Table.Prove (sim.Stack.Reroute proves it at
 // every remap, vcroute's pinned-table test on every named fabric); host
 // ports always drain.  Hence no cycle, with no restriction on how far a
 // worm wandered adaptively before bailing out.
@@ -135,18 +136,16 @@ func NewAdaptiveTable(g *topology.Graph, ud *updown.Routing) (*AdaptiveTable, er
 			}
 		}
 	}
-	// Escapes: the labelling's own escape rows, the routes its proof reads,
-	// encoded into one exactly sized slab.
-	rows := ud.Escapes()
-	escBytes := 0
-	for _, row := range rows {
-		for _, rt := range row {
-			escBytes += len(rt.Ports)
-		}
-	}
-	escSlab := make([]byte, 0, escBytes)
-	for _, row := range rows {
-		for _, rt := range row {
+	// Escapes: the labelling's own escape table, the routes its proof
+	// reads, encoded in place into one exactly sized slab.
+	esc := ud.Escapes()
+	escSlab := make([]byte, 0, esc.Hops())
+	for _, sw := range esc.Srcs {
+		for hi, h := range hosts {
+			rt := esc.Lookup(sw, h)
+			if len(rt.Ports) == 0 {
+				continue // unreachable, or the attach switch delivers
+			}
 			for _, p := range rt.Ports {
 				if int(p) > route.MaxVCPort {
 					// Escape bytes ride a VC-headered fabric as plain lane-0
@@ -160,7 +159,7 @@ func NewAdaptiveTable(g *topology.Graph, ud *updown.Routing) (*AdaptiveTable, er
 			if escSlab, err = route.AppendUnicast(escSlab, rt.Ports); err != nil {
 				return nil, fmt.Errorf("network: escape route %d->%d: %w", rt.Src, rt.Dst, err)
 			}
-			t.escape[int(rt.Src)*t.nh+int(t.hostIdx[rt.Dst])] = escSlab[start:len(escSlab):len(escSlab)]
+			t.escape[int(sw)*t.nh+hi] = escSlab[start:len(escSlab):len(escSlab)]
 		}
 	}
 	return t, nil

@@ -321,3 +321,42 @@ func TestAdaptiveCandidatesMatchReference(t *testing.T) {
 		}
 	}
 }
+
+func BenchmarkAdaptiveTable(b *testing.B) {
+	torus := topology.Torus(8, 8, 1, 1)
+	failed := updown.NewFailures()
+	sw := torus.Switches()[3]
+	for pi, p := range torus.Node(sw).Ports {
+		if torus.Node(p.Peer).Kind == topology.Switch {
+			failed.FailLink(torus, sw, topology.PortID(pi)) // one dead cable
+			break
+		}
+	}
+	failed.FailSwitch(torus.Switches()[32])
+	for _, c := range []struct {
+		name string
+		g    *topology.Graph
+		fail *updown.Failures
+	}{
+		{"torus8x8", torus, nil},
+		{"shufflenet24", topology.BidirShufflenet(2, 3, 1), nil},
+		{"torus8x8-failed", torus, failed},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ud, err := updown.WithoutEdges(c.g, topology.None, c.fail)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if benchAdaptive, err = NewAdaptiveTable(c.g, ud); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchAdaptive keeps BenchmarkAdaptiveTable's result live.
+var benchAdaptive *AdaptiveTable

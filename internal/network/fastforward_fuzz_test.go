@@ -100,13 +100,13 @@ func fuzzWorm(t *testing.T, ud *updown.Routing, hosts []topology.NodeID, nvc int
 		w.Dst, w.Mode = dst, flit.Unicast
 		return des.Time(e[0]) * 16, src, w
 	}
-	var routes []updown.Route
+	var routes [][]topology.PortID
 	for _, d := range dsts {
 		rt, err := ud.Route(src, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		routes = append(routes, rt)
+		routes = append(routes, rt.Ports)
 	}
 	tree, err := route.BuildTree(routes)
 	if err != nil {

@@ -58,13 +58,13 @@ func (r *rig) unicast(t *testing.T, src, dst topology.NodeID, payload int) *flit
 
 func (r *rig) multicast(t *testing.T, src topology.NodeID, dsts []topology.NodeID, payload int) *flit.Worm {
 	t.Helper()
-	var routes []updown.Route
+	var routes [][]topology.PortID
 	for _, d := range dsts {
 		rt, err := r.ud.Route(src, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		routes = append(routes, rt)
+		routes = append(routes, rt.Ports)
 	}
 	tree, err := route.BuildTree(routes)
 	if err != nil {

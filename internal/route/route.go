@@ -41,7 +41,6 @@ import (
 	"sort"
 
 	"wormlan/internal/topology"
-	"wormlan/internal/updown"
 )
 
 // End is the end-of-route marker byte.
@@ -285,59 +284,53 @@ func AppendUnicast(dst []byte, ports []topology.PortID) ([]byte, error) {
 	return dst, nil
 }
 
-// BuildTree merges unicast routes that share a source into a multicast
-// routing tree (the per-branch routes must have been computed over the same
-// routing so shared prefixes coincide).  It returns an error if two routes
-// disagree about what lies beyond a port (one terminating, one continuing),
-// which would indicate corrupt inputs.  Branches are ordered by port number
-// so the encoding is deterministic.
-func BuildTree(routes []updown.Route) (*Tree, error) {
+// BuildTree merges the port lists of unicast routes from one source into a
+// multicast routing tree (the per-branch routes must have been computed
+// over the same routing so shared prefixes coincide).  It returns an error
+// if two routes disagree about what lies beyond a port (one terminating,
+// one continuing), which would indicate corrupt inputs.  Branches are
+// ordered by port number so the encoding is deterministic.
+func BuildTree(routes [][]topology.PortID) (*Tree, error) {
 	if len(routes) == 0 {
 		return nil, errors.New("route: no routes to merge")
 	}
-	src := routes[0].Src
-	for _, rt := range routes[1:] {
-		if rt.Src != src {
-			return nil, fmt.Errorf("route: mixed sources %d and %d", src, rt.Src)
+	for i, ports := range routes {
+		if len(ports) == 0 {
+			return nil, fmt.Errorf("route: empty route %d", i)
 		}
 	}
-	type suffix struct {
-		ports []topology.PortID
-	}
-	var build func(suffixes []suffix) (*Tree, error)
-	build = func(suffixes []suffix) (*Tree, error) {
-		byPort := map[topology.PortID][]suffix{}
+	var build func(suffixes [][]topology.PortID) (*Tree, error)
+	build = func(suffixes [][]topology.PortID) (*Tree, error) {
+		byPort := map[topology.PortID][][]topology.PortID{}
 		var order []topology.PortID
 		for _, s := range suffixes {
-			p := s.ports[0]
+			p := s[0]
 			if _, ok := byPort[p]; !ok {
 				order = append(order, p)
 			}
-			byPort[p] = append(byPort[p], suffix{s.ports[1:]})
+			byPort[p] = append(byPort[p], s[1:])
 		}
 		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 		t := &Tree{}
 		for _, p := range order {
-			subs := byPort[p]
-			leaves, conts := 0, 0
-			var contSubs []suffix
-			for _, s := range subs {
-				if len(s.ports) == 0 {
+			leaves := 0
+			var conts [][]topology.PortID
+			for _, s := range byPort[p] {
+				if len(s) == 0 {
 					leaves++
 				} else {
-					conts++
-					contSubs = append(contSubs, s)
+					conts = append(conts, s)
 				}
 			}
 			switch {
-			case leaves > 0 && conts > 0:
+			case leaves > 0 && len(conts) > 0:
 				return nil, fmt.Errorf("route: port %d is both terminal and transit", p)
 			case leaves > 1:
 				return nil, fmt.Errorf("route: duplicate destination via port %d", p)
 			case leaves == 1:
 				t.Branches = append(t.Branches, Branch{Port: p})
 			default:
-				sub, err := build(contSubs)
+				sub, err := build(conts)
 				if err != nil {
 					return nil, err
 				}
@@ -346,14 +339,7 @@ func BuildTree(routes []updown.Route) (*Tree, error) {
 		}
 		return t, nil
 	}
-	suffixes := make([]suffix, len(routes))
-	for i, rt := range routes {
-		if len(rt.Ports) == 0 {
-			return nil, fmt.Errorf("route: empty route to %d", rt.Dst)
-		}
-		suffixes[i] = suffix{rt.Ports}
-	}
-	return build(suffixes)
+	return build(routes)
 }
 
 // Broadcast builds the simplified broadcast header of Section 3: the

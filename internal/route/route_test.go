@@ -236,13 +236,13 @@ func buildGroupTree(t *testing.T, g *topology.Graph, src topology.NodeID, dsts [
 	if err != nil {
 		t.Fatal(err)
 	}
-	var routes []updown.Route
+	var routes [][]topology.PortID
 	for _, d := range dsts {
 		rt, err := r.Route(src, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		routes = append(routes, rt)
+		routes = append(routes, rt.Ports)
 	}
 	tr, err := BuildTree(routes)
 	if err != nil {
@@ -320,13 +320,14 @@ func TestBuildTreeErrors(t *testing.T) {
 	r, _ := updown.New(g, topology.None)
 	hosts := g.Hosts()
 	r01, _ := r.Route(hosts[0], hosts[1])
-	r12, _ := r.Route(hosts[1], hosts[2])
-	if _, err := BuildTree([]updown.Route{r01, r12}); err == nil {
-		t.Fatal("mixed-source routes accepted")
-	}
-	dup := []updown.Route{r01, r01}
-	if _, err := BuildTree(dup); err == nil {
+	if _, err := BuildTree([][]topology.PortID{r01.Ports, r01.Ports}); err == nil {
 		t.Fatal("duplicate destination accepted")
+	}
+	if _, err := BuildTree([][]topology.PortID{r01.Ports, nil}); err == nil {
+		t.Fatal("empty route accepted")
+	}
+	if _, err := BuildTree([][]topology.PortID{{1}, {1, 2}}); err == nil {
+		t.Fatal("port both terminal and transit accepted")
 	}
 }
 
@@ -371,13 +372,13 @@ func BenchmarkEncodeGroupTree(b *testing.B) {
 		b.Fatal(err)
 	}
 	hosts := g.Hosts()
-	var routes []updown.Route
+	var routes [][]topology.PortID
 	for i := 1; i <= 10; i++ {
 		rt, err := r.Route(hosts[0], hosts[i*6])
 		if err != nil {
 			b.Fatal(err)
 		}
-		routes = append(routes, rt)
+		routes = append(routes, rt.Ports)
 	}
 	tr, err := BuildTree(routes)
 	if err != nil {

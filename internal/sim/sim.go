@@ -517,12 +517,12 @@ func (st *Stack) Faults(plan *fault.Plan, icfg fault.InjectorConfig) error {
 // view; up/down keeps the pipeline's own table), reroutes the adapters onto
 // it and keeps UD/Table current.  A table failing vcroute.ValidateTable or
 // the deadlock proof, like a rebuild error, halts the run: K.Run returns
-// it.  An adaptive fabric routes by the labelling's escape rows, not by
-// its all-marker table, so those rows are what an adaptive remap proves.
+// it.  An adaptive fabric routes by the labelling's escape table, not by
+// its all-marker table, so that table is what an adaptive remap proves.
 func (st *Stack) Reroute(ud *updown.Routing, tbl *updown.Table) {
 	var err error
 	if st.sch.Adaptive {
-		err = updown.Prove(st.cfg.Graph, nil, ud.Escapes()...)
+		err = ud.Escapes().Prove(st.cfg.Graph, nil)
 		if err == nil {
 			err = st.Fabric.InstallAdaptive(ud)
 		}

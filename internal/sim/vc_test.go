@@ -85,7 +85,7 @@ func TestVCTransparency(t *testing.T) {
 // textbook deadlocking configuration.
 func stripLanes(t *testing.T, tab *updown.Table) *updown.Table {
 	t.Helper()
-	b := updown.NewTableBuilder(tab.Hosts)
+	b := updown.NewTableBuilder(tab.Hosts, tab.Hosts)
 	for _, src := range tab.Hosts {
 		for _, dst := range tab.Hosts {
 			for _, pb := range tab.Lookup(src, dst).Ports {

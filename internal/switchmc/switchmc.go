@@ -109,7 +109,7 @@ func (s *System) AddGroup(g *multicast.Group) error {
 		if err != nil {
 			return err
 		}
-		var routes []updown.Route
+		var routes [][]topology.PortID
 		for _, dst := range g.Members {
 			if dst == src {
 				continue
@@ -118,8 +118,7 @@ func (s *System) AddGroup(g *multicast.Group) error {
 			if err != nil {
 				return err
 			}
-			ports := append(append([]topology.PortID(nil), prefix...), down...)
-			routes = append(routes, updown.Route{Src: src, Dst: dst, Ports: ports})
+			routes = append(routes, append(append([]topology.PortID(nil), prefix...), down...))
 		}
 		tree, err := route.BuildTree(routes)
 		if err != nil {

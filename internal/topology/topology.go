@@ -251,12 +251,11 @@ type HopRow struct {
 	// Dist[n] is switch n's distance from the source; -1 for hosts and
 	// for switches the search did not reach.
 	Dist []int
-	// Back[n] is the port of switch n on the cable to the switch that
-	// discovered it; NoPort at the source and wherever Dist is -1.
-	Back []PortID
+	// Order lists the reached switches in the order the search dequeued
+	// them, the source first.
+	Order []NodeID
 
-	g     *Graph
-	queue []NodeID
+	g *Graph
 }
 
 // From fills r with the distances from host a's attachment switch over the
@@ -272,17 +271,15 @@ func (r *HopRow) From(g *Graph, a NodeID) {
 func (r *HopRow) Live(g *Graph, src NodeID, dead Dead) {
 	n := len(g.Nodes)
 	dist := slices.Grow(r.Dist[:0], n)[:n]
-	back := slices.Grow(r.Back[:0], n)[:n]
 	for i := range dist {
 		dist[i] = -1
-		back[i] = NoPort
 	}
-	r.g, r.Dist, r.Back = g, dist, back
+	r.g, r.Dist, r.Order = g, dist, r.Order[:0]
 	if src == None || dead != nil && dead.SwitchDead(src) {
 		return
 	}
 	dist[src] = 0
-	queue := append(slices.Grow(r.queue[:0], n), src)
+	queue := append(slices.Grow(r.Order, n), src)
 	for i := 0; i < len(queue); i++ {
 		u := queue[i]
 		ports := g.Nodes[u].Ports
@@ -295,11 +292,10 @@ func (r *HopRow) Live(g *Graph, src NodeID, dead Dead) {
 				continue
 			}
 			dist[v] = dist[u] + 1
-			back[v] = ports[pi].PeerPort
 			queue = append(queue, v)
 		}
 	}
-	r.queue = queue
+	r.Order = queue
 }
 
 // To returns the switch hops from the row's source to host b (0 if b sits

@@ -9,61 +9,19 @@ import (
 )
 
 // Prove is the one deadlock proof [DS87]: an error unless the channel
-// dependency graph of the routes in rows is acyclic.  The rows are a
-// table's (Table.Prove) or adaptive routing's escape routes
-// (Routing.Escapes): whatever a fabric routes by.  A channel is one lane of
-// one switch output, (Switch, Port, Lane); a worm holding one hop's channel
-// may wait on its next hop's.  Each route is followed by one Route.Walk,
-// decode splitting its bytes into port and lane (nil: plain ports, lane 0).
-// Host injection channels, which no worm waits on, are left out, and so are
+// dependency graph of the table's routes, read in place, is acyclic.  The
+// table is whatever a fabric routes by: a scheme's host table, or adaptive
+// routing's escape routes (Routing.Escapes).  A channel is one lane of one
+// switch output, (Switch, Port, Lane); a worm holding one hop's channel may
+// wait on its next hop's.  Each route is followed by one Route.Walk, decode
+// splitting its bytes into port and lane (nil: plain ports, lane 0).  Host
+// injection channels, which no worm waits on, are left out, and so are
 // one-hop routes, which hold nothing while they wait — among them the
 // adaptive marker, whose hops the switches decide, so the proof is vacuous
 // on an all-marker table and adaptive routing proves its escapes instead.
 // A cycle's error names each of its channels.
-func Prove(g *topology.Graph, decode func(topology.PortID) (topology.PortID, int), rows ...[]Route) error {
-	return prove(g, decode, routeCursor{rows: rows})
-}
-
-// Prove proves the table's own routes (see Prove), read in place.
 func (t *Table) Prove(g *topology.Graph, decode func(topology.PortID) (topology.PortID, int)) error {
-	return prove(g, decode, routeCursor{t: t})
-}
-
-// routeCursor steps through routes row-major: the rows handed to Prove, or
-// a table's routes read in place.
-type routeCursor struct {
-	rows [][]Route
-	t    *Table
-	i, j int
-}
-
-// next returns the next route (of a table: the next non-empty one); ok is
-// false past the last.
-func (c *routeCursor) next() (Route, bool) {
-	for t := c.t; t != nil && c.i < len(t.Hosts); {
-		i, j := c.i, c.j
-		if c.j++; c.j == len(t.Hosts) {
-			c.i, c.j = c.i+1, 0
-		}
-		if rt, ok := t.route(i, j); ok {
-			return rt, true
-		}
-	}
-	for c.t == nil && c.i < len(c.rows) {
-		i, j := c.i, c.j
-		if c.j++; c.j >= len(c.rows[i]) {
-			c.i, c.j = c.i+1, 0
-		}
-		if j < len(c.rows[i]) {
-			return c.rows[i][j], true
-		}
-	}
-	return Route{}, false
-}
-
-// prove is Prove over the routes of start, which it steps through twice:
-// once to count lanes and once to wire the dependencies.
-func prove(g *topology.Graph, decode func(topology.PortID) (topology.PortID, int), start routeCursor) error {
+	start := routeCursor{t: t}
 	lanes := 1
 	for c := start; decode != nil; {
 		rt, ok := c.next()
@@ -146,6 +104,27 @@ func prove(g *topology.Graph, decode func(topology.PortID) (topology.PortID, int
 		}
 	}
 	return nil
+}
+
+// routeCursor steps through a table's routes in place, row-major, skipping
+// the empty spans.
+type routeCursor struct {
+	t    *Table
+	i, j int
+}
+
+// next returns the next route; ok is false past the last.
+func (c *routeCursor) next() (Route, bool) {
+	for t := c.t; c.i < len(t.Srcs); {
+		i, j := c.i, c.j
+		if c.j++; c.j == len(t.Hosts) {
+			c.i, c.j = c.i+1, 0
+		}
+		if rt := t.route(i, j); len(rt.Ports) > 0 {
+			return rt, true
+		}
+	}
+	return Route{}, false
 }
 
 // frame is one channel on the search stack and the successor bit to try next.

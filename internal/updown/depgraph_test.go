@@ -103,10 +103,10 @@ func TestMinimalRoutesWouldDeadlockOnRing(t *testing.T) {
 	}
 }
 
-// TestProveRowsRejectsClockwiseEscapes is the negative control for the
-// rows entry point, the one escape routes take: switch-sourced routes, each
-// running clockwise two switches round ring:5 to a host, close the ring,
-// and Prove names it channel by channel.
+// TestProveRowsRejectsClockwiseEscapes is the negative control for a
+// switch-sourced table, the kind escape routes take: routes from each
+// switch, each running clockwise two switches round ring:5 to a host, close
+// the ring, and Prove names it channel by channel.
 func TestProveRowsRejectsClockwiseEscapes(t *testing.T) {
 	net, err := topology.Named("ring:5", 1)
 	if err != nil {
@@ -127,16 +127,20 @@ func TestProveRowsRejectsClockwiseEscapes(t *testing.T) {
 			}
 		}
 	}
-	rows := make([][]Route, n)
+	b := NewTableBuilder(sws, g.Hosts())
 	var want []string
 	for i, sw := range sws {
 		next, j := (i+1)%n, (i+2)%n
-		rows[i] = []Route{{Src: sw, Dst: hostOn[j].Peer,
-			Ports: []topology.PortID{cw[i], cw[next], hostOn[j].Port}}}
+		for _, h := range g.Hosts() {
+			if h == hostOn[j].Peer {
+				b.Row = append(b.Row, cw[i], cw[next], hostOn[j].Port)
+			}
+			b.EndRoute()
+		}
 		want = append(want, fmt.Sprintf("%d/%d/0", sw, cw[i]))
 	}
 	want = append(want, want[0])
-	err = Prove(g, nil, rows...)
+	err = b.Table().Prove(g, nil)
 	if err == nil || !strings.HasSuffix(err.Error(), strings.Join(want, " -> ")) {
 		t.Fatalf("Prove = %v, want the clockwise ring %s", err, strings.Join(want, " -> "))
 	}
@@ -144,22 +148,25 @@ func TestProveRowsRejectsClockwiseEscapes(t *testing.T) {
 
 // TestProveAllocBudget pins the proof to a constant handful of allocations
 // (channel index, successor bitsets, search state), not a number that grows
-// with host pairs.
+// with routes, on a host table and on the escape table.
 func TestProveAllocBudget(t *testing.T) {
 	g := topology.Torus(8, 8, 1, 1)
-	tbl, err := mustRouting(t, g).NewTable(false)
+	r := mustRouting(t, g)
+	tbl, err := r.NewTable(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := tbl.Prove(g, nil); err != nil {
-			t.Fatal(err)
+	for name, tbl := range map[string]*Table{"hosts": tbl, "escapes": r.Escapes()} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := tbl.Prove(g, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 8 {
+			t.Fatalf("Prove on torus8x8 %s: %.0f allocs, budget 8", name, allocs)
 		}
-	})
-	if allocs > 8 {
-		t.Fatalf("Prove on torus8x8: %.0f allocs, budget 8", allocs)
+		t.Logf("Prove on torus8x8 %s: %.0f allocs", name, allocs)
 	}
-	t.Logf("Prove on torus8x8: %.0f allocs", allocs)
 }
 
 func BenchmarkProve(b *testing.B) {

@@ -119,13 +119,7 @@ func WithoutEdges(g *topology.Graph, root topology.NodeID, fail *Failures) (*Rou
 	}
 	var row topology.HopRow
 	row.Live(g, root, fail)
-	r := &Routing{
-		G:          g,
-		Root:       root,
-		Level:      row.Dist,
-		ParentPort: row.Back,
-		inTree:     make([][]bool, len(g.Nodes)),
-	}
+	r := &Routing{G: g, Root: root, Level: row.Dist}
 	if fail != nil {
 		r.fail = fail.Clone()
 	}
@@ -135,19 +129,56 @@ func WithoutEdges(g *topology.Graph, root topology.NodeID, fail *Failures) (*Rou
 			r.fail.FailSwitch(sw)
 		}
 	}
-	for i := range g.Nodes {
-		r.inTree[i] = make([]bool, len(g.Nodes[i].Ports))
-		for pi, p := range g.Nodes[i].Ports {
+	r.label(row.Order)
+	return r, nil
+}
+
+// label fixes the class of every port from the levels, node IDs and the
+// failure set, then replays the search in its dequeue order to find each
+// switch's parent — the first switch one level up with a live cable to it,
+// by that switch's lowest such port: the one that discovered it — marking
+// the parent cable's two ends in the tree.
+func (r *Routing) label(order []topology.NodeID) {
+	g := r.G
+	r.at = make([]int32, len(g.Nodes)+1)
+	for n := range g.Nodes {
+		r.at[n+1] = r.at[n] + int32(len(g.Nodes[n].Ports))
+	}
+	r.class = make([]portClass, r.at[len(g.Nodes)])
+	r.ParentPort = make([]topology.PortID, len(g.Nodes))
+	for n := range g.Nodes {
+		u := topology.NodeID(n)
+		r.ParentPort[n] = topology.NoPort
+		for pi, p := range g.Nodes[n].Ports {
+			if !p.Wired() {
+				continue
+			}
+			c := &r.class[int(r.at[n])+pi]
+			fabric := g.Nodes[n].Kind == topology.Switch && g.Node(p.Peer).Kind == topology.Switch
 			switch {
-			case !p.Wired():
-			case g.Nodes[i].Kind == topology.Host || g.Node(p.Peer).Kind == topology.Host:
-				r.inTree[i][pi] = !r.fail.LinkDead(g, topology.NodeID(i), topology.PortID(pi))
-			default: // the parent cable of either end
-				r.inTree[i][pi] = r.ParentPort[i] == topology.PortID(pi) || r.ParentPort[p.Peer] == p.PeerPort
+			case r.fail.LinkDead(g, u, topology.PortID(pi)):
+				*c = portDead
+			case fabric:
+				*c = portHop
+			default: // a live host cable
+				*c = portTree
+			}
+			if lu, lv := r.Level[n], r.Level[p.Peer]; fabric && (lv < lu || lv == lu && p.Peer < u) {
+				*c |= portUp
 			}
 		}
 	}
-	return r, nil
+	for _, u := range order {
+		for pi, p := range g.Nodes[u].Ports {
+			v := p.Peer
+			if r.classOf(u, topology.PortID(pi))&portHop == 0 || r.Level[v] != r.Level[u]+1 || r.ParentPort[v] != topology.NoPort {
+				continue
+			}
+			r.ParentPort[v] = p.PeerPort
+			r.class[int(r.at[u])+pi] |= portTree
+			r.class[int(r.at[v])+int(p.PeerPort)] |= portTree
+		}
+	}
 }
 
 // Failures returns the failure set the routing was computed against (nil

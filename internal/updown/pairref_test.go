@@ -1,11 +1,14 @@
 package updown
 
 // The per-pair reference: the early-exit breadth-first search that computed
-// every route before the single-source Walk replaced it, kept verbatim as
-// the oracle the Walk is compared against (a naive in-test reference, as in
-// eventq's sorted-slice oracle).
+// every route before the single-source Walk replaced it, kept as the oracle
+// the Walk is compared against (a naive in-test reference, as in eventq's
+// sorted-slice oracle).
 // One search per (start switch, destination host), fresh scratch each time,
-// stopping at the first state discovered on the destination's switch.
+// stopping at the first state discovered on the destination's switch.  It
+// reads none of the routing's port classes: up/down comes from the levels
+// and node IDs, deadness from the failure set, and the tree from its own
+// breadth-first search of the spanning tree (refParents).
 
 import (
 	"fmt"
@@ -89,6 +92,10 @@ func (r *Routing) routeFrom(start, dst topology.NodeID, treeOnly bool) (refRoute
 		}
 		return i
 	}
+	var parents []topology.PortID
+	if treeOnly {
+		parents = r.refParents()
+	}
 	prev := make([]prevHop, 2*len(g.Nodes))
 	seen := make([]bool, 2*len(g.Nodes))
 	origin := routeState{sSrc, false}
@@ -103,13 +110,13 @@ func (r *Routing) routeFrom(start, dst topology.NodeID, treeOnly bool) (refRoute
 			if !p.Wired() || g.Node(p.Peer).Kind != topology.Switch {
 				continue
 			}
-			if treeOnly && !r.inTree[cur.node][pi] {
+			if treeOnly && !r.refInTree(parents, cur.node, topology.PortID(pi)) {
 				continue
 			}
 			if r.fail.LinkDead(g, cur.node, topology.PortID(pi)) {
 				continue
 			}
-			up := r.IsUp(cur.node, topology.PortID(pi))
+			up := r.refUp(cur.node, topology.PortID(pi))
 			if cur.down && up {
 				continue // down->up transition is illegal
 			}
@@ -176,4 +183,57 @@ func (r *Routing) pairTable(treeOnly, strict bool) ([][]refRoute, error) {
 		}
 	}
 	return routes, nil
+}
+
+// refUp is the up*/down* rule read straight off the levels: the link out of
+// port p of switch n goes up when it leads to a switch at a strictly lower
+// level, or at an equal level with a lower node ID.
+func (r *Routing) refUp(n topology.NodeID, p topology.PortID) bool {
+	peer := r.G.Node(n).Ports[p].Peer
+	if r.G.Node(peer).Kind != topology.Switch {
+		return false
+	}
+	lu, lv := r.Level[n], r.Level[peer]
+	if lv != lu {
+		return lv < lu
+	}
+	return peer < n
+}
+
+// refParents is the spanning tree by its own breadth-first search from the
+// root over the live switch cables, ports in ascending order: each reached
+// switch's port on the cable it was discovered over, NoPort elsewhere.
+func (r *Routing) refParents() []topology.PortID {
+	g := r.G
+	parents := make([]topology.PortID, len(g.Nodes))
+	seen := make([]bool, len(g.Nodes))
+	for i := range parents {
+		parents[i] = topology.NoPort
+	}
+	seen[r.Root] = true
+	for queue := []topology.NodeID{r.Root}; len(queue) > 0; queue = queue[1:] {
+		u := queue[0]
+		for pi, p := range g.Node(u).Ports {
+			if !p.Wired() || seen[p.Peer] || g.Node(p.Peer).Kind != topology.Switch ||
+				r.fail.LinkDead(g, u, topology.PortID(pi)) {
+				continue
+			}
+			seen[p.Peer] = true
+			parents[p.Peer] = p.PeerPort
+			queue = append(queue, p.Peer)
+		}
+	}
+	return parents
+}
+
+// refInTree reports whether the link out of port p of node n is in the
+// spanning tree whose parent ports are parents: a live host cable, or the
+// parent cable of either end.
+func (r *Routing) refInTree(parents []topology.PortID, n topology.NodeID, p topology.PortID) bool {
+	g := r.G
+	port := g.Node(n).Ports[p]
+	if g.Node(n).Kind == topology.Host || g.Node(port.Peer).Kind == topology.Host {
+		return !r.fail.LinkDead(g, n, p)
+	}
+	return parents[n] == p || parents[port.Peer] == port.PeerPort
 }

@@ -36,9 +36,10 @@ type Routing struct {
 	// spanning-tree parent (root, hosts and cut-off switches: NoPort).
 	ParentPort []topology.PortID
 
-	// inTree[n][p] reports whether the directed link out of port p of node
-	// n is part of the spanning tree (host links are always in tree).
-	inTree [][]bool
+	// class[at[n]+p] labels the link out of port p of node n; WithoutEdges
+	// fixes every label once.
+	class []portClass
+	at    []int32
 
 	// fail is the failure set the labelling was computed against; nil for a
 	// healthy fabric (New).  Routes never cross links it marks dead.
@@ -60,26 +61,41 @@ func (r *Routing) Parent(n topology.NodeID) topology.NodeID {
 	return r.G.Node(n).Ports[r.ParentPort[n]].Peer
 }
 
+// portClass is the up*/down* label of one directed link, the link out of
+// one port of one node (Section 2): a set of the port* bits.  An unwired
+// port has none.
+type portClass uint8
+
+const (
+	// portHop: a live switch-to-switch link, one the walks may cross.
+	portHop portClass = 1 << iota
+	// portUp: an 'up' traversal, switch to switch, live or not: toward a
+	// strictly lower level, or toward an equal-level switch with a lower
+	// node ID.
+	portUp
+	// portTree: in the spanning tree; every live host cable is.
+	portTree
+	// portDead: wired, but the cable failed or touches a dead or cut-off
+	// switch.
+	portDead
+)
+
+// classOf returns the label of the link out of port p of node n.
+func (r *Routing) classOf(n topology.NodeID, p topology.PortID) portClass {
+	return r.class[int(r.at[n])+int(p)]
+}
+
 // IsUp reports whether traversing the link out of port p of switch n is an
 // 'up' traversal: toward a strictly lower level, or toward an equal-level
 // switch with a lower node ID.
 func (r *Routing) IsUp(n topology.NodeID, p topology.PortID) bool {
-	port := r.G.Node(n).Ports[p]
-	peer := port.Peer
-	if r.G.Node(peer).Kind != topology.Switch {
-		return false
-	}
-	lu, lv := r.Level[n], r.Level[peer]
-	if lv != lu {
-		return lv < lu
-	}
-	return peer < n
+	return r.classOf(n, p)&portUp != 0
 }
 
 // InTree reports whether the link out of port p of node n is part of the
 // up/down spanning tree.
 func (r *Routing) InTree(n topology.NodeID, p topology.PortID) bool {
-	return r.inTree[n][p]
+	return r.classOf(n, p)&portTree != 0
 }
 
 // Route is a Myrinet-style source route: the output port to take at each
@@ -134,28 +150,33 @@ func (r *Routing) Route(src, dst topology.NodeID) (Route, error) {
 	return r.route(src, dst, false)
 }
 
-// Table precomputes routes between every ordered pair of hosts.  Each
-// source host's routes sit back to back in one exactly sized row of ports,
-// and one offset array locates every pair in its row: a table holds the
-// route bytes and four bytes per pair, nothing per hop beyond its port.
-// Build one with NewTable, NewTableSurviving or a TableBuilder.
+// Table precomputes one route from each of its sources to each of its
+// hosts: every ordered pair of hosts (NewTable, NewTableSurviving), or
+// every switch to every host (Escapes).  Each source's routes sit back to
+// back in one exactly sized row of ports, and one offset array locates
+// every pair in its row: a table holds the route bytes and four bytes per
+// pair, nothing per hop beyond its port.  Build one with NewTable,
+// NewTableSurviving, Escapes or a TableBuilder.
 type Table struct {
+	// Srcs are the sources, one row each; a host table's are its Hosts.
+	Srcs []topology.NodeID
+	// Hosts are the destinations, one column each.
 	Hosts []topology.NodeID
-	// index maps a NodeID to its row/column; -1 for non-hosts.
-	index []int32
-	// rows[i] holds the routes from Hosts[i], to Hosts[0], Hosts[1], ...
+	// src and dst map a NodeID to its row and column; -1 elsewhere.
+	src, dst []int32
+	// rows[i] holds the routes from Srcs[i], to Hosts[0], Hosts[1], ...
 	// in turn; the route to Hosts[j] is rows[i][off[k]:off[k+1]] with
 	// k = i*(len(Hosts)+1) + j.  An empty span is a pair without a route.
 	rows [][]topology.PortID
 	off  []int32
 }
 
-// TableBuilder assembles a Table route by route: sources in host order
-// and, for each source, every destination in host order, the source itself
-// included.  A route builder appends a route's hops to Row and calls
-// EndRoute; an unroutable pair (and the source's own column) appends
-// nothing.  Row may be truncated back to where the current route began, to
-// drop a partial route.
+// TableBuilder assembles a Table route by route: sources in order and, for
+// each source, every destination in order, the source itself included.  A
+// route builder appends a route's hops to Row and calls EndRoute; an
+// unroutable pair (and a source's own column) appends nothing.  Row may be
+// truncated back to where the current route began, to drop a partial
+// route.
 type TableBuilder struct {
 	// Row is the current source's routes so far.  After a source's last
 	// EndRoute the table keeps Row itself when it is exactly full (a caller
@@ -167,23 +188,28 @@ type TableBuilder struct {
 	j   int // next destination column
 }
 
-// NewTableBuilder starts a table over hosts, its rows and columns in their
-// order.
-func NewTableBuilder(hosts []topology.NodeID) *TableBuilder {
+// NewTableBuilder starts a table from srcs to dsts, its rows and columns in
+// their order.
+func NewTableBuilder(srcs, dsts []topology.NodeID) *TableBuilder {
+	n := len(dsts)
+	return &TableBuilder{t: &Table{Srcs: srcs, Hosts: dsts, src: indexOf(srcs), dst: indexOf(dsts),
+		rows: make([][]topology.PortID, len(srcs)), off: make([]int32, len(srcs)*(n+1))}}
+}
+
+// indexOf maps each NodeID to its place in nodes, -1 elsewhere.
+func indexOf(nodes []topology.NodeID) []int32 {
 	size := 0
-	for _, h := range hosts {
-		size = max(size, int(h)+1)
+	for _, n := range nodes {
+		size = max(size, int(n)+1)
 	}
-	n := len(hosts)
-	t := &Table{Hosts: hosts, index: make([]int32, size),
-		rows: make([][]topology.PortID, n), off: make([]int32, n*(n+1))}
-	for i := range t.index {
-		t.index[i] = -1
+	index := make([]int32, size)
+	for i := range index {
+		index[i] = -1
 	}
-	for i, h := range hosts {
-		t.index[h] = int32(i)
+	for i, n := range nodes {
+		index[n] = int32(i)
 	}
-	return &TableBuilder{t: t}
+	return index
 }
 
 // EndRoute closes the route from the current source to the current
@@ -209,8 +235,8 @@ func (b *TableBuilder) EndRoute() {
 // Table returns the finished table.  It panics unless every source row has
 // been ended.
 func (b *TableBuilder) Table() *Table {
-	if b.i != len(b.t.Hosts) {
-		panic(fmt.Sprintf("updown: table built to row %d of %d", b.i, len(b.t.Hosts)))
+	if b.i != len(b.t.Srcs) {
+		panic(fmt.Sprintf("updown: table built to row %d of %d", b.i, len(b.t.Srcs)))
 	}
 	return b.t
 }
@@ -218,7 +244,8 @@ func (b *TableBuilder) Table() *Table {
 // NewTable builds a route table over all hosts of the topology, failing on
 // the first (row-major) pair without a route.
 func (r *Routing) NewTable(treeOnly bool) (*Table, error) {
-	return r.buildTable(treeOnly, true)
+	hosts := r.G.Hosts()
+	return r.buildTable(hosts, hosts, treeOnly, true)
 }
 
 // NewTableSurviving precomputes routes between every ordered pair of
@@ -226,40 +253,63 @@ func (r *Routing) NewTable(treeOnly bool) (*Table, error) {
 // failing the whole table the way NewTable does.  Use Table.HasRoute to
 // test a pair before Lookup.
 func (r *Routing) NewTableSurviving(treeOnly bool) (*Table, error) {
-	return r.buildTable(treeOnly, false)
+	hosts := r.G.Hosts()
+	return r.buildTable(hosts, hosts, treeOnly, false)
 }
 
-// buildTable fills the all-pairs table from one walk per source switch: a
-// row re-walks only when its switch differs from the previous row's, and
-// every builder numbers the hosts of a switch consecutively.  Each row is
-// sized from the walk's depths and then appended to straight from the walk,
-// so the builder keeps it without a copy.  Reachable endpoints always route
-// (up to the root works); other pairs come out absent.
-func (r *Routing) buildTable(treeOnly, strict bool) (*Table, error) {
-	hosts := r.G.Hosts()
+// Escapes returns the escape routes of adaptive routing, a table with one
+// row per switch in g.Switches() order: the up*/down* route from that
+// switch to every reachable host attached elsewhere.  A worm that wandered
+// off the up/down order on the adaptive lanes re-enters it where it bails
+// out, in the up phase as a freshly injected worm would; since every
+// escape-resident worm then holds and waits only on lane-0 channels of one
+// legal walk, the union of waits stays acyclic, which Table.Prove checks.
+// A host on the row's own switch has no route (the switch delivers), and
+// a switch outside the routed component has an empty row.
+func (r *Routing) Escapes() *Table {
+	t, _ := r.buildTable(r.G.Switches(), r.G.Hosts(), false, false)
+	return t
+}
+
+// buildTable fills the table from srcs (hosts or switches) to hosts from
+// one walk per source switch: a row re-walks only when its switch differs
+// from the previous row's, and every builder numbers the hosts of a switch
+// consecutively.  A source routes to every reachable host but itself and
+// those hanging off it, and only if it is reachable: a host by Reachable,
+// a switch by its level.  Each row is sized from the walk's depths and
+// then appended to straight from the walk, so the builder keeps it without
+// a copy.  Reachable endpoints always route (up to the root works); other
+// pairs come out absent, or fail a strict table.
+func (r *Routing) buildTable(srcs, hosts []topology.NodeID, treeOnly, strict bool) (*Table, error) {
+	g := r.G
 	reach := make([]bool, len(hosts))
-	for i, h := range hosts {
-		reach[i] = r.Reachable(h)
+	for j, h := range hosts {
+		reach[j] = r.Reachable(h)
 	}
-	b := NewTableBuilder(hosts)
+	b := NewTableBuilder(srcs, hosts)
 	w := r.newWalk()
-	for i, src := range hosts {
+	for _, src := range srcs {
+		sw, live := src, r.Level[src] >= 0
+		if g.Node(src).Kind == topology.Host {
+			sw, _ = g.HostAttachment(src)
+			live = r.Reachable(src)
+		}
 		size := 0
-		if reach[i] {
-			if sw, _ := r.G.HostAttachment(src); sw != w.start {
+		if live {
+			if sw != w.start {
 				w.run(sw, treeOnly)
 			}
 			for j, dst := range hosts {
-				if j != i && reach[j] {
+				if at, _ := g.HostAttachment(dst); reach[j] && dst != src && at != src {
 					size += w.hops(dst)
 				}
 			}
 		}
 		b.Row = make([]topology.PortID, 0, size)
 		for j, dst := range hosts {
-			if i != j {
+			if at, _ := g.HostAttachment(dst); dst != src && at != src {
 				ok := false
-				if reach[i] && reach[j] {
+				if live && reach[j] {
 					b.Row, ok = w.to(b.Row, dst)
 				}
 				if !ok && strict {
@@ -272,60 +322,66 @@ func (r *Routing) buildTable(treeOnly, strict bool) (*Table, error) {
 	return b.Table(), nil
 }
 
-// at returns n's row/column in the table, or -1 when n is not one of its hosts.
-func (t *Table) at(n topology.NodeID) int {
-	if n < 0 || int(n) >= len(t.index) {
+// at returns n's place in index, or -1 when n is not there.
+func at(index []int32, n topology.NodeID) int {
+	if n < 0 || int(n) >= len(index) {
 		return -1
 	}
-	return int(t.index[n])
+	return int(index[n])
 }
 
-// route returns the route from Hosts[i] to Hosts[j], capped at its length;
-// ok is false, and the Route zero, when the pair has none.
-func (t *Table) route(i, j int) (_ Route, ok bool) {
+// route returns the route from Srcs[i] to Hosts[j], capped at its length:
+// the Route zero when the pair has none.
+func (t *Table) route(i, j int) Route {
 	k := i*(len(t.Hosts)+1) + j
 	a, b := t.off[k], t.off[k+1]
 	if a == b {
-		return Route{}, false
+		return Route{}
 	}
-	return Route{Src: t.Hosts[i], Dst: t.Hosts[j], Ports: t.rows[i][a:b:b]}, true
+	return Route{Src: t.Srcs[i], Dst: t.Hosts[j], Ports: t.rows[i][a:b:b]}
 }
 
 // HasRoute reports whether the table holds a route from src to dst.
 func (t *Table) HasRoute(src, dst topology.NodeID) bool {
-	i, j := t.at(src), t.at(dst)
+	i, j := at(t.src, src), at(t.dst, dst)
 	if i < 0 || j < 0 {
 		return false
 	}
-	_, ok := t.route(i, j)
-	return ok
+	k := i*(len(t.Hosts)+1) + j
+	return t.off[k] != t.off[k+1]
 }
 
 // Lookup returns the precomputed route from src to dst: the zero Route when
-// the pair has none or an endpoint is not one of the table's hosts.  Ports
-// is a view of the table, capped so an append copies: read it, never write
+// the pair has none or an endpoint is not one of the table's.  Ports is a
+// view of the table, capped so an append copies: read it, never write
 // through it.
 func (t *Table) Lookup(src, dst topology.NodeID) Route {
-	i, j := t.at(src), t.at(dst)
+	i, j := at(t.src, src), at(t.dst, dst)
 	if i < 0 || j < 0 {
 		return Route{}
 	}
-	rt, _ := t.route(i, j)
-	return rt
+	return t.route(i, j)
 }
 
-// MeanHops returns the average switch-hop count over all ordered host
-// pairs; the paper notes up/down paths "are generally not shortest paths".
+// Hops returns the switch traversals of all the table's routes together:
+// its port count.
+func (t *Table) Hops() int {
+	total := 0
+	for _, row := range t.rows {
+		total += len(row)
+	}
+	return total
+}
+
+// MeanHops returns a host table's average switch-hop count over all
+// ordered host pairs; the paper notes up/down paths "are generally not
+// shortest paths".
 func (t *Table) MeanHops() float64 {
 	n := len(t.Hosts)
 	if n < 2 {
 		return 0
 	}
-	total := 0
-	for _, row := range t.rows {
-		total += len(row)
-	}
-	return float64(total) / float64(n*(n-1))
+	return float64(t.Hops()) / float64(n*(n-1))
 }
 
 // Hop is one switch traversal of a route as Route.Walk hands it out: hop
@@ -393,13 +449,14 @@ func (rt Route) Walk(g *topology.Graph, decode func(topology.PortID) (topology.P
 func (r *Routing) VerifyRoute(rt Route) error {
 	goneDown := false
 	return rt.Walk(r.G, nil, func(h Hop) error {
-		if r.fail.LinkDead(r.G, h.Switch, h.Port) {
+		c := r.classOf(h.Switch, h.Port)
+		if c&portDead != 0 {
 			return fmt.Errorf("hop %d: port %d of switch %d crosses a failed link", h.Index, h.Port, h.Switch)
 		}
-		if r.G.Node(h.Peer).Kind != topology.Switch {
-			return nil
+		if c&portHop == 0 {
+			return nil // the host hop
 		}
-		up := r.IsUp(h.Switch, h.Port)
+		up := c&portUp != 0
 		if goneDown && up {
 			return fmt.Errorf("hop %d: illegal down->up transition at switch %d", h.Index, h.Switch)
 		}

@@ -47,56 +47,9 @@ func (r *Routing) newWalk() *Walk {
 	}
 }
 
-// Escapes returns the escape routes of adaptive routing, one row per switch
-// in g.Switches() order: the up*/down* route from that switch to every
-// reachable host attached elsewhere, Src being the switch.  A worm that
-// wandered off the up/down order on the adaptive lanes re-enters it where
-// it bails out, in the up phase as a freshly injected worm would; since
-// every escape-resident worm then holds and waits only on lane-0 channels
-// of one legal walk, the union of waits stays acyclic, which Prove over
-// these rows checks.  A switch outside the routed component has an empty
-// row.  One Walk serves every switch, and each switch's routes are cut
-// from one port chunk sized from the walk's depths.
-func (r *Routing) Escapes() [][]Route {
-	g := r.G
-	sws, hosts := g.Switches(), g.Hosts()
-	reach := make([]bool, len(hosts))
-	for i, h := range hosts {
-		reach[i] = r.Reachable(h)
-	}
-	rows := make([][]Route, len(sws))
-	flat := make([]Route, 0, len(sws)*len(hosts))
-	w := r.newWalk()
-	for i, sw := range sws {
-		if r.Level[sw] < 0 {
-			continue // cut off from the root: worms here drop
-		}
-		w.run(sw, false)
-		size := 0
-		for j, h := range hosts {
-			if at, _ := g.HostAttachment(h); reach[j] && at != sw {
-				size += w.hops(h)
-			}
-		}
-		ports, from := make([]topology.PortID, 0, size), len(flat)
-		for j, h := range hosts {
-			if at, _ := g.HostAttachment(h); !reach[j] || at == sw {
-				continue // the attach switch delivers
-			}
-			a := len(ports)
-			var ok bool
-			if ports, ok = w.to(ports, h); ok {
-				flat = append(flat, Route{Src: sw, Dst: h, Ports: ports[a:len(ports):len(ports)]})
-			}
-		}
-		rows[i] = flat[from:len(flat):len(flat)]
-	}
-	return rows
-}
-
 // run searches from start, replacing whatever the walk held before.
 func (w *Walk) run(start topology.NodeID, treeOnly bool) {
-	r, g := w.r, w.r.G
+	r := w.r
 	w.start = start
 	for i := range w.depth {
 		w.depth[i] = -1
@@ -111,22 +64,17 @@ func (w *Walk) run(start topology.NodeID, treeOnly bool) {
 	for qi := 0; qi < len(w.queue); qi++ {
 		cur := w.queue[qi]
 		node, down := topology.NodeID(cur>>1), cur&1 == 1
-		for pi, p := range g.Node(node).Ports {
-			port := topology.PortID(pi)
-			if !p.Wired() || g.Node(p.Peer).Kind != topology.Switch {
+		ports := r.G.Nodes[node].Ports
+		for pi, c := range r.class[r.at[node]:r.at[node+1]] {
+			if c&portHop == 0 || treeOnly && c&portTree == 0 {
 				continue
 			}
-			if treeOnly && !r.inTree[node][pi] {
-				continue
-			}
-			if r.fail.LinkDead(g, node, port) {
-				continue
-			}
-			up := r.IsUp(node, port)
+			up := c&portUp != 0
 			if down && up {
 				continue // down->up transition is illegal
 			}
-			next := int32(p.Peer) * 2
+			peer := ports[pi].Peer
+			next := int32(peer) * 2
 			if down || !up {
 				next++
 			}
@@ -134,9 +82,9 @@ func (w *Walk) run(start topology.NodeID, treeOnly bool) {
 				continue
 			}
 			w.depth[next] = w.depth[cur] + 1
-			w.prev[next] = walkHop{from: cur, port: port}
-			if w.first[p.Peer] < 0 {
-				w.first[p.Peer] = next
+			w.prev[next] = walkHop{from: cur, port: topology.PortID(pi)}
+			if w.first[peer] < 0 {
+				w.first[peer] = next
 			}
 			w.queue = append(w.queue, next)
 		}

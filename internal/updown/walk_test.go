@@ -85,11 +85,50 @@ func diffRef(g *topology.Graph, got Route, want refRoute) string {
 	return ""
 }
 
+// checkClasses holds every port's class to the reference rules: dead from
+// the failure set, up from the levels and node IDs, in the tree by the
+// reference spanning tree, whose parent ports ParentPort must equal.
+func checkClasses(t *testing.T, r *Routing) {
+	t.Helper()
+	g := r.G
+	parents := r.refParents()
+	if !slices.Equal(r.ParentPort, parents) {
+		t.Fatalf("ParentPort %v, reference spanning tree %v", r.ParentPort, parents)
+	}
+	for n := range g.Nodes {
+		for pi, p := range g.Nodes[n].Ports {
+			node, port := topology.NodeID(n), topology.PortID(pi)
+			var want portClass
+			if p.Wired() {
+				fabric := g.Nodes[n].Kind == topology.Switch && g.Node(p.Peer).Kind == topology.Switch
+				dead := r.fail.LinkDead(g, node, port)
+				if dead {
+					want |= portDead
+				}
+				if fabric && !dead {
+					want |= portHop
+				}
+				if fabric && r.refUp(node, port) {
+					want |= portUp
+				}
+				if r.refInTree(parents, node, port) {
+					want |= portTree
+				}
+			}
+			if got := r.classOf(node, port); got != want {
+				t.Fatalf("port %d of node %d: class %04b, reference %04b", pi, n, got, want)
+			}
+		}
+	}
+}
+
 // checkWalkAgainstPairBFS compares everything the walk builds under r with
-// the per-pair reference, pair by pair: both table flavours, both treeOnly
-// settings, the single-pair entry point, and the switch-sourced escape rows.
+// the per-pair reference, pair by pair: the port classes, both table
+// flavours, both treeOnly settings, the single-pair entry point, and the
+// switch-sourced escape table.
 func checkWalkAgainstPairBFS(t *testing.T, r *Routing) {
 	t.Helper()
+	checkClasses(t, r)
 	g := r.G
 	hosts := g.Hosts()
 	for _, treeOnly := range []bool{false, true} {
@@ -135,23 +174,17 @@ func checkWalkAgainstPairBFS(t *testing.T, r *Routing) {
 	}
 	// Escapes: a row per switch holding, for every host attached elsewhere,
 	// exactly the reference switch-sourced route, each one a legal walk.
-	rows, sws := r.Escapes(), g.Switches()
-	if len(rows) != len(sws) {
-		t.Fatalf("Escapes: %d rows for %d switches", len(rows), len(sws))
+	esc, sws := r.Escapes(), g.Switches()
+	if !slices.Equal(esc.Srcs, sws) || !slices.Equal(esc.Hosts, hosts) {
+		t.Fatalf("Escapes: table from %v to %v, want switches %v to hosts %v", esc.Srcs, esc.Hosts, sws, hosts)
 	}
-	for i, sw := range sws {
-		got := make(map[topology.NodeID]Route, len(rows[i]))
-		for _, rt := range rows[i] {
-			if rt.Src != sw {
-				t.Fatalf("escape row of switch %d holds a route from %d", sw, rt.Src)
-			}
-			got[rt.Dst] = rt
-		}
-		if len(got) != len(rows[i]) {
-			t.Fatalf("escape row of switch %d repeats a destination", sw)
-		}
+	for _, sw := range sws {
 		for _, h := range hosts {
-			rt, ok := got[h]
+			rt := esc.Lookup(sw, h)
+			ok := esc.HasRoute(sw, h)
+			if ok != (len(rt.Ports) > 0) {
+				t.Fatalf("escape %d->%d: HasRoute=%v, Lookup %+v", sw, h, ok, rt)
+			}
 			if at, _ := g.HostAttachment(h); at == sw {
 				if ok {
 					t.Fatalf("escape %d->%d: the attach switch delivers, got %+v", sw, h, rt)
@@ -311,7 +344,8 @@ func TestNewTableAllocBudget(t *testing.T) {
 }
 
 // TestTableLookupZeroAlloc: reading a table — Lookup and HasRoute over
-// every pair, routed or not, and off-table nodes — allocates nothing.
+// every pair, routed or not, and off-table nodes — allocates nothing, for a
+// host table and for the switch-sourced escape table alike.
 func TestTableLookupZeroAlloc(t *testing.T) {
 	g := topology.Torus(8, 8, 1, 1)
 	fail := NewFailures()
@@ -324,23 +358,25 @@ func TestTableLookupZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := append(slices.Clone(tbl.Hosts), g.Switches()[0], topology.None)
-	hops := 0
-	allocs := testing.AllocsPerRun(5, func() {
-		hops = 0
-		for _, src := range nodes {
-			for _, dst := range nodes {
-				if tbl.HasRoute(src, dst) {
-					hops += tbl.Lookup(src, dst).Hops()
+	nodes := append(slices.Concat(g.Switches(), g.Hosts()), topology.None, topology.NodeID(len(g.Nodes)+7))
+	for name, tbl := range map[string]*Table{"hosts": tbl, "escapes": r.Escapes()} {
+		hops := 0
+		allocs := testing.AllocsPerRun(5, func() {
+			hops = 0
+			for _, src := range nodes {
+				for _, dst := range nodes {
+					if tbl.HasRoute(src, dst) {
+						hops += tbl.Lookup(src, dst).Hops()
+					}
 				}
 			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: Lookup/HasRoute over all pairs: %.0f allocs, want 0", name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Lookup/HasRoute over all pairs: %.0f allocs, want 0", allocs)
-	}
-	if hops == 0 {
-		t.Fatal("no routes read")
+		if hops != tbl.Hops() {
+			t.Fatalf("%s: read %d hops, the table holds %d", name, hops, tbl.Hops())
+		}
 	}
 }
 
@@ -370,7 +406,7 @@ func TestTableIndexOutOfRange(t *testing.T) {
 // customTable files routes (square over hosts, routes[i][j] from hosts[i]
 // to hosts[j]) through a TableBuilder.
 func customTable(hosts []topology.NodeID, routes [][]Route) *Table {
-	b := NewTableBuilder(hosts)
+	b := NewTableBuilder(hosts, hosts)
 	for i := range hosts {
 		for j := range hosts {
 			b.Row = append(b.Row, routes[i][j].Ports...)
@@ -419,3 +455,52 @@ func BenchmarkNewTable(b *testing.B) {
 
 // benchTable keeps BenchmarkNewTable's result live.
 var benchTable *Table
+
+// remapFailures kills one cable and one switch of g, neither of them the
+// root: the failure set of a typical remap.
+func remapFailures(g *topology.Graph) *Failures {
+	fail := NewFailures()
+	cs, sws := cables(g), g.Switches()
+	fail.FailLink(g, cs[len(cs)/3].Node, cs[len(cs)/3].Port)
+	fail.FailSwitch(sws[len(sws)/2])
+	return fail
+}
+
+// BenchmarkRemap is the routing side of one remap with a dead cable and a
+// dead switch: the labelling of the survivors, then either the surviving
+// host table or (escapes) adaptive routing's escape table, then its proof.
+func BenchmarkRemap(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		g    *topology.Graph
+	}{
+		{"torus8x8", topology.Torus(8, 8, 1, 1)},
+		{"shufflenet24", topology.BidirShufflenet(2, 3, 1)},
+	} {
+		fail := remapFailures(c.g)
+		for _, escapes := range []bool{false, true} {
+			name := c.name
+			if escapes {
+				name += "/escapes"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					r, err := WithoutEdges(c.g, topology.None, fail)
+					if err != nil {
+						b.Fatal(err)
+					}
+					var tbl *Table
+					if escapes {
+						tbl = r.Escapes()
+					} else if tbl, err = r.NewTableSurviving(false); err != nil {
+						b.Fatal(err)
+					}
+					if err := tbl.Prove(c.g, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

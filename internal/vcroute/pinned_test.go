@@ -75,7 +75,7 @@ func walkedSwitches(g *topology.Graph, rt updown.Route, decode func(topology.Por
 // TestSchemeTablesPinned holds every registered scheme's table to
 // testdata/tables_pinned.json, byte for byte, on each named fabric the
 // scheme accepts — healthy and under pinnedFailures — and proves each one
-// deadlock-free at the scheme's lane floor, together with the escape rows
+// deadlock-free at the scheme's lane floor, together with the escape table
 // of every labelling an adaptive table is pinned on.  Up/down pins the
 // tables its labelling builds itself (NewTable healthy, NewTableSurviving
 // after a failure, as the recovery pipeline does).  A refactor of the
@@ -137,7 +137,7 @@ func TestSchemeTablesPinned(t *testing.T) {
 					t.Errorf("%s: %v", key, err)
 				}
 				if sch.Adaptive { // the fabric routes by the escapes, not the markers
-					if err := updown.Prove(net.Graph, nil, ud.Escapes()...); err != nil {
+					if err := ud.Escapes().Prove(net.Graph, nil); err != nil {
 						t.Errorf("%s escapes: %v", key, err)
 					}
 				}

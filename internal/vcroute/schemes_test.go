@@ -313,7 +313,7 @@ func TestValidateTableHostLane(t *testing.T) {
 // customTable files routes (square over hosts, routes[i][j] from hosts[i]
 // to hosts[j]) through an updown.TableBuilder.
 func customTable(hosts []topology.NodeID, routes [][]updown.Route) *updown.Table {
-	b := updown.NewTableBuilder(hosts)
+	b := updown.NewTableBuilder(hosts, hosts)
 	for i := range hosts {
 		for j := range hosts {
 			b.Row = append(b.Row, routes[i][j].Ports...)

@@ -47,7 +47,7 @@ import (
 func pairTable(g *topology.Graph, fail *updown.Failures,
 	build func(row []topology.PortID, src, dst topology.NodeID) ([]topology.PortID, error)) (*updown.Table, error) {
 	hosts := g.Hosts()
-	b := updown.NewTableBuilder(hosts)
+	b := updown.NewTableBuilder(hosts, hosts)
 	for i, src := range hosts {
 		live := !fail.LinkDead(g, src, 0)
 		for j, dst := range hosts {
